@@ -4,7 +4,7 @@
 //! pass it replaced and writes `BENCH_gibbs.json` so the performance
 //! trajectory of the sweep phase accumulates across revisions.
 //!
-//! Three views are recorded:
+//! Four views are recorded:
 //!
 //! * the observation-sweep phase (reassign-obs + merge-obs, the
 //!   dominant inner loop of Alg. 2) in isolation across an
@@ -13,6 +13,11 @@
 //!   grows with both the row width and the candidate count;
 //! * the same phase on `ThreadEngine(3)`, showing the cache survives
 //!   the multi-rank dispatch unchanged;
+//! * the variable-sweep phase (reassign-vars + merge-vars) in the
+//!   many-clusters regime (K₀ = n/2, few observations) where GaneSH
+//!   is most of a learn and every proposal scores hundreds of
+//!   candidates — the view CI gates on: the kernel path must never
+//!   lose to the oracle it replaced;
 //! * a full GaneSH run (all four sweeps), where the variable sweeps
 //!   dilute the observation-phase win.
 //!
@@ -39,6 +44,18 @@ struct SweepRow {
 }
 
 #[derive(Serialize)]
+struct VarSweepRow {
+    n_vars: usize,
+    n_obs: usize,
+    init_clusters: usize,
+    naive_s: f64,
+    kernel_s: f64,
+    speedup: f64,
+    /// Kernel seconds over candidates scored (`engine.items`).
+    ns_per_candidate: f64,
+}
+
+#[derive(Serialize)]
 struct PhaseRow {
     label: String,
     naive_s: f64,
@@ -55,6 +72,7 @@ struct CountersRow {
 #[derive(Serialize)]
 struct Record {
     obs_sweep: Vec<SweepRow>,
+    var_sweep: Vec<VarSweepRow>,
     threads_phase: PhaseRow,
     full_ganesh: PhaseRow,
     counters: Vec<CountersRow>,
@@ -182,6 +200,66 @@ fn main() {
         threads_phase.speedup
     );
 
+    // --- Variable-sweep phase, many clusters ---------------------------
+    let mut table = Table::new(&[
+        "n_vars",
+        "n_obs",
+        "K0",
+        "naive (ms)",
+        "kernel (ms)",
+        "speedup",
+        "ns/candidate",
+    ]);
+    let mut var_sweep = Vec::new();
+    for (n_vars, n_obs) in [(1400, 20), (600, 40)] {
+        let data = synthetic::yeast_like(n_vars, n_obs, 17).dataset;
+        let master = MasterRng::new(29);
+        let init_clusters = n_vars / 2;
+        let base = CoClustering::random_init(
+            &data,
+            init_clusters,
+            NormalGamma::default(),
+            ScoreMode::Incremental,
+            &master,
+            0,
+        );
+        let var_phase = |e: &mut SerialEngine, scoring| {
+            let mut s = base.clone();
+            sweep::reassign_vars(e, &mut s, &data, &master, 0, 0, scoring);
+            sweep::merge_vars(e, &mut s, &data, &master, 0, 0, scoring);
+            black_box(s.score());
+        };
+        let time_path =
+            |scoring| median_time(reps, || var_phase(&mut SerialEngine::new(), scoring));
+        let naive_s = time_path(CandidateScoring::Naive);
+        let kernel_s = time_path(CandidateScoring::Kernel);
+        let mut e = SerialEngine::new();
+        var_phase(&mut e, CandidateScoring::Kernel);
+        let now = e.now_s();
+        let candidates = e.obs().snapshot(now).counters["engine.items"];
+        let row = VarSweepRow {
+            n_vars,
+            n_obs,
+            init_clusters,
+            naive_s,
+            kernel_s,
+            speedup: naive_s / kernel_s,
+            ns_per_candidate: kernel_s * 1e9 / candidates as f64,
+        };
+        table.row(&[
+            format!("{n_vars}"),
+            format!("{n_obs}"),
+            format!("{init_clusters}"),
+            format!("{:.1}", naive_s * 1e3),
+            format!("{:.1}", kernel_s * 1e3),
+            format!("{:.2}×", row.speedup),
+            format!("{:.0}", row.ns_per_candidate),
+        ]);
+        var_sweep.push(row);
+    }
+    println!();
+    table.print();
+
     // --- Full GaneSH run ----------------------------------------------
     let (gv, go) = if quick { (48, 100) } else { (64, 400) };
     let data = synthetic::yeast_like(gv, go, 17).dataset;
@@ -248,6 +326,7 @@ fn main() {
 
     let record = Record {
         obs_sweep,
+        var_sweep,
         threads_phase,
         full_ganesh,
         counters,

@@ -27,31 +27,31 @@ pub enum MoveTarget {
     New,
 }
 
-/// Statistics of one variable's row restricted to each active
-/// observation cluster of a partition, in slot order.
-/// Work: one cell visit per observation.
+/// Append the statistics of one variable's row restricted to each
+/// active observation cluster of a partition, in slot order; returns
+/// the work (one cell visit per observation).
 ///
 /// Shared with the batched candidate scorer (`crate::scorer`), which
-/// caches the result per (variable, cluster) — the *same* accumulation
-/// loop in the *same* element order, so cached and fresh statistics
-/// are bit-identical.
-pub(crate) fn row_stats_by_obs_cluster(
+/// appends to its per-sweep arena and remembers the range per
+/// (variable, cluster) — the *same* accumulation loop in the *same*
+/// element order, so cached and fresh statistics are bit-identical.
+pub(crate) fn push_row_stats(
     data: &Dataset,
     var: usize,
     part: &ObsPartition,
-) -> (Vec<(usize, SuffStats)>, u64) {
+    out: &mut Vec<SuffStats>,
+) -> u64 {
     let row = data.values(var);
-    let mut out = Vec::with_capacity(part.n_active());
     let mut work = 0u64;
-    for (slot, oc) in part.iter_active() {
+    for (_, oc) in part.iter_active() {
         let mut s = SuffStats::empty();
         for &o in &oc.members {
             s.add(row[o]);
         }
         work += oc.members.len() as u64 * COST_CELL;
-        out.push((slot, s));
+        out.push(s);
     }
-    (out, work)
+    work
 }
 
 /// Tile statistics rebuilt from the raw matrix — the reference-mode
@@ -71,11 +71,12 @@ impl CoClustering {
         let prior = *self.prior();
         match self.mode() {
             ScoreMode::Incremental => {
-                let (row_stats, mut work) = row_stats_by_obs_cluster(data, x, &cluster.obs);
+                let mut row_stats = Vec::with_capacity(cluster.obs.n_active());
+                let mut work = push_row_stats(data, x, &cluster.obs, &mut row_stats);
                 let mut delta = 0.0;
-                for (oslot, xs) in row_stats {
-                    let tile = &cluster.obs.cluster(oslot).stats;
-                    delta += removal_term(&prior, tile, &xs, prior.log_marginal(tile));
+                for ((_, oc), xs) in cluster.obs.iter_active().zip(&row_stats) {
+                    let tile = &oc.stats;
+                    delta += removal_term(&prior, tile, xs, prior.log_marginal(tile));
                     work += 2 * COST_LOGMARG;
                 }
                 (delta, work)
@@ -107,11 +108,12 @@ impl CoClustering {
         let prior = *self.prior();
         match self.mode() {
             ScoreMode::Incremental => {
-                let (row_stats, mut work) = row_stats_by_obs_cluster(data, x, &cluster.obs);
+                let mut row_stats = Vec::with_capacity(cluster.obs.n_active());
+                let mut work = push_row_stats(data, x, &cluster.obs, &mut row_stats);
                 let mut delta = 0.0;
-                for (oslot, xs) in row_stats {
-                    let tile = &cluster.obs.cluster(oslot).stats;
-                    delta += addition_term(&prior, tile, &xs, prior.log_marginal(tile));
+                for ((_, oc), xs) in cluster.obs.iter_active().zip(&row_stats) {
+                    let tile = &oc.stats;
+                    delta += addition_term(&prior, tile, xs, prior.log_marginal(tile));
                     work += 2 * COST_LOGMARG;
                 }
                 (delta, work)

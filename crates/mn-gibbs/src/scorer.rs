@@ -20,12 +20,24 @@
 //!   observation sweeps — valid for the whole sweep because the
 //!   owning variable cluster's membership is fixed during it;
 //! * **tile log-marginals** keyed by slot, guarded by per-slot epoch
-//!   counters bumped in O(1) when an accepted move changes the tile.
+//!   counters bumped in O(1) when an accepted move changes the tile;
+//! * **whole addition deltas** `(item, cluster) → (Δ, work)`, stored
+//!   back after the parallel loop under the cluster's tile epoch, so a
+//!   re-proposal against an untouched cluster is a lookup.
 //!
 //! Every cached value is produced by the same accumulation loop (same
 //! element order) or the same pure function the naive path runs, so
 //! serving it from the cache returns the identical bits — see
 //! `mn_score::gibbs_kernel` for the full equivalence argument.
+//!
+//! Storage: every cache key is a pair of small dense indices, so each
+//! cache is an [`EpochTable`] (`[variable][slot]`, `[slot][oslot]`,
+//! `[observation][oslot]`; a single row for the 1-D keys). Row
+//! statistics live in one per-sweep arena the tables index into, and
+//! the candidate list handed to the parallel loop is one scorer-owned
+//! [`CandidatePrep`] refilled per proposal, its tile terms in a flat
+//! arena. Nothing is allocated per entry or per candidate, and
+//! dropping the scorer frees one buffer per table row.
 //!
 //! The scorer also *reports* the naive path's per-item work for every
 //! candidate (even when the answer came from the cache), mirroring the
@@ -34,17 +46,17 @@
 //! byte-for-byte between the two scoring paths, and the speedup is
 //! measured as real wall-clock (`bench_gibbs`).
 
-use crate::moves::row_stats_by_obs_cluster;
-use crate::state::CoClustering;
+use crate::moves::push_row_stats;
+use crate::state::{CoClustering, ObsPartition};
 use mn_data::Dataset;
-use mn_score::gibbs_kernel::{addition_term, removal_term, EpochCache};
-use mn_score::{LnGammaTable, NormalGamma, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::gibbs_kernel::{addition_term, removal_term, EpochTable};
+use mn_score::{LnGammaTable, NormalGamma, PriorConsts, SuffStats, COST_CELL, COST_LOGMARG};
 use std::cell::Cell;
 
 /// One tile-local addition term of a candidate's weight: the
 /// candidate tile, the moving item's statistics restricted to it, and
 /// the cached `log_marginal(tile)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TileTerm {
     /// The candidate tile's sufficient statistics.
     pub tile: SuffStats,
@@ -54,17 +66,19 @@ pub struct TileTerm {
     pub lm_tile: f64,
 }
 
-/// One prepared candidate of a reassignment move.
-#[derive(Debug, Clone)]
+/// One prepared candidate of a reassignment move. Tile terms live in
+/// the owning [`CandidatePrep`]'s flat `terms` arena.
+#[derive(Debug, Clone, Copy)]
 enum CandEval {
     /// The item's current cluster: Δ = 0 by convention.
     Stay,
-    /// An existing cluster: sum of per-tile addition terms.
-    Tiles { terms: Vec<TileTerm>, work: u64 },
-    /// An existing cluster scored by a single tile-local term (the
-    /// observation sweeps have exactly one tile per candidate) —
-    /// avoids the per-candidate `Vec` allocation of `Tiles`.
-    Tile { term: TileTerm, work: u64 },
+    /// An existing cluster: the addition terms `terms[start..end]`,
+    /// accumulated from 0 in slot order as the naive delta does.
+    Tiles { start: usize, end: usize, work: u64 },
+    /// An existing cluster scored by the single term `terms[at]` (the
+    /// observation sweeps have exactly one tile per candidate, and the
+    /// naive delta there is the bare term, not `0 + term`).
+    Tile { at: usize, work: u64 },
     /// An existing cluster whose whole addition delta was computed by
     /// an earlier proposal of the same item and is still epoch-valid:
     /// served with zero normal-gamma evaluations.
@@ -76,10 +90,12 @@ enum CandEval {
 
 /// The prepared candidate list of one reassignment iteration,
 /// assembled in replicated control flow; the block-partitioned loop
-/// only reads it.
-#[derive(Debug, Clone)]
+/// only reads it. Owned by the scorer and refilled per proposal, so a
+/// warm proposal allocates nothing here.
+#[derive(Debug, Default)]
 pub struct CandidatePrep {
     cands: Vec<CandEval>,
+    terms: Vec<TileTerm>,
 }
 
 impl CandidatePrep {
@@ -100,40 +116,50 @@ impl CandidatePrep {
     /// the per-sweep cache — it must be the value accumulated here,
     /// not `weight − rem`, which rounds differently and would break
     /// bit-identity on the next serve.
-    pub fn eval(&self, prior: &NormalGamma, i: usize, rem: f64) -> ((f64, f64), u64) {
-        match &self.cands[i] {
+    pub fn eval(&self, prior: &PriorConsts, i: usize, rem: f64) -> ((f64, f64), u64) {
+        let term = |t: &TileTerm| addition_term(prior, &t.tile, &t.item, t.lm_tile);
+        match self.cands[i] {
             CandEval::Stay => ((0.0, 0.0), 1),
-            CandEval::Tiles { terms, work } => {
+            CandEval::Tiles { start, end, work } => {
                 let mut add = 0.0;
-                for t in terms {
-                    add += addition_term(prior, &t.tile, &t.item, t.lm_tile);
+                for t in &self.terms[start..end] {
+                    add += term(t);
                 }
-                ((rem + add, add), *work)
+                ((rem + add, add), work)
             }
-            CandEval::Tile { term: t, work } => {
-                let add = addition_term(prior, &t.tile, &t.item, t.lm_tile);
-                ((rem + add, add), *work)
+            CandEval::Tile { at, work } => {
+                let add = term(&self.terms[at]);
+                ((rem + add, add), work)
             }
-            CandEval::Cached { add, work } => ((rem + *add, *add), *work),
-            CandEval::Fresh { lm, work } => ((rem + lm, *lm), *work),
+            CandEval::Cached { add, work } => ((rem + add, add), work),
+            CandEval::Fresh { lm, work } => ((rem + lm, lm), work),
         }
     }
 }
 
 /// Prepared values of one variable-merge move: the candidate-
 /// independent log-marginals, hoisted once per move.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct VarMergePrep {
     /// `lm(tile)` of every source tile, in slot order — subtracted
     /// per candidate in this exact order, as the naive delta does.
     pub src_lms: Vec<f64>,
-    /// Per candidate (index-aligned): `lm(tile)` of every destination
-    /// tile in slot order; `None` marks the stay candidate.
-    pub dst_tile_lms: Vec<Option<Vec<f64>>>,
+    /// `lm(tile)` of every destination tile, candidates back to back.
+    dst_lms: Vec<f64>,
+    /// Candidate `i`'s tiles are `dst_lms[dst_start[i]..dst_start[i + 1]]`.
+    dst_start: Vec<usize>,
+}
+
+impl VarMergePrep {
+    /// `lm(tile)` of candidate `i`'s destination tiles in slot order
+    /// (empty for the stay candidate).
+    pub fn dst_tile_lms(&self, i: usize) -> &[f64] {
+        &self.dst_lms[self.dst_start[i]..self.dst_start[i + 1]]
+    }
 }
 
 /// Prepared values of one observation-merge move.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct ObsMergePrep {
     /// `lm` of the cluster being merged away (candidate-independent).
     pub lm_a: f64,
@@ -181,25 +207,39 @@ fn lm_via(
 /// Per-sweep candidate-scoring cache (see the module docs).
 #[derive(Debug)]
 pub struct SweepScorer {
+    /// The prior with its data-independent marginal terms evaluated
+    /// once — what every term evaluation of the sweep goes through.
+    consts: PriorConsts,
     /// The sweep's `ln Γ(α₀ + k/2)` memo — scoped to this scorer (one
     /// checkpoint unit's sweep), never wider, so kill/resume replays
     /// observe the same fill pattern the uninterrupted run recorded.
     table: LnGammaTable,
     /// `ln Γ` evaluations requested through the table / served from
-    /// the memo. `Cell` so the epoch-cache fill closures (which hold a
+    /// the memo. `Cell` so the table fill closures (which hold a
     /// shared borrow of the scorer's fields) can count; prep runs in
     /// replicated flow, so no synchronization is needed.
     lg_calls: Cell<u64>,
     lg_hits: Cell<u64>,
+    /// The candidate lists handed to the parallel loops, refilled per
+    /// proposal.
+    prep: CandidatePrep,
+    var_merge: VarMergePrep,
+    obs_merge: ObsMergePrep,
     // Variable sweeps.
-    row_stats: EpochCache<(usize, usize), Vec<(usize, SuffStats)>>,
-    whole_row_lm: EpochCache<usize, f64>,
-    var_tile_lm: EpochCache<(usize, usize), f64>,
-    /// Whole addition deltas `(variable, slot) → (Δ, work)` computed
+    /// `[variable][slot]` → where in `row_arena` the row's per-tile
+    /// statistics start (one per active observation cluster, in slot
+    /// order).
+    row_stats: EpochTable<usize>,
+    row_arena: Vec<SuffStats>,
+    /// `[0][variable]`.
+    whole_row_lm: EpochTable<f64>,
+    /// `[slot][oslot]`.
+    var_tile_lm: EpochTable<f64>,
+    /// Whole addition deltas `[variable][slot] → (Δ, work)` computed
     /// by earlier proposals and stored back after the parallel loop —
     /// guarded by the slot's tile epoch, so a re-proposal against an
     /// untouched cluster costs zero normal-gamma evaluations.
-    var_add: EpochCache<(usize, usize), (f64, u64)>,
+    var_add: EpochTable<(f64, u64)>,
     /// Bumped when a variable-cluster slot's *observation partition*
     /// is replaced (slot freed or created) — guards `row_stats`.
     part_epoch: Vec<u64>,
@@ -207,11 +247,13 @@ pub struct SweepScorer {
     /// guards `var_tile_lm`.
     var_tile_epoch: Vec<u64>,
     // Observation sweeps (one variable cluster per sweep).
-    col: EpochCache<usize, (SuffStats, f64)>,
-    obs_tile_lm: EpochCache<usize, f64>,
-    /// Whole addition deltas `(observation, oslot) → (Δ, work)`, the
+    /// `[0][observation]`.
+    col: EpochTable<(SuffStats, f64)>,
+    /// `[0][oslot]`.
+    obs_tile_lm: EpochTable<f64>,
+    /// Whole addition deltas `[observation][oslot] → (Δ, work)`, the
     /// observation-sweep counterpart of `var_add`.
-    obs_add: EpochCache<(usize, usize), (f64, u64)>,
+    obs_add: EpochTable<(f64, u64)>,
     /// Bumped when an observation cluster's tile changes — guards
     /// `obs_tile_lm`.
     obs_tile_epoch: Vec<u64>,
@@ -222,20 +264,31 @@ impl SweepScorer {
     /// `prior`'s shape `α₀`.
     pub fn new(prior: &NormalGamma) -> Self {
         Self {
+            consts: PriorConsts::new(prior),
             table: LnGammaTable::new(prior.alpha0),
             lg_calls: Cell::new(0),
             lg_hits: Cell::new(0),
-            row_stats: EpochCache::default(),
-            whole_row_lm: EpochCache::default(),
-            var_tile_lm: EpochCache::default(),
-            var_add: EpochCache::default(),
+            prep: CandidatePrep::default(),
+            var_merge: VarMergePrep::default(),
+            obs_merge: ObsMergePrep::default(),
+            row_stats: EpochTable::default(),
+            row_arena: Vec::new(),
+            whole_row_lm: EpochTable::default(),
+            var_tile_lm: EpochTable::default(),
+            var_add: EpochTable::default(),
             part_epoch: Vec::new(),
             var_tile_epoch: Vec::new(),
-            col: EpochCache::default(),
-            obs_tile_lm: EpochCache::default(),
-            obs_add: EpochCache::default(),
+            col: EpochTable::default(),
+            obs_tile_lm: EpochTable::default(),
+            obs_add: EpochTable::default(),
             obs_tile_epoch: Vec::new(),
         }
+    }
+
+    /// The sweep's prior with its hoisted constants, for the term
+    /// evaluations the sweep runs in its parallel loops.
+    pub fn consts(&self) -> PriorConsts {
+        self.consts
     }
 
     /// `ln Γ` evaluations requested through the sweep's memo table.
@@ -272,6 +325,19 @@ impl SweepScorer {
 
     // ----- variable-reassignment sweep -----
 
+    /// Where in `row_arena` the statistics of variable `x`'s row under
+    /// `slot`'s observation partition `obs` start — appended by the
+    /// naive path's own accumulation loop on a miss.
+    fn row_stats_at(&mut self, data: &Dataset, x: usize, slot: usize, obs: &ObsPartition) -> usize {
+        let pe = epoch(&mut self.part_epoch, slot);
+        let arena = &mut self.row_arena;
+        self.row_stats.fetch(x, slot, pe, || {
+            let at = arena.len();
+            push_row_stats(data, x, obs, arena);
+            at
+        })
+    }
+
     /// The hoisted removal delta of variable `x`, served from the
     /// caches; the reported work is the naive formula's (one cell
     /// visit per observation plus two log-marginals per tile), so both
@@ -279,21 +345,20 @@ impl SweepScorer {
     pub fn var_removal(&mut self, data: &Dataset, state: &CoClustering, x: usize) -> (f64, u64) {
         let prior = *state.prior();
         let cur = state.slot_of_var(x);
-        let cluster = state.cluster(cur);
-        let pe = epoch(&mut self.part_epoch, cur);
-        let rs = self
-            .row_stats
-            .fetch((x, cur), pe, || row_stats_by_obs_cluster(data, x, &cluster.obs).0);
+        let obs = &state.cluster(cur).obs;
+        let at = self.row_stats_at(data, x, cur, obs);
         let te = epoch(&mut self.var_tile_epoch, cur);
         let mut delta = 0.0;
-        for (oslot, xs) in &rs {
-            let tile = cluster.obs.cluster(*oslot).stats;
-            let lm_tile = self.var_tile_lm.fetch((cur, *oslot), te, || {
+        let mut n_tiles = 0;
+        for (oslot, oc) in obs.iter_active() {
+            let tile = oc.stats;
+            let lm_tile = self.var_tile_lm.fetch(cur, oslot, te, || {
                 lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &tile)
             });
-            delta += removal_term(&prior, &tile, xs, lm_tile);
+            delta += removal_term(&self.consts, &tile, &self.row_arena[at + n_tiles], lm_tile);
+            n_tiles += 1;
         }
-        let work = data.n_obs() as u64 * COST_CELL + 2 * rs.len() as u64 * COST_LOGMARG;
+        let work = data.n_obs() as u64 * COST_CELL + 2 * n_tiles as u64 * COST_LOGMARG;
         (delta, work)
     }
 
@@ -308,67 +373,61 @@ impl SweepScorer {
         x: usize,
         cur: usize,
         slots: &[usize],
-    ) -> CandidatePrep {
+    ) -> &CandidatePrep {
         let prior = *state.prior();
         let cell_work = data.n_obs() as u64 * COST_CELL;
-        let mut cands = Vec::with_capacity(slots.len() + 1);
+        self.prep.cands.clear();
+        self.prep.terms.clear();
         for &slot in slots {
             if slot == cur {
-                cands.push(CandEval::Stay);
+                self.prep.cands.push(CandEval::Stay);
                 continue;
             }
             let te = epoch(&mut self.var_tile_epoch, slot);
-            if let Some((add, work)) = self.var_add.get(&(x, slot), te) {
-                cands.push(CandEval::Cached { add, work });
+            if let Some((add, work)) = self.var_add.get(x, slot, te) {
+                self.prep.cands.push(CandEval::Cached { add, work });
                 continue;
             }
-            let cluster = state.cluster(slot);
-            let pe = epoch(&mut self.part_epoch, slot);
-            let rs = self
-                .row_stats
-                .fetch((x, slot), pe, || row_stats_by_obs_cluster(data, x, &cluster.obs).0);
-            let mut terms = Vec::with_capacity(rs.len());
-            for (oslot, xs) in &rs {
-                let tile = cluster.obs.cluster(*oslot).stats;
-                let lm_tile = self.var_tile_lm.fetch((slot, *oslot), te, || {
+            let obs = &state.cluster(slot).obs;
+            let at = self.row_stats_at(data, x, slot, obs);
+            let start = self.prep.terms.len();
+            for (i, (oslot, oc)) in obs.iter_active().enumerate() {
+                let tile = oc.stats;
+                let lm_tile = self.var_tile_lm.fetch(slot, oslot, te, || {
                     lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &tile)
                 });
-                terms.push(TileTerm {
+                self.prep.terms.push(TileTerm {
                     tile,
-                    item: *xs,
+                    item: self.row_arena[at + i],
                     lm_tile,
                 });
             }
-            let work = cell_work + 2 * terms.len() as u64 * COST_LOGMARG;
-            cands.push(CandEval::Tiles { terms, work });
+            let end = self.prep.terms.len();
+            let work = cell_work + 2 * (end - start) as u64 * COST_LOGMARG;
+            self.prep.cands.push(CandEval::Tiles { start, end, work });
         }
-        let lm = self.whole_row_lm.fetch(x, 0, || {
+        let lm = self.whole_row_lm.fetch(0, x, 0, || {
             let row = SuffStats::from_values(data.values(x));
             lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &row)
         });
-        cands.push(CandEval::Fresh {
+        self.prep.cands.push(CandEval::Fresh {
             lm,
             work: cell_work + COST_LOGMARG,
         });
-        CandidatePrep { cands }
+        &self.prep
     }
 
     /// Store the addition deltas the parallel loop just computed back
     /// into the whole-delta cache, stamped with the current tile
-    /// epochs. `outs` is the loop's `(weight, addition delta)` output,
-    /// index-aligned with `slots`; only candidates that were actually
-    /// evaluated (not served from this cache, not stay) are stored.
-    pub fn store_var_adds(
-        &mut self,
-        x: usize,
-        slots: &[usize],
-        prep: &CandidatePrep,
-        outs: &[(f64, f64)],
-    ) {
+    /// epochs. `outs` is the loop's `(weight, addition delta)` output
+    /// for the candidate list prepared last, index-aligned with
+    /// `slots`; only candidates that were actually evaluated (not
+    /// served from this cache, not stay) are stored.
+    pub fn store_var_adds(&mut self, x: usize, slots: &[usize], outs: &[(f64, f64)]) {
         for (i, &slot) in slots.iter().enumerate() {
-            if let CandEval::Tiles { work, .. } = &prep.cands[i] {
+            if let CandEval::Tiles { work, .. } = self.prep.cands[i] {
                 let e = epoch(&mut self.var_tile_epoch, slot);
-                self.var_add.insert((x, slot), e, (outs[i].1, *work));
+                self.var_add.insert(x, slot, e, (outs[i].1, work));
             }
         }
     }
@@ -398,44 +457,35 @@ impl SweepScorer {
         state: &CoClustering,
         slot: usize,
         candidates: &[usize],
-    ) -> VarMergePrep {
+    ) -> &VarMergePrep {
         let prior = *state.prior();
+        let prep = &mut self.var_merge;
+        prep.src_lms.clear();
+        prep.dst_lms.clear();
+        prep.dst_start.clear();
         let te_src = epoch(&mut self.var_tile_epoch, slot);
-        let src = state.cluster(slot);
-        let src_lms: Vec<f64> = src
-            .obs
-            .iter_active()
-            .map(|(oslot, oc)| {
-                let stats = oc.stats;
-                self.var_tile_lm.fetch((slot, oslot), te_src, || {
+        for (oslot, oc) in state.cluster(slot).obs.iter_active() {
+            let stats = oc.stats;
+            prep.src_lms
+                .push(self.var_tile_lm.fetch(slot, oslot, te_src, || {
                     lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &stats)
-                })
-            })
-            .collect();
-        let mut dst_tile_lms = Vec::with_capacity(candidates.len());
+                }));
+        }
         for &t in candidates {
+            prep.dst_start.push(prep.dst_lms.len());
             if t == slot {
-                dst_tile_lms.push(None);
                 continue;
             }
             let te = epoch(&mut self.var_tile_epoch, t);
-            let dst = state.cluster(t);
-            let lms = dst
-                .obs
-                .iter_active()
-                .map(|(oslot, oc)| {
-                    let stats = oc.stats;
-                    self.var_tile_lm.fetch((t, oslot), te, || {
-                        lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &stats)
-                    })
-                })
-                .collect();
-            dst_tile_lms.push(Some(lms));
+            for (oslot, oc) in state.cluster(t).obs.iter_active() {
+                let stats = oc.stats;
+                prep.dst_lms.push(self.var_tile_lm.fetch(t, oslot, te, || {
+                    lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &stats)
+                }));
+            }
         }
-        VarMergePrep {
-            src_lms,
-            dst_tile_lms,
-        }
+        prep.dst_start.push(prep.dst_lms.len());
+        prep
     }
 
     /// Record an accepted merge of variable cluster `from` into `to`.
@@ -459,7 +509,7 @@ impl SweepScorer {
         o: usize,
     ) -> (SuffStats, f64, u64) {
         let prior = *state.prior();
-        let (col, lm) = self.col.fetch(o, 0, || {
+        let (col, lm) = self.col.fetch(0, o, 0, || {
             let (col, _) = state.column_stats(data, slot, o);
             let lm = lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &col);
             (col, lm)
@@ -482,11 +532,11 @@ impl SweepScorer {
         let cur = state.cluster(slot).obs.slot_of(o);
         let tile = state.cluster(slot).obs.cluster(cur).stats;
         let te = epoch(&mut self.obs_tile_epoch, cur);
-        let lm_tile = self.obs_tile_lm.fetch(cur, te, || {
+        let lm_tile = self.obs_tile_lm.fetch(0, cur, te, || {
             lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &tile)
         });
         (
-            removal_term(&prior, &tile, &col, lm_tile),
+            removal_term(&self.consts, &tile, &col, lm_tile),
             col_work + 2 * COST_LOGMARG,
         )
     }
@@ -502,53 +552,49 @@ impl SweepScorer {
         o: usize,
         cur: usize,
         oslots: &[usize],
-    ) -> CandidatePrep {
+    ) -> &CandidatePrep {
         let prior = *state.prior();
         let (col, lm_col, col_work) = self.obs_col(data, state, slot, o);
-        let mut cands = Vec::with_capacity(oslots.len() + 1);
+        self.prep.cands.clear();
+        self.prep.terms.clear();
         for &t in oslots {
             if t == cur {
-                cands.push(CandEval::Stay);
+                self.prep.cands.push(CandEval::Stay);
                 continue;
             }
             let te = epoch(&mut self.obs_tile_epoch, t);
-            if let Some((add, work)) = self.obs_add.get(&(o, t), te) {
-                cands.push(CandEval::Cached { add, work });
+            if let Some((add, work)) = self.obs_add.get(o, t, te) {
+                self.prep.cands.push(CandEval::Cached { add, work });
                 continue;
             }
             let tile = state.cluster(slot).obs.cluster(t).stats;
-            let lm_tile = self.obs_tile_lm.fetch(t, te, || {
+            let lm_tile = self.obs_tile_lm.fetch(0, t, te, || {
                 lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &tile)
             });
-            cands.push(CandEval::Tile {
-                term: TileTerm {
-                    tile,
-                    item: col,
-                    lm_tile,
-                },
+            self.prep.cands.push(CandEval::Tile {
+                at: self.prep.terms.len(),
                 work: col_work + 2 * COST_LOGMARG,
             });
+            self.prep.terms.push(TileTerm {
+                tile,
+                item: col,
+                lm_tile,
+            });
         }
-        cands.push(CandEval::Fresh {
+        self.prep.cands.push(CandEval::Fresh {
             lm: lm_col,
             work: col_work + COST_LOGMARG,
         });
-        CandidatePrep { cands }
+        &self.prep
     }
 
     /// The observation-sweep counterpart of
     /// [`SweepScorer::store_var_adds`].
-    pub fn store_obs_adds(
-        &mut self,
-        o: usize,
-        oslots: &[usize],
-        prep: &CandidatePrep,
-        outs: &[(f64, f64)],
-    ) {
+    pub fn store_obs_adds(&mut self, o: usize, oslots: &[usize], outs: &[(f64, f64)]) {
         for (i, &t) in oslots.iter().enumerate() {
-            if let CandEval::Tile { work, .. } = &prep.cands[i] {
+            if let CandEval::Tile { work, .. } = self.prep.cands[i] {
                 let e = epoch(&mut self.obs_tile_epoch, t);
-                self.obs_add.insert((o, t), e, (outs[i].1, *work));
+                self.obs_add.insert(o, t, e, (outs[i].1, work));
             }
         }
     }
@@ -568,26 +614,28 @@ impl SweepScorer {
         slot: usize,
         oslot: usize,
         candidates: &[usize],
-    ) -> ObsMergePrep {
+    ) -> &ObsMergePrep {
         let prior = *state.prior();
         let sa = state.cluster(slot).obs.cluster(oslot).stats;
         let te_a = epoch(&mut self.obs_tile_epoch, oslot);
-        let lm_a = self.obs_tile_lm.fetch(oslot, te_a, || {
+        let prep = &mut self.obs_merge;
+        prep.lm_a = self.obs_tile_lm.fetch(0, oslot, te_a, || {
             lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &sa)
         });
-        let mut cand_lms = Vec::with_capacity(candidates.len());
+        prep.cand_lms.clear();
         for &t in candidates {
             if t == oslot {
-                cand_lms.push(None);
+                prep.cand_lms.push(None);
                 continue;
             }
             let sb = state.cluster(slot).obs.cluster(t).stats;
             let te = epoch(&mut self.obs_tile_epoch, t);
-            cand_lms.push(Some(self.obs_tile_lm.fetch(t, te, || {
-                lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &sb)
-            })));
+            prep.cand_lms
+                .push(Some(self.obs_tile_lm.fetch(0, t, te, || {
+                    lm_via(&prior, &self.table, &self.lg_calls, &self.lg_hits, &sb)
+                })));
         }
-        ObsMergePrep { lm_a, cand_lms }
+        prep
     }
 
     /// Record an accepted merge of observation cluster `from` into
@@ -613,25 +661,26 @@ impl SweepScorer {
         let prior = *state.prior();
         let cur_epoch = |v: &Vec<u64>, slot: usize| v.get(slot).copied().unwrap_or(0);
 
-        for (&(x, slot), e, rs) in self.row_stats.entries() {
+        let mut fresh = Vec::new();
+        for ((x, slot), e, &at) in self.row_stats.entries() {
             if e != cur_epoch(&self.part_epoch, slot) {
                 continue; // stale by design; recomputed on next access
             }
             assert!(state.is_active(slot), "valid row-stat entry for freed slot");
-            let (fresh, _) = row_stats_by_obs_cluster(data, x, &state.cluster(slot).obs);
-            assert_eq!(rs.len(), fresh.len(), "row-stat tile count drift");
-            for ((os_a, a), (os_b, b)) in rs.iter().zip(&fresh) {
-                assert_eq!(os_a, os_b, "row-stat slot order drift");
+            fresh.clear();
+            push_row_stats(data, x, &state.cluster(slot).obs, &mut fresh);
+            let cached = &self.row_arena[at..at + fresh.len()];
+            for (a, b) in cached.iter().zip(&fresh) {
                 assert_eq!(a.count(), b.count(), "row-stat count drift");
                 assert_eq!(a.sum().to_bits(), b.sum().to_bits(), "row-stat sum drift");
                 assert_eq!(a.sumsq().to_bits(), b.sumsq().to_bits(), "row-stat sumsq drift");
             }
         }
-        for (&x, _, &lm) in self.whole_row_lm.entries() {
+        for ((_, x), _, &lm) in self.whole_row_lm.entries() {
             let fresh = prior.log_marginal(&SuffStats::from_values(data.values(x)));
             assert_eq!(lm.to_bits(), fresh.to_bits(), "whole-row lm drift");
         }
-        for (&(slot, oslot), e, &lm) in self.var_tile_lm.entries() {
+        for ((slot, oslot), e, &lm) in self.var_tile_lm.entries() {
             if e != cur_epoch(&self.var_tile_epoch, slot) {
                 continue;
             }
@@ -640,7 +689,7 @@ impl SweepScorer {
             let fresh = prior.log_marginal(tile);
             assert_eq!(lm.to_bits(), fresh.to_bits(), "var tile lm drift");
         }
-        for (&(x, slot), e, &(add, work)) in self.var_add.entries() {
+        for ((x, slot), e, &(add, work)) in self.var_add.entries() {
             if e != cur_epoch(&self.var_tile_epoch, slot) {
                 continue;
             }
@@ -654,7 +703,7 @@ impl SweepScorer {
             assert_eq!(work, fresh_work, "var add-delta work drift");
         }
         if let Some(slot) = obs_slot {
-            for (&o, _, (col, lm)) in self.col.entries() {
+            for ((_, o), _, (col, lm)) in self.col.entries() {
                 let (fresh, _) = state.column_stats(data, slot, o);
                 assert_eq!(col.count(), fresh.count(), "col count drift");
                 assert_eq!(col.sum().to_bits(), fresh.sum().to_bits(), "col sum drift");
@@ -666,7 +715,7 @@ impl SweepScorer {
                 let fresh_lm = prior.log_marginal(&fresh);
                 assert_eq!(lm.to_bits(), fresh_lm.to_bits(), "col lm drift");
             }
-            for (&oslot, e, &lm) in self.obs_tile_lm.entries() {
+            for ((_, oslot), e, &lm) in self.obs_tile_lm.entries() {
                 if e != cur_epoch(&self.obs_tile_epoch, oslot) {
                     continue;
                 }
@@ -674,7 +723,7 @@ impl SweepScorer {
                 let fresh = prior.log_marginal(tile);
                 assert_eq!(lm.to_bits(), fresh.to_bits(), "obs tile lm drift");
             }
-            for (&(o, t), e, &(add, work)) in self.obs_add.entries() {
+            for ((o, t), e, &(add, work)) in self.obs_add.entries() {
                 if e != cur_epoch(&self.obs_tile_epoch, t) {
                     continue;
                 }
@@ -718,8 +767,8 @@ mod tests {
     fn var_candidate_weights_bit_identical_to_naive() {
         for seed in [3u64, 11, 29] {
             let (d, s) = setup(seed);
-            let prior = *s.prior();
             let mut scorer = SweepScorer::new(s.prior());
+            let prior = scorer.consts();
             for x in 0..d.n_vars() {
                 let cur = s.slot_of_var(x);
                 let slots = s.active_slots();
@@ -759,9 +808,9 @@ mod tests {
     fn obs_candidate_weights_bit_identical_to_naive() {
         for seed in [5u64, 17] {
             let (d, s) = setup(seed);
-            let prior = *s.prior();
             let slot = s.active_slots()[0];
             let mut scorer = SweepScorer::new(s.prior());
+            let prior = scorer.consts();
             for o in 0..d.n_obs() {
                 let cur = s.cluster(slot).obs.slot_of(o);
                 let oslots = s.cluster(slot).obs.active_slots();

@@ -89,11 +89,21 @@ impl ObsPartition {
 
     /// Active slots in slot order.
     pub fn active_slots(&self) -> Vec<usize> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|_| i))
-            .collect()
+        let mut out = Vec::new();
+        self.fill_active_slots(&mut out);
+        out
+    }
+
+    /// [`ObsPartition::active_slots`] into a caller-owned buffer (the
+    /// sweeps refill one per proposal).
+    pub fn fill_active_slots(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.iter_active().map(|(i, _)| i));
+    }
+
+    /// Whether `slot` currently holds a cluster.
+    pub fn is_active(&self, slot: usize) -> bool {
+        self.clusters.get(slot).is_some_and(|c| c.is_some())
     }
 
     /// Number of active clusters.
@@ -322,11 +332,21 @@ impl CoClustering {
 
     /// Active variable-cluster slots in slot order.
     pub fn active_slots(&self) -> Vec<usize> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|_| i))
-            .collect()
+        let mut out = Vec::new();
+        self.fill_active_slots(&mut out);
+        out
+    }
+
+    /// [`CoClustering::active_slots`] into a caller-owned buffer (the
+    /// sweeps refill one per proposal).
+    pub fn fill_active_slots(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.clusters
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| c.as_ref().map(|_| i)),
+        );
     }
 
     /// Whether `slot` currently holds a cluster.

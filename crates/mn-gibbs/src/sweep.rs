@@ -47,14 +47,19 @@
 //!   literally), except that the candidate-independent removal delta
 //!   is computed once per move (see the comment in [`reassign_vars`]).
 //! * **Kernel** — a per-sweep [`SweepScorer`] caches row/column
-//!   statistics and tile log-marginals (O(1) invalidation on accepted
-//!   moves), all cache traffic happens in replicated control flow
-//!   before the parallel region, and the candidate loop runs through
-//!   [`ParEngine::dist_map_segmented_batch`] with one `Segments`
-//!   boundary per candidate. The kernel *reports* the naive formula's
-//!   per-candidate work, so block partitioning, per-item accounting
-//!   and the §5.3.1 imbalance records are byte-identical to the naive
-//!   path; its real saving shows up as wall-clock (`bench_gibbs`).
+//!   statistics, tile log-marginals and whole addition deltas in dense
+//!   slot-indexed tables (O(1) invalidation on accepted moves), all
+//!   cache traffic happens in replicated control flow before the
+//!   parallel region, and the candidate loop reads one scorer-owned
+//!   candidate buffer through [`ParEngine::dist_map_segmented_batch`]
+//!   with one `Segments` boundary per candidate, evaluating every term
+//!   against the sweep's hoisted prior constants. The slot list, the
+//!   weights and the unit `Segments` are per-sweep buffers too, so a
+//!   proposal allocates only what the engine's map returns. The kernel
+//!   *reports* the naive formula's per-candidate work, so block
+//!   partitioning, per-item accounting and the §5.3.1 imbalance
+//!   records are byte-identical to the naive path; its real saving
+//!   shows up as wall-clock (`bench_gibbs`).
 //!
 //! Both paths produce bit-identical weights (argued in
 //! `mn_score::gibbs_kernel` and DESIGN.md §9), hence identical
@@ -114,9 +119,13 @@ fn flush_cache_counters<E: ParEngine>(engine: &mut E, scorer: &SweepScorer) {
 
 /// Per-candidate segments: one `Segments` boundary per candidate, so
 /// the engines' block partitioning of the batched map is exactly the
-/// block partitioning of the per-item map over the same list.
-fn per_candidate_segments(n_cand: usize) -> Segments {
-    Segments::from_lens(std::iter::repeat_n(1, n_cand))
+/// block partitioning of the per-item map over the same list. One
+/// value serves a whole sweep and is rebuilt only when the candidate
+/// count changes (a cluster was created or freed).
+fn per_candidate_segments(segments: &mut Segments, n_cand: usize) {
+    if segments.n_items() != n_cand {
+        *segments = Segments::from_lens(std::iter::repeat_n(1, n_cand));
+    }
 }
 
 /// One full variable-reassignment sweep (Alg. 1, `Reassign-Var-Cluster`).
@@ -135,12 +144,16 @@ pub fn reassign_vars<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
     let mut scorer = SweepScorer::new(state.prior());
+    let consts = scorer.consts();
+    let mut slots = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    let mut segments = Segments::whole(0);
     for _ in 0..n {
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         let x = select_unif_rand(&mut stream, n);
         let cur = state.slot_of_var(x);
 
-        let slots = state.active_slots();
+        state.fill_active_slots(&mut slots);
         let n_cand = slots.len() + 1; // + fresh cluster
 
         // Alg. 1 line 8 scores `removal + addition` per candidate, but
@@ -162,10 +175,9 @@ pub fn reassign_vars<E: ParEngine>(
         };
         engine.replicated(rem_work);
 
-        let weights: Vec<f64> = if kernel {
+        if kernel {
             let prep = scorer.prep_var_candidates(data, state, x, cur, &slots);
-            let prior = *state.prior();
-            let segments = per_candidate_segments(n_cand);
+            per_candidate_segments(&mut segments, n_cand);
             // The kernel items carry `(weight, raw addition delta)`:
             // the raw delta is stored back into the whole-delta cache
             // so a later re-proposal of `x` against an untouched
@@ -173,14 +185,15 @@ pub fn reassign_vars<E: ParEngine>(
             // would round differently and break bit-identity.
             let outs = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                 for i in range {
-                    out.push(prep.eval(&prior, i, rem));
+                    out.push(prep.eval(&consts, i, rem));
                 }
             });
-            scorer.store_var_adds(x, &slots, &prep, &outs);
-            outs.into_iter().map(|(w, _)| w).collect()
+            scorer.store_var_adds(x, &slots, &outs);
+            weights.clear();
+            weights.extend(outs.iter().map(|&(w, _)| w));
         } else {
             let state_ref: &CoClustering = state;
-            engine.dist_map(n_cand, 1, &|i| {
+            weights = engine.dist_map(n_cand, 1, &|i| {
                 if i < slots.len() {
                     let slot = slots[i];
                     if slot == cur {
@@ -193,8 +206,8 @@ pub fn reassign_vars<E: ParEngine>(
                     let (add, work) = state_ref.var_new_cluster_delta(data, x);
                     (rem + add, work)
                 }
-            })
-        };
+            });
+        }
         // The collective part of Select-Wtd-Rand (§3.1).
         engine.collective(Collective::AllReduce, 1);
         let choice = select_wtd_log(&mut stream, &weights);
@@ -237,7 +250,10 @@ pub fn merge_vars<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
     let mut scorer = SweepScorer::new(state.prior());
+    let consts = scorer.consts();
     let snapshot = state.active_slots();
+    let mut candidates = Vec::new();
+    let mut segments = Segments::whole(0);
     for &slot in &snapshot {
         // The cluster may have been absorbed by an earlier merge in
         // this very sweep.
@@ -245,7 +261,7 @@ pub fn merge_vars<E: ParEngine>(
             continue;
         }
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
-        let candidates = state.active_slots();
+        state.fill_active_slots(&mut candidates);
         let weights: Vec<f64> = if kernel {
             // All log-marginals of existing tiles come from the cache;
             // the parallel region recomputes only the cross statistics
@@ -253,9 +269,8 @@ pub fn merge_vars<E: ParEngine>(
             // exactly the loop the naive delta runs, in the same
             // order, so the weights are bit-identical.
             let prep = scorer.prep_var_merge(state, slot, &candidates);
-            let prior = *state.prior();
             let state_ref: &CoClustering = state;
-            let segments = per_candidate_segments(candidates.len());
+            per_candidate_segments(&mut segments, candidates.len());
             engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                 for i in range {
                     let t = candidates[i];
@@ -265,12 +280,9 @@ pub fn merge_vars<E: ParEngine>(
                     }
                     let src = state_ref.cluster(slot);
                     let dst = state_ref.cluster(t);
-                    let lms = prep.dst_tile_lms[i]
-                        .as_ref()
-                        .expect("merge candidate lms missing");
                     let mut delta = 0.0;
                     let mut work = 0u64;
-                    for ((_, oc), &lm_tile) in dst.obs.iter_active().zip(lms) {
+                    for ((_, oc), &lm_tile) in dst.obs.iter_active().zip(prep.dst_tile_lms(i)) {
                         let mut add = SuffStats::empty();
                         for &v in &src.members {
                             let row = data.values(v);
@@ -279,7 +291,7 @@ pub fn merge_vars<E: ParEngine>(
                             }
                         }
                         work += (src.members.len() * oc.members.len()) as u64 * COST_CELL;
-                        delta += addition_term(&prior, &oc.stats, &add, lm_tile);
+                        delta += addition_term(&consts, &oc.stats, &add, lm_tile);
                         work += 2 * COST_LOGMARG;
                     }
                     // Subtract src's tile scores one by one, in slot
@@ -339,12 +351,16 @@ pub fn reassign_obs<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
     let mut scorer = SweepScorer::new(state.prior());
+    let consts = scorer.consts();
+    let mut oslots = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    let mut segments = Segments::whole(0);
     for _ in 0..m {
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         let o = select_unif_rand(&mut stream, m);
         let cur = state.cluster(slot).obs.slot_of(o);
 
-        let oslots = state.cluster(slot).obs.active_slots();
+        state.cluster(slot).obs.fill_active_slots(&mut oslots);
         let n_cand = oslots.len() + 1;
 
         // As in the variable sweep, the candidate-independent removal
@@ -357,22 +373,22 @@ pub fn reassign_obs<E: ParEngine>(
         };
         engine.replicated(rem_work);
 
-        let weights: Vec<f64> = if kernel {
+        if kernel {
             let prep = scorer.prep_obs_candidates(data, state, slot, o, cur, &oslots);
-            let prior = *state.prior();
-            let segments = per_candidate_segments(n_cand);
+            per_candidate_segments(&mut segments, n_cand);
             // `(weight, raw addition delta)` items, as in the variable
             // sweep: the raw delta feeds the whole-delta cache.
             let outs = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                 for i in range {
-                    out.push(prep.eval(&prior, i, rem));
+                    out.push(prep.eval(&consts, i, rem));
                 }
             });
-            scorer.store_obs_adds(o, &oslots, &prep, &outs);
-            outs.into_iter().map(|(w, _)| w).collect()
+            scorer.store_obs_adds(o, &oslots, &outs);
+            weights.clear();
+            weights.extend(outs.iter().map(|&(w, _)| w));
         } else {
             let state_ref: &CoClustering = state;
-            engine.dist_map(n_cand, 1, &|i| {
+            weights = engine.dist_map(n_cand, 1, &|i| {
                 if i < oslots.len() {
                     let t = oslots[i];
                     if t == cur {
@@ -385,8 +401,8 @@ pub fn reassign_obs<E: ParEngine>(
                     let (add, work) = state_ref.obs_new_cluster_delta(data, slot, o);
                     (rem + add, work)
                 }
-            })
-        };
+            });
+        }
         engine.collective(Collective::AllReduce, 1);
         let choice = select_wtd_log(&mut stream, &weights);
         let target = if choice < oslots.len() {
@@ -429,23 +445,20 @@ pub fn merge_obs<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
     let mut scorer = SweepScorer::new(state.prior());
+    let consts = scorer.consts();
     let snapshot = state.cluster(slot).obs.active_slots();
+    let mut candidates = Vec::new();
+    let mut segments = Segments::whole(0);
     for &oslot in &snapshot {
-        if !state
-            .cluster(slot)
-            .obs
-            .active_slots()
-            .contains(&oslot)
-        {
+        if !state.cluster(slot).obs.is_active(oslot) {
             continue;
         }
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
-        let candidates = state.cluster(slot).obs.active_slots();
+        state.cluster(slot).obs.fill_active_slots(&mut candidates);
         let weights: Vec<f64> = if kernel {
             let prep = scorer.prep_obs_merge(state, slot, oslot, &candidates);
-            let prior = *state.prior();
             let state_ref: &CoClustering = state;
-            let segments = per_candidate_segments(candidates.len());
+            per_candidate_segments(&mut segments, candidates.len());
             engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                 for i in range {
                     let t = candidates[i];
@@ -458,7 +471,7 @@ pub fn merge_obs<E: ParEngine>(
                     let sb = &cluster.obs.cluster(t).stats;
                     let lm_b = prep.cand_lms[i].expect("merge candidate lm missing");
                     out.push((
-                        merge_gain_term(&prior, sa, sb, prep.lm_a, lm_b),
+                        merge_gain_term(&consts, sa, sb, prep.lm_a, lm_b),
                         3 * COST_LOGMARG,
                     ));
                 }

@@ -5,7 +5,7 @@
 //! identical work accounting, so every imbalance figure is
 //! path-independent.
 
-use mn_comm::{spmd_run, ParEngine, SerialEngine, SimEngine, ThreadEngine};
+use mn_comm::{spmd_run, ParEngine, RunReport, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::{synthetic, Dataset};
 use mn_gibbs::{ganesh, CoClustering, GaneshParams};
 use mn_obs::counters;
@@ -68,26 +68,28 @@ fn kernel_matches_naive_on_every_engine_and_rank_count() {
     }
 }
 
+/// Drop the path markers themselves (dispatch tallies and the
+/// kernel-only cache traffic) from a counter snapshot.
+fn strip(mut c: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    for key in [
+        counters::GIBBS_KERNEL_DISPATCHES,
+        counters::GIBBS_NAIVE_DISPATCHES,
+        counters::GIBBS_CACHE_HITS,
+        counters::GIBBS_CACHE_MISSES,
+        counters::SCORE_LN_GAMMA_CALLS,
+        counters::SCORE_LN_GAMMA_TABLE_HITS,
+    ] {
+        c.remove(key);
+    }
+    c
+}
+
 /// The deterministic counters agree between the two paths once the
-/// path markers themselves (dispatch tallies and the kernel-only cache
-/// traffic) are set aside: same sweeps, same proposals/acceptances,
+/// path markers are set aside: same sweeps, same proposals/acceptances,
 /// same dist-map shapes, same replicated charges, same collectives.
 #[test]
 fn counters_agree_modulo_path_markers() {
     let d = data();
-    let strip = |mut c: BTreeMap<String, u64>| {
-        for key in [
-            counters::GIBBS_KERNEL_DISPATCHES,
-            counters::GIBBS_NAIVE_DISPATCHES,
-            counters::GIBBS_CACHE_HITS,
-            counters::GIBBS_CACHE_MISSES,
-            counters::SCORE_LN_GAMMA_CALLS,
-            counters::SCORE_LN_GAMMA_TABLE_HITS,
-        ] {
-            c.remove(key);
-        }
-        c
-    };
     let counts = |scoring: CandidateScoring| {
         let mut e = SerialEngine::new();
         run(&mut e, &d, scoring, ScoreMode::Incremental);
@@ -124,4 +126,57 @@ fn paths_charge_identical_work() {
         run(&mut sb, &d, CandidateScoring::Kernel, ScoreMode::Incremental);
         assert_eq!(sa.report(), sb.report(), "sim report diverged at p={p}");
     }
+}
+
+/// Many clusters, few observations — the shape where GaneSH dominates
+/// a learn (K₀ = n/2, so every proposal scores ≈ 150 candidates and
+/// most clusters are touched between two proposals of one variable).
+/// The small shapes above never reach the scorer's stale-epoch +
+/// re-proposal path at scale: entries overwritten in place, rows of
+/// the dense tables growing as slots are created, arena ranges going
+/// stale. Clusterings, work accounting and every counter must still
+/// equal the naive path's on every engine.
+#[test]
+fn many_clusters_few_observations_kernel_matches_naive() {
+    let d = synthetic::yeast_like(300, 12, 5).dataset;
+    /// The sampled clustering, the path-neutral counters and the
+    /// engine's report (deterministic on sim only).
+    fn go<E: ParEngine>(
+        e: &mut E,
+        d: &Dataset,
+        scoring: CandidateScoring,
+    ) -> ((CoClustering, BTreeMap<String, u64>), RunReport) {
+        let p = GaneshParams {
+            init_clusters: Some(d.n_vars() / 2),
+            ..params(scoring, ScoreMode::Incremental)
+        };
+        let state = ganesh(e, d, &MasterRng::new(11), 0, &p);
+        let report = e.report();
+        let now = e.now_s();
+        ((state, strip(e.obs().snapshot(now).counters)), report)
+    }
+    const NAIVE: CandidateScoring = CandidateScoring::Naive;
+    const KERNEL: CandidateScoring = CandidateScoring::Kernel;
+
+    let mut ea = SerialEngine::new();
+    let mut eb = SerialEngine::new();
+    let (reference, _) = go(&mut ea, &d, NAIVE);
+    assert_eq!(go(&mut eb, &d, KERNEL).0, reference, "serial");
+    assert_eq!(ea.work_units(), eb.work_units(), "serial work units");
+
+    let (naive, _) = go(&mut ThreadEngine::new(3), &d, NAIVE);
+    assert_eq!(naive.0, reference.0, "threads:3 naive clustering");
+    let (kernel, _) = go(&mut ThreadEngine::new(3), &d, KERNEL);
+    assert_eq!(kernel, naive, "threads:3");
+
+    let (naive, naive_report) = go(&mut SimEngine::new(4), &d, NAIVE);
+    let (kernel, kernel_report) = go(&mut SimEngine::new(4), &d, KERNEL);
+    assert_eq!(naive.0, reference.0, "sim:4 naive clustering");
+    assert_eq!(kernel, naive, "sim:4");
+    assert_eq!(kernel_report, naive_report, "sim:4 report");
+
+    let naive = spmd_run(2, |e| go(e, &d, NAIVE).0);
+    let kernel = spmd_run(2, |e| go(e, &d, KERNEL).0);
+    assert_eq!(naive[0].0, reference.0, "msg:2 naive clustering");
+    assert_eq!(kernel, naive, "msg:2");
 }

@@ -204,12 +204,12 @@ proptest! {
                     rem.to_bits(),
                     state.var_removal_delta(&data, v).0.to_bits()
                 );
+                let prior = scorer.consts();
                 let prep = scorer.prep_var_candidates(&data, &state, v, cur, &slots);
-                let prior = *state.prior();
                 let outs: Vec<(f64, f64)> = (0..slots.len() + 1)
                     .map(|i| prep.eval(&prior, i, rem).0)
                     .collect();
-                scorer.store_var_adds(v, &slots, &prep, &outs);
+                scorer.store_var_adds(v, &slots, &outs);
                 let choice = b % (slots.len() + 1);
                 let target = if choice < slots.len() {
                     MoveTarget::Existing(slots[choice])
@@ -269,12 +269,12 @@ proptest! {
                     rem.to_bits(),
                     state.obs_removal_delta(&data, slot, o).0.to_bits()
                 );
+                let prior = scorer.consts();
                 let prep = scorer.prep_obs_candidates(&data, &state, slot, o, cur, &oslots);
-                let prior = *state.prior();
                 let outs: Vec<(f64, f64)> = (0..oslots.len() + 1)
                     .map(|i| prep.eval(&prior, i, rem).0)
                     .collect();
-                scorer.store_obs_adds(o, &oslots, &prep, &outs);
+                scorer.store_obs_adds(o, &oslots, &outs);
                 let choice = b % (oslots.len() + 1);
                 let target = if choice < oslots.len() {
                     Some(oslots[choice])

@@ -23,23 +23,48 @@
 //! statistics are produced by the identical accumulation loops (same
 //! element order) the naive path runs, and a cached `lm(tile)` is the
 //! output of the pure function `NormalGamma::log_marginal` on the
-//! identical `SuffStats` bits — memoization cannot change it. Since
-//! each term is one fixed floating-point expression and the per-tile
-//! terms are accumulated in the same (slot) order, every candidate
-//! weight is bit-identical between the two paths; identical weights
-//! feed identical `Select-Wtd-Rand` draws, so the sampled clustering
-//! is byte-identical. DESIGN.md §9 spells the argument out.
+//! identical `SuffStats` bits — memoization cannot change it. The
+//! batched path evaluates the terms against a [`PriorConsts`] (the
+//! prior-only subexpressions of the marginal computed once per sweep,
+//! substituted into the same expression in the same order), the naive
+//! path against the [`NormalGamma`] itself. Since each term is one
+//! fixed floating-point expression and the per-tile terms are
+//! accumulated in the same (slot) order, every candidate weight is
+//! bit-identical between the two paths; identical weights feed
+//! identical `Select-Wtd-Rand` draws, so the sampled clustering is
+//! byte-identical. DESIGN.md §9 spells the argument out.
 
-use crate::normal_gamma::NormalGamma;
+use crate::normal_gamma::{NormalGamma, PriorConsts};
 use crate::suffstats::SuffStats;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+
+/// The one thing a term needs from the prior: a block's log-marginal.
+/// The naive oracle passes the [`NormalGamma`] itself; the batched
+/// path passes the sweep's [`PriorConsts`], which returns the same
+/// bits without re-evaluating the prior-only subexpressions.
+pub trait LogMarginal {
+    /// `ln p(block)`.
+    fn log_marginal(&self, stats: &SuffStats) -> f64;
+}
+
+impl LogMarginal for NormalGamma {
+    #[inline]
+    fn log_marginal(&self, stats: &SuffStats) -> f64 {
+        NormalGamma::log_marginal(self, stats)
+    }
+}
+
+impl LogMarginal for PriorConsts {
+    #[inline]
+    fn log_marginal(&self, stats: &SuffStats) -> f64 {
+        PriorConsts::log_marginal(self, stats)
+    }
+}
 
 /// Score change of removing `item` from `tile`, given `lm_tile =
 /// log_marginal(tile)`: `lm(tile − item) − lm_tile`.
 #[inline]
 pub fn removal_term(
-    prior: &NormalGamma,
+    prior: &impl LogMarginal,
     tile: &SuffStats,
     item: &SuffStats,
     lm_tile: f64,
@@ -53,7 +78,7 @@ pub fn removal_term(
 /// log_marginal(tile)`: `lm(tile + item) − lm_tile`.
 #[inline]
 pub fn addition_term(
-    prior: &NormalGamma,
+    prior: &impl LogMarginal,
     tile: &SuffStats,
     item: &SuffStats,
     lm_tile: f64,
@@ -67,7 +92,7 @@ pub fn addition_term(
 /// [`NormalGamma::log_merge_gain`].
 #[inline]
 pub fn merge_gain_term(
-    prior: &NormalGamma,
+    prior: &impl LogMarginal,
     a: &SuffStats,
     b: &SuffStats,
     lm_a: f64,
@@ -76,108 +101,69 @@ pub fn merge_gain_term(
     prior.log_marginal(&SuffStats::merged(a, b)) - lm_a - lm_b
 }
 
-/// A tiny multiplicative hasher for the caches' small integer-tuple
-/// keys. The sweeps do one lookup per candidate, so the default
-/// SipHash's per-call setup is a measurable fraction of a cache hit;
-/// this folds each written word into the state with one
-/// rotate-xor-multiply round (the classic Fx recipe). Not
-/// DoS-resistant, which is irrelevant here: the keys are internal
-/// variable/cluster indices, never attacker-controlled.
-#[derive(Debug, Default, Clone)]
-pub struct SmallKeyHasher(u64);
-
-impl SmallKeyHasher {
-    const M: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn fold(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(Self::M);
-    }
-}
-
-impl Hasher for SmallKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.fold(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.fold(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.fold(v as u64);
-    }
-}
-
-type BuildSmallKeyHasher = std::hash::BuildHasherDefault<SmallKeyHasher>;
-
-/// An epoch-validated memo table with hit/miss accounting.
+/// A dense, epoch-validated memo table `[row][col] → V` with hit/miss
+/// accounting.
 ///
-/// Each entry is stamped with the *epoch* of the state it was computed
+/// The sweeps key their caches by small dense indices (variable,
+/// cluster slot, observation), so a cell is one indexed load — no
+/// hashing, no per-entry allocation, and dropping the table frees one
+/// `Vec` per row. Rows are allocated on first write, at the widest
+/// width seen so far.
+///
+/// Each cell is stamped with the *epoch* of the state it was computed
 /// from; the caller bumps an epoch counter whenever an accepted move
-/// invalidates the entries that depend on it, which makes invalidation
-/// O(1) regardless of how many entries the epoch guards (stale entries
-/// are simply recomputed on next access). Hit/miss totals feed the
+/// invalidates the cells that depend on it, which makes invalidation
+/// O(1) regardless of how many cells the epoch guards (stale cells are
+/// simply recomputed on next access). Hit/miss totals feed the
 /// deterministic `gibbs.cache_*` counters, so lookups must only happen
 /// in replicated control flow.
 #[derive(Debug, Clone)]
-pub struct EpochCache<K, V> {
-    map: HashMap<K, (u64, V), BuildSmallKeyHasher>,
+pub struct EpochTable<V> {
+    /// `(epoch + 1, value)`; tag 0 marks a cell never written.
+    rows: Vec<Vec<(u64, V)>>,
+    width: usize,
     hits: u64,
     misses: u64,
 }
 
-impl<K, V> Default for EpochCache<K, V> {
+impl<V> Default for EpochTable<V> {
     fn default() -> Self {
         Self {
-            map: HashMap::default(),
+            rows: Vec::new(),
+            width: 0,
             hits: 0,
             misses: 0,
         }
     }
 }
 
-impl<K: Eq + Hash, V: Clone> EpochCache<K, V> {
-    /// An empty cache.
+impl<V: Copy> EpochTable<V> {
+    /// An empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The value for `key` at `epoch`, computing (and storing) it with
-    /// `compute` if absent or stale.
-    pub fn fetch(&mut self, key: K, epoch: u64, compute: impl FnOnce() -> V) -> V {
-        match self.map.get(&key) {
-            Some((e, v)) if *e == epoch => {
-                self.hits += 1;
-                v.clone()
-            }
-            _ => {
-                self.misses += 1;
-                let v = compute();
-                self.map.insert(key, (epoch, v.clone()));
-                v
-            }
+    /// The value at `(row, col)` at `epoch`, computing (and storing) it
+    /// with `compute` if absent or stale.
+    pub fn fetch(&mut self, row: usize, col: usize, epoch: u64, compute: impl FnOnce() -> V) -> V {
+        if let Some(v) = self.get(row, col, epoch) {
+            return v;
         }
+        let v = compute();
+        self.insert(row, col, epoch, v);
+        v
     }
 
-    /// The value for `key` if present at exactly `epoch`, counting a
-    /// hit or a miss either way. Pair with [`EpochCache::insert`] when
-    /// the value is produced elsewhere (e.g. inside the
-    /// block-partitioned loop) and stored back afterwards.
-    pub fn get(&mut self, key: &K, epoch: u64) -> Option<V> {
-        match self.map.get(key) {
-            Some((e, v)) if *e == epoch => {
+    /// The value at `(row, col)` if present at exactly `epoch`,
+    /// counting a hit or a miss either way. Pair with
+    /// [`EpochTable::insert`] when the value is produced elsewhere
+    /// (e.g. inside the block-partitioned loop) and stored back
+    /// afterwards.
+    pub fn get(&mut self, row: usize, col: usize, epoch: u64) -> Option<V> {
+        match self.rows.get(row).and_then(|r| r.get(col)) {
+            Some(&(tag, v)) if tag == epoch + 1 => {
                 self.hits += 1;
-                Some(v.clone())
+                Some(v)
             }
             _ => {
                 self.misses += 1;
@@ -186,24 +172,40 @@ impl<K: Eq + Hash, V: Clone> EpochCache<K, V> {
         }
     }
 
-    /// Store `value` for `key` at `epoch` without touching the
+    /// Store `value` at `(row, col)` at `epoch` without touching the
     /// hit/miss totals (the miss was already counted by the failed
-    /// [`EpochCache::get`]).
-    pub fn insert(&mut self, key: K, epoch: u64, value: V) {
-        self.map.insert(key, (epoch, value));
+    /// [`EpochTable::get`]).
+    pub fn insert(&mut self, row: usize, col: usize, epoch: u64, value: V) {
+        if row >= self.rows.len() {
+            self.rows.resize_with(row + 1, Vec::new);
+        }
+        self.width = self.width.max(col + 1);
+        let cells = &mut self.rows[row];
+        if col >= cells.len() {
+            // The filler's value is never read: its tag is 0.
+            cells.resize(self.width, (0, value));
+        }
+        cells[col] = (epoch + 1, value);
     }
 
-    /// Epoch-valid entries, for validation: `(key, epoch, value)`.
-    pub fn entries(&self) -> impl Iterator<Item = (&K, u64, &V)> {
-        self.map.iter().map(|(k, (e, v))| (k, *e, v))
+    /// Every written cell, stale ones included, for validation:
+    /// `((row, col), epoch, value)`.
+    pub fn entries(&self) -> impl Iterator<Item = ((usize, usize), u64, &V)> {
+        self.rows.iter().enumerate().flat_map(|(r, cells)| {
+            cells
+                .iter()
+                .enumerate()
+                .filter(|(_, (tag, _))| *tag != 0)
+                .map(move |(c, (tag, v))| ((r, c), tag - 1, v))
+        })
     }
 
-    /// Lookups served from the cache so far.
+    /// Lookups served from the table so far.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Lookups that had to compute (absent or stale entry).
+    /// Lookups that had to compute (absent or stale cell).
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -258,32 +260,42 @@ mod tests {
     }
 
     #[test]
-    fn epoch_cache_hits_and_invalidates() {
-        let mut c: EpochCache<usize, f64> = EpochCache::new();
-        assert_eq!(c.fetch(7, 0, || 1.5), 1.5);
+    fn epoch_table_hits_and_invalidates() {
+        let mut c: EpochTable<f64> = EpochTable::new();
+        assert_eq!(c.fetch(2, 7, 0, || 1.5), 1.5);
         assert_eq!((c.hits(), c.misses()), (0, 1));
-        // Same epoch: served from cache, compute not called.
-        assert_eq!(c.fetch(7, 0, || unreachable!()), 1.5);
+        // Same epoch: served from the table, compute not called.
+        assert_eq!(c.fetch(2, 7, 0, || unreachable!()), 1.5);
         assert_eq!((c.hits(), c.misses()), (1, 1));
         // Bumped epoch: stale, recomputed.
-        assert_eq!(c.fetch(7, 1, || 2.5), 2.5);
+        assert_eq!(c.fetch(2, 7, 1, || 2.5), 2.5);
         assert_eq!((c.hits(), c.misses()), (1, 2));
-        assert_eq!(c.fetch(7, 1, || unreachable!()), 2.5);
+        assert_eq!(c.fetch(2, 7, 1, || unreachable!()), 2.5);
         assert_eq!((c.hits(), c.misses()), (2, 2));
+        // Never-written cells miss: inside a row, past its end, and in
+        // a row that does not exist — the filler a row grows by is not
+        // an entry.
+        assert_eq!(c.get(2, 3, 0), None);
+        assert_eq!(c.get(2, 9, 0), None);
+        assert_eq!(c.get(5, 0, 0), None);
+        assert_eq!((c.hits(), c.misses()), (2, 5));
+        let all: Vec<_> = c.entries().map(|(k, e, &v)| (k, e, v)).collect();
+        assert_eq!(all, vec![((2, 7), 1, 2.5)]);
     }
 
     #[test]
-    fn epoch_cache_get_insert_round_trip() {
-        let mut c: EpochCache<usize, f64> = EpochCache::new();
-        assert_eq!(c.get(&3, 0), None);
+    fn epoch_table_get_insert_round_trip() {
+        let mut c: EpochTable<f64> = EpochTable::new();
+        assert_eq!(c.get(0, 3, 0), None);
         assert_eq!((c.hits(), c.misses()), (0, 1));
-        c.insert(3, 0, 9.0);
+        c.insert(0, 3, 0, 9.0);
         assert_eq!((c.hits(), c.misses()), (0, 1), "insert must not count");
-        assert_eq!(c.get(&3, 0), Some(9.0));
+        assert_eq!(c.get(0, 3, 0), Some(9.0));
         assert_eq!((c.hits(), c.misses()), (1, 1));
         // Stale epoch: miss, and a fresh insert replaces the entry.
-        assert_eq!(c.get(&3, 1), None);
-        c.insert(3, 1, 10.0);
-        assert_eq!(c.get(&3, 1), Some(10.0));
+        assert_eq!(c.get(0, 3, 1), None);
+        c.insert(0, 3, 1, 10.0);
+        assert_eq!(c.get(0, 3, 1), Some(10.0));
+        assert_eq!(c.get(0, 3, 0), None, "the old epoch is gone");
     }
 }

@@ -20,10 +20,10 @@ pub mod suffstats;
 pub mod tile;
 
 pub use categorical::{discrete_tile_score, CatStats, DirichletMultinomial};
-pub use gibbs_kernel::EpochCache;
+pub use gibbs_kernel::EpochTable;
 pub use mode::{CandidateScoring, ScoreMode, SplitScoring, COST_CELL, COST_LOGMARG};
 pub use split_kernel::{naive_sigmas, ScratchPool, SplitScratch};
-pub use normal_gamma::{NormalGamma, ScoreScratch};
+pub use normal_gamma::{NormalGamma, PriorConsts, ScoreScratch};
 pub use special::{ln_beta, ln_gamma, ln_gamma_ratio, LnGammaTable};
 pub use suffstats::SuffStats;
 pub use tile::{coclustering_score, tile_score, tile_stats, var_cluster_score, var_obs_stats};
