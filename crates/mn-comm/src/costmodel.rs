@@ -16,8 +16,8 @@
 //! (the item's segment length, which dominates both the split-scoring
 //! cost `(1 + s_eff)·n·COST_CELL` and the Gibbs tile costs), and
 //! predicts the next map's per-item cost. [`PartitionGovernor`] turns
-//! those predictions into owner assignments for the configured
-//! [`PartitionStrategy`] and runs the imbalance-feedback loop:
+//! those predictions into the [`Plan`] every engine executes for the
+//! configured [`PartitionStrategy`] and runs the imbalance-feedback loop:
 //! [`PartitionStrategy::CostGuided`] stays on the paper's block split
 //! until the measured §5.3.1 imbalance of that split crosses
 //! [`ENGAGE_THRESHOLD`], then switches to LPT packing over predicted
@@ -32,10 +32,11 @@
 //! only those deterministic unit-domain statistics there.
 
 use crate::partition::{
-    assign_owners, block_owner, load_imbalance, rank_loads, PartitionStrategy,
+    assign_owners, block_owner, block_range, load_imbalance, rank_loads, PartitionStrategy,
 };
 use crate::segments::Segments;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Online predictor of per-item work units, keyed by segment length.
 ///
@@ -172,40 +173,31 @@ impl PartitionGovernor {
         self.block_imbalance
     }
 
-    /// Owner assignment for an upcoming map of `segments` over `p`
-    /// ranks, or `None` when the strategy is the plain block split
-    /// (engines then take their unchanged fast path). `Some` owners
-    /// may still *be* the block assignment — CostGuided before
-    /// engagement — because the strategy path is also what gathers the
-    /// per-item units that calibrate the model.
-    pub fn plan(&self, p: usize, segments: &Segments) -> Option<Vec<usize>> {
+    /// The plan for an upcoming map of `segments` over `p` ranks:
+    /// [`Plan::Block`] for the block strategy, and for flat maps under
+    /// the segment-aware oracle strategies (a flat list has no segments
+    /// to honor). Every other case plans [`Plan::Owners`] — possibly
+    /// the block assignment itself (CostGuided before engagement),
+    /// because the owner path is also what gathers the per-item units
+    /// that calibrate the model.
+    pub fn plan(&self, p: usize, segments: &Segments) -> Plan {
         let n = segments.n_items();
-        match self.strategy {
-            PartitionStrategy::Block => None,
+        let predicted = || self.model.predict_items(segments);
+        Plan::Owners(match self.strategy {
+            PartitionStrategy::Block => return Plan::Block,
+            strategy if strategy.is_oracle() && segments.is_flat() => return Plan::Block,
+            // Cost-independent: identical owners on every engine.
             PartitionStrategy::SegmentOwner => {
-                // Cost-independent: identical owners on every engine.
-                Some(assign_owners(
-                    PartitionStrategy::SegmentOwner,
-                    p,
-                    &vec![1u64; n],
-                    segments,
-                ))
+                assign_owners(PartitionStrategy::SegmentOwner, p, &vec![1u64; n], segments)
             }
             PartitionStrategy::SelfScheduling
             | PartitionStrategy::Lpt
-            | PartitionStrategy::Chunked => {
-                let predicted = self.model.predict_items(segments);
-                Some(assign_owners(self.strategy, p, &predicted, segments))
+            | PartitionStrategy::Chunked => assign_owners(self.strategy, p, &predicted(), segments),
+            PartitionStrategy::CostGuided if self.engaged && !self.model.is_cold() => {
+                assign_owners(PartitionStrategy::Lpt, p, &predicted(), segments)
             }
-            PartitionStrategy::CostGuided => {
-                if self.engaged && !self.model.is_cold() {
-                    let predicted = self.model.predict_items(segments);
-                    Some(assign_owners(PartitionStrategy::Lpt, p, &predicted, segments))
-                } else {
-                    Some((0..n).map(|i| block_owner(n, p, i)).collect())
-                }
-            }
-        }
+            PartitionStrategy::CostGuided => (0..n).map(|i| block_owner(n, p, i)).collect(),
+        })
     }
 
     /// Record the realized per-item units of a strategy-mode map:
@@ -258,30 +250,95 @@ impl PartitionGovernor {
     }
 }
 
-/// Per-rank execution plan for an owner assignment: for each rank, the
-/// maximal same-owner runs `(segment, sub-range)` in ascending item
-/// order. Segment-batched kernels require contiguous sub-ranges of one
-/// segment per call; this is the finest cut that satisfies both the
-/// kernel contract and an arbitrary owner vector.
-pub fn owner_runs(
-    p: usize,
-    owners: &[usize],
-    segments: &Segments,
-) -> Vec<Vec<(usize, std::ops::Range<usize>)>> {
-    let mut plans: Vec<Vec<(usize, std::ops::Range<usize>)>> = vec![Vec::new(); p];
-    for (seg, range) in segments.iter() {
-        let mut i = range.start;
-        while i < range.end {
-            let r = owners[i];
-            let mut j = i + 1;
-            while j < range.end && owners[j] == r {
-                j += 1;
+/// How one map's items are split over the ranks — the single plan type
+/// every engine executes (DESIGN.md §2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Plan {
+    /// The paper's split (Alg. 5 line 5): rank `r` owns the contiguous
+    /// block `block_range(n, p, r)`. Results meet by concatenation and
+    /// travel as bare `T`; no owner vector is built.
+    Block,
+    /// An owner per item. Results travel as costed pairs `(T, u64)`, are
+    /// scattered back to item order, and calibrate the cost model.
+    Owners(Vec<usize>),
+}
+
+impl Plan {
+    /// Rank `rank`'s kernel calls `(segment, sub-range)` in ascending
+    /// item order. Under `Block` these are the segments clipped to the
+    /// rank's block; under `Owners`, the rank's maximal same-owner runs
+    /// within each segment — the finest cut that satisfies both the
+    /// kernel contract (one segment per call) and any owner vector.
+    pub fn runs<'a>(
+        &'a self,
+        segments: &'a Segments,
+        p: usize,
+        rank: usize,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + 'a {
+        let (block, owned) = match self {
+            Plan::Block => {
+                let (lo, hi) = block_range(segments.n_items(), p, rank);
+                (Some(segments.overlapping(lo, hi)), None)
             }
-            plans[r].push((seg, i..j));
-            i = j;
-        }
+            Plan::Owners(owners) => {
+                let runs = segments.iter().flat_map(move |(seg, range)| {
+                    let mut i = range.start;
+                    std::iter::from_fn(move || {
+                        while i < range.end && owners[i] != rank {
+                            i += 1;
+                        }
+                        let lo = i;
+                        while i < range.end && owners[i] == rank {
+                            i += 1;
+                        }
+                        (lo < i).then_some((seg, lo..i))
+                    })
+                });
+                (None, Some(runs))
+            }
+        };
+        block
+            .into_iter()
+            .flatten()
+            .chain(owned.into_iter().flatten())
     }
-    plans
+
+    /// Put the ranks' results in item order. `blocks` is the rank-order
+    /// concatenation of every rank's results (chunked any way: one
+    /// gathered vector or one block per rank), each rank's in the order
+    /// of its [`Plan::runs`].
+    pub fn assemble<E>(&self, blocks: Vec<Vec<E>>) -> Vec<E> {
+        let mut all = if blocks.len() == 1 {
+            blocks.into_iter().next().expect("one block")
+        } else {
+            let mut all = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
+            blocks.into_iter().for_each(|block| all.extend(block));
+            all
+        };
+        let Plan::Owners(owners) = self else {
+            return all;
+        };
+        // Cut the concatenation into per-rank cursors (from the back, so
+        // every element moves once), then let the owner vector pick the
+        // next result of each item's owner.
+        let mut counts = Vec::new();
+        for &o in owners {
+            if o >= counts.len() {
+                counts.resize(o + 1, 0usize);
+            }
+            counts[o] += 1;
+        }
+        let mut cursors: Vec<_> = counts
+            .iter()
+            .rev()
+            .map(|&c| all.split_off(all.len() - c).into_iter())
+            .collect();
+        cursors.reverse();
+        owners
+            .iter()
+            .map(|&o| cursors[o].next().expect("one result per owned item"))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -323,15 +380,19 @@ mod tests {
         let mut gov = PartitionGovernor::new(PartitionStrategy::CostGuided);
         let segments = Segments::from_lens([8usize, 56]);
         let p = 8;
+        let owners = |plan| match plan {
+            Plan::Owners(owners) => owners,
+            Plan::Block => panic!("cost-guided always plans owners"),
+        };
         // Cold: the plan is the block assignment.
-        let cold = gov.plan(p, &segments).unwrap();
+        let cold = owners(gov.plan(p, &segments));
         let block: Vec<usize> = (0..64).map(|i| block_owner(64, p, i)).collect();
         assert_eq!(cold, block);
         // One skewed map (expensive prefix) calibrates and engages.
         let costs: Vec<u64> = (0..64).map(|i| if i < 8 { 500 } else { 5 }).collect();
         gov.observe_map(p, &segments, &costs);
         assert!(gov.engaged(), "block imbalance {}", gov.block_imbalance());
-        let hot = gov.plan(p, &segments).unwrap();
+        let hot = owners(gov.plan(p, &segments));
         assert_ne!(hot, block);
         // The engaged plan spreads the predicted load better than block.
         let predicted = gov.model().predict_items(&segments);
@@ -344,8 +405,18 @@ mod tests {
 
     #[test]
     fn block_strategy_has_no_plan() {
+        // No owner vector under Block, nor for flat maps under the
+        // segment-aware oracle strategies.
         let gov = PartitionGovernor::new(PartitionStrategy::Block);
-        assert!(gov.plan(4, &Segments::whole(10)).is_none());
+        assert_eq!(gov.plan(4, &Segments::whole(10)), Plan::Block);
+        for strategy in [
+            PartitionStrategy::SegmentOwner,
+            PartitionStrategy::SelfScheduling,
+        ] {
+            let gov = PartitionGovernor::new(strategy);
+            assert_eq!(gov.plan(4, &Segments::flat(10)), Plan::Block);
+            assert_ne!(gov.plan(4, &Segments::whole(10)), Plan::Block);
+        }
     }
 
     #[test]
@@ -353,19 +424,28 @@ mod tests {
         let segments = Segments::from_lens([5usize, 0, 7, 3]);
         let n = segments.n_items();
         let owners: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let plans = owner_runs(3, &owners, &segments);
+        let plan = Plan::Owners(owners.clone());
         let mut seen = vec![0u32; n];
-        for (r, plan) in plans.iter().enumerate() {
-            for (seg, range) in plan {
-                let seg_range = segments.range(*seg);
+        let mut blocks = Vec::new();
+        for r in 0..3 {
+            let mut block = Vec::new();
+            for (seg, range) in plan.runs(&segments, 3, r) {
+                let seg_range = segments.range(seg);
                 assert!(range.start >= seg_range.start && range.end <= seg_range.end);
-                for i in range.clone() {
+                for i in range {
                     assert_eq!(owners[i], r);
                     seen[i] += 1;
+                    block.push(i);
                 }
             }
+            blocks.push(block);
         }
         assert!(seen.iter().all(|&s| s == 1));
+        // Per-rank blocks and their gathered concatenation both
+        // assemble back to item order.
+        let item_order: Vec<usize> = (0..n).collect();
+        assert_eq!(plan.assemble(blocks.clone()), item_order);
+        assert_eq!(plan.assemble(vec![blocks.concat()]), item_order);
     }
 
     #[test]

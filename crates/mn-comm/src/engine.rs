@@ -11,19 +11,27 @@
 //! ends each step with identical state, an engine may execute the
 //! union of the work on however many physical resources it has, as
 //! long as it (a) partitions the work list the way the paper does and
-//! (b) accounts time per *virtual* rank. The three implementations:
+//! (b) accounts time per *virtual* rank. Four implementations back the
+//! five engine specs:
 //!
-//! * [`crate::serial::SerialEngine`] — one rank, measured wall-clock;
-//!   this is the optimized sequential implementation of §4.1.
-//! * [`crate::thread::ThreadEngine`] — `p` OS threads with real
-//!   shared-memory collectives; validates that partitioned execution
-//!   produces identical results.
-//! * [`crate::sim::SimEngine`] — `p` *virtual* ranks with per-rank
-//!   clocks and the τ/μ collective cost model; reproduces the paper's
-//!   scaling experiments for `p` up to 4096 on one machine
+//! * [`crate::serial::SerialEngine`] (`serial`) — one rank, measured
+//!   wall-clock; this is the optimized sequential implementation of §4.1.
+//! * [`crate::thread::ThreadEngine`] (`threads:p`) — `p` OS threads with
+//!   real shared-memory collectives; validates that partitioned
+//!   execution produces identical results.
+//! * [`crate::sim::SimEngine`] (`sim:p`) — `p` *virtual* ranks with
+//!   per-rank clocks and the τ/μ collective cost model; reproduces the
+//!   paper's scaling experiments for `p` up to 4096 on one machine
 //!   (DESIGN.md §2 documents this substitution).
+//! * [`crate::msg::SpmdEngine`] (`msg:p`, and `proc:p` over real OS
+//!   processes) — true SPMD: one engine per rank over a message fabric.
+//!
+//! All four run the same map driver ([`crate::driver`]); each supplies
+//! only how its ranks' slices run and how the results meet.
 
 use crate::cost::Collective;
+use crate::costmodel::PartitionGovernor;
+use crate::driver::EngineCore;
 use crate::metrics::RunReport;
 use crate::partition::PartitionStrategy;
 use crate::segments::Segments;
@@ -61,9 +69,22 @@ pub type SegmentBatchFn<'a, T> = &'a (dyn Fn(usize, Range<usize>, &mut Vec<Coste
 /// which, combined with the shared-stream sampling discipline of
 /// `mn-rand`, yields the paper's determinism property (the learned
 /// network is independent of `p`).
+///
+/// An engine implements one map, [`ParEngine::dist_map_segmented_batch`]
+/// (through [`crate::driver`]); the per-item forms wrap their closure
+/// as a batch kernel. The remaining methods default to the shared
+/// [`EngineCore`].
 pub trait ParEngine {
+    /// The state every engine shares (see [`crate::driver`]).
+    fn core(&self) -> &EngineCore;
+
+    /// Mutable access to the shared state.
+    fn core_mut(&mut self) -> &mut EngineCore;
+
     /// Number of (virtual) ranks.
-    fn nranks(&self) -> usize;
+    fn nranks(&self) -> usize {
+        self.core().p
+    }
 
     /// Block-partitioned map with all-gather semantics.
     ///
@@ -73,26 +94,30 @@ pub trait ParEngine {
     /// The [`Wire`] bound exists because on message-passing engines a
     /// result value genuinely fans out to every rank (and on the
     /// multi-process transport it crosses a socket); all result types
-    /// in this workspace are plain data.
+    /// in this workspace are plain data. A flat list has no segments,
+    /// so the segment-aware oracle strategies keep the block split here.
     fn dist_map<T: Wire>(
         &mut self,
         n_items: usize,
         words_per_item: usize,
         f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T>;
+    ) -> Vec<T> {
+        let batch = |_seg, range: Range<usize>, out: &mut Vec<Costed<T>>| out.extend(range.map(f));
+        self.dist_map_segmented_batch(&Segments::flat(n_items), words_per_item, &batch)
+    }
 
     /// Like [`ParEngine::dist_map`], for work lists with a segment
     /// structure (all items of one tree node are contiguous). The
-    /// default ignores segments — the paper's block split deliberately
-    /// cuts across segments; engines may use them for the ablation
-    /// partitioning strategies.
+    /// paper's block split deliberately cuts across segments; the
+    /// ablation partitioning strategies plan over them.
     fn dist_map_segmented<T: Wire>(
         &mut self,
         segments: &Segments,
         words_per_item: usize,
         f: &(dyn Fn(usize) -> Costed<T> + Sync),
     ) -> Vec<T> {
-        self.dist_map(segments.n_items(), words_per_item, f)
+        let batch = |_seg, range: Range<usize>, out: &mut Vec<Costed<T>>| out.extend(range.map(f));
+        self.dist_map_segmented_batch(segments, words_per_item, &batch)
     }
 
     /// Segment-batched map with all-gather semantics.
@@ -104,7 +129,9 @@ pub trait ParEngine {
     /// the partial range on each side — and attribute each item's
     /// reported cost to the rank that owns the item. Results are
     /// returned in item order; determinism therefore matches the
-    /// per-item map as long as the kernel's per-item results do.
+    /// per-item map as long as the kernel's per-item results do. A
+    /// kernel that pushes any other number of results than items
+    /// panics the map.
     fn dist_map_segmented_batch<T: Wire>(
         &mut self,
         segments: &Segments,
@@ -113,44 +140,67 @@ pub trait ParEngine {
     ) -> Vec<T>;
 
     /// Charge a collective operation of `words` total payload (8-byte
-    /// words). No-op on single-rank engines.
-    fn collective(&mut self, op: Collective, words: usize);
+    /// words). The default is for shared memory: nothing moves, but
+    /// the logical event still counts (the counter contract is
+    /// engine-independent).
+    fn collective(&mut self, op: Collective, words: usize) {
+        let _ = op;
+        let core = self.core_mut();
+        core.tick();
+        core.obs.count_collective(words);
+        core.telemetry_tick();
+    }
 
     /// Charge computation executed redundantly on every rank (e.g. the
     /// sequential consensus-clustering task of §3.2.2, which the paper
-    /// runs "on all p processors").
-    fn replicated(&mut self, work_units: u64);
+    /// runs "on all p processors"). The default is for real engines,
+    /// which do the replicated work inline in the caller: only the
+    /// logical units are counted.
+    fn replicated(&mut self, work_units: u64) {
+        let core = self.core_mut();
+        core.tick();
+        core.obs.count_replicated(work_units);
+    }
 
     /// Mark the beginning of a named phase (for per-task breakdowns).
-    fn begin_phase(&mut self, name: &str);
+    fn begin_phase(&mut self, name: &str) {
+        self.core_mut().begin_phase(name);
+    }
 
     /// Finish the run and produce the metrics report. Idempotent
     /// engines may be reused after `report`; ours are consumed by
     /// convention. Also closes all open observability spans.
-    fn report(&mut self) -> RunReport;
+    fn report(&mut self) -> RunReport {
+        self.core_mut().report()
+    }
 
     /// The engine's observability recorder (spans, counters,
     /// histograms). Under SPMD each rank owns its own recorder; the
     /// other engines observe all ranks through one.
-    fn obs(&self) -> &Recorder;
+    fn obs(&self) -> &Recorder {
+        &self.core().obs
+    }
 
     /// Mutable access to the recorder, for counters and custom spans.
-    fn obs_mut(&mut self) -> &mut Recorder;
+    fn obs_mut(&mut self) -> &mut Recorder {
+        &mut self.core_mut().obs
+    }
 
     /// The stash this engine fills with a final observability snapshot
     /// just before it dies on an injected fault or communication
     /// failure. The handle is an `Arc`: clone it *before* handing the
     /// engine to `catch_unwind`, then read it after the unwind for
-    /// post-mortem export. The default (for engines with no fault
-    /// path) is a stash that stays empty.
+    /// post-mortem export.
     fn death_stash(&self) -> mn_obs::SnapshotStash {
-        mn_obs::SnapshotStash::new()
+        self.core().stash.clone()
     }
 
     /// Seconds since the engine's epoch, on the engine's own clock:
     /// wall time for the real engines, the simulated bulk-synchronous
     /// clock for [`crate::sim::SimEngine`].
-    fn now_s(&self) -> f64;
+    fn now_s(&self) -> f64 {
+        self.core().now_s()
+    }
 
     /// Open a child span under the innermost open span.
     fn span_enter(&mut self, name: &str) {
@@ -181,18 +231,23 @@ pub trait ParEngine {
     }
 
     /// Select the partitioning strategy for subsequent `dist_map*`
-    /// calls. The default implementation ignores the request (single
-    /// rank engines have nothing to partition). Strategies never
-    /// change results — only which rank computes which item — so this
-    /// is safe to flip mid-run; on the msg engine every rank must make
-    /// the identical call (replicated control flow).
+    /// calls. Strategies never change results — only which rank
+    /// computes which item — so this is safe to flip mid-run; on the
+    /// msg engine every rank must make the identical call (replicated
+    /// control flow).
     fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        let _ = strategy;
+        self.core_mut().gov.set_strategy(strategy);
     }
 
     /// The active partitioning strategy.
     fn partition_strategy(&self) -> PartitionStrategy {
-        PartitionStrategy::Block
+        self.core().gov.strategy()
+    }
+
+    /// The partitioning governor (strategy, cost model, feedback
+    /// state) — read access for tests and benches.
+    fn governor(&self) -> &PartitionGovernor {
+        &self.core().gov
     }
 
     /// Imbalance-feedback hook (§5.3.1): called from replicated
@@ -202,17 +257,19 @@ pub trait ParEngine {
     /// imbalance crosses the governor's threshold). Must never touch
     /// counters or results — re-partitioning is observable only in the
     /// per-rank time accounting.
-    fn partition_feedback(&mut self) {}
+    fn partition_feedback(&mut self) {
+        self.core_mut().partition_feedback();
+    }
 
     /// Attach a cooperative cancellation token (see
     /// [`crate::cancel`]): the engine observes it at every engine
     /// event — the same clock fault injection ticks — and unwinds with
     /// the typed payload [`crate::cancel::JobCancelled`] once a stop
-    /// has been requested. The default ignores the token (engines that
-    /// cannot be interrupted simply run to completion); the in-process
-    /// engines honor it, which is what `monet-serve` schedules jobs on.
+    /// has been requested. The msg engine, whose events live in the
+    /// fabric, runs to completion; the in-process engines honor it,
+    /// which is what `monet-serve` schedules jobs on.
     fn set_cancel_token(&mut self, token: crate::cancel::CancelToken) {
-        let _ = token;
+        self.core_mut().cancel = Some(token);
     }
 
     /// Synchronize all ranks *without* touching the deterministic

@@ -7,18 +7,26 @@
 //! of the paper's parallel algorithms.
 //!
 //! The paper runs on MPI over a 4096-core InfiniBand cluster. This
-//! crate substitutes three interchangeable engines behind one
-//! [`ParEngine`] trait (the substitution is documented in DESIGN.md §2):
+//! crate substitutes five engine specs over four interchangeable
+//! implementations behind one [`ParEngine`] trait (the substitution is
+//! documented in DESIGN.md §2):
 //!
-//! * [`SerialEngine`] — one rank, real wall-clock timing: the paper's
-//!   optimized sequential implementation (`T₁`).
-//! * [`ThreadEngine`] — real OS-thread SPMD over the identical block
-//!   partition, demonstrating genuinely parallel execution and the
-//!   p-independence of results.
-//! * [`SimEngine`] — virtual SPMD with per-rank clocks and the τ/μ
-//!   collective cost model, scaling to the paper's p = 4096 on a single
-//!   machine while preserving the load-imbalance behaviour that shapes
-//!   the paper's speedup curves.
+//! * [`SerialEngine`] (`serial`) — one rank, real wall-clock timing:
+//!   the paper's optimized sequential implementation (`T₁`).
+//! * [`ThreadEngine`] (`threads:p`) — real OS-thread SPMD over the
+//!   identical block partition, demonstrating genuinely parallel
+//!   execution and the p-independence of results.
+//! * [`SimEngine`] (`sim:p`) — virtual SPMD with per-rank clocks and the
+//!   τ/μ collective cost model, scaling to the paper's p = 4096 on a
+//!   single machine while preserving the load-imbalance behaviour that
+//!   shapes the paper's speedup curves.
+//! * [`SpmdEngine`] (`msg:p`, and `proc:p` over real OS processes) —
+//!   true SPMD: every rank runs the whole learner and exchanges results
+//!   over the [`msg`] fabric.
+//!
+//! All four run one map driver ([`driver`]): the [`PartitionGovernor`]
+//! plans the split, the engine runs its ranks' slices and makes the
+//! results meet, and the [`Plan`] assembles them in item order.
 //!
 //! Partitioning strategies (the paper's block split, the sub-optimal
 //! per-node owner strawman it argues against, and the dynamic
@@ -30,6 +38,7 @@
 pub mod cancel;
 pub mod cost;
 pub mod costmodel;
+pub mod driver;
 pub mod engine;
 pub mod fault;
 mod hooks;
@@ -44,7 +53,8 @@ pub mod thread;
 
 pub use cancel::{CancelKind, CancelToken, JobCancelled};
 pub use cost::{Collective, CostModel};
-pub use costmodel::{owner_runs, ItemCostModel, PartitionGovernor, ENGAGE_THRESHOLD};
+pub use costmodel::{ItemCostModel, PartitionGovernor, Plan, ENGAGE_THRESHOLD};
+pub use driver::EngineCore;
 pub use fault::{
     silence_injected_panics, CommError, FaultAction, FaultAbort, FaultClock, FaultPlan,
     InjectedCrash,
@@ -99,33 +109,24 @@ impl std::str::FromStr for EngineSpec {
         if s == "serial" {
             return Ok(EngineSpec::Serial);
         }
-        if let Some(rest) = s.strip_prefix("threads:") {
-            let p: usize = rest.parse().map_err(|e| format!("bad thread count: {e}"))?;
-            if p == 0 {
-                return Err("thread count must be >= 1".into());
+        // (prefix, what the count counts, spec) for every `<name>:<p>` form.
+        for (prefix, what, spec) in [
+            (
+                "threads:",
+                "thread",
+                EngineSpec::Threads as fn(usize) -> EngineSpec,
+            ),
+            ("sim:", "rank", EngineSpec::Sim),
+            ("msg:", "rank", EngineSpec::Msg),
+            ("proc:", "rank", EngineSpec::Proc),
+        ] {
+            if let Some(rest) = s.strip_prefix(prefix) {
+                let p: usize = rest.parse().map_err(|e| format!("bad {what} count: {e}"))?;
+                if p == 0 {
+                    return Err(format!("{what} count must be >= 1"));
+                }
+                return Ok(spec(p));
             }
-            return Ok(EngineSpec::Threads(p));
-        }
-        if let Some(rest) = s.strip_prefix("sim:") {
-            let p: usize = rest.parse().map_err(|e| format!("bad rank count: {e}"))?;
-            if p == 0 {
-                return Err("rank count must be >= 1".into());
-            }
-            return Ok(EngineSpec::Sim(p));
-        }
-        if let Some(rest) = s.strip_prefix("msg:") {
-            let p: usize = rest.parse().map_err(|e| format!("bad rank count: {e}"))?;
-            if p == 0 {
-                return Err("rank count must be >= 1".into());
-            }
-            return Ok(EngineSpec::Msg(p));
-        }
-        if let Some(rest) = s.strip_prefix("proc:") {
-            let p: usize = rest.parse().map_err(|e| format!("bad rank count: {e}"))?;
-            if p == 0 {
-                return Err("rank count must be >= 1".into());
-            }
-            return Ok(EngineSpec::Proc(p));
         }
         Err(format!(
             "unknown engine {s:?}; expected serial | threads:<p> | sim:<p> | msg:<p> | proc:<p>"
@@ -151,5 +152,21 @@ mod tests {
         assert!("msg:0".parse::<EngineSpec>().is_err());
         assert!("proc:0".parse::<EngineSpec>().is_err());
         assert!("gpu".parse::<EngineSpec>().is_err());
+        // The error texts are part of the CLI surface.
+        let err = |s: &str| s.parse::<EngineSpec>().unwrap_err();
+        assert_eq!(err("threads:0"), "thread count must be >= 1");
+        assert_eq!(
+            err("threads:x"),
+            "bad thread count: invalid digit found in string"
+        );
+        assert_eq!(err("sim:0"), "rank count must be >= 1");
+        assert_eq!(
+            err("sim:x"),
+            "bad rank count: invalid digit found in string"
+        );
+        assert_eq!(
+            err("gpu"),
+            "unknown engine \"gpu\"; expected serial | threads:<p> | sim:<p> | msg:<p> | proc:<p>"
+        );
     }
 }

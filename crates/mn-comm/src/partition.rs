@@ -77,6 +77,16 @@ impl PartitionStrategy {
             PartitionStrategy::CostGuided => "cost-guided",
         }
     }
+
+    /// The segment-aware oracle strategies (`SegmentOwner`,
+    /// `SelfScheduling`). Flat maps have no segments to honor and keep
+    /// the block split under them.
+    pub fn is_oracle(self) -> bool {
+        matches!(
+            self,
+            PartitionStrategy::SegmentOwner | PartitionStrategy::SelfScheduling
+        )
+    }
 }
 
 impl std::fmt::Display for PartitionStrategy {

@@ -21,6 +21,9 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segments {
     offsets: Vec<usize>,
+    /// A flat list (`ParEngine::dist_map`): one whole-list segment with
+    /// no structure for the segment-aware strategies to honor.
+    flat: bool,
 }
 
 impl Segments {
@@ -32,14 +35,34 @@ impl Segments {
             total += len;
             offsets.push(total);
         }
-        Self { offsets }
+        Self {
+            offsets,
+            flat: false,
+        }
     }
 
     /// A single segment covering `n_items` items.
     pub fn whole(n_items: usize) -> Self {
         Self {
             offsets: vec![0, n_items],
+            flat: false,
         }
+    }
+
+    /// A flat list of `n_items` items: [`Segments::whole`] for every
+    /// query, but marked as carrying no segment structure, so the
+    /// planner keeps the block split under the segment-aware oracle
+    /// strategies.
+    pub(crate) fn flat(n_items: usize) -> Self {
+        Self {
+            offsets: vec![0, n_items],
+            flat: true,
+        }
+    }
+
+    /// Whether this is a flat list (see [`Segments::flat`]).
+    pub(crate) fn is_flat(&self) -> bool {
+        self.flat
     }
 
     /// Total number of items.
@@ -78,9 +101,17 @@ impl Segments {
     /// intersecting the block `[lo, hi)` — how an engine cuts segments
     /// at its block-partition boundaries. Clipped ranges tile
     /// `[lo, hi)` exactly.
-    pub fn overlapping(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    pub fn overlapping(
+        &self,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         debug_assert!(lo <= hi && hi <= self.n_items());
-        let first = if lo < hi { self.segment_of(lo) } else { self.n_segments() };
+        let first = if lo < hi {
+            self.segment_of(lo)
+        } else {
+            self.n_segments()
+        };
         self.offsets[first..]
             .windows(2)
             .enumerate()

@@ -6,57 +6,30 @@
 //! T₁ in all the cases", §5.3) and the engine behind Table 1 and
 //! Figures 3–4.
 
-use crate::cancel::{check_cancel, CancelToken};
-use crate::cost::Collective;
+use crate::costmodel::Plan;
+use crate::driver::{self, run_kernel, EngineCore, RunSlices, Style};
 use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
-use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
+use crate::fault::FaultPlan;
 use crate::hooks;
-use crate::metrics::{PhaseReport, RunReport};
-use crate::partition::PartitionStrategy;
 use crate::segments::Segments;
-use mn_obs::{FlightEvent, Recorder, SnapshotStash};
+use mn_obs::Recorder;
 use std::time::Instant;
 
 /// Sequential engine with wall-clock phase timing.
 #[derive(Debug)]
 pub struct SerialEngine {
-    phases: Vec<PhaseReport>,
-    current: Option<(String, Instant)>,
+    core: EngineCore,
     /// Total work units reported by kernels (exposed for calibration
     /// and for cross-checking SimEngine's accounting in tests).
     work_units: u64,
-    obs: Recorder,
-    epoch: Instant,
-    /// Engine-event clock for deterministic fault injection: every
-    /// `dist_map*`/`collective`/`replicated` call is one event,
-    /// attributed to rank 0 (the single-process convention).
-    faults: FaultClock,
-    /// Last-snapshot stash filled just before an injected crash, so a
-    /// post-mortem can still read the counters and spans of the dying
-    /// run (the handle is an `Arc`: clone it before `catch_unwind`).
-    stash: SnapshotStash,
-    /// Configured partition strategy. With a single rank every
-    /// strategy degenerates to "rank 0 owns everything", so this is
-    /// recorded for introspection (and so replicated programs can set
-    /// it unconditionally) but never changes execution.
-    strategy: PartitionStrategy,
-    /// Cooperative cancellation token, observed at every engine event.
-    cancel: Option<CancelToken>,
 }
 
 impl SerialEngine {
     /// New engine; phase timing starts at the first `begin_phase`.
     pub fn new() -> Self {
         Self {
-            phases: Vec::new(),
-            current: None,
+            core: EngineCore::new(Style::Serial, 1, Recorder::new(1)),
             work_units: 0,
-            obs: Recorder::new(1),
-            epoch: Instant::now(),
-            faults: FaultClock::new(FaultPlan::new(), 0),
-            stash: SnapshotStash::new(),
-            strategy: PartitionStrategy::Block,
-            cancel: None,
         }
     }
 
@@ -65,56 +38,18 @@ impl SerialEngine {
     /// from 1 and attributed to rank 0; a scheduled `Kill` unwinds
     /// with [`crate::fault::InjectedCrash`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultClock::new(plan, 0);
+        self.core.set_fault_plan(plan);
         self
     }
 
     /// Engine events counted so far (for choosing sweep fault points).
     pub fn fault_events(&self) -> u64 {
-        self.faults.events()
+        self.core.fault_events()
     }
 
     /// Work units accumulated so far.
     pub fn work_units(&self) -> u64 {
         self.work_units
-    }
-
-    /// Tick the fault clock; on a scheduled `Kill` (or `Die`, which
-    /// degrades to `Kill` semantics off the proc transport), record the
-    /// injection in the flight recorder, stash a final snapshot for
-    /// post-mortems, and unwind with [`InjectedCrash`]. `Delay`/`Drop`
-    /// have no engine-level meaning (there is no fabric) and are
-    /// ignored, exactly as `tick_or_die` ignored them.
-    fn tick_fault(&mut self) {
-        check_cancel(self.cancel.as_ref(), self.faults.events());
-        match self.faults.tick() {
-            Some(action @ (FaultAction::Kill | FaultAction::Die)) => {
-                let event = self.faults.events();
-                self.obs.flight_event(FlightEvent::FaultInjected {
-                    action: action.label().to_string(),
-                    event,
-                });
-                self.stash.store(self.obs.snapshot(self.now_s()));
-                std::panic::panic_any(InjectedCrash {
-                    rank: self.faults.rank(),
-                    event,
-                });
-            }
-            Some(FaultAction::Delay(_)) | Some(FaultAction::Drop) | None => {}
-        }
-    }
-
-    fn close_phase(&mut self) {
-        if let Some((name, start)) = self.current.take() {
-            let elapsed = start.elapsed().as_secs_f64();
-            self.phases.push(PhaseReport {
-                name,
-                busy_max_s: elapsed,
-                busy_avg_s: elapsed,
-                comm_s: 0.0,
-                elapsed_s: elapsed,
-            });
-        }
     }
 }
 
@@ -125,30 +60,12 @@ impl Default for SerialEngine {
 }
 
 impl ParEngine for SerialEngine {
-    fn nranks(&self) -> usize {
-        1
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    fn dist_map<T: Wire>(
-        &mut self,
-        n_items: usize,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        self.tick_fault();
-        hooks::install_thread_hooks(self.obs.flight());
-        self.obs.count_dist_map(n_items, words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(n_items);
-        for i in 0..n_items {
-            let (value, cost) = f(i);
-            self.work_units += cost;
-            out.push(value);
-        }
-        self.obs.charge_busy(&[start.elapsed().as_secs_f64()]);
-        out
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
     }
 
     fn dist_map_segmented_batch<T: Wire>(
@@ -157,87 +74,35 @@ impl ParEngine for SerialEngine {
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
-        self.tick_fault();
-        hooks::install_thread_hooks(self.obs.flight());
-        self.obs.count_dist_map(segments.n_items(), words_per_item);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(segments.n_items());
-        let mut buf: Vec<Costed<T>> = Vec::new();
-        for (seg, range) in segments.iter() {
-            let expect = range.len();
-            f(seg, range, &mut buf);
-            debug_assert_eq!(buf.len(), expect, "kernel must emit one result per item");
-            for (value, cost) in buf.drain(..) {
-                self.work_units += cost;
-                out.push(value);
-            }
-        }
-        self.obs.charge_busy(&[start.elapsed().as_secs_f64()]);
-        out
-    }
-
-    fn collective(&mut self, _op: Collective, words: usize) {
-        // One rank: nothing to communicate, but the logical event still
-        // counts (the counter contract is engine-independent).
-        self.tick_fault();
-        self.obs.count_collective(words);
-        let now = self.now_s();
-        self.obs.telemetry_tick(now);
+        driver::drive(self, segments, words_per_item, f)
     }
 
     fn replicated(&mut self, work_units: u64) {
-        self.tick_fault();
+        self.core.tick();
         self.work_units += work_units;
-        self.obs.count_replicated(work_units);
+        self.core.obs.count_replicated(work_units);
     }
+}
 
-    fn begin_phase(&mut self, name: &str) {
-        self.close_phase();
-        self.current = Some((name.to_string(), Instant::now()));
-        let now = self.now_s();
-        self.obs.begin_phase(name, now);
-        self.obs.telemetry_tick(now);
-    }
-
-    fn report(&mut self) -> RunReport {
-        self.close_phase();
-        let now = self.now_s();
-        self.obs.finish(now);
-        hooks::clear_thread_hooks();
-        RunReport {
-            nranks: 1,
-            phases: std::mem::take(&mut self.phases),
-        }
-    }
-
-    fn obs(&self) -> &Recorder {
-        &self.obs
-    }
-
-    fn obs_mut(&mut self) -> &mut Recorder {
-        &mut self.obs
-    }
-
-    fn death_stash(&self) -> SnapshotStash {
-        self.stash.clone()
-    }
-
-    fn now_s(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.strategy = strategy;
-    }
-
-    fn partition_strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
+impl RunSlices for SerialEngine {
+    /// One rank: the whole list runs inline on the caller.
+    fn run_slices<T: Wire, E: Wire>(
+        &mut self,
+        plan: &Plan,
+        segments: &Segments,
+        _words_per_item: usize,
+        f: SegmentBatchFn<'_, T>,
+        keep: fn(Costed<T>) -> E,
+    ) -> Vec<Vec<E>> {
+        hooks::install_thread_hooks(self.core.obs.flight());
+        let start = Instant::now();
+        let mut block = Vec::with_capacity(segments.n_items());
+        run_kernel(f, plan.runs(segments, 1, 0), |(value, cost)| {
+            self.work_units += cost;
+            block.push(keep((value, cost)));
+        });
+        self.core.charge_busy(0, start.elapsed().as_secs_f64());
+        vec![block]
     }
 }
 
