@@ -7,7 +7,7 @@
 //!
 //! 1. the replicated [`PartitionGovernor`] plans the split ([`Plan`]);
 //! 2. the engine runs its ranks' slices and makes the results meet
-//!    ([`RunSlices`]: inline, scoped threads, `allgatherv`, or one
+//!    ([`RunSlices`]: inline, persistent rank threads, `allgatherv`, or one
 //!    simulated pass charged with τ/μ);
 //! 3. the plan assembles the gathered blocks in item order; owner plans
 //!    also feed the measured per-item units back to the governor.

@@ -6,8 +6,9 @@
 //! flight record without `mn-rand` depending on `mn-obs`). Engines
 //! install them on every thread that executes kernel code: the caller
 //! thread for [`crate::serial::SerialEngine`] and
-//! [`crate::sim::SimEngine`], each worker thread for
-//! [`crate::thread::ThreadEngine`], and each rank thread for
+//! [`crate::sim::SimEngine`]; for [`crate::thread::ThreadEngine`], the
+//! caller (rank 0) before every map and each persistent rank worker
+//! once, when it is spawned; and each rank thread for
 //! [`crate::msg::SpmdEngine`].
 
 use mn_obs::flightrec::{self, FlightRec};
