@@ -10,7 +10,9 @@
 //!   change, expected ≥ 3× from n = 100 and growing with n;
 //! * the full split-assignment phase in steady state (warm
 //!   [`SplitContext`] arenas, warmed-up process, median of N) on the
-//!   serial engine and on `threads:3`;
+//!   serial engine and on `threads:3`, for a 48×40 fixture (every node
+//!   fits one 64-bit mask word) and then a 48×130 one (nodes of two
+//!   and three words);
 //! * the per-stage span breakdown of one instrumented run per path, so
 //!   the JSON shows *where* inside the phase the time went
 //!   (score-splits vs select-splits).
@@ -142,27 +144,35 @@ fn main() {
     table.print();
 
     // --- Full phase ---------------------------------------------------
-    let data = synthetic::yeast_like(48, 40, 9).dataset;
+    // Two fixtures: 48×40, whose nodes all fit one 64-bit mask word, and
+    // 48×130, whose wider nodes take the multi-word path. Both learn
+    // their trees the same way.
     let master = MasterRng::new(4);
     let base = TreeParams::default();
-    let ensembles = vec![
-        learn_module_trees(
-            &mut SerialEngine::new(),
-            &data,
-            &master,
-            0,
-            &(0..24).collect::<Vec<_>>(),
-            &base,
-        ),
-        learn_module_trees(
-            &mut SerialEngine::new(),
-            &data,
-            &master,
-            1,
-            &(24..48).collect::<Vec<_>>(),
-            &base,
-        ),
-    ];
+    let fixture = |n_obs: usize| {
+        let data = synthetic::yeast_like(48, n_obs, 9).dataset;
+        let ensembles = vec![
+            learn_module_trees(
+                &mut SerialEngine::new(),
+                &data,
+                &master,
+                0,
+                &(0..24).collect::<Vec<_>>(),
+                &base,
+            ),
+            learn_module_trees(
+                &mut SerialEngine::new(),
+                &data,
+                &master,
+                1,
+                &(24..48).collect::<Vec<_>>(),
+                &base,
+            ),
+        ];
+        (data, ensembles)
+    };
+    let (data, ensembles) = fixture(40);
+    let (wide_data, wide_ensembles) = fixture(130);
     let parents: Vec<usize> = (0..48).collect();
     let phase_reps = if args.has("quick") { 3 } else { 9 };
     // Steady state is the honest measurement: in a real run
@@ -205,33 +215,47 @@ fn main() {
         base: &base,
         phase_reps,
     };
+    let wide_setup = PhaseSetup {
+        data: &wide_data,
+        ensembles: &wide_ensembles,
+        ..setup
+    };
+    // The 48×40 rows come first: CI gates `.full_phase[0]`.
     let mut full_phase = Vec::new();
-    for engine_label in ["serial", "threads:3"] {
-        let (naive_s, kernel_s) = if engine_label == "serial" {
-            (
-                time_phase(&mut SerialEngine::new(), &setup, SplitScoring::Naive),
-                time_phase(&mut SerialEngine::new(), &setup, SplitScoring::Kernel),
-            )
-        } else {
-            (
-                time_phase(&mut ThreadEngine::new(3), &setup, SplitScoring::Naive),
-                time_phase(&mut ThreadEngine::new(3), &setup, SplitScoring::Kernel),
-            )
-        };
-        let row = PhaseRow {
-            label: "assign_splits (steady-state, yeast-like 48×40)".into(),
-            engine: engine_label.into(),
-            naive_s,
-            kernel_s,
-            speedup: naive_s / kernel_s,
-        };
-        println!(
-            "full phase [{engine_label}]: naive {:.2} ms, kernel {:.2} ms — {:.2}×",
-            naive_s * 1e3,
-            kernel_s * 1e3,
-            row.speedup
-        );
-        full_phase.push(row);
+    for (label, setup) in [
+        ("assign_splits (steady-state, yeast-like 48×40)", &setup),
+        (
+            "assign_splits (steady-state, yeast-like 48×130)",
+            &wide_setup,
+        ),
+    ] {
+        for engine_label in ["serial", "threads:3"] {
+            let (naive_s, kernel_s) = if engine_label == "serial" {
+                (
+                    time_phase(&mut SerialEngine::new(), setup, SplitScoring::Naive),
+                    time_phase(&mut SerialEngine::new(), setup, SplitScoring::Kernel),
+                )
+            } else {
+                (
+                    time_phase(&mut ThreadEngine::new(3), setup, SplitScoring::Naive),
+                    time_phase(&mut ThreadEngine::new(3), setup, SplitScoring::Kernel),
+                )
+            };
+            let row = PhaseRow {
+                label: label.into(),
+                engine: engine_label.into(),
+                naive_s,
+                kernel_s,
+                speedup: naive_s / kernel_s,
+            };
+            println!(
+                "full phase {label} [{engine_label}]: naive {:.2} ms, kernel {:.2} ms — {:.2}×",
+                naive_s * 1e3,
+                kernel_s * 1e3,
+                row.speedup
+            );
+            full_phase.push(row);
+        }
     }
 
     // --- Flight-recorder overhead -------------------------------------

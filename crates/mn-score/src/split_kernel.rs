@@ -62,12 +62,28 @@ pub struct SplitScratch {
     keyed: Vec<u128>,
     sigmas: Vec<f64>,
     cons: Vec<u64>,
+    /// `compute_masks`' running "value ≤ current run" mask.
+    bmask: Vec<u64>,
 }
 
 impl SplitScratch {
     /// Fresh scratch with no capacity.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Gather the parent's values at the node's observations once,
+    /// directly into packed sort keys, and sort them.
+    fn sort_keys(&mut self, row: &[f64], node_obs: &[usize]) {
+        debug_assert!(node_obs.iter().all(|&o| !row[o].is_nan()));
+        self.keyed.clear();
+        self.keyed.extend(
+            node_obs
+                .iter()
+                .enumerate()
+                .map(|(i, &o)| (u128::from(order_key(row[o])) << 32) | i as u128),
+        );
+        self.keyed.sort_unstable();
     }
 
     /// Separation scores for every candidate value of one (node,
@@ -78,18 +94,7 @@ impl SplitScratch {
     pub fn compute(&mut self, row: &[f64], node_obs: &[usize], left_mask: &[bool]) -> &[f64] {
         let n = node_obs.len();
         assert_eq!(n, left_mask.len());
-        debug_assert!(node_obs.iter().all(|&o| !row[o].is_nan()));
-
-        // Gather the parent's values at the node's observations once,
-        // directly into packed sort keys.
-        self.keyed.clear();
-        self.keyed.extend(
-            node_obs
-                .iter()
-                .enumerate()
-                .map(|(i, &o)| (u128::from(order_key(row[o])) << 32) | i as u128),
-        );
-        self.keyed.sort_unstable();
+        self.sort_keys(row, node_obs);
 
         let total_left = left_mask.iter().filter(|&&b| b).count();
         let total_right = n - total_left;
@@ -148,16 +153,7 @@ impl SplitScratch {
     ) -> (&[f64], &[u64]) {
         let n = node_obs.len();
         assert!(n <= 64, "compute_small requires n ≤ 64, got {n}");
-        debug_assert!(node_obs.iter().all(|&o| !row[o].is_nan()));
-
-        self.keyed.clear();
-        self.keyed.extend(
-            node_obs
-                .iter()
-                .enumerate()
-                .map(|(i, &o)| (u128::from(order_key(row[o])) << 32) | i as u128),
-        );
-        self.keyed.sort_unstable();
+        self.sort_keys(row, node_obs);
 
         let mask_n: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
         let lmask = lmask & mask_n;
@@ -193,6 +189,85 @@ impl SplitScratch {
                 let idx = packed as u32 as usize;
                 self.sigmas[idx] = sigma;
                 self.cons[idx] = cons;
+            }
+            t = end;
+        }
+        (&self.sigmas, &self.cons)
+    }
+
+    /// [`SplitScratch::compute_small`] for nodes of any width: the left
+    /// mask and every candidate's consistency mask span
+    /// `w = ⌈n/64⌉` words (bit `i` lives in word `i >> 6`), and `cons`
+    /// is stored candidate-major — candidate `j`'s mask is
+    /// `cons[j·w .. (j+1)·w]`, its last word trimmed to `n` bits.
+    /// `lmask` must hold at least `w` words; bits past `n` are ignored.
+    ///
+    /// The same sorted run walk as [`SplitScratch::compute_small`],
+    /// with a `w`-word `bmask`. Nodes with `n ≤ 64` delegate to it, so
+    /// their masks are the identical single words.
+    ///
+    /// Returns `(sigmas, cons)`.
+    pub fn compute_masks(
+        &mut self,
+        row: &[f64],
+        node_obs: &[usize],
+        lmask: &[u64],
+    ) -> (&[f64], &[u64]) {
+        let n = node_obs.len();
+        if n <= 64 {
+            return self.compute_small(row, node_obs, lmask.first().copied().unwrap_or(0));
+        }
+        let w = n.div_ceil(64);
+        assert!(
+            lmask.len() >= w,
+            "left mask has {} words, need {w}",
+            lmask.len()
+        );
+        self.sort_keys(row, node_obs);
+
+        // The last word's valid bits: n − 64·(w − 1) of them.
+        let tail = u64::MAX >> (64 * w - n);
+        let lmask = &lmask[..w];
+        let total_left = lmask[..w - 1]
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum::<usize>()
+            + (lmask[w - 1] & tail).count_ones() as usize;
+        let total_right = n - total_left;
+
+        self.sigmas.clear();
+        self.sigmas.resize(n, 0.0);
+        self.cons.clear();
+        self.cons.resize(n * w, 0);
+        self.bmask.clear();
+        self.bmask.resize(w, 0);
+
+        let mut t = 0usize;
+        let mut acc = 0usize;
+        while t < n {
+            let key = self.keyed[t] >> 32;
+            let mut end = t + 1;
+            while end < n && self.keyed[end] >> 32 == key {
+                end += 1;
+            }
+            for &packed in &self.keyed[t..end] {
+                let idx = packed as u32 as usize;
+                acc += usize::from(lmask[idx >> 6] >> (idx & 63) & 1 == 1);
+                self.bmask[idx >> 6] |= 1u64 << (idx & 63);
+            }
+            let k = end;
+            let left_le = acc;
+            let right_gt = total_right - (k - left_le);
+            let correct = left_le + right_gt;
+            let sigma = (2.0 * correct as f64 - n as f64) / n as f64;
+            for &packed in &self.keyed[t..end] {
+                let idx = packed as u32 as usize;
+                self.sigmas[idx] = sigma;
+                let words = &mut self.cons[idx * w..(idx + 1) * w];
+                for ((word, &b), &l) in words.iter_mut().zip(&self.bmask).zip(lmask) {
+                    *word = !(b ^ l);
+                }
+                words[w - 1] &= tail;
             }
             t = end;
         }

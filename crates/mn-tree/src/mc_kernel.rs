@@ -4,11 +4,11 @@
 //! per candidate item, `s_eff · n` uniform picks from the node's
 //! observations and tests each pick's consistency with the candidate
 //! predicate. With the per-candidate consistency *bitmask* precomputed
-//! by `SplitScratch::compute_small` (bit `i` = "pick `i` agrees"), one
-//! draw reduces to: step the per-item [`Lcg128`] state, map the output
-//! to a pick in `[0, n)`, and test one bit. That is exactly the shape
-//! SIMD wants: many independent lanes running the *same* affine
-//! recurrence in lockstep.
+//! by `SplitScratch::compute_masks` (bit `i` = "pick `i` agrees", in
+//! `w = ⌈n/64⌉` words), one draw reduces to: step the per-item
+//! [`Lcg128`] state, map the output to a pick in `[0, n)`, and test one
+//! bit. That is exactly the shape SIMD wants: many independent lanes
+//! running the *same* affine recurrence in lockstep.
 //!
 //! Two engines implement the same contract:
 //!
@@ -17,19 +17,27 @@
 //!   `vpmadd52{lo,hi}uq` — 9 multiply-adds per step across 8 lanes per
 //!   vector, four interleaved vectors to hide the normalization
 //!   chain's latency and keep the multiply ports saturated. The
-//!   pick `⌊r·n / 2^64⌋` is likewise computed in 52-bit arithmetic
-//!   (exact: `r < 2^64`, `n ≤ 64`, so `r·n < 2^70` fits the 104-bit
-//!   product path), and the bit test is a variable shift. Limb
-//!   normalization keeps every limb canonical after each step, so lane
-//!   `i`'s limb triple always equals the limbs of the scalar state —
-//!   the engine produces **the same picks, bit for bit**.
-//! * **Interleaved scalar fallback** (everything else): 8 lanes of the
-//!   plain `u128` recurrence stepped in lockstep arrays, which the
-//!   compiler schedules across the multiplier pipeline.
+//!   pick `⌊r·n / 2^64⌋` is likewise computed in 52-bit arithmetic as
+//!   `r_hi·n + ⌊r_lo·n / 2^52⌋` (`r = r_hi·2^52 + r_lo`, `r_hi < 2^12`),
+//!   which is exact while `r_hi·n < 2^52`, i.e. for every `n < 2^40`;
+//!   the entry points assert `n < 2^39`. Limb normalization keeps every
+//!   limb canonical after each step, so lane `i`'s limb triple always
+//!   equals the limbs of the scalar state — the engine produces **the
+//!   same picks, bit for bit**. The bit test is a variable shift of
+//!   the lane's mask word: for one-word masks (`n ≤ 64`) the word stays
+//!   in a register; wider masks are read with one 8-lane gather of
+//!   word `lane·w + (pick >> 6)` per vector and draw, then shifted by
+//!   `pick & 63`.
+//! * **Scalar fallback** (everything else): for one-word masks, 8 lanes
+//!   of the plain `u128` recurrence stepped in lockstep arrays, which
+//!   the compiler schedules across the multiplier pipeline; for wider
+//!   masks, the one-lane [`scalar_hits_wide`] reference per lane.
 //!
-//! Both are verified against [`scalar_hits`] — the literal one-lane
-//! transcription of `Lcg128::next_u64` + `index_one_draw` using the
-//! generator's public constants — by exact-equality tests. Because the
+//! Both are verified against [`scalar_hits`] / [`scalar_hits_wide`] —
+//! the literal one-lane transcriptions of `Lcg128::next_u64` +
+//! `index_one_draw` using the generator's public constants — by
+//! exact-equality tests, and the dispatched engine (IFMA where the
+//! host has it) against the directly called fallback. Because the
 //! *number of hits* determines the MC loop's `agree` tally exactly
 //! (`agree = 2·hits − draws`), the caller recovers the naive loop's
 //! result without materializing individual picks.
@@ -41,6 +49,10 @@ use mn_rand::Lcg128;
 /// loop-carried latency (≈10 cycles); four independent vectors keep
 /// the IFMA ports busy across it, where two leave them half idle.
 pub const LANES: usize = 32;
+
+/// Largest node width (exclusive) whose picks the IFMA engine computes
+/// exactly (see the module doc), with a factor-2 margin.
+const MAX_N: usize = 1 << 39;
 
 /// One-lane scalar reference: run `t` draws of the `Lcg128` recurrence
 /// from `state`, counting picks whose bit in `cons` is set.
@@ -59,6 +71,23 @@ pub fn scalar_hits(mut state: u128, cons: u64, n: usize, t: usize) -> u64 {
         let r = (state >> 64) as u64;
         let pick = ((r as u128 * n as u128) >> 64) as usize;
         hits += cons >> pick & 1;
+    }
+    hits
+}
+
+/// [`scalar_hits`] for a multi-word mask: bit `i` of the lane's mask is
+/// bit `i & 63` of `cons[i >> 6]`. The reference for the wide engine,
+/// and its fallback where IFMA is unavailable.
+#[inline]
+pub fn scalar_hits_wide(mut state: u128, cons: &[u64], n: usize, t: usize) -> u64 {
+    let mut hits = 0u64;
+    for _ in 0..t {
+        state = state
+            .wrapping_mul(Lcg128::MULTIPLIER)
+            .wrapping_add(Lcg128::INCREMENT);
+        let r = (state >> 64) as u64;
+        let pick = ((r as u128 * n as u128) >> 64) as usize;
+        hits += cons[pick >> 6] >> (pick & 63) & 1;
     }
     hits
 }
@@ -82,6 +111,7 @@ fn scalar_hits8(states: &[u128; 8], cons: &[u64; 8], n: usize, t: usize) -> [u64
 
 #[cfg(target_arch = "x86_64")]
 mod ifma {
+    use super::LANES;
     use mn_rand::Lcg128;
     use std::arch::x86_64::*;
 
@@ -98,55 +128,117 @@ mod ifma {
         ]
     }
 
+    /// The broadcast constants of the limb-decomposed LCG step and the
+    /// 52-bit range pick, shared by both IFMA engines.
+    struct Step {
+        a: [__m512i; 3],
+        c: [__m512i; 3],
+        m52: __m512i,
+        m24: __m512i,
+        m12: __m512i,
+        n: __m512i,
+    }
+
+    impl Step {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
+        fn new(n: u64) -> Self {
+            let a = limbs(Lcg128::MULTIPLIER).map(|x| _mm512_set1_epi64(x as i64));
+            let c = limbs(Lcg128::INCREMENT).map(|x| _mm512_set1_epi64(x as i64));
+            Self {
+                a,
+                c,
+                m52: _mm512_set1_epi64(M52 as i64),
+                m24: _mm512_set1_epi64(M24 as i64),
+                m12: _mm512_set1_epi64(0xFFF),
+                n: _mm512_set1_epi64(n as i64),
+            }
+        }
+
+        /// Advance one 8-lane limb triple `s` by one LCG step and
+        /// return the lanes' picks `⌊r·n / 2^64⌋` (`r = state >> 64`).
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
+        fn pick(&self, s: &mut [__m512i; 3]) -> __m512i {
+            let [a0, a1, a2] = self.a;
+            let [c0, c1, c2] = self.c;
+            // state = state · A + C (mod 2^128) in 52-bit limbs: the
+            // column sums stay below 2^64 (≤ 3 products of 52×52 bits
+            // taken 52 bits at a time plus carries), then one
+            // normalization pass restores canonical limbs.
+            let u0 = _mm512_madd52lo_epu64(c0, s[0], a0);
+            let mut u1 = _mm512_madd52hi_epu64(c1, s[0], a0);
+            u1 = _mm512_madd52lo_epu64(u1, s[0], a1);
+            u1 = _mm512_madd52lo_epu64(u1, s[1], a0);
+            let mut u2 = _mm512_madd52hi_epu64(c2, s[0], a1);
+            u2 = _mm512_madd52hi_epu64(u2, s[1], a0);
+            u2 = _mm512_madd52lo_epu64(u2, s[0], a2);
+            u2 = _mm512_madd52lo_epu64(u2, s[1], a1);
+            u2 = _mm512_madd52lo_epu64(u2, s[2], a0);
+            s[0] = _mm512_and_si512(u0, self.m52);
+            u1 = _mm512_add_epi64(u1, _mm512_srli_epi64(u0, 52));
+            s[1] = _mm512_and_si512(u1, self.m52);
+            u2 = _mm512_add_epi64(u2, _mm512_srli_epi64(u1, 52));
+            s[2] = _mm512_and_si512(u2, self.m24);
+            // r = state >> 64 reassembled from limbs (r_lo 52 bits,
+            // r_hi 12 bits), then pick = (r · n) >> 64 as
+            // (r_hi·n + ⌊r_lo·n / 2^52⌋) >> 12: exact for n < 2^40.
+            let rl = _mm512_or_si512(
+                _mm512_srli_epi64(s[1], 12),
+                _mm512_slli_epi64(_mm512_and_si512(s[2], self.m12), 40),
+            );
+            let rh = _mm512_srli_epi64(s[2], 12);
+            let mut tv = _mm512_madd52hi_epu64(_mm512_setzero_si512(), rl, self.n);
+            tv = _mm512_madd52lo_epu64(tv, rh, self.n);
+            _mm512_srli_epi64(tv, 12)
+        }
+    }
+
+    /// The first `8·K` lanes of `states` as 8-lane limb triples.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
+    fn load_states<const K: usize>(states: &[u128; LANES]) -> [[__m512i; 3]; K] {
+        let mut out = [[_mm512_setzero_si512(); 3]; K];
+        for (v, limb_vecs) in out.iter_mut().enumerate() {
+            for (j, vec) in limb_vecs.iter_mut().enumerate() {
+                let lane = |i: usize| limbs(states[8 * v + i])[j] as i64;
+                *vec = _mm512_set_epi64(
+                    lane(7),
+                    lane(6),
+                    lane(5),
+                    lane(4),
+                    lane(3),
+                    lane(2),
+                    lane(1),
+                    lane(0),
+                );
+            }
+        }
+        out
+    }
+
     /// `K` interleaved 8-lane sets (`8·K` items, `K ≤ 4`) of the
-    /// limb-decomposed LCG step + pick + bit test. Requires AVX-512
-    /// F/DQ/VL/IFMA. `states`/`cons` must hold at least `8·K` entries;
-    /// the first `8·K` slots of the return value are the lane counts.
+    /// limb-decomposed LCG step + pick + bit test against one mask
+    /// word per lane (`n ≤ 64`). Requires AVX-512 F/DQ/VL/IFMA. The
+    /// first `8·K` slots of the return value are the lane counts.
     ///
     /// # Safety
     /// Caller must have verified `avx512ifma` (plus f/dq/vl) support,
     /// e.g. via [`super::ifma_available`].
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
     pub unsafe fn hits_group<const K: usize>(
-        states: &[u128],
-        cons: &[u64],
+        states: &[u128; LANES],
+        cons: &[u64; LANES],
         n: u64,
         t: usize,
-    ) -> [u64; super::LANES] {
-        let a = limbs(Lcg128::MULTIPLIER);
-        let c = limbs(Lcg128::INCREMENT);
-        let a0 = _mm512_set1_epi64(a[0] as i64);
-        let a1 = _mm512_set1_epi64(a[1] as i64);
-        let a2 = _mm512_set1_epi64(a[2] as i64);
-        let c0 = _mm512_set1_epi64(c[0] as i64);
-        let c1 = _mm512_set1_epi64(c[1] as i64);
-        let c2 = _mm512_set1_epi64(c[2] as i64);
-        let m52 = _mm512_set1_epi64(M52 as i64);
-        let m24 = _mm512_set1_epi64(M24 as i64);
-        let m12 = _mm512_set1_epi64(0xFFF);
-        let nv = _mm512_set1_epi64(n as i64);
+    ) -> [u64; LANES] {
+        let step = Step::new(n);
         let one = _mm512_set1_epi64(1);
-        let zero = _mm512_setzero_si512();
-
-        let mut l0 = [0u64; super::LANES];
-        let mut l1 = [0u64; super::LANES];
-        let mut l2 = [0u64; super::LANES];
-        for i in 0..8 * K {
-            let l = limbs(states[i]);
-            l0[i] = l[0];
-            l1[i] = l[1];
-            l2[i] = l[2];
-        }
-        let mut s0 = [zero; K];
-        let mut s1 = [zero; K];
-        let mut s2 = [zero; K];
-        let mut mv = [zero; K];
-        let mut h = [zero; K];
-        for v in 0..K {
-            s0[v] = _mm512_loadu_si512(l0.as_ptr().add(8 * v) as *const _);
-            s1[v] = _mm512_loadu_si512(l1.as_ptr().add(8 * v) as *const _);
-            s2[v] = _mm512_loadu_si512(l2.as_ptr().add(8 * v) as *const _);
-            mv[v] = _mm512_loadu_si512(cons.as_ptr().add(8 * v) as *const _);
+        let mut s = load_states::<K>(states);
+        let mut mv = [_mm512_setzero_si512(); K];
+        let mut h = [_mm512_setzero_si512(); K];
+        for (v, m) in mv.iter_mut().enumerate() {
+            *m = _mm512_loadu_si512(cons.as_ptr().add(8 * v) as *const _);
         }
 
         for _ in 0..t {
@@ -154,40 +246,62 @@ mod ifma {
             // this inner loop and interleaves their instruction streams
             // across the loop-carried normalization chain.
             for v in 0..K {
-                // state = state · A + C (mod 2^128) in 52-bit limbs:
-                // the column sums stay below 2^64 (≤ 3 products of
-                // 52×52 bits taken 52 bits at a time plus carries),
-                // then one normalization pass restores canonical limbs.
-                let u0 = _mm512_madd52lo_epu64(c0, s0[v], a0);
-                let mut u1 = _mm512_madd52hi_epu64(c1, s0[v], a0);
-                u1 = _mm512_madd52lo_epu64(u1, s0[v], a1);
-                u1 = _mm512_madd52lo_epu64(u1, s1[v], a0);
-                let mut u2 = _mm512_madd52hi_epu64(c2, s0[v], a1);
-                u2 = _mm512_madd52hi_epu64(u2, s1[v], a0);
-                u2 = _mm512_madd52lo_epu64(u2, s0[v], a2);
-                u2 = _mm512_madd52lo_epu64(u2, s1[v], a1);
-                u2 = _mm512_madd52lo_epu64(u2, s2[v], a0);
-                s0[v] = _mm512_and_si512(u0, m52);
-                u1 = _mm512_add_epi64(u1, _mm512_srli_epi64(u0, 52));
-                s1[v] = _mm512_and_si512(u1, m52);
-                u2 = _mm512_add_epi64(u2, _mm512_srli_epi64(u1, 52));
-                s2[v] = _mm512_and_si512(u2, m24);
-                // r = state >> 64 reassembled from limbs (r_lo 52
-                // bits, r_hi 12 bits), then pick = (r · n) >> 64 via
-                // one more 52-bit multiply-add chain: exact because
-                // r·n < 2^70.
-                let rl = _mm512_or_si512(
-                    _mm512_srli_epi64(s1[v], 12),
-                    _mm512_slli_epi64(_mm512_and_si512(s2[v], m12), 40),
-                );
-                let rh = _mm512_srli_epi64(s2[v], 12);
-                let mut tv = _mm512_madd52hi_epu64(zero, rl, nv);
-                tv = _mm512_madd52lo_epu64(tv, rh, nv);
-                let p = _mm512_srli_epi64(tv, 12);
+                let p = step.pick(&mut s[v]);
                 h[v] = _mm512_add_epi64(h[v], _mm512_and_si512(_mm512_srlv_epi64(mv[v], p), one));
             }
         }
-        let mut out = [0u64; super::LANES];
+        let mut out = [0u64; LANES];
+        for (v, &hv) in h.iter().enumerate() {
+            _mm512_storeu_si512(out.as_mut_ptr().add(8 * v) as *mut _, hv);
+        }
+        out
+    }
+
+    /// [`hits_group`] for `w`-word masks (`n ≤ 64·w`): lane `i < m`
+    /// tests its picks against `cons[i·w .. (i+1)·w]`, fetching word
+    /// `i·w + (pick >> 6)` with one gather per vector and draw; padding
+    /// lanes `i ≥ m` read lane 0's mask. The first `8·K` slots of the
+    /// return value are the lane counts.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx512ifma` (plus f/dq/vl) support,
+    /// e.g. via [`super::ifma_available`], and must guarantee
+    /// `1 ≤ m ≤ 8·K`, `n ≤ 64·w`, `n < 2^40` (so every pick is below
+    /// `n`) and `cons.len() ≥ m·w`: every gather index is then below
+    /// `m·w`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
+    pub unsafe fn hits_group_wide<const K: usize>(
+        states: &[u128; LANES],
+        cons: &[u64],
+        m: usize,
+        w: usize,
+        n: u64,
+        t: usize,
+    ) -> [u64; LANES] {
+        let step = Step::new(n);
+        let one = _mm512_set1_epi64(1);
+        let m63 = _mm512_set1_epi64(63);
+        let mut s = load_states::<K>(states);
+        let mut base = [0i64; LANES];
+        for (i, b) in base.iter_mut().enumerate().take(m) {
+            *b = (i * w) as i64;
+        }
+        let mut bv = [_mm512_setzero_si512(); K];
+        let mut h = [_mm512_setzero_si512(); K];
+        for (v, b) in bv.iter_mut().enumerate() {
+            *b = _mm512_loadu_si512(base.as_ptr().add(8 * v) as *const _);
+        }
+
+        for _ in 0..t {
+            for v in 0..K {
+                let p = step.pick(&mut s[v]);
+                let idx = _mm512_add_epi64(bv[v], _mm512_srli_epi64(p, 6));
+                let word = _mm512_i64gather_epi64::<8>(idx, cons.as_ptr() as *const i64);
+                let bit = _mm512_srlv_epi64(word, _mm512_and_si512(p, m63));
+                h[v] = _mm512_add_epi64(h[v], _mm512_and_si512(bit, one));
+            }
+        }
+        let mut out = [0u64; LANES];
         for (v, &hv) in h.iter().enumerate() {
             _mm512_storeu_si512(out.as_mut_ptr().add(8 * v) as *mut _, hv);
         }
@@ -229,13 +343,57 @@ pub fn mc_hits(states: &[u128], cons: &[u64], n: usize, t: usize, out: &mut Vec<
     out.clear();
     for (schunk, cchunk) in states.chunks(LANES).zip(cons.chunks(LANES)) {
         let m = schunk.len();
-        let k = m.div_ceil(8);
         let mut s = [schunk[0]; LANES];
         let mut c = [cchunk[0]; LANES];
         s[..m].copy_from_slice(schunk);
         c[..m].copy_from_slice(cchunk);
-        let counts = group_hits(k, &s, &c, n, t);
+        let counts = group_hits(m.div_ceil(8), &s, &c, n, t);
         out.extend_from_slice(&counts[..m]);
+    }
+}
+
+/// [`mc_hits`] for masks of `w = ⌈n/64⌉` words: lane `i`'s mask is
+/// `cons[i·w .. (i+1)·w]`, so `cons.len() == states.len() · w`.
+/// One-word masks (`n ≤ 64`) take [`mc_hits`] itself. Picks are
+/// bit-identical to [`scalar_hits_wide`] on every engine.
+pub fn mc_hits_wide(states: &[u128], cons: &[u64], n: usize, t: usize, out: &mut Vec<u64>) {
+    assert!(
+        (1..MAX_N).contains(&n),
+        "mc_hits_wide requires 1 ≤ n < 2^39, got {n}"
+    );
+    let w = n.div_ceil(64);
+    if w == 1 {
+        return mc_hits(states, cons, n, t, out);
+    }
+    assert_eq!(states.len() * w, cons.len());
+    out.clear();
+    for (schunk, cchunk) in states.chunks(LANES).zip(cons.chunks(LANES * w)) {
+        #[cfg(target_arch = "x86_64")]
+        if ifma_available() {
+            let m = schunk.len();
+            let mut s = [schunk[0]; LANES];
+            s[..m].copy_from_slice(schunk);
+            // Safety: feature support verified by `ifma_available`;
+            // the chunk's `1 ≤ m ≤ LANES` lanes fill `⌈m/8⌉` vectors,
+            // `n ≤ 64·w` by the choice of `w`, `n < 2^39` and `cchunk`
+            // holds exactly `m·w` words (both asserted above).
+            let counts = unsafe {
+                match m.div_ceil(8) {
+                    1 => ifma::hits_group_wide::<1>(&s, cchunk, m, w, n as u64, t),
+                    2 => ifma::hits_group_wide::<2>(&s, cchunk, m, w, n as u64, t),
+                    3 => ifma::hits_group_wide::<3>(&s, cchunk, m, w, n as u64, t),
+                    _ => ifma::hits_group_wide::<4>(&s, cchunk, m, w, n as u64, t),
+                }
+            };
+            out.extend_from_slice(&counts[..m]);
+            continue;
+        }
+        out.extend(
+            schunk
+                .iter()
+                .zip(cchunk.chunks(w))
+                .map(|(&state, mask)| scalar_hits_wide(state, mask, n, t)),
+        );
     }
 }
 
@@ -254,6 +412,17 @@ fn group_hits(k: usize, states: &[u128; LANES], cons: &[u64; LANES], n: usize, t
             }
         };
     }
+    scalar_group_hits(k, states, cons, n, t)
+}
+
+/// [`group_hits`] on the interleaved scalar engine, whatever the CPU.
+fn scalar_group_hits(
+    k: usize,
+    states: &[u128; LANES],
+    cons: &[u64; LANES],
+    n: usize,
+    t: usize,
+) -> [u64; LANES] {
     let mut out = [0u64; LANES];
     for v in 0..k {
         let s: &[u128; 8] = states[8 * v..8 * v + 8].try_into().unwrap();
@@ -346,5 +515,102 @@ mod tests {
         assert!(out.is_empty());
         mc_hits(&[item_state(1, 1)], &[0b1], 1, 0, &mut out);
         assert_eq!(out, vec![0]);
+        mc_hits_wide(&[], &[], 130, 10, &mut out);
+        assert!(out.is_empty());
+        mc_hits_wide(&[item_state(1, 1)], &[!0, !0, 0b11], 130, 0, &mut out);
+        assert_eq!(out, vec![0]);
+    }
+
+    #[test]
+    fn scalar_wide_reference_matches_lcg128_draws() {
+        let n = 150;
+        let cons = [0x0f0f_0f0f_0f0f_0f0fu64, !0, 0x2a_aaaa];
+        for item in 0..8u64 {
+            let mut rng = Lcg128::from_key(7, Domain::SplitPosterior.tag(), item);
+            let state = rng.state();
+            let mut want = 0u64;
+            for _ in 0..300 {
+                let pick = rng.index_one_draw(n);
+                want += cons[pick >> 6] >> (pick & 63) & 1;
+            }
+            assert_eq!(scalar_hits_wide(state, &cons, n, 300), want, "item {item}");
+        }
+        // One-word masks agree with the narrow reference.
+        assert_eq!(
+            scalar_hits_wide(item_state(3, 3), &[0xdead_beef], 40, 200),
+            scalar_hits(item_state(3, 3), 0xdead_beef, 40, 200)
+        );
+    }
+
+    #[test]
+    fn wide_engine_matches_scalar_reference_exactly() {
+        // Every lane of the wide engine against the one-lane wide
+        // reference, for w ∈ {2, 3, 5} and ragged tails of 1–70 lanes
+        // (2+ full groups plus every tail shape).
+        let mut mask_rng = Lcg128::from_key(98, 2, 2);
+        for (rep, n) in [65usize, 100, 128, 129, 150, 192, 257, 300, 320]
+            .into_iter()
+            .cycle()
+            .take(70)
+            .enumerate()
+        {
+            let w = n.div_ceil(64);
+            assert!([2, 3, 5].contains(&w));
+            let lanes = 1 + rep;
+            let t = (rep % 4) * n + 1;
+            let states: Vec<u128> = (0..lanes)
+                .map(|i| item_state(5, (rep * 100 + i) as u64))
+                .collect();
+            let mut cons: Vec<u64> = (0..lanes * w).map(|_| mask_rng.next_u64()).collect();
+            for lane in 0..lanes {
+                cons[lane * w + w - 1] &= u64::MAX >> (64 * w - n);
+            }
+            let mut out = Vec::new();
+            mc_hits_wide(&states, &cons, n, t, &mut out);
+            assert_eq!(out.len(), lanes);
+            for i in 0..lanes {
+                assert_eq!(
+                    out[i],
+                    scalar_hits_wide(states[i], &cons[i * w..(i + 1) * w], n, t),
+                    "rep {rep} lane {i} (n={n}, t={t})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_word_wide_calls_take_the_narrow_engine() {
+        let states: Vec<u128> = (0..20).map(|i| item_state(8, i)).collect();
+        let cons: Vec<u64> = (0..20)
+            .map(|i| 0x1234_5678_9abc_def0u64.rotate_left(i))
+            .collect();
+        let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+        mc_hits(&states, &cons, 64, 640, &mut narrow);
+        mc_hits_wide(&states, &cons, 64, 640, &mut wide);
+        assert_eq!(narrow, wide);
+    }
+
+    #[test]
+    fn dispatched_engine_matches_scalar_fallback_called_directly() {
+        // The differential test of the dispatched engine (IFMA where
+        // the host has it) against the scalar fallback with the
+        // feature out of the picture, without a switch: the fallback
+        // is called directly. Whole groups of every vector count, so
+        // the padding lanes are compared too.
+        let mut mask_rng = Lcg128::from_key(97, 3, 3);
+        for rep in 0..16usize {
+            let k = 1 + rep % 4;
+            let n = 1 + (rep * 13) % 64;
+            let t = 3 * n + rep;
+            let states: [u128; LANES] =
+                std::array::from_fn(|i| item_state(6, (rep * 100 + i) as u64));
+            let cons: [u64; LANES] = std::array::from_fn(|_| mask_rng.next_u64());
+            assert_eq!(
+                group_hits(k, &states, &cons, n, t)[..8 * k],
+                scalar_group_hits(k, &states, &cons, n, t)[..8 * k],
+                "rep {rep} (k={k}, n={n}, ifma={})",
+                ifma_available()
+            );
+        }
     }
 }

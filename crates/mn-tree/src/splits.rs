@@ -184,12 +184,6 @@ impl Bits<'_> {
     fn get(self, i: usize) -> bool {
         self.words[i >> 6] >> (i & 63) & 1 == 1
     }
-
-    /// The whole mask of a small node (`n ≤ 64`) as one word.
-    #[inline]
-    fn small(self) -> u64 {
-        self.words[0]
-    }
 }
 
 /// Append a node's bit-packed left-membership mask to the arena. Both
@@ -313,6 +307,11 @@ fn mc_confirm(
     (posterior, work)
 }
 
+/// Items a Monte-Carlo bucket holds before it runs: four full
+/// [`mc_kernel::LANES`] groups, so bucket memory stays bounded however
+/// long the scored range is.
+const BUCKET_FLUSH: usize = 4 * mc_kernel::LANES;
+
 /// One `s_eff` class of Monte-Carlo survivors: every lane in a bucket
 /// draws the same number of rounds, so the bucket maps directly onto
 /// fixed-trip SIMD lane groups.
@@ -320,25 +319,46 @@ fn mc_confirm(
 struct McBucket {
     /// Initial per-item LCG states.
     states: Vec<u128>,
-    /// Per-observation consistency masks.
+    /// Per-item consistency masks, `⌈n/64⌉` words each.
     cons: Vec<u64>,
-    /// Range-relative result indices.
-    rel: Vec<u32>,
+    /// Indices of the items' results in the map's output.
+    out_idx: Vec<usize>,
     /// Exact separation scores (the posterior magnitude if confirmed).
     sigma: Vec<f64>,
 }
 
+impl McBucket {
+    /// Draw `t` picks from an `n`-observation node for every queued
+    /// item, patch the confirmed items' posteriors into `out`, and
+    /// empty the bucket.
+    fn flush(&mut self, n: usize, t: usize, hits: &mut Vec<u64>, out: &mut [(f64, u64)]) {
+        mc_kernel::mc_hits_wide(&self.states, &self.cons, n, t, hits);
+        for ((&h, &sigma), &idx) in hits.iter().zip(&self.sigma).zip(&self.out_idx) {
+            let agree = 2 * h as i64 - t as i64;
+            if agree != 0 && (agree > 0) == (sigma > 0.0) {
+                out[idx].0 = sigma.abs();
+            }
+        }
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.states.clear();
+        self.cons.clear();
+        self.out_idx.clear();
+        self.sigma.clear();
+    }
+}
+
 /// Per-worker scratch for the batched scoring kernel: the sort/scan
-/// buffers of [`SplitScratch`] plus the result staging and SIMD lane
-/// buffers of the fused Monte-Carlo path. Pooled in a [`ScratchPool`]
-/// so the steady-state scoring loop performs no allocation.
+/// buffers of [`SplitScratch`] plus the SIMD lane buffers of the fused
+/// Monte-Carlo path. Pooled in a [`ScratchPool`] so the steady-state
+/// scoring loop performs no allocation.
 #[derive(Debug, Default)]
 struct SegScratch {
     split: SplitScratch,
-    /// Unpacked membership mask for wide nodes (`n > 64`).
+    /// Unpacked membership mask (`ScoreMode::Reference` only).
     bools: Vec<bool>,
-    /// Per-item `(posterior, work)` results for the covered range.
-    res: Vec<(f64, u64)>,
     /// Monte-Carlo survivors bucketed by `s_eff` in one pass
     /// (`buckets[se - 1]` holds the `s_eff = se` class, item order
     /// preserved within each bucket).
@@ -451,7 +471,7 @@ pub fn assign_splits_in<E: ParEngine>(
     // Both execution paths produce bit-identical posteriors and report
     // identical per-item costs; the kernel amortizes the exact
     // separation pass over each (node, parent) run it is handed and,
-    // for small nodes, batches the Monte-Carlo confirmation draws
+    // in Incremental mode, batches the Monte-Carlo confirmation draws
     // through a vectorized replay of the same per-item generators.
     let index_ref = &index;
     let mask_words: &[u64] = &ctx.mask_words;
@@ -488,7 +508,7 @@ pub fn assign_splits_in<E: ParEngine>(
                 // emitted.
                 let first_parent = (range.start - entry.base) / n;
                 let last_parent = (range.end - 1 - entry.base) / n;
-                if params.mode == ScoreMode::Incremental && n <= 64 {
+                if params.mode == ScoreMode::Incremental {
                     score_range_fast(
                         sc,
                         data,
@@ -501,9 +521,11 @@ pub fn assign_splits_in<E: ParEngine>(
                         &range,
                         first_parent,
                         last_parent,
+                        out,
                     );
-                    out.extend_from_slice(&sc.res);
                 } else {
+                    // The Table 1 cost emulation: per-item scalar
+                    // confirmation with the reference per-round work.
                     sc.bools.clear();
                     sc.bools.extend((0..n).map(|i| mask.get(i)));
                     for (off, &var) in candidate_parents[first_parent..=last_parent]
@@ -613,24 +635,30 @@ pub fn assign_splits_in<E: ParEngine>(
     SplitAssignment { index, node_splits }
 }
 
-/// The fast Monte-Carlo path for small nodes (`n ≤ 64`, Incremental
-/// mode): score `range` of node `entry` into `sc.res`.
+/// The fast Monte-Carlo path (Incremental mode, nodes of any width):
+/// score `range` of node `entry`, appending one `(posterior, work)`
+/// per item to `out`.
 ///
 /// Bit-identical to the scalar path by construction:
 ///
-/// * the exact pass is [`SplitScratch::compute_small`], whose σ values
+/// * the exact pass is [`SplitScratch::compute_masks`], whose σ values
 ///   are the same f64 expressions as [`separation_score`] and whose
-///   consistency masks encode exactly the scalar predicate
-///   `(row[node_obs[pick]] <= value) == left(pick)`;
+///   `⌈n/64⌉`-word consistency masks encode exactly the scalar
+///   predicate `(row[node_obs[pick]] <= value) == left(pick)`;
 /// * `σ == 0` ⇒ the confirmation can only yield posterior `0.0`
 ///   (`confirmed` multiplies `|σ| = 0`), and `|σ| == 1` ⇒ the mask is
 ///   all-ones/all-zeros so every draw agrees and the posterior is
 ///   `1.0` — both shortcuts skip draws safely because each item owns a
 ///   private keyed generator (no shared stream to keep in step);
-/// * the remaining items replay their own `Lcg128` streams inside
-///   [`mc_kernel::mc_hits`], which is verified draw-for-draw against
-///   [`Lcg128`] (and the IFMA engine lane-for-lane against the scalar
-///   engine) in `mc_kernel`'s tests.
+/// * the remaining items are pushed with posterior `0.0`, queued in
+///   their `s_eff` bucket, and replay their own `Lcg128` streams inside
+///   [`mc_kernel::mc_hits_wide`] when the bucket flushes (at
+///   [`BUCKET_FLUSH`] items, and at the end of the range), which
+///   patches the confirmed posteriors in place. The kernel is verified
+///   draw-for-draw against [`Lcg128`] (and the IFMA engine lane-for-lane
+///   against the scalar engine) in `mc_kernel`'s tests; since every
+///   item's generator is its own, neither flush order nor lane grouping
+///   can change a hit count.
 ///
 /// Work accounting is the same closed form the scalar path charges:
 /// `(n + s_eff·n) · COST_CELL` per item.
@@ -647,20 +675,16 @@ fn score_range_fast(
     range: &std::ops::Range<usize>,
     first_parent: usize,
     last_parent: usize,
+    out: &mut Vec<(f64, u64)>,
 ) {
     let n = entry.n_obs;
-    sc.res.clear();
-    sc.res.resize(range.end - range.start, (0.0, 0));
+    let w = n.div_ceil(64);
     // MC items have 0 < |σ| < 1, hence s_eff ∈ [1, S]; the max(1)
     // keeps one bucket alive for S = 0 (where s_eff is pinned to 1).
     let n_buckets = (params.max_sampling_steps).max(1);
     sc.buckets.resize_with(n_buckets, McBucket::default);
-    for b in &mut sc.buckets[..n_buckets] {
-        b.states.clear();
-        b.cons.clear();
-        b.rel.clear();
-        b.sigma.clear();
-    }
+    // Empty already unless a previous call on this scratch unwound.
+    sc.buckets.iter_mut().for_each(McBucket::clear);
     let s = params.max_sampling_steps as f64;
     for (off, &var) in candidate_parents[first_parent..=last_parent]
         .iter()
@@ -670,47 +694,40 @@ fn score_range_fast(
         let lo = range.start.max(run_start);
         let hi = range.end.min(run_start + n);
         let row = data.values(var);
-        let (sigmas, cons) = sc.split.compute_small(row, node_obs, mask.small());
+        let (sigmas, cons) = sc.split.compute_masks(row, node_obs, mask.words);
         for item in lo..hi {
             let obs_pos = item - run_start;
             let sigma = sigmas[obs_pos];
             let s_eff = 1 + (s * (1.0 - sigma.abs())).floor() as usize;
             let work = (n + s_eff * n) as u64 * COST_CELL;
-            let rel = item - range.start;
             if sigma == 0.0 {
                 // Unconfirmable: posterior would be |σ| = 0 whether or
                 // not the draws agree.
-                sc.res[rel] = (0.0, work);
+                out.push((0.0, work));
             } else if sigma.abs() == 1.0 {
                 // Every observation satisfies (or violates) the
                 // predicate, so every draw agrees with σ's direction.
-                sc.res[rel] = (1.0, work);
+                out.push((1.0, work));
             } else {
                 // Bucket by s_eff in this same pass, so every lane of
                 // a SIMD batch draws the same number of rounds.
-                sc.res[rel] = (0.0, work);
                 let b = &mut sc.buckets[s_eff - 1];
                 b.states.push(
                     Lcg128::from_key(seed, Domain::SplitPosterior.tag(), item as u64).state(),
                 );
-                b.cons.push(cons[obs_pos]);
-                b.rel.push(rel as u32);
+                b.cons.extend(cons[obs_pos * w..(obs_pos + 1) * w].iter().copied());
+                b.out_idx.push(out.len());
                 b.sigma.push(sigma);
+                out.push((0.0, work));
+                if b.out_idx.len() == BUCKET_FLUSH {
+                    b.flush(n, s_eff * n, &mut sc.hits, out);
+                }
             }
         }
     }
-    for (bi, b) in sc.buckets[..n_buckets].iter().enumerate() {
-        if b.states.is_empty() {
-            continue;
-        }
-        let t = (bi + 1) * n;
-        mc_kernel::mc_hits(&b.states, &b.cons, n, t, &mut sc.hits);
-        for l in 0..b.rel.len() {
-            let agree = 2 * sc.hits[l] as i64 - t as i64;
-            let sigma = b.sigma[l];
-            if agree != 0 && (agree > 0) == (sigma > 0.0) {
-                sc.res[b.rel[l] as usize].0 = sigma.abs();
-            }
+    for (bi, b) in sc.buckets[..n_buckets].iter_mut().enumerate() {
+        if !b.out_idx.is_empty() {
+            b.flush(n, (bi + 1) * n, &mut sc.hits, out);
         }
     }
 }
@@ -786,12 +803,12 @@ mod tests {
         push_left_membership_mask(&[1, 4, 7, 9], &[4, 9], &mut words);
         let mask = Bits { words: &words };
         assert!(!mask.get(0) && mask.get(1) && !mask.get(2) && mask.get(3));
-        assert_eq!(mask.small(), 0b1010);
+        assert_eq!(mask.words, &[0b1010]);
         // A second node appends after the first without disturbing it.
         let base = words.len();
         push_left_membership_mask(&[2, 3], &[], &mut words);
         assert_eq!(&words[base..], &[0]);
-        assert_eq!(Bits { words: &words[..base] }.small(), 0b1010);
+        assert_eq!(&words[..base], &[0b1010]);
         // Wide nodes span multiple words.
         let wide_obs: Vec<usize> = (0..70).collect();
         let wide_left: Vec<usize> = vec![0, 63, 64, 69];
@@ -993,6 +1010,54 @@ mod tests {
                 &mut ctx,
             );
             assert_eq!(fresh, again);
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_scalar_confirmation_item_by_item() {
+        // Every item's (posterior, work) — not just the chosen splits —
+        // against the naive per-item path, for one- to three-word
+        // nodes, over a whole segment (buckets flush mid-range) and a
+        // range bisected on both sides.
+        let d = synthetic::yeast_like(12, 150, 3).dataset;
+        let params = TreeParams::default();
+        let parents: Vec<usize> = (0..d.n_vars()).collect();
+        let mut sc = SegScratch::default();
+        for n in [40usize, 64, 100, 150] {
+            let node_obs: Vec<usize> = (0..n).collect();
+            let left: Vec<usize> = node_obs
+                .iter()
+                .copied()
+                .filter(|&o| d.values(0)[o] + d.values(1)[o] < 0.0)
+                .collect();
+            let mut words = Vec::new();
+            push_left_membership_mask(&node_obs, &left, &mut words);
+            let mask = Bits { words: &words };
+            let entry = NodeEntry {
+                module: 0,
+                tree: 0,
+                node: 0,
+                base: 1000,
+                n_obs: n,
+            };
+            let total = parents.len() * n;
+            for range in [1000..1000 + total, 1000 + n / 2 + 7..1000 + total - n - 3] {
+                let first = (range.start - entry.base) / n;
+                let last = (range.end - 1 - entry.base) / n;
+                let mut out = vec![(-1.0, 0)];
+                score_range_fast(
+                    &mut sc, &d, 21, &params, &entry, &node_obs, mask, &parents, &range, first,
+                    last, &mut out,
+                );
+                assert_eq!(out.len(), 1 + range.len());
+                for (item, &got) in range.clone().zip(&out[1..]) {
+                    let within = item - entry.base;
+                    let row = d.values(parents[within / n]);
+                    let value = row[node_obs[within % n]];
+                    let want = split_posterior(row, 21, &params, item, value, &node_obs, mask);
+                    assert_eq!(got, want, "n={n} item {item}");
+                }
+            }
         }
     }
 

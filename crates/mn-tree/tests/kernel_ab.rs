@@ -101,6 +101,102 @@ fn kernel_matches_naive_byte_identically_across_engines_and_modes() {
     }
 }
 
+/// A fixture whose nodes span two and three mask words (150
+/// observations at the root). The default fixture's nodes never hold
+/// more than 64 observations, so it cannot reach the multi-word path.
+fn wide_setup() -> (Dataset, Vec<ModuleEnsemble>, MasterRng) {
+    let d = synthetic::yeast_like(10, 150, 41).dataset;
+    let master = MasterRng::new(17);
+    let params = TreeParams::default();
+    let ensembles = vec![learn_module_trees(
+        &mut SerialEngine::new(),
+        &d,
+        &master,
+        0,
+        &(0..5).collect::<Vec<_>>(),
+        &params,
+    )];
+    let widths: Vec<usize> = ensembles[0]
+        .trees
+        .iter()
+        .flat_map(|t| {
+            t.internal_nodes()
+                .into_iter()
+                .map(|node| t.nodes[node].obs.len())
+        })
+        .collect();
+    assert!(
+        widths.iter().any(|&n| n > 128) && widths.iter().any(|&n| (65..=128).contains(&n)),
+        "fixture must hold two- and three-word nodes, got widths {widths:?}"
+    );
+    (d, ensembles, master)
+}
+
+#[test]
+fn wide_nodes_kernel_matches_naive_with_identical_work_accounting() {
+    let (d, ensembles, master) = wide_setup();
+    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
+        let mut naive_serial = SerialEngine::new();
+        let reference = assignment_json(
+            &mut naive_serial,
+            &d,
+            &master,
+            &ensembles,
+            SplitScoring::Naive,
+            mode,
+        );
+        let mut kernel_serial = SerialEngine::new();
+        assert_eq!(
+            assignment_json(
+                &mut kernel_serial,
+                &d,
+                &master,
+                &ensembles,
+                SplitScoring::Kernel,
+                mode
+            ),
+            reference,
+            "serial kernel diverged ({mode:?})"
+        );
+        assert_eq!(
+            kernel_serial.work_units(),
+            naive_serial.work_units(),
+            "serial work units diverged ({mode:?})"
+        );
+        // The thread engine accounts wall time, not units: its check
+        // is the assignment itself.
+        assert_eq!(
+            assignment_json(
+                &mut ThreadEngine::new(3),
+                &d,
+                &master,
+                &ensembles,
+                SplitScoring::Kernel,
+                mode
+            ),
+            reference,
+            "threads:3 kernel diverged ({mode:?})"
+        );
+        let mut naive_sim = SimEngine::new(4);
+        let mut kernel_sim = SimEngine::new(4);
+        for (engine, scoring) in [
+            (&mut naive_sim, SplitScoring::Naive),
+            (&mut kernel_sim, SplitScoring::Kernel),
+        ] {
+            assert_eq!(
+                assignment_json(engine, &d, &master, &ensembles, scoring, mode),
+                reference,
+                "sim:4 {scoring:?} diverged ({mode:?})"
+            );
+        }
+        assert_eq!(
+            kernel_sim.report(),
+            naive_sim.report(),
+            "sim:4 report diverged ({mode:?})"
+        );
+    }
+}
+
 #[test]
 fn kernel_reports_identical_work_accounting() {
     // The kernel charges each item the same cost the naive path does
