@@ -17,7 +17,8 @@
 //!   many-clusters regime (K₀ = n/2, few observations) where GaneSH
 //!   is most of a learn and every proposal scores hundreds of
 //!   candidates — the view CI gates on: the kernel path must never
-//!   lose to the oracle it replaced;
+//!   lose to the oracle it replaced, and the kernel on
+//!   `ThreadEngine(2)` must never lose to the kernel on one rank;
 //! * a full GaneSH run (all four sweeps), where the variable sweeps
 //!   dilute the observation-phase win.
 //!
@@ -53,6 +54,10 @@ struct VarSweepRow {
     speedup: f64,
     /// Kernel seconds over candidates scored (`engine.items`).
     ns_per_candidate: f64,
+    /// The kernel phase on `ThreadEngine::new(2)`.
+    threads2_s: f64,
+    /// `kernel_s / threads2_s`: the parallel gain over one rank.
+    threads2_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -209,8 +214,13 @@ fn main() {
         "kernel (ms)",
         "speedup",
         "ns/candidate",
+        "threads:2 (ms)",
+        "threads:2 gain",
     ]);
     let mut var_sweep = Vec::new();
+    // CI gates both ratios of these rows, so even `--quick` takes the
+    // median of five.
+    let var_reps = reps.max(5);
     for (n_vars, n_obs) in [(1400, 20), (600, 40)] {
         let data = synthetic::yeast_like(n_vars, n_obs, 17).dataset;
         let master = MasterRng::new(29);
@@ -223,18 +233,31 @@ fn main() {
             &master,
             0,
         );
-        let var_phase = |e: &mut SerialEngine, scoring| {
+        fn var_phase<E: ParEngine>(
+            e: &mut E,
+            base: &CoClustering,
+            data: &mn_data::Dataset,
+            master: &MasterRng,
+            scoring: CandidateScoring,
+        ) {
             let mut s = base.clone();
-            sweep::reassign_vars(e, &mut s, &data, &master, 0, 0, scoring);
-            sweep::merge_vars(e, &mut s, &data, &master, 0, 0, scoring);
+            sweep::reassign_vars(e, &mut s, data, master, 0, 0, scoring);
+            sweep::merge_vars(e, &mut s, data, master, 0, 0, scoring);
             black_box(s.score());
+        }
+        let time_path = |scoring| {
+            median_time(var_reps, || {
+                var_phase(&mut SerialEngine::new(), &base, &data, &master, scoring)
+            })
         };
-        let time_path =
-            |scoring| median_time(reps, || var_phase(&mut SerialEngine::new(), scoring));
         let naive_s = time_path(CandidateScoring::Naive);
         let kernel_s = time_path(CandidateScoring::Kernel);
+        let threads2_s = median_time(var_reps, || {
+            let mut e = ThreadEngine::new(2);
+            var_phase(&mut e, &base, &data, &master, CandidateScoring::Kernel)
+        });
         let mut e = SerialEngine::new();
-        var_phase(&mut e, CandidateScoring::Kernel);
+        var_phase(&mut e, &base, &data, &master, CandidateScoring::Kernel);
         let now = e.now_s();
         let candidates = e.obs().snapshot(now).counters["engine.items"];
         let row = VarSweepRow {
@@ -245,6 +268,8 @@ fn main() {
             kernel_s,
             speedup: naive_s / kernel_s,
             ns_per_candidate: kernel_s * 1e9 / candidates as f64,
+            threads2_s,
+            threads2_speedup: kernel_s / threads2_s,
         };
         table.row(&[
             format!("{n_vars}"),
@@ -254,6 +279,8 @@ fn main() {
             format!("{:.1}", kernel_s * 1e3),
             format!("{:.2}×", row.speedup),
             format!("{:.0}", row.ns_per_candidate),
+            format!("{:.1}", threads2_s * 1e3),
+            format!("{:.2}×", row.threads2_speedup),
         ]);
         var_sweep.push(row);
     }

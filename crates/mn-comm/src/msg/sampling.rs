@@ -177,8 +177,10 @@ mod tests {
         let logw: Vec<f64> = (0..19).map(|i| (i as f64) * 0.17 - 2.0).collect();
         for p in [2usize, 4, 7] {
             let mut shared = master.stream(Domain::User, 1);
-            let expected: Vec<usize> =
-                (0..30).map(|_| select_wtd_log(&mut shared, &logw)).collect();
+            let mut exps = Vec::new();
+            let expected: Vec<usize> = (0..30)
+                .map(|_| select_wtd_log(&mut shared, &logw, &mut exps))
+                .collect();
             let results = spmd(p, |ep| {
                 let (lo, hi) = block_range(logw.len(), p, ep.rank());
                 let mut stream = master.stream(Domain::User, 1);

@@ -15,7 +15,8 @@
 //! * [`sweep`] — the four parallel sweep functions of Algorithms 1–2,
 //!   each with two candidate-scoring paths (batched kernel vs naive,
 //!   bit-identical results — DESIGN.md §9).
-//! * [`scorer`] — the per-sweep statistic cache behind the kernel path.
+//! * [`scorer`] — the kernel path's pure candidate functions and its
+//!   per-sweep replicated state.
 //! * [`mod@ganesh`] — the GaneSH driver (Algorithm 3), ensemble sampling,
 //!   and the constrained observation-only sampler used by the
 //!   module-learning task (Algorithm 4).

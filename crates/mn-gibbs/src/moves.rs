@@ -16,7 +16,7 @@
 use crate::state::{CoClustering, ObsPartition, VarCluster};
 use mn_data::Dataset;
 use mn_score::gibbs_kernel::{addition_term, merge_gain_term, removal_term};
-use mn_score::{NormalGamma, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{NormalGamma, PriorConsts, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
 
 /// Target of a reassignment move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,15 +27,25 @@ pub enum MoveTarget {
     New,
 }
 
+/// Statistics of one variable's `row` restricted to the observations
+/// `members`, accumulated in member order.
+///
+/// Shared with the kernel scorer (`crate::scorer`), which runs the
+/// *same* accumulation loop in the *same* element order, so its row
+/// statistics are bit-identical to the naive path's.
+#[inline]
+pub(crate) fn row_stats(row: &[f64], members: &[usize]) -> SuffStats {
+    let mut s = SuffStats::empty();
+    for &o in members {
+        s.add(row[o]);
+    }
+    s
+}
+
 /// Append the statistics of one variable's row restricted to each
 /// active observation cluster of a partition, in slot order; returns
 /// the work (one cell visit per observation).
-///
-/// Shared with the batched candidate scorer (`crate::scorer`), which
-/// appends to its per-sweep arena and remembers the range per
-/// (variable, cluster) — the *same* accumulation loop in the *same*
-/// element order, so cached and fresh statistics are bit-identical.
-pub(crate) fn push_row_stats(
+fn push_row_stats(
     data: &Dataset,
     var: usize,
     part: &ObsPartition,
@@ -44,12 +54,8 @@ pub(crate) fn push_row_stats(
     let row = data.values(var);
     let mut work = 0u64;
     for (_, oc) in part.iter_active() {
-        let mut s = SuffStats::empty();
-        for &o in &oc.members {
-            s.add(row[o]);
-        }
         work += oc.members.len() as u64 * COST_CELL;
-        out.push(s);
+        out.push(row_stats(row, &oc.members));
     }
     work
 }
@@ -174,6 +180,7 @@ impl CoClustering {
 
         // Remove x from its current cluster.
         let row = data.values(x).to_vec();
+        let consts = PriorConsts::new(self.prior());
         {
             let cluster = self.cluster_mut(from);
             let pos = cluster
@@ -187,7 +194,7 @@ impl CoClustering {
                 for &o in &cluster.obs.cluster(oslot).members {
                     xs.add(row[o]);
                 }
-                cluster.obs.subtract_from_tile(oslot, &xs);
+                cluster.obs.subtract_from_tile(oslot, &xs, &consts);
             }
             if cluster.members.is_empty() {
                 self.set_cluster(from, None);
@@ -205,7 +212,7 @@ impl CoClustering {
                 for &o in &cluster.obs.cluster(oslot).members {
                     xs.add(row[o]);
                 }
-                cluster.obs.add_to_tile(oslot, &xs);
+                cluster.obs.add_to_tile(oslot, &xs, &consts);
             }
         }
         self.set_var_slot(x, to);
@@ -279,6 +286,7 @@ impl CoClustering {
         for &v in &src {
             self.set_var_slot(v, to);
         }
+        let consts = PriorConsts::new(self.prior());
         let cluster = self.cluster_mut(to);
         for &v in &src {
             let pos = cluster.members.binary_search(&v).unwrap_err();
@@ -293,7 +301,7 @@ impl CoClustering {
                     add.add(row[o]);
                 }
             }
-            cluster.obs.add_to_tile(oslot, &add);
+            cluster.obs.add_to_tile(oslot, &add, &consts);
         }
     }
 
@@ -396,7 +404,10 @@ impl CoClustering {
         target: Option<usize>,
     ) -> usize {
         let (col, _) = self.column_stats(data, slot, o);
-        self.cluster_mut(slot).obs.move_obs(o, &col, target)
+        let consts = PriorConsts::new(self.prior());
+        self.cluster_mut(slot)
+            .obs
+            .move_obs(o, &col, target, &consts)
     }
 
     /// Δ score (and work) of merging observation cluster `a` into `b`
@@ -439,7 +450,8 @@ impl CoClustering {
     /// Apply the merge of observation cluster `a` into `b` inside
     /// variable cluster `slot`.
     pub fn merge_obs_clusters(&mut self, slot: usize, a: usize, b: usize) {
-        self.cluster_mut(slot).obs.merge(a, b);
+        let consts = PriorConsts::new(self.prior());
+        self.cluster_mut(slot).obs.merge(a, b, &consts);
     }
 }
 

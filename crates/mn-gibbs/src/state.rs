@@ -8,6 +8,11 @@
 //! incrementally, while the reference scorer ignores the cache and
 //! rebuilds statistics from the raw matrix (see `mn-score::ScoreMode`).
 //!
+//! Every tile also stores its log-marginal `lm`, a pure function of
+//! the statistics' bits: the methods that change a tile's statistics
+//! refresh it, so the kernel scorer's candidate maps read it from the
+//! state instead of recomputing or caching it.
+//!
 //! Cluster containers are *slot-based*: merging or emptying a cluster
 //! frees its slot (`None`), and new clusters reuse the lowest free
 //! slot. All iteration is in slot order, which keeps every engine and
@@ -15,7 +20,7 @@
 
 use mn_data::Dataset;
 use mn_rand::{Domain, MasterRng};
-use mn_score::{NormalGamma, ScoreMode, SuffStats};
+use mn_score::{NormalGamma, PriorConsts, ScoreMode, SuffStats};
 use serde::{Deserialize, Serialize};
 
 /// One cluster of observations inside a variable cluster, together
@@ -27,6 +32,23 @@ pub struct ObsCluster {
     pub members: Vec<usize>,
     /// Tile statistics (maintained incrementally).
     pub stats: SuffStats,
+    /// `log_marginal(stats)` under the owning co-clustering's prior,
+    /// bit for bit; refreshed by every method that changes `stats`.
+    pub lm: f64,
+}
+
+impl ObsCluster {
+    fn empty() -> Self {
+        Self {
+            members: Vec::new(),
+            stats: SuffStats::empty(),
+            lm: 0.0,
+        }
+    }
+
+    fn refresh_lm(&mut self, consts: &PriorConsts) {
+        self.lm = consts.log_marginal(&self.stats);
+    }
 }
 
 /// A partition of the observations with per-tile statistics.
@@ -46,7 +68,7 @@ impl ObsPartition {
             assignment: vec![0; n_obs],
             clusters: vec![Some(ObsCluster {
                 members: (0..n_obs).collect(),
-                stats: SuffStats::empty(),
+                ..ObsCluster::empty()
             })],
         }
     }
@@ -56,14 +78,8 @@ impl ObsPartition {
     pub fn random(n_obs: usize, k: usize, stream: &mut mn_rand::Stream) -> Self {
         assert!(k >= 1);
         let mut assignment = Vec::with_capacity(n_obs);
-        let mut clusters: Vec<Option<ObsCluster>> = (0..k)
-            .map(|_| {
-                Some(ObsCluster {
-                    members: Vec::new(),
-                    stats: SuffStats::empty(),
-                })
-            })
-            .collect();
+        let mut clusters: Vec<Option<ObsCluster>> =
+            (0..k).map(|_| Some(ObsCluster::empty())).collect();
         for o in 0..n_obs {
             let c = stream.index_one_draw(k);
             assignment.push(c);
@@ -146,16 +162,19 @@ impl ObsPartition {
     /// Move observation `o` (with its column statistics `col`) from its
     /// current cluster to `target`; `None` target = a fresh cluster.
     /// Returns the slot it landed in.
-    pub fn move_obs(&mut self, o: usize, col: &SuffStats, target: Option<usize>) -> usize {
+    pub fn move_obs(
+        &mut self,
+        o: usize,
+        col: &SuffStats,
+        target: Option<usize>,
+        consts: &PriorConsts,
+    ) -> usize {
         let from = self.assignment[o];
         let to = match target {
             Some(t) => t,
             None => {
                 let t = self.alloc_slot();
-                self.clusters[t] = Some(ObsCluster {
-                    members: Vec::new(),
-                    stats: SuffStats::empty(),
-                });
+                self.clusters[t] = Some(ObsCluster::empty());
                 t
             }
         };
@@ -167,6 +186,7 @@ impl ObsPartition {
             let pos = src.members.binary_search(&o).expect("member list corrupt");
             src.members.remove(pos);
             src.stats.unmerge(col);
+            src.refresh_lm(consts);
             if src.members.is_empty() {
                 self.clusters[from] = None;
             }
@@ -176,13 +196,14 @@ impl ObsPartition {
             let pos = dst.members.binary_search(&o).unwrap_err();
             dst.members.insert(pos, o);
             dst.stats.merge(col);
+            dst.refresh_lm(consts);
         }
         self.assignment[o] = to;
         to
     }
 
     /// Merge cluster `from` into cluster `to` (both active, distinct).
-    pub fn merge(&mut self, from: usize, to: usize) {
+    pub fn merge(&mut self, from: usize, to: usize, consts: &PriorConsts) {
         assert_ne!(from, to, "cannot merge a cluster with itself");
         let src = self.clusters[from].take().expect("inactive source slot");
         let dst = self.cluster_mut(to);
@@ -191,6 +212,7 @@ impl ObsPartition {
             dst.members.insert(pos, o);
         }
         dst.stats.merge(&src.stats);
+        dst.refresh_lm(consts);
         for &o in &src.members {
             self.assignment[o] = to;
         }
@@ -198,23 +220,26 @@ impl ObsPartition {
 
     /// Add `delta` to the tile statistics of the cluster at `slot`
     /// (used when a variable joins the owning variable cluster).
-    pub fn add_to_tile(&mut self, slot: usize, delta: &SuffStats) {
-        self.cluster_mut(slot).stats.merge(delta);
+    pub fn add_to_tile(&mut self, slot: usize, delta: &SuffStats, consts: &PriorConsts) {
+        let cluster = self.cluster_mut(slot);
+        cluster.stats.merge(delta);
+        cluster.refresh_lm(consts);
     }
 
     /// Subtract `delta` from the tile statistics of the cluster at
     /// `slot` (used when a variable leaves the owning variable cluster).
-    pub fn subtract_from_tile(&mut self, slot: usize, delta: &SuffStats) {
-        self.cluster_mut(slot).stats.unmerge(delta);
+    pub fn subtract_from_tile(&mut self, slot: usize, delta: &SuffStats, consts: &PriorConsts) {
+        let cluster = self.cluster_mut(slot);
+        cluster.stats.unmerge(delta);
+        cluster.refresh_lm(consts);
     }
 
-    /// Rebuild every tile's statistics from the matrix for the given
-    /// variable members (used at construction and by validation).
-    pub fn rebuild_stats(&mut self, data: &Dataset, vars: &[usize]) {
-        for slot in 0..self.clusters.len() {
-            if let Some(cluster) = self.clusters[slot].as_mut() {
-                cluster.stats = mn_score::tile_stats(data, vars, &cluster.members);
-            }
+    /// Rebuild every tile's statistics (and log-marginal) from the
+    /// matrix for the given variable members (used at construction).
+    pub fn rebuild_stats(&mut self, data: &Dataset, vars: &[usize], consts: &PriorConsts) {
+        for cluster in self.clusters.iter_mut().flatten() {
+            cluster.stats = mn_score::tile_stats(data, vars, &cluster.members);
+            cluster.refresh_lm(consts);
         }
     }
 
@@ -268,6 +293,7 @@ impl CoClustering {
             members[c].push(v);
         }
         let obs_k = (m as f64).sqrt().ceil().max(1.0) as usize;
+        let consts = PriorConsts::new(&prior);
         let mut clusters: Vec<Option<VarCluster>> = Vec::with_capacity(k0);
         for (slot, vars) in members.into_iter().enumerate() {
             if vars.is_empty() {
@@ -276,7 +302,7 @@ impl CoClustering {
             }
             let mut obs_stream = master.stream2(Domain::InitObsClusters, run, slot as u64);
             let mut obs = ObsPartition::random(m, obs_k, &mut obs_stream);
-            obs.rebuild_stats(data, &vars);
+            obs.rebuild_stats(data, &vars, &consts);
             clusters.push(Some(VarCluster { members: vars, obs }));
         }
         Self {
@@ -304,7 +330,7 @@ impl CoClustering {
         let mut obs = ObsPartition::random(m, obs_k, &mut obs_stream);
         let mut sorted = vars.to_vec();
         sorted.sort_unstable();
-        obs.rebuild_stats(data, &sorted);
+        obs.rebuild_stats(data, &sorted, &PriorConsts::new(&prior));
         let mut var_assignment = vec![usize::MAX; data.n_vars()];
         for &v in &sorted {
             var_assignment[v] = 0;
@@ -453,6 +479,11 @@ impl CoClustering {
                     assert!(!seen_obs[o], "obs {o} in two clusters");
                     seen_obs[o] = true;
                 }
+                assert_eq!(
+                    oc.lm.to_bits(),
+                    self.prior.log_marginal(&oc.stats).to_bits(),
+                    "stored log-marginal drift at slot {slot}/{oslot}"
+                );
                 let scratch = mn_score::tile_stats(data, &cluster.members, &oc.members);
                 assert_eq!(oc.stats.count(), scratch.count(), "tile count drift");
                 let tol = 1e-6 * scratch.sumsq().abs().max(1.0);
@@ -556,15 +587,16 @@ mod tests {
         let d = data();
         let vars: Vec<usize> = (0..d.n_vars()).collect();
         let mut stream = master().stream(Domain::User, 0);
+        let consts = PriorConsts::new(&NormalGamma::default());
         let mut part = ObsPartition::random(d.n_obs(), 3, &mut stream);
-        part.rebuild_stats(&d, &vars);
+        part.rebuild_stats(&d, &vars, &consts);
 
         // Move observation 0 to a fresh cluster.
         let col = mn_score::tile_stats(&d, &vars, &[0]);
-        let new_slot = part.move_obs(0, &col, None);
+        let new_slot = part.move_obs(0, &col, None, &consts);
         assert_eq!(part.slot_of(0), new_slot);
         let mut check = part.clone();
-        check.rebuild_stats(&d, &vars);
+        check.rebuild_stats(&d, &vars, &consts);
         for (slot, oc) in part.iter_active() {
             let fresh = check.cluster(slot);
             assert_eq!(oc.members, fresh.members);
@@ -577,12 +609,13 @@ mod tests {
             .into_iter()
             .find(|&s| s != new_slot)
             .unwrap();
-        part.merge(new_slot, other);
+        part.merge(new_slot, other, &consts);
         assert_eq!(part.slot_of(0), other);
         let mut check = part.clone();
-        check.rebuild_stats(&d, &vars);
+        check.rebuild_stats(&d, &vars, &consts);
         for (slot, oc) in part.iter_active() {
             assert!((oc.stats.sumsq() - check.cluster(slot).stats.sumsq()).abs() < 1e-9);
+            assert_eq!(oc.lm.to_bits(), consts.log_marginal(&oc.stats).to_bits());
         }
     }
 

@@ -42,24 +42,27 @@
 //! Every sweep evaluates its candidate list through one of two paths
 //! selected by [`CandidateScoring`]:
 //!
-//! * **Naive** — each candidate re-derives the statistics it needs
-//!   from the state (the cost profile of Alg. 1 line 8 taken
-//!   literally), except that the candidate-independent removal delta
-//!   is computed once per move (see the comment in [`reassign_vars`]).
-//! * **Kernel** — a per-sweep [`SweepScorer`] caches row/column
-//!   statistics, tile log-marginals and whole addition deltas in dense
-//!   slot-indexed tables (O(1) invalidation on accepted moves), all
-//!   cache traffic happens in replicated control flow before the
-//!   parallel region, and the candidate loop reads one scorer-owned
-//!   candidate buffer through [`ParEngine::dist_map_segmented_batch`]
-//!   with one `Segments` boundary per candidate, evaluating every term
-//!   against the sweep's hoisted prior constants. The slot list, the
-//!   weights and the unit `Segments` are per-sweep buffers too, so a
-//!   proposal allocates only what the engine's map returns. The kernel
-//!   *reports* the naive formula's per-candidate work, so block
-//!   partitioning, per-item accounting and the §5.3.1 imbalance
-//!   records are byte-identical to the naive path; its real saving
-//!   shows up as wall-clock (`bench_gibbs`).
+//! * **Naive** — each candidate re-derives the statistics and both
+//!   log-marginals it needs from the state (the cost profile of Alg. 1
+//!   line 8 taken literally), except that the candidate-independent
+//!   removal delta is computed once per move (see the comment in
+//!   [`reassign_vars`]).
+//! * **Kernel** — each candidate's weight is a pure function of the
+//!   state, the data, the moving item, the removal delta and the
+//!   sweep's [`PriorConsts`](mn_score::PriorConsts)
+//!   ([`crate::scorer`]), evaluated entirely inside
+//!   [`ParEngine::dist_map_segmented_batch`] with one `Segments`
+//!   boundary per candidate. Tile log-marginals are read from the
+//!   state, where every accepted move refreshes them, and `ln Γ(α_N)`
+//!   / `ln λ_N` from the constants' count tables, which a per-sweep
+//!   [`SweepScorer`] grows in replicated control flow only, through
+//!   the counts the previous map's candidates evaluated. Inside a
+//!   map nothing is written and nothing is locked, so the replicated
+//!   remainder of a proposal is the removal delta, `Select-Wtd-Rand`
+//!   and the move. The kernel *reports* the naive formula's
+//!   per-candidate work, so block partitioning, per-item accounting
+//!   and the §5.3.1 imbalance records are byte-identical to the naive
+//!   path; its real saving shows up as wall-clock (`bench_gibbs`).
 //!
 //! Both paths produce bit-identical weights (argued in
 //! `mn_score::gibbs_kernel` and DESIGN.md §9), hence identical
@@ -69,14 +72,15 @@
 //! requested scoring (and counted as a naive dispatch).
 
 use crate::moves::MoveTarget;
-use crate::scorer::SweepScorer;
+use crate::scorer::{
+    obs_candidate, obs_merge_candidate, var_candidate, var_merge_candidate, SweepScorer,
+};
 use crate::state::CoClustering;
 use mn_comm::{Collective, ParEngine, Segments};
 use mn_data::Dataset;
 use mn_obs::counters;
 use mn_rand::{select_unif_rand, select_wtd_log, Domain, MasterRng};
-use mn_score::gibbs_kernel::{addition_term, merge_gain_term};
-use mn_score::{CandidateScoring, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{CandidateScoring, PriorConsts, ScoreMode};
 
 /// Composite stream key for (run, step) pairs.
 #[inline]
@@ -103,10 +107,10 @@ fn dispatch<E: ParEngine>(
     kernel
 }
 
-/// Flush a sweep's cache-traffic totals into the deterministic
-/// counters. Cache lookups (and the scorer's `ln Γ` memo traffic) only
-/// happen in replicated control flow, so the totals are identical on
-/// every rank.
+/// Flush a sweep's replicated-flow totals into the deterministic
+/// counters: column-cache traffic and count-table `ln Γ` traffic. Both
+/// only happen in replicated control flow, so the totals are identical
+/// on every rank.
 fn flush_cache_counters<E: ParEngine>(engine: &mut E, scorer: &SweepScorer) {
     engine.count(counters::GIBBS_CACHE_HITS, scorer.hits());
     engine.count(counters::GIBBS_CACHE_MISSES, scorer.misses());
@@ -144,9 +148,9 @@ pub fn reassign_vars<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
     let mut scorer = SweepScorer::new(state.prior());
-    let consts = scorer.consts();
     let mut slots = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
+    let mut weights = Vec::new();
+    let mut exps = Vec::new();
     let mut segments = Segments::whole(0);
     for _ in 0..n {
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
@@ -175,24 +179,20 @@ pub fn reassign_vars<E: ParEngine>(
         };
         engine.replicated(rem_work);
 
+        let state_ref: &CoClustering = state;
         if kernel {
-            let prep = scorer.prep_var_candidates(data, state, x, cur, &slots);
+            // Items are `(weight, largest count evaluated)`: the counts
+            // grow the sweep's tables after the map, in replicated flow.
+            let consts = scorer.consts();
             per_candidate_segments(&mut segments, n_cand);
-            // The kernel items carry `(weight, raw addition delta)`:
-            // the raw delta is stored back into the whole-delta cache
-            // so a later re-proposal of `x` against an untouched
-            // cluster is a lookup. Storing `weight − rem` instead
-            // would round differently and break bit-identity.
-            let outs = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
+            let items = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                 for i in range {
-                    out.push(prep.eval(&consts, i, rem));
+                    let slot = slots.get(i).copied(); // past the end: fresh
+                    out.push(var_candidate(consts, data, state_ref, x, slot, rem).item());
                 }
             });
-            scorer.store_var_adds(x, &slots, &outs);
-            weights.clear();
-            weights.extend(outs.iter().map(|&(w, _)| w));
+            scorer.take_weights(&items, &mut weights);
         } else {
-            let state_ref: &CoClustering = state;
             weights = engine.dist_map(n_cand, 1, &|i| {
                 if i < slots.len() {
                     let slot = slots[i];
@@ -210,7 +210,7 @@ pub fn reassign_vars<E: ParEngine>(
         }
         // The collective part of Select-Wtd-Rand (§3.1).
         engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights);
+        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
         let target = if choice < slots.len() {
             MoveTarget::Existing(slots[choice])
         } else {
@@ -218,15 +218,7 @@ pub fn reassign_vars<E: ParEngine>(
         };
         if target != MoveTarget::Existing(cur) {
             engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
-            let to = state.move_var(data, x, target);
-            if kernel {
-                scorer.note_var_move(
-                    cur,
-                    to,
-                    !state.is_active(cur),
-                    target == MoveTarget::New,
-                );
-            }
+            state.move_var(data, x, target);
         }
     }
     if kernel {
@@ -249,10 +241,10 @@ pub fn merge_vars<E: ParEngine>(
     engine.span_enter("sweep:merge-vars");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
-    let mut scorer = SweepScorer::new(state.prior());
-    let consts = scorer.consts();
+    let consts = PriorConsts::new(state.prior());
     let snapshot = state.active_slots();
     let mut candidates = Vec::new();
+    let mut exps = Vec::new();
     let mut segments = Segments::whole(0);
     for &slot in &snapshot {
         // The cluster may have been absorbed by an earlier merge in
@@ -262,49 +254,15 @@ pub fn merge_vars<E: ParEngine>(
         }
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         state.fill_active_slots(&mut candidates);
+        let state_ref: &CoClustering = state;
         let weights: Vec<f64> = if kernel {
-            // All log-marginals of existing tiles come from the cache;
-            // the parallel region recomputes only the cross statistics
-            // of src's members under each destination's partition —
-            // exactly the loop the naive delta runs, in the same
-            // order, so the weights are bit-identical.
-            let prep = scorer.prep_var_merge(state, slot, &candidates);
-            let state_ref: &CoClustering = state;
             per_candidate_segments(&mut segments, candidates.len());
             engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                for i in range {
-                    let t = candidates[i];
-                    if t == slot {
-                        out.push((0.0, 1));
-                        continue;
-                    }
-                    let src = state_ref.cluster(slot);
-                    let dst = state_ref.cluster(t);
-                    let mut delta = 0.0;
-                    let mut work = 0u64;
-                    for ((_, oc), &lm_tile) in dst.obs.iter_active().zip(prep.dst_tile_lms(i)) {
-                        let mut add = SuffStats::empty();
-                        for &v in &src.members {
-                            let row = data.values(v);
-                            for &o in &oc.members {
-                                add.add(row[o]);
-                            }
-                        }
-                        work += (src.members.len() * oc.members.len()) as u64 * COST_CELL;
-                        delta += addition_term(&consts, &oc.stats, &add, lm_tile);
-                        work += 2 * COST_LOGMARG;
-                    }
-                    // Subtract src's tile scores one by one, in slot
-                    // order — the naive delta's exact association.
-                    for &lm in &prep.src_lms {
-                        delta -= lm;
-                        work += COST_LOGMARG;
-                    }
-                    out.push((delta, work));
+                for &t in &candidates[range] {
+                    out.push(var_merge_candidate(&consts, data, state_ref, slot, t));
                 }
             })
         } else {
-            let state_ref: &CoClustering = state;
             engine.dist_map(candidates.len(), 1, &|i| {
                 let t = candidates[i];
                 if t == slot {
@@ -315,18 +273,12 @@ pub fn merge_vars<E: ParEngine>(
             })
         };
         engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights);
+        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
         let target = candidates[choice];
         if target != slot {
             engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
             state.merge_var_clusters(data, slot, target);
-            if kernel {
-                scorer.note_var_merge(slot, target);
-            }
         }
-    }
-    if kernel {
-        flush_cache_counters(engine, &scorer);
     }
     engine.span_exit();
 }
@@ -351,9 +303,9 @@ pub fn reassign_obs<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
     let mut scorer = SweepScorer::new(state.prior());
-    let consts = scorer.consts();
     let mut oslots = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
+    let mut weights = Vec::new();
+    let mut exps = Vec::new();
     let mut segments = Segments::whole(0);
     for _ in 0..m {
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
@@ -373,21 +325,20 @@ pub fn reassign_obs<E: ParEngine>(
         };
         engine.replicated(rem_work);
 
+        let state_ref: &CoClustering = state;
         if kernel {
-            let prep = scorer.prep_obs_candidates(data, state, slot, o, cur, &oslots);
+            let (col, lm_col) = scorer.obs_col(data, state_ref, slot, o);
+            let consts = scorer.consts();
             per_candidate_segments(&mut segments, n_cand);
-            // `(weight, raw addition delta)` items, as in the variable
-            // sweep: the raw delta feeds the whole-delta cache.
-            let outs = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
+            let items = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                 for i in range {
-                    out.push(prep.eval(&consts, i, rem));
+                    let t = oslots.get(i).copied(); // past the end: fresh
+                    let scored = obs_candidate(consts, state_ref, slot, o, (&col, lm_col), t, rem);
+                    out.push(scored.item());
                 }
             });
-            scorer.store_obs_adds(o, &oslots, &outs);
-            weights.clear();
-            weights.extend(outs.iter().map(|&(w, _)| w));
+            scorer.take_weights(&items, &mut weights);
         } else {
-            let state_ref: &CoClustering = state;
             weights = engine.dist_map(n_cand, 1, &|i| {
                 if i < oslots.len() {
                     let t = oslots[i];
@@ -404,21 +355,11 @@ pub fn reassign_obs<E: ParEngine>(
             });
         }
         engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights);
-        let target = if choice < oslots.len() {
-            Some(oslots[choice])
-        } else {
-            None
-        };
-        match target {
-            Some(t) if t == cur => {}
-            other => {
-                engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
-                let landed = state.move_obs(data, slot, o, other);
-                if kernel {
-                    scorer.note_obs_move(cur, landed);
-                }
-            }
+        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
+        let target = oslots.get(choice).copied();
+        if target != Some(cur) {
+            engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
+            state.move_obs(data, slot, o, target);
         }
     }
     if kernel {
@@ -444,10 +385,10 @@ pub fn merge_obs<E: ParEngine>(
     engine.span_enter("sweep:merge-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring, state.mode());
-    let mut scorer = SweepScorer::new(state.prior());
-    let consts = scorer.consts();
+    let consts = PriorConsts::new(state.prior());
     let snapshot = state.cluster(slot).obs.active_slots();
     let mut candidates = Vec::new();
+    let mut exps = Vec::new();
     let mut segments = Segments::whole(0);
     for &oslot in &snapshot {
         if !state.cluster(slot).obs.is_active(oslot) {
@@ -455,29 +396,15 @@ pub fn merge_obs<E: ParEngine>(
         }
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         state.cluster(slot).obs.fill_active_slots(&mut candidates);
+        let state_ref: &CoClustering = state;
         let weights: Vec<f64> = if kernel {
-            let prep = scorer.prep_obs_merge(state, slot, oslot, &candidates);
-            let state_ref: &CoClustering = state;
             per_candidate_segments(&mut segments, candidates.len());
             engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                for i in range {
-                    let t = candidates[i];
-                    if t == oslot {
-                        out.push((0.0, 1));
-                        continue;
-                    }
-                    let cluster = state_ref.cluster(slot);
-                    let sa = &cluster.obs.cluster(oslot).stats;
-                    let sb = &cluster.obs.cluster(t).stats;
-                    let lm_b = prep.cand_lms[i].expect("merge candidate lm missing");
-                    out.push((
-                        merge_gain_term(&consts, sa, sb, prep.lm_a, lm_b),
-                        3 * COST_LOGMARG,
-                    ));
+                for &t in &candidates[range] {
+                    out.push(obs_merge_candidate(&consts, state_ref, slot, oslot, t));
                 }
             })
         } else {
-            let state_ref: &CoClustering = state;
             engine.dist_map(candidates.len(), 1, &|i| {
                 let t = candidates[i];
                 if t == oslot {
@@ -488,18 +415,12 @@ pub fn merge_obs<E: ParEngine>(
             })
         };
         engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights);
+        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
         let target = candidates[choice];
         if target != oslot {
             engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
             state.merge_obs_clusters(slot, oslot, target);
-            if kernel {
-                scorer.note_obs_merge(oslot, target);
-            }
         }
-    }
-    if kernel {
-        flush_cache_counters(engine, &scorer);
     }
     engine.span_exit();
 }
@@ -628,7 +549,13 @@ mod tests {
             match scoring {
                 CandidateScoring::Kernel => {
                     assert_eq!(serial[counters::GIBBS_KERNEL_DISPATCHES], 2);
-                    assert!(serial[counters::GIBBS_CACHE_HITS] > 0, "cache never hit");
+                    // Variable sweeps keep no cache; their removal
+                    // deltas are served from the grown count tables.
+                    assert_eq!(serial[counters::GIBBS_CACHE_HITS], 0);
+                    assert!(
+                        serial[counters::SCORE_LN_GAMMA_TABLE_HITS] > 0,
+                        "count tables never served"
+                    );
                     assert!(!serial.contains_key(counters::GIBBS_NAIVE_DISPATCHES));
                 }
                 CandidateScoring::Naive => {

@@ -131,11 +131,12 @@ fn paths_charge_identical_work() {
 /// Many clusters, few observations — the shape where GaneSH dominates
 /// a learn (K₀ = n/2, so every proposal scores ≈ 150 candidates and
 /// most clusters are touched between two proposals of one variable).
-/// The small shapes above never reach the scorer's stale-epoch +
-/// re-proposal path at scale: entries overwritten in place, rows of
-/// the dense tables growing as slots are created, arena ranges going
-/// stale. Clusterings, work accounting and every counter must still
-/// equal the naive path's on every engine.
+/// The small shapes above never reach the kernel's paths at scale:
+/// stored tile log-marginals refreshed by thousands of accepted moves,
+/// clusters created and freed, count tables growing mid-sweep, and
+/// candidate lists split at many block boundaries. Clusterings, work
+/// accounting and every counter must still equal the naive path's on
+/// every engine.
 #[test]
 fn many_clusters_few_observations_kernel_matches_naive() {
     let d = synthetic::yeast_like(300, 12, 5).dataset;

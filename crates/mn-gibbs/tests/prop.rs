@@ -4,6 +4,7 @@
 //! change.
 
 use mn_data::synthetic;
+use mn_gibbs::scorer::{obs_candidate, obs_merge_candidate, var_candidate, var_merge_candidate};
 use mn_gibbs::{CoClustering, MoveTarget, SweepScorer};
 use mn_rand::MasterRng;
 use mn_score::{NormalGamma, ScoreMode};
@@ -89,6 +90,20 @@ fn apply(state: &mut CoClustering, data: &mn_data::Dataset, mv: &Move) {
     }
 }
 
+/// Every state-held tile log-marginal carries the bits of
+/// `NormalGamma::log_marginal` of its statistics.
+fn assert_lms_match(state: &CoClustering) {
+    for slot in state.active_slots() {
+        for (oslot, oc) in state.cluster(slot).obs.iter_active() {
+            assert_eq!(
+                oc.lm.to_bits(),
+                state.prior().log_marginal(&oc.stats).to_bits(),
+                "stored log-marginal of tile {slot}/{oslot} drifted"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -158,11 +173,12 @@ proptest! {
         );
     }
 
-    /// The variable-sweep caches of the batched candidate scorer stay
-    /// bit-consistent with the state through long random sequences of
-    /// accepted moves: every epoch-valid entry matches a fresh
-    /// recomputation, and the served removal delta always carries the
-    /// naive path's exact bits.
+    /// The kernel path stays bit-consistent with the state through
+    /// long random sequences of accepted moves: after every move each
+    /// state-held tile log-marginal equals `NormalGamma::log_marginal`
+    /// of its statistics bitwise, and before every move the removal
+    /// delta and every candidate weight carry the naive path's exact
+    /// bits.
     #[test]
     fn var_sweep_scorer_tracks_state_through_move_sequences(
         seed in 0u64..300,
@@ -178,9 +194,10 @@ proptest! {
             0,
         );
         let mut scorer = SweepScorer::new(state.prior());
+        assert_lms_match(&state);
         for &(a, b, merge) in &moves {
+            let slots = state.active_slots();
             if merge {
-                let slots = state.active_slots();
                 if slots.len() < 2 {
                     continue;
                 }
@@ -189,27 +206,38 @@ proptest! {
                 if from == to {
                     continue;
                 }
-                // Fetch as a merge sweep would before the move.
-                let _ = scorer.prep_var_merge(&state, from, &slots);
+                // The merge sweep's weights of `from` before the move.
+                for &t in &slots {
+                    let (w, work) = var_merge_candidate(scorer.consts(), &data, &state, from, t);
+                    let naive = if t == from { (0.0, 1) } else { state.merge_delta(&data, from, t) };
+                    prop_assert_eq!((w.to_bits(), work), (naive.0.to_bits(), naive.1));
+                }
                 state.merge_var_clusters(&data, from, to);
-                scorer.note_var_merge(from, to);
             } else {
                 let v = a % data.n_vars();
                 let cur = state.slot_of_var(v);
-                let slots = state.active_slots();
-                // The kernel-path fetches of one sweep iteration, with
-                // a bit-identity check against the naive removal.
+                // The kernel-path evaluations of one sweep iteration,
+                // each against the naive path's bits.
                 let (rem, _) = scorer.var_removal(&data, &state, v);
                 prop_assert_eq!(
                     rem.to_bits(),
                     state.var_removal_delta(&data, v).0.to_bits()
                 );
-                let prior = scorer.consts();
-                let prep = scorer.prep_var_candidates(&data, &state, v, cur, &slots);
-                let outs: Vec<(f64, f64)> = (0..slots.len() + 1)
-                    .map(|i| prep.eval(&prior, i, rem).0)
-                    .collect();
-                scorer.store_var_adds(v, &slots, &outs);
+                let mut items = Vec::new();
+                for &slot in &slots {
+                    let c = var_candidate(scorer.consts(), &data, &state, v, Some(slot), rem);
+                    let naive = if slot == cur {
+                        0.0
+                    } else {
+                        rem + state.var_addition_delta(&data, v, slot).0
+                    };
+                    prop_assert_eq!(c.weight.to_bits(), naive.to_bits());
+                    items.push(c.item().0);
+                }
+                let c = var_candidate(scorer.consts(), &data, &state, v, None, rem);
+                prop_assert_eq!(c.weight.to_bits(), (rem + state.var_new_cluster_delta(&data, v).0).to_bits());
+                items.push(c.item().0);
+                scorer.take_weights(&items, &mut Vec::new());
                 let choice = b % (slots.len() + 1);
                 let target = if choice < slots.len() {
                     MoveTarget::Existing(slots[choice])
@@ -219,16 +247,16 @@ proptest! {
                 if target == MoveTarget::Existing(cur) {
                     continue;
                 }
-                let to = state.move_var(&data, v, target);
-                scorer.note_var_move(cur, to, !state.is_active(cur), target == MoveTarget::New);
+                state.move_var(&data, v, target);
             }
+            assert_lms_match(&state);
         }
-        scorer.validate_against(&data, &state, None);
         state.validate(&data);
     }
 
-    /// Same property for the observation-sweep caches, inside one
-    /// (fixed) variable cluster, as the real sweep runs them.
+    /// Same property for the observation sweeps, inside one (fixed)
+    /// variable cluster, as the real sweep runs them — plus the column
+    /// cache, which must match a fresh recomputation at the end.
     #[test]
     fn obs_sweep_scorer_tracks_state_through_move_sequences(
         seed in 0u64..300,
@@ -258,9 +286,16 @@ proptest! {
                 if from == to {
                     continue;
                 }
-                let _ = scorer.prep_obs_merge(&state, slot, from, &oslots);
+                for &t in &oslots {
+                    let (w, work) = obs_merge_candidate(scorer.consts(), &state, slot, from, t);
+                    let naive = if t == from {
+                        (0.0, 1)
+                    } else {
+                        state.obs_merge_delta(&data, slot, from, t)
+                    };
+                    prop_assert_eq!((w.to_bits(), work), (naive.0.to_bits(), naive.1));
+                }
                 state.merge_obs_clusters(slot, from, to);
-                scorer.note_obs_merge(from, to);
             } else {
                 let o = a % data.n_obs();
                 let cur = state.cluster(slot).obs.slot_of(o);
@@ -269,26 +304,29 @@ proptest! {
                     rem.to_bits(),
                     state.obs_removal_delta(&data, slot, o).0.to_bits()
                 );
-                let prior = scorer.consts();
-                let prep = scorer.prep_obs_candidates(&data, &state, slot, o, cur, &oslots);
-                let outs: Vec<(f64, f64)> = (0..oslots.len() + 1)
-                    .map(|i| prep.eval(&prior, i, rem).0)
-                    .collect();
-                scorer.store_obs_adds(o, &oslots, &outs);
+                let (col, lm_col) = scorer.obs_col(&data, &state, slot, o);
+                let mut items = Vec::new();
+                for &t in &oslots {
+                    let c = obs_candidate(scorer.consts(), &state, slot, o, (&col, lm_col), Some(t), rem);
+                    let naive = if t == cur {
+                        0.0
+                    } else {
+                        rem + state.obs_addition_delta(&data, slot, o, t).0
+                    };
+                    prop_assert_eq!(c.weight.to_bits(), naive.to_bits());
+                    items.push(c.item().0);
+                }
+                scorer.take_weights(&items, &mut Vec::new());
                 let choice = b % (oslots.len() + 1);
-                let target = if choice < oslots.len() {
-                    Some(oslots[choice])
-                } else {
-                    None
-                };
+                let target = oslots.get(choice).copied();
                 if target == Some(cur) {
                     continue;
                 }
-                let landed = state.move_obs(&data, slot, o, target);
-                scorer.note_obs_move(cur, landed);
+                state.move_obs(&data, slot, o, target);
             }
+            assert_lms_match(&state);
         }
-        scorer.validate_against(&data, &state, Some(slot));
+        scorer.validate_against(&data, &state, slot);
         state.validate(&data);
     }
 }

@@ -33,11 +33,14 @@ pub const GIBBS_MOVES_ACCEPTED: &str = "gibbs.moves_accepted";
 pub const GIBBS_KERNEL_DISPATCHES: &str = "gibbs.kernel_dispatches";
 /// Sweeps executed with the naive per-candidate scoring path.
 pub const GIBBS_NAIVE_DISPATCHES: &str = "gibbs.naive_dispatches";
-/// Tile-statistic cache lookups served without recomputation
-/// (kernel path only; lookups happen in replicated control flow, so
-/// the count is deterministic across engines and rank counts).
+/// Column-statistics cache lookups of the observation sweeps served
+/// without recomputation (kernel path only; the variable sweeps keep
+/// no cache — their candidates read tile log-marginals from the state.
+/// Lookups happen in replicated control flow, so the count is
+/// deterministic across engines and rank counts).
 pub const GIBBS_CACHE_HITS: &str = "gibbs.cache_hits";
-/// Tile-statistic cache lookups that recomputed (absent/stale entry).
+/// Column-statistics cache lookups that computed (first lookup of an
+/// observation in a sweep).
 pub const GIBBS_CACHE_MISSES: &str = "gibbs.cache_misses";
 
 /// Module tree ensembles learned (one per module).
@@ -79,17 +82,19 @@ pub const SPLITS_KERNEL_DISPATCHES: &str = "splits.kernel_dispatches";
 /// Split-assignment phases executed with the naive per-candidate pass.
 pub const SPLITS_NAIVE_DISPATCHES: &str = "splits.naive_dispatches";
 
-/// `ln Γ` evaluations requested through a memoized half-integer table
-/// ([`LnGammaTable`](../mn_score/special/struct.LnGammaTable.html)).
-/// Counted analytically in replicated control flow — never from the
-/// table's internal state, which fills in a scheduling-dependent order
-/// under threaded engines — so the value is deterministic across
-/// engines and rank counts.
+/// `ln Γ` values needed in replicated control flow: in the tree-merge
+/// phase, requests through its memoized half-integer table
+/// ([`LnGammaTable`](../mn_score/special/struct.LnGammaTable.html));
+/// in the Gibbs sweeps (kernel path), count-table cells filled plus the
+/// log-marginals evaluated in replicated flow through the sweep's
+/// `PriorConsts` count tables. Lookups inside parallel maps are not
+/// counted. Counted analytically — never from shared state a threaded
+/// engine fills in a scheduling-dependent order — so the value is
+/// deterministic across engines and rank counts.
 pub const SCORE_LN_GAMMA_CALLS: &str = "score.ln_gamma_calls";
-/// Table-served `ln Γ` evaluations: requests answered from the memo
-/// instead of running the Lanczos series. Counted analytically
-/// alongside [`SCORE_LN_GAMMA_CALLS`]; `calls - hits` is the number of
-/// Lanczos evaluations actually performed.
+/// The [`SCORE_LN_GAMMA_CALLS`] answered from a table instead of
+/// running the Lanczos series; `calls - hits` is the number of Lanczos
+/// evaluations actually performed in replicated flow.
 pub const SCORE_LN_GAMMA_TABLE_HITS: &str = "score.ln_gamma_table_hits";
 /// Scratch-arena reuses in the split-assignment kernel: segments
 /// scored into arena buffers that were already warm from an earlier

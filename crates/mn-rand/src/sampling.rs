@@ -55,38 +55,33 @@ pub fn select_wtd_rand(stream: &mut Stream, weights: &[f64]) -> usize {
 /// (§2.2.1): the probability of choice `i` is
 /// `exp(lw_i - max) / Σ_j exp(lw_j - max)`.
 /// Consumes exactly one draw.
-pub fn select_wtd_log(stream: &mut Stream, log_weights: &[f64]) -> usize {
+///
+/// Each `exp(lw_i - max)` is evaluated once, into `exps` — a
+/// caller-owned buffer that sweeps reuse across proposals — and both
+/// the total and the prefix walk read it.
+///
+/// # Panics
+/// On an empty list, a NaN or `+inf` log-weight, or when every choice
+/// is `-inf`.
+pub fn select_wtd_log(stream: &mut Stream, log_weights: &[f64], exps: &mut Vec<f64>) -> usize {
     assert!(!log_weights.is_empty(), "cannot sample from an empty list");
-    let max = log_weights
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
+    let mut max = f64::NEG_INFINITY;
+    for (i, &lw) in log_weights.iter().enumerate() {
+        assert!(!lw.is_nan(), "NaN log-weight at index {i}");
+        max = max.max(lw);
+    }
+    assert!(max < f64::INFINITY, "+inf log-weight");
     assert!(
         max > f64::NEG_INFINITY,
         "all choices have zero probability"
     );
     // Shift by the max so the largest term is exp(0) = 1; with at least
     // one term equal to 1 the sum is well-conditioned.
-    let mut total = 0.0;
-    for &lw in log_weights {
-        total += (lw - max).exp();
-    }
+    exps.clear();
+    exps.extend(log_weights.iter().map(|&lw| (lw - max).exp()));
+    let total: f64 = exps.iter().sum();
     let target = stream.next_f64() * total;
-    let mut acc = 0.0;
-    let mut last_valid = 0;
-    for (i, &lw) in log_weights.iter().enumerate() {
-        let w = (lw - max).exp();
-        if w > 0.0 {
-            last_valid = i;
-        }
-        acc += w;
-        if target < acc {
-            return i;
-        }
-    }
-    // Floating-point slack: fall back to the last element with nonzero
-    // probability.
-    last_valid
+    pick_by_prefix(exps, target)
 }
 
 /// Batched weighted selection: bit-equivalent to `k` sequential
@@ -242,9 +237,10 @@ mod tests {
         let logw: Vec<f64> = weights.iter().map(|w| w.ln()).collect();
         let mut s1 = stream();
         let mut s2 = stream();
+        let mut exps = Vec::new();
         for _ in 0..1000 {
             let a = select_wtd_rand(&mut s1, &weights);
-            let b = select_wtd_log(&mut s2, &logw);
+            let b = select_wtd_log(&mut s2, &logw, &mut exps);
             assert_eq!(a, b);
         }
     }
@@ -258,7 +254,7 @@ mod tests {
         let trials = 30_000;
         let mut counts = [0usize; 3];
         for _ in 0..trials {
-            counts[select_wtd_log(&mut s, &logw)] += 1;
+            counts[select_wtd_log(&mut s, &logw, &mut Vec::new())] += 1;
         }
         // Ratios ~ 1 : 2 : e^-20 (≈ 0).
         let got = counts[1] as f64 / counts[0] as f64;
@@ -271,7 +267,7 @@ mod tests {
         let mut s = stream();
         let logw = [f64::NEG_INFINITY, 0.0, f64::NEG_INFINITY];
         for _ in 0..100 {
-            assert_eq!(select_wtd_log(&mut s, &logw), 1);
+            assert_eq!(select_wtd_log(&mut s, &logw, &mut Vec::new()), 1);
         }
     }
 
@@ -279,7 +275,83 @@ mod tests {
     #[should_panic(expected = "zero probability")]
     fn log_weighted_all_impossible_panics() {
         let mut s = stream();
-        select_wtd_log(&mut s, &[f64::NEG_INFINITY, f64::NEG_INFINITY]);
+        select_wtd_log(
+            &mut s,
+            &[f64::NEG_INFINITY, f64::NEG_INFINITY],
+            &mut Vec::new(),
+        );
+    }
+
+    /// A NaN weight used to drop out of the max fold, turn the total
+    /// into NaN and silently pick the last positive index.
+    #[test]
+    #[should_panic(expected = "NaN log-weight at index 1")]
+    fn log_weighted_nan_panics() {
+        let mut s = stream();
+        select_wtd_log(&mut s, &[0.0, f64::NAN, -1.0], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "+inf log-weight")]
+    fn log_weighted_pos_infinity_panics() {
+        let mut s = stream();
+        select_wtd_log(&mut s, &[0.0, f64::INFINITY], &mut Vec::new());
+    }
+
+    /// The one-exp form picks exactly what the two-pass form (every
+    /// `exp` evaluated for the total and again in the walk) picked,
+    /// with the same stream advance, while one buffer is reused
+    /// across calls of different lengths.
+    #[test]
+    fn log_weighted_single_exp_matches_two_pass_form() {
+        fn two_pass(stream: &mut Stream, log_weights: &[f64]) -> usize {
+            let max = log_weights
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut total = 0.0;
+            for &lw in log_weights {
+                total += (lw - max).exp();
+            }
+            let target = stream.next_f64() * total;
+            let mut acc = 0.0;
+            let mut last_valid = 0;
+            for (i, &lw) in log_weights.iter().enumerate() {
+                let w = (lw - max).exp();
+                if w > 0.0 {
+                    last_valid = i;
+                }
+                acc += w;
+                if target < acc {
+                    return i;
+                }
+            }
+            last_valid
+        }
+        let mut gen = stream();
+        let mut exps = Vec::new();
+        for round in 0..500 {
+            let n = 1 + round % 23;
+            let logw: Vec<f64> = (0..n)
+                .map(|_| match gen.next_f64() {
+                    v if v < 0.1 => f64::NEG_INFINITY,
+                    v => (v - 0.5) * 80.0,
+                })
+                .collect();
+            if logw.iter().all(|&lw| lw == f64::NEG_INFINITY) {
+                continue;
+            }
+            let mut a = MasterRng::new(round as u64).stream(Domain::User, 3);
+            let mut b = MasterRng::new(round as u64).stream(Domain::User, 3);
+            for _ in 0..4 {
+                assert_eq!(
+                    select_wtd_log(&mut a, &logw, &mut exps),
+                    two_pass(&mut b, &logw),
+                    "round {round}: {logw:?}"
+                );
+            }
+            assert_eq!(a.draw_pos(), b.draw_pos());
+        }
     }
 
     #[test]
@@ -365,7 +437,7 @@ mod tests {
         assert_eq!(s.draw_pos(), 1);
         select_wtd_rand(&mut s, &w);
         assert_eq!(s.draw_pos(), 2);
-        select_wtd_log(&mut s, &lw);
+        select_wtd_log(&mut s, &lw, &mut Vec::new());
         assert_eq!(s.draw_pos(), 3);
     }
 }

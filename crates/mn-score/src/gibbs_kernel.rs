@@ -12,22 +12,22 @@
 //!   `(lm(a ∪ b) − lm(a)) − lm(b)`.
 //!
 //! The naive path recomputes the item's statistics and both
-//! log-marginals for every candidate. The batched path caches the
-//! item statistics (they depend only on the sweep-stable partition
-//! structure) and the `lm(tile)` values (invalidated in O(1) when an
-//! accepted move touches the tile), so a candidate costs one
-//! constant-size normal-gamma evaluation.
+//! log-marginals for every candidate. The kernel path reads `lm(tile)`
+//! from the co-clustering state, which stores it next to the tile's
+//! statistics and refreshes it whenever they change, so a candidate
+//! tile costs the item's statistics plus one normal-gamma evaluation.
 //!
 //! **Bit-identity argument.** Both paths call the *same* term
-//! functions below with the *same* argument bits: the cached
-//! statistics are produced by the identical accumulation loops (same
-//! element order) the naive path runs, and a cached `lm(tile)` is the
-//! output of the pure function `NormalGamma::log_marginal` on the
-//! identical `SuffStats` bits — memoization cannot change it. The
-//! batched path evaluates the terms against a [`PriorConsts`] (the
-//! prior-only subexpressions of the marginal computed once per sweep,
-//! substituted into the same expression in the same order), the naive
-//! path against the [`NormalGamma`] itself. Since each term is one
+//! functions below with the *same* argument bits: the item statistics
+//! are produced by the identical accumulation loops (same element
+//! order) the naive path runs, and a stored `lm(tile)` is the output
+//! of the pure function `NormalGamma::log_marginal` on the identical
+//! `SuffStats` bits — storing it cannot change it. The kernel path
+//! evaluates the terms against a [`PriorConsts`] (the prior-only
+//! subexpressions of the marginal computed once per sweep, and the
+//! count-only ones read from tables of the same values, substituted
+//! into the same expression in the same order), the naive path against
+//! the [`NormalGamma`] itself. Since each term is one
 //! fixed floating-point expression and the per-tile terms are
 //! accumulated in the same (slot) order, every candidate weight is
 //! bit-identical between the two paths; identical weights feed
@@ -38,7 +38,7 @@ use crate::normal_gamma::{NormalGamma, PriorConsts};
 use crate::suffstats::SuffStats;
 
 /// The one thing a term needs from the prior: a block's log-marginal.
-/// The naive oracle passes the [`NormalGamma`] itself; the batched
+/// The naive oracle passes the [`NormalGamma`] itself; the kernel
 /// path passes the sweep's [`PriorConsts`], which returns the same
 /// bits without re-evaluating the prior-only subexpressions.
 pub trait LogMarginal {

@@ -70,23 +70,15 @@ impl NormalGamma {
     ///
     /// The empty block scores exactly 0 (`p(∅) = 1`), which makes the
     /// co-clustering score decomposable and lets moves create/destroy
-    /// clusters without special cases.
+    /// clusters without special cases. Evaluated by [`PriorConsts`]'
+    /// expression with every term computed directly, so there is one
+    /// copy of it.
     pub fn log_marginal(&self, stats: &SuffStats) -> f64 {
-        let n = stats.count() as f64;
-        if stats.is_empty() {
-            return 0.0;
-        }
-        let mean = stats.mean();
-        let lambda_n = self.lambda0 + n;
-        let alpha_n = self.alpha0 + 0.5 * n;
-        let dm = mean - self.mu0;
-        let beta_n = self.beta0
-            + 0.5 * stats.centered_sumsq()
-            + self.lambda0 * n * dm * dm / (2.0 * lambda_n);
-        ln_gamma(alpha_n) - ln_gamma(self.alpha0) + self.alpha0 * self.beta0.ln()
-            - alpha_n * beta_n.ln()
-            + 0.5 * (self.lambda0.ln() - lambda_n.ln())
-            - 0.5 * n * (2.0 * PI).ln()
+        PriorConsts::new(self).marginal(
+            stats,
+            |_, alpha_n| ln_gamma(alpha_n),
+            |_, lambda_n| lambda_n.ln(),
+        )
     }
 
     /// Marginal log-likelihood of a raw slice of values.
@@ -99,30 +91,19 @@ impl NormalGamma {
     ///
     /// Bit-identical to the direct form: `α_N = α₀ + ½·N` is exactly
     /// the argument [`LnGammaTable::get`] memoizes at index `N`, and
-    /// `ln Γ(α₀)` is the table's hoisted [`LnGammaTable::base`]. Every
-    /// other term is computed by the same expressions in the same
-    /// order.
+    /// `ln Γ(α₀)` is the table's hoisted [`LnGammaTable::base`]. Both
+    /// are substituted into [`PriorConsts`]' one marginal expression.
     pub fn log_marginal_with(&self, stats: &SuffStats, table: &LnGammaTable) -> f64 {
         debug_assert_eq!(
             table.alpha0().to_bits(),
             self.alpha0.to_bits(),
             "ln-gamma table keyed to a different prior shape"
         );
-        let n = stats.count() as f64;
-        if stats.is_empty() {
-            return 0.0;
-        }
-        let mean = stats.mean();
-        let lambda_n = self.lambda0 + n;
-        let alpha_n = self.alpha0 + 0.5 * n;
-        let dm = mean - self.mu0;
-        let beta_n = self.beta0
-            + 0.5 * stats.centered_sumsq()
-            + self.lambda0 * n * dm * dm / (2.0 * lambda_n);
-        table.get(stats.count() as usize) - table.base() + self.alpha0 * self.beta0.ln()
-            - alpha_n * beta_n.ln()
-            + 0.5 * (self.lambda0.ln() - lambda_n.ln())
-            - 0.5 * n * (2.0 * PI).ln()
+        PriorConsts::hoist(self, table.base()).marginal(
+            stats,
+            |k, _| table.get(k),
+            |_, lambda_n| lambda_n.ln(),
+        )
     }
 
     /// Batched [`NormalGamma::log_marginal`]: score every block in
@@ -174,55 +155,129 @@ impl NormalGamma {
     }
 }
 
-/// A prior together with the data-independent terms of
-/// [`NormalGamma::log_marginal`] — `ln Γ(α₀)`, `α₀·ln β₀`, `ln λ₀`,
-/// `ln 2π` — evaluated once.
+/// A prior together with the data-independent terms of its marginal —
+/// `ln Γ(α₀)`, `α₀·ln β₀`, `ln λ₀`, `ln 2π` — evaluated once, plus
+/// count-indexed tables of the two count-only terms, `ln Γ(α₀ + k/2)`
+/// and `ln(λ₀ + k)`.
+///
+/// This type owns the one copy of the normal-gamma marginal
+/// expression; [`NormalGamma::log_marginal`] and
+/// [`NormalGamma::log_marginal_with`] evaluate it through here.
 ///
 /// A Gibbs sweep scores hundreds of candidate tiles per proposal under
 /// one fixed prior; at the default `α₀ = 0.1` the `ln Γ(α₀)` alone
 /// takes the reflection branch of [`ln_gamma`] (a `sin`, two `ln` and a
-/// second Lanczos series) per evaluation. [`PriorConsts::log_marginal`]
-/// is bit-identical to the direct form: the stored values are the
-/// outputs of the same pure subexpressions on the same inputs, and they
-/// are substituted into the same expression in the same order.
-#[derive(Debug, Clone, Copy)]
+/// second Lanczos series) per evaluation, and `ln Γ(α_N)` is a Lanczos
+/// series per tile. The tables start empty and only grow through
+/// [`PriorConsts::grow_through`], which takes `&mut self`: inside a
+/// parallel map they are a plain read-only slice, shared by every rank
+/// without a lock. A count past the end is evaluated directly.
+///
+/// Every form is bit-identical to the direct one: each stored value is
+/// the output of the same pure subexpression on the same inputs (cell
+/// `k` is `ln_gamma(α₀ + 0.5·k)` resp. `(λ₀ + k).ln()`, and `k as f64`
+/// is exactly the `N` the direct form converts), substituted into the
+/// same expression in the same order. So the table's size never
+/// changes a bit of any result.
+#[derive(Debug, Clone)]
 pub struct PriorConsts {
     prior: NormalGamma,
     ln_gamma_alpha0: f64,
     alpha0_ln_beta0: f64,
     ln_lambda0: f64,
     ln_2pi: f64,
+    /// `ln Γ(α₀ + k/2)` at index `k`.
+    ln_gamma_n: Vec<f64>,
+    /// `ln(λ₀ + k)` at index `k`, the same length as `ln_gamma_n`.
+    ln_lambda_n: Vec<f64>,
 }
 
 impl PriorConsts {
-    /// Evaluate the prior-only terms of `prior`'s marginal.
+    /// Evaluate the prior-only terms of `prior`'s marginal. The count
+    /// tables start empty (no allocation).
+    #[inline]
     pub fn new(prior: &NormalGamma) -> Self {
+        Self::hoist(prior, ln_gamma(prior.alpha0))
+    }
+
+    /// [`PriorConsts::new`] with `ln Γ(α₀)` supplied by the caller
+    /// (an [`LnGammaTable`]'s hoisted base — the same bits).
+    #[inline]
+    fn hoist(prior: &NormalGamma, ln_gamma_alpha0: f64) -> Self {
         Self {
             prior: *prior,
-            ln_gamma_alpha0: ln_gamma(prior.alpha0),
+            ln_gamma_alpha0,
             alpha0_ln_beta0: prior.alpha0 * prior.beta0.ln(),
             ln_lambda0: prior.lambda0.ln(),
             ln_2pi: (2.0 * PI).ln(),
+            ln_gamma_n: Vec::new(),
+            ln_lambda_n: Vec::new(),
         }
     }
 
-    /// [`NormalGamma::log_marginal`] with the prior-only terms read
-    /// from `self` instead of recomputed.
-    pub fn log_marginal(&self, stats: &SuffStats) -> f64 {
-        let p = &self.prior;
-        let n = stats.count() as f64;
+    /// The normal-gamma marginal expression (module docs), with the
+    /// two count-dependent terms supplied by `ln_gamma_n(N, α_N)` and
+    /// `ln_lambda_n(N, λ_N)`.
+    #[inline]
+    fn marginal(
+        &self,
+        stats: &SuffStats,
+        ln_gamma_n: impl FnOnce(usize, f64) -> f64,
+        ln_lambda_n: impl FnOnce(usize, f64) -> f64,
+    ) -> f64 {
         if stats.is_empty() {
             return 0.0;
         }
+        let p = &self.prior;
+        let k = stats.count() as usize;
+        let n = stats.count() as f64;
         let mean = stats.mean();
         let lambda_n = p.lambda0 + n;
         let alpha_n = p.alpha0 + 0.5 * n;
         let dm = mean - p.mu0;
         let beta_n =
             p.beta0 + 0.5 * stats.centered_sumsq() + p.lambda0 * n * dm * dm / (2.0 * lambda_n);
-        ln_gamma(alpha_n) - self.ln_gamma_alpha0 + self.alpha0_ln_beta0 - alpha_n * beta_n.ln()
-            + 0.5 * (self.ln_lambda0 - lambda_n.ln())
+        ln_gamma_n(k, alpha_n) - self.ln_gamma_alpha0 + self.alpha0_ln_beta0
+            - alpha_n * beta_n.ln()
+            + 0.5 * (self.ln_lambda0 - ln_lambda_n(k, lambda_n))
             - 0.5 * n * self.ln_2pi
+    }
+
+    /// [`NormalGamma::log_marginal`] with the prior-only terms read
+    /// from `self` and the count terms read from the tables when the
+    /// count is inside them.
+    #[inline]
+    pub fn log_marginal(&self, stats: &SuffStats) -> f64 {
+        self.marginal(
+            stats,
+            |k, alpha_n| match self.ln_gamma_n.get(k) {
+                Some(&v) => v,
+                None => ln_gamma(alpha_n),
+            },
+            |k, lambda_n| match self.ln_lambda_n.get(k) {
+                Some(&v) => v,
+                None => lambda_n.ln(),
+            },
+        )
+    }
+
+    /// Whether count `k` is served from the tables.
+    pub fn covers(&self, k: u64) -> bool {
+        k < self.ln_gamma_n.len() as u64
+    }
+
+    /// Extend both tables through count `k` (a no-op when they already
+    /// cover it) and return the number of cells newly filled. Callers
+    /// grow in replicated control flow, never inside a parallel map,
+    /// so the fill pattern is the same on every engine and rank count.
+    pub fn grow_through(&mut self, k: usize) -> usize {
+        let before = self.ln_gamma_n.len();
+        for i in before..=k {
+            let n = i as f64;
+            self.ln_gamma_n.push(ln_gamma(self.prior.alpha0 + 0.5 * n));
+            self.ln_lambda_n.push((self.prior.lambda0 + n).ln());
+        }
+        self.ln_gamma_n.len() - before
     }
 }
 

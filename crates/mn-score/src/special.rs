@@ -65,9 +65,10 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// The table is lazily grown (dense, from 0 up) behind an [`RwLock`]:
 /// steady-state lookups take the read lock only. One table is scoped to
-/// one *checkpoint unit* (a module-tree build, one Gibbs sweep), never
-/// to a whole run, so counter deltas replayed on resume are identical
-/// to the uninterrupted run's.
+/// one *checkpoint unit* (a module's tree builds), never to a whole
+/// run, so counter deltas replayed on resume are identical to the
+/// uninterrupted run's. The Gibbs sweeps use the lock-free count tables
+/// of [`crate::PriorConsts`] instead.
 ///
 /// The table intentionally does **not** count its own hits/misses:
 /// under the thread engine several workers may race to first-fill the

@@ -344,6 +344,7 @@ mod tests {
     use super::*;
     use mn_comm::{SerialEngine, SimEngine, ThreadEngine};
     use mn_data::synthetic;
+    use mn_score::PriorConsts;
 
     fn setup() -> (Dataset, Vec<usize>) {
         let d = synthetic::yeast_like(12, 16, 31).dataset;
@@ -432,7 +433,7 @@ mod tests {
     fn single_leaf_tree() {
         let (d, vars) = setup();
         let mut part = ObsPartition::single_cluster(d.n_obs());
-        part.rebuild_stats(&d, &vars);
+        part.rebuild_stats(&d, &vars, &PriorConsts::new(&TreeParams::default().prior));
         let mut e = SerialEngine::new();
         let tree = build_tree(&mut e, &d, &vars, &part, &TreeParams::default());
         tree.validate();
@@ -475,14 +476,15 @@ mod tests {
             None,
         );
         let vars = vec![0usize];
+        let consts = PriorConsts::new(&TreeParams::default().prior);
         let mut part = ObsPartition::single_cluster(6);
-        part.rebuild_stats(&d, &vars);
+        part.rebuild_stats(&d, &vars, &consts);
         // Build the 3-cluster partition through the public move API.
         let col = |o: usize| mn_score::tile_stats(&d, &vars, &[o]);
-        let s2 = part.move_obs(2, &col(2), None);
-        part.move_obs(3, &col(3), Some(s2));
-        let s4 = part.move_obs(4, &col(4), None);
-        part.move_obs(5, &col(5), Some(s4));
+        let s2 = part.move_obs(2, &col(2), None, &consts);
+        part.move_obs(3, &col(3), Some(s2), &consts);
+        let s4 = part.move_obs(4, &col(4), None, &consts);
+        part.move_obs(5, &col(5), Some(s4), &consts);
 
         let mut e = SerialEngine::new();
         let tree = build_tree(&mut e, &d, &vars, &part, &TreeParams::default());
