@@ -40,7 +40,6 @@ fn bench_ganesh_modes(c: &mut Criterion) {
             update_steps: 1,
             prior: NormalGamma::default(),
             mode,
-            ..GaneshParams::default()
         };
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{mode:?}")),

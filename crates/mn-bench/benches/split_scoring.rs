@@ -8,7 +8,10 @@ use mn_comm::SerialEngine;
 use mn_data::synthetic;
 use mn_rand::MasterRng;
 use mn_score::{naive_sigmas, ScoreMode, SplitScoring, SplitScratch};
-use mn_tree::{assign_splits, learn_module_trees, ModuleEnsemble, TreeParams};
+use mn_tree::{
+    assign_splits, assign_splits_naive, learn_module_trees, ModuleEnsemble, SplitContext,
+    TreeParams,
+};
 use std::hint::black_box;
 
 fn bench_workload() -> (mn_data::Dataset, Vec<ModuleEnsemble>, MasterRng) {
@@ -105,25 +108,26 @@ fn bench_scoring_paths(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("assign_splits_path");
     group.sample_size(10);
+    let params = TreeParams::default();
     for scoring in [SplitScoring::Naive, SplitScoring::Kernel] {
-        let params = TreeParams {
-            split_scoring: scoring,
-            ..TreeParams::default()
-        };
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{scoring:?}")),
-            &params,
-            |b, params| {
+            &scoring,
+            |b, &scoring| {
                 b.iter(|| {
                     let mut engine = SerialEngine::new();
-                    black_box(assign_splits(
-                        &mut engine,
-                        &data,
-                        &master,
-                        &ensembles,
-                        &parents,
-                        params,
-                    ))
+                    let e = &mut engine;
+                    black_box(match scoring {
+                        SplitScoring::Kernel => {
+                            assign_splits(e, &data, &master, &ensembles, &parents, &params)
+                        }
+                        SplitScoring::Naive => {
+                            let ctx = &mut SplitContext::new();
+                            assign_splits_naive(
+                                e, &data, &master, &ensembles, &parents, &params, ctx,
+                            )
+                        }
+                    })
                 })
             },
         );

@@ -27,7 +27,6 @@ fn bench_build(c: &mut Criterion) {
             1,
             params.prior,
             ScoreMode::Incremental,
-            mn_score::CandidateScoring::Kernel,
         )
         .pop()
         .unwrap();

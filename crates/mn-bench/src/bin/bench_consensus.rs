@@ -1,6 +1,6 @@
 //! **Consensus-backend speedup record** — measures the sharded sparse
 //! task-2 path (tiled thresholded co-occurrence build + distributed
-//! power iteration) against the dense replicated baseline of §3.2.2
+//! power iteration) against the dense replicated oracle of §3.2.2
 //! and writes `BENCH_consensus.json` so the performance trajectory of
 //! the consensus stage accumulates across revisions.
 //!
@@ -14,7 +14,7 @@
 //!   each backend, with an internal assertion that both extract
 //!   bit-identical clusters and eigenvalue streams;
 //! * peak matrix footprint: the dense `n²·8` bytes per rank against
-//!   [`SparseSymMatrix::bytes`].
+//!   [`SparseSymMatrix::bytes`](mn_consensus::SparseSymMatrix::bytes).
 //!
 //! ```text
 //! cargo run --release -p mn-bench --bin bench_consensus [-- --quick]
@@ -23,7 +23,8 @@
 use mn_bench::{time_it, Args, Table};
 use mn_comm::{ParEngine, SerialEngine, ThreadEngine};
 use mn_consensus::{
-    consensus_outcome, sparse_cooccurrence, ConsensusBackend, ConsensusParams, SpectralOutcome,
+    consensus_outcome, dense_consensus_outcome, sparse_cooccurrence, ConsensusParams,
+    SpectralOutcome,
 };
 use serde::Serialize;
 use std::hint::black_box;
@@ -85,16 +86,23 @@ fn planted_ensemble(n: usize, k: usize) -> Vec<Vec<Vec<usize>>> {
     ensemble
 }
 
-fn params(backend: ConsensusBackend) -> ConsensusParams {
-    ConsensusParams {
-        threshold: 0.3,
-        backend,
-        ..ConsensusParams::default()
-    }
+/// The two task-2 paths: the sharded sparse production path and the
+/// dense replicated oracle.
+#[derive(Clone, Copy)]
+enum Backend {
+    Dense,
+    Sparse,
 }
 
-fn run_task2<E: ParEngine>(engine: &mut E, n: usize, ensemble: &[Vec<Vec<usize>>], backend: ConsensusBackend) -> SpectralOutcome {
-    consensus_outcome(engine, n, ensemble, &params(backend))
+fn run_task2<E: ParEngine>(engine: &mut E, n: usize, ensemble: &[Vec<Vec<usize>>], backend: Backend) -> SpectralOutcome {
+    let params = ConsensusParams {
+        threshold: 0.3,
+        ..ConsensusParams::default()
+    };
+    match backend {
+        Backend::Dense => dense_consensus_outcome(engine, n, ensemble, &params),
+        Backend::Sparse => consensus_outcome(engine, n, ensemble, &params),
+    }
 }
 
 fn main() {
@@ -120,9 +128,9 @@ fn main() {
 
         // Cross-backend equivalence before timing anything.
         let mut e = SerialEngine::new();
-        let dense_out = run_task2(&mut e, n, &ensemble, ConsensusBackend::Dense);
+        let dense_out = run_task2(&mut e, n, &ensemble, Backend::Dense);
         let mut e = SerialEngine::new();
-        let sparse_out = run_task2(&mut e, n, &ensemble, ConsensusBackend::Sparse);
+        let sparse_out = run_task2(&mut e, n, &ensemble, Backend::Sparse);
         assert_eq!(
             dense_out.clusters, sparse_out.clusters,
             "backends must extract identical clusters"
@@ -141,8 +149,8 @@ fn main() {
                 black_box(run_task2(&mut e, n, &ensemble, backend));
             })
         };
-        let dense_s = time_backend(ConsensusBackend::Dense);
-        let sparse_s = time_backend(ConsensusBackend::Sparse);
+        let dense_s = time_backend(Backend::Dense);
+        let sparse_s = time_backend(Backend::Sparse);
         let speedup = dense_s / sparse_s;
 
         let mut e = SerialEngine::new();
@@ -189,8 +197,8 @@ fn main() {
             black_box(run_task2(&mut e, n, &ensemble, backend));
         })
     };
-    let dense_s = time_threads(ConsensusBackend::Dense);
-    let sparse_s = time_threads(ConsensusBackend::Sparse);
+    let dense_s = time_threads(Backend::Dense);
+    let sparse_s = time_threads(Backend::Sparse);
     let threads_sparse = PhaseRow {
         label: format!("task 2 (threads:3, n={n})"),
         dense_s,
@@ -209,7 +217,7 @@ fn main() {
     let n = *sizes.last().unwrap();
     let ensemble = planted_ensemble(n, n / 64);
     let mut e = SerialEngine::new();
-    run_task2(&mut e, n, &ensemble, ConsensusBackend::Sparse);
+    run_task2(&mut e, n, &ensemble, Backend::Sparse);
     let now = e.now_s();
     let counters = e.obs().snapshot(now).counters;
     println!(

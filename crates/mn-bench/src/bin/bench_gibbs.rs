@@ -29,7 +29,7 @@
 use mn_bench::{time_it, Args, Table};
 use mn_comm::{ParEngine, SerialEngine, ThreadEngine};
 use mn_data::synthetic;
-use mn_gibbs::{ganesh, sweep, CoClustering, GaneshParams};
+use mn_gibbs::{ganesh_with_scoring, sweep, CoClustering, GaneshParams};
 use mn_rand::MasterRng;
 use mn_score::{CandidateScoring, NormalGamma, ScoreMode};
 use serde::Serialize;
@@ -291,17 +291,17 @@ fn main() {
     let (gv, go) = if quick { (48, 100) } else { (64, 400) };
     let data = synthetic::yeast_like(gv, go, 17).dataset;
     let master = MasterRng::new(31);
-    let params_for = |scoring| GaneshParams {
+    let params = GaneshParams {
         init_clusters: Some(8),
         update_steps: 2,
-        candidate_scoring: scoring,
         ..GaneshParams::default()
     };
     let time_ganesh = |scoring| {
-        let params = params_for(scoring);
         median_time(reps.min(3), || {
             let mut e = SerialEngine::new();
-            black_box(ganesh(&mut e, &data, &master, 0, &params));
+            black_box(ganesh_with_scoring(
+                &mut e, &data, &master, 0, &params, scoring,
+            ));
         })
     };
     let naive_s = time_ganesh(CandidateScoring::Naive);
@@ -323,9 +323,8 @@ fn main() {
     // put the timings in context (how many sweeps/proposals each path
     // ran, the dispatch path taken, and the kernel's cache traffic).
     let counters_for = |scoring| {
-        let params = params_for(scoring);
         let mut e = SerialEngine::new();
-        ganesh(&mut e, &data, &master, 0, &params);
+        ganesh_with_scoring(&mut e, &data, &master, 0, &params, scoring);
         let now = e.now_s();
         e.obs().snapshot(now).counters
     };

@@ -26,7 +26,10 @@ use mn_comm::{ParEngine, SerialEngine, ThreadEngine};
 use mn_data::synthetic;
 use mn_rand::MasterRng;
 use mn_score::{naive_sigmas, SplitScoring, SplitScratch};
-use mn_tree::{assign_splits_in, learn_module_trees, SplitContext, TreeParams};
+use mn_tree::{
+    assign_splits_in, assign_splits_naive, learn_module_trees, ModuleEnsemble, SplitAssignment,
+    SplitContext, TreeParams,
+};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -97,6 +100,25 @@ fn median_time(reps: usize, inner: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// The split-assignment entry that runs `scoring`: the production
+/// kernel, or the naive oracle it is measured against.
+type AssignFn<E> = fn(
+    &mut E,
+    &mn_data::Dataset,
+    &MasterRng,
+    &[ModuleEnsemble],
+    &[usize],
+    &TreeParams,
+    &mut SplitContext,
+) -> SplitAssignment;
+
+fn entry<E: ParEngine>(scoring: SplitScoring) -> AssignFn<E> {
+    match scoring {
+        SplitScoring::Kernel => assign_splits_in::<E>,
+        SplitScoring::Naive => assign_splits_naive::<E>,
+    }
 }
 
 fn main() {
@@ -184,25 +206,22 @@ fn main() {
     struct PhaseSetup<'a> {
         data: &'a mn_data::Dataset,
         master: &'a MasterRng,
-        ensembles: &'a [mn_tree::ModuleEnsemble],
+        ensembles: &'a [ModuleEnsemble],
         parents: &'a [usize],
         base: &'a TreeParams,
         phase_reps: usize,
     }
     fn time_phase<E: ParEngine>(engine: &mut E, s: &PhaseSetup, scoring: SplitScoring) -> f64 {
-        let params = TreeParams {
-            split_scoring: scoring,
-            ..s.base.clone()
-        };
+        let assign = entry::<E>(scoring);
         let mut ctx = SplitContext::new();
         median_time(s.phase_reps, 1, || {
-            black_box(assign_splits_in(
+            black_box(assign(
                 engine,
                 s.data,
                 s.master,
                 s.ensembles,
                 s.parents,
-                &params,
+                s.base,
                 &mut ctx,
             ));
         })
@@ -301,13 +320,10 @@ fn main() {
     // phase computed and through which dispatch path) and the span
     // aggregates show the per-stage breakdown.
     let observe = |scoring: SplitScoring| {
-        let params = TreeParams {
-            split_scoring: scoring,
-            ..base.clone()
-        };
         let mut engine = SerialEngine::new();
         let mut ctx = SplitContext::new();
-        assign_splits_in(&mut engine, &data, &master, &ensembles, &parents, &params, &mut ctx);
+        let assign = entry(scoring);
+        assign(&mut engine, &data, &master, &ensembles, &parents, &base, &mut ctx);
         let now = engine.now_s();
         engine.obs().snapshot(now)
     };

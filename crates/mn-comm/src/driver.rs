@@ -2,12 +2,12 @@
 //!
 //! Every parallel algorithm of §3.2 has the same shape: a flat list of
 //! score computations is split over the ranks, each rank computes its
-//! slice, and an all-gather makes the results global. [`drive`] writes
+//! slice, and an all-gather makes the results global. `drive` writes
 //! that shape once — plan → run slices → meet → assemble:
 //!
 //! 1. the replicated [`PartitionGovernor`] plans the split ([`Plan`]);
 //! 2. the engine runs its ranks' slices and makes the results meet
-//!    ([`RunSlices`]: inline, persistent rank threads, `allgatherv`, or one
+//!    (`RunSlices`: inline, persistent rank threads, `allgatherv`, or one
 //!    simulated pass charged with τ/μ);
 //! 3. the plan assembles the gathered blocks in item order; owner plans
 //!    also feed the measured per-item units back to the governor.

@@ -1,6 +1,6 @@
 //! Multi-process transport: the msg fabric over real OS processes.
 //!
-//! The in-process fabric ([`super::fabric`]) runs every rank as a
+//! The in-process fabric ([`super::fabric`](mod@super::fabric)) runs every rank as a
 //! thread of one process, so fault drills only ever *simulate* rank
 //! death. This module is the honest-hardware path (ROADMAP item 3):
 //! each rank is a supervised child process, messages are serde-framed

@@ -13,7 +13,7 @@
 //! of sampled clusters" can only mean the fraction of *samples*
 //! (cluster *sets*) in which the pair shares a cluster — that is the
 //! reading under which A(i,j) = 1 expresses perfect agreement and the
-//! user threshold is a fraction in [0,1]. Dividing by the literal
+//! user threshold is a fraction in `[0,1]`. Dividing by the literal
 //! count of sampled clusters (Σ_s |clusters(s)|) would shrink every
 //! entry by the mean cluster count and break the threshold's meaning.
 //! We normalize by `ensemble.len()`; DESIGN.md §11 records the

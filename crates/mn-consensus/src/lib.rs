@@ -8,15 +8,16 @@
 //!
 //! Per §3.2.2 the paper leaves this task *sequential* (it is < 0.04 %
 //! of the total runtime) and executes it redundantly on all ranks.
-//! That is the [`ConsensusBackend::Dense`] baseline, charged through
-//! `ParEngine::replicated`. The default [`ConsensusBackend::Sparse`]
-//! path departs from §3.2.2 for north-star scale: the thresholded
-//! matrix is built directly in sparse form by tiled accumulation
-//! ([`sparse_cooccurrence`]) and the power iteration is sharded over
-//! the engine ([`spectral::power_iteration_sparse`]), with real work
-//! charged per row through `dist_map`. Both backends produce
-//! bit-identical clusters and eigenvalues on every engine and rank
-//! count (`tests/backend_ab.rs`; argument in DESIGN.md §11).
+//! This crate departs from §3.2.2 for north-star scale: the
+//! thresholded matrix is built directly in sparse form by tiled
+//! accumulation ([`sparse_cooccurrence`]) and the power iteration is
+//! sharded over the engine ([`spectral::power_iteration_sparse`]),
+//! with real work charged per row through `dist_map`. The dense path
+//! of §3.2.2, replicated on every rank and charged through
+//! `ParEngine::replicated`, survives only as the test oracle
+//! `dense_consensus_outcome`: both produce bit-identical clusters and
+//! eigenvalues on every engine and rank count (`tests/backend_ab.rs`;
+//! argument in DESIGN.md §11).
 
 #![warn(missing_docs)]
 
@@ -42,26 +43,12 @@ use mn_comm::obs::counters;
 use mn_comm::{with_span, ParEngine};
 use serde::{Deserialize, Serialize};
 
-/// Which task-2 execution path to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ConsensusBackend {
-    /// Sparse thresholded matrix, power iteration sharded over the
-    /// engine (the default).
-    #[default]
-    Sparse,
-    /// Dense `SymMatrix`, sequential extraction replicated on every
-    /// rank — §3.2.2 taken literally (`--consensus-dense`).
-    Dense,
-}
-
-/// Task-2 configuration: threshold, backend, and the spectral
-/// extraction parameters.
+/// Task-2 configuration: threshold and the spectral extraction
+/// parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConsensusParams {
     /// Co-occurrence fractions strictly below this are zeroed.
     pub threshold: f64,
-    /// Dense replicated baseline or sharded sparse path.
-    pub backend: ConsensusBackend,
     /// Spectral extraction loop parameters.
     pub spectral: SpectralParams,
 }
@@ -70,54 +57,21 @@ impl Default for ConsensusParams {
     fn default() -> Self {
         Self {
             threshold: 0.0,
-            backend: ConsensusBackend::default(),
             spectral: SpectralParams::default(),
         }
     }
 }
 
-/// The co-occurrence matrix in whichever representation the backend
-/// produced.
-#[derive(Debug, Clone)]
-pub enum CoMatrix {
-    /// Dense full matrix (the replicated baseline).
-    Dense(SymMatrix),
-    /// Sparse upper-triangle CSR (the sharded path).
-    Sparse(SparseSymMatrix),
-}
-
-/// Build the thresholded co-occurrence matrix with the configured
-/// backend, inside a `cooccurrence` span. Both backends report the
-/// same `consensus.nnz` (stored upper-triangle entries after
-/// thresholding, diagonal included) so the counter stream is
-/// backend-independent.
+/// Build the thresholded co-occurrence matrix, sharded over the
+/// engine, inside a `cooccurrence` span.
 pub fn build_cooccurrence<E: ParEngine + ?Sized>(
     engine: &mut E,
     n: usize,
     ensemble: &[Vec<Vec<usize>>],
     params: &ConsensusParams,
-) -> CoMatrix {
-    with_span(engine, "cooccurrence", |engine| match params.backend {
-        ConsensusBackend::Dense => {
-            let a = cooccurrence_matrix(n, ensemble, params.threshold);
-            engine.replicated(cooccurrence_work(n, ensemble.len()));
-            // Count post-threshold non-zeros exactly as the sparse
-            // path counts stored entries: upper triangle, diagonal
-            // included (always 1.0, hence always stored).
-            let mut nnz = 0u64;
-            for i in 0..n {
-                for (j, &v) in a.row(i).iter().enumerate().skip(i) {
-                    if v != 0.0 || j == i {
-                        nnz += 1;
-                    }
-                }
-            }
-            engine.count(counters::CONSENSUS_NNZ, nnz);
-            CoMatrix::Dense(a)
-        }
-        ConsensusBackend::Sparse => {
-            CoMatrix::Sparse(sparse_cooccurrence(engine, n, ensemble, params.threshold))
-        }
+) -> SparseSymMatrix {
+    with_span(engine, "cooccurrence", |engine| {
+        sparse_cooccurrence(engine, n, ensemble, params.threshold)
     })
 }
 
@@ -126,26 +80,23 @@ pub fn build_cooccurrence<E: ParEngine + ?Sized>(
 /// (matvec dispatches; dropped variables per the no-silent-caps rule).
 pub fn extract_clusters<E: ParEngine + ?Sized>(
     engine: &mut E,
-    matrix: &CoMatrix,
+    matrix: &SparseSymMatrix,
     params: &ConsensusParams,
 ) -> SpectralOutcome {
     with_span(engine, "spectral", |engine| {
-        let out = match matrix {
-            CoMatrix::Dense(a) => {
-                let out = spectral_outcome(a, &params.spectral);
-                engine.replicated(out.work);
-                out
-            }
-            CoMatrix::Sparse(a) => spectral_outcome_sparse(engine, a, &params.spectral),
-        };
-        engine.count(counters::CONSENSUS_MATVEC_DISPATCHES, out.matvecs);
-        engine.count(counters::CONSENSUS_DROPPED_VARS, out.dropped_vars);
+        let out = spectral_outcome_sparse(engine, matrix, &params.spectral);
+        count_outcome(engine, &out);
         out
     })
 }
 
-/// Task 2 end to end on the configured backend: build the matrix,
-/// extract the consensus clusters.
+fn count_outcome<E: ParEngine + ?Sized>(engine: &mut E, out: &SpectralOutcome) {
+    engine.count(counters::CONSENSUS_MATVEC_DISPATCHES, out.matvecs);
+    engine.count(counters::CONSENSUS_DROPPED_VARS, out.dropped_vars);
+}
+
+/// Task 2 end to end: build the matrix, extract the consensus
+/// clusters.
 pub fn consensus_outcome<E: ParEngine + ?Sized>(
     engine: &mut E,
     n: usize,
@@ -154,4 +105,40 @@ pub fn consensus_outcome<E: ParEngine + ?Sized>(
 ) -> SpectralOutcome {
     let matrix = build_cooccurrence(engine, n, ensemble, params);
     extract_clusters(engine, &matrix, params)
+}
+
+/// [`consensus_outcome`] on the dense sequential path of §3.2.2,
+/// replicated on every rank: the test oracle. Same spans, same
+/// `consensus.*` counters (`consensus.nnz` counts the post-threshold
+/// upper triangle, diagonal included, exactly as the sparse path
+/// counts stored entries), and bit-identical clusters and eigenvalues;
+/// the A/B suite and `bench_consensus` compare the sparse path against
+/// it.
+#[doc(hidden)]
+pub fn dense_consensus_outcome<E: ParEngine + ?Sized>(
+    engine: &mut E,
+    n: usize,
+    ensemble: &[Vec<Vec<usize>>],
+    params: &ConsensusParams,
+) -> SpectralOutcome {
+    let a = with_span(engine, "cooccurrence", |engine| {
+        let a = cooccurrence_matrix(n, ensemble, params.threshold);
+        engine.replicated(cooccurrence_work(n, ensemble.len()));
+        let mut nnz = 0u64;
+        for i in 0..n {
+            for (j, &v) in a.row(i).iter().enumerate().skip(i) {
+                if v != 0.0 || j == i {
+                    nnz += 1;
+                }
+            }
+        }
+        engine.count(counters::CONSENSUS_NNZ, nnz);
+        a
+    });
+    with_span(engine, "spectral", |engine| {
+        let out = spectral_outcome(&a, &params.spectral);
+        engine.replicated(out.work);
+        count_outcome(engine, &out);
+        out
+    })
 }

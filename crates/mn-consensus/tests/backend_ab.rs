@@ -1,10 +1,11 @@
-//! Sparse-vs-dense A/B equivalence for task 2 (ISSUE 5 tentpole).
+//! Sparse-vs-dense A/B equivalence for task 2.
 //!
 //! The sharded sparse path must produce **bit-identical** consensus
-//! clusters and eigenvalue streams to the dense sequential baseline on
-//! every engine and rank count — the same determinism contract the
-//! split-scoring and Gibbs kernels established in earlier PRs. The
-//! argument (DESIGN.md §11): the dense matvec accumulates non-negative
+//! clusters and eigenvalue streams to the dense sequential oracle
+//! (`dense_consensus_outcome`) on every engine and rank count — the
+//! same determinism contract the split-scoring and Gibbs kernels
+//! established in earlier PRs. The argument (DESIGN.md §11): the
+//! dense matvec accumulates non-negative
 //! terms in increasing column order, and the entries the sparse matvec
 //! skips contribute exact `+0.0` — an identity on a non-negative f64
 //! accumulator — while the norm is reduced in active-index order on
@@ -12,7 +13,7 @@
 
 use mn_comm::{spmd_run, ParEngine, SerialEngine, SimEngine, ThreadEngine};
 use mn_consensus::{
-    consensus_outcome, ConsensusBackend, ConsensusParams, SparseSymMatrix, SpectralOutcome,
+    consensus_outcome, dense_consensus_outcome, ConsensusParams, SparseSymMatrix, SpectralOutcome,
     SymMatrix,
 };
 use proptest::prelude::*;
@@ -42,10 +43,26 @@ fn ensemble() -> Vec<Vec<Vec<usize>>> {
 
 const N_VARS: usize = 19;
 
-fn params(backend: ConsensusBackend) -> ConsensusParams {
+/// The two task-2 paths: the sharded sparse production path and the
+/// dense sequential oracle.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    Dense,
+    Sparse,
+}
+
+impl Backend {
+    fn run<E: ParEngine>(self, engine: &mut E, params: &ConsensusParams) -> SpectralOutcome {
+        match self {
+            Backend::Dense => dense_consensus_outcome(engine, N_VARS, &ensemble(), params),
+            Backend::Sparse => consensus_outcome(engine, N_VARS, &ensemble(), params),
+        }
+    }
+}
+
+fn params() -> ConsensusParams {
     ConsensusParams {
         threshold: 0.3,
-        backend,
         ..ConsensusParams::default()
     }
 }
@@ -53,9 +70,9 @@ fn params(backend: ConsensusBackend) -> ConsensusParams {
 /// Task 2 on one engine: the outcome plus the final counters.
 fn outcome_on<E: ParEngine>(
     engine: &mut E,
-    backend: ConsensusBackend,
+    backend: Backend,
 ) -> (SpectralOutcome, BTreeMap<String, u64>) {
-    let out = consensus_outcome(engine, N_VARS, &ensemble(), &params(backend));
+    let out = backend.run(engine, &params());
     let now = engine.now_s();
     (out, engine.obs().snapshot(now).counters)
 }
@@ -80,12 +97,11 @@ fn consensus_counters(counters: &BTreeMap<String, u64>) -> BTreeMap<String, u64>
 #[test]
 fn backends_and_engines_agree_bit_for_bit() {
     // Reference: the dense sequential baseline on one rank.
-    let (reference, reference_counters) =
-        outcome_on(&mut SerialEngine::new(), ConsensusBackend::Dense);
+    let (reference, reference_counters) = outcome_on(&mut SerialEngine::new(), Backend::Dense);
     assert_eq!(reference.clusters.len(), 3, "fixture recovers the blocks");
     assert!(!reference.eigenvalues.is_empty());
 
-    for backend in [ConsensusBackend::Dense, ConsensusBackend::Sparse] {
+    for backend in [Backend::Dense, Backend::Sparse] {
         // Per-backend counter reference from the serial engine; every
         // other engine/rank count must reproduce it exactly.
         let (_, backend_counters) = outcome_on(&mut SerialEngine::new(), backend);
@@ -136,13 +152,12 @@ fn backends_and_engines_agree_bit_for_bit() {
 fn dropped_vars_counted_identically_on_both_backends() {
     // An impossible minimum cluster size drops everything; the counter
     // must say so on both backends, on a multi-rank engine too.
-    let mut p = params(ConsensusBackend::Dense);
+    let mut p = params();
     p.spectral.min_cluster_size = N_VARS + 1;
     let mut reference = None;
-    for backend in [ConsensusBackend::Dense, ConsensusBackend::Sparse] {
-        p.backend = backend;
+    for backend in [Backend::Dense, Backend::Sparse] {
         let mut engine = SimEngine::new(4);
-        let out = consensus_outcome(&mut engine, N_VARS, &ensemble(), &p);
+        let out = backend.run(&mut engine, &p);
         assert!(out.clusters.is_empty(), "{backend:?}");
         assert!(out.dropped_vars > 0, "{backend:?}");
         match reference {

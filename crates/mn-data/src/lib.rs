@@ -11,14 +11,12 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod discretize;
 pub mod io;
 pub mod matrix;
 pub mod preprocess;
 pub mod synthetic;
 
 pub use dataset::Dataset;
-pub use discretize::{discretize_quantile, discretize_uniform, BinEdges};
 pub use io::{read_tsv, read_tsv_file, write_tsv, write_tsv_file, DataError, ReadError};
 pub use matrix::Matrix;
 pub use preprocess::{filter_most_variable, impute_missing, log2_transform, standard_pipeline};

@@ -22,9 +22,6 @@ pub struct GaneshParams {
     pub prior: NormalGamma,
     /// Scoring implementation mode.
     pub mode: ScoreMode,
-    /// How the sweeps evaluate their candidate lists (batched kernel
-    /// vs per-candidate naive; bit-identical results either way).
-    pub candidate_scoring: CandidateScoring,
 }
 
 /// Conventional alias: the sweep-level knobs of the Gibbs sampler.
@@ -37,7 +34,6 @@ impl Default for GaneshParams {
             update_steps: 1,
             prior: NormalGamma::default(),
             mode: ScoreMode::Incremental,
-            candidate_scoring: CandidateScoring::default(),
         }
     }
 }
@@ -62,11 +58,26 @@ pub fn ganesh<E: ParEngine>(
     run: u64,
     params: &GaneshParams,
 ) -> CoClustering {
+    ganesh_with_scoring(engine, data, master, run, params, CandidateScoring::Kernel)
+}
+
+/// [`ganesh`] with every sweep's candidate-scoring path chosen by
+/// `scoring`: the test oracle. `CandidateScoring::Naive` samples the
+/// identical chain at the per-candidate cost; the A/B suites and the
+/// `mn-bench` records compare the kernel against it.
+#[doc(hidden)]
+pub fn ganesh_with_scoring<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    master: &MasterRng,
+    run: u64,
+    params: &GaneshParams,
+    scoring: CandidateScoring,
+) -> CoClustering {
     let k0 = params.resolved_init_clusters(data.n_vars());
     engine.span_enter("ganesh-run");
     let mut state =
         CoClustering::random_init(data, k0, params.prior, params.mode, master, run);
-    let scoring = params.candidate_scoring;
     for step in 0..params.update_steps as u64 {
         reassign_vars(engine, &mut state, data, master, run, step, scoring);
         merge_vars(engine, &mut state, data, master, run, step, scoring);
@@ -123,7 +134,6 @@ pub fn sample_obs_partitions<E: ParEngine>(
     burn_in: usize,
     prior: NormalGamma,
     mode: ScoreMode,
-    scoring: CandidateScoring,
 ) -> Vec<ObsPartition> {
     assert!(
         burn_in < update_steps,
@@ -133,6 +143,7 @@ pub fn sample_obs_partitions<E: ParEngine>(
     let mut state = CoClustering::single_var_cluster(data, vars, prior, mode, master, module_key);
     let slot = 0;
     let mut samples = Vec::with_capacity(update_steps - burn_in);
+    let scoring = CandidateScoring::Kernel;
     for step in 0..update_steps as u64 {
         reassign_obs(engine, &mut state, data, master, module_key, step, slot, scoring);
         merge_obs(engine, &mut state, data, master, module_key, step, slot, scoring);
@@ -254,7 +265,6 @@ mod tests {
             2,
             NormalGamma::default(),
             ScoreMode::Incremental,
-            CandidateScoring::Kernel,
         );
         assert_eq!(samples.len(), 3);
         for part in &samples {
@@ -280,7 +290,6 @@ mod tests {
             2,
             NormalGamma::default(),
             ScoreMode::Incremental,
-            CandidateScoring::Kernel,
         );
     }
 

@@ -29,7 +29,9 @@ pub mod scorer;
 pub mod state;
 pub mod sweep;
 
-pub use ganesh::{ganesh, ganesh_ensemble, sample_obs_partitions, GaneshParams, GibbsParams};
+pub use ganesh::{
+    ganesh, ganesh_ensemble, ganesh_with_scoring, sample_obs_partitions, GaneshParams, GibbsParams,
+};
 pub use scorer::SweepScorer;
 pub use moves::MoveTarget;
 pub use state::{CoClustering, ObsCluster, ObsPartition, VarCluster};

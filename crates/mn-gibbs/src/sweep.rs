@@ -40,7 +40,9 @@
 //! ## Candidate-scoring paths
 //!
 //! Every sweep evaluates its candidate list through one of two paths
-//! selected by [`CandidateScoring`]:
+//! selected by [`CandidateScoring`]. The learner always passes
+//! `Kernel`; `Naive` is the oracle the A/B tests and `bench_gibbs`
+//! compare it against (driver-level: `ganesh_with_scoring`).
 //!
 //! * **Naive** — each candidate re-derives the statistics and both
 //!   log-marginals it needs from the state (the cost profile of Alg. 1
@@ -49,7 +51,7 @@
 //!   [`reassign_vars`]).
 //! * **Kernel** — each candidate's weight is a pure function of the
 //!   state, the data, the moving item, the removal delta and the
-//!   sweep's [`PriorConsts`](mn_score::PriorConsts)
+//!   sweep's [`PriorConsts`]
 //!   ([`crate::scorer`]), evaluated entirely inside
 //!   [`ParEngine::dist_map_segmented_batch`] with one `Segments`
 //!   boundary per candidate. Tile log-marginals are read from the

@@ -7,7 +7,7 @@
 
 use mn_comm::{spmd_run, ParEngine, RunReport, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::{synthetic, Dataset};
-use mn_gibbs::{ganesh, CoClustering, GaneshParams};
+use mn_gibbs::{ganesh_with_scoring, CoClustering, GaneshParams};
 use mn_obs::counters;
 use mn_rand::MasterRng;
 use mn_score::{CandidateScoring, ScoreMode};
@@ -17,12 +17,11 @@ fn data() -> Dataset {
     synthetic::yeast_like(20, 14, 9).dataset
 }
 
-fn params(scoring: CandidateScoring, mode: ScoreMode) -> GaneshParams {
+fn params(mode: ScoreMode) -> GaneshParams {
     GaneshParams {
         init_clusters: Some(6),
         update_steps: 2,
         mode,
-        candidate_scoring: scoring,
         ..GaneshParams::default()
     }
 }
@@ -34,7 +33,7 @@ fn run<E: ParEngine>(
     mode: ScoreMode,
 ) -> CoClustering {
     let master = MasterRng::new(11);
-    ganesh(engine, d, &master, 0, &params(scoring, mode))
+    ganesh_with_scoring(engine, d, &master, 0, &params(mode), scoring)
 }
 
 #[test]
@@ -149,9 +148,9 @@ fn many_clusters_few_observations_kernel_matches_naive() {
     ) -> ((CoClustering, BTreeMap<String, u64>), RunReport) {
         let p = GaneshParams {
             init_clusters: Some(d.n_vars() / 2),
-            ..params(scoring, ScoreMode::Incremental)
+            ..params(ScoreMode::Incremental)
         };
-        let state = ganesh(e, d, &MasterRng::new(11), 0, &p);
+        let state = ganesh_with_scoring(e, d, &MasterRng::new(11), 0, &p, scoring);
         let report = e.report();
         let now = e.now_s();
         ((state, strip(e.obs().snapshot(now).counters)), report)

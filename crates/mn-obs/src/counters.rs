@@ -60,13 +60,13 @@ pub const CHECKPOINT_UNITS_WRITTEN: &str = "checkpoint.units_written";
 pub const CHECKPOINT_UNITS_SKIPPED: &str = "checkpoint.units_skipped";
 
 /// Stored upper-triangle entries (diagonal included) of the
-/// thresholded co-occurrence matrix of task 2. Backend-independent:
-/// the dense path counts its post-threshold non-zeros exactly as the
-/// sparse path counts its stored entries.
+/// thresholded co-occurrence matrix of task 2. The dense test oracle
+/// counts its post-threshold non-zeros exactly as the sparse path
+/// counts its stored entries.
 pub const CONSENSUS_NNZ: &str = "consensus.nnz";
 /// Power-iteration matrix–vector products executed by task 2's
-/// spectral extraction (on the sparse backend each one is a sharded
-/// `dist_map` over the active rows).
+/// spectral extraction (each one a sharded `dist_map` over the active
+/// rows).
 pub const CONSENSUS_MATVEC_DISPATCHES: &str = "consensus.matvec_dispatches";
 /// Variables discarded by the spectral extraction's minimum-cluster-
 /// size filter — truncation made observable, per the no-silent-caps
@@ -82,13 +82,11 @@ pub const SPLITS_KERNEL_DISPATCHES: &str = "splits.kernel_dispatches";
 /// Split-assignment phases executed with the naive per-candidate pass.
 pub const SPLITS_NAIVE_DISPATCHES: &str = "splits.naive_dispatches";
 
-/// `ln Γ` values needed in replicated control flow: in the tree-merge
-/// phase, requests through its memoized half-integer table
-/// ([`LnGammaTable`](../mn_score/special/struct.LnGammaTable.html));
-/// in the Gibbs sweeps (kernel path), count-table cells filled plus the
-/// log-marginals evaluated in replicated flow through the sweep's
-/// `PriorConsts` count tables. Lookups inside parallel maps are not
-/// counted. Counted analytically — never from shared state a threaded
+/// `ln Γ` values needed in replicated control flow, all through
+/// `PriorConsts`' count tables: in the tree-merge phase, cells filled
+/// plus the three lookups of every scored pair; in the Gibbs sweeps
+/// (kernel path), cells filled plus the log-marginals evaluated in
+/// replicated flow. Lookups inside Gibbs maps are not counted. Counted analytically — never from shared state a threaded
 /// engine fills in a scheduling-dependent order — so the value is
 /// deterministic across engines and rank counts.
 pub const SCORE_LN_GAMMA_CALLS: &str = "score.ln_gamma_calls";

@@ -100,7 +100,7 @@ pub enum FlightEvent {
     /// This rank is aborting on a communication error (local). The
     /// last event of a survivor that observed a dead peer.
     CommFailure {
-        /// Human-readable rendering of the [`CommError`-shaped] cause.
+        /// Human-readable rendering of the `CommError`-shaped cause.
         detail: String,
     },
     /// An O(1) PRNG stream jump (local; jumps happen inside

@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod categorical;
 pub mod gibbs_kernel;
 pub mod mode;
 pub mod normal_gamma;
@@ -19,11 +18,10 @@ pub mod split_kernel;
 pub mod suffstats;
 pub mod tile;
 
-pub use categorical::{discrete_tile_score, CatStats, DirichletMultinomial};
 pub use gibbs_kernel::EpochTable;
 pub use mode::{CandidateScoring, ScoreMode, SplitScoring, COST_CELL, COST_LOGMARG};
 pub use split_kernel::{naive_sigmas, ScratchPool, SplitScratch};
-pub use normal_gamma::{NormalGamma, PriorConsts, ScoreScratch};
-pub use special::{ln_beta, ln_gamma, ln_gamma_ratio, LnGammaTable};
+pub use normal_gamma::{NormalGamma, PriorConsts};
+pub use special::{ln_beta, ln_gamma, ln_gamma_ratio};
 pub use suffstats::SuffStats;
 pub use tile::{coclustering_score, tile_score, tile_stats, var_cluster_score, var_obs_stats};

@@ -52,59 +52,36 @@ impl ScoreMode {
     }
 }
 
-/// How the exact separation pass of the split-assignment phase is
-/// executed. Both paths produce bit-identical scores (the kernel's
-/// equivalence is proven in `split_kernel` and DESIGN.md §7); the
-/// naive path is kept for A/B determinism tests and as the
-/// per-candidate cost baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Execution path of the exact separation pass of split assignment.
+/// Both paths produce bit-identical scores (the kernel's equivalence
+/// is proven in `split_kernel` and DESIGN.md §7). Production always
+/// runs the kernel; the naive path is the oracle the A/B tests and the
+/// `mn-bench` records compare it against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitScoring {
     /// Batched prefix-sum kernel: one sort per (node, parent) segment,
     /// O(n log n) for all n candidates.
-    #[default]
     Kernel,
     /// Per-candidate rescan: O(n) per candidate, O(n²) per segment.
     Naive,
 }
 
-impl SplitScoring {
-    /// Human-readable label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            SplitScoring::Kernel => "prefix-sum kernel",
-            SplitScoring::Naive => "per-candidate naive",
-        }
-    }
-}
-
 /// How the Gibbs sweeps of the GaneSH co-clustering evaluate the
 /// per-move candidate list. Both paths produce bit-identical weights
 /// (the kernel's equivalence is argued in `gibbs_kernel` and DESIGN.md
-/// §9); the naive path is kept for A/B determinism tests and as the
-/// per-candidate cost baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// §9). Production always runs the kernel; the naive path is the
+/// oracle the A/B tests and the `mn-bench` records compare it against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateScoring {
     /// Batched candidate engine: the candidate-independent removal
-    /// delta is hoisted out of the candidate loop, row/column
-    /// statistics and tile log-marginals come from a per-sweep cache
-    /// with O(1) invalidation, and the candidate loop runs through the
+    /// delta is hoisted out of the candidate loop and each candidate's
+    /// weight is a pure function of the state, evaluated inside the
     /// segment-batched map with one `Segments` boundary per candidate.
-    #[default]
     Kernel,
     /// One full rescore per candidate (row/column statistics rebuilt
     /// for every candidate) — the cost profile of Alg. 1 line 8 taken
     /// literally.
     Naive,
-}
-
-impl CandidateScoring {
-    /// Human-readable label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            CandidateScoring::Kernel => "batched candidate kernel",
-            CandidateScoring::Naive => "per-candidate naive",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +99,5 @@ mod tests {
     #[test]
     fn default_is_optimized() {
         assert_eq!(ScoreMode::default(), ScoreMode::Incremental);
-    }
-
-    #[test]
-    fn candidate_scoring_defaults_to_kernel() {
-        assert_eq!(CandidateScoring::default(), CandidateScoring::Kernel);
-        assert_ne!(
-            CandidateScoring::Kernel.label(),
-            CandidateScoring::Naive.label()
-        );
     }
 }

@@ -18,7 +18,7 @@
 //!              + ½ (ln λ₀ - ln λ_N) - (N/2) ln(2π)
 //! ```
 
-use crate::special::{ln_gamma, LnGammaTable};
+use crate::special::ln_gamma;
 use crate::suffstats::SuffStats;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
@@ -86,46 +86,6 @@ impl NormalGamma {
         self.log_marginal(&SuffStats::from_values(values))
     }
 
-    /// [`NormalGamma::log_marginal`] with the two `ln Γ` evaluations
-    /// served from a memo `table` keyed to this prior's `α₀`.
-    ///
-    /// Bit-identical to the direct form: `α_N = α₀ + ½·N` is exactly
-    /// the argument [`LnGammaTable::get`] memoizes at index `N`, and
-    /// `ln Γ(α₀)` is the table's hoisted [`LnGammaTable::base`]. Both
-    /// are substituted into [`PriorConsts`]' one marginal expression.
-    pub fn log_marginal_with(&self, stats: &SuffStats, table: &LnGammaTable) -> f64 {
-        debug_assert_eq!(
-            table.alpha0().to_bits(),
-            self.alpha0.to_bits(),
-            "ln-gamma table keyed to a different prior shape"
-        );
-        PriorConsts::hoist(self, table.base()).marginal(
-            stats,
-            |k, _| table.get(k),
-            |_, lambda_n| lambda_n.ln(),
-        )
-    }
-
-    /// Batched [`NormalGamma::log_marginal`]: score every block in
-    /// `stats` through `scratch`'s memo table, returning the scores in
-    /// input order (bit-identical to per-block direct calls).
-    ///
-    /// The table is warmed once to the largest count in the batch, so
-    /// the per-block lookups take only the read lock.
-    pub fn log_marginal_batch<'a>(
-        &self,
-        stats: &[SuffStats],
-        scratch: &'a mut ScoreScratch,
-    ) -> &'a [f64] {
-        let kmax = stats.iter().map(|s| s.count()).max().unwrap_or(0);
-        scratch.table.warm(kmax as usize);
-        scratch.out.clear();
-        for s in stats {
-            scratch.out.push(self.log_marginal_with(s, &scratch.table));
-        }
-        &scratch.out
-    }
-
     /// Log posterior-predictive density of one further value `x` after
     /// observing `stats` — a Student-t density. Used by tests to verify
     /// the chain-rule consistency of [`NormalGamma::log_marginal`], and
@@ -143,16 +103,6 @@ impl NormalGamma {
     pub fn log_merge_gain(&self, a: &SuffStats, b: &SuffStats) -> f64 {
         self.log_marginal(&SuffStats::merged(a, b)) - self.log_marginal(a) - self.log_marginal(b)
     }
-
-    /// [`NormalGamma::log_merge_gain`] with all three marginals served
-    /// through the memo `table` (three table lookups, zero fresh
-    /// Lanczos evaluations once warmed). Bit-identical to the direct
-    /// form.
-    pub fn log_merge_gain_with(&self, a: &SuffStats, b: &SuffStats, table: &LnGammaTable) -> f64 {
-        self.log_marginal_with(&SuffStats::merged(a, b), table)
-            - self.log_marginal_with(a, table)
-            - self.log_marginal_with(b, table)
-    }
 }
 
 /// A prior together with the data-independent terms of its marginal —
@@ -161,8 +111,8 @@ impl NormalGamma {
 /// and `ln(λ₀ + k)`.
 ///
 /// This type owns the one copy of the normal-gamma marginal
-/// expression; [`NormalGamma::log_marginal`] and
-/// [`NormalGamma::log_marginal_with`] evaluate it through here.
+/// expression; [`NormalGamma::log_marginal`] evaluates it through
+/// here.
 ///
 /// A Gibbs sweep scores hundreds of candidate tiles per proposal under
 /// one fixed prior; at the default `α₀ = 0.1` the `ln Γ(α₀)` alone
@@ -195,18 +145,19 @@ pub struct PriorConsts {
 impl PriorConsts {
     /// Evaluate the prior-only terms of `prior`'s marginal. The count
     /// tables start empty (no allocation).
+    ///
+    /// # Panics
+    /// Panics unless the shape `α₀` is positive and finite.
     #[inline]
     pub fn new(prior: &NormalGamma) -> Self {
-        Self::hoist(prior, ln_gamma(prior.alpha0))
-    }
-
-    /// [`PriorConsts::new`] with `ln Γ(α₀)` supplied by the caller
-    /// (an [`LnGammaTable`]'s hoisted base — the same bits).
-    #[inline]
-    fn hoist(prior: &NormalGamma, ln_gamma_alpha0: f64) -> Self {
+        assert!(
+            prior.alpha0.is_finite() && prior.alpha0 > 0.0,
+            "prior shape must be positive and finite, got {}",
+            prior.alpha0
+        );
         Self {
             prior: *prior,
-            ln_gamma_alpha0,
+            ln_gamma_alpha0: ln_gamma(prior.alpha0),
             alpha0_ln_beta0: prior.alpha0 * prior.beta0.ln(),
             ln_lambda0: prior.lambda0.ln(),
             ln_2pi: (2.0 * PI).ln(),
@@ -278,32 +229,6 @@ impl PriorConsts {
             self.ln_lambda_n.push((self.prior.lambda0 + n).ln());
         }
         self.ln_gamma_n.len() - before
-    }
-}
-
-/// Reusable scratch for [`NormalGamma::log_marginal_batch`]: the memo
-/// table plus the output buffer, owned by one scoring phase (one
-/// checkpoint unit) and reused across batches so the steady state is
-/// allocation-free.
-#[derive(Debug)]
-pub struct ScoreScratch {
-    table: LnGammaTable,
-    out: Vec<f64>,
-}
-
-impl ScoreScratch {
-    /// Create scratch keyed to `prior`'s shape `α₀`.
-    pub fn new(prior: &NormalGamma) -> Self {
-        Self {
-            table: LnGammaTable::new(prior.alpha0),
-            out: Vec::new(),
-        }
-    }
-
-    /// The underlying memo table (for callers mixing batched and
-    /// single-block scoring against the same memo).
-    pub fn table(&self) -> &LnGammaTable {
-        &self.table
     }
 }
 
@@ -422,7 +347,8 @@ mod tests {
     #[test]
     fn table_backed_marginal_is_bit_identical() {
         let p = prior();
-        let table = LnGammaTable::new(p.alpha0);
+        let mut consts = PriorConsts::new(&p);
+        consts.grow_through(64);
         let samples: Vec<Vec<f64>> = vec![
             vec![],
             vec![0.7],
@@ -432,52 +358,61 @@ mod tests {
         for xs in &samples {
             let stats = SuffStats::from_values(xs);
             let direct = p.log_marginal(&stats);
-            let memo = p.log_marginal_with(&stats, &table);
+            let memo = consts.log_marginal(&stats);
             assert_eq!(memo.to_bits(), direct.to_bits(), "n={}", xs.len());
         }
     }
 
     #[test]
     fn table_backed_merge_gain_is_bit_identical() {
+        // The tree-merge phase's gain: three table-served marginals.
         let p = prior();
-        let table = LnGammaTable::new(p.alpha0);
+        let mut consts = PriorConsts::new(&p);
         let a = SuffStats::from_values(&[0.1, -0.2, 0.05, 0.12]);
         let b = SuffStats::from_values(&[-0.08, 0.15, -0.11]);
-        assert_eq!(
-            p.log_merge_gain_with(&a, &b, &table).to_bits(),
-            p.log_merge_gain(&a, &b).to_bits()
-        );
+        consts.grow_through((a.count() + b.count()) as usize);
+        let gain = consts.log_marginal(&SuffStats::merged(&a, &b))
+            - consts.log_marginal(&a)
+            - consts.log_marginal(&b);
+        assert_eq!(gain.to_bits(), p.log_merge_gain(&a, &b).to_bits());
     }
 
     #[test]
     fn batch_matches_single_block_calls() {
+        // `coclustering_score` scores every tile through one grown
+        // `PriorConsts`; the total carries the bits of the per-tile
+        // direct marginals summed in tile order.
+        let d = mn_data::Dataset::new(
+            mn_data::Matrix::from_vec(3, 6, (0..18).map(|i| (i as f64 * 0.7).sin()).collect()),
+            None,
+            None,
+        );
         let p = prior();
-        let blocks: Vec<SuffStats> = vec![
-            SuffStats::empty(),
-            SuffStats::from_values(&[1.0]),
-            SuffStats::from_values(&[0.4, -0.6, 0.2]),
-            SuffStats::from_values(&[3.0, 3.1, 2.9, 3.05, 3.2, 2.8]),
+        let var_clusters = vec![vec![0, 2], vec![1], vec![]];
+        let obs_partitions = vec![
+            vec![vec![0, 1, 2], vec![3], vec![4, 5]],
+            vec![vec![0, 1, 2, 3, 4, 5]],
+            vec![],
         ];
-        let mut scratch = ScoreScratch::new(&p);
-        for _ in 0..2 {
-            // Second pass runs fully memoized — still bit-identical.
-            let got: Vec<f64> = p.log_marginal_batch(&blocks, &mut scratch).to_vec();
-            let want: Vec<f64> = blocks.iter().map(|s| p.log_marginal(s)).collect();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits());
+        let mut want = 0.0;
+        for (vars, obs_clusters) in var_clusters.iter().zip(&obs_partitions) {
+            for obs in obs_clusters {
+                want += p.log_marginal(&crate::tile_stats(&d, vars, obs));
             }
         }
+        let got = crate::coclustering_score(&p, &d, &var_clusters, &obs_partitions);
+        assert_eq!(got.to_bits(), want.to_bits());
     }
 
     proptest! {
         #[test]
         fn prop_table_backed_marginal_bits(xs in prop::collection::vec(-1e2f64..1e2, 0..60)) {
             let p = prior();
-            let table = LnGammaTable::new(p.alpha0);
+            let mut consts = PriorConsts::new(&p);
+            consts.grow_through(xs.len());
             let stats = SuffStats::from_values(&xs);
             prop_assert_eq!(
-                p.log_marginal_with(&stats, &table).to_bits(),
+                consts.log_marginal(&stats).to_bits(),
                 p.log_marginal(&stats).to_bits()
             );
         }

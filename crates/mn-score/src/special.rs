@@ -49,116 +49,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// Memo table of `ln Γ(α₀ + k/2)` for integer `k ≥ 0`.
-///
-/// Every `ln Γ` argument on the scoring hot path has the half-integer
-/// offset form `α₀ + N/2` for the run's fixed prior shape `α₀` and an
-/// integer count `N` (see [`crate::NormalGamma::log_marginal`]:
-/// `α_N = α₀ + ½·N`). The table memoizes the *same* Lanczos evaluation
-/// ([`ln_gamma`]) indexed by `k = N`, so cached values are bit-identical
-/// to direct calls **by construction**: the cell for `k` is filled with
-/// `ln_gamma(alpha0 + 0.5 * (k as f64))`, the exact f64 expression the
-/// direct path evaluates, and `ln_gamma` is a pure deterministic
-/// function. No approximation, rounding, or alternative recurrence is
-/// involved anywhere — only call-count changes — so the determinism
-/// contract needs no A/B toggle.
-///
-/// The table is lazily grown (dense, from 0 up) behind an [`RwLock`]:
-/// steady-state lookups take the read lock only. One table is scoped to
-/// one *checkpoint unit* (a module's tree builds), never to a whole
-/// run, so counter deltas replayed on resume are identical to the
-/// uninterrupted run's. The Gibbs sweeps use the lock-free count tables
-/// of [`crate::PriorConsts`] instead.
-///
-/// The table intentionally does **not** count its own hits/misses:
-/// under the thread engine several workers may race to first-fill the
-/// same cell, which would make such counts scheduling-dependent.
-/// Callers account calls/hits analytically in replicated control flow
-/// (`score.ln_gamma_calls` / `score.ln_gamma_table_hits`).
-#[derive(Debug)]
-pub struct LnGammaTable {
-    alpha0: f64,
-    base: f64,
-    cells: std::sync::RwLock<Vec<f64>>,
-}
-
-impl LnGammaTable {
-    /// Create an empty table for prior shape `alpha0 > 0`.
-    ///
-    /// `ln Γ(α₀)` itself (the `k = 0` cell, subtracted in every
-    /// marginal) is computed eagerly and served lock-free via
-    /// [`LnGammaTable::base`].
-    pub fn new(alpha0: f64) -> Self {
-        assert!(
-            alpha0.is_finite() && alpha0 > 0.0,
-            "table prior shape must be positive and finite, got {alpha0}"
-        );
-        Self {
-            alpha0,
-            base: ln_gamma(alpha0),
-            cells: std::sync::RwLock::new(Vec::new()),
-        }
-    }
-
-    /// The prior shape this table is keyed to.
-    #[inline]
-    pub fn alpha0(&self) -> f64 {
-        self.alpha0
-    }
-
-    /// `ln Γ(α₀)` — the half of every marginal's gamma ratio that does
-    /// not depend on the data, hoisted out of the lock.
-    #[inline]
-    pub fn base(&self) -> f64 {
-        self.base
-    }
-
-    /// `ln Γ(α₀ + k/2)`, bit-identical to
-    /// `ln_gamma(alpha0 + 0.5 * (k as f64))`.
-    ///
-    /// Serves from the memo when present; otherwise densely fills
-    /// through `k` under the write lock (idempotent under races — every
-    /// filler computes the same pure values).
-    pub fn get(&self, k: usize) -> f64 {
-        {
-            let cells = self.cells.read().expect("ln-gamma table poisoned");
-            if let Some(&v) = cells.get(k) {
-                return v;
-            }
-        }
-        self.fill_through(k)
-    }
-
-    /// Pre-fill the table through index `kmax`, so subsequent
-    /// [`LnGammaTable::get`] calls up to `kmax` take only the read
-    /// lock. Returns the number of newly computed cells.
-    pub fn warm(&self, kmax: usize) -> usize {
-        let before = self.len();
-        if before <= kmax {
-            self.fill_through(kmax);
-        }
-        self.len() - before
-    }
-
-    /// Number of memoized cells (indices `0..len()` are filled).
-    pub fn len(&self) -> usize {
-        self.cells.read().expect("ln-gamma table poisoned").len()
-    }
-
-    /// Whether no cell has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn fill_through(&self, k: usize) -> f64 {
-        let mut cells = self.cells.write().expect("ln-gamma table poisoned");
-        for i in cells.len()..=k {
-            cells.push(ln_gamma(self.alpha0 + 0.5 * (i as f64)));
-        }
-        cells[k]
-    }
-}
-
 /// `ln B(a, b) = ln Γ(a) + ln Γ(b) - ln Γ(a+b)`.
 pub fn ln_beta(a: f64, b: f64) -> f64 {
     ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
@@ -174,6 +64,7 @@ pub fn ln_gamma_ratio(x: f64, delta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NormalGamma, PriorConsts, SuffStats};
 
     #[test]
     fn integers_match_factorials() {
@@ -255,53 +146,78 @@ mod tests {
         }
     }
 
+    /// A block of `k` observations (`k = 0` is the empty block).
+    fn block_of(k: usize) -> SuffStats {
+        SuffStats::from_values(
+            &(0..k)
+                .map(|i| (i % 7) as f64 * 0.3 - 1.0)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn prior(alpha0: f64) -> NormalGamma {
+        NormalGamma {
+            alpha0,
+            ..NormalGamma::default()
+        }
+    }
+
     #[test]
     fn table_serves_exact_bits() {
-        let table = LnGammaTable::new(0.1);
+        // `PriorConsts`' count tables serve `ln Γ(α₀ + k/2)` with the
+        // bits of the direct Lanczos call.
+        let p = prior(0.1);
+        let mut consts = PriorConsts::new(&p);
+        consts.grow_through(1000);
         for k in [0usize, 1, 2, 3, 40, 1000] {
-            let direct = ln_gamma(0.1 + 0.5 * (k as f64));
-            assert_eq!(table.get(k).to_bits(), direct.to_bits(), "k={k}");
+            assert!(consts.covers(k as u64));
+            let block = block_of(k);
+            assert_eq!(
+                consts.log_marginal(&block).to_bits(),
+                p.log_marginal(&block).to_bits(),
+                "k={k}"
+            );
         }
-        assert_eq!(table.base().to_bits(), ln_gamma(0.1).to_bits());
-        assert_eq!(table.base().to_bits(), table.get(0).to_bits());
     }
 
     #[test]
     fn table_warm_reports_fill_counts() {
-        let table = LnGammaTable::new(2.5);
-        assert!(table.is_empty());
-        assert_eq!(table.warm(9), 10);
-        assert_eq!(table.len(), 10);
-        assert_eq!(table.warm(9), 0);
-        assert_eq!(table.warm(11), 2);
-        assert_eq!(table.len(), 12);
+        let mut consts = PriorConsts::new(&prior(2.5));
+        assert!(!consts.covers(0));
+        assert_eq!(consts.grow_through(9), 10);
+        assert!(consts.covers(9) && !consts.covers(10));
+        assert_eq!(consts.grow_through(9), 0);
+        assert_eq!(consts.grow_through(11), 2);
+        assert!(consts.covers(11) && !consts.covers(12));
     }
 
     #[test]
     fn table_is_shareable_across_threads() {
-        // Racing first-fills are idempotent: every thread observes the
-        // same bit pattern as the direct call.
-        let table = std::sync::Arc::new(LnGammaTable::new(0.1));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let table = std::sync::Arc::clone(&table);
-                std::thread::spawn(move || {
+        // Grown once, the tables are a read-only slice: every thread
+        // reads the direct call's bits without a lock.
+        let p = prior(0.1);
+        let mut consts = PriorConsts::new(&p);
+        consts.grow_through(255);
+        let consts = &consts;
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                scope.spawn(move || {
                     for k in (0..256usize).skip(t % 3) {
-                        let direct = ln_gamma(0.1 + 0.5 * (k as f64));
-                        assert_eq!(table.get(k).to_bits(), direct.to_bits());
+                        let block = block_of(k);
+                        assert_eq!(
+                            consts.log_marginal(&block).to_bits(),
+                            p.log_marginal(&block).to_bits()
+                        );
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
+                });
+            }
+        });
     }
 
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn table_rejects_nonpositive_shape() {
-        LnGammaTable::new(0.0);
+        PriorConsts::new(&prior(0.0));
     }
 
     proptest::proptest! {
@@ -310,15 +226,17 @@ mod tests {
             alpha0 in 1e-3f64..50.0,
             ks in proptest::collection::vec(0usize..4000, 1..40),
         ) {
-            // The tentpole contract: for EVERY half-integer-offset
-            // argument the table can serve, the memoized value is
-            // exactly (`==` on bits) the direct Lanczos call.
-            let table = LnGammaTable::new(alpha0);
+            // For every count the tables can serve, the table-backed
+            // marginal is exactly (`==` on bits) the direct Lanczos one,
+            // before and after the tables cover it.
+            let p = prior(alpha0);
+            let mut consts = PriorConsts::new(&p);
             for &k in &ks {
-                let direct = ln_gamma(alpha0 + 0.5 * (k as f64));
-                proptest::prop_assert_eq!(table.get(k).to_bits(), direct.to_bits());
-                // And a second lookup (guaranteed memo hit) is stable.
-                proptest::prop_assert_eq!(table.get(k).to_bits(), direct.to_bits());
+                let block = block_of(k);
+                let direct = p.log_marginal(&block).to_bits();
+                proptest::prop_assert_eq!(consts.log_marginal(&block).to_bits(), direct);
+                consts.grow_through(k);
+                proptest::prop_assert_eq!(consts.log_marginal(&block).to_bits(), direct);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! against, and the implementation the *reference* (Lemon-Tree-like)
 //! scorer mode uses directly.
 
-use crate::normal_gamma::{NormalGamma, ScoreScratch};
+use crate::normal_gamma::{NormalGamma, PriorConsts};
 use crate::suffstats::SuffStats;
 use mn_data::Dataset;
 
@@ -57,20 +57,22 @@ pub fn coclustering_score(
         obs_partitions.len(),
         "every variable cluster needs an observation partition"
     );
-    // Gather every tile's statistics in iteration order, then score the
-    // whole batch through one memo table: ln Γ(α₀ + k/2) is evaluated
-    // once per distinct tile size instead of twice per tile, and the
-    // left-to-right summation order (hence the f64 result) is unchanged.
+    // Gather every tile's statistics in iteration order, then score
+    // them through one `PriorConsts` grown to the largest tile:
+    // ln Γ(α₀ + k/2) is evaluated once per count instead of twice per
+    // tile, and the left-to-right summation order (hence the f64
+    // result) is unchanged.
     let mut tiles = Vec::new();
     for (vars, obs_clusters) in var_clusters.iter().zip(obs_partitions) {
         for obs in obs_clusters {
             tiles.push(tile_stats(data, vars, obs));
         }
     }
-    let mut scratch = ScoreScratch::new(prior);
+    let mut consts = PriorConsts::new(prior);
+    consts.grow_through(tiles.iter().map(|s| s.count()).max().unwrap_or(0) as usize);
     let mut total = 0.0;
-    for &score in prior.log_marginal_batch(&tiles, &mut scratch) {
-        total += score;
+    for tile in &tiles {
+        total += consts.log_marginal(tile);
     }
     total
 }

@@ -7,14 +7,13 @@
 //! the invariant that lets the kernel sweeps sample the naive path's
 //! exact chain (DESIGN.md §9).
 //!
-//! Every marginal form now evaluates one expression in `PriorConsts`,
-//! so the oracle below is an independent copy of the closed form as
-//! written before that: the count-table form, the `LnGammaTable` form
-//! and `NormalGamma::log_marginal` must all reproduce its bits, with
-//! counts inside and past the tables' filled range.
+//! Every marginal form evaluates one expression in `PriorConsts`, so
+//! the oracle below is an independent copy of the closed form: the
+//! count-table form and `NormalGamma::log_marginal` must both reproduce
+//! its bits, with counts inside and past the tables' filled range.
 
 use mn_score::gibbs_kernel::{addition_term, merge_gain_term, removal_term};
-use mn_score::{ln_gamma, LnGammaTable, NormalGamma, PriorConsts, SuffStats};
+use mn_score::{ln_gamma, NormalGamma, PriorConsts, SuffStats};
 use proptest::prelude::*;
 use std::f64::consts::PI;
 
@@ -55,12 +54,6 @@ fn assert_all_forms_match(prior: &NormalGamma, stats: &SuffStats, fill: usize) {
         prior.log_marginal(stats).to_bits(),
         want,
         "NormalGamma::log_marginal"
-    );
-    let table = LnGammaTable::new(prior.alpha0);
-    assert_eq!(
-        prior.log_marginal_with(stats, &table).to_bits(),
-        want,
-        "LnGammaTable"
     );
 }
 

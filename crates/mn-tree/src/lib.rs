@@ -28,7 +28,7 @@ pub mod tree;
 pub use params::TreeParams;
 pub use parents::{learn_parents, ModuleParents};
 pub use splits::{
-    assign_splits, assign_splits_in, ChosenSplit, NodeSplits, SplitAssignment, SplitContext,
+    assign_splits, assign_splits_in, assign_splits_naive, ChosenSplit, NodeSplits, SplitAssignment, SplitContext,
     SplitIndex,
 };
 pub use tree::{build_tree, build_tree_with, learn_module_trees, ModuleEnsemble, RegTree, TreeNode};

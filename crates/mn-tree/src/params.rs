@@ -1,6 +1,6 @@
 //! Parameters of the module-learning task.
 
-use mn_score::{CandidateScoring, NormalGamma, ScoreMode, SplitScoring};
+use mn_score::{NormalGamma, ScoreMode};
 use serde::{Deserialize, Serialize};
 
 /// Parameters for Algorithms 4–6 (tree structures, split assignment,
@@ -26,12 +26,6 @@ pub struct TreeParams {
     pub prior: NormalGamma,
     /// Scoring implementation mode (cost profile; decisions identical).
     pub mode: ScoreMode,
-    /// Execution path of the exact separation pass in split assignment
-    /// (results bit-identical; the naive path is the A/B baseline).
-    pub split_scoring: SplitScoring,
-    /// Candidate-scoring path of the observation-cluster sampler's
-    /// Gibbs sweeps (results bit-identical; naive is the A/B baseline).
-    pub candidate_scoring: CandidateScoring,
 }
 
 impl Default for TreeParams {
@@ -43,8 +37,6 @@ impl Default for TreeParams {
             max_sampling_steps: 8,
             prior: NormalGamma::default(),
             mode: ScoreMode::Incremental,
-            split_scoring: SplitScoring::Kernel,
-            candidate_scoring: CandidateScoring::Kernel,
         }
     }
 }

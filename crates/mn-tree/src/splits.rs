@@ -426,8 +426,57 @@ pub fn assign_splits_in<E: ParEngine>(
     data: &Dataset,
     master: &MasterRng,
     ensembles: &[ModuleEnsemble],
+    parents: &[usize],
+    params: &TreeParams,
+    ctx: &mut SplitContext,
+) -> SplitAssignment {
+    assign(
+        engine,
+        data,
+        master,
+        ensembles,
+        parents,
+        params,
+        SplitScoring::Kernel,
+        ctx,
+    )
+}
+
+/// [`assign_splits_in`] on the naive per-candidate pass: the test
+/// oracle. Bit-identical assignments and per-item work at the
+/// per-candidate cost; the A/B suites and the `mn-bench` records
+/// compare the kernel against it.
+#[doc(hidden)]
+pub fn assign_splits_naive<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    master: &MasterRng,
+    ensembles: &[ModuleEnsemble],
+    parents: &[usize],
+    params: &TreeParams,
+    ctx: &mut SplitContext,
+) -> SplitAssignment {
+    assign(
+        engine,
+        data,
+        master,
+        ensembles,
+        parents,
+        params,
+        SplitScoring::Naive,
+        ctx,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn assign<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    master: &MasterRng,
+    ensembles: &[ModuleEnsemble],
     candidate_parents: &[usize],
     params: &TreeParams,
+    scoring: SplitScoring,
     ctx: &mut SplitContext,
 ) -> SplitAssignment {
     let index = SplitIndex::build(ensembles, candidate_parents.len());
@@ -437,7 +486,7 @@ pub fn assign_splits_in<E: ParEngine>(
     engine.count(counters::SPLITS_SCORED, index.total as u64);
     engine.count(counters::SPLITS_NODES, index.nodes.len() as u64);
     engine.count(
-        match params.split_scoring {
+        match scoring {
             SplitScoring::Naive => counters::SPLITS_NAIVE_DISPATCHES,
             SplitScoring::Kernel => counters::SPLITS_KERNEL_DISPATCHES,
         },
@@ -448,7 +497,7 @@ pub fn assign_splits_in<E: ParEngine>(
     // scheduling-independent quantity: every segment after the first
     // scores into buffers a previous segment already warmed.
     let scratch_reuses = index.nodes.len().saturating_sub(1) as u64;
-    if params.split_scoring == SplitScoring::Kernel && scratch_reuses > 0 {
+    if scoring == SplitScoring::Kernel && scratch_reuses > 0 {
         engine.count(counters::SCORE_SCRATCH_REUSES, scratch_reuses);
     }
 
@@ -481,7 +530,7 @@ pub fn assign_splits_in<E: ParEngine>(
     };
     let seed = master.seed();
     engine.span_enter("score-splits");
-    let posteriors: Vec<f64> = match params.split_scoring {
+    let posteriors: Vec<f64> = match scoring {
         SplitScoring::Naive => engine.dist_map_segmented(&segments, 1, &|item| {
             let (pos, parent_pos, obs_pos) = index_ref.locate(item);
             let entry = &index_ref.nodes[pos];
@@ -1085,16 +1134,15 @@ mod tests {
                 .any(|node| t.nodes[node].obs.len() > 64)),
             "setup must produce at least one wide node"
         );
-        let naive = assign_splits(
+        let params = TreeParams::default();
+        let naive = assign_splits_naive(
             &mut SerialEngine::new(),
             &d,
             &master,
             &ensembles,
             &parents,
-            &TreeParams {
-                split_scoring: SplitScoring::Naive,
-                ..TreeParams::default()
-            },
+            &params,
+            &mut SplitContext::new(),
         );
         let kernel = assign_splits(
             &mut SerialEngine::new(),
@@ -1102,10 +1150,7 @@ mod tests {
             &master,
             &ensembles,
             &parents,
-            &TreeParams {
-                split_scoring: SplitScoring::Kernel,
-                ..TreeParams::default()
-            },
+            &params,
         );
         assert_eq!(naive, kernel);
     }

@@ -16,7 +16,7 @@ use mn_data::Dataset;
 use mn_gibbs::{sample_obs_partitions, ObsPartition};
 use mn_obs::counters;
 use mn_rand::MasterRng;
-use mn_score::{LnGammaTable, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{PriorConsts, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
 use serde::{Deserialize, Serialize};
 
 /// One node of a regression tree.
@@ -111,20 +111,22 @@ impl RegTree {
 /// Merge gain of two subtree roots, with the cost profile of `mode`.
 ///
 /// The incremental path evaluates all three marginals through the
-/// build's shared [`LnGammaTable`], which is pre-warmed in replicated
-/// control flow before each merge round — so lookups here are
-/// read-only (and bit-identical to direct Lanczos by construction).
+/// build's shared [`PriorConsts`], whose count tables are grown in
+/// replicated control flow before each merge round — so lookups here
+/// are read-only (and bit-identical to direct Lanczos by construction).
 fn merge_gain(
     data: &Dataset,
     vars: &[usize],
     a: &TreeNode,
     b: &TreeNode,
     params: &TreeParams,
-    table: &LnGammaTable,
+    consts: &PriorConsts,
 ) -> (f64, u64) {
     match params.mode {
         ScoreMode::Incremental => (
-            params.prior.log_merge_gain_with(&a.stats, &b.stats, table),
+            consts.log_marginal(&SuffStats::merged(&a.stats, &b.stats))
+                - consts.log_marginal(&a.stats)
+                - consts.log_marginal(&b.stats),
             3 * COST_LOGMARG,
         ),
         ScoreMode::Reference => {
@@ -157,16 +159,17 @@ pub fn build_tree<E: ParEngine>(
     partition: &ObsPartition,
     params: &TreeParams,
 ) -> RegTree {
-    // A fresh memo table per build keeps standalone callers simple;
-    // ensemble learning shares one table across its trees (see
+    // Fresh count tables per build keep standalone callers simple;
+    // ensemble learning shares one set across its trees (see
     // `learn_module_trees`).
-    let table = LnGammaTable::new(params.prior.alpha0);
-    build_tree_with(engine, data, vars, partition, params, &table)
+    let mut consts = PriorConsts::new(&params.prior);
+    build_tree_with(engine, data, vars, partition, params, &mut consts)
 }
 
-/// [`build_tree`] against a caller-owned `ln Γ` memo table.
+/// [`build_tree`] against caller-owned prior constants, whose `ln Γ` /
+/// `ln` count tables the merge rounds grow.
 ///
-/// The table is scoped to the enclosing checkpoint unit (one
+/// The constants are scoped to the enclosing checkpoint unit (one
 /// `learn_module_trees` call) — never wider — so a resumed run that
 /// recomputes only some units observes exactly the counter deltas the
 /// interrupted run recorded for them.
@@ -176,7 +179,7 @@ pub fn build_tree_with<E: ParEngine>(
     vars: &[usize],
     partition: &ObsPartition,
     params: &TreeParams,
-    table: &LnGammaTable,
+    consts: &mut PriorConsts,
 ) -> RegTree {
     let mut nodes: Vec<TreeNode> = partition
         .iter_active()
@@ -203,13 +206,13 @@ pub fn build_tree_with<E: ParEngine>(
         let k = roots.len();
         let n_pairs = k * (k - 1) / 2;
         if params.mode == ScoreMode::Incremental {
-            // Pre-warm the memo through the largest possible merged
+            // Grow the count tables through the largest possible merged
             // count (the two biggest roots), in replicated control
-            // flow: the scoring map below then only ever read-locks
-            // the table, and the fill/hit counts are engine- and
-            // rank-count-independent. Each pair's gain performs three
-            // table lookups (merged, left, right), all served from
-            // the memo.
+            // flow: the scoring map below then only reads them, and
+            // the fill/hit counts are engine- and rank-count-
+            // independent. Each pair's gain performs three table
+            // lookups (merged, left, right), all served from the
+            // tables.
             let (mut m1, mut m2) = (0u64, 0u64);
             for &r in &roots {
                 let c = nodes[r].stats.count();
@@ -220,12 +223,13 @@ pub fn build_tree_with<E: ParEngine>(
                     m2 = c;
                 }
             }
-            let filled = table.warm((m1 + m2) as usize) as u64;
+            let filled = consts.grow_through((m1 + m2) as usize) as u64;
             engine.count(counters::SCORE_LN_GAMMA_CALLS, filled + 3 * n_pairs as u64);
             engine.count(counters::SCORE_LN_GAMMA_TABLE_HITS, 3 * n_pairs as u64);
         }
         let nodes_ref = &nodes;
         let roots_ref = &roots;
+        let consts: &PriorConsts = consts;
         // Map a flat pair index to (i, j), i < j, in lexicographic order.
         let unpack = move |mut idx: usize| -> (usize, usize) {
             for i in 0..k - 1 {
@@ -245,7 +249,7 @@ pub fn build_tree_with<E: ParEngine>(
                 &nodes_ref[roots_ref[i]],
                 &nodes_ref[roots_ref[j]],
                 params,
-                table,
+                consts,
             )
         });
         // Alg. 4 line 15: all-reduce max over the per-rank best scores.
@@ -320,16 +324,15 @@ pub fn learn_module_trees<E: ParEngine>(
         params.burn_in,
         params.prior,
         params.mode,
-        params.candidate_scoring,
     );
-    // One ln Γ memo per module call — the checkpoint unit. Merged-tile
-    // sizes repeat heavily across the ensemble's trees (every tree
-    // covers the same observations), so the table is hot from the
-    // second tree on.
-    let table = LnGammaTable::new(params.prior.alpha0);
+    // One set of count tables per module call — the checkpoint unit.
+    // Merged-tile sizes repeat heavily across the ensemble's trees
+    // (every tree covers the same observations), so the tables are hot
+    // from the second tree on.
+    let mut consts = PriorConsts::new(&params.prior);
     let trees = partitions
         .iter()
-        .map(|part| build_tree_with(engine, data, &sorted, part, params, &table))
+        .map(|part| build_tree_with(engine, data, &sorted, part, params, &mut consts))
         .collect();
     engine.span_exit();
     ModuleEnsemble {
@@ -344,7 +347,6 @@ mod tests {
     use super::*;
     use mn_comm::{SerialEngine, SimEngine, ThreadEngine};
     use mn_data::synthetic;
-    use mn_score::PriorConsts;
 
     fn setup() -> (Dataset, Vec<usize>) {
         let d = synthetic::yeast_like(12, 16, 31).dataset;
@@ -364,7 +366,6 @@ mod tests {
             1,
             TreeParams::default().prior,
             ScoreMode::Incremental,
-            mn_score::CandidateScoring::Kernel,
         )
         .pop()
         .unwrap()
@@ -414,19 +415,19 @@ mod tests {
 
     #[test]
     fn shared_warm_table_builds_identical_trees() {
-        // Reusing one memo table across builds (the ensemble steady
-        // state) must not perturb any merge decision.
+        // Reusing one set of count tables across builds (the ensemble
+        // steady state) must not perturb any merge decision.
         let (d, vars) = setup();
         let part = partition(&d, &vars);
         let p = TreeParams::default();
         let fresh = build_tree(&mut SerialEngine::new(), &d, &vars, &part, &p);
-        let table = LnGammaTable::new(p.prior.alpha0);
+        let mut consts = PriorConsts::new(&p.prior);
         for _ in 0..2 {
             let shared =
-                build_tree_with(&mut SerialEngine::new(), &d, &vars, &part, &p, &table);
+                build_tree_with(&mut SerialEngine::new(), &d, &vars, &part, &p, &mut consts);
             assert_eq!(fresh, shared);
         }
-        assert!(!table.is_empty());
+        assert!(consts.covers(0));
     }
 
     #[test]

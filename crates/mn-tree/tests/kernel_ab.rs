@@ -1,5 +1,5 @@
 //! A/B determinism of the split-assignment execution paths: the
-//! batched prefix-sum kernel and the naive per-candidate pass must
+//! batched prefix-sum kernel and the naive per-candidate oracle must
 //! produce byte-identical serialized [`SplitAssignment`]s for every
 //! engine, rank count, and scoring mode — and (on the simulated
 //! machine) identical per-item work accounting, so all imbalance
@@ -9,7 +9,10 @@ use mn_comm::{ParEngine, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::{synthetic, Dataset};
 use mn_rand::MasterRng;
 use mn_score::{ScoreMode, SplitScoring};
-use mn_tree::{assign_splits, learn_module_trees, ModuleEnsemble, TreeParams};
+use mn_tree::{
+    assign_splits, assign_splits_naive, learn_module_trees, ModuleEnsemble, SplitContext,
+    TreeParams,
+};
 
 fn setup() -> (Dataset, Vec<ModuleEnsemble>, MasterRng) {
     let d = synthetic::yeast_like(14, 18, 77).dataset;
@@ -33,11 +36,16 @@ fn assignment_json<E: ParEngine>(
 ) -> String {
     let parents: Vec<usize> = (0..d.n_vars()).collect();
     let params = TreeParams {
-        split_scoring: scoring,
         mode,
         ..TreeParams::default()
     };
-    let out = assign_splits(engine, d, master, ensembles, &parents, &params);
+    let out = match scoring {
+        SplitScoring::Kernel => assign_splits(engine, d, master, ensembles, &parents, &params),
+        SplitScoring::Naive => {
+            let ctx = &mut SplitContext::new();
+            assign_splits_naive(engine, d, master, ensembles, &parents, &params, ctx)
+        }
+    };
     serde_json::to_string(&out).expect("assignment serializes")
 }
 

@@ -6,7 +6,6 @@
 //!       [--seed N] [--ganesh-runs G] [--update-steps U]
 //!       [--init-clusters K0] [--trees R] [--splits-per-node J]
 //!       [--sampling-steps S] [--threshold T] [--reference]
-//!       [--gibbs-naive] [--consensus-dense]
 //!       [--candidates file.txt] [--xml out.xml] [--json out.json]
 //!       [--trace trace.json] [--metrics-out metrics.json]
 //!       [--checkpoint-dir dir] [--resume] [--force-restart]
@@ -86,7 +85,7 @@ use mn_comm::{
 };
 use mn_data::Dataset;
 use mn_obs::{FlightRec, SnapshotStash, TelemetryHandle, TelemetrySink};
-use mn_score::{CandidateScoring, ScoreMode};
+use mn_score::ScoreMode;
 use monet::{
     learn_module_network, learn_with_checkpoint_policy, LearnerConfig, ModuleNetwork,
     ResumePolicy, RunMetrics,
@@ -108,8 +107,6 @@ struct Options {
     sampling_steps: usize,
     threshold: f64,
     reference: bool,
-    gibbs_naive: bool,
-    consensus_dense: bool,
     candidates: Option<String>,
     xml: Option<String>,
     json: Option<String>,
@@ -149,8 +146,6 @@ impl Options {
             sampling_steps: 8,
             threshold: 0.0,
             reference: false,
-            gibbs_naive: false,
-            consensus_dense: false,
             candidates: None,
             xml: None,
             json: None,
@@ -186,7 +181,7 @@ fn usage() -> ! {
          \x20      [--partition block|segment-owner|self-scheduling|lpt|chunked|cost-guided]\n\
          \x20      [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20      [--trees R] [--splits-per-node J] [--sampling-steps S]\n\
-         \x20      [--threshold T] [--reference] [--gibbs-naive] [--consensus-dense]\n\
+         \x20      [--threshold T] [--reference]\n\
          \x20      [--candidates file]\n\
          \x20      [--xml out.xml] [--json out.json]\n\
          \x20      [--trace trace.json] [--metrics-out metrics.json]\n\
@@ -267,8 +262,6 @@ fn parse_options() -> Options {
                 opts.threshold = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
             }
             "--reference" => opts.reference = true,
-            "--gibbs-naive" => opts.gibbs_naive = true,
-            "--consensus-dense" => opts.consensus_dense = true,
             "--candidates" => opts.candidates = Some(value(&args, &mut i)),
             "--xml" => opts.xml = Some(value(&args, &mut i)),
             "--json" => opts.json = Some(value(&args, &mut i)),
@@ -349,24 +342,12 @@ fn base_config(opts: &Options) -> LearnerConfig {
     config.ganesh.update_steps = opts.update_steps;
     config.ganesh.init_clusters = opts.init_clusters;
     config.consensus.threshold = opts.threshold;
-    if opts.consensus_dense {
-        // A/B baseline: §3.2.2's dense sequential consensus, replicated
-        // on every rank. Extracts the identical modules (bit-identical
-        // eigenvector stream); only footprint and wall-clock differ.
-        config.consensus.backend = monet::mn_consensus::ConsensusBackend::Dense;
-    }
     config.tree.update_steps = opts.trees + 1;
     config.tree.burn_in = 1;
     config.tree.splits_per_node = opts.splits_per_node;
     config.tree.max_sampling_steps = opts.sampling_steps;
     if opts.reference {
         config = config.with_mode(ScoreMode::Reference);
-    }
-    if opts.gibbs_naive {
-        // A/B baseline: per-candidate naive scoring in every Gibbs
-        // sweep. Learns the identical network (bit-identical weights),
-        // only the wall-clock differs.
-        config = config.with_candidate_scoring(CandidateScoring::Naive);
     }
     config
 }
@@ -1213,7 +1194,7 @@ fn client_usage() -> ! {
          \x20 submit --tenant T --dataset D [--engine serial|threads:<p>|sim:<p>]\n\
          \x20        [--seed N] [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20        [--trees R] [--splits-per-node J] [--sampling-steps S] [--threshold T]\n\
-         \x20        [--reference] [--gibbs-naive] [--consensus-dense]\n\
+         \x20        [--reference]\n\
          \x20 status --job J | watch --job J [--from N] | result --job J [--json path]\n\
          \x20 cancel --job J | suspend --job J | resume --job J [--engine E]\n\
          \x20 accounting [--tenant T] | jobs [--tenant T] | shutdown | raw <line>"
@@ -1329,7 +1310,7 @@ fn client_main(args: &[String]) -> ExitCode {
             finish(client.register_synthetic(tenant, dataset, n, m, seed))
         }
         "submit" => {
-            let flags = client_flags(&rest, &["reference", "gibbs-naive", "consensus-dense"]);
+            let flags = client_flags(&rest, &["reference"]);
             let (Some(tenant), Some(dataset)) = (flags.get("tenant"), flags.get("dataset"))
             else {
                 client_usage()
@@ -1364,8 +1345,6 @@ fn client_main(args: &[String]) -> ExitCode {
                 .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
                 .unwrap_or(0.0);
             opts.reference = flags.contains_key("reference");
-            opts.gibbs_naive = flags.contains_key("gibbs-naive");
-            opts.consensus_dense = flags.contains_key("consensus-dense");
             let config = match base_config(&opts).validated() {
                 Ok(config) => config,
                 Err(e) => {

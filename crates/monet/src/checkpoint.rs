@@ -365,7 +365,7 @@ impl Drop for DirLock {
 /// regardless of how far the writer rank has raced ahead (all ranks
 /// load before anyone writes — the engine's `io_barrier` orders this).
 ///
-/// The writer rank additionally holds a [`DirLock`] for the store's
+/// The writer rank additionally holds a `DirLock` for the store's
 /// lifetime: a second concurrent writer on the same directory gets a
 /// typed [`CheckpointError::Locked`] instead of silently interleaving
 /// manifest rewrites with the first.

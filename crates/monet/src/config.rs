@@ -2,7 +2,7 @@
 
 use mn_consensus::ConsensusParams;
 use mn_gibbs::GaneshParams;
-use mn_score::{CandidateScoring, NormalGamma, ScoreMode};
+use mn_score::{NormalGamma, ScoreMode};
 use mn_tree::TreeParams;
 use serde::{Deserialize, Serialize};
 
@@ -18,9 +18,8 @@ pub struct LearnerConfig {
     pub ganesh_runs: usize,
     /// GaneSH co-clustering parameters (task 1).
     pub ganesh: GaneshParams,
-    /// Consensus-clustering parameters (task 2): threshold, backend
-    /// (sparse sharded by default, `--consensus-dense` for the
-    /// replicated §3.2.2 baseline), spectral extraction.
+    /// Consensus-clustering parameters (task 2): threshold and
+    /// spectral extraction.
     pub consensus: ConsensusParams,
     /// Module-learning parameters (task 3).
     pub tree: TreeParams,
@@ -67,15 +66,6 @@ impl LearnerConfig {
     pub fn with_mode(mut self, mode: ScoreMode) -> Self {
         self.ganesh.mode = mode;
         self.tree.mode = mode;
-        self
-    }
-
-    /// Switch every Gibbs sweep (GaneSH co-clustering and the tree
-    /// task's observation sampler) to the given candidate-scoring
-    /// path.
-    pub fn with_candidate_scoring(mut self, scoring: CandidateScoring) -> Self {
-        self.ganesh.candidate_scoring = scoring;
-        self.tree.candidate_scoring = scoring;
         self
     }
 
@@ -174,12 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn with_candidate_scoring_applies_everywhere() {
-        let c = LearnerConfig::default();
-        assert_eq!(c.ganesh.candidate_scoring, CandidateScoring::Kernel);
-        assert_eq!(c.tree.candidate_scoring, CandidateScoring::Kernel);
-        let c = c.with_candidate_scoring(CandidateScoring::Naive);
-        assert_eq!(c.ganesh.candidate_scoring, CandidateScoring::Naive);
-        assert_eq!(c.tree.candidate_scoring, CandidateScoring::Naive);
+    fn default_config_serializes_without_path_toggles() {
+        // The scoring kernels and the sparse consensus are the only
+        // production paths: nothing a user serializes can select the
+        // naive or dense oracles.
+        let json = serde_json::to_string(&LearnerConfig::default()).unwrap();
+        for key in ["candidate_scoring", "split_scoring", "backend"] {
+            assert!(!json.contains(key), "{key} in {json}");
+        }
+        let back: LearnerConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

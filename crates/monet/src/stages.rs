@@ -18,10 +18,7 @@ use crate::config::LearnerConfig;
 use crate::learn::phases;
 use crate::model::{Module, ModuleNetwork};
 use mn_comm::ParEngine;
-use mn_consensus::{
-    build_cooccurrence, consensus_outcome, extract_clusters, CoMatrix, ConsensusBackend,
-    SparseSymMatrix,
-};
+use mn_consensus::{build_cooccurrence, consensus_outcome, extract_clusters, SparseSymMatrix};
 use mn_data::Dataset;
 use mn_gibbs::{ganesh, ganesh_ensemble};
 use mn_rand::MasterRng;
@@ -57,9 +54,8 @@ pub fn run_ganesh<E: ParEngine>(
     }
 }
 
-/// Task 2: consensus clustering of the ensemble on the configured
-/// backend — sharded sparse by default, or the dense path replicated
-/// on all ranks per §3.2.2 (`--consensus-dense`).
+/// Task 2: consensus clustering of the ensemble, sharded over the
+/// engine.
 pub fn run_consensus<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
@@ -316,37 +312,19 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
     }
     let ganesh_out = GaneshOutput { ensemble };
 
-    // Task 2 — on the sparse backend, two units: the thresholded
-    // matrix (persisted in its canonical upper-triangle CSR form,
-    // `consensus_cooc.json`) and the extracted partition
-    // (`consensus.json`), so a run killed between the build and the
-    // extraction resumes from the matrix. The dense baseline keeps the
-    // single `consensus.json` unit (the full matrix is exactly the
-    // footprint the sparse path exists to avoid persisting).
+    // Task 2 — two units: the thresholded matrix (persisted in its
+    // canonical upper-triangle CSR form, `consensus_cooc.json`) and the
+    // extracted partition (`consensus.json`), so a run killed between
+    // the build and the extraction resumes from the matrix.
     engine.begin_phase(phases::CONSENSUS);
-    let modules = match config.consensus.backend {
-        ConsensusBackend::Dense => run_unit(engine, &mut store, "consensus", |engine| {
-            consensus_outcome(engine, data.n_vars(), &ganesh_out.ensemble, &config.consensus)
-                .clusters
-        })?,
-        ConsensusBackend::Sparse => {
-            let parts = run_unit(engine, &mut store, "consensus_cooc", |engine| {
-                match build_cooccurrence(
-                    engine,
-                    data.n_vars(),
-                    &ganesh_out.ensemble,
-                    &config.consensus,
-                ) {
-                    CoMatrix::Sparse(m) => m.to_parts(),
-                    CoMatrix::Dense(_) => unreachable!("sparse backend built a dense matrix"),
-                }
-            })?;
-            let matrix = CoMatrix::Sparse(SparseSymMatrix::from_parts(parts));
-            run_unit(engine, &mut store, "consensus", |engine| {
-                extract_clusters(engine, &matrix, &config.consensus).clusters
-            })?
-        }
-    };
+    let parts = run_unit(engine, &mut store, "consensus_cooc", |engine| {
+        build_cooccurrence(engine, data.n_vars(), &ganesh_out.ensemble, &config.consensus)
+            .to_parts()
+    })?;
+    let matrix = SparseSymMatrix::from_parts(parts);
+    let modules = run_unit(engine, &mut store, "consensus", |engine| {
+        extract_clusters(engine, &matrix, &config.consensus).clusters
+    })?;
     let consensus = ConsensusOutput { modules };
 
     // Task 3 — one unit per module's tree ensemble, then the

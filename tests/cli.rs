@@ -551,3 +551,34 @@ fn cli_rejects_bad_usage() {
         .expect("run monet");
     assert_eq!(output.status.code(), Some(1));
 }
+
+#[test]
+fn cli_rejects_retired_scoring_flags() {
+    // The naive Gibbs scorer and the dense consensus are test oracles,
+    // not user-selectable paths: their old flags are usage errors, and
+    // neither usage text offers them.
+    for flag in ["--gibbs-naive", "--consensus-dense"] {
+        let output = Command::new(monet_bin())
+            .args(["--synthetic", "10,10", flag])
+            .output()
+            .expect("run monet");
+        assert_eq!(output.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unknown flag") && stderr.contains("usage:"),
+            "{flag}: {stderr}"
+        );
+        let usage = stderr.split_once("usage:").unwrap().1;
+        assert!(!usage.contains(flag), "batch usage still lists {flag}");
+    }
+    let output = Command::new(monet_bin())
+        .arg("client")
+        .output()
+        .expect("run monet");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("submit"), "client usage: {stderr}");
+    for flag in ["--gibbs-naive", "--consensus-dense"] {
+        assert!(!stderr.contains(flag), "client usage still lists {flag}");
+    }
+}

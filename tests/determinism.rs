@@ -7,6 +7,9 @@
 
 use mn_comm::{CostModel, PartitionStrategy, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::synthetic;
+use mn_rand::MasterRng;
+use mn_score::ScoreMode;
+use mn_tree::{assign_splits, assign_splits_naive, learn_parents, ModuleEnsemble, SplitContext};
 use monet::{learn_module_network, to_json, LearnerConfig};
 
 fn dataset() -> mn_data::Dataset {
@@ -100,26 +103,66 @@ fn identical_across_cost_models() {
 
 #[test]
 fn identical_across_split_scoring_paths() {
-    // The batched prefix-sum kernel and the naive per-candidate pass
-    // compute bit-identical separation scores (DESIGN.md §7), so the
-    // end-to-end learned network must be byte-identical too — under
-    // both score-computation modes and across engines.
+    // The batched prefix-sum kernel and the naive per-candidate oracle
+    // compute bit-identical separation scores (DESIGN.md §7), so on the
+    // learned tree ensembles they assign identical splits — under both
+    // score-computation modes and across engines — and the network
+    // assembled from the oracle's assignment is byte-identical too.
     let d = dataset();
-    let mut naive_cfg = config();
-    naive_cfg.tree.split_scoring = mn_score::SplitScoring::Naive;
-    let mut kernel_cfg = config();
-    kernel_cfg.tree.split_scoring = mn_score::SplitScoring::Kernel;
-    for mode in [mn_score::ScoreMode::Incremental, mn_score::ScoreMode::Reference] {
-        naive_cfg.tree.mode = mode;
-        kernel_cfg.tree.mode = mode;
-        let (a, _) = learn_module_network(&mut SerialEngine::new(), &d, &naive_cfg);
-        let expected = to_json(&a);
-        let (b, _) = learn_module_network(&mut SerialEngine::new(), &d, &kernel_cfg);
-        assert_eq!(to_json(&b), expected, "serial kernel diverged ({mode:?})");
-        let (c, _) = learn_module_network(&mut ThreadEngine::new(4), &d, &kernel_cfg);
-        assert_eq!(to_json(&c), expected, "thread kernel diverged ({mode:?})");
-        let (e, _) = learn_module_network(&mut SimEngine::new(1024), &d, &kernel_cfg);
-        assert_eq!(to_json(&e), expected, "sim kernel diverged ({mode:?})");
+    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
+        let c = config().with_mode(mode);
+        let (net, _) = learn_module_network(&mut SerialEngine::new(), &d, &c);
+        let ensembles: Vec<ModuleEnsemble> =
+            net.modules.iter().map(|m| m.ensemble.clone()).collect();
+        let parents = c.resolved_parents(d.n_vars());
+        let master = MasterRng::new(c.seed);
+        let naive = assign_splits_naive(
+            &mut SerialEngine::new(),
+            &d,
+            &master,
+            &ensembles,
+            &parents,
+            &c.tree,
+            &mut SplitContext::new(),
+        );
+        let serial = assign_splits(
+            &mut SerialEngine::new(),
+            &d,
+            &master,
+            &ensembles,
+            &parents,
+            &c.tree,
+        );
+        assert_eq!(serial, naive, "serial kernel diverged ({mode:?})");
+        let threads = assign_splits(
+            &mut ThreadEngine::new(4),
+            &d,
+            &master,
+            &ensembles,
+            &parents,
+            &c.tree,
+        );
+        assert_eq!(threads, naive, "thread kernel diverged ({mode:?})");
+        let sim = assign_splits(
+            &mut SimEngine::new(1024),
+            &d,
+            &master,
+            &ensembles,
+            &parents,
+            &c.tree,
+        );
+        assert_eq!(sim, naive, "sim kernel diverged ({mode:?})");
+
+        let mut oracle_net = net.clone();
+        let scored = learn_parents(&mut SerialEngine::new(), &ensembles, &naive);
+        for (module, parents) in oracle_net.modules.iter_mut().zip(scored) {
+            module.parents = parents;
+        }
+        assert_eq!(
+            to_json(&oracle_net),
+            to_json(&net),
+            "assembled network diverged ({mode:?})"
+        );
     }
 }
 

@@ -64,9 +64,9 @@ fn counters_bit_identical_across_all_engines_and_rank_counts() {
         "gibbs.sweeps",
         "gibbs.moves_proposed",
         "gibbs.moves_accepted",
-        // The default scoring path is the batched kernel; its dispatch
-        // marker and cache traffic must show up (the naive counter
-        // stays 0 unless `--gibbs-naive` flips the path).
+        // The production scoring path is the batched kernel; its
+        // dispatch marker and cache traffic must show up (the naive
+        // counter moves only under `--reference` or the test oracle).
         "gibbs.kernel_dispatches",
         "gibbs.cache_hits",
         "gibbs.cache_misses",
@@ -83,7 +83,7 @@ fn counters_bit_identical_across_all_engines_and_rank_counts() {
         "score.ln_gamma_table_hits",
         "score.scratch_reuses",
         "comm.collectives",
-        // Task 2 on the default sparse backend: stored post-threshold
+        // Task 2, sharded over the engine: stored post-threshold
         // entries and sharded power-iteration matvecs.
         "consensus.nnz",
         "consensus.matvec_dispatches",

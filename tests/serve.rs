@@ -521,3 +521,61 @@ fn served_result_is_byte_identical_to_the_batch_cli() {
 
     server.shutdown();
 }
+
+#[test]
+fn old_client_config_with_retired_path_keys_runs_the_default_paths() {
+    // A client built before the naive/dense scoring paths became test
+    // oracles still sends their selectors in the job's config. The
+    // server ignores the unknown keys and learns the batch CLI's bytes.
+    let server = TestServer::start("oldkeys", 1, 8);
+    let mut client = server.client();
+    ok(client.register_synthetic("t", "d", 24, 16, 5));
+    let line =
+        monet_serve::proto::submit_line("t", "d", "serial", &LearnerConfig::paper_minimum(5));
+    let old_line = line
+        .replacen(
+            "\"ganesh\":{",
+            "\"ganesh\":{\"candidate_scoring\":\"Naive\",",
+            1,
+        )
+        .replacen(
+            "\"tree\":{",
+            "\"tree\":{\"split_scoring\":\"Naive\",\"candidate_scoring\":\"Naive\",",
+            1,
+        )
+        .replacen(
+            "\"consensus\":{",
+            "\"consensus\":{\"backend\":\"Dense\",",
+            1,
+        );
+    for key in [
+        "\"candidate_scoring\":\"Naive\"",
+        "\"split_scoring\":\"Naive\"",
+        "\"backend\":\"Dense\"",
+    ] {
+        assert!(old_line.contains(key), "{key} not spliced into {old_line}");
+    }
+    let reply = client.raw(&old_line).unwrap();
+    assert_eq!(reply["ok"].as_bool(), Some(true), "{reply:?}");
+    let job = reply["job"].as_str().unwrap().to_string();
+    wait_state(&mut client, &job, "done", Duration::from_secs(120));
+    let network_json = ok(client.result_of(&job))["network_json"]
+        .as_str()
+        .unwrap()
+        .to_string();
+
+    let out = fresh_dir("oldkeys_cli").join("net.json");
+    let output = Command::new(monet_bin())
+        .args(["--synthetic", "24,16", "--seed", "5", "--quiet", "--json"])
+        .arg(&out)
+        .output()
+        .expect("run monet");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(network_json, std::fs::read_to_string(&out).unwrap());
+
+    server.shutdown();
+}
