@@ -10,10 +10,9 @@
 //! This ablation replays the split-assignment phase under every
 //! [`PartitionStrategy`] and reports the simulated phase time and
 //! imbalance, verifying the paper's argument quantitatively — and that
-//! every strategy produces the identical assignment. The oracle
-//! strategies (per-node, self-scheduling) see true per-item costs; the
-//! cost-model strategies (lpt, chunked, cost-guided) plan from the
-//! online model calibrated during an untimed warmup round.
+//! every strategy produces the identical assignment. The per-node and
+//! self-scheduling rows are simulator oracles: they assign owners from
+//! the true per-item costs.
 //!
 //! ```text
 //! cargo run --release -p mn-bench --bin ablation_partition [-- --quick]
@@ -67,20 +66,10 @@ fn main() {
             PartitionStrategy::SelfScheduling,
             "self-scheduling (future work)",
         ),
-        (PartitionStrategy::Lpt, "lpt (cost model)"),
-        (PartitionStrategy::Chunked, "chunked (cost model)"),
-        (PartitionStrategy::CostGuided, "cost-guided (adaptive)"),
     ] {
         for &p in &[64usize, 256, 1024] {
             let mut engine = SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE))
                 .with_strategy(strategy);
-            // One untimed warmup round calibrates the online cost
-            // model and lets the cost-guided ratchet engage; the
-            // oracle strategies ignore it, but every row runs it so
-            // the measured phase is the same steady state throughout.
-            engine.begin_phase("warmup");
-            assign_splits(&mut engine, &data, &master, &ensembles, &parents, &params);
-            engine.partition_feedback();
             engine.begin_phase("splits");
             let result =
                 assign_splits(&mut engine, &data, &master, &ensembles, &parents, &params);
@@ -109,9 +98,7 @@ fn main() {
         "\nshape check: per-node ownership suffers the worst imbalance \
          (the paper's \"severe load imbalance\" argument), the paper's block \
          split is far better, and dynamic self-scheduling (future work) is \
-         best at large p. The cost-model strategies approach the oracle \
-         from measured history alone. All strategies produced identical \
-         assignments."
+         best at large p. All strategies produced identical assignments."
     );
     write_record("ablation_partition", &rows);
 
@@ -123,5 +110,4 @@ fn main() {
     };
     assert!(time_of("block", 1024) <= time_of("per-node", 1024));
     assert!(time_of("self-scheduling", 1024) <= time_of("block", 1024));
-    assert!(time_of("cost-guided", 1024) <= time_of("block", 1024));
 }

@@ -3,47 +3,43 @@
 //! Every parallel algorithm of §3.2 has the same shape: a flat list of
 //! score computations is split over the ranks, each rank computes its
 //! slice, and an all-gather makes the results global. `drive` writes
-//! that shape once — plan → run slices → meet → assemble:
+//! that shape once — split → run slices → meet:
 //!
-//! 1. the replicated [`PartitionGovernor`] plans the split ([`Plan`]);
+//! 1. rank `r` owns the paper's block, `block_range(n, p, r)` (Alg. 5
+//!    line 5), and runs the segments clipped to it (`block_runs`);
 //! 2. the engine runs its ranks' slices and makes the results meet
 //!    (`RunSlices`: inline, persistent rank threads, `allgatherv`, or one
 //!    simulated pass charged with τ/μ);
-//! 3. the plan assembles the gathered blocks in item order; owner plans
-//!    also feed the measured per-item units back to the governor.
+//! 3. the rank-order concatenation of the blocks is the result in item
+//!    order.
 //!
 //! [`EngineCore`] holds what every engine needs besides that: the
 //! recorder, phases, per-rank busy time, the clock, the fault clock and
-//! cancel token, and the governor. The [`ParEngine`] accessors read it,
-//! so they are written once.
+//! cancel token. The [`ParEngine`] accessors read it, so they are
+//! written once.
 
 use crate::cancel::{check_cancel, CancelToken};
-use crate::costmodel::{PartitionGovernor, Plan};
 use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
 use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::metrics::{PhaseReport, RunReport};
-use crate::partition::PartitionStrategy;
+use crate::partition::block_range;
 use crate::segments::Segments;
 use mn_obs::{FlightEvent, Recorder, SnapshotStash};
 use std::ops::Range;
 use std::time::Instant;
 
-/// What an engine supplies to the driver: run the slices of `plan` it
+/// What an engine supplies to the driver: run the block slices it
 /// executes and make the results meet.
 pub(crate) trait RunSlices: ParEngine {
     /// Returns the rank-order concatenation of every rank's results,
-    /// chunked any way (see [`Plan::assemble`]), each result passed
-    /// through `keep` — bare `T` under [`Plan::Block`], the costed pair
-    /// under [`Plan::Owners`].
-    fn run_slices<T: Wire, E: Wire>(
+    /// chunked any way: one gathered vector or one block per rank.
+    fn run_slices<T: Wire>(
         &mut self,
-        plan: &Plan,
         segments: &Segments,
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
-        keep: fn(Costed<T>) -> E,
-    ) -> Vec<Vec<E>>;
+    ) -> Vec<Vec<T>>;
 }
 
 /// The map every engine runs (`ParEngine::dist_map_segmented_batch`).
@@ -53,21 +49,27 @@ pub(crate) fn drive<X: RunSlices, T: Wire>(
     words_per_item: usize,
     f: SegmentBatchFn<'_, T>,
 ) -> Vec<T> {
-    let core = engine.core_mut();
-    core.begin_map(segments.n_items(), words_per_item);
-    let p = core.p;
-    match core.gov.plan(p, segments) {
-        Plan::Block => {
-            let blocks = engine.run_slices(&Plan::Block, segments, words_per_item, f, |(v, _)| v);
-            Plan::Block.assemble(blocks)
-        }
-        plan => {
-            let blocks = engine.run_slices(&plan, segments, words_per_item, f, |c| c);
-            let (values, costs): (Vec<T>, Vec<u64>) = plan.assemble(blocks).into_iter().unzip();
-            engine.core_mut().gov.observe_map(p, segments, &costs);
-            values
-        }
+    engine
+        .core_mut()
+        .begin_map(segments.n_items(), words_per_item);
+    let mut blocks = engine.run_slices(segments, words_per_item, f);
+    if blocks.len() == 1 {
+        return blocks.pop().expect("one block");
     }
+    let mut all = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
+    blocks.into_iter().for_each(|block| all.extend(block));
+    all
+}
+
+/// Rank `rank`'s kernel calls `(segment, sub-range)` in ascending item
+/// order: the segments clipped to its block of the `p`-way split.
+pub(crate) fn block_runs(
+    segments: &Segments,
+    p: usize,
+    rank: usize,
+) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let (lo, hi) = block_range(segments.n_items(), p, rank);
+    segments.overlapping(lo, hi)
 }
 
 /// Call the kernel on each run in order and hand every result to
@@ -114,9 +116,6 @@ pub struct EngineCore {
     pub(crate) style: Style,
     pub(crate) p: usize,
     pub(crate) obs: Recorder,
-    /// Partitioning state: strategy, online cost model, and the
-    /// imbalance-feedback ratchet.
-    pub(crate) gov: PartitionGovernor,
     /// Busy seconds in the current phase, one slot per rank this engine
     /// accounts for: all `p`, or a single slot (serial, one SPMD rank).
     pub(crate) busy: Vec<f64>,
@@ -147,7 +146,6 @@ impl EngineCore {
             style,
             p,
             obs,
-            gov: PartitionGovernor::new(PartitionStrategy::Block),
             busy: vec![0.0; if style == Style::Spmd { 1 } else { p }],
             comm: 0.0,
             elapsed: 0.0,
@@ -273,16 +271,5 @@ impl EngineCore {
             nranks: self.p,
             phases: std::mem::take(&mut self.phases),
         }
-    }
-
-    /// Imbalance feedback from the busy time of the current phase
-    /// window. Engage-only: wall-clock noise can pull the CostGuided
-    /// ratchet forward but never back. With a single busy slot the
-    /// measured imbalance is identically zero, so an SPMD rank — which
-    /// sees only its own busy time — makes the same decision as every
-    /// other rank, from the replicated unit-domain statistics alone.
-    pub(crate) fn partition_feedback(&mut self) {
-        let (max, avg) = self.busy_max_avg();
-        self.gov.feedback((avg > 0.0).then(|| (max - avg) / avg));
     }
 }

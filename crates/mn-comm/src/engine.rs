@@ -30,10 +30,8 @@
 //! only how its ranks' slices run and how the results meet.
 
 use crate::cost::Collective;
-use crate::costmodel::PartitionGovernor;
 use crate::driver::EngineCore;
 use crate::metrics::RunReport;
-use crate::partition::PartitionStrategy;
 use crate::segments::Segments;
 use mn_obs::Recorder;
 use std::ops::Range;
@@ -95,7 +93,8 @@ pub trait ParEngine {
     /// result value genuinely fans out to every rank (and on the
     /// multi-process transport it crosses a socket); all result types
     /// in this workspace are plain data. A flat list has no segments,
-    /// so the segment-aware oracle strategies keep the block split here.
+    /// so the simulator's segment-aware oracle strategies keep the
+    /// block split here.
     fn dist_map<T: Wire>(
         &mut self,
         n_items: usize,
@@ -109,7 +108,7 @@ pub trait ParEngine {
     /// Like [`ParEngine::dist_map`], for work lists with a segment
     /// structure (all items of one tree node are contiguous). The
     /// paper's block split deliberately cuts across segments; the
-    /// ablation partitioning strategies plan over them.
+    /// simulator's ablation oracles assign over them.
     fn dist_map_segmented<T: Wire>(
         &mut self,
         segments: &Segments,
@@ -230,36 +229,11 @@ pub trait ParEngine {
         true
     }
 
-    /// Select the partitioning strategy for subsequent `dist_map*`
-    /// calls. Strategies never change results — only which rank
-    /// computes which item — so this is safe to flip mid-run; on the
-    /// msg engine every rank must make the identical call (replicated
-    /// control flow).
-    fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.core_mut().gov.set_strategy(strategy);
-    }
-
-    /// The active partitioning strategy.
-    fn partition_strategy(&self) -> PartitionStrategy {
-        self.core().gov.strategy()
-    }
-
-    /// The partitioning governor (strategy, cost model, feedback
-    /// state) — read access for tests and benches.
-    fn governor(&self) -> &PartitionGovernor {
-        &self.core().gov
-    }
-
-    /// Imbalance-feedback hook (§5.3.1): called from replicated
-    /// control flow between GaneSH runs and split-selection rounds so
-    /// the engine can re-evaluate its partitioning (the CostGuided
-    /// strategy engages LPT packing here once the measured block-split
-    /// imbalance crosses the governor's threshold). Must never touch
-    /// counters or results — re-partitioning is observable only in the
-    /// per-rank time accounting.
-    fn partition_feedback(&mut self) {
-        self.core_mut().partition_feedback();
-    }
+    /// Does nothing. Every engine runs the block split, so there is no
+    /// partitioning to re-evaluate; the method stays only because the
+    /// `bench_e2e` harness still calls it.
+    #[doc(hidden)]
+    fn partition_feedback(&mut self) {}
 
     /// Attach a cooperative cancellation token (see
     /// [`crate::cancel`]): the engine observes it at every engine

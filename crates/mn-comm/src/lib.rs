@@ -24,20 +24,20 @@
 //!   true SPMD: every rank runs the whole learner and exchanges results
 //!   over the [`msg`] fabric.
 //!
-//! All four run one map driver ([`driver`]): the [`PartitionGovernor`]
-//! plans the split, the engine runs its ranks' slices and makes the
-//! results meet, and the [`Plan`] assembles them in item order.
+//! All four run one map driver ([`driver`]): rank `r` runs its block
+//! of the paper's split, the engine makes the results meet, and their
+//! rank-order concatenation is the result in item order.
 //!
 //! Partitioning strategies (the paper's block split, the sub-optimal
 //! per-node owner strawman it argues against, and the dynamic
 //! load-balancing scheme it proposes as future work) live in
-//! [`partition`] and are exercised by the ablation benches.
+//! [`partition`]. Only the simulator runs the latter two, as oracles
+//! over true per-item costs for the ablation benches.
 
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod cost;
-pub mod costmodel;
 pub mod driver;
 pub mod engine;
 pub mod fault;
@@ -53,7 +53,6 @@ pub mod thread;
 
 pub use cancel::{CancelKind, CancelToken, JobCancelled};
 pub use cost::{Collective, CostModel};
-pub use costmodel::{ItemCostModel, PartitionGovernor, Plan, ENGAGE_THRESHOLD};
 pub use driver::EngineCore;
 pub use fault::{
     silence_injected_panics, CommError, FaultAction, FaultAbort, FaultClock, FaultPlan,

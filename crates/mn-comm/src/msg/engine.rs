@@ -15,9 +15,8 @@
 //! returns all of them so callers can (and tests do) assert equality.
 
 use crate::cost::Collective;
-use crate::costmodel::Plan;
-use crate::driver::{self, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
 use crate::fault::{CommError, FaultAbort, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::msg::collectives::{allgatherv, allreduce, barrier};
@@ -50,11 +49,6 @@ fn ok_or_abort<T>(result: Result<T, CommError>) -> T {
 /// The core's recorder is this rank's: busy time lands in this rank's
 /// slot only; [`mn_obs::recorder::merge_ranks`] combines the ranks
 /// afterwards (and, as a side effect, verifies the counters agree).
-/// The governor is replicated SPMD state like the learner itself:
-/// every rank sets the same strategy, plans from the same model, and
-/// calibrates from the same *gathered* global units — so plans are
-/// identical on all ranks by construction, which is what keeps the
-/// fabric deadlock-free.
 pub struct SpmdEngine<F: Fabric = Endpoint> {
     ep: F,
     core: EngineCore,
@@ -156,25 +150,22 @@ impl<F: Fabric> ParEngine for SpmdEngine<F> {
 }
 
 impl<F: Fabric> RunSlices for SpmdEngine<F> {
-    /// Compute this rank's slice only, then make the results global
-    /// with a real [`allgatherv`] — of bare `T` under Block, of costed
-    /// pairs under an owner plan: shipping the units is what
-    /// replicates the calibration inputs, so every rank's model evolves
-    /// identically and the next plan agrees everywhere.
-    fn run_slices<T: Wire, E: Wire>(
+    /// Compute this rank's block only, then make the results global
+    /// with a real [`allgatherv`] of bare `T`.
+    fn run_slices<T: Wire>(
         &mut self,
-        plan: &Plan,
         segments: &Segments,
         _words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
-        keep: fn(Costed<T>) -> E,
-    ) -> Vec<Vec<E>> {
+    ) -> Vec<Vec<T>> {
         let rank = self.ep.rank();
         let start = Instant::now();
         let mut local = Vec::new();
-        run_kernel(f, plan.runs(segments, self.ep.nranks(), rank), |c| {
-            local.push(keep(c))
-        });
+        run_kernel(
+            f,
+            block_runs(segments, self.ep.nranks(), rank),
+            |(value, _)| local.push(value),
+        );
         self.core.charge_busy(rank, start.elapsed().as_secs_f64());
         let comm_start = Instant::now();
         let gathered = allgatherv(&self.ep, local);
@@ -330,7 +321,6 @@ pub fn spmd_allgatherv<F: Fabric, T: Wire>(engine: &SpmdEngine<F>, local: Vec<T>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartitionStrategy;
 
     #[test]
     fn dist_map_assembles_rank_ordered_results() {
@@ -447,40 +437,6 @@ mod tests {
         });
         for (a, b) in plain.iter().zip(&faulty) {
             assert_eq!(Some(a), b.as_ref().ok());
-        }
-    }
-
-    #[test]
-    fn every_strategy_matches_block_results_on_every_rank() {
-        let f = |i: usize| (i.wrapping_mul(2654435761) % 1013, (i as u64 % 17) + 1);
-        let expected_flat: Vec<usize> = (0..53).map(|i| f(i).0).collect();
-        for strategy in PartitionStrategy::ALL {
-            for p in [1usize, 2, 3, 5] {
-                let outs = spmd_run(p, |engine| {
-                    engine.set_partition_strategy(strategy);
-                    let segments = Segments::from_lens([7usize, 1, 30, 0, 12, 3]);
-                    let mut all = Vec::new();
-                    // Two rounds so the second plans from a calibrated
-                    // model (and, for CostGuided, a possibly-engaged
-                    // ratchet) — identically on every rank.
-                    for _ in 0..2 {
-                        all.push(engine.dist_map(53, 1, &f));
-                        all.push(engine.dist_map_segmented(&segments, 1, &f));
-                        all.push(engine.dist_map_segmented_batch(
-                            &segments,
-                            1,
-                            &|_seg, range, out| out.extend(range.map(f)),
-                        ));
-                        engine.partition_feedback();
-                    }
-                    all
-                });
-                for (r, out) in outs.iter().enumerate() {
-                    for round in out {
-                        assert_eq!(round, &expected_flat, "{strategy} p={p} rank={r}");
-                    }
-                }
-            }
         }
     }
 

@@ -7,19 +7,17 @@
 //! total number of splits assigned to different processors will vary
 //! significantly". The paper therefore block-partitions the flat list
 //! of candidate splits and names dynamic load balancing as future work
-//! (§3.2.3). We implement the paper's block split, the strawman
-//! per-segment owner scheme (for the ablation bench), the dynamic
-//! self-scheduling oracle, and three realizable predictor-driven
-//! schemes (LPT, chunked self-scheduling, and the adaptive cost-guided
-//! default) built on the online cost model of [`crate::costmodel`].
+//! (§3.2.3). Every real engine runs the paper's block split. The
+//! strawman per-segment owner scheme and the dynamic self-scheduling
+//! proposal exist only as simulator oracles over *true* per-item costs
+//! ([`crate::sim::SimEngine::with_strategy`]), for the ablation bench.
 
 use crate::segments::Segments;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How a list of work items is distributed over ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionStrategy {
     /// The paper's scheme: contiguous equal blocks of the flat item
     /// list (Alg. 5 line 5).
@@ -30,83 +28,27 @@ pub enum PartitionStrategy {
     SegmentOwner,
     /// The paper's future-work proposal: dynamic load balancing,
     /// modeled as greedy self-scheduling — each item goes to the
-    /// currently least-loaded rank. On the sim engine this is an
-    /// *oracle* (it sees true per-item costs before assigning, which
-    /// no real engine can); the real engines realize it with predicted
-    /// costs from the online cost model.
+    /// currently least-loaded rank. An *oracle*: it sees true per-item
+    /// costs before assigning, which no real engine can.
     SelfScheduling,
-    /// Longest-Processing-Time list scheduling over predicted costs:
-    /// items sorted by descending cost, each placed on the least-loaded
-    /// rank. The classic 4/3-OPT makespan bound; non-contiguous
-    /// ownership, so segment-batched kernels see more, smaller runs.
-    Lpt,
-    /// Chunked self-scheduling over predicted costs: contiguous chunks
-    /// of `~n/(8p)` items dealt in order to the least-loaded rank.
-    /// Preserves most of the contiguity the batched kernels like while
-    /// still spreading cost skew.
-    Chunked,
-    /// The adaptive default of the dynamic-partitioning subsystem:
-    /// starts as `Block`, calibrates the cost model online from the
-    /// measured per-item accounting, and switches to LPT assignment
-    /// once the §5.3.1 imbalance feedback says the block split is
-    /// leaving efficiency on the table (see
-    /// [`crate::costmodel::PartitionGovernor`]).
-    CostGuided,
 }
 
 impl PartitionStrategy {
     /// Every strategy, in declaration order (for benches and tests).
-    pub const ALL: [PartitionStrategy; 6] = [
+    pub const ALL: [PartitionStrategy; 3] = [
         PartitionStrategy::Block,
         PartitionStrategy::SegmentOwner,
         PartitionStrategy::SelfScheduling,
-        PartitionStrategy::Lpt,
-        PartitionStrategy::Chunked,
-        PartitionStrategy::CostGuided,
     ];
-
-    /// Stable slug used by the CLI, the bench records, and the CI
-    /// gates.
-    pub fn slug(&self) -> &'static str {
-        match self {
-            PartitionStrategy::Block => "block",
-            PartitionStrategy::SegmentOwner => "segment-owner",
-            PartitionStrategy::SelfScheduling => "self-scheduling",
-            PartitionStrategy::Lpt => "lpt",
-            PartitionStrategy::Chunked => "chunked",
-            PartitionStrategy::CostGuided => "cost-guided",
-        }
-    }
-
-    /// The segment-aware oracle strategies (`SegmentOwner`,
-    /// `SelfScheduling`). Flat maps have no segments to honor and keep
-    /// the block split under them.
-    pub fn is_oracle(self) -> bool {
-        matches!(
-            self,
-            PartitionStrategy::SegmentOwner | PartitionStrategy::SelfScheduling
-        )
-    }
 }
 
 impl std::fmt::Display for PartitionStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.slug())
-    }
-}
-
-impl std::str::FromStr for PartitionStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PartitionStrategy::ALL
-            .iter()
-            .copied()
-            .find(|strategy| strategy.slug() == s)
-            .ok_or_else(|| {
-                let known: Vec<&str> = PartitionStrategy::ALL.iter().map(|s| s.slug()).collect();
-                format!("unknown partition strategy `{s}` (known: {})", known.join(", "))
-            })
+        f.write_str(match self {
+            PartitionStrategy::Block => "block",
+            PartitionStrategy::SegmentOwner => "segment-owner",
+            PartitionStrategy::SelfScheduling => "self-scheduling",
+        })
     }
 }
 
@@ -144,67 +86,10 @@ pub fn block_owner(n: usize, p: usize, item: usize) -> usize {
     ((item + 1) * p - 1) / n
 }
 
-/// Deal work to the least-loaded rank via a min-heap keyed by
-/// `(load, rank)`; ties break toward the lowest rank, so the schedule
-/// is deterministic.
-struct LeastLoaded {
-    heap: BinaryHeap<Reverse<(u128, usize)>>,
-}
-
-impl LeastLoaded {
-    fn new(p: usize) -> Self {
-        Self {
-            heap: (0..p).map(|r| Reverse((0u128, r))).collect(),
-        }
-    }
-
-    /// Pop the least-loaded rank, charge it `cost`, and return it.
-    fn assign(&mut self, cost: u128) -> usize {
-        let Reverse((load, r)) = self.heap.pop().expect("p >= 1");
-        self.heap.push(Reverse((load + cost, r)));
-        r
-    }
-}
-
-/// LPT list scheduling: items in descending cost order (index breaks
-/// ties) each go to the least-loaded rank.
-fn lpt_owners(p: usize, costs: &[u64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (Reverse(costs[i]), i));
-    let mut pool = LeastLoaded::new(p);
-    let mut owners = vec![0usize; costs.len()];
-    for i in order {
-        owners[i] = pool.assign(u128::from(costs[i]));
-    }
-    owners
-}
-
-/// Chunks per rank targeted by [`PartitionStrategy::Chunked`]: enough
-/// chunks that skew spreads, few enough that segment runs stay long.
-const CHUNKS_PER_RANK: usize = 8;
-
-/// Chunked self-scheduling: contiguous chunks dealt in order to the
-/// least-loaded rank so far.
-fn chunked_owners(p: usize, costs: &[u64]) -> Vec<usize> {
-    let n = costs.len();
-    let chunk = n.div_ceil(CHUNKS_PER_RANK * p).max(1);
-    let mut pool = LeastLoaded::new(p);
-    let mut owners = vec![0usize; n];
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + chunk).min(n);
-        let cost: u128 = costs[lo..hi].iter().map(|&c| u128::from(c)).sum();
-        owners[lo..hi].fill(pool.assign(cost));
-        lo = hi;
-    }
-    owners
-}
-
 /// Assign each item to a rank according to `strategy`.
 ///
-/// * `costs[i]` — the work units of item `i` (used by the dynamic
-///   strategies; pass predicted costs to model what a real engine can
-///   know before executing, true costs for the oracle view).
+/// * `costs[i]` — the true work units of item `i` (used by
+///   self-scheduling).
 /// * `segments` — the boundary structure of the item list (used by the
 ///   segment-owner strawman).
 ///
@@ -232,19 +117,19 @@ pub fn assign_owners(
         }
         PartitionStrategy::SelfScheduling => {
             // Greedy: deal items (in order, mimicking a chunk queue of
-            // size 1) to the least-loaded rank so far. Deterministic.
-            let mut pool = LeastLoaded::new(p);
+            // size 1) to the least-loaded rank so far, from a min-heap
+            // keyed by `(load, rank)`: ties break toward the lowest
+            // rank, so the schedule is deterministic.
+            let mut heap: BinaryHeap<_> = (0..p).map(|r| Reverse((0u128, r))).collect();
             costs
                 .iter()
-                .map(|&c| pool.assign(u128::from(c)))
+                .map(|&c| {
+                    let Reverse((load, r)) = heap.pop().expect("p >= 1");
+                    heap.push(Reverse((load + u128::from(c), r)));
+                    r
+                })
                 .collect()
         }
-        PartitionStrategy::Lpt => lpt_owners(p, costs),
-        PartitionStrategy::Chunked => chunked_owners(p, costs),
-        // Cost-guided is *adaptive* at the engine level (Block until
-        // the governor engages); as a pure assignment over given costs
-        // it is LPT — the packing it converges to.
-        PartitionStrategy::CostGuided => lpt_owners(p, costs),
     }
 }
 
@@ -365,39 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn lpt_and_chunked_balance_skewed_costs() {
-        // Expensive prefix: Block loads rank 0 heavily; the dynamic
-        // packers spread it.
-        let mut costs = vec![500u64; 8];
-        costs.extend(std::iter::repeat_n(5u64, 120));
-        let segments = Segments::whole(costs.len());
-        let p = 8;
-        let imb = |strategy| {
-            load_imbalance(&rank_loads(
-                p,
-                &assign_owners(strategy, p, &costs, &segments),
-                &costs,
-            ))
-        };
-        let block = imb(PartitionStrategy::Block);
-        assert!(imb(PartitionStrategy::Lpt) < block / 2.0, "lpt vs block {block}");
-        assert!(imb(PartitionStrategy::Chunked) <= block, "chunked vs block {block}");
-        assert!(imb(PartitionStrategy::CostGuided) < block / 2.0);
-    }
-
-    #[test]
-    fn chunked_owners_are_contiguous_runs() {
-        let costs: Vec<u64> = (0..200).map(|i| (i % 13 + 1) as u64).collect();
-        let segments = Segments::whole(costs.len());
-        let owners = assign_owners(PartitionStrategy::Chunked, 4, &costs, &segments);
-        // Owner changes at most once per chunk boundary: the number of
-        // runs is bounded by the number of chunks.
-        let runs = owners.windows(2).filter(|w| w[0] != w[1]).count() + 1;
-        let chunk = costs.len().div_ceil(CHUNKS_PER_RANK * 4).max(1);
-        assert!(runs <= costs.len().div_ceil(chunk));
-    }
-
-    #[test]
     fn imbalance_zero_for_uniform_loads() {
         assert_eq!(load_imbalance(&[5, 5, 5, 5]), 0.0);
         assert_eq!(load_imbalance(&[]), 0.0);
@@ -444,9 +296,6 @@ mod tests {
                 Just(PartitionStrategy::Block),
                 Just(PartitionStrategy::SegmentOwner),
                 Just(PartitionStrategy::SelfScheduling),
-                Just(PartitionStrategy::Lpt),
-                Just(PartitionStrategy::Chunked),
-                Just(PartitionStrategy::CostGuided),
             ],
         ) {
             let costs: Vec<u64> = (0..n).map(|i| (i % 7 + 1) as u64).collect();

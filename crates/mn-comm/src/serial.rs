@@ -6,9 +6,8 @@
 //! T₁ in all the cases", §5.3) and the engine behind Table 1 and
 //! Figures 3–4.
 
-use crate::costmodel::Plan;
-use crate::driver::{self, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::segments::Segments;
@@ -86,20 +85,18 @@ impl ParEngine for SerialEngine {
 
 impl RunSlices for SerialEngine {
     /// One rank: the whole list runs inline on the caller.
-    fn run_slices<T: Wire, E: Wire>(
+    fn run_slices<T: Wire>(
         &mut self,
-        plan: &Plan,
         segments: &Segments,
         _words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
-        keep: fn(Costed<T>) -> E,
-    ) -> Vec<Vec<E>> {
+    ) -> Vec<Vec<T>> {
         hooks::install_thread_hooks(self.core.obs.flight());
         let start = Instant::now();
         let mut block = Vec::with_capacity(segments.n_items());
-        run_kernel(f, plan.runs(segments, 1, 0), |(value, cost)| {
+        run_kernel(f, block_runs(segments, 1, 0), |(value, cost)| {
             self.work_units += cost;
-            block.push(keep((value, cost)));
+            block.push(value);
         });
         self.core.charge_busy(0, start.elapsed().as_secs_f64());
         vec![block]

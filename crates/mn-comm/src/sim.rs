@@ -25,9 +25,8 @@
 //! integration tests assert across engines.
 
 use crate::cost::{Collective, CostModel};
-use crate::costmodel::Plan;
-use crate::driver::{self, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::partition::{assign_owners, PartitionStrategy};
@@ -36,14 +35,16 @@ use mn_obs::Recorder;
 
 /// Virtual-SPMD engine with per-rank clocks and τ/μ collective costs.
 ///
-/// The oracle strategies (SegmentOwner / SelfScheduling) keep their
-/// historical semantics on segmented maps — owners from *true*
-/// per-item costs, a luxury only the simulator has; every other map
-/// runs the shared driver, planning exactly as the real engines must.
+/// Under the paper's block split every map runs the shared driver, as
+/// on the real engines. The oracle strategies (SegmentOwner /
+/// SelfScheduling) assign the items of segmented maps from *true*
+/// per-item costs, a luxury only the simulator has; flat maps keep
+/// the block split under them.
 #[derive(Debug, Clone)]
 pub struct SimEngine {
     core: EngineCore,
     cost: CostModel,
+    strategy: PartitionStrategy,
 }
 
 /// One bulk-synchronous step's per-rank charges, accumulated in item
@@ -79,6 +80,7 @@ impl SimEngine {
         Self {
             core: EngineCore::new(Style::Sim, p, Recorder::new(p)),
             cost,
+            strategy: PartitionStrategy::Block,
         }
     }
 
@@ -98,7 +100,7 @@ impl SimEngine {
     /// Select the partitioning strategy (ablation hook; the default is
     /// the paper's block split).
     pub fn with_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.set_partition_strategy(strategy);
+        self.strategy = strategy;
         self
     }
 
@@ -159,8 +161,8 @@ impl ParEngine for SimEngine {
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
-        let strategy = self.core.gov.strategy();
-        if segments.is_flat() || !strategy.is_oracle() {
+        let strategy = self.strategy;
+        if segments.is_flat() || strategy == PartitionStrategy::Block {
             return driver::drive(self, segments, words_per_item, f);
         }
         // The oracle step: evaluate the union once (item costs are
@@ -206,45 +208,32 @@ impl ParEngine for SimEngine {
 }
 
 impl RunSlices for SimEngine {
-    /// The simulator runs every virtual rank's slice on the caller.
-    /// Under Block each rank executes its clipped block in turn; under
-    /// an owner plan the union is evaluated once, in whole segments,
-    /// and each item's true cost lands on its planned owner. Costed
-    /// results make the simulated wire `size_of::<(T, u64)>()`.
-    fn run_slices<T: Wire, E: Wire>(
+    /// The simulator runs every virtual rank's block in turn on the
+    /// caller, charging each rank its items' costs.
+    fn run_slices<T: Wire>(
         &mut self,
-        plan: &Plan,
         segments: &Segments,
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
-        keep: fn(Costed<T>) -> E,
-    ) -> Vec<Vec<E>> {
+    ) -> Vec<Vec<T>> {
         hooks::install_thread_hooks(self.core.obs.flight());
         let p = self.core.p;
         let mut step = Step::new(p);
-        let mut blocks: Vec<Vec<E>> = (0..p).map(|_| Vec::new()).collect();
-        let mut emit = |r: usize, (v, c): Costed<T>| {
-            step.charge(&self.cost, r, c);
-            blocks[r].push(keep((v, c)));
-        };
-        match plan {
-            Plan::Block => {
-                for r in 0..p {
-                    run_kernel(f, plan.runs(segments, p, r), |c| emit(r, c));
-                }
-            }
-            Plan::Owners(owners) => {
-                let mut owner = owners.iter();
-                run_kernel(f, segments.iter(), |c| {
-                    emit(*owner.next().expect("an owner per item"), c)
+        let blocks: Vec<Vec<T>> = (0..p)
+            .map(|r| {
+                let mut block = Vec::new();
+                run_kernel(f, block_runs(segments, p, r), |(value, cost)| {
+                    step.charge(&self.cost, r, cost);
+                    block.push(value);
                 });
-            }
-        }
+                block
+            })
+            .collect();
         self.finish_map(
             step,
             segments.n_items(),
             words_per_item,
-            std::mem::size_of::<E>(),
+            std::mem::size_of::<T>(),
         );
         blocks
     }
@@ -375,36 +364,6 @@ mod tests {
                 assert_eq!(ra, rb, "{strategy:?} p={p} accounting diverged");
             }
         }
-    }
-
-    #[test]
-    fn cost_guided_engages_and_cuts_imbalance_on_skewed_segments() {
-        // Skewed workload of §5.3.1: long segments carry expensive
-        // items clustered at the list front. The first map calibrates
-        // the model and trips the engagement ratchet; subsequent maps
-        // run LPT over predicted costs and flatten the imbalance.
-        let segments = Segments::from_lens(vec![8usize; 8]);
-        let cost_of = |i: usize| if i < 8 { 500u64 } else { 5 };
-        let run = |strategy: PartitionStrategy| {
-            let mut e = SimEngine::with_model(16, CostModel::free_comm()).with_strategy(strategy);
-            for round in 0..3 {
-                e.begin_phase(if round == 0 { "warmup" } else { "steady" });
-                e.dist_map_segmented(&segments, 1, &|i| (i, cost_of(i)));
-                e.partition_feedback();
-            }
-            e
-        };
-        let mut block = run(PartitionStrategy::Block);
-        let mut guided = run(PartitionStrategy::CostGuided);
-        assert!(guided.governor().engaged());
-        let rb = block.report();
-        let rg = guided.report();
-        assert!(
-            rg.phase_imbalance("steady") < 0.5 * rb.phase_imbalance("steady"),
-            "guided {} vs block {}",
-            rg.phase_imbalance("steady"),
-            rb.phase_imbalance("steady")
-        );
     }
 
     #[test]

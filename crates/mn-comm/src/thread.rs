@@ -35,9 +35,8 @@
 //! same report shape as the other engines, so the bench harness can
 //! drive any engine uniformly.
 
-use crate::costmodel::Plan;
-use crate::driver::{self, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
+use crate::engine::{ParEngine, SegmentBatchFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::partition::block_range;
@@ -104,31 +103,26 @@ impl RunSlices for ThreadEngine {
     /// the rank-order concatenation of their blocks is the all-gather
     /// of Alg. 5. One rank, or at most one item, runs inline on the
     /// caller, charged to rank 0.
-    fn run_slices<T: Wire, E: Wire>(
+    fn run_slices<T: Wire>(
         &mut self,
-        plan: &Plan,
         segments: &Segments,
         _words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
-        keep: fn(Costed<T>) -> E,
-    ) -> Vec<Vec<E>> {
+    ) -> Vec<Vec<T>> {
         let p = self.core.p;
         let n = segments.n_items();
         let slice = |r: usize| {
             let start = Instant::now();
-            let mut block = match plan {
-                Plan::Block => {
-                    let (lo, hi) = block_range(n, p, r);
-                    Vec::with_capacity(hi - lo)
-                }
-                Plan::Owners(_) => Vec::new(),
-            };
-            run_kernel(f, plan.runs(segments, p, r), |c| block.push(keep(c)));
+            let (lo, hi) = block_range(n, p, r);
+            let mut block = Vec::with_capacity(hi - lo);
+            run_kernel(f, block_runs(segments, p, r), |(value, _)| {
+                block.push(value)
+            });
             (block, start.elapsed().as_secs_f64())
         };
         hooks::install_thread_hooks(self.core.obs.flight());
         let inline = p == 1 || n <= 1;
-        let done: Vec<(Vec<E>, f64)> = if inline {
+        let done: Vec<(Vec<T>, f64)> = if inline {
             (0..p).map(slice).collect()
         } else {
             self.pool.run(slice)
@@ -344,7 +338,6 @@ fn work(shared: &Shared, rank: usize, flight: FlightRec) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartitionStrategy;
     use std::sync::{Barrier, RwLock, RwLockReadGuard};
     use std::time::Duration;
 
@@ -410,57 +403,6 @@ mod tests {
         assert!(empty.is_empty());
         let one = e.dist_map(1, 1, &|i| (i + 5, 1));
         assert_eq!(one, vec![5]);
-    }
-
-    #[test]
-    fn every_strategy_matches_block_results() {
-        let _pools = pools();
-        let f = |i: usize| (i.wrapping_mul(2654435761) % 1013, (i as u64 % 17) + 1);
-        let segments = Segments::from_lens([7usize, 1, 30, 0, 12, 3]);
-        let mut reference = ThreadEngine::new(3);
-        let expect_flat = reference.dist_map(53, 1, &f);
-        let expect_seg = reference.dist_map_segmented(&segments, 1, &f);
-        for strategy in PartitionStrategy::ALL {
-            for p in [1usize, 2, 3, 5, 8] {
-                let mut e = ThreadEngine::new(p);
-                e.set_partition_strategy(strategy);
-                assert_eq!(e.partition_strategy(), strategy);
-                // Repeat so the cost model has observations on the
-                // second round (exercises calibrated planning too).
-                for _ in 0..2 {
-                    let flat = e.dist_map(53, 1, &f);
-                    assert_eq!(flat, expect_flat, "{strategy} p={p} flat");
-                    let seg = e.dist_map_segmented(&segments, 1, &f);
-                    assert_eq!(seg, expect_seg, "{strategy} p={p} segmented");
-                    let batched = e.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                        out.extend(range.map(f))
-                    });
-                    assert_eq!(batched, expect_seg, "{strategy} p={p} batched");
-                    e.partition_feedback();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn strategy_does_not_change_counters() {
-        let _pools = pools();
-        let segments = Segments::from_lens([9usize, 4, 20]);
-        let mut snaps = Vec::new();
-        for strategy in PartitionStrategy::ALL {
-            let mut e = ThreadEngine::new(4);
-            e.set_partition_strategy(strategy);
-            e.begin_phase("t");
-            e.dist_map(33, 2, &|i| (i, 1));
-            e.dist_map_segmented_batch(&segments, 3, &|_seg, range, out| {
-                out.extend(range.map(|i| (i, (i as u64 % 5) + 1)))
-            });
-            let _ = e.report();
-            snaps.push(e.obs().snapshot(e.now_s()).counters);
-        }
-        for (i, snap) in snaps.iter().enumerate().skip(1) {
-            assert_eq!(snap, &snaps[0], "strategy #{i} perturbed counters");
-        }
     }
 
     /// Run `map` on `e`, expecting it to panic; return the payload text.

@@ -1,13 +1,13 @@
 //! One conformance suite for every engine.
 //!
-//! The same program of maps runs on serial, threads, sim and msg under
-//! every partition strategy: flat, per-item segmented and batched maps
-//! over lists with empty segments, `n = 0` and `n = 1`, for two rounds
-//! with imbalance feedback in between. Every run must return the serial
-//! results and the serial counters, compute every item exactly once
-//! inside its segment, and cut its kernel calls per rank the way the
-//! block split says whenever the plan is the block split — which
-//! includes flat maps under the segment-aware oracle strategies.
+//! The same program of maps runs on serial, threads, sim and msg: flat,
+//! per-item segmented and batched maps over lists with empty segments,
+//! `n = 0` and `n = 1`, for two rounds. The real engines run the block
+//! split; the simulator also runs the two ablation oracles. Every run
+//! must return the serial results and the serial counters, compute
+//! every item exactly once inside its segment, and cut its kernel calls
+//! per rank the way the block split says whenever the split is the
+//! block split — which includes flat maps under the oracles.
 
 use mn_comm::{
     block_range, spmd_run, spmd_run_faulty, CostModel, FaultPlan, ParEngine, PartitionStrategy,
@@ -104,13 +104,7 @@ struct Outcome {
 }
 
 /// Two rounds of every map, each round's flat maps in their own phase.
-fn program<E: ParEngine>(
-    e: &mut E,
-    strategy: PartitionStrategy,
-    log: &Mutex<Vec<Call>>,
-) -> Outcome {
-    e.set_partition_strategy(strategy);
-    assert_eq!(e.partition_strategy(), strategy);
+fn program<E: ParEngine>(e: &mut E, log: &Mutex<Vec<Call>>) -> Outcome {
     let note = |map: usize, seg: Option<usize>, range: Range<usize>| {
         log.lock()
             .unwrap()
@@ -139,7 +133,6 @@ fn program<E: ParEngine>(
                 }),
             });
         }
-        e.partition_feedback();
     }
     let phases = e.report().phases;
     let counters = e.obs().snapshot(e.now_s()).counters;
@@ -150,22 +143,21 @@ fn program<E: ParEngine>(
     }
 }
 
-/// Run the program on `spec`; msg ranks must agree with each other.
+/// Run the program on `spec` (the simulator under `strategy`, every
+/// other engine under the block split); msg ranks must agree with each
+/// other.
 fn run(spec: Spec, strategy: PartitionStrategy, log: &Mutex<Vec<Call>>) -> Outcome {
     match spec {
-        Spec::Serial => program(&mut SerialEngine::new(), strategy, log),
-        Spec::Threads(p) => program(&mut ThreadEngine::new(p), strategy, log),
-        Spec::Sim(p) => program(&mut SimEngine::new(p), strategy, log),
+        Spec::Serial => program(&mut SerialEngine::new(), log),
+        Spec::Threads(p) => program(&mut ThreadEngine::new(p), log),
+        Spec::Sim(p) => program(&mut SimEngine::new(p).with_strategy(strategy), log),
         Spec::Msg(p) => {
             let mut ranks = spmd_run(p, |e| {
-                let out = program(e, strategy, log);
+                let out = program(e, log);
                 (out.results, out.counters)
             });
             for (r, rank) in ranks.iter().enumerate() {
-                assert_eq!(
-                    rank, &ranks[0],
-                    "msg:{p} {strategy}: rank {r} disagrees with rank 0"
-                );
+                assert_eq!(rank, &ranks[0], "msg:{p}: rank {r} disagrees with rank 0");
             }
             let (results, counters) = ranks.swap_remove(0);
             Outcome {
@@ -178,7 +170,7 @@ fn run(spec: Spec, strategy: PartitionStrategy, log: &Mutex<Vec<Call>>) -> Outco
 }
 
 /// Check one map's kernel calls: every item exactly once, batch calls
-/// inside one segment, and — when the plan is the block split — each
+/// inside one segment, and — when the split is the block split — each
 /// rank's calls clipped to its block (the simulator runs every rank's
 /// block in turn on one thread; the other engines one rank per thread).
 fn check_calls(
@@ -204,11 +196,9 @@ fn check_calls(
     assert!(seen.iter().all(|&s| s == 1), "{ctx}: coverage {seen:?}");
 
     let p = spec.nranks();
-    let block =
-        strategy == PartitionStrategy::Block || (form == Form::Flat && strategy.is_oracle());
-    if !block {
-        if let (Spec::Sim(_), Form::Batch) = (spec, form) {
-            // The simulator evaluates the union once, in whole segments.
+    if strategy != PartitionStrategy::Block && form != Form::Flat {
+        if form == Form::Batch {
+            // The oracles evaluate the union once, in whole segments.
             let got: Vec<_> = calls
                 .iter()
                 .map(|(_, _, s, r)| (s.unwrap(), r.clone()))
@@ -268,7 +258,11 @@ fn every_engine_and_strategy_conforms_to_serial() {
     assert_eq!(reference.counters["engine.dist_maps"], maps.len() as u64);
 
     for spec in ENGINES {
-        for strategy in PartitionStrategy::ALL {
+        let strategies: &[PartitionStrategy] = match spec {
+            Spec::Sim(_) => &PartitionStrategy::ALL,
+            _ => &[PartitionStrategy::Block],
+        };
+        for &strategy in strategies {
             let log = Mutex::new(Vec::new());
             let out = run(spec, strategy, &log);
             assert_eq!(out.results, expected, "{spec:?} {strategy}: results");
@@ -290,8 +284,8 @@ fn every_engine_and_strategy_conforms_to_serial() {
 
 /// The simulator's accounting shows the split its kernel calls cannot:
 /// in a phase whose maps all run the block split — flat maps under
-/// Block and the oracle strategies, segmented maps under Block — each
-/// virtual rank is charged exactly its blocks' item costs.
+/// every strategy, segmented maps under Block — each virtual rank is
+/// charged exactly its blocks' item costs.
 fn check_sim_block_busy(p: usize, strategy: PartitionStrategy, phases: &[PhaseReport]) {
     let model = CostModel::default();
     let block_busy = |maps_per_list: f64| {
@@ -304,11 +298,10 @@ fn check_sim_block_busy(p: usize, strategy: PartitionStrategy, phases: &[PhaseRe
         }
         busy
     };
-    let block = strategy == PartitionStrategy::Block;
     for phase in phases {
         let busy = match phase.name.as_str() {
-            "flat" if block || strategy.is_oracle() => block_busy(1.0),
-            "segmented" if block => block_busy(2.0),
+            "flat" => block_busy(1.0),
+            "segmented" if strategy == PartitionStrategy::Block => block_busy(2.0),
             _ => continue,
         };
         let max = busy.iter().copied().fold(0.0, f64::max);

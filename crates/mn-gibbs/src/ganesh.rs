@@ -106,16 +106,7 @@ pub fn ganesh_ensemble<E: ParEngine>(
     params: &GaneshParams,
 ) -> Vec<Vec<Vec<usize>>> {
     (0..g_runs as u64)
-        .map(|run| {
-            let members = ganesh(engine, data, master, run, params).var_cluster_members();
-            // Imbalance-feedback point (§5.3.1): between independent
-            // GaneSH runs the engine may re-evaluate its partitioning
-            // from the imbalance the finished run measured. Results
-            // are item-ordered and RNG streams item-keyed, so a
-            // re-partition here cannot change any sampled network.
-            engine.partition_feedback();
-            members
-        })
+        .map(|run| ganesh(engine, data, master, run, params).var_cluster_members())
         .collect()
 }
 

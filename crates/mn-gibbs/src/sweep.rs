@@ -30,12 +30,11 @@
 //! decision sequence.
 //!
 //! Partitioning: the sweeps call the engine's `dist_map*` entry points
-//! and therefore inherit whatever [`mn_comm::PartitionStrategy`] the
-//! engine is configured with — owners may change between maps (the
-//! CostGuided feedback loop re-partitions between GaneSH runs), but
-//! results are assembled in item order and every draw comes from the
-//! item-keyed streams above, so the sampled moves are
-//! partition-invariant by construction.
+//! and therefore inherit the engine's block split (or, on the
+//! simulator, an ablation oracle's owners), but results are assembled
+//! in item order and every draw comes from the item-keyed streams
+//! above, so the sampled moves are partition-invariant by
+//! construction.
 //!
 //! ## Candidate-scoring paths
 //!

@@ -674,13 +674,6 @@ fn assign<E: ParEngine>(
     engine.span_exit(); // select-splits
     engine.span_exit(); // assign-splits
 
-    // Imbalance-feedback point (§5.3.1): split scoring is the phase
-    // whose cost "cannot be estimated a priori", so after each
-    // selection round the engine may re-evaluate its partitioning for
-    // the next one. Posteriors are item-ordered and selection streams
-    // node-keyed, so a re-partition cannot change any chosen split.
-    engine.partition_feedback();
-
     SplitAssignment { index, node_splits }
 }
 

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! monet --input expression.tsv [--engine serial|threads:<p>|sim:<p>|msg:<p>|proc:<p>]
-//!       [--partition block|segment-owner|self-scheduling|lpt|chunked|cost-guided]
 //!       [--seed N] [--ganesh-runs G] [--update-steps U]
 //!       [--init-clusters K0] [--trees R] [--splits-per-node J]
 //!       [--sampling-steps S] [--threshold T] [--reference]
@@ -80,8 +79,8 @@ use mn_comm::msg::proc::{
 };
 use mn_comm::{
     silence_injected_panics, spmd_run_faulty_recorded, CommError, EngineSpec, Fabric, FaultAbort,
-    FaultPlan, InjectedCrash, ObsSnapshot, ParEngine, PartitionStrategy, RunReport, SerialEngine,
-    SimEngine, ThreadEngine,
+    FaultPlan, InjectedCrash, ObsSnapshot, ParEngine, RunReport, SerialEngine, SimEngine,
+    ThreadEngine,
 };
 use mn_data::Dataset;
 use mn_obs::{FlightRec, SnapshotStash, TelemetryHandle, TelemetrySink};
@@ -97,7 +96,6 @@ struct Options {
     input: Option<String>,
     synthetic: Option<(usize, usize)>,
     engine: EngineSpec,
-    partition: PartitionStrategy,
     seed: u64,
     ganesh_runs: usize,
     update_steps: usize,
@@ -136,7 +134,6 @@ impl Options {
             input: None,
             synthetic: None,
             engine: EngineSpec::Serial,
-            partition: PartitionStrategy::Block,
             seed: 0,
             ganesh_runs: 1,
             update_steps: 1,
@@ -178,7 +175,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: monet --input <expression.tsv> | --synthetic <n,m>\n\
          \x20      [--engine serial|threads:<p>|sim:<p>|msg:<p>|proc:<p>] [--seed N]\n\
-         \x20      [--partition block|segment-owner|self-scheduling|lpt|chunked|cost-guided]\n\
          \x20      [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20      [--trees R] [--splits-per-node J] [--sampling-steps S]\n\
          \x20      [--threshold T] [--reference]\n\
@@ -230,12 +226,6 @@ fn parse_options() -> Options {
             }
             "--engine" => {
                 opts.engine = value(&args, &mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--partition" => {
-                opts.partition = value(&args, &mut i).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
@@ -473,14 +463,12 @@ fn fault_failure(payload: Box<dyn std::any::Any + Send>) -> RunFailure {
 /// post-mortem dumps work even when the run dies.
 fn run_single<E: ParEngine>(
     mut engine: E,
-    partition: PartitionStrategy,
     data: &Dataset,
     config: &LearnerConfig,
     ckpt: Option<&(String, ResumePolicy)>,
     telemetry: Option<&TelemetryHandle>,
     capture: &mut Capture,
 ) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    engine.set_partition_strategy(partition);
     if let Some(handle) = telemetry {
         engine.obs_mut().set_telemetry(handle.clone());
     }
@@ -519,7 +507,6 @@ fn run(
         // collective / replicated call), attributed to rank 0.
         EngineSpec::Serial => run_single(
             SerialEngine::new().with_fault_plan(plan),
-            opts.partition,
             data,
             config,
             ckpt.as_ref(),
@@ -528,7 +515,6 @@ fn run(
         ),
         EngineSpec::Threads(p) => run_single(
             ThreadEngine::new(p).with_fault_plan(plan),
-            opts.partition,
             data,
             config,
             ckpt.as_ref(),
@@ -537,7 +523,6 @@ fn run(
         ),
         EngineSpec::Sim(p) => run_single(
             SimEngine::new(p).with_fault_plan(plan),
-            opts.partition,
             data,
             config,
             ckpt.as_ref(),
@@ -553,9 +538,6 @@ fn run(
             // plan makes this path identical to the plain spmd_run.
             let timeout = opts.comm_timeout_ms.map(Duration::from_millis);
             let (outcomes, spmd_capture) = spmd_run_faulty_recorded(p, plan, timeout, |engine| {
-                // Replicated SPMD call: every rank installs the same
-                // strategy so the governors stay in lock-step.
-                engine.set_partition_strategy(opts.partition);
                 // The telemetry delta stream is a single per-stream
                 // state machine, so exactly one rank feeds it.
                 if engine.rank() == 0 {
@@ -871,7 +853,6 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
     let handle = sink.as_ref().map(|s| s.handle());
     let ckpt = checkpoint_request(opts);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.set_partition_strategy(opts.partition);
         if let Some(handle) = &handle {
             engine.obs_mut().set_telemetry(handle.clone());
         }

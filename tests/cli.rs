@@ -555,9 +555,10 @@ fn cli_rejects_bad_usage() {
 #[test]
 fn cli_rejects_retired_scoring_flags() {
     // The naive Gibbs scorer and the dense consensus are test oracles,
-    // not user-selectable paths: their old flags are usage errors, and
-    // neither usage text offers them.
-    for flag in ["--gibbs-naive", "--consensus-dense"] {
+    // not user-selectable paths, and every real engine runs the block
+    // split: their old flags are usage errors, and neither usage text
+    // offers them.
+    for flag in ["--gibbs-naive", "--consensus-dense", "--partition"] {
         let output = Command::new(monet_bin())
             .args(["--synthetic", "10,10", flag])
             .output()
@@ -578,7 +579,7 @@ fn cli_rejects_retired_scoring_flags() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("submit"), "client usage: {stderr}");
-    for flag in ["--gibbs-naive", "--consensus-dense"] {
+    for flag in ["--gibbs-naive", "--consensus-dense", "--partition"] {
         assert!(!stderr.contains(flag), "client usage still lists {flag}");
     }
 }

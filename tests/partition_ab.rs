@@ -1,14 +1,13 @@
-//! **Partition A/B suite** — the end-to-end invariance contract of the
-//! cost-model-guided partitioning subsystem (DESIGN.md §14): for every
-//! engine and every [`PartitionStrategy`], the full learner pipeline
-//! produces the byte-identical network and the bit-identical
-//! deterministic counters that the serial Block baseline produces.
-//! Strategies may only move work between ranks (and change simulated /
-//! measured time); they must never change a decision.
+//! **Partition A/B suite** — the end-to-end invariance contract of
+//! partitioning (DESIGN.md §14): the full learner pipeline produces the
+//! byte-identical network and the bit-identical deterministic counters
+//! that the serial run produces, on every engine. The real engines run
+//! the paper's block split only; the simulator additionally runs the
+//! ablation oracles ([`PartitionStrategy`]), which may only move work
+//! between ranks (and change simulated time), never a decision.
 //!
-//! The pipeline runs two GaneSH runs so the between-runs
-//! `partition_feedback` hook fires and the adaptive strategies actually
-//! re-plan mid-run.
+//! The pipeline runs two GaneSH runs, so the ensemble and its
+//! consensus are on the checked path.
 
 use mn_comm::{ParEngine, PartitionStrategy, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::synthetic;
@@ -21,19 +20,13 @@ fn dataset() -> mn_data::Dataset {
 
 fn config() -> LearnerConfig {
     let mut c = LearnerConfig::paper_minimum(31);
-    // Two runs so ganesh_ensemble's partition_feedback hook fires
-    // between them and adaptive strategies re-plan mid-pipeline.
     c.ganesh_runs = 2;
     c
 }
 
-/// Run the pipeline on `engine` under `strategy`; return the network
-/// JSON and the deterministic counters.
-fn run_on<E: ParEngine>(
-    mut engine: E,
-    strategy: PartitionStrategy,
-) -> (String, BTreeMap<String, u64>) {
-    engine.set_partition_strategy(strategy);
+/// Run the pipeline on `engine`; return the network JSON and the
+/// deterministic counters.
+fn run_on<E: ParEngine>(mut engine: E) -> (String, BTreeMap<String, u64>) {
     let d = dataset();
     let c = config();
     let (net, _) = learn_module_network(&mut engine, &d, &c);
@@ -42,44 +35,24 @@ fn run_on<E: ParEngine>(
 }
 
 #[test]
-fn serial_engine_is_strategy_invariant() {
-    let (expected_net, expected_counters) = run_on(SerialEngine::new(), PartitionStrategy::Block);
-    for strategy in PartitionStrategy::ALL {
-        let (net, counters) = run_on(SerialEngine::new(), strategy);
-        assert_eq!(net, expected_net, "serial {strategy} changed the network");
-        assert_eq!(
-            counters, expected_counters,
-            "serial {strategy} changed the counters"
-        );
-    }
-}
-
-#[test]
 fn thread_engine_is_strategy_invariant() {
-    let (expected_net, expected_counters) = run_on(ThreadEngine::new(3), PartitionStrategy::Block);
-    // The serial Block run is the global reference: the network must
-    // agree across engines too, not just across strategies.
-    let (serial_net, _) = run_on(SerialEngine::new(), PartitionStrategy::Block);
-    assert_eq!(expected_net, serial_net);
-    for strategy in PartitionStrategy::ALL {
-        let (net, counters) = run_on(ThreadEngine::new(3), strategy);
-        assert_eq!(net, expected_net, "threads:3 {strategy} changed the network");
-        assert_eq!(
-            counters, expected_counters,
-            "threads:3 {strategy} changed the counters"
-        );
-    }
+    let (serial_net, serial_counters) = run_on(SerialEngine::new());
+    let (net, counters) = run_on(ThreadEngine::new(3));
+    assert_eq!(net, serial_net, "threads:3 changed the network");
+    assert_eq!(counters, serial_counters, "threads:3 changed the counters");
 }
 
 #[test]
 fn sim_engine_is_strategy_invariant_across_rank_counts() {
-    let (serial_net, _) = run_on(SerialEngine::new(), PartitionStrategy::Block);
+    let (serial_net, _) = run_on(SerialEngine::new());
     for p in [4usize, 16] {
-        let (expected_net, expected_counters) =
-            run_on(SimEngine::new(p), PartitionStrategy::Block);
-        assert_eq!(expected_net, serial_net, "sim:{p} Block diverged from serial");
+        let (expected_net, expected_counters) = run_on(SimEngine::new(p));
+        assert_eq!(
+            expected_net, serial_net,
+            "sim:{p} Block diverged from serial"
+        );
         for strategy in PartitionStrategy::ALL {
-            let (net, counters) = run_on(SimEngine::new(p), strategy);
+            let (net, counters) = run_on(SimEngine::new(p).with_strategy(strategy));
             assert_eq!(net, expected_net, "sim:{p} {strategy} changed the network");
             assert_eq!(
                 counters, expected_counters,
@@ -91,27 +64,21 @@ fn sim_engine_is_strategy_invariant_across_rank_counts() {
 
 #[test]
 fn msg_engine_is_strategy_invariant_on_every_rank() {
-    let (serial_net, serial_counters) = run_on(SerialEngine::new(), PartitionStrategy::Block);
+    let (serial_net, serial_counters) = run_on(SerialEngine::new());
     let d = dataset();
     let c = config();
-    for strategy in PartitionStrategy::ALL {
-        let per_rank = mn_comm::spmd_run(3, |engine| {
-            engine.set_partition_strategy(strategy);
-            let (net, _) = learn_module_network(engine, &d, &c);
-            let now = engine.now_s();
-            (to_json(&net), engine.obs().snapshot(now).counters)
-        });
-        for (rank, (net, counters)) in per_rank.iter().enumerate() {
-            assert_eq!(
-                net, &serial_net,
-                "msg:3 rank {rank} {strategy} changed the network"
-            );
-            // Counters are replicated control flow (mn-obs contract),
-            // so every rank of every strategy matches serial Block.
-            assert_eq!(
-                counters, &serial_counters,
-                "msg:3 rank {rank} {strategy} changed the counters"
-            );
-        }
+    let per_rank = mn_comm::spmd_run(3, |engine| {
+        let (net, _) = learn_module_network(engine, &d, &c);
+        let now = engine.now_s();
+        (to_json(&net), engine.obs().snapshot(now).counters)
+    });
+    for (rank, (net, counters)) in per_rank.iter().enumerate() {
+        assert_eq!(net, &serial_net, "msg:3 rank {rank} changed the network");
+        // Counters are replicated control flow (mn-obs contract), so
+        // every rank matches serial.
+        assert_eq!(
+            counters, &serial_counters,
+            "msg:3 rank {rank} changed the counters"
+        );
     }
 }
