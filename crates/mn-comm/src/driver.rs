@@ -19,13 +19,18 @@
 //! written once.
 
 use crate::cancel::{check_cancel, CancelToken};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, Wire};
+use crate::engine::{Costed, ParEngine, SegmentBatchFn, TaskFn, Wire};
 use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::metrics::{PhaseReport, RunReport};
 use crate::partition::block_range;
 use crate::segments::Segments;
-use mn_obs::{FlightEvent, Recorder, SnapshotStash};
+use crate::serial::SerialEngine;
+use mn_obs::flightrec::FlightRecord;
+use mn_obs::recorder::ROOT_SPAN;
+use mn_obs::{FlightEvent, FlightRec, Recorder, SnapshotStash};
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -59,6 +64,100 @@ pub(crate) fn drive<X: RunSlices, T: Wire>(
     let mut all = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
     blocks.into_iter().for_each(|block| all.extend(block));
     all
+}
+
+/// The whole-task map every engine runs (`ParEngine::dist_tasks`): a
+/// flat list of `n_tasks` items through the engine's own `run_slices`,
+/// so ownership, hand-back and accounting are the map's, but each item
+/// is a whole task on a fresh one-rank engine and its cost is the
+/// task's work units. The call is one engine event (cancel and fault
+/// clock) and counts nothing.
+pub(crate) fn dist_tasks<X: RunSlices, T: Wire>(
+    engine: &mut X,
+    n_tasks: usize,
+    f: TaskFn<'_, T>,
+) -> Vec<(T, TaskDelta)> {
+    let core = engine.core_mut();
+    core.tick();
+    // The msg engine runs to completion on a cancel (its events live
+    // in the fabric), so its tasks do too.
+    let cancel = match core.style {
+        Style::Spmd => None,
+        _ => core.cancel.clone(),
+    };
+    let flight = core.obs.flight();
+    let kernel = |_seg, tasks: Range<usize>, out: &mut Vec<Costed<(T, TaskDelta)>>| {
+        for i in tasks {
+            let mut task = SerialEngine::for_task(cancel.clone());
+            let value = {
+                let _restore = RestoreHooks(&flight);
+                f(i, &mut task)
+            };
+            out.push(((value, TaskDelta::of(&task)), task.work_units()));
+        }
+    };
+    let blocks = engine.run_slices(&Segments::flat(n_tasks), 1, &kernel);
+    blocks.into_iter().flatten().collect()
+}
+
+/// A task engine installs its own observability hooks on the thread it
+/// runs on; this puts the rank's back however the task ends.
+struct RestoreHooks<'a>(&'a FlightRec);
+
+impl Drop for RestoreHooks<'_> {
+    fn drop(&mut self) {
+        hooks::install_thread_hooks(self.0.clone());
+    }
+}
+
+/// What one task of `ParEngine::dist_tasks` recorded that the
+/// determinism contract covers: its counters and its deterministic
+/// flight events.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TaskDelta {
+    /// Every counter of the task engine, zero-valued keys included.
+    counters: BTreeMap<String, u64>,
+    /// The task's deterministic flight records after its root span's
+    /// enter; span paths start at the task engine's root span.
+    flight: Vec<FlightRecord>,
+}
+
+impl TaskDelta {
+    fn of(task: &SerialEngine) -> Self {
+        Self {
+            counters: task.obs().counters().clone(),
+            flight: task
+                .obs()
+                .flight()
+                .det_events()
+                .into_iter()
+                .skip(1)
+                .collect(),
+        }
+    }
+
+    /// Fold the delta into `obs` as if the task had run there, under
+    /// its innermost open span: add every counter, and record every
+    /// deterministic event with the task's root span replaced by that
+    /// span. Folding each task's delta in task order reproduces the
+    /// counters and flight sequence of running the tasks in turn.
+    pub fn fold_into(&self, obs: &mut Recorder) {
+        for (name, &by) in &self.counters {
+            obs.incr(name, by);
+        }
+        let root = obs.open_span_path().to_string();
+        let reroot = |path: &str| {
+            let below = path.strip_prefix(ROOT_SPAN).unwrap_or(path);
+            format!("{root}{below}")
+        };
+        for record in &self.flight {
+            obs.flight_event(match &record.event {
+                FlightEvent::SpanEnter { path } => FlightEvent::SpanEnter { path: reroot(path) },
+                FlightEvent::SpanExit { path } => FlightEvent::SpanExit { path: reroot(path) },
+                event => event.clone(),
+            });
+        }
+    }
 }
 
 /// Rank `rank`'s kernel calls `(segment, sub-range)` in ascending item

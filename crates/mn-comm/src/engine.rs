@@ -30,9 +30,10 @@
 //! only how its ranks' slices run and how the results meet.
 
 use crate::cost::Collective;
-use crate::driver::EngineCore;
+use crate::driver::{EngineCore, TaskDelta};
 use crate::metrics::RunReport;
 use crate::segments::Segments;
+use crate::serial::SerialEngine;
 use mn_obs::Recorder;
 use std::ops::Range;
 
@@ -59,6 +60,10 @@ impl<T: Send + Clone + serde::Serialize + serde::Deserialize + 'static> Wire for
 /// across the items it is handed, while per-item costs keep the
 /// engines' accounting identical to the per-item map.
 pub type SegmentBatchFn<'a, T> = &'a (dyn Fn(usize, Range<usize>, &mut Vec<Costed<T>>) + Sync);
+
+/// One whole task of [`ParEngine::dist_tasks`]: called with the task
+/// index and the fresh one-rank engine the task runs on.
+pub type TaskFn<'a, T> = &'a (dyn Fn(usize, &mut SerialEngine) -> T + Sync);
 
 /// The SPMD execution contract used by all parallel algorithms.
 ///
@@ -137,6 +142,24 @@ pub trait ParEngine {
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T>;
+
+    /// Run `n_tasks` independent programs, each whole on one rank: task
+    /// `i` runs start to finish, as `f(i, task_engine)`, on the rank
+    /// that owns item `i` under the block split, on a fresh one-rank
+    /// [`SerialEngine`] that shares this engine's cancel token (so a
+    /// cancel still lands at the task's next engine event) but not its
+    /// fault plan. This is the paper's `G` GaneSH instances run
+    /// "concurrently on p/G processors each without any communication".
+    ///
+    /// Returns every task's output with its [`TaskDelta`], in task
+    /// order, on every rank: threads hand the outputs back through the
+    /// pool, msg and proc all-gather them, and the simulator charges
+    /// rank `r` the one-rank simulated time of its tasks. The call
+    /// itself counts nothing; the caller folds task `i`'s delta into
+    /// this engine in task order ([`TaskDelta::fold_into`]), which
+    /// leaves every counter and the deterministic flight sequence
+    /// exactly as running the tasks one after another here would.
+    fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)>;
 
     /// Charge a collective operation of `words` total payload (8-byte
     /// words). The default is for shared memory: nothing moves, but

@@ -26,7 +26,9 @@
 //!
 //! All four run one map driver ([`driver`]): rank `r` runs its block
 //! of the paper's split, the engine makes the results meet, and their
-//! rank-order concatenation is the result in item order.
+//! rank-order concatenation is the result in item order. The same
+//! driver runs independent whole tasks, one rank each
+//! ([`ParEngine::dist_tasks`]), for the GaneSH runs of an ensemble.
 //!
 //! Partitioning strategies (the paper's block split, the sub-optimal
 //! per-node owner strawman it argues against, and the dynamic
@@ -53,7 +55,7 @@ pub mod thread;
 
 pub use cancel::{CancelKind, CancelToken, JobCancelled};
 pub use cost::{Collective, CostModel};
-pub use driver::EngineCore;
+pub use driver::{EngineCore, TaskDelta};
 pub use fault::{
     silence_injected_panics, CommError, FaultAction, FaultAbort, FaultClock, FaultPlan,
     InjectedCrash,
@@ -61,7 +63,7 @@ pub use fault::{
 pub use msg::{
     spmd_run, spmd_run_faulty, spmd_run_faulty_recorded, Fabric, SpmdCapture, SpmdEngine,
 };
-pub use engine::{with_phase, with_span, Costed, ParEngine, SegmentBatchFn, Wire};
+pub use engine::{with_phase, with_span, Costed, ParEngine, SegmentBatchFn, TaskFn, Wire};
 pub use metrics::{PhaseReport, RunReport};
 pub use mn_obs::{self as obs, ObsSnapshot, Recorder};
 pub use segments::Segments;

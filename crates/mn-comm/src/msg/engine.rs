@@ -15,8 +15,8 @@
 //! returns all of them so callers can (and tests do) assert equality.
 
 use crate::cost::Collective;
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
+use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
 use crate::fault::{CommError, FaultAbort, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::msg::collectives::{allgatherv, allreduce, barrier};
@@ -116,6 +116,10 @@ impl<F: Fabric> ParEngine for SpmdEngine<F> {
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
         driver::drive(self, segments, words_per_item, f)
+    }
+
+    fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
+        driver::dist_tasks(self, n_tasks, f)
     }
 
     fn collective(&mut self, _op: Collective, words: usize) {

@@ -6,12 +6,13 @@
 //! T₁ in all the cases", §5.3) and the engine behind Table 1 and
 //! Figures 3–4.
 
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{ParEngine, SegmentBatchFn, Wire};
+use crate::cancel::CancelToken;
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
+use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::segments::Segments;
-use mn_obs::Recorder;
+use mn_obs::{FlightRec, Recorder};
 use std::time::Instant;
 
 /// Sequential engine with wall-clock phase timing.
@@ -28,6 +29,25 @@ impl SerialEngine {
     pub fn new() -> Self {
         Self {
             core: EngineCore::new(Style::Serial, 1, Recorder::new(1)),
+            work_units: 0,
+        }
+    }
+
+    /// The fresh one-rank engine a task of
+    /// [`ParEngine::dist_tasks`] runs on: no fault plan, the parent's
+    /// cancel token, and a flight recorder whose deterministic ring
+    /// never evicts (the task hands its whole record to the parent)
+    /// while local events are all but dropped.
+    pub(crate) fn for_task(cancel: Option<CancelToken>) -> Self {
+        let flight = FlightRec::with_capacity(1, 0, usize::MAX, 1);
+        let mut core = EngineCore::new(
+            Style::Serial,
+            1,
+            Recorder::for_rank_with_flight(1, 0, flight),
+        );
+        core.cancel = cancel;
+        Self {
+            core,
             work_units: 0,
         }
     }
@@ -74,6 +94,10 @@ impl ParEngine for SerialEngine {
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
         driver::drive(self, segments, words_per_item, f)
+    }
+
+    fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
+        driver::dist_tasks(self, n_tasks, f)
     }
 
     fn replicated(&mut self, work_units: u64) {

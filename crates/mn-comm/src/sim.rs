@@ -25,8 +25,8 @@
 //! integration tests assert across engines.
 
 use crate::cost::{Collective, CostModel};
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
+use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::partition::{assign_owners, PartitionStrategy};
@@ -185,6 +185,10 @@ impl ParEngine for SimEngine {
         }
         self.finish_map(step, n, words_per_item, std::mem::size_of::<T>());
         values
+    }
+
+    fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
+        driver::dist_tasks(self, n_tasks, f)
     }
 
     fn collective(&mut self, op: Collective, words: usize) {

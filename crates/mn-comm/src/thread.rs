@@ -35,8 +35,8 @@
 //! same report shape as the other engines, so the bench harness can
 //! drive any engine uniformly.
 
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style};
-use crate::engine::{ParEngine, SegmentBatchFn, Wire};
+use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
+use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::partition::block_range;
@@ -95,6 +95,10 @@ impl ParEngine for ThreadEngine {
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T> {
         driver::drive(self, segments, words_per_item, f)
+    }
+
+    fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
+        driver::dist_tasks(self, n_tasks, f)
     }
 }
 

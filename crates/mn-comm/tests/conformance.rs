@@ -347,3 +347,226 @@ fn kernel_contract_is_enforced_on_sim() {
 fn kernel_contract_is_enforced_on_msg() {
     spmd_run_faulty(3, FaultPlan::new(), None, miscounted_map);
 }
+
+// ---- dist_tasks: whole tasks, one rank each ----
+
+/// One whole task: a span, a map and a counter on the task's engine.
+fn task_program(i: usize, e: &mut SerialEngine) -> usize {
+    e.span_enter("task");
+    let out = e.dist_map(i + 2, 1, &|k| (value(k), cost(k)));
+    e.count("test.task_items", out.len() as u64);
+    e.span_exit();
+    out.iter().sum::<usize>() + i
+}
+
+/// The deterministic flight events, without sequence numbers and times.
+fn det_events<E: ParEngine>(e: &E) -> Vec<mn_comm::obs::FlightEvent> {
+    e.obs()
+        .flight()
+        .det_events()
+        .into_iter()
+        .map(|r| r.event)
+        .collect()
+}
+
+type TaskRun = (
+    Vec<usize>,
+    BTreeMap<String, u64>,
+    Vec<mn_comm::obs::FlightEvent>,
+);
+
+/// `n` tasks run one after another on one serial engine, inside a phase.
+fn tasks_in_turn(n: usize) -> TaskRun {
+    let mut e = SerialEngine::new();
+    e.begin_phase("tasks");
+    let values = (0..n).map(|i| task_program(i, &mut e)).collect();
+    let counters = e.obs().counters().clone();
+    (values, counters, det_events(&e))
+}
+
+/// `n` tasks through `dist_tasks`, then folded in task order. The call
+/// itself must add no counter; `log` gets `(task, thread)` per task.
+fn tasks_distributed<E: ParEngine>(
+    e: &mut E,
+    n: usize,
+    log: &Mutex<Vec<(usize, ThreadId)>>,
+) -> TaskRun {
+    e.begin_phase("tasks");
+    let outs = e.dist_tasks(n, &|i, task| {
+        log.lock().unwrap().push((i, std::thread::current().id()));
+        task_program(i, task)
+    });
+    assert!(
+        e.obs().counters().is_empty(),
+        "dist_tasks counted {:?}",
+        e.obs().counters()
+    );
+    let values = outs
+        .into_iter()
+        .map(|(value, delta)| {
+            delta.fold_into(e.obs_mut());
+            value
+        })
+        .collect();
+    let counters = e.obs().counters().clone();
+    (values, counters, det_events(e))
+}
+
+#[test]
+fn dist_tasks_runs_each_task_whole_on_its_block_owner() {
+    for n in [0usize, 1, 2, 3, 7] {
+        let reference = tasks_in_turn(n);
+        for spec in ENGINES {
+            let ctx = format!("{spec:?} n={n}");
+            let log = Mutex::new(Vec::new());
+            let run = match spec {
+                Spec::Serial => tasks_distributed(&mut SerialEngine::new(), n, &log),
+                Spec::Threads(p) => tasks_distributed(&mut ThreadEngine::new(p), n, &log),
+                Spec::Sim(p) => {
+                    let mut e = SimEngine::new(p);
+                    let run = tasks_distributed(&mut e, n, &log);
+                    check_sim_task_busy(p, n, &e.report().phases[0], &ctx);
+                    run
+                }
+                Spec::Msg(p) => {
+                    let mut ranks = spmd_run(p, |e| tasks_distributed(e, n, &log));
+                    for (r, rank) in ranks.iter().enumerate() {
+                        assert_eq!(rank, &ranks[0], "{ctx}: rank {r} disagrees with rank 0");
+                    }
+                    ranks.swap_remove(0)
+                }
+            };
+            assert_eq!(run, reference, "{ctx}: not the tasks run in turn");
+
+            // Each task ran exactly once, and the tasks each thread ran
+            // are one rank's block; ranks with an empty block stay idle.
+            let p = spec.nranks();
+            let mut by_thread: Vec<(ThreadId, Vec<usize>)> = Vec::new();
+            for (i, thread) in log.into_inner().unwrap() {
+                match by_thread.iter_mut().find(|(t, _)| *t == thread) {
+                    Some((_, tasks)) => tasks.push(i),
+                    None => by_thread.push((thread, vec![i])),
+                }
+            }
+            let mut got: Vec<Vec<usize>> = by_thread.into_iter().map(|(_, tasks)| tasks).collect();
+            got.sort();
+            let blocks: Vec<Vec<usize>> = (0..p)
+                .map(|r| {
+                    let (lo, hi) = block_range(n, p, r);
+                    (lo..hi).collect::<Vec<_>>()
+                })
+                .filter(|block| !block.is_empty())
+                .collect();
+            let expected = match spec {
+                Spec::Sim(_) if n > 0 => vec![blocks.concat()],
+                _ => blocks,
+            };
+            assert_eq!(got, expected, "{ctx}: tasks not on their block owners");
+        }
+    }
+}
+
+/// The simulator charges each virtual rank the one-rank simulated time
+/// of its tasks: their work units.
+fn check_sim_task_busy(p: usize, n: usize, phase: &PhaseReport, ctx: &str) {
+    let model = CostModel::default();
+    let units = |i: usize| (0..i + 2).map(cost).sum::<u64>();
+    let busy: Vec<f64> = (0..p)
+        .map(|r| {
+            let (lo, hi) = block_range(n, p, r);
+            (lo..hi).map(|i| model.compute_s(units(i))).sum()
+        })
+        .collect();
+    let max = busy.iter().copied().fold(0.0, f64::max);
+    let avg = busy.iter().sum::<f64>() / p as f64;
+    assert!(
+        (phase.busy_max_s - max).abs() <= 1e-9 * max.max(1e-12)
+            && (phase.busy_avg_s - avg).abs() <= 1e-9 * avg.max(1e-12),
+        "{ctx}: {phase:?} is not the tasks' block busy ({max}, {avg})"
+    );
+}
+
+/// Run `tasks` on `e`, expecting a panic; return its payload.
+fn task_panic<E: ParEngine>(
+    e: &mut E,
+    n: usize,
+    f: mn_comm::TaskFn<'_, usize>,
+) -> Box<dyn std::any::Any + Send> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        e.dist_tasks(n, f);
+    }))
+    .expect_err("a task panics")
+}
+
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("string payload")
+}
+
+/// Task 2 of 3 panics: on two or three ranks it is a worker rank's.
+fn last_task_panics(i: usize, _task: &mut SerialEngine) -> usize {
+    if i == 2 {
+        panic!("task {i} gives up");
+    }
+    i
+}
+
+#[test]
+fn a_task_panic_is_reraised_with_its_payload_and_the_engine_stays_usable() {
+    fn check<E: ParEngine>(mut e: E, label: &str) {
+        let payload = task_panic(&mut e, 3, &last_task_panics);
+        assert_eq!(panic_text(&*payload), "task 2 gives up", "{label}");
+        let values: Vec<usize> = e
+            .dist_tasks(3, &|i, _| i * 10)
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect();
+        assert_eq!(
+            values,
+            [0, 10, 20],
+            "{label}: engine unusable after the panic"
+        );
+    }
+    check(SerialEngine::new(), "serial");
+    check(ThreadEngine::new(2), "threads:2");
+    check(ThreadEngine::new(3), "threads:3");
+    check(SimEngine::new(3), "sim:3");
+    // A msg rank that panics dies like any rank whose kernel panics:
+    // its peers abort on the lost endpoint, and the launcher re-raises
+    // the original payload.
+    let payload = std::panic::catch_unwind(|| {
+        spmd_run_faulty(3, FaultPlan::new(), None, |e| {
+            e.dist_tasks(3, &last_task_panics);
+        })
+    })
+    .expect_err("the task panic reaches the launcher");
+    assert_eq!(panic_text(&*payload), "task 2 gives up", "msg:3");
+}
+
+#[test]
+fn a_cancel_inside_a_task_unwinds_as_a_cancel() {
+    use mn_comm::{CancelKind, CancelToken, JobCancelled};
+    fn check<E: ParEngine>(mut e: E, label: &str) {
+        let token = CancelToken::new();
+        e.set_cancel_token(token.clone());
+        // Task 1 is rank 1's on two ranks: it requests the cancel, and
+        // its own next engine event observes it.
+        let payload = task_panic(&mut e, 2, &|i, task| {
+            if i == 1 {
+                token.cancel();
+                task.dist_map(4, 1, &|k| (k, 1));
+            }
+            i
+        });
+        let cancelled = payload
+            .downcast::<JobCancelled>()
+            .unwrap_or_else(|_| panic!("{label}: not a cancel payload"));
+        assert_eq!(cancelled.kind, CancelKind::Cancel, "{label}");
+    }
+    check(SerialEngine::new(), "serial");
+    check(ThreadEngine::new(2), "threads:2");
+    check(SimEngine::new(2), "sim:2");
+}

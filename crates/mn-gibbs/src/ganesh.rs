@@ -90,14 +90,30 @@ pub fn ganesh_with_scoring<E: ParEngine>(
     state
 }
 
+/// Whether an ensemble of `g_runs` GaneSH runs on `p` ranks runs each
+/// run whole on one rank ([`ParEngine::dist_tasks`]) rather than one
+/// after another with every proposal's map split over all ranks: when
+/// there are several ranks and no rank would sit idle (`1 < p ≤ G`).
+/// The one place that decides the path, for [`ganesh_ensemble`] and
+/// for checkpointed learning alike.
+pub fn runs_whole_per_rank(p: usize, g_runs: usize) -> bool {
+    1 < p && p <= g_runs
+}
+
 /// Run `g_runs` independent GaneSH runs and collect each run's final
 /// variable clusters — the ensemble consumed by consensus clustering.
 ///
 /// The paper runs the `G` instances concurrently on `p/G` processors
-/// each "without any communication"; with a simulation engine the
-/// equivalent cost accounting is `G` sequential runs on the full
-/// machine (identical total work, and the GaneSH task is <0.4 % of the
-/// runtime at scale — §5.3.2).
+/// each "without any communication". When `1 < p ≤ G`
+/// ([`runs_whole_per_rank`]) every run is a task of
+/// [`ParEngine::dist_tasks`]: run `g` goes whole to the rank that owns
+/// it under the block split, and the simulator charges each rank the
+/// one-rank simulated time of its runs. Otherwise (one rank, or more
+/// ranks than runs) the runs go one after another, each proposal's map
+/// split over all ranks. Each run draws only from its own keyed
+/// streams, and the runs' counter and flight deltas are folded in run
+/// order, so the ensemble, the counters and the deterministic flight
+/// sequence are the same on both paths.
 pub fn ganesh_ensemble<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
@@ -105,8 +121,19 @@ pub fn ganesh_ensemble<E: ParEngine>(
     g_runs: usize,
     params: &GaneshParams,
 ) -> Vec<Vec<Vec<usize>>> {
-    (0..g_runs as u64)
-        .map(|run| ganesh(engine, data, master, run, params).var_cluster_members())
+    if !runs_whole_per_rank(engine.nranks(), g_runs) {
+        return (0..g_runs as u64)
+            .map(|run| ganesh(engine, data, master, run, params).var_cluster_members())
+            .collect();
+    }
+    let runs = engine.dist_tasks(g_runs, &|run, task| {
+        ganesh(task, data, master, run as u64, params).var_cluster_members()
+    });
+    runs.into_iter()
+        .map(|(members, delta)| {
+            delta.fold_into(engine.obs_mut());
+            members
+        })
         .collect()
 }
 

@@ -30,7 +30,8 @@ pub mod state;
 pub mod sweep;
 
 pub use ganesh::{
-    ganesh, ganesh_ensemble, ganesh_with_scoring, sample_obs_partitions, GaneshParams, GibbsParams,
+    ganesh, ganesh_ensemble, ganesh_with_scoring, runs_whole_per_rank, sample_obs_partitions,
+    GaneshParams, GibbsParams,
 };
 pub use scorer::SweepScorer;
 pub use moves::MoveTarget;

@@ -206,6 +206,12 @@ impl Recorder {
         self.push_span(name, now_s);
     }
 
+    /// The slash-joined path of the innermost open span (`""` once
+    /// [`Recorder::finish`] has closed the root).
+    pub fn open_span_path(&self) -> &str {
+        self.stack.last().map_or("", |span| span.path.as_str())
+    }
+
     /// Close the innermost open span. The root span can only be closed
     /// by [`Recorder::finish`].
     pub fn span_exit(&mut self, now_s: f64) {

@@ -20,7 +20,7 @@ use crate::model::{Module, ModuleNetwork};
 use mn_comm::ParEngine;
 use mn_consensus::{build_cooccurrence, consensus_outcome, extract_clusters, SparseSymMatrix};
 use mn_data::Dataset;
-use mn_gibbs::{ganesh, ganesh_ensemble};
+use mn_gibbs::{ganesh, ganesh_ensemble, runs_whole_per_rank};
 use mn_rand::MasterRng;
 use mn_tree::{assign_splits, learn_module_trees, learn_parents, ModuleEnsemble};
 use serde::{Deserialize, Serialize};
@@ -272,7 +272,10 @@ pub fn learn_with_checkpoint<E: ParEngine, P: AsRef<Path>>(
 /// (`module_<k>.json`) — so a run killed mid-task resumes after the
 /// last completed unit rather than at a stage boundary. Split
 /// assignment and parent scoring recompute from the stored ensembles
-/// (they are deterministic under the keyed-stream discipline).
+/// (they are deterministic under the keyed-stream discipline). When the
+/// GaneSH runs go whole to ranks ([`mn_gibbs::runs_whole_per_rank`]),
+/// the runs the store lacks are computed first and their units then
+/// commit in run order, each with its run's own counter deltas.
 ///
 /// Restored units replay their recorded counter deltas, and every
 /// phase is begun whether or not its units were skipped, so a resumed
@@ -303,11 +306,29 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
     // Task 1 — one unit per GaneSH run (independent keyed streams).
     let master = MasterRng::new(config.seed);
     engine.begin_phase(phases::GANESH);
-    let mut ensemble = Vec::with_capacity(config.ganesh_runs);
-    for run in 0..config.ganesh_runs as u64 {
-        let unit = format!("ganesh_run_{run}");
-        ensemble.push(run_unit(engine, &mut store, &unit, |engine| {
-            ganesh(engine, data, &master, run, &config.ganesh).var_cluster_members()
+    let g_runs = config.ganesh_runs;
+    let unit = |run: usize| format!("ganesh_run_{run}");
+    let mut computed = BTreeMap::new();
+    if runs_whole_per_rank(engine.nranks(), g_runs) {
+        let missing: Vec<usize> = (0..g_runs)
+            .filter(|&run| store.get::<Vec<Vec<usize>>>(&unit(run)).is_none())
+            .collect();
+        let runs = engine.dist_tasks(missing.len(), &|i, task| {
+            ganesh(task, data, &master, missing[i] as u64, &config.ganesh).var_cluster_members()
+        });
+        computed.extend(missing.into_iter().zip(runs));
+    }
+    let mut ensemble = Vec::with_capacity(g_runs);
+    for run in 0..g_runs {
+        ensemble.push(run_unit(engine, &mut store, &unit(run), |engine| {
+            match computed.remove(&run) {
+                Some((members, delta)) => {
+                    delta.fold_into(engine.obs_mut());
+                    members
+                }
+                None => ganesh(engine, data, &master, run as u64, &config.ganesh)
+                    .var_cluster_members(),
+            }
         })?);
     }
     let ganesh_out = GaneshOutput { ensemble };
