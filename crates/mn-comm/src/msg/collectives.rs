@@ -11,8 +11,6 @@
 //!   `2⌈log₂ p⌉` rounds — the textbook general-p schedule);
 //! * [`allgatherv`] — gather at rank 0 (rank-ordered concatenation)
 //!   + broadcast;
-//! * [`exscan`] — exclusive prefix scan via gather + broadcast of the
-//!   prefix array;
 //! * [`barrier`] — a payload-free allreduce.
 //!
 //! All protocols are deterministic and lock-step: every rank must call
@@ -163,22 +161,6 @@ pub fn allgatherv<F: Fabric, T: Wire>(
     }
 }
 
-/// Exclusive prefix scan: rank r receives `op` folded over the values
-/// of ranks `0..r` (`identity` for rank 0).
-pub fn exscan<F: Fabric, T: Wire>(
-    ep: &F,
-    value: T,
-    identity: T,
-    op: impl Fn(T, T) -> T,
-) -> Result<T, CommError> {
-    let contributions = allgatherv(ep, vec![value])?;
-    let mut acc = identity;
-    for v in contributions.into_iter().take(ep.rank()) {
-        acc = op(acc, v);
-    }
-    Ok(acc)
-}
-
 /// Barrier: a unit all-reduce.
 pub fn barrier<F: Fabric>(ep: &F) -> Result<(), CommError> {
     allreduce(ep, (), |(), ()| ())
@@ -259,19 +241,6 @@ mod tests {
             });
             let expected: Vec<usize> = (0..p).flat_map(|r| vec![r; r]).collect();
             assert!(out.iter().all(|v| v == &expected), "p={p}");
-        }
-    }
-
-    #[test]
-    fn exscan_prefixes() {
-        for p in [1usize, 2, 3, 5, 8] {
-            let out = spmd(p, |ep| {
-                exscan(ep, ep.rank() as u64 + 1, 0u64, |a, b| a + b).unwrap()
-            });
-            for (r, &v) in out.iter().enumerate() {
-                let expected: u64 = (1..=r as u64).sum();
-                assert_eq!(v, expected, "p={p} rank={r}");
-            }
         }
     }
 

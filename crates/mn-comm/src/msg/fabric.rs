@@ -38,8 +38,8 @@ use std::time::Duration;
 /// fabric ([`Endpoint`]) and the multi-process transport
 /// ([`crate::msg::proc::ProcEndpoint`]).
 ///
-/// Everything above the transport — the log-depth collectives, the
-/// SPMD engine, the distributed sampling oracles — is generic over
+/// Everything above the transport — the log-depth collectives and the
+/// SPMD engine — is generic over
 /// this trait, so the same deterministic protocols run unchanged
 /// whether "sending" moves a `Box` between threads or serde-framed
 /// bytes between OS processes. The [`Wire`] bound is the union of the

@@ -7,8 +7,8 @@
 //! only through explicit point-to-point messages ([`mod@fabric`]), and
 //! synchronize through log-depth collective algorithms
 //! ([`collectives`]) — the binomial broadcast, reduce+broadcast
-//! all-reduce, gather-based all-gather, and prefix scan whose cost
-//! shapes §3's analysis assumes. [`engine::spmd_run`] launches a full
+//! all-reduce and gather-based all-gather whose cost shapes §3's
+//! analysis assumes. [`engine::spmd_run`] launches a full
 //! SPMD program (each rank runs the entire learner) over the fabric,
 //! the in-process equivalent of the paper's `mpirun` deployment.
 
@@ -16,11 +16,9 @@ pub mod collectives;
 pub mod engine;
 pub mod fabric;
 pub mod proc;
-pub mod sampling;
 pub mod wire;
 
-pub use collectives::{allgatherv, allreduce, barrier, bcast, exscan, reduce};
-pub use sampling::{select_unif_rand_dist, select_wtd_log_dist, select_wtd_rand_dist};
+pub use collectives::{allgatherv, allreduce, barrier, bcast, reduce};
 pub use engine::{
     spmd_allgatherv, spmd_allreduce, spmd_run, spmd_run_faulty, spmd_run_faulty_recorded,
     spmd_worker_engine, SpmdCapture, SpmdEngine,

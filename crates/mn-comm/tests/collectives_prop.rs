@@ -2,7 +2,7 @@
 //! arbitrary rank counts, roots, and payloads, the log-depth protocols
 //! must agree with their sequential definitions.
 
-use mn_comm::msg::{allgatherv, allreduce, bcast, exscan, fabric, reduce, Endpoint};
+use mn_comm::msg::{allgatherv, allreduce, bcast, fabric, reduce, Endpoint};
 use proptest::prelude::*;
 
 fn spmd<R: Send>(p: usize, f: impl Fn(&Endpoint) -> R + Sync) -> Vec<R> {
@@ -63,18 +63,6 @@ proptest! {
             .collect();
         for v in &out {
             prop_assert_eq!(v, &expected);
-        }
-    }
-
-    #[test]
-    fn prop_exscan_is_prefix_fold(
-        p in 1usize..10,
-        values in prop::collection::vec(0u64..1000, 10),
-    ) {
-        let out = spmd(p, |ep| exscan(ep, values[ep.rank() % values.len()], 0u64, |a, b| a + b).unwrap());
-        for (r, &v) in out.iter().enumerate() {
-            let expected: u64 = (0..r).map(|q| values[q % values.len()]).sum();
-            prop_assert_eq!(v, expected);
         }
     }
 }

@@ -112,10 +112,24 @@ struct PlantedRule {
     down: f64,
 }
 
+/// Check that [`generate`] accepts an `n_vars × n_obs` shape: at least
+/// two variables and two observations. Callers taking a shape from
+/// outside (the CLI, the serving protocol) refuse with this message
+/// instead of letting the generator panic.
+pub fn check_shape(n_vars: usize, n_obs: usize) -> Result<(), String> {
+    if n_vars < 2 || n_obs < 2 {
+        return Err(format!(
+            "synthetic data needs n >= 2 variables and m >= 2 observations, got {n_vars},{n_obs}"
+        ));
+    }
+    Ok(())
+}
+
 /// Generate a synthetic module-structured data set.
 pub fn generate(config: &SyntheticConfig) -> SyntheticDataset {
-    assert!(config.n_vars >= 2, "need at least two variables");
-    assert!(config.n_obs >= 2, "need at least two observations");
+    if let Err(e) = check_shape(config.n_vars, config.n_obs) {
+        panic!("{e}");
+    }
     assert!(config.max_parents >= 1);
     assert!(config.noise_sd >= 0.0);
 

@@ -22,6 +22,12 @@
 //! (§5.1): one GaneSH run, one update step, one regression tree per
 //! module, every gene a candidate regulator.
 //!
+//! Batch, the hidden `worker`, `serve` and each `client` op declare
+//! their flags as `(name, takes_value)` tables read by one parser: an
+//! unknown flag, or a missing or unparsable value, prints that usage
+//! and exits 2. One function turns the shared learn flags into the
+//! [`LearnerConfig`] of batch runs and of `client submit` alike.
+//!
 //! `--trace` writes a chrome://tracing timeline (open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) with one track per
 //! rank; `--metrics-out` writes `RUN_METRICS.json`, the machine-readable
@@ -34,9 +40,9 @@
 //! `--force-restart` to wipe it and start over. `--fault` plants
 //! deterministic faults (`kill:<rank>@<event>`, `delay:<rank>@<event>:<ms>`,
 //! `drop:<rank>@<event>`, `seed:<n>`) for kill–resume drills; a
-//! fault-aborted run exits with code 3. `--comm-timeout-ms` bounds
-//! every fabric receive on the msg engine so dropped messages surface
-//! as timeouts instead of hangs.
+//! fault-aborted run exits with code 3. `--comm-timeout-ms` (≥ 1)
+//! bounds every fabric receive on the msg engine so dropped messages
+//! surface as timeouts instead of hangs.
 //!
 //! `--telemetry-out` streams live run telemetry as versioned JSONL
 //! (DESIGN.md §13): a full snapshot line, then deltas, with heartbeat
@@ -70,9 +76,10 @@
 //! and per-job checkpointing with elastic resume. `monet client` is
 //! the matching command-line client (ops: `ping`, `register`,
 //! `submit`, `status`, `watch`, `result`, `cancel`, `suspend`,
-//! `resume`, `accounting`, `jobs`, `shutdown`, `raw`); a served job's
-//! result is byte-identical to this binary's batch `--json` output for
-//! the same dataset, seed, and config.
+//! `resume`, `accounting`, `jobs`, `shutdown`, `raw`); it checks an
+//! op's flags before it connects, and a served job's result is
+//! byte-identical to this binary's batch `--json` output for the same
+//! dataset, seed, and config.
 
 use mn_comm::msg::proc::{
     connect_worker, ProcAddr, Supervisor, WorkerConfig, DEFAULT_CONNECT_TIMEOUT,
@@ -86,81 +93,231 @@ use mn_data::Dataset;
 use mn_obs::{FlightRec, SnapshotStash, TelemetryHandle, TelemetrySink};
 use mn_score::ScoreMode;
 use monet::{
-    learn_module_network, learn_with_checkpoint_policy, LearnerConfig, ModuleNetwork,
-    ResumePolicy, RunMetrics,
+    learn_module_network, learn_with_checkpoint_policy, LearnerConfig, ModuleNetwork, ResumePolicy,
+    RunMetrics,
 };
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
+// ---------------------------------------------------------------------
+// Flag tables and the one parser
+// ---------------------------------------------------------------------
+
+/// The flags one subcommand accepts: `(name, takes_value)`.
+type Table = &'static [(&'static str, bool)];
+
+/// The learn flags, shared by batch runs, workers and `client submit`.
+const LEARN_FLAGS: [(&str, bool); 9] = [
+    ("--seed", true),
+    ("--ganesh-runs", true),
+    ("--update-steps", true),
+    ("--init-clusters", true),
+    ("--trees", true),
+    ("--splits-per-node", true),
+    ("--sampling-steps", true),
+    ("--threshold", true),
+    ("--reference", false),
+];
+
+const BATCH_FLAGS: Table = &[
+    ("--input", true),
+    ("--synthetic", true),
+    ("--engine", true),
+    ("--candidates", true),
+    ("--xml", true),
+    ("--json", true),
+    ("--trace", true),
+    ("--metrics-out", true),
+    ("--checkpoint-dir", true),
+    ("--resume", false),
+    ("--force-restart", false),
+    ("--fault", true),
+    ("--comm-timeout-ms", true),
+    ("--telemetry-out", true),
+    ("--telemetry-interval-ms", true),
+    ("--flightrec-dir", true),
+    ("--dag", false),
+    ("--quiet", false),
+];
+
+/// The hidden `worker` subcommand's coordinates, ahead of the forwarded
+/// batch flags.
+const WORKER_FLAGS: Table = &[
+    ("--proc-rank", true),
+    ("--proc-nranks", true),
+    ("--proc-socket", true),
+];
+
+/// The server address every `client` op takes, before or after the op.
+const CONNECT_FLAG: Table = &[("--connect", true)];
+
+const SERVE_FLAGS: Table = &[
+    ("--listen", true),
+    ("--state-dir", true),
+    ("--workers", true),
+    ("--max-queue", true),
+    ("--telemetry-interval-ms", true),
+];
+
+/// The flags of one `client` op, besides `--connect` (and the learn
+/// flags `submit` takes); `None` for an unknown op.
+fn client_op_flags(op: &str) -> Option<Table> {
+    Some(match op {
+        "ping" | "shutdown" | "raw" => &[],
+        "register" => &[
+            ("--tenant", true),
+            ("--dataset", true),
+            ("--synthetic", true),
+            ("--seed", true),
+            ("--tsv", true),
+        ],
+        "submit" => &[("--tenant", true), ("--dataset", true), ("--engine", true)],
+        "status" | "cancel" | "suspend" => &[("--job", true)],
+        "resume" => &[("--job", true), ("--engine", true)],
+        "watch" => &[("--job", true), ("--from", true)],
+        "result" => &[("--job", true), ("--json", true)],
+        "accounting" | "jobs" => &[("--tenant", true)],
+        _ => return None,
+    })
+}
+
+/// One subcommand's parsed command line: the value of every flag given
+/// (`""` for a switch) and, where the subcommand takes them, its bare
+/// words.
+struct Flags {
+    values: BTreeMap<&'static str, String>,
+    words: Vec<String>,
+    usage: fn() -> !,
+}
+
+impl Flags {
+    /// Read `args` against `tables`. A flag outside them, a flag
+    /// without its value, or a bare word where `words` is false prints
+    /// `usage` and exits 2. A repeated flag keeps its last value.
+    fn parse(args: &[String], tables: &[Table], words: bool, usage: fn() -> !) -> Flags {
+        let mut flags = Flags {
+            values: BTreeMap::new(),
+            words: Vec::new(),
+            usage,
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if words && !arg.starts_with("--") {
+                flags.words.push(arg.clone());
+                continue;
+            }
+            let entry = tables.iter().flat_map(|t| t.iter()).find(|(n, _)| n == arg);
+            match entry {
+                Some(&(name, true)) => {
+                    let value = args.next().unwrap_or_else(|| usage());
+                    flags.values.insert(name, value.clone());
+                }
+                Some(&(name, false)) => {
+                    flags.values.insert(name, String::new());
+                }
+                None if arg == "--help" || arg == "-h" => usage(),
+                None => {
+                    eprintln!("unknown flag {arg:?}");
+                    usage()
+                }
+            }
+        }
+        flags
+    }
+
+    /// The value of `name` as a `T`: `None` when the flag is absent, a
+    /// usage error (exit 2) when its value does not parse.
+    fn get<T: FromStr>(&self, name: &str) -> Option<T>
+    where
+        T::Err: Display,
+    {
+        let value = self.values.get(name)?;
+        Some(value.parse().unwrap_or_else(|e| {
+            eprintln!("{name} {value:?}: {e}");
+            (self.usage)()
+        }))
+    }
+
+    /// Whether the switch (or flag) `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+}
+
+/// `n,m`: the shape of a synthetic data set.
+#[derive(Clone, Copy)]
+struct Shape(usize, usize);
+
+impl FromStr for Shape {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Shape, String> {
+        let (n, m) = s.split_once(',').ok_or("expected n,m")?;
+        let count = |v: &str| v.parse::<usize>().map_err(|e| e.to_string());
+        Ok(Shape(count(n)?, count(m)?))
+    }
+}
+
+/// The config the learn flags ask for, before candidate regulators are
+/// resolved. Batch runs, workers and `client submit` all build their
+/// config here, so a served job's config is the batch CLI's by
+/// construction. An absent flag keeps the paper-minimum value (§5.1).
+fn learn_config(flags: &Flags) -> LearnerConfig {
+    let [seed, runs, steps, k0, trees, splits, sampling, threshold, reference] =
+        LEARN_FLAGS.map(|(name, _)| name);
+    let mut config = LearnerConfig::paper_minimum(flags.get(seed).unwrap_or(0));
+    config.ganesh_runs = flags.get(runs).unwrap_or(config.ganesh_runs);
+    config.ganesh.update_steps = flags.get(steps).unwrap_or(config.ganesh.update_steps);
+    config.ganesh.init_clusters = flags.get(k0);
+    // `R` trees take `R + 1` update steps after one burn-in step.
+    if let Some(r) = flags.get::<usize>(trees) {
+        config.tree.update_steps = r.checked_add(1).unwrap_or_else(|| {
+            eprintln!("{trees} {r}: too many trees");
+            (flags.usage)()
+        });
+    }
+    config.tree.splits_per_node = flags.get(splits).unwrap_or(config.tree.splits_per_node);
+    config.tree.max_sampling_steps = flags
+        .get(sampling)
+        .unwrap_or(config.tree.max_sampling_steps);
+    config.consensus.threshold = flags.get(threshold).unwrap_or(config.consensus.threshold);
+    if flags.has(reference) {
+        config = config.with_mode(ScoreMode::Reference);
+    }
+    config
+}
+
+// ---------------------------------------------------------------------
+// Batch runs: in-process engines, the proc supervisor and its workers
+// ---------------------------------------------------------------------
+
+/// The batch (and worker) flags, read and checked once.
 struct Options {
     input: Option<String>,
-    synthetic: Option<(usize, usize)>,
+    synthetic: Option<Shape>,
     engine: EngineSpec,
-    seed: u64,
-    ganesh_runs: usize,
-    update_steps: usize,
-    init_clusters: Option<usize>,
-    trees: usize,
-    splits_per_node: usize,
-    sampling_steps: usize,
-    threshold: f64,
-    reference: bool,
+    /// The learn flags' config, before candidate resolution.
+    config: LearnerConfig,
     candidates: Option<String>,
     xml: Option<String>,
     json: Option<String>,
     trace: Option<String>,
     metrics_out: Option<String>,
-    checkpoint_dir: Option<String>,
-    resume: bool,
-    force_restart: bool,
+    /// `--checkpoint-dir` with the resume policy the switches ask for.
+    checkpoint: Option<(String, ResumePolicy)>,
     fault: Option<String>,
-    comm_timeout_ms: Option<u64>,
+    comm_timeout: Option<Duration>,
     telemetry_out: Option<String>,
-    telemetry_interval_ms: u64,
+    telemetry_interval: Duration,
     flightrec_dir: Option<String>,
     dag: bool,
     quiet: bool,
     /// Set when invoked as the hidden `worker` subcommand: this process
     /// is one rank of a `proc:<p>` run.
     worker: Option<WorkerOpts>,
-}
-
-impl Options {
-    /// Flag defaults — shared by the batch parser and the `client
-    /// submit` learn-flag parser, so a served job's config defaults
-    /// match the batch CLI's exactly.
-    fn defaults() -> Options {
-        Options {
-            input: None,
-            synthetic: None,
-            engine: EngineSpec::Serial,
-            seed: 0,
-            ganesh_runs: 1,
-            update_steps: 1,
-            init_clusters: None,
-            trees: 1,
-            splits_per_node: 2,
-            sampling_steps: 8,
-            threshold: 0.0,
-            reference: false,
-            candidates: None,
-            xml: None,
-            json: None,
-            trace: None,
-            metrics_out: None,
-            checkpoint_dir: None,
-            resume: false,
-            force_restart: false,
-            fault: None,
-            comm_timeout_ms: None,
-            telemetry_out: None,
-            telemetry_interval_ms: 1000,
-            flightrec_dir: None,
-            dag: false,
-            quiet: false,
-            worker: None,
-        }
-    }
 }
 
 /// The `monet worker` coordinates: which rank this process is, how
@@ -193,163 +350,97 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_options() -> Options {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden subcommand: `monet worker --proc-rank k --proc-nranks p
-    // --proc-socket addr <forwarded run flags>` — the per-rank child
-    // entrypoint the proc-engine supervisor spawns.
-    let is_worker = args.first().map(String::as_str) == Some("worker");
-    if is_worker {
-        args.remove(0);
-    }
-    let mut proc_rank: Option<usize> = None;
-    let mut proc_nranks: Option<usize> = None;
-    let mut proc_socket: Option<String> = None;
-    let mut opts = Options::defaults();
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
+/// Parse a batch command line, or with `worker` the hidden `monet
+/// worker` one: `--proc-rank k --proc-nranks p --proc-socket addr`
+/// plus the forwarded batch flags.
+fn parse_options(args: &[String], worker: bool) -> Options {
+    let tables: &[Table] = if worker {
+        &[BATCH_FLAGS, &LEARN_FLAGS, WORKER_FLAGS]
+    } else {
+        &[BATCH_FLAGS, &LEARN_FLAGS]
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--input" => opts.input = Some(value(&args, &mut i)),
-            "--synthetic" => {
-                let v = value(&args, &mut i);
-                let parts: Vec<&str> = v.split(',').collect();
-                if parts.len() != 2 {
-                    usage();
-                }
-                let n = parts[0].parse().unwrap_or_else(|_| usage());
-                let m = parts[1].parse().unwrap_or_else(|_| usage());
-                opts.synthetic = Some((n, m));
-            }
-            "--engine" => {
-                opts.engine = value(&args, &mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--seed" => opts.seed = value(&args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--ganesh-runs" => {
-                opts.ganesh_runs = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--update-steps" => {
-                opts.update_steps = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--init-clusters" => {
-                opts.init_clusters =
-                    Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--trees" => opts.trees = value(&args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--splits-per-node" => {
-                opts.splits_per_node = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--sampling-steps" => {
-                opts.sampling_steps = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--threshold" => {
-                opts.threshold = value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--reference" => opts.reference = true,
-            "--candidates" => opts.candidates = Some(value(&args, &mut i)),
-            "--xml" => opts.xml = Some(value(&args, &mut i)),
-            "--json" => opts.json = Some(value(&args, &mut i)),
-            "--trace" => opts.trace = Some(value(&args, &mut i)),
-            "--metrics-out" => opts.metrics_out = Some(value(&args, &mut i)),
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(value(&args, &mut i)),
-            "--resume" => opts.resume = true,
-            "--force-restart" => opts.force_restart = true,
-            "--fault" => opts.fault = Some(value(&args, &mut i)),
-            "--comm-timeout-ms" => {
-                opts.comm_timeout_ms =
-                    Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--telemetry-out" => opts.telemetry_out = Some(value(&args, &mut i)),
-            "--telemetry-interval-ms" => {
-                opts.telemetry_interval_ms =
-                    value(&args, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--flightrec-dir" => opts.flightrec_dir = Some(value(&args, &mut i)),
-            "--dag" => opts.dag = true,
-            "--quiet" => opts.quiet = true,
-            "--proc-rank" if is_worker => {
-                proc_rank = Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--proc-nranks" if is_worker => {
-                proc_nranks = Some(value(&args, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--proc-socket" if is_worker => proc_socket = Some(value(&args, &mut i)),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
+    let flags = Flags::parse(args, tables, false, usage);
+    let refuse = |why: &str| -> ! {
+        eprintln!("{why}");
+        usage()
+    };
+    let synthetic = flags.get::<Shape>("--synthetic");
+    if flags.has("--input") == synthetic.is_some() {
+        refuse("exactly one of --input / --synthetic is required");
+    }
+    if let Some(Shape(n, m)) = synthetic {
+        mn_data::synthetic::check_shape(n, m).unwrap_or_else(|e| refuse(&e));
+    }
+    let checkpoint_dir = flags.get::<String>("--checkpoint-dir");
+    let policy = if flags.has("--force-restart") {
+        ResumePolicy::ForceRestart
+    } else if flags.has("--resume") {
+        ResumePolicy::Strict
+    } else {
+        ResumePolicy::Auto
+    };
+    if policy != ResumePolicy::Auto && checkpoint_dir.is_none() {
+        refuse("--resume / --force-restart require --checkpoint-dir");
+    }
+    let comm_timeout_ms = flags.get::<u64>("--comm-timeout-ms");
+    if comm_timeout_ms == Some(0) {
+        refuse("--comm-timeout-ms must be >= 1");
+    }
+    let worker = worker.then(|| {
+        match (
+            flags.get("--proc-rank"),
+            flags.get("--proc-nranks"),
+            flags.get("--proc-socket"),
+        ) {
+            (Some(rank), Some(nranks), Some(socket)) if rank < nranks => WorkerOpts {
+                rank,
+                nranks,
+                socket,
+            },
+            _ => refuse("worker requires --proc-rank < --proc-nranks and --proc-socket"),
         }
-        i += 1;
+    });
+    Options {
+        input: flags.get("--input"),
+        synthetic,
+        engine: flags.get("--engine").unwrap_or(EngineSpec::Serial),
+        config: learn_config(&flags),
+        candidates: flags.get("--candidates"),
+        xml: flags.get("--xml"),
+        json: flags.get("--json"),
+        trace: flags.get("--trace"),
+        metrics_out: flags.get("--metrics-out"),
+        checkpoint: checkpoint_dir.map(|dir| (dir, policy)),
+        fault: flags.get("--fault"),
+        comm_timeout: comm_timeout_ms.map(Duration::from_millis),
+        telemetry_out: flags.get("--telemetry-out"),
+        telemetry_interval: Duration::from_millis(
+            flags.get("--telemetry-interval-ms").unwrap_or(1000),
+        ),
+        flightrec_dir: flags.get("--flightrec-dir"),
+        dag: flags.has("--dag"),
+        quiet: flags.has("--quiet"),
+        worker,
     }
-    if opts.input.is_none() == opts.synthetic.is_none() {
-        eprintln!("exactly one of --input / --synthetic is required");
-        usage();
-    }
-    if (opts.resume || opts.force_restart) && opts.checkpoint_dir.is_none() {
-        eprintln!("--resume / --force-restart require --checkpoint-dir");
-        usage();
-    }
-    if is_worker {
-        match (proc_rank, proc_nranks, proc_socket) {
-            (Some(rank), Some(nranks), Some(socket)) if rank < nranks && nranks >= 1 => {
-                opts.worker = Some(WorkerOpts {
-                    rank,
-                    nranks,
-                    socket,
-                });
-            }
-            _ => {
-                eprintln!("worker requires --proc-rank < --proc-nranks and --proc-socket");
-                usage();
-            }
+}
+
+/// The prologue of every batch path — in-process run, proc supervisor
+/// and proc worker: load the data, build the config (resolving
+/// `--candidates` against the data's variable names) and parse the
+/// fault plan for `nranks` ranks.
+fn prepare(opts: &Options, nranks: usize) -> Result<(Dataset, LearnerConfig, FaultPlan), String> {
+    let data = match (&opts.input, opts.synthetic) {
+        (Some(path), _) => {
+            mn_data::read_tsv_file(path).map_err(|e| format!("reading {path}: {e}"))?
         }
-    }
-    opts
-}
-
-fn load_data(opts: &Options) -> Result<Dataset, String> {
-    if let Some(path) = &opts.input {
-        return mn_data::read_tsv_file(path).map_err(|e| format!("reading {path}: {e}"));
-    }
-    let (n, m) = opts.synthetic.unwrap();
-    Ok(mn_data::synthetic::yeast_like(n, m, opts.seed).dataset)
-}
-
-/// The data-independent part of [`build_config`]: everything except
-/// candidate-regulator resolution. `client submit` uses it directly,
-/// which is what makes a served job's config byte-identical to the
-/// batch CLI's for the same flags.
-fn base_config(opts: &Options) -> LearnerConfig {
-    let mut config = LearnerConfig::paper_minimum(opts.seed);
-    config.ganesh_runs = opts.ganesh_runs;
-    config.ganesh.update_steps = opts.update_steps;
-    config.ganesh.init_clusters = opts.init_clusters;
-    config.consensus.threshold = opts.threshold;
-    config.tree.update_steps = opts.trees + 1;
-    config.tree.burn_in = 1;
-    config.tree.splits_per_node = opts.splits_per_node;
-    config.tree.max_sampling_steps = opts.sampling_steps;
-    if opts.reference {
-        config = config.with_mode(ScoreMode::Reference);
-    }
-    config
-}
-
-fn build_config(opts: &Options, data: &Dataset) -> Result<LearnerConfig, String> {
-    let mut config = base_config(opts);
+        (None, Some(Shape(n, m))) => mn_data::synthetic::yeast_like(n, m, opts.config.seed).dataset,
+        (None, None) => unreachable!("the parser requires --input or --synthetic"),
+    };
+    let mut config = opts.config.clone();
     if let Some(path) = &opts.candidates {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let names: Vec<String> = text.split_whitespace().map(String::from).collect();
-        let mut indices = Vec::with_capacity(names.len());
-        for name in &names {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let mut indices = Vec::new();
+        for name in text.split_whitespace() {
             match data.var_names.iter().position(|v| v == name) {
                 Some(idx) => indices.push(idx),
                 None => return Err(format!("candidate regulator {name:?} not in data set")),
@@ -357,7 +448,12 @@ fn build_config(opts: &Options, data: &Dataset) -> Result<LearnerConfig, String>
         }
         config.candidate_parents = Some(indices);
     }
-    config.validated()
+    let config = config.validated()?;
+    let plan = match &opts.fault {
+        Some(spec) => FaultPlan::parse(spec, nranks)?,
+        None => FaultPlan::new(),
+    };
+    Ok((data, config, plan))
 }
 
 /// Why a run produced no network: an ordinary error (exit 1) or a
@@ -380,11 +476,12 @@ struct Capture {
 
 impl Capture {
     /// Dump every rank's flight recorder as `flightrec-rank<k>.jsonl`
-    /// into `dir` (created if missing). Best-effort: dump failures are
-    /// reported but never change the exit code — post-mortem tooling
-    /// must not mask the original failure.
-    fn dump_flight_recorders(&self, dir: &str, quiet: bool) {
-        let dir = std::path::Path::new(dir);
+    /// into `--flightrec-dir` (default `.`, created if missing).
+    /// Best-effort: dump failures are reported but never change the
+    /// exit code — post-mortem tooling must not mask the original
+    /// failure.
+    fn dump_flight_recorders(&self, opts: &Options) {
+        let dir = std::path::Path::new(opts.flightrec_dir.as_deref().unwrap_or("."));
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: flight recorder dir {}: {e}", dir.display());
             return;
@@ -392,7 +489,7 @@ impl Capture {
         for flight in &self.flights {
             match flight.dump_to_dir(dir) {
                 Ok(path) => {
-                    if !quiet {
+                    if !opts.quiet {
                         eprintln!("flight recorder: {}", path.display());
                     }
                 }
@@ -408,19 +505,33 @@ impl Capture {
     }
 }
 
-/// The checkpoint request derived from the flags: directory plus
-/// resume policy.
-fn checkpoint_request(opts: &Options) -> Option<(String, ResumePolicy)> {
-    opts.checkpoint_dir.as_ref().map(|dir| {
-        let policy = if opts.force_restart {
-            ResumePolicy::ForceRestart
-        } else if opts.resume {
-            ResumePolicy::Strict
-        } else {
-            ResumePolicy::Auto
-        };
-        (dir.clone(), policy)
-    })
+/// The tail of a failed run, shared by the in-process engines and the
+/// proc worker: every failed run leaves its per-rank flight recorder
+/// dumps and — when a dying rank stashed its final snapshot — the
+/// best-effort timeline `--trace` asked for. Exits 1 for an error, 3
+/// for a fault.
+fn fail(opts: &Options, capture: &Capture, failure: RunFailure) -> ExitCode {
+    capture.dump_flight_recorders(opts);
+    if let Some(path) = &opts.trace {
+        if let Some(snap) = capture.death_snapshot() {
+            let trace = mn_comm::obs::chrome_trace_json(&snap);
+            if let Err(e) = std::fs::write(path, trace) {
+                eprintln!("warning: writing {path}: {e}");
+            } else if !opts.quiet {
+                eprintln!("post-mortem trace: {path}");
+            }
+        }
+    }
+    match failure {
+        RunFailure::Error(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+        RunFailure::Fault(e) => {
+            eprintln!("fault: {e}");
+            ExitCode::from(3)
+        }
+    }
 }
 
 fn run_on<E: ParEngine>(
@@ -430,10 +541,8 @@ fn run_on<E: ParEngine>(
     ckpt: Option<&(String, ResumePolicy)>,
 ) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
     let (network, report) = match ckpt {
-        Some((dir, policy)) => {
-            learn_with_checkpoint_policy(engine, data, config, dir, *policy)
-                .map_err(|e| RunFailure::Error(e.to_string()))?
-        }
+        Some((dir, policy)) => learn_with_checkpoint_policy(engine, data, config, dir, *policy)
+            .map_err(|e| RunFailure::Error(e.to_string()))?,
         None => learn_module_network(engine, data, config),
     };
     let now = engine.now_s();
@@ -486,22 +595,11 @@ fn run(
     opts: &Options,
     data: &Dataset,
     config: &LearnerConfig,
+    plan: FaultPlan,
     telemetry: Option<&TelemetryHandle>,
     capture: &mut Capture,
 ) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    let ckpt = checkpoint_request(opts);
-    let nranks = match opts.engine {
-        EngineSpec::Serial => 1,
-        EngineSpec::Threads(p) | EngineSpec::Sim(p) | EngineSpec::Msg(p)
-        | EngineSpec::Proc(p) => p,
-    };
-    let plan = match &opts.fault {
-        Some(spec) => FaultPlan::parse(spec, nranks).map_err(RunFailure::Error)?,
-        None => FaultPlan::new(),
-    };
-    if !plan.is_empty() {
-        silence_injected_panics();
-    }
+    let ckpt = opts.checkpoint.as_ref();
     match opts.engine {
         // Single-process engines count *engine* events (each dist_map /
         // collective / replicated call), attributed to rank 0.
@@ -509,7 +607,7 @@ fn run(
             SerialEngine::new().with_fault_plan(plan),
             data,
             config,
-            ckpt.as_ref(),
+            ckpt,
             telemetry,
             capture,
         ),
@@ -517,7 +615,7 @@ fn run(
             ThreadEngine::new(p).with_fault_plan(plan),
             data,
             config,
-            ckpt.as_ref(),
+            ckpt,
             telemetry,
             capture,
         ),
@@ -525,7 +623,7 @@ fn run(
             SimEngine::new(p).with_fault_plan(plan),
             data,
             config,
-            ckpt.as_ref(),
+            ckpt,
             telemetry,
             capture,
         ),
@@ -536,17 +634,17 @@ fn run(
             // so the timeline carries every rank's busy time. Faults are
             // fabric events (sends + receives, per endpoint); an empty
             // plan makes this path identical to the plain spmd_run.
-            let timeout = opts.comm_timeout_ms.map(Duration::from_millis);
-            let (outcomes, spmd_capture) = spmd_run_faulty_recorded(p, plan, timeout, |engine| {
-                // The telemetry delta stream is a single per-stream
-                // state machine, so exactly one rank feeds it.
-                if engine.rank() == 0 {
-                    if let Some(handle) = telemetry {
-                        engine.obs_mut().set_telemetry(handle.clone());
+            let (outcomes, spmd_capture) =
+                spmd_run_faulty_recorded(p, plan, opts.comm_timeout, |engine| {
+                    // The telemetry delta stream is a single per-stream
+                    // state machine, so exactly one rank feeds it.
+                    if engine.rank() == 0 {
+                        if let Some(handle) = telemetry {
+                            engine.obs_mut().set_telemetry(handle.clone());
+                        }
                     }
-                }
-                run_on(engine, data, config, ckpt.as_ref())
-            });
+                    run_on(engine, data, config, ckpt)
+                });
             capture.flights = spmd_capture.flights;
             capture.stashes = spmd_capture.stashes;
             let mut results = Vec::with_capacity(p);
@@ -563,17 +661,15 @@ fn run(
                         )))
                     }
                     Err(e) => {
-                        survivor_failure.get_or_insert(RunFailure::Fault(format!(
-                            "rank {rank} aborted: {e}"
-                        )));
+                        survivor_failure
+                            .get_or_insert(RunFailure::Fault(format!("rank {rank} aborted: {e}")));
                     }
                 }
             }
             if let Some(failure) = survivor_failure {
                 return Err(failure);
             }
-            let snapshots: Vec<ObsSnapshot> =
-                results.iter().map(|(_, _, s)| s.clone()).collect();
+            let snapshots: Vec<ObsSnapshot> = results.iter().map(|(_, _, s)| s.clone()).collect();
             // A merge failure here means the determinism contract
             // itself broke — surface the first divergence, don't panic.
             let merged = mn_comm::obs::merge_ranks(&snapshots)
@@ -589,110 +685,70 @@ fn run(
     }
 }
 
+/// Print `error: …` and exit 1: a failure while setting a run up,
+/// before anything needs cleaning up.
+fn exit_error(e: impl Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(1)
+}
+
 /// Open the `--telemetry-out` sink, if requested.
-fn open_telemetry(opts: &Options) -> Result<Option<TelemetrySink>, String> {
-    match &opts.telemetry_out {
-        Some(path) => {
-            let interval = Duration::from_millis(opts.telemetry_interval_ms);
-            TelemetrySink::to_path(path, interval)
-                .map(Some)
-                .map_err(|e| format!("opening telemetry stream {path}: {e}"))
-        }
-        None => Ok(None),
+fn open_telemetry(opts: &Options) -> Option<TelemetrySink> {
+    let path = opts.telemetry_out.as_ref()?;
+    Some(
+        TelemetrySink::to_path(path, opts.telemetry_interval)
+            .unwrap_or_else(|e| exit_error(format!("opening telemetry stream {path}: {e}"))),
+    )
+}
+
+/// Drain a telemetry sink and join its writer. The engines (and their
+/// cloned handles) are gone by now.
+fn close_telemetry(sink: Option<TelemetrySink>) {
+    if let Some(Err(e)) = sink.map(TelemetrySink::finish) {
+        eprintln!("warning: telemetry stream: {e}");
     }
 }
 
 fn main() -> ExitCode {
-    // Service subcommands dispatch before the batch flag parser (the
-    // same pattern as the hidden `worker` subcommand).
+    // Injected kills, fabric aborts and cancellations unwind on
+    // purpose and are reported as one `fault:` line: keep their panic
+    // message and backtrace off stderr, plan or no plan.
+    silence_injected_panics();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let opts = match args.first().map(String::as_str) {
         Some("serve") => return serve_main(&args[1..]),
         Some("client") => return client_main(&args[1..]),
-        _ => {}
-    }
-    let opts = parse_options();
-    if let Some(worker) = &opts.worker {
-        return run_worker_entry(&opts, worker);
-    }
-    if let EngineSpec::Proc(p) = opts.engine {
-        return run_supervisor(&opts, p);
-    }
+        // The per-rank child entrypoint the proc-engine supervisor
+        // spawns.
+        Some("worker") => return run_worker_entry(parse_options(&args[1..], true)),
+        _ => parse_options(&args, false),
+    };
+    let nranks = match opts.engine {
+        EngineSpec::Serial => 1,
+        EngineSpec::Threads(p) | EngineSpec::Sim(p) | EngineSpec::Msg(p) => p,
+        EngineSpec::Proc(p) => return run_supervisor(&opts, p),
+    };
     if opts.quiet {
         mn_comm::obs::set_quiet(true);
     }
-    let data = match load_data(&opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = match build_config(&opts, &data) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sink = match open_telemetry(&opts) {
-        Ok(sink) => sink,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (data, config, plan) = prepare(&opts, nranks).unwrap_or_else(|e| exit_error(e));
+    let sink = open_telemetry(&opts);
     let handle = sink.as_ref().map(|s| s.handle());
     let mut capture = Capture::default();
-    let result = run(&opts, &data, &config, handle.as_ref(), &mut capture);
+    let result = run(&opts, &data, &config, plan, handle.as_ref(), &mut capture);
     drop(handle);
-    if let Some(sink) = sink {
-        // The engines (and their cloned handles) are gone by now, so
-        // this only drains buffered lines and joins the writer.
-        if let Err(e) = sink.finish() {
-            eprintln!("warning: telemetry stream: {e}");
-        }
-    }
-    let (network, report, snapshot) = match result {
-        Ok(result) => {
+    close_telemetry(sink);
+    match result {
+        Ok((network, report, snapshot)) => {
             // An explicit dump directory asks for recorders even from
             // clean runs (replay comparison across engines).
-            if let Some(dir) = &opts.flightrec_dir {
-                capture.dump_flight_recorders(dir, opts.quiet);
+            if opts.flightrec_dir.is_some() {
+                capture.dump_flight_recorders(&opts);
             }
-            result
+            write_outputs(&opts, &network, &report, &snapshot)
         }
-        Err(failure) => {
-            // Post-mortem: every failed run leaves its per-rank flight
-            // recorder dumps, and — when a dying rank stashed its final
-            // snapshot — the best-effort timeline the --trace flag asked
-            // for.
-            let dir = opts.flightrec_dir.clone().unwrap_or_else(|| ".".to_string());
-            capture.dump_flight_recorders(&dir, opts.quiet);
-            if let Some(path) = &opts.trace {
-                if let Some(snap) = capture.death_snapshot() {
-                    let trace = mn_comm::obs::chrome_trace_json(&snap);
-                    if let Err(e) = std::fs::write(path, trace) {
-                        eprintln!("warning: writing {path}: {e}");
-                    } else if !opts.quiet {
-                        eprintln!("post-mortem trace: {path}");
-                    }
-                }
-            }
-            match failure {
-                RunFailure::Error(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                RunFailure::Fault(e) => {
-                    eprintln!("fault: {e}");
-                    return ExitCode::from(3);
-                }
-            }
-        }
-    };
-
-    write_outputs(&opts, &network, &report, &snapshot)
+        Err(failure) => fail(&opts, &capture, failure),
+    }
 }
 
 /// Print the run summary and write every requested output artifact —
@@ -713,7 +769,11 @@ fn write_outputs(
         for phase in &report.phases {
             println!("  task {:<10} {:.4}s", phase.name, phase.elapsed_s);
         }
-        println!("total: {:.4}s on {} rank(s)", report.total_s(), report.nranks);
+        println!(
+            "total: {:.4}s on {} rank(s)",
+            report.total_s(),
+            report.nranks
+        );
         if opts.dag {
             let dag = monet::acyclic::dag_edges(network);
             println!("acyclic module graph: {} edges", dag.len());
@@ -753,52 +813,18 @@ fn write_outputs(
 /// the user asked for. This is the `monet worker` entrypoint; the
 /// supervisor spawns one per rank with the run flags forwarded
 /// verbatim, so data loading and configuration are replicated exactly.
-fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
+fn run_worker_entry(mut opts: Options) -> ExitCode {
+    let w = opts.worker.take().expect("worker flags parsed");
     // Only rank 0 speaks: the summary, telemetry stream, and output
     // files all come from rank 0; the other ranks run silent.
-    let quiet = opts.quiet || w.rank != 0;
-    if quiet {
+    opts.quiet |= w.rank != 0;
+    if opts.quiet {
         mn_comm::obs::set_quiet(true);
     }
-    let data = match load_data(opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = match build_config(opts, &data) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match &opts.fault {
-        Some(spec) => match FaultPlan::parse(spec, w.nranks) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FaultPlan::new(),
-    };
-    if !plan.is_empty() {
-        silence_injected_panics();
-    }
-    let addr = match ProcAddr::parse(&w.socket) {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("error: --proc-socket: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let timeout = opts.comm_timeout_ms.map(Duration::from_millis);
-    let dump_dir = opts
-        .flightrec_dir
-        .clone()
-        .unwrap_or_else(|| ".".to_string());
+    let (data, config, plan) = prepare(&opts, w.nranks).unwrap_or_else(|e| exit_error(e));
+    let addr =
+        ProcAddr::parse(&w.socket).unwrap_or_else(|e| exit_error(format!("--proc-socket: {e}")));
+    let dump_dir = String::from(opts.flightrec_dir.as_deref().unwrap_or("."));
     // A supervisor that never appears (or never finishes the
     // handshake) is a bounded, typed failure — the same exit code 3 a
     // mid-run fault gets, since from this rank's perspective the
@@ -807,8 +833,8 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
         rank: w.rank,
         nranks: w.nranks,
         addr,
-        connect_timeout: timeout.unwrap_or(DEFAULT_CONNECT_TIMEOUT),
-        recv_timeout: timeout,
+        connect_timeout: opts.comm_timeout.unwrap_or(DEFAULT_CONNECT_TIMEOUT),
+        recv_timeout: opts.comm_timeout,
         faults: plan,
         dump_dir: dump_dir.clone().into(),
     }) {
@@ -821,42 +847,27 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
     let (mut engine, flight, stash) = mn_comm::msg::spmd_worker_engine(ep);
     // A SIGTERMed or panicking worker still leaves its flight ring on
     // disk — this process IS the rank; nothing else holds the handle.
-    {
+    let dump = {
         let flight = flight.clone();
-        let dir = dump_dir.clone();
-        mn_comm::sys::on_sigterm(move || {
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = flight.dump_to_dir(std::path::Path::new(&dir));
-        });
-    }
-    {
-        let flight = flight.clone();
-        let dir = dump_dir.clone();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = flight.dump_to_dir(std::path::Path::new(&dir));
-            prev(info);
-        }));
-    }
-    let sink = if w.rank == 0 {
-        match open_telemetry(opts) {
-            Ok(sink) => sink,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        move || {
+            let _ = std::fs::create_dir_all(&dump_dir);
+            let _ = flight.dump_to_dir(std::path::Path::new(&dump_dir));
         }
-    } else {
-        None
     };
+    mn_comm::sys::on_sigterm(dump.clone());
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        dump();
+        prev(info);
+    }));
+    let sink = (w.rank == 0).then(|| open_telemetry(&opts)).flatten();
     let handle = sink.as_ref().map(|s| s.handle());
-    let ckpt = checkpoint_request(opts);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(handle) = &handle {
             engine.obs_mut().set_telemetry(handle.clone());
         }
-        let (network, report, snapshot) = run_on(&mut engine, &data, &config, ckpt.as_ref())?;
+        let (network, report, snapshot) =
+            run_on(&mut engine, &data, &config, opts.checkpoint.as_ref())?;
         // Post-run snapshot gather so rank 0 can merge every rank's
         // timeline, mirroring the in-process launcher's thread-join
         // collection. Muted: post-run traffic is outside the
@@ -867,10 +878,6 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
         engine.endpoint().set_obs_muted(false);
         Ok((network, report, all))
     }));
-    let result = match outcome {
-        Ok(result) => result,
-        Err(payload) => Err(fault_failure(payload)),
-    };
     // Goodbye on every deliberate exit — success or diagnosed fault —
     // so the supervisor's EOF-is-death detection only fires for ranks
     // that really vanished (SIGKILL, crash). A survivor aborting on a
@@ -878,63 +885,34 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
     // itself.
     engine.endpoint().goodbye();
     drop(handle);
-    if let Some(sink) = sink {
-        if let Err(e) = sink.finish() {
-            eprintln!("warning: telemetry stream: {e}");
-        }
-    }
-    let dump_flight = |always: bool| {
-        if always || opts.flightrec_dir.is_some() {
-            let dir = std::path::Path::new(&dump_dir);
-            let _ = std::fs::create_dir_all(dir);
-            match flight.dump_to_dir(dir) {
-                Ok(path) => {
-                    if !quiet {
-                        eprintln!("flight recorder: {}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: flight recorder dump: {e}"),
-            }
-        }
+    close_telemetry(sink);
+    // Only rank 0 writes the post-mortem trace, from its own stash.
+    let capture = Capture {
+        flights: vec![flight],
+        stashes: if w.rank == 0 { vec![stash] } else { Vec::new() },
     };
-    match result {
+    match outcome.unwrap_or_else(|payload| Err(fault_failure(payload))) {
         Ok((network, report, snapshots)) => {
-            dump_flight(false);
+            if opts.flightrec_dir.is_some() {
+                capture.dump_flight_recorders(&opts);
+            }
             if w.rank != 0 {
                 return ExitCode::SUCCESS;
             }
-            let merged = match mn_comm::obs::merge_ranks(&snapshots) {
-                Ok(merged) => merged,
+            match mn_comm::obs::merge_ranks(&snapshots) {
+                Ok(merged) => write_outputs(&opts, &network, &report, &merged),
                 Err(e) => {
                     eprintln!("error: rank merge failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            write_outputs(opts, &network, &report, &merged)
-        }
-        Err(failure) => {
-            dump_flight(true);
-            if w.rank == 0 {
-                if let Some(path) = &opts.trace {
-                    if let Some(snap) = stash.get() {
-                        let trace = mn_comm::obs::chrome_trace_json(&snap);
-                        if std::fs::write(path, trace).is_ok() && !quiet {
-                            eprintln!("post-mortem trace: {path}");
-                        }
-                    }
-                }
-            }
-            match failure {
-                RunFailure::Error(e) => {
-                    eprintln!("error: {e}");
                     ExitCode::FAILURE
                 }
-                RunFailure::Fault(e) => {
-                    eprintln!("fault: rank {}: {e}", w.rank);
-                    ExitCode::from(3)
-                }
             }
         }
+        Err(RunFailure::Fault(e)) => fail(
+            &opts,
+            &capture,
+            RunFailure::Fault(format!("rank {}: {e}", w.rank)),
+        ),
+        Err(failure) => fail(&opts, &capture, failure),
     }
 }
 
@@ -947,51 +925,20 @@ fn run_worker_entry(opts: &Options, w: &WorkerOpts) -> ExitCode {
 fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
     // Validate everything cheap before spawning: a typo should fail in
     // one process, not p+1.
-    let data = match load_data(opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = build_config(opts, &data) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    drop(data);
-    if let Some(spec) = &opts.fault {
-        if let Err(e) = FaultPlan::parse(spec, p) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    prepare(opts, p).unwrap_or_else(|e| exit_error(e));
     let addr = match std::env::var("MN_PROC_ADDR") {
-        Ok(spec) => match ProcAddr::parse(&spec) {
-            Ok(addr) => addr,
-            Err(e) => {
-                eprintln!("error: MN_PROC_ADDR: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Ok(spec) => {
+            ProcAddr::parse(&spec).unwrap_or_else(|e| exit_error(format!("MN_PROC_ADDR: {e}")))
+        }
         Err(_) => ProcAddr::Unix(
             std::env::temp_dir().join(format!("mn-proc-{}.sock", std::process::id())),
         ),
     };
-    let mut sup = match Supervisor::bind(&addr, p) {
-        Ok(sup) => sup,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut sup =
+        Supervisor::bind(&addr, p).unwrap_or_else(|e| exit_error(format!("binding {addr}: {e}")));
     let worker_addr = sup.addr().to_string();
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("error: resolving own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| exit_error(format!("resolving own executable: {e}")));
     // Forward the original command line verbatim (workers ignore
     // --engine); each child re-loads data and re-derives the identical
     // config, the SPMD way.
@@ -1020,10 +967,7 @@ fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
             }
         }
     }
-    let timeout = opts
-        .comm_timeout_ms
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_CONNECT_TIMEOUT);
+    let timeout = opts.comm_timeout.unwrap_or(DEFAULT_CONNECT_TIMEOUT);
     if let Err(e) = sup.accept_workers(timeout) {
         eprintln!("error: worker handshake: {e}");
         for child in &mut children {
@@ -1109,32 +1053,10 @@ fn serve_usage() -> ! {
 
 fn serve_main(args: &[String]) -> ExitCode {
     use monet_serve::{ServeConfig, Server};
-    let mut listen: Option<String> = None;
-    let mut state_dir = "monet-serve-state".to_string();
-    let mut workers = 2usize;
-    let mut max_queue = 64usize;
-    let mut interval_ms = 50u64;
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| serve_usage())
+    let flags = Flags::parse(args, &[SERVE_FLAGS], false, serve_usage);
+    let Some(listen) = flags.get::<String>("--listen") else {
+        serve_usage()
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => listen = Some(value(args, &mut i)),
-            "--state-dir" => state_dir = value(args, &mut i),
-            "--workers" => workers = value(args, &mut i).parse().unwrap_or_else(|_| serve_usage()),
-            "--max-queue" => {
-                max_queue = value(args, &mut i).parse().unwrap_or_else(|_| serve_usage())
-            }
-            "--telemetry-interval-ms" => {
-                interval_ms = value(args, &mut i).parse().unwrap_or_else(|_| serve_usage())
-            }
-            _ => serve_usage(),
-        }
-        i += 1;
-    }
-    let Some(listen) = listen else { serve_usage() };
     let addr = match ProcAddr::parse(&listen) {
         Ok(addr) => addr,
         Err(e) => {
@@ -1142,17 +1064,16 @@ fn serve_main(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let state_dir: String = flags
+        .get("--state-dir")
+        .unwrap_or("monet-serve-state".into());
     let mut cfg = ServeConfig::new(addr, state_dir.into());
-    cfg.workers = workers.max(1);
-    cfg.max_queue = max_queue.max(1);
-    cfg.telemetry_interval = Duration::from_millis(interval_ms.max(1));
-    let server = match Server::bind(cfg) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: binding listener: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cfg.workers = flags.get("--workers").unwrap_or(cfg.workers).max(1);
+    cfg.max_queue = flags.get("--max-queue").unwrap_or(cfg.max_queue).max(1);
+    if let Some(ms) = flags.get::<u64>("--telemetry-interval-ms") {
+        cfg.telemetry_interval = Duration::from_millis(ms.max(1));
+    }
+    let server = Server::bind(cfg).unwrap_or_else(|e| exit_error(format!("binding listener: {e}")));
     // Scripts (CI, tests) wait for this exact line before connecting.
     println!("listening on {}", server.local_addr());
     use std::io::Write as _;
@@ -1183,52 +1104,28 @@ fn client_usage() -> ! {
     std::process::exit(2)
 }
 
-/// Flat `--flag value` parser for one client op. Boolean flags map to
-/// `"true"`.
-fn client_flags(args: &[String], bools: &[&str]) -> std::collections::BTreeMap<String, String> {
-    let mut flags = std::collections::BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let name = match args[i].strip_prefix("--") {
-            Some(name) => name.to_string(),
-            None => client_usage(),
-        };
-        if bools.contains(&name.as_str()) {
-            flags.insert(name, "true".to_string());
-        } else {
-            i += 1;
-            let Some(v) = args.get(i) else { client_usage() };
-            flags.insert(name, v.clone());
-        }
-        i += 1;
-    }
-    flags
-}
-
 fn client_main(args: &[String]) -> ExitCode {
     use monet_serve::client::Reply;
     use monet_serve::Client;
 
-    // `--connect` may appear before or after the op token.
-    let mut connect: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--connect" {
-            i += 1;
-            connect = Some(args.get(i).cloned().unwrap_or_else(|| client_usage()));
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
-    let Some(connect) = connect else {
+    // The op is the first word; `--connect` may come before or after it.
+    let op_at = if args.first().is_some_and(|a| a == "--connect") {
+        2
+    } else {
+        0
+    };
+    let Some(op) = args.get(op_at) else {
         client_usage()
     };
-    if rest.is_empty() {
-        client_usage();
-    }
-    let op = rest.remove(0);
+    let Some(table) = client_op_flags(op) else {
+        client_usage()
+    };
+    let rest = [&args[..op_at], &args[op_at + 1..]].concat();
+    let learn: Table = if op == "submit" { &LEARN_FLAGS } else { &[] };
+    let tables = [CONNECT_FLAG, table, learn];
+    let flags = Flags::parse(&rest, &tables, op == "raw", client_usage);
+    let need = |name: &str| -> String { flags.get(name).unwrap_or_else(|| client_usage()) };
+    let connect = need("--connect");
     let addr = match ProcAddr::parse(&connect) {
         Ok(addr) => addr,
         Err(e) => {
@@ -1236,187 +1133,104 @@ fn client_main(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut client = match Client::connect(&addr, Duration::from_secs(10)) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: connecting to {connect}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut client = Client::connect(&addr, Duration::from_secs(10))
+        .unwrap_or_else(|e| exit_error(format!("connecting to {connect}: {e}")));
 
     // Each op prints the server's response line on stdout; a typed
     // refusal prints it and exits 1 (except `raw`, which only reports
     // transport failures — CI asserts on its output with jq).
+    let print = |value: &serde::Content| {
+        let line = serde_json::to_string(value).expect("response reserializes");
+        println!("{line}");
+        ExitCode::SUCCESS
+    };
+    let transport = |e: std::io::Error| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    };
     let finish = |reply: std::io::Result<Reply>| -> ExitCode {
         match reply {
-            Ok(Reply::Ok(value)) => {
-                println!("{}", serde_json::to_string(&value).expect("response reserializes"));
-                ExitCode::SUCCESS
-            }
+            Ok(Reply::Ok(value)) => print(&value),
             Ok(Reply::Err(err)) => {
                 println!("{}", monet_serve::proto::err_line(&err));
                 ExitCode::FAILURE
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => transport(e),
         }
     };
 
     match op.as_str() {
         "ping" => finish(client.ping()),
         "register" => {
-            let flags = client_flags(&rest, &[]);
-            let (Some(tenant), Some(dataset)) = (flags.get("tenant"), flags.get("dataset"))
-            else {
+            let (tenant, dataset) = (need("--tenant"), need("--dataset"));
+            if let Some(tsv) = flags.get::<String>("--tsv") {
+                return finish(client.register_tsv(&tenant, &dataset, &tsv));
+            }
+            let Some(Shape(n, m)) = flags.get("--synthetic") else {
                 client_usage()
             };
-            if let Some(tsv) = flags.get("tsv") {
-                return finish(client.register_tsv(tenant, dataset, tsv));
-            }
-            let Some(synth) = flags.get("synthetic") else {
-                client_usage()
-            };
-            let parts: Vec<&str> = synth.split(',').collect();
-            if parts.len() != 2 {
-                client_usage();
-            }
-            let n: usize = parts[0].parse().unwrap_or_else(|_| client_usage());
-            let m: usize = parts[1].parse().unwrap_or_else(|_| client_usage());
-            let seed: u64 = flags
-                .get("seed")
-                .map(|s| s.parse().unwrap_or_else(|_| client_usage()))
-                .unwrap_or(0);
-            finish(client.register_synthetic(tenant, dataset, n, m, seed))
+            let seed = flags.get("--seed").unwrap_or(0);
+            finish(client.register_synthetic(&tenant, &dataset, n, m, seed))
         }
         "submit" => {
-            let flags = client_flags(&rest, &["reference"]);
-            let (Some(tenant), Some(dataset)) = (flags.get("tenant"), flags.get("dataset"))
-            else {
-                client_usage()
-            };
-            let engine = flags.get("engine").map(String::as_str).unwrap_or("serial");
-            // Learn flags land in the same Options the batch parser
-            // fills, then go through the same config builder.
-            let mut opts = Options::defaults();
-            let parse = |flags: &std::collections::BTreeMap<String, String>,
-                         name: &str,
-                         default: usize|
-             -> usize {
-                flags
-                    .get(name)
-                    .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                    .unwrap_or(default)
-            };
-            opts.seed = flags
-                .get("seed")
-                .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                .unwrap_or(0);
-            opts.ganesh_runs = parse(&flags, "ganesh-runs", opts.ganesh_runs);
-            opts.update_steps = parse(&flags, "update-steps", opts.update_steps);
-            opts.init_clusters = flags
-                .get("init-clusters")
-                .map(|v| v.parse().unwrap_or_else(|_| client_usage()));
-            opts.trees = parse(&flags, "trees", opts.trees);
-            opts.splits_per_node = parse(&flags, "splits-per-node", opts.splits_per_node);
-            opts.sampling_steps = parse(&flags, "sampling-steps", opts.sampling_steps);
-            opts.threshold = flags
-                .get("threshold")
-                .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                .unwrap_or(0.0);
-            opts.reference = flags.contains_key("reference");
-            let config = match base_config(&opts).validated() {
+            let (tenant, dataset) = (need("--tenant"), need("--dataset"));
+            let engine: String = flags.get("--engine").unwrap_or("serial".into());
+            let config = match learn_config(&flags).validated() {
                 Ok(config) => config,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
             };
-            finish(client.submit(tenant, dataset, engine, &config))
+            finish(client.submit(&tenant, &dataset, &engine, &config))
         }
-        "status" | "result" | "cancel" | "suspend" | "resume" | "watch" => {
-            let flags = client_flags(&rest, &[]);
-            let Some(job) = flags.get("job") else {
-                client_usage()
-            };
-            match op.as_str() {
-                "status" => finish(client.status(job)),
-                "cancel" => finish(client.cancel(job)),
-                "suspend" => finish(client.suspend(job)),
-                "resume" => finish(client.resume(job, flags.get("engine").map(String::as_str))),
-                "watch" => {
-                    let from: usize = flags
-                        .get("from")
-                        .map(|v| v.parse().unwrap_or_else(|_| client_usage()))
-                        .unwrap_or(0);
-                    match client.watch(job, from, |line| println!("{line}")) {
-                        Ok(done) => {
-                            println!(
-                                "{}",
-                                serde_json::to_string(&done).expect("response reserializes")
-                            );
-                            ExitCode::SUCCESS
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            ExitCode::FAILURE
-                        }
-                    }
-                }
-                "result" => match client.result_of(job) {
-                    Ok(monet_serve::client::Reply::Ok(value)) => {
-                        let Some(network_json) = value["network_json"].as_str() else {
-                            eprintln!("error: response carried no network_json");
-                            return ExitCode::FAILURE;
-                        };
-                        if let Some(path) = flags.get("json") {
-                            // The exact batch-CLI `--json` bytes.
-                            if let Err(e) = std::fs::write(path, network_json) {
-                                eprintln!("error: writing {path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        } else {
-                            println!("{network_json}");
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    other => finish(other),
-                },
-                _ => unreachable!(),
+        "status" => finish(client.status(&need("--job"))),
+        "cancel" => finish(client.cancel(&need("--job"))),
+        "suspend" => finish(client.suspend(&need("--job"))),
+        "resume" => {
+            let engine = flags.get::<String>("--engine");
+            finish(client.resume(&need("--job"), engine.as_deref()))
+        }
+        "watch" => {
+            let from = flags.get("--from").unwrap_or(0);
+            match client.watch(&need("--job"), from, |line| println!("{line}")) {
+                Ok(done) => print(&done),
+                Err(e) => transport(e),
             }
         }
-        "accounting" => {
-            let flags = client_flags(&rest, &[]);
-            finish(client.accounting(flags.get("tenant").map(String::as_str)))
-        }
-        "jobs" => {
-            let flags = client_flags(&rest, &[]);
-            finish(client.jobs(flags.get("tenant").map(String::as_str)))
-        }
+        "result" => match client.result_of(&need("--job")) {
+            Ok(Reply::Ok(value)) => {
+                let Some(network_json) = value["network_json"].as_str() else {
+                    eprintln!("error: response carried no network_json");
+                    return ExitCode::FAILURE;
+                };
+                if let Some(path) = flags.get::<String>("--json") {
+                    // The exact batch-CLI `--json` bytes.
+                    if let Err(e) = std::fs::write(&path, network_json) {
+                        eprintln!("error: writing {path}: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                } else {
+                    println!("{network_json}");
+                }
+                ExitCode::SUCCESS
+            }
+            other => finish(other),
+        },
+        "accounting" => finish(client.accounting(flags.get::<String>("--tenant").as_deref())),
+        "jobs" => finish(client.jobs(flags.get::<String>("--tenant").as_deref())),
         "shutdown" => finish(client.shutdown()),
-        "raw" => {
-            // Send one arbitrary line and print whatever comes back —
-            // the hostile-input drill hook. Exit 0 iff a response line
-            // arrived; content assertions belong to the caller (jq).
-            if rest.is_empty() {
+        // "raw": send one arbitrary line and print whatever comes back
+        // — the hostile-input drill hook. Exit 0 iff a response line
+        // arrived; content assertions belong to the caller (jq).
+        _ => {
+            if flags.words.is_empty() {
                 client_usage();
             }
-            let line = rest.join(" ");
-            match client.raw(&line) {
-                Ok(value) => {
-                    println!(
-                        "{}",
-                        serde_json::to_string(&value).expect("response reserializes")
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+            match client.raw(&flags.words.join(" ")) {
+                Ok(value) => print(&value),
+                Err(e) => transport(e),
             }
         }
-        _ => client_usage(),
     }
 }

@@ -584,11 +584,7 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
         } => {
             let materialized = match data {
                 DataSpec::Synthetic { n, m, seed } => {
-                    if n == 0 || m == 0 {
-                        return Err(ServeError::BadRequest(
-                            "synthetic dataset needs n >= 1 and m >= 1".into(),
-                        ));
-                    }
+                    mn_data::synthetic::check_shape(n, m).map_err(ServeError::BadRequest)?;
                     mn_data::synthetic::yeast_like(n, m, seed).dataset
                 }
                 DataSpec::TsvPath(path) => mn_data::read_tsv_file(&path)

@@ -84,6 +84,9 @@ impl LearnerConfig {
         if self.ganesh.update_steps == 0 {
             return Err("ganesh.update_steps must be >= 1".into());
         }
+        if self.ganesh.init_clusters == Some(0) {
+            return Err("ganesh.init_clusters must be >= 1".into());
+        }
         if !(0.0..=1.0).contains(&self.consensus.threshold) {
             return Err(format!(
                 "consensus threshold must be in [0,1], got {}",
@@ -134,6 +137,9 @@ mod tests {
             ganesh_runs: 0,
             ..LearnerConfig::default()
         };
+        assert!(c.validated().is_err());
+        let mut c = LearnerConfig::default();
+        c.ganesh.init_clusters = Some(0);
         assert!(c.validated().is_err());
         let c = LearnerConfig {
             consensus: ConsensusParams {

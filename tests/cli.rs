@@ -550,6 +550,30 @@ fn cli_rejects_bad_usage() {
         .output()
         .expect("run monet");
     assert_eq!(output.status.code(), Some(1));
+    // Out-of-range values are refused, never a panic (exit 101): a
+    // usage error exits 2 and a config the learner refuses exits 1. A
+    // client flag is checked before the client connects, so no server
+    // needs to exist at the address.
+    let client = ["client", "--connect", "unix:/nonexistent"];
+    let submit = [&client[..], &["submit", "--tenant", "t", "--dataset", "d"]].concat();
+    let cases: [(Vec<&str>, i32); 10] = [
+        (vec!["--synthetic", "1,10"], 2),
+        (vec!["--synthetic", "10,1"], 2),
+        (vec!["--synthetic", "0,10"], 2),
+        (vec!["--synthetic", "10,10", "--init-clusters", "0"], 1),
+        (vec!["--synthetic", "10,10", "--trees", "18446744073709551615"], 2),
+        (vec!["--synthetic", "10,10", "--comm-timeout-ms", "0"], 2),
+        (vec!["--synthetic", "10,10", "--engine", "msg:2", "--comm-timeout-ms", "0"], 2),
+        ([&submit[..], &["--bogus", "1"]].concat(), 2),
+        ([&submit[..], &["--ganesh_runs", "4"]].concat(), 2),
+        ([&client[..], &["status", "--job", "j", "--engine", "serial"]].concat(), 2),
+    ];
+    for (args, code) in cases {
+        let output = Command::new(monet_bin()).args(&args).output().expect("run monet");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -243,6 +243,20 @@ fn cancellation_backpressure_and_unknowns_are_typed() {
         err(client.register_tsv("t", "bad", "/nonexistent/data.tsv")).kind(),
         "bad-request"
     );
+    // A synthetic shape the generator refuses, and a config the learner
+    // refuses, are typed refusals on a connection that keeps serving.
+    assert_eq!(
+        err(client.register_synthetic("t", "tiny", 1, 10, 0)).kind(),
+        "bad-request"
+    );
+    ok(client.ping());
+    let mut no_clusters = slow_config(7);
+    no_clusters.ganesh.init_clusters = Some(0);
+    assert_eq!(
+        err(client.submit("t", "d", "serial", &no_clusters)).kind(),
+        "bad-request"
+    );
+    ok(client.ping());
     assert_eq!(
         err(client.submit("t", "d", "msg:2", &slow)).kind(),
         "bad-request",
@@ -519,6 +533,68 @@ fn served_result_is_byte_identical_to_the_batch_cli() {
         );
     }
 
+    server.shutdown();
+}
+
+#[test]
+fn client_cli_submit_learns_the_batch_cli_network() {
+    // The learn flags given to `monet client submit` build the config
+    // the batch CLI builds from the same flags, so the served network
+    // is the batch network byte for byte.
+    let server = TestServer::start("cli_submit", 1, 8);
+    ok(server.client().register_synthetic("t", "d", 24, 16, 5));
+    let connect = server.addr.to_string();
+    let client_cli = |args: &[&str]| {
+        let output = Command::new(monet_bin())
+            .args(["client", "--connect", &connect])
+            .args(args)
+            .output()
+            .expect("run monet client");
+        assert!(
+            output.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let learn = [
+        "--seed",
+        "5",
+        "--ganesh-runs",
+        "2",
+        "--update-steps",
+        "2",
+        "--init-clusters",
+        "6",
+        "--trees",
+        "2",
+        "--splits-per-node",
+        "3",
+        "--sampling-steps",
+        "6",
+        "--threshold",
+        "0.1",
+        "--reference",
+    ];
+    let ack: Content = serde_json::from_str(&client_cli(
+        &[&["submit", "--tenant", "t", "--dataset", "d"][..], &learn].concat(),
+    ))
+    .unwrap();
+    let job = ack["job"].as_str().unwrap().to_string();
+    wait_state(&mut server.client(), &job, "done", Duration::from_secs(120));
+    let dir = fresh_dir("cli_submit_out");
+    let (served, batch) = (dir.join("served.json"), dir.join("batch.json"));
+    client_cli(&["result", "--job", &job, "--json", served.to_str().unwrap()]);
+    let output = Command::new(monet_bin())
+        .args(["--synthetic", "24,16", "--quiet", "--json", batch.to_str().unwrap()])
+        .args(learn)
+        .output()
+        .expect("run monet");
+    assert!(output.status.success());
+    assert_eq!(
+        std::fs::read(&served).unwrap(),
+        std::fs::read(&batch).unwrap()
+    );
     server.shutdown();
 }
 
