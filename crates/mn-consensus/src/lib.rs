@@ -33,9 +33,8 @@ pub use cooccurrence::{
 pub use rand_index::{adjusted_rand_index, labels_from_clusters};
 pub use sparse::{SparseParts, SparseSymMatrix};
 pub use spectral::{
-    consensus_clustering, power_iteration, power_iteration_sparse, spectral_clusters,
-    spectral_clusters_counted, spectral_outcome, spectral_outcome_sparse, SpectralOutcome,
-    SpectralParams,
+    power_iteration, power_iteration_sparse, spectral_outcome, spectral_outcome_sparse,
+    SpectralOutcome, SpectralParams,
 };
 pub use symmatrix::SymMatrix;
 

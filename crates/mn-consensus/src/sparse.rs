@@ -22,7 +22,7 @@
 //! intermediate rounding.
 
 use crate::symmatrix::SymMatrix;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// The serializable canonical form of a [`SparseSymMatrix`]: the upper
 /// triangle (`j ≥ i`) in CSR layout. This is what the task-2
@@ -38,6 +38,27 @@ pub struct SparseParts {
     pub col: Vec<u32>,
     /// Entry values (non-zero by construction).
     pub val: Vec<f64>,
+}
+
+// Hand-written: the matrix serializes as its canonical [`SparseParts`]
+// (same keys, same order, so the bytes are the derive's), borrowing the
+// upper triangle instead of copying it, and the derived adjacency is
+// rebuilt on load.
+impl Serialize for SparseSymMatrix {
+    fn serialize_value(&self) -> Content {
+        Content::Map(vec![
+            ("n".to_string(), self.n.serialize_value()),
+            ("row_ptr".to_string(), self.ut_row_ptr.serialize_value()),
+            ("col".to_string(), self.ut_col.serialize_value()),
+            ("val".to_string(), self.ut_val.serialize_value()),
+        ])
+    }
+}
+
+impl Deserialize for SparseSymMatrix {
+    fn deserialize_value(value: &Content) -> Result<Self, DeError> {
+        SparseParts::deserialize_value(value).map(Self::from_parts)
+    }
 }
 
 /// A sparse symmetric `n × n` matrix over the thresholded
@@ -87,16 +108,6 @@ impl SparseSymMatrix {
     pub fn from_parts(parts: SparseParts) -> Self {
         assert_eq!(parts.row_ptr.len(), parts.n + 1, "malformed row pointers");
         Self::from_upper(parts.n, parts.row_ptr, parts.col, parts.val)
-    }
-
-    /// The canonical serialized form (upper triangle only).
-    pub fn to_parts(&self) -> SparseParts {
-        SparseParts {
-            n: self.n,
-            row_ptr: self.ut_row_ptr.clone(),
-            col: self.ut_col.clone(),
-            val: self.ut_val.clone(),
-        }
     }
 
     /// Two-pass count-then-fill construction of the full adjacency
@@ -298,11 +309,15 @@ mod tests {
     #[test]
     fn parts_roundtrip_preserves_everything() {
         let s = SparseSymMatrix::from_dense(&dense_fixture());
-        let parts = s.to_parts();
-        let json = serde_json::to_string(&parts).unwrap();
-        let back: SparseParts = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, parts);
-        assert_eq!(SparseSymMatrix::from_parts(back), s);
+        let json = serde_json::to_string(&s).unwrap();
+        // The matrix serializes as exactly its canonical parts.
+        let parts: SparseParts = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&parts).unwrap(), json);
+        assert_eq!(parts.row_ptr.len(), s.n() + 1);
+        assert_eq!(parts.val.len(), s.nnz_upper());
+        let back: SparseSymMatrix = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(SparseSymMatrix::from_parts(parts), s);
     }
 
     #[test]

@@ -252,27 +252,6 @@ pub struct SpectralOutcome {
     pub work: u64,
 }
 
-/// Extract consensus clusters from a co-occurrence matrix.
-///
-/// Returns the clusters (lists of variable indices, each sorted), in
-/// extraction order (strongest first). Variables in no returned
-/// cluster were either isolated by the threshold or fell in clusters
-/// smaller than `min_cluster_size`.
-pub fn spectral_clusters(matrix: &SymMatrix, params: &SpectralParams) -> Vec<Vec<usize>> {
-    spectral_outcome(matrix, params).clusters
-}
-
-/// [`spectral_clusters`] with a work-unit estimate (matrix-vector
-/// products dominate: one unit per matrix cell per power-iteration
-/// step), used to charge the engines for the replicated consensus task.
-pub fn spectral_clusters_counted(
-    matrix: &SymMatrix,
-    params: &SpectralParams,
-) -> (Vec<Vec<usize>>, u64) {
-    let out = spectral_outcome(matrix, params);
-    (out.clusters, out.work)
-}
-
 /// The dense (sequential, replicated) spectral extraction loop.
 pub fn spectral_outcome(matrix: &SymMatrix, params: &SpectralParams) -> SpectralOutcome {
     let n = matrix.n();
@@ -451,18 +430,6 @@ fn connected_component_sparse(
     })
 }
 
-/// Convenience: the full consensus-clustering task (§2.2.2) from an
-/// ensemble of variable clusterings.
-pub fn consensus_clustering(
-    n: usize,
-    ensemble: &[Vec<Vec<usize>>],
-    threshold: f64,
-    params: &SpectralParams,
-) -> Vec<Vec<usize>> {
-    let a = crate::cooccurrence::cooccurrence_matrix(n, ensemble, threshold);
-    spectral_clusters(&a, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +473,7 @@ mod tests {
 
     #[test]
     fn blocks_are_recovered_in_size_order() {
-        let clusters = spectral_clusters(&block_matrix(), &SpectralParams::default());
+        let clusters = spectral_outcome(&block_matrix(), &SpectralParams::default()).clusters;
         assert_eq!(clusters.len(), 2);
         assert_eq!(clusters[0], vec![0, 1, 2]);
         assert_eq!(clusters[1], vec![3, 4]);
@@ -520,7 +487,7 @@ mod tests {
             a.set(i, i, 1.0);
         }
         // Variable 2 is isolated.
-        let clusters = spectral_clusters(&a, &SpectralParams::default());
+        let clusters = spectral_outcome(&a, &SpectralParams::default()).clusters;
         assert_eq!(clusters, vec![vec![0, 1]]);
     }
 
@@ -530,7 +497,8 @@ mod tests {
         // sample mixing them. Threshold 0.3 removes the noise.
         let mut ensemble = vec![vec![vec![0, 1, 2], vec![3, 4, 5]]; 9];
         ensemble.push(vec![vec![0, 3], vec![1, 4], vec![2, 5]]);
-        let clusters = consensus_clustering(6, &ensemble, 0.3, &SpectralParams::default());
+        let a = crate::cooccurrence::cooccurrence_matrix(6, &ensemble, 0.3);
+        let clusters = spectral_outcome(&a, &SpectralParams::default()).clusters;
         assert_eq!(clusters.len(), 2);
         let mut sets: Vec<Vec<usize>> = clusters;
         sets.sort();
@@ -541,19 +509,19 @@ mod tests {
     fn deterministic() {
         let a = block_matrix();
         let p = SpectralParams::default();
-        assert_eq!(spectral_clusters(&a, &p), spectral_clusters(&a, &p));
+        assert_eq!(spectral_outcome(&a, &p).clusters, spectral_outcome(&a, &p).clusters);
     }
 
     #[test]
     fn empty_matrix_yields_no_clusters() {
         let a = SymMatrix::zeros(4);
-        let clusters = spectral_clusters(&a, &SpectralParams::default());
+        let clusters = spectral_outcome(&a, &SpectralParams::default()).clusters;
         assert!(clusters.is_empty());
     }
 
     #[test]
     fn clusters_are_disjoint_and_within_range() {
-        let clusters = spectral_clusters(&block_matrix(), &SpectralParams::default());
+        let clusters = spectral_outcome(&block_matrix(), &SpectralParams::default()).clusters;
         let mut seen = [false; 5];
         for c in &clusters {
             for &v in c {

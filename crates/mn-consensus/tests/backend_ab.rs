@@ -192,8 +192,10 @@ proptest! {
                 prop_assert_eq!(sparse.get(i, j), dense.get(i, j));
             }
         }
-        // The canonical parts round-trip too (the checkpoint path).
-        let rebuilt = SparseSymMatrix::from_parts(sparse.to_parts());
+        // The matrix round-trips through its canonical serialized form
+        // (the checkpoint path).
+        let rebuilt: SparseSymMatrix =
+            serde_json::from_str(&serde_json::to_string(&sparse).unwrap()).unwrap();
         prop_assert_eq!(rebuilt, sparse);
     }
 }

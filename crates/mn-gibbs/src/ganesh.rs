@@ -24,9 +24,6 @@ pub struct GaneshParams {
     pub mode: ScoreMode,
 }
 
-/// Conventional alias: the sweep-level knobs of the Gibbs sampler.
-pub type GibbsParams = GaneshParams;
-
 impl Default for GaneshParams {
     fn default() -> Self {
         Self {
@@ -94,47 +91,10 @@ pub fn ganesh_with_scoring<E: ParEngine>(
 /// run whole on one rank ([`ParEngine::dist_tasks`]) rather than one
 /// after another with every proposal's map split over all ranks: when
 /// there are several ranks and no rank would sit idle (`1 < p ≤ G`).
-/// The one place that decides the path, for [`ganesh_ensemble`] and
-/// for checkpointed learning alike.
+/// The one place that decides the path; the pipeline's task-1 stage
+/// (`monet::stages::run_ganesh`) is the one place that takes it.
 pub fn runs_whole_per_rank(p: usize, g_runs: usize) -> bool {
     1 < p && p <= g_runs
-}
-
-/// Run `g_runs` independent GaneSH runs and collect each run's final
-/// variable clusters — the ensemble consumed by consensus clustering.
-///
-/// The paper runs the `G` instances concurrently on `p/G` processors
-/// each "without any communication". When `1 < p ≤ G`
-/// ([`runs_whole_per_rank`]) every run is a task of
-/// [`ParEngine::dist_tasks`]: run `g` goes whole to the rank that owns
-/// it under the block split, and the simulator charges each rank the
-/// one-rank simulated time of its runs. Otherwise (one rank, or more
-/// ranks than runs) the runs go one after another, each proposal's map
-/// split over all ranks. Each run draws only from its own keyed
-/// streams, and the runs' counter and flight deltas are folded in run
-/// order, so the ensemble, the counters and the deterministic flight
-/// sequence are the same on both paths.
-pub fn ganesh_ensemble<E: ParEngine>(
-    engine: &mut E,
-    data: &Dataset,
-    master: &MasterRng,
-    g_runs: usize,
-    params: &GaneshParams,
-) -> Vec<Vec<Vec<usize>>> {
-    if !runs_whole_per_rank(engine.nranks(), g_runs) {
-        return (0..g_runs as u64)
-            .map(|run| ganesh(engine, data, master, run, params).var_cluster_members())
-            .collect();
-    }
-    let runs = engine.dist_tasks(g_runs, &|run, task| {
-        ganesh(task, data, master, run as u64, params).var_cluster_members()
-    });
-    runs.into_iter()
-        .map(|(members, delta)| {
-            delta.fold_into(engine.obs_mut());
-            members
-        })
-        .collect()
 }
 
 /// The constrained sampler of Algorithm 4, lines 3–9: keep the
@@ -254,17 +214,6 @@ mod tests {
             er.work_units(),
             ei.work_units()
         );
-    }
-
-    #[test]
-    fn ensemble_returns_one_sample_per_run() {
-        let d = data();
-        let master = MasterRng::new(5);
-        let mut e = SerialEngine::new();
-        let samples = ganesh_ensemble(&mut e, &d, &master, 3, &params());
-        assert_eq!(samples.len(), 3);
-        // Runs differ (independent streams).
-        assert!(samples[0] != samples[1] || samples[1] != samples[2]);
     }
 
     #[test]

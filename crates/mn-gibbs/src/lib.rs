@@ -17,9 +17,10 @@
 //!   bit-identical results — DESIGN.md §9).
 //! * [`scorer`] — the kernel path's pure candidate functions and its
 //!   per-sweep replicated state.
-//! * [`mod@ganesh`] — the GaneSH driver (Algorithm 3), ensemble sampling,
-//!   and the constrained observation-only sampler used by the
-//!   module-learning task (Algorithm 4).
+//! * [`mod@ganesh`] — the GaneSH driver (Algorithm 3), the choice of
+//!   how an ensemble of runs maps onto ranks, and the constrained
+//!   observation-only sampler used by the module-learning task
+//!   (Algorithm 4).
 
 #![warn(missing_docs)]
 
@@ -30,8 +31,7 @@ pub mod state;
 pub mod sweep;
 
 pub use ganesh::{
-    ganesh, ganesh_ensemble, ganesh_with_scoring, runs_whole_per_rank, sample_obs_partitions,
-    GaneshParams, GibbsParams,
+    ganesh, ganesh_with_scoring, runs_whole_per_rank, sample_obs_partitions, GaneshParams,
 };
 pub use scorer::SweepScorer;
 pub use moves::MoveTarget;

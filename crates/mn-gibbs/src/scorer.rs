@@ -40,9 +40,7 @@
 use crate::moves::row_stats;
 use crate::state::CoClustering;
 use mn_data::Dataset;
-use mn_score::gibbs_kernel::{
-    addition_term, merge_gain_term, removal_term, EpochTable, LogMarginal,
-};
+use mn_score::gibbs_kernel::{addition_term, merge_gain_term, removal_term, LogMarginal};
 use mn_score::{NormalGamma, PriorConsts, SuffStats, COST_CELL, COST_LOGMARG};
 use std::cell::Cell;
 
@@ -246,8 +244,13 @@ pub struct SweepScorer {
     lg_calls: Cell<u64>,
     /// Of those log-marginals, the ones the tables served.
     lg_hits: Cell<u64>,
-    /// `[0][observation]` → column statistics and their log-marginal.
-    col: EpochTable<(SuffStats, f64)>,
+    /// `[observation]` → column statistics and their log-marginal,
+    /// filled on first lookup.
+    col: Vec<Option<(SuffStats, f64)>>,
+    /// Column-cache lookups served from `col`.
+    col_hits: u64,
+    /// Column-cache lookups that had to compute.
+    col_misses: u64,
 }
 
 impl SweepScorer {
@@ -257,7 +260,9 @@ impl SweepScorer {
             consts: PriorConsts::new(prior),
             lg_calls: Cell::new(0),
             lg_hits: Cell::new(0),
-            col: EpochTable::default(),
+            col: Vec::new(),
+            col_hits: 0,
+            col_misses: 0,
         }
     }
 
@@ -280,12 +285,12 @@ impl SweepScorer {
 
     /// Column-cache lookups served without recomputation.
     pub fn hits(&self) -> u64 {
-        self.col.hits()
+        self.col_hits
     }
 
     /// Column-cache lookups that had to compute.
     pub fn misses(&self) -> u64 {
-        self.col.misses()
+        self.col_misses
     }
 
     fn counted(&self) -> Counted<'_> {
@@ -342,12 +347,17 @@ impl SweepScorer {
         slot: usize,
         o: usize,
     ) -> (SuffStats, f64) {
-        if let Some(cached) = self.col.get(0, o, 0) {
-            return cached;
+        if let Some(Some(cached)) = self.col.get(o) {
+            self.col_hits += 1;
+            return *cached;
         }
+        self.col_misses += 1;
         let (col, _) = state.column_stats(data, slot, o);
         let fresh = (col, self.counted().log_marginal(&col));
-        self.col.insert(0, o, 0, fresh);
+        if o >= self.col.len() {
+            self.col.resize(o + 1, None);
+        }
+        self.col[o] = Some(fresh);
         fresh
     }
 
@@ -378,7 +388,8 @@ impl SweepScorer {
     /// suite.
     pub fn validate_against(&self, data: &Dataset, state: &CoClustering, slot: usize) {
         let prior = *state.prior();
-        for ((_, o), _, (col, lm)) in self.col.entries() {
+        for (o, entry) in self.col.iter().enumerate() {
+            let Some((col, lm)) = entry else { continue };
             let (fresh, _) = state.column_stats(data, slot, o);
             assert_eq!(col.count(), fresh.count(), "col count drift");
             assert_eq!(col.sum().to_bits(), fresh.sum().to_bits(), "col sum drift");

@@ -18,7 +18,6 @@ pub mod split_kernel;
 pub mod suffstats;
 pub mod tile;
 
-pub use gibbs_kernel::EpochTable;
 pub use mode::{CandidateScoring, ScoreMode, SplitScoring, COST_CELL, COST_LOGMARG};
 pub use split_kernel::{naive_sigmas, ScratchPool, SplitScratch};
 pub use normal_gamma::{NormalGamma, PriorConsts};

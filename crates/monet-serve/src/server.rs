@@ -612,11 +612,17 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
                 return Err(ServeError::ShuttingDown);
             }
             let mut sched = shared.sched();
-            if !sched
-                .datasets
-                .contains_key(&(tenant.clone(), dataset.clone()))
-            {
+            let Some(data) = sched.datasets.get(&(tenant.clone(), dataset.clone())) else {
                 return Err(ServeError::UnknownDataset(format!("{tenant}/{dataset}")));
+            };
+            // The dataset is known here, so a candidate parent past its
+            // last variable is refused now rather than failing the job
+            // after GaneSH and consensus have run.
+            let n_vars = data.n_vars();
+            if let Some(v) = config.candidate_parents.iter().flatten().find(|&&v| v >= n_vars) {
+                return Err(ServeError::BadRequest(format!(
+                    "candidate parent {v} out of range for {n_vars} variables"
+                )));
             }
             if sched.queued_total >= shared.cfg.max_queue {
                 return Err(ServeError::Backpressure {

@@ -726,6 +726,30 @@ mod tests {
     }
 
     #[test]
+    fn same_dims_different_cells_is_a_mismatch() {
+        // Same (n, m) but different cells: the cell-sum component of
+        // the fingerprint must refuse the swap.
+        let data = mn_data::synthetic::yeast_like(20, 14, 31).dataset;
+        let mut other = data.clone();
+        let first = other.matrix.get(0, 0);
+        other.matrix.set(0, 0, first + 1.0);
+        let (fp, other_fp) = (data_fingerprint(&data), data_fingerprint(&other));
+        assert_eq!((fp.0, fp.1), (other_fp.0, other_fp.1));
+
+        let dir = tmpdir("same_dims");
+        let mut store = CheckpointStore::open(&dir, 1, fp, 1, ResumePolicy::Auto, true).unwrap();
+        store.put("unit_a", &record(5)).unwrap();
+        drop(store);
+        let same = CheckpointStore::open(&dir, 1, fp, 1, ResumePolicy::Strict, true).unwrap();
+        assert_eq!(same.len(), 1);
+        drop(same);
+        let err = CheckpointStore::open(&dir, 1, other_fp, 1, ResumePolicy::Strict, true)
+            .unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err:?}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn version_skew_is_reported() {
         let dir = tmpdir("version");
         let mut store =

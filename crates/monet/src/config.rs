@@ -2,7 +2,7 @@
 
 use mn_consensus::ConsensusParams;
 use mn_gibbs::GaneshParams;
-use mn_score::{NormalGamma, ScoreMode};
+use mn_score::ScoreMode;
 use mn_tree::TreeParams;
 use serde::{Deserialize, Serialize};
 
@@ -66,13 +66,6 @@ impl LearnerConfig {
     pub fn with_mode(mut self, mode: ScoreMode) -> Self {
         self.ganesh.mode = mode;
         self.tree.mode = mode;
-        self
-    }
-
-    /// Set the shared prior everywhere.
-    pub fn with_prior(mut self, prior: NormalGamma) -> Self {
-        self.ganesh.prior = prior;
-        self.tree.prior = prior;
         self
     }
 

@@ -16,12 +16,13 @@
 //! baseline.
 
 use crate::config::LearnerConfig;
-use crate::model::{Module, ModuleNetwork};
+use crate::model::ModuleNetwork;
+use crate::stages::finish_module_learning;
 use mn_comm::{Collective, ParEngine, RunReport};
 use mn_data::Dataset;
 use mn_rand::{Domain, MasterRng};
 use mn_score::{SuffStats, COST_CELL, COST_LOGMARG};
-use mn_tree::{assign_splits, learn_module_trees, learn_parents, ModuleEnsemble};
+use mn_tree::{learn_module_trees, ModuleEnsemble};
 
 /// Parameters of the two-step learner.
 #[derive(Debug, Clone)]
@@ -164,48 +165,16 @@ pub fn learn_two_step<E: ParEngine>(
     // Final parent learning over the last ensembles (drop empty modules,
     // compacting indices).
     engine.begin_phase("parents");
-    let keep: Vec<usize> = (0..ensembles.len())
-        .filter(|&k| !ensembles[k].vars.is_empty())
+    let compact: Vec<ModuleEnsemble> = ensembles
+        .into_iter()
+        .filter(|ens| !ens.vars.is_empty())
+        .enumerate()
+        .map(|(k, mut ens)| {
+            ens.module = k;
+            ens
+        })
         .collect();
-    let mut compact: Vec<ModuleEnsemble> = Vec::with_capacity(keep.len());
-    let mut remap = vec![usize::MAX; ensembles.len()];
-    for (new_k, &old_k) in keep.iter().enumerate() {
-        remap[old_k] = new_k;
-        let mut ens = ensembles[old_k].clone();
-        ens.module = new_k;
-        compact.push(ens);
-    }
-    let parents_list = config.resolved_parents(n);
-    let split_assignment = assign_splits(
-        engine,
-        data,
-        &master,
-        &compact,
-        &parents_list,
-        &config.tree,
-    );
-    let parents = learn_parents(engine, &compact, &split_assignment);
-
-    let mut var_assignment: Vec<Option<usize>> = vec![None; n];
-    let mut modules = Vec::with_capacity(compact.len());
-    for (ens, parents) in compact.into_iter().zip(parents) {
-        for &v in &ens.vars {
-            var_assignment[v] = Some(ens.module);
-        }
-        modules.push(Module {
-            index: ens.module,
-            vars: ens.vars.clone(),
-            ensemble: ens,
-            parents,
-        });
-    }
-    let network = ModuleNetwork {
-        var_names: data.var_names.clone(),
-        modules,
-        assignment: var_assignment,
-        seed: config.seed,
-    };
-    network.validate();
+    let network = finish_module_learning(engine, data, config, &master, compact);
     (network, engine.report())
 }
 

@@ -1,12 +1,13 @@
 //! The full learning pipeline: the three Lemon-Tree tasks wired
 //! together over one execution engine (Fig. 2 of the paper).
 //!
-//! The stages themselves live in [`crate::stages`] (which also offers
-//! checkpointed execution); this module is the one-shot composition.
+//! The stages themselves live in [`crate::stages`]; this module runs
+//! them without a checkpoint store. [`crate::learn_with_checkpoint`]
+//! runs the same stages with one.
 
 use crate::config::LearnerConfig;
 use crate::model::ModuleNetwork;
-use crate::stages::{run_consensus, run_ganesh, run_module_learning};
+use crate::stages::run_pipeline;
 use mn_comm::{ParEngine, RunReport};
 use mn_data::Dataset;
 
@@ -38,9 +39,8 @@ pub fn learn_module_network<E: ParEngine>(
     config: &LearnerConfig,
 ) -> (ModuleNetwork, RunReport) {
     let config = config.clone().validated().expect("invalid configuration");
-    let task1 = run_ganesh(engine, data, &config);
-    let task2 = run_consensus(engine, data, &config, &task1);
-    let network = run_module_learning(engine, data, &config, &task2);
+    let network = run_pipeline(engine, data, &config, None)
+        .expect("a learn without a checkpoint store does no checkpoint I/O");
     (network, engine.report())
 }
 

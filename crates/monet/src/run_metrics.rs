@@ -194,9 +194,9 @@ mod tests {
         // Impossible bar: every extracted cluster is dropped.
         config.consensus.spectral.min_cluster_size = d.n_vars() + 1;
         let mut engine = SimEngine::new(2);
-        let t1 = run_ganesh(&mut engine, &d, &config);
-        let t2 = run_consensus(&mut engine, &d, &config, &t1);
-        assert!(t2.modules.is_empty(), "nothing can clear the size bar");
+        let ensemble = run_ganesh(&mut engine, &d, &config, None).unwrap();
+        let modules = run_consensus(&mut engine, &d, &config, &ensemble, None).unwrap();
+        assert!(modules.is_empty(), "nothing can clear the size bar");
         let report = engine.report();
         let now = engine.now_s();
         let metrics = RunMetrics::new(&report, &engine.obs().snapshot(now));

@@ -1,15 +1,16 @@
-//! The pipeline as resumable stages, with checkpointing.
+//! The pipeline's three tasks as stage functions, each optionally
+//! checkpointed.
 //!
 //! §5.3 of the paper: "any intermediate files and the final MoNet
 //! structure ... are written to the disk by the process with rank 0".
-//! This module exposes the three Lemon-Tree tasks as separate stage
-//! functions with serializable outputs, plus a [`Checkpoint`] that
-//! persists completed stages so a long run (the paper's runs last
-//! hours even on 4096 cores) can resume after an interruption without
-//! repeating finished work.
-//!
-//! [`crate::learn_module_network`] is the one-shot composition of
-//! these stages; [`learn_with_checkpoint`] is the resumable one.
+//! [`run_ganesh`], [`run_consensus`] and [`run_module_learning`] are the
+//! only implementation of the three Lemon-Tree tasks. Each takes an
+//! optional [`CheckpointStore`]: with `None` a stage computes its units
+//! and nothing else (the plain [`crate::learn_module_network`]); with a
+//! store it restores the units the store holds and persists the ones it
+//! computes, so a long run (the paper's runs last hours even on 4096
+//! cores) resumes after an interruption without repeating finished
+//! work ([`learn_with_checkpoint`]).
 
 use crate::checkpoint::{
     data_fingerprint, CheckpointError, CheckpointStore, ResumePolicy, UnitRecord,
@@ -18,82 +19,142 @@ use crate::config::LearnerConfig;
 use crate::learn::phases;
 use crate::model::{Module, ModuleNetwork};
 use mn_comm::ParEngine;
-use mn_consensus::{build_cooccurrence, consensus_outcome, extract_clusters, SparseSymMatrix};
+use mn_consensus::{build_cooccurrence, extract_clusters};
 use mn_data::Dataset;
-use mn_gibbs::{ganesh, ganesh_ensemble, runs_whole_per_rank};
+use mn_gibbs::{ganesh, runs_whole_per_rank};
 use mn_rand::MasterRng;
 use mn_tree::{assign_splits, learn_module_trees, learn_parents, ModuleEnsemble};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::path::Path;
 
-/// Output of task 1 (GaneSH): the sampled variable-cluster ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaneshOutput {
-    /// `ensemble[g]` = the variable clusters of run `g`.
-    pub ensemble: Vec<Vec<Vec<usize>>>,
-}
-
-/// Output of task 2 (consensus): the module member lists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConsensusOutput {
-    /// `modules[k]` = sorted variables of module `k`.
-    pub modules: Vec<Vec<usize>>,
-}
-
-/// Task 1: sample the GaneSH co-clustering ensemble.
+/// Task 1: sample the GaneSH co-clustering ensemble, one unit per run
+/// (`ganesh_run_<g>`); `ensemble[g]` holds the variable clusters of run
+/// `g`.
+///
+/// The paper runs the `G` instances concurrently on `p/G` processors
+/// each "without any communication". When `1 < p ≤ G`
+/// ([`runs_whole_per_rank`]) every run the store lacks is a task of
+/// [`ParEngine::dist_tasks`]: it goes whole to the rank that owns it
+/// under the block split, and the units then commit in run order, each
+/// with its run's own counter deltas folded in. Otherwise (one rank, or
+/// more ranks than runs) the runs go one after another, each proposal's
+/// map split over all ranks. Each run draws only from its own keyed
+/// streams, so the ensemble, the counters and the deterministic flight
+/// sequence are the same on both paths.
 pub fn run_ganesh<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
-) -> GaneshOutput {
+    mut store: Option<&mut CheckpointStore>,
+) -> Result<Vec<Vec<Vec<usize>>>, CheckpointError> {
     let master = MasterRng::new(config.seed);
     engine.begin_phase(phases::GANESH);
-    GaneshOutput {
-        ensemble: ganesh_ensemble(engine, data, &master, config.ganesh_runs, &config.ganesh),
+    let g_runs = config.ganesh_runs;
+    let mut computed = BTreeMap::new();
+    if runs_whole_per_rank(engine.nranks(), g_runs) {
+        let missing: Vec<usize> = (0..g_runs)
+            .filter(|&run| {
+                store.as_deref().is_none_or(|store| {
+                    store
+                        .get::<Vec<Vec<usize>>>(&format!("ganesh_run_{run}"))
+                        .is_none()
+                })
+            })
+            .collect();
+        let runs = engine.dist_tasks(missing.len(), &|i, task| {
+            ganesh(task, data, &master, missing[i] as u64, &config.ganesh).var_cluster_members()
+        });
+        computed.extend(missing.into_iter().zip(runs));
     }
+    let mut ensemble = Vec::with_capacity(g_runs);
+    for run in 0..g_runs {
+        ensemble.push(run_unit(
+            engine,
+            store.as_deref_mut(),
+            format_args!("ganesh_run_{run}"),
+            |engine| match computed.remove(&run) {
+                Some((members, delta)) => {
+                    delta.fold_into(engine.obs_mut());
+                    members
+                }
+                None => {
+                    ganesh(engine, data, &master, run as u64, &config.ganesh).var_cluster_members()
+                }
+            },
+        )?);
+    }
+    Ok(ensemble)
 }
 
 /// Task 2: consensus clustering of the ensemble, sharded over the
-/// engine.
+/// engine; returns the module member lists. Two units: the thresholded
+/// matrix (`consensus_cooc`, in its canonical upper-triangle form) and
+/// the extracted partition (`consensus`), so a run killed between the
+/// build and the extraction resumes from the matrix.
 pub fn run_consensus<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
-    ganesh: &GaneshOutput,
-) -> ConsensusOutput {
+    ensemble: &[Vec<Vec<usize>>],
+    mut store: Option<&mut CheckpointStore>,
+) -> Result<Vec<Vec<usize>>, CheckpointError> {
     engine.begin_phase(phases::CONSENSUS);
-    let outcome = consensus_outcome(engine, data.n_vars(), &ganesh.ensemble, &config.consensus);
-    ConsensusOutput {
-        modules: outcome.clusters,
-    }
+    let matrix = run_unit(
+        engine,
+        store.as_deref_mut(),
+        format_args!("consensus_cooc"),
+        |engine| build_cooccurrence(engine, data.n_vars(), ensemble, &config.consensus),
+    )?;
+    run_unit(engine, store, format_args!("consensus"), |engine| {
+        extract_clusters(engine, &matrix, &config.consensus).clusters
+    })
 }
 
-/// Task 3: learn trees, assign splits, score parents, and assemble the
-/// network.
+/// Task 3: learn each module's tree ensemble (one unit per module,
+/// `module_<k>`), then assign splits, score parents and assemble the
+/// network. The tail is deterministic given the tree ensembles (the
+/// split/parent streams are keyed, not positional), so it is recomputed
+/// rather than persisted.
 pub fn run_module_learning<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
-    consensus: &ConsensusOutput,
-) -> ModuleNetwork {
+    modules: &[Vec<usize>],
+    mut store: Option<&mut CheckpointStore>,
+) -> Result<ModuleNetwork, CheckpointError> {
     let master = MasterRng::new(config.seed);
     engine.begin_phase(phases::MODULES);
-    let ensembles: Vec<_> = consensus
-        .modules
-        .iter()
-        .enumerate()
-        .map(|(k, vars)| learn_module_trees(engine, data, &master, k, vars, &config.tree))
-        .collect();
-    finish_module_learning(engine, data, config, &master, ensembles)
+    let mut ensembles = Vec::with_capacity(modules.len());
+    for (k, vars) in modules.iter().enumerate() {
+        ensembles.push(run_unit(
+            engine,
+            store.as_deref_mut(),
+            format_args!("module_{k}"),
+            |engine| learn_module_trees(engine, data, &master, k, vars, &config.tree),
+        )?);
+    }
+    Ok(finish_module_learning(engine, data, config, &master, ensembles))
 }
 
-/// The tail of task 3 shared by the one-shot and checkpointed paths:
-/// split assignment over the global candidate list, parent scoring,
-/// and network assembly. Deterministic given the tree ensembles (the
-/// split/parent streams are keyed, not positional), so checkpointed
-/// runs recompute it instead of persisting it.
-fn finish_module_learning<E: ParEngine>(
+/// The three stages in order, sharing one optional store.
+pub(crate) fn run_pipeline<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    config: &LearnerConfig,
+    mut store: Option<&mut CheckpointStore>,
+) -> Result<ModuleNetwork, CheckpointError> {
+    let ensemble = run_ganesh(engine, data, config, store.as_deref_mut())?;
+    let modules = run_consensus(engine, data, config, &ensemble, store.as_deref_mut())?;
+    run_module_learning(engine, data, config, &modules, store)
+}
+
+/// The tail of task 3, shared with the two-step baseline
+/// ([`crate::genomica::learn_two_step`]): split assignment over the
+/// global candidate list, parent scoring, and network assembly. Module
+/// `k` is `ensembles[k]`.
+pub(crate) fn finish_module_learning<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
@@ -127,59 +188,6 @@ fn finish_module_learning<E: ParEngine>(
     network
 }
 
-/// A persisted pipeline state: completed stage outputs plus the
-/// fingerprint that guards against resuming with a different problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Data fingerprint: (n, m, sum of all cells) — cheap and
-    /// sufficient to catch "resumed against the wrong matrix".
-    pub fingerprint: (usize, usize, f64),
-    /// Completed task 1, if any.
-    pub ganesh: Option<GaneshOutput>,
-    /// Completed task 2, if any.
-    pub consensus: Option<ConsensusOutput>,
-}
-
-impl Checkpoint {
-    /// Fresh checkpoint for a (data, config) pair.
-    pub fn new(data: &Dataset, config: &LearnerConfig) -> Self {
-        Self {
-            seed: config.seed,
-            fingerprint: Self::fingerprint(data),
-            ganesh: None,
-            consensus: None,
-        }
-    }
-
-    fn fingerprint(data: &Dataset) -> (usize, usize, f64) {
-        (
-            data.n_vars(),
-            data.n_obs(),
-            data.matrix.as_slice().iter().sum(),
-        )
-    }
-
-    /// Whether this checkpoint belongs to the given problem.
-    pub fn matches(&self, data: &Dataset, config: &LearnerConfig) -> bool {
-        self.seed == config.seed && self.fingerprint == Self::fingerprint(data)
-    }
-
-    /// Persist as JSON.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        let text = serde_json::to_string(self).expect("checkpoint serialization");
-        std::fs::write(path, text)
-    }
-
-    /// Load from JSON.
-    pub fn load<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
 /// Counter increments produced since the `before` snapshot — the
 /// deltas persisted with a checkpoint unit so a resume can replay
 /// them.
@@ -202,24 +210,29 @@ fn counter_delta<E: ParEngine>(
         .collect()
 }
 
-/// Execute one checkpoint unit: restore it (replaying its counter
-/// deltas so the recorder state is bit-identical to having computed
-/// it) when the store holds it, otherwise compute it, capture the
-/// deltas, and persist both. `checkpoint.units_written` /
-/// `checkpoint.units_skipped` are bumped *outside* the captured
-/// window, identically on every rank, and excluded from cross-run
-/// equivalence (see [`mn_obs::counters`]).
+/// Execute one unit. Without a store this is exactly `compute(engine)`:
+/// no unit name is formatted, no counter is read, nothing is recorded.
+/// With one, restore the unit (replaying its counter deltas so the
+/// recorder state is bit-identical to having computed it) when the
+/// store holds it, otherwise compute it, capture the deltas, and
+/// persist both. `checkpoint.units_written` / `checkpoint.units_skipped`
+/// are bumped *outside* the captured window, identically on every rank,
+/// and excluded from cross-run equivalence (see [`mn_obs::counters`]).
 fn run_unit<E, T>(
     engine: &mut E,
-    store: &mut CheckpointStore,
-    unit: &str,
+    store: Option<&mut CheckpointStore>,
+    unit: fmt::Arguments<'_>,
     compute: impl FnOnce(&mut E) -> T,
 ) -> Result<T, CheckpointError>
 where
     E: ParEngine,
     T: Serialize + Deserialize,
 {
-    if let Some(record) = store.get::<T>(unit) {
+    let Some(store) = store else {
+        return Ok(compute(engine));
+    };
+    let unit = unit.to_string();
+    if let Some(record) = store.get::<T>(&unit) {
         for (name, by) in &record.counters {
             engine.obs_mut().incr(name, *by);
         }
@@ -229,7 +242,7 @@ where
         // *deterministic* flight event: replay-comparable across
         // engines and rank counts.
         engine.obs().flight_event(mn_obs::FlightEvent::CkptUnit {
-            unit: unit.to_string(),
+            unit,
             written: false,
         });
         return Ok(record.value);
@@ -238,13 +251,13 @@ where
     let value = compute(engine);
     let counters = counter_delta(&before, engine);
     let record = UnitRecord { value, counters };
-    store.put(unit, &record)?;
+    store.put(&unit, &record)?;
     engine.count(mn_obs::counters::CHECKPOINT_UNITS_WRITTEN, 1);
     // Recorded on all ranks (not just the io rank): unit completion is
     // replicated control flow, and the deterministic flight sequence
     // must not depend on which rank holds the file handle.
     engine.obs().flight_event(mn_obs::FlightEvent::CkptUnit {
-        unit: unit.to_string(),
+        unit,
         written: true,
     });
     Ok(record.value)
@@ -266,16 +279,15 @@ pub fn learn_with_checkpoint<E: ParEngine, P: AsRef<Path>>(
 /// Run the pipeline, resuming from (and extending) the checkpoint
 /// directory `dir`.
 ///
-/// Progress is persisted per *unit* — each GaneSH run of task 1
-/// (`ganesh_run_<g>.json`), the consensus partition of task 2
-/// (`consensus.json`), and each module's tree ensemble of task 3
-/// (`module_<k>.json`) — so a run killed mid-task resumes after the
-/// last completed unit rather than at a stage boundary. Split
-/// assignment and parent scoring recompute from the stored ensembles
-/// (they are deterministic under the keyed-stream discipline). When the
-/// GaneSH runs go whole to ranks ([`mn_gibbs::runs_whole_per_rank`]),
-/// the runs the store lacks are computed first and their units then
-/// commit in run order, each with its run's own counter deltas.
+/// The stages run with the opened store, so progress is persisted per
+/// *unit* — each GaneSH run of task 1 (`ganesh_run_<g>.json`), the
+/// thresholded matrix and the consensus partition of task 2
+/// (`consensus_cooc.json`, `consensus.json`), and each module's tree
+/// ensemble of task 3 (`module_<k>.json`) — and a run killed mid-task
+/// resumes after the last completed unit rather than at a stage
+/// boundary. Split assignment and parent scoring recompute from the
+/// stored ensembles (they are deterministic under the keyed-stream
+/// discipline).
 ///
 /// Restored units replay their recorded counter deltas, and every
 /// phase is begun whether or not its units were skipped, so a resumed
@@ -302,64 +314,7 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
         engine.io_rank(),
     )?;
     engine.io_barrier();
-
-    // Task 1 — one unit per GaneSH run (independent keyed streams).
-    let master = MasterRng::new(config.seed);
-    engine.begin_phase(phases::GANESH);
-    let g_runs = config.ganesh_runs;
-    let unit = |run: usize| format!("ganesh_run_{run}");
-    let mut computed = BTreeMap::new();
-    if runs_whole_per_rank(engine.nranks(), g_runs) {
-        let missing: Vec<usize> = (0..g_runs)
-            .filter(|&run| store.get::<Vec<Vec<usize>>>(&unit(run)).is_none())
-            .collect();
-        let runs = engine.dist_tasks(missing.len(), &|i, task| {
-            ganesh(task, data, &master, missing[i] as u64, &config.ganesh).var_cluster_members()
-        });
-        computed.extend(missing.into_iter().zip(runs));
-    }
-    let mut ensemble = Vec::with_capacity(g_runs);
-    for run in 0..g_runs {
-        ensemble.push(run_unit(engine, &mut store, &unit(run), |engine| {
-            match computed.remove(&run) {
-                Some((members, delta)) => {
-                    delta.fold_into(engine.obs_mut());
-                    members
-                }
-                None => ganesh(engine, data, &master, run as u64, &config.ganesh)
-                    .var_cluster_members(),
-            }
-        })?);
-    }
-    let ganesh_out = GaneshOutput { ensemble };
-
-    // Task 2 — two units: the thresholded matrix (persisted in its
-    // canonical upper-triangle CSR form, `consensus_cooc.json`) and the
-    // extracted partition (`consensus.json`), so a run killed between
-    // the build and the extraction resumes from the matrix.
-    engine.begin_phase(phases::CONSENSUS);
-    let parts = run_unit(engine, &mut store, "consensus_cooc", |engine| {
-        build_cooccurrence(engine, data.n_vars(), &ganesh_out.ensemble, &config.consensus)
-            .to_parts()
-    })?;
-    let matrix = SparseSymMatrix::from_parts(parts);
-    let modules = run_unit(engine, &mut store, "consensus", |engine| {
-        extract_clusters(engine, &matrix, &config.consensus).clusters
-    })?;
-    let consensus = ConsensusOutput { modules };
-
-    // Task 3 — one unit per module's tree ensemble, then the
-    // deterministic tail (splits, parents, assembly) recomputed.
-    let master = MasterRng::new(config.seed);
-    engine.begin_phase(phases::MODULES);
-    let mut ensembles = Vec::with_capacity(consensus.modules.len());
-    for (k, vars) in consensus.modules.iter().enumerate() {
-        let unit = format!("module_{k}");
-        ensembles.push(run_unit(engine, &mut store, &unit, |engine| {
-            learn_module_trees(engine, data, &master, k, vars, &config.tree)
-        })?);
-    }
-    let network = finish_module_learning(engine, data, &config, &master, ensembles);
+    let network = run_pipeline(engine, data, &config, Some(&mut store))?;
     Ok((network, engine.report()))
 }
 
@@ -403,9 +358,9 @@ mod tests {
         let (oneshot, _) = learn_module_network(&mut SerialEngine::new(), &d, &c);
 
         let mut engine = SerialEngine::new();
-        let t1 = run_ganesh(&mut engine, &d, &c);
-        let t2 = run_consensus(&mut engine, &d, &c, &t1);
-        let staged = run_module_learning(&mut engine, &d, &c, &t2);
+        let ensemble = run_ganesh(&mut engine, &d, &c, None).unwrap();
+        let modules = run_consensus(&mut engine, &d, &c, &ensemble, None).unwrap();
+        let staged = run_module_learning(&mut engine, &d, &c, &modules, None).unwrap();
         assert_eq!(oneshot, staged);
     }
 
@@ -523,43 +478,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_serialization_roundtrip() {
-        let (d, c) = setup();
-        let mut cp = Checkpoint::new(&d, &c);
-        cp.ganesh = Some(GaneshOutput {
-            ensemble: vec![vec![vec![0, 1], vec![2]]],
-        });
-        let path = std::env::temp_dir().join("monet_checkpoint_serde.json");
-        cp.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn checkpoint_matches_same_dims_different_data() {
-        // Same (n, m) but different cells: the cell-sum component of
-        // the fingerprint must reject the swap.
-        let (d, c) = setup();
-        let cp = Checkpoint::new(&d, &c);
-        let mut other = d.clone();
-        let first = other.matrix.get(0, 0);
-        other.matrix.set(0, 0, first + 1.0);
-        assert_eq!((d.n_vars(), d.n_obs()), (other.n_vars(), other.n_obs()));
-        assert!(cp.matches(&d, &c));
-        assert!(!cp.matches(&other, &c), "same dims, different cells");
-    }
-
-    #[test]
-    fn checkpoint_matches_same_data_different_seed() {
-        let (d, c) = setup();
-        let cp = Checkpoint::new(&d, &c);
-        let mut c2 = c.clone();
-        c2.seed = c.seed + 1;
-        assert!(cp.matches(&d, &c));
-        assert!(!cp.matches(&d, &c2), "same data, different seed");
     }
 }

@@ -9,11 +9,11 @@
 //! ```
 
 use mn_comm::SerialEngine;
-use mn_consensus::{adjusted_rand_index, labels_from_clusters, SpectralParams};
+use mn_consensus::{adjusted_rand_index, labels_from_clusters, ConsensusParams};
 use mn_data::{synthetic, SyntheticConfig};
-use mn_gibbs::{ganesh_ensemble, GaneshParams};
-use mn_rand::MasterRng;
+use mn_gibbs::GaneshParams;
 use monet::genomica::{learn_two_step, TwoStepParams};
+use monet::stages::{run_consensus, run_ganesh};
 use monet::LearnerConfig;
 
 fn main() {
@@ -32,16 +32,25 @@ fn main() {
         synth.truth.n_modules()
     );
 
-    // Ensemble of G independent GaneSH runs.
+    // Ensemble of G independent GaneSH runs (the pipeline's task 1,
+    // without a checkpoint store).
     let g = 9;
-    let master = MasterRng::new(5);
-    let params = GaneshParams {
-        init_clusters: Some(8),
-        update_steps: 3,
-        ..GaneshParams::default()
+    let config = LearnerConfig {
+        seed: 5,
+        ganesh_runs: g,
+        ganesh: GaneshParams {
+            init_clusters: Some(8),
+            update_steps: 3,
+            ..GaneshParams::default()
+        },
+        consensus: ConsensusParams {
+            threshold: 0.3,
+            ..ConsensusParams::default()
+        },
+        ..LearnerConfig::default()
     };
     let mut engine = SerialEngine::new();
-    let ensemble = ganesh_ensemble(&mut engine, data, &master, g, &params);
+    let ensemble = run_ganesh(&mut engine, data, &config, None).expect("no store");
 
     println!("\nper-run agreement with planted modules (ARI):");
     let mut run_aris = Vec::new();
@@ -52,13 +61,8 @@ fn main() {
     }
     let mean_ari = run_aris.iter().sum::<f64>() / run_aris.len() as f64;
 
-    // Consensus across the ensemble.
-    let consensus = mn_consensus::consensus_clustering(
-        n,
-        &ensemble,
-        0.3,
-        &SpectralParams::default(),
-    );
+    // Consensus across the ensemble (task 2).
+    let consensus = run_consensus(&mut engine, data, &config, &ensemble, None).expect("no store");
     let consensus_ari = adjusted_rand_index(&labels_from_clusters(n, &consensus), truth);
     println!(
         "\nconsensus of {g} runs: {consensus_ari:.3} ({} modules) — single-run mean {mean_ari:.3}",

@@ -176,7 +176,7 @@ fn a_kill_after_the_ensemble_resumes_from_every_run_unit() {
 
     // The first engine event after task 1 is the kill point.
     let mut probe = ThreadEngine::new(2);
-    run_ganesh(&mut probe, &data, &config);
+    run_ganesh(&mut probe, &data, &config, None).unwrap();
     assert_eq!(
         probe.fault_events(),
         1,

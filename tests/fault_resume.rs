@@ -131,19 +131,48 @@ impl SweepEngine for SimEngine {
 }
 
 /// Engine-event index of the last event of each task, probed by
-/// running the three stages and reading the fault clock in between.
-/// The staged run and the checkpointed run issue the identical event
-/// sequence (`staged_run_equals_one_shot_run` pins that), so these
-/// boundaries are valid targets for kills inside a checkpointed run.
+/// running the three stages without a store and reading the fault
+/// clock in between. The checkpointed learn runs the same stages and
+/// issues the same number of engine events
+/// (`checkpointed_learn_issues_the_plain_learns_engine_events` pins
+/// that), so these boundaries are valid targets for kills inside a
+/// checkpointed run.
 fn probe_task_boundaries<E: SweepEngine>(data: &Dataset, config: &LearnerConfig) -> (u64, u64, u64) {
     let mut engine = E::fresh();
-    let t1 = run_ganesh(&mut engine, data, config);
+    let ensemble = run_ganesh(&mut engine, data, config, None).unwrap();
     let e1 = engine.events();
-    let t2 = run_consensus(&mut engine, data, config, &t1);
+    let modules = run_consensus(&mut engine, data, config, &ensemble, None).unwrap();
     let e2 = engine.events();
-    run_module_learning(&mut engine, data, config, &t2);
+    run_module_learning(&mut engine, data, config, &modules, None).unwrap();
     let e3 = engine.events();
     (e1, e2, e3)
+}
+
+/// Checkpointing adds no engine event: a checkpointed learn issues
+/// exactly the plain learn's count, on the run-per-rank path
+/// (threads:2, G = 4) and the split-proposal path (sim:4, G = 4).
+fn assert_checkpointed_events_match_plain<E: ParEngine>(
+    mk: impl Fn() -> E,
+    events: fn(&E) -> u64,
+    label: &str,
+) {
+    let (data, mut config) = setup();
+    config.ganesh_runs = 4;
+    let mut plain = mk();
+    monet::learn_module_network(&mut plain, &data, &config);
+    let dir = tmpdir(&format!("{label}_events"));
+    let mut ckpt = mk();
+    learn_with_checkpoint(&mut ckpt, &data, &config, &dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(events(&ckpt), events(&plain), "{label}");
+}
+
+#[test]
+fn checkpointed_learn_issues_the_plain_learns_engine_events() {
+    let threads = || ThreadEngine::new(2);
+    assert_checkpointed_events_match_plain(threads, ThreadEngine::fault_events, "threads:2");
+    let sim = || SimEngine::new(4);
+    assert_checkpointed_events_match_plain(sim, SimEngine::fault_events, "sim:4");
 }
 
 /// Fault points covering all three tasks: early / mid / end of task 1,

@@ -257,6 +257,15 @@ fn cancellation_backpressure_and_unknowns_are_typed() {
         "bad-request"
     );
     ok(client.ping());
+    // A candidate parent past the dataset's 32 variables is refused at
+    // submit time, before any worker runs.
+    let mut bad_parents = slow_config(7);
+    bad_parents.candidate_parents = Some(vec![0, 999]);
+    assert_eq!(
+        err(client.submit("t", "d", "serial", &bad_parents)).kind(),
+        "bad-request"
+    );
+    ok(client.ping());
     assert_eq!(
         err(client.submit("t", "d", "msg:2", &slow)).kind(),
         "bad-request",
