@@ -60,9 +60,7 @@ pub use fault::{
     silence_injected_panics, CommError, FaultAction, FaultAbort, FaultClock, FaultPlan,
     InjectedCrash,
 };
-pub use msg::{
-    spmd_run, spmd_run_faulty, spmd_run_faulty_recorded, Fabric, SpmdCapture, SpmdEngine,
-};
+pub use msg::{spmd_run, spmd_run_faulty, spmd_run_faulty_recorded, SpmdCapture, SpmdEngine};
 pub use engine::{with_phase, with_span, Costed, ParEngine, SegmentBatchFn, TaskFn, Wire};
 pub use metrics::{PhaseReport, RunReport};
 pub use mn_obs::{self as obs, ObsSnapshot, Recorder};

@@ -27,7 +27,7 @@
 
 use crate::engine::Wire;
 use crate::fault::CommError;
-use crate::msg::fabric::Fabric;
+use crate::msg::fabric::Endpoint;
 use std::mem::size_of;
 
 /// Shallow wire size of one `Vec<T>` payload: `len * size_of::<T>()`.
@@ -40,8 +40,8 @@ fn vec_wire<T>(v: &[T]) -> u64 {
 }
 
 /// Binomial-tree broadcast of `value` from `root` to all ranks.
-pub fn bcast<F: Fabric, T: Wire>(
-    ep: &F,
+pub fn bcast<T: Wire>(
+    ep: &Endpoint,
     root: usize,
     value: Option<T>,
 ) -> Result<T, CommError> {
@@ -51,8 +51,8 @@ pub fn bcast<F: Fabric, T: Wire>(
 /// [`bcast`] with a caller-supplied wire-size function, so payloads
 /// with heap storage (`Vec<T>`) report honest byte counts to the
 /// communication matrix.
-fn bcast_sized<F: Fabric, T: Wire>(
-    ep: &F,
+fn bcast_sized<T: Wire>(
+    ep: &Endpoint,
     root: usize,
     value: Option<T>,
     wire: &dyn Fn(&T) -> u64,
@@ -94,8 +94,8 @@ fn bcast_sized<F: Fabric, T: Wire>(
 
 /// Binomial-tree reduction of per-rank `value`s to `root` with the
 /// associative combiner `op`. Non-root ranks return `Ok(None)`.
-pub fn reduce<F: Fabric, T: Wire>(
-    ep: &F,
+pub fn reduce<T: Wire>(
+    ep: &Endpoint,
     root: usize,
     value: T,
     op: impl Fn(T, T) -> T,
@@ -126,8 +126,8 @@ pub fn reduce<F: Fabric, T: Wire>(
 }
 
 /// All-reduce: reduce to rank 0, broadcast the result.
-pub fn allreduce<F: Fabric, T: Wire>(
-    ep: &F,
+pub fn allreduce<T: Wire>(
+    ep: &Endpoint,
     value: T,
     op: impl Fn(T, T) -> T,
 ) -> Result<T, CommError> {
@@ -138,8 +138,8 @@ pub fn allreduce<F: Fabric, T: Wire>(
 /// Variable-length all-gather: every rank contributes a `Vec<T>`; all
 /// ranks receive the rank-ordered concatenation (the semantics the
 /// split-selection phase of Alg. 5 needs).
-pub fn allgatherv<F: Fabric, T: Wire>(
-    ep: &F,
+pub fn allgatherv<T: Wire>(
+    ep: &Endpoint,
     local: Vec<T>,
 ) -> Result<Vec<T>, CommError> {
     let p = ep.nranks();
@@ -157,12 +157,12 @@ pub fn allgatherv<F: Fabric, T: Wire>(
     } else {
         let bytes = vec_wire(&local);
         ep.send_to_sized(0, local, bytes)?;
-        bcast_sized::<F, Vec<T>>(ep, 0, None, &|v| vec_wire(v))
+        bcast_sized::<Vec<T>>(ep, 0, None, &|v| vec_wire(v))
     }
 }
 
 /// Barrier: a unit all-reduce.
-pub fn barrier<F: Fabric>(ep: &F) -> Result<(), CommError> {
+pub fn barrier(ep: &Endpoint) -> Result<(), CommError> {
     allreduce(ep, (), |(), ()| ())
 }
 

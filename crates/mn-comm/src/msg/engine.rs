@@ -20,7 +20,7 @@ use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
 use crate::fault::{CommError, FaultAbort, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::msg::collectives::{allgatherv, allreduce, barrier};
-use crate::msg::fabric::{fabric, fabric_with_faults, Endpoint, Fabric};
+use crate::msg::fabric::{fabric_with_faults, Endpoint};
 use crate::segments::Segments;
 use mn_obs::{FlightEvent, FlightRec, Recorder, SnapshotStash};
 use std::time::{Duration, Instant};
@@ -41,30 +41,25 @@ fn ok_or_abort<T>(result: Result<T, CommError>) -> T {
     }
 }
 
-/// The per-rank engine handed to an SPMD program. Generic over the
-/// transport: [`Endpoint`] for in-process rank-threads (the default),
-/// [`crate::msg::proc::ProcEndpoint`] for real OS-process workers —
-/// the engine's protocols are identical on both.
+/// The per-rank engine handed to an SPMD program, over an [`Endpoint`]
+/// of either transport: in-process rank threads ([`spmd_run`]) or one
+/// OS-process worker ([`spmd_worker_engine`]) — the engine's protocols
+/// are identical on both.
 ///
 /// The core's recorder is this rank's: busy time lands in this rank's
 /// slot only; [`mn_obs::recorder::merge_ranks`] combines the ranks
 /// afterwards (and, as a side effect, verifies the counters agree).
-pub struct SpmdEngine<F: Fabric = Endpoint> {
-    ep: F,
+pub struct SpmdEngine {
+    ep: Endpoint,
     core: EngineCore,
 }
 
-impl<F: Fabric> SpmdEngine<F> {
-    fn new(ep: F) -> Self {
-        let flight = FlightRec::new(ep.nranks(), ep.rank());
-        Self::with_capture(ep, flight, SnapshotStash::new())
-    }
-
+impl SpmdEngine {
     /// Build the engine around externally-held capture handles: the
     /// flight recorder is shared with the endpoint (so fabric traffic
     /// and injected faults land in it) and with whoever holds `flight`
     /// outside this rank's thread; the stash outlives the rank's unwind.
-    pub(crate) fn with_capture(ep: F, flight: FlightRec, stash: SnapshotStash) -> Self {
+    pub(crate) fn with_capture(ep: Endpoint, flight: FlightRec, stash: SnapshotStash) -> Self {
         let obs = Recorder::for_rank_with_flight(ep.nranks(), ep.rank(), flight.clone());
         ep.attach_obs(flight, obs.comm_matrix());
         let mut core = EngineCore::new(Style::Spmd, ep.nranks(), obs);
@@ -78,7 +73,7 @@ impl<F: Fabric> SpmdEngine<F> {
     }
 
     /// Direct access to the endpoint, for custom protocols.
-    pub fn endpoint(&self) -> &F {
+    pub fn endpoint(&self) -> &Endpoint {
         &self.ep
     }
 
@@ -100,7 +95,7 @@ impl<F: Fabric> SpmdEngine<F> {
     }
 }
 
-impl<F: Fabric> ParEngine for SpmdEngine<F> {
+impl ParEngine for SpmdEngine {
     fn core(&self) -> &EngineCore {
         &self.core
     }
@@ -153,7 +148,7 @@ impl<F: Fabric> ParEngine for SpmdEngine<F> {
     }
 }
 
-impl<F: Fabric> RunSlices for SpmdEngine<F> {
+impl RunSlices for SpmdEngine {
     /// Compute this rank's block only, then make the results global
     /// with a real [`allgatherv`] of bare `T`.
     fn run_slices<T: Wire>(
@@ -182,25 +177,14 @@ impl<F: Fabric> RunSlices for SpmdEngine<F> {
 
 /// Run `program` as SPMD over `p` ranks; returns every rank's result
 /// in rank order (callers assert they are identical, as the paper's
-/// determinism property promises).
+/// determinism property promises). [`spmd_run_faulty`] with an empty
+/// plan and blocking receives; a rank that fails panics here.
 pub fn spmd_run<R: Send>(p: usize, program: impl Fn(&mut SpmdEngine) -> R + Sync) -> Vec<R> {
-    let endpoints = fabric(p);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let program = &program;
-                scope.spawn(move || {
-                    let mut engine = SpmdEngine::new(ep);
-                    hooks::install_thread_hooks(engine.core.obs.flight());
-                    let out = program(&mut engine);
-                    ok_or_abort(barrier(engine.endpoint()));
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    spmd_run_faulty(p, FaultPlan::new(), None, program)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, out)| out.unwrap_or_else(|e| panic!("rank {rank} failed: {e}")))
+        .collect()
 }
 
 /// Build the engine for ONE rank of an externally-launched SPMD
@@ -211,7 +195,7 @@ pub fn spmd_run<R: Send>(p: usize, program: impl Fn(&mut SpmdEngine) -> R + Sync
 /// the rank's flight recorder and death stash so the worker can dump
 /// them on a fault (its process *is* the rank: nothing outlives it but
 /// what it writes to disk).
-pub fn spmd_worker_engine<F: Fabric>(ep: F) -> (SpmdEngine<F>, FlightRec, SnapshotStash) {
+pub fn spmd_worker_engine(ep: Endpoint) -> (SpmdEngine, FlightRec, SnapshotStash) {
     let flight = FlightRec::new(ep.nranks(), ep.rank());
     let stash = SnapshotStash::new();
     let engine = SpmdEngine::with_capture(ep, flight.clone(), stash.clone());
@@ -308,17 +292,13 @@ pub fn spmd_run_faulty_recorded<R: Send>(
 /// All-reduce helper for SPMD programs. Aborts the rank (unwinding
 /// with a fault payload) on a communication failure; run under
 /// [`spmd_run_faulty`] to observe the failure as a `Result`.
-pub fn spmd_allreduce<F: Fabric, T: Wire>(
-    engine: &SpmdEngine<F>,
-    value: T,
-    op: impl Fn(T, T) -> T,
-) -> T {
+pub fn spmd_allreduce<T: Wire>(engine: &SpmdEngine, value: T, op: impl Fn(T, T) -> T) -> T {
     ok_or_abort(allreduce(engine.endpoint(), value, op))
 }
 
 /// All-gather helper for SPMD programs. Aborts the rank on a
 /// communication failure, like [`spmd_allreduce`].
-pub fn spmd_allgatherv<F: Fabric, T: Wire>(engine: &SpmdEngine<F>, local: Vec<T>) -> Vec<T> {
+pub fn spmd_allgatherv<T: Wire>(engine: &SpmdEngine, local: Vec<T>) -> Vec<T> {
     ok_or_abort(allgatherv(engine.endpoint(), local))
 }
 

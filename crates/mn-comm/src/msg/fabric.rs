@@ -1,166 +1,89 @@
-//! Point-to-point message fabric.
+//! Point-to-point message fabric: the one endpoint every transport
+//! shares.
 //!
 //! The machine model of §3.1: p processors with private memory that
 //! "communicate with the other processors using a communication
-//! network", where distinct pairs may communicate concurrently. The
-//! fabric is a full mesh of FIFO channels — one dedicated channel per
-//! ordered (source, destination) pair — so a deterministic protocol
-//! sees deterministic message order, exactly like MPI's non-overtaking
-//! guarantee on a single tag.
+//! network", where distinct pairs may communicate concurrently. Each
+//! [`Endpoint`] holds one FIFO queue per source rank, so a
+//! deterministic protocol sees deterministic message order, exactly
+//! like MPI's non-overtaking guarantee on a single tag.
 //!
-//! Payloads travel as `Box<dyn Any + Send>` tagged with the sender's
-//! `type_name`: ranks live in one process, so "sending" moves
-//! ownership instead of serializing. Every operation returns
-//! `Result<_, CommError>` — a dead peer surfaces as
-//! [`CommError::PeerDisconnected`], a dropped message as
+//! Two transports fill those queues. [`fabric`] builds a full mesh of
+//! in-process channels for rank threads: "sending" moves the boxed
+//! value, no bytes are encoded. [`crate::msg::proc::connect_worker`]
+//! builds the endpoint of one OS-process worker: a send becomes a
+//! serde-framed `Data` frame to the supervisor, whose reader thread
+//! feeds the queues with encoded bodies. Everything else — the event
+//! clock, the fault schedule, the timeout and disconnect mapping, the
+//! type check and the flight/comm-matrix notes — is written once
+//! here, so the collectives and the SPMD engine see identical
+//! behaviour on both.
+//!
+//! Every operation returns `Result<_, CommError>`: a dead peer
+//! surfaces as [`CommError::PeerDisconnected`], a dropped message as
 //! [`CommError::Timeout`] (when a receive timeout is configured), and
 //! a typed-protocol violation as [`CommError::ProtocolMismatch`]
 //! naming both types and the (src, dst, event#) coordinates.
 //!
 //! Each endpoint counts its *fabric events* (every send or receive is
 //! one, numbered from 1); a [`FaultPlan`] attached via
-//! [`fabric_with_faults`] consults that counter to kill the rank,
-//! delay an operation, or drop an outgoing message at a
-//! deterministic, reproducible point.
+//! [`fabric_with_faults`] (or the worker's config) consults that
+//! counter to kill the rank, delay an operation, or drop an outgoing
+//! message at a deterministic, reproducible point.
 
 use crate::engine::Wire;
 use crate::fault::{CommError, FaultAction, FaultPlan};
+use crate::msg::proc::SocketOut;
+use crate::msg::wire;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mn_obs::commatrix::CommMatrixHandle;
 use mn_obs::flightrec::{FlightEvent, FlightRec};
-use std::any::Any;
+use std::any::{type_name, Any};
+use std::borrow::Cow;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// The point-to-point transport contract shared by the in-process
-/// fabric ([`Endpoint`]) and the multi-process transport
-/// ([`crate::msg::proc::ProcEndpoint`]).
-///
-/// Everything above the transport — the log-depth collectives and the
-/// SPMD engine — is generic over
-/// this trait, so the same deterministic protocols run unchanged
-/// whether "sending" moves a `Box` between threads or serde-framed
-/// bytes between OS processes. The [`Wire`] bound is the union of the
-/// two transports' needs; the in-process fabric simply ignores the
-/// serde half.
-///
-/// Implementations must provide the same failure taxonomy: a dead peer
-/// is [`CommError::PeerDisconnected`], a lost message under a receive
-/// timeout is [`CommError::Timeout`], a type-level protocol violation
-/// is [`CommError::ProtocolMismatch`], and an injected fault is
-/// [`CommError::Injected`] — so every layer above sees identical
-/// errors on both transports.
-pub trait Fabric {
-    /// This endpoint's rank.
-    fn rank(&self) -> usize;
-
-    /// Number of ranks in the fabric.
-    fn nranks(&self) -> usize;
-
-    /// Fabric events (sends + receives) completed by this endpoint.
-    fn events(&self) -> u64;
-
-    /// Send `value` to rank `dst` with an explicit wire-byte size for
-    /// traffic accounting.
-    fn send_to_sized<T: Wire>(&self, dst: usize, value: T, wire_bytes: u64)
-        -> Result<(), CommError>;
-
-    /// Send `value` to rank `dst`, accounting its shallow `size_of` as
-    /// the wire size.
-    fn send_to<T: Wire>(&self, dst: usize, value: T) -> Result<(), CommError> {
-        self.send_to_sized(dst, value, size_of::<T>() as u64)
-    }
-
-    /// Receive the next message from rank `src`, waiting at most the
-    /// transport's configured receive timeout.
-    fn recv_from<T: Wire>(&self, src: usize) -> Result<T, CommError>;
-
-    /// Attach the owning rank's flight recorder and communication
-    /// matrix.
-    fn attach_obs(&self, flight: FlightRec, comm: CommMatrixHandle);
-
-    /// Suppress (or resume) observation, e.g. during checkpoint-I/O
-    /// barriers that are outside the deterministic accounting contract.
-    fn set_obs_muted(&self, muted: bool);
+/// A payload as it waits in a per-source queue: the value itself for
+/// rank threads, its wire encoding for a proc worker.
+pub(crate) enum Body {
+    Value(Box<dyn Any + Send>),
+    Encoded(Vec<u8>),
 }
 
-/// A payload plus the `type_name` and shallow wire-byte size recorded
-/// at the send site, so a receive-side downcast failure can report
-/// what was actually sent and the receiver can account the bytes it
-/// took delivery of.
-type Packet = (&'static str, u64, Box<dyn Any + Send>);
+/// A queued message: the sender's `type_name` (so a receive-side type
+/// failure can report what was actually sent), the accounting wire
+/// size, and the body.
+pub(crate) type Packet = (Cow<'static, str>, u64, Body);
 
-/// Environment variable that sets the default receive timeout (in
-/// milliseconds) for fabrics built with [`fabric`]. Unset or `0`
-/// means block forever (the pre-fault-tolerance behavior).
-pub const RECV_TIMEOUT_ENV: &str = "MN_RECV_TIMEOUT_MS";
-
-fn env_recv_timeout() -> Option<Duration> {
-    let ms: u64 = std::env::var(RECV_TIMEOUT_ENV).ok()?.trim().parse().ok()?;
-    (ms > 0).then(|| Duration::from_millis(ms))
+/// How a send leaves this endpoint.
+pub(crate) enum Outbox {
+    /// `to[d]` is the channel into rank d's queue from this rank
+    /// (including self, for protocol symmetry).
+    Local(Vec<Sender<Packet>>),
+    /// The proc worker's link to the supervisor.
+    Socket(SocketOut),
 }
 
 /// Observability hooks attachable to an endpoint: the owning rank's
 /// flight recorder (per-message send/recv/fault events) and
 /// communication matrix (sender-side traffic accounting). `muted`
 /// suppresses both during checkpoint-I/O barriers, which are outside
-/// the deterministic accounting contract. Shared by the in-process
-/// [`Endpoint`] and the multi-process [`crate::msg::proc`] transport
-/// so both record identically.
+/// the deterministic accounting contract.
 #[derive(Default)]
-pub(crate) struct ObsHooks {
-    pub(crate) flight: Option<FlightRec>,
+struct ObsHooks {
+    flight: Option<FlightRec>,
     comm: Option<CommMatrixHandle>,
     muted: bool,
-}
-
-impl ObsHooks {
-    /// Attach the owning rank's recorders.
-    pub(crate) fn attach(&mut self, flight: FlightRec, comm: CommMatrixHandle) {
-        self.flight = Some(flight);
-        self.comm = Some(comm);
-    }
-
-    /// Set (or clear) muting.
-    pub(crate) fn set_muted(&mut self, muted: bool) {
-        self.muted = muted;
-    }
-
-    /// Record a flight event. Fault injections are never muted: a kill
-    /// firing inside a muted checkpoint barrier must still leave its
-    /// mark in the dump.
-    pub(crate) fn note_flight(&self, event: FlightEvent) {
-        if self.muted && !matches!(event, FlightEvent::FaultInjected { .. }) {
-            return;
-        }
-        if let Some(flight) = &self.flight {
-            flight.record(event);
-        }
-    }
-
-    /// Record one delivered outgoing message (flight + matrix).
-    pub(crate) fn note_send(&self, rank: usize, dst: usize, bytes: u64) {
-        if self.muted {
-            return;
-        }
-        if let Some(flight) = &self.flight {
-            flight.record(FlightEvent::Send { peer: dst, bytes });
-        }
-        if let Some(comm) = &self.comm {
-            comm.record(rank, dst, bytes);
-        }
-    }
 }
 
 /// One rank's view of the fabric.
 pub struct Endpoint {
     rank: usize,
-    /// `to[d]` sends to rank d (including self, for protocol symmetry).
-    to: Vec<Sender<Packet>>,
     /// `from[s]` receives from rank s.
     from: Vec<Receiver<Packet>>,
+    out: Outbox,
     /// Fabric events completed by this endpoint (sends + receives).
     /// Atomic only to keep `Endpoint: Sync`; each endpoint is used by
     /// one rank-thread, so `Relaxed` ordering suffices.
@@ -175,6 +98,24 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
+    pub(crate) fn new(
+        rank: usize,
+        from: Vec<Receiver<Packet>>,
+        out: Outbox,
+        recv_timeout: Option<Duration>,
+        faults: FaultPlan,
+    ) -> Endpoint {
+        Endpoint {
+            rank,
+            from,
+            out,
+            events: AtomicU64::new(0),
+            recv_timeout,
+            faults,
+            obs: Mutex::new(ObsHooks::default()),
+        }
+    }
+
     /// This endpoint's rank.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -184,7 +125,7 @@ impl Endpoint {
     /// Number of ranks in the fabric.
     #[inline]
     pub fn nranks(&self) -> usize {
-        self.to.len()
+        self.from.len()
     }
 
     /// Fabric events (sends + receives) completed by this endpoint.
@@ -193,11 +134,17 @@ impl Endpoint {
         self.events.load(Ordering::Relaxed)
     }
 
+    fn obs(&self) -> MutexGuard<'_, ObsHooks> {
+        self.obs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attach the owning rank's flight recorder and communication
     /// matrix: every subsequent send/recv/fault on this endpoint is
     /// recorded.
     pub fn attach_obs(&self, flight: FlightRec, comm: CommMatrixHandle) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).attach(flight, comm);
+        let mut obs = self.obs();
+        obs.flight = Some(flight);
+        obs.comm = Some(comm);
     }
 
     /// Suppress (or resume) observation. Checkpoint-I/O barriers mute
@@ -205,23 +152,41 @@ impl Endpoint {
     /// accounting — the same contract that keeps those barriers out of
     /// the deterministic counters.
     pub fn set_obs_muted(&self, muted: bool) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).set_muted(muted);
+        self.obs().muted = muted;
     }
 
-    /// Record a flight event through the attached observers.
+    /// Record a flight event. Fault injections are never muted: a kill
+    /// firing inside a muted checkpoint barrier must still leave its
+    /// mark in the dump.
     fn note_flight(&self, event: FlightEvent) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).note_flight(event);
+        let obs = self.obs();
+        if obs.muted && !matches!(event, FlightEvent::FaultInjected { .. }) {
+            return;
+        }
+        if let Some(flight) = &obs.flight {
+            flight.record(event);
+        }
     }
 
     /// Record one delivered outgoing message (flight + matrix).
     fn note_send(&self, dst: usize, bytes: u64) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).note_send(self.rank, dst, bytes);
+        let obs = self.obs();
+        if obs.muted {
+            return;
+        }
+        if let Some(flight) = &obs.flight {
+            flight.record(FlightEvent::Send { peer: dst, bytes });
+        }
+        if let Some(comm) = &obs.comm {
+            comm.record(self.rank, dst, bytes);
+        }
     }
 
     /// Count one fabric event and return any fault scheduled for it.
-    /// `Die` (a real process `SIGKILL` on the proc transport) degrades
-    /// to `Kill` semantics here: an in-process rank cannot kill its
-    /// OS process without taking every other rank with it.
+    /// `Die` is a real `SIGKILL` on a proc worker (after dumping the
+    /// flight ring, the only trace it leaves); on a rank thread it
+    /// degrades to `Kill`, since an in-process rank cannot kill its OS
+    /// process without taking every other rank with it.
     fn tick(&self) -> Result<Option<FaultAction>, CommError> {
         let event = self.events.fetch_add(1, Ordering::Relaxed) + 1;
         match self.faults.action(self.rank, event) {
@@ -230,6 +195,9 @@ impl Endpoint {
                     action: action.label().to_string(),
                     event,
                 });
+                if let (FaultAction::Die, Outbox::Socket(socket)) = (action, &self.out) {
+                    socket.die(self.obs().flight.as_ref());
+                }
                 Err(CommError::Injected {
                     rank: self.rank,
                     event,
@@ -247,19 +215,19 @@ impl Endpoint {
         }
     }
 
-    /// Send `value` to rank `dst` (non-blocking; channels are
+    /// Send `value` to rank `dst` (non-blocking; queues are
     /// unbounded). Fails if `dst` has dropped its endpoint or a fault
     /// plan kills this rank at this event. The recorded wire size is
     /// the payload's shallow `size_of`; senders of heap-backed
     /// payloads use [`Endpoint::send_to_sized`].
-    pub fn send_to<T: Send + 'static>(&self, dst: usize, value: T) -> Result<(), CommError> {
+    pub fn send_to<T: Wire>(&self, dst: usize, value: T) -> Result<(), CommError> {
         self.send_to_sized(dst, value, size_of::<T>() as u64)
     }
 
     /// [`Endpoint::send_to`] with an explicit wire-byte size for
     /// traffic accounting (e.g. `len * size_of::<T>()` for a `Vec<T>`
     /// whose shallow size would undercount).
-    pub fn send_to_sized<T: Send + 'static>(
+    pub fn send_to_sized<T: Wire>(
         &self,
         dst: usize,
         value: T,
@@ -276,13 +244,23 @@ impl Endpoint {
             self.note_flight(FlightEvent::MsgDropped { peer: dst });
             return Ok(());
         }
-        self.to[dst]
-            .send((std::any::type_name::<T>(), wire_bytes, Box::new(value)))
-            .map_err(|_| CommError::PeerDisconnected {
-                peer: dst,
-                rank: self.rank,
-                event: self.events(),
-            })?;
+        let event = self.events();
+        let name = type_name::<T>();
+        match &self.out {
+            Outbox::Local(to) => to[dst]
+                .send((Cow::Borrowed(name), wire_bytes, Body::Value(Box::new(value))))
+                .map_err(|_| CommError::PeerDisconnected {
+                    peer: dst,
+                    rank: self.rank,
+                    event,
+                }),
+            Outbox::Socket(socket) => socket
+                .send(self.rank, dst, name, wire_bytes, wire::to_vec(&value))
+                .map_err(|e| {
+                    let waited = self.recv_timeout.unwrap_or_default();
+                    CommError::from_io_kind(e.kind(), dst, self.rank, event, waited)
+                }),
+        }?;
         self.note_send(dst, wire_bytes);
         Ok(())
     }
@@ -296,99 +274,78 @@ impl Endpoint {
     /// `T` — collective protocols are lock-step, so a type mismatch is
     /// a protocol bug, but it is reported with full coordinates
     /// instead of a bare panic.
-    pub fn recv_from<T: Send + 'static>(&self, src: usize) -> Result<T, CommError> {
+    pub fn recv_from<T: Wire>(&self, src: usize) -> Result<T, CommError> {
         self.tick()?; // Drop only affects sends; Delay already slept
         let event = self.events();
-        let packet = match self.recv_timeout {
-            None => self.from[src].recv().map_err(|_| CommError::PeerDisconnected {
+        let received = match self.recv_timeout {
+            None => self.from[src].recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(timeout) => self.from[src].recv_timeout(timeout),
+        };
+        let (sent_type, wire_bytes, body) = received.map_err(|e| match e {
+            RecvTimeoutError::Disconnected => CommError::PeerDisconnected {
                 peer: src,
                 rank: self.rank,
                 event,
-            })?,
-            Some(timeout) => match self.from[src].recv_timeout(timeout) {
-                Ok(packet) => packet,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerDisconnected {
-                        peer: src,
-                        rank: self.rank,
-                        event,
-                    })
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::Timeout {
-                        src,
-                        dst: self.rank,
-                        event,
-                        waited: timeout,
-                    })
-                }
             },
-        };
-        let (sent_type, wire_bytes, payload) = packet;
+            RecvTimeoutError::Timeout => CommError::Timeout {
+                src,
+                dst: self.rank,
+                event,
+                waited: self.recv_timeout.unwrap_or_default(),
+            },
+        })?;
         self.note_flight(FlightEvent::Recv {
             peer: src,
             bytes: wire_bytes,
         });
-        payload
-            .downcast::<T>()
-            .map(|boxed| *boxed)
-            .map_err(|_| CommError::ProtocolMismatch {
-                expected: std::any::type_name::<T>(),
-                actual: sent_type,
-                src,
-                dst: self.rank,
-                event,
-            })
+        let expected = type_name::<T>();
+        let mismatch = |actual: &'static str| CommError::ProtocolMismatch {
+            expected,
+            actual,
+            src,
+            dst: self.rank,
+            event,
+        };
+        match body {
+            Body::Value(value) => value
+                .downcast::<T>()
+                .map(|boxed| *boxed)
+                .map_err(|_| mismatch(leak(sent_type))),
+            Body::Encoded(_) if sent_type != expected => Err(mismatch(leak(sent_type))),
+            Body::Encoded(bytes) => wire::from_slice(&bytes)
+                .map_err(|e| mismatch(leak(format!("undecodable payload ({e})").into()))),
+        }
+    }
+
+    /// Announce a clean shutdown, so the supervisor does not report
+    /// the EOF that follows a proc worker's exit as a death. Rank
+    /// threads have nobody to tell: a no-op there.
+    pub fn goodbye(&self) {
+        if let Outbox::Socket(socket) = &self.out {
+            socket.goodbye(self.rank);
+        }
     }
 }
 
-impl Fabric for Endpoint {
-    #[inline]
-    fn rank(&self) -> usize {
-        Endpoint::rank(self)
-    }
-
-    #[inline]
-    fn nranks(&self) -> usize {
-        Endpoint::nranks(self)
-    }
-
-    #[inline]
-    fn events(&self) -> u64 {
-        Endpoint::events(self)
-    }
-
-    fn send_to_sized<T: Wire>(
-        &self,
-        dst: usize,
-        value: T,
-        wire_bytes: u64,
-    ) -> Result<(), CommError> {
-        Endpoint::send_to_sized(self, dst, value, wire_bytes)
-    }
-
-    fn recv_from<T: Wire>(&self, src: usize) -> Result<T, CommError> {
-        Endpoint::recv_from(self, src)
-    }
-
-    fn attach_obs(&self, flight: FlightRec, comm: CommMatrixHandle) {
-        Endpoint::attach_obs(self, flight, comm)
-    }
-
-    fn set_obs_muted(&self, muted: bool) {
-        Endpoint::set_obs_muted(self, muted)
+/// A type name for a [`CommError::ProtocolMismatch`]. Leaked only on
+/// the error path: the rank is about to unwind anyway.
+fn leak(name: Cow<'static, str>) -> &'static str {
+    match name {
+        Cow::Borrowed(name) => name,
+        Cow::Owned(name) => Box::leak(name.into_boxed_str()),
     }
 }
 
-/// Build a fully connected fabric of `p` endpoints. The receive
-/// timeout defaults to blocking forever, overridable via the
-/// [`RECV_TIMEOUT_ENV`] environment variable.
+/// Build a fully connected in-process fabric of `p` endpoints whose
+/// receives block until a message arrives or the peer's endpoint is
+/// dropped.
 pub fn fabric(p: usize) -> Vec<Endpoint> {
-    fabric_with_faults(p, FaultPlan::new(), env_recv_timeout())
+    fabric_with_faults(p, FaultPlan::new(), None)
 }
 
-/// Build a fabric with an attached [`FaultPlan`] and receive timeout.
-/// Pass an empty plan and `None` for undisturbed blocking behavior.
+/// Build an in-process fabric with an attached [`FaultPlan`] and
+/// receive timeout. Pass an empty plan and `None` for undisturbed
+/// blocking behavior.
 pub fn fabric_with_faults(
     p: usize,
     faults: FaultPlan,
@@ -411,14 +368,8 @@ pub fn fabric_with_faults(
         .into_iter()
         .zip(receivers)
         .enumerate()
-        .map(|(rank, (to, from))| Endpoint {
-            rank,
-            to,
-            from,
-            events: AtomicU64::new(0),
-            recv_timeout,
-            faults: faults.clone(),
-            obs: Mutex::new(ObsHooks::default()),
+        .map(|(rank, (to, from))| {
+            Endpoint::new(rank, from, Outbox::Local(to), recv_timeout, faults.clone())
         })
         .collect()
 }
@@ -426,17 +377,74 @@ pub fn fabric_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::proc::{connect_worker, ProcAddr, Supervisor, WorkerConfig};
+    use std::path::PathBuf;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Receive timeout of the contract tests' fabrics: long enough
+    /// that a routed socket message never misses it on a loaded box.
+    const TIMEOUT: Duration = Duration::from_millis(500);
+
+    /// Run `body` on a 2-rank fabric of each transport in turn: the
+    /// in-process mesh of [`fabric_with_faults`], then two proc-worker
+    /// endpoints connected from this process to a [`Supervisor`] on a
+    /// temp-dir socket. Returns each run's result, in-process first.
+    fn on_both<R>(
+        faults: FaultPlan,
+        recv_timeout: Option<Duration>,
+        body: impl Fn(&[Endpoint]) -> R,
+    ) -> [R; 2] {
+        let local = body(&fabric_with_faults(2, faults.clone(), recv_timeout));
+
+        static PAIRS: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "mn-fabric-{}-{}",
+            crate::sys::current_pid(),
+            PAIRS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut sup = Supervisor::bind(&ProcAddr::Unix(dir.join("s.sock")), 2).unwrap();
+        let workers: Vec<_> = (0..2)
+            .map(|rank| {
+                let cfg = WorkerConfig {
+                    rank,
+                    nranks: 2,
+                    addr: sup.addr().clone(),
+                    connect_timeout: Duration::from_secs(10),
+                    recv_timeout,
+                    faults: faults.clone(),
+                    dump_dir: PathBuf::from("."),
+                };
+                std::thread::spawn(move || connect_worker(cfg).unwrap())
+            })
+            .collect();
+        sup.accept_workers(Duration::from_secs(10)).unwrap();
+        let router = std::thread::spawn(move || sup.route(|_| {}));
+        let endpoints: Vec<Endpoint> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let socket = body(&endpoints);
+        for ep in &endpoints {
+            ep.goodbye();
+        }
+        drop(endpoints);
+        router.join().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+        [local, socket]
+    }
+
+    fn local_events(flight: &FlightRec) -> Vec<FlightEvent> {
+        flight.local_events().into_iter().map(|r| r.event).collect()
+    }
 
     #[test]
     fn pairwise_fifo_delivery() {
-        let endpoints = fabric(2);
-        let (a, b) = (&endpoints[0], &endpoints[1]);
-        a.send_to(1, 10u32).unwrap();
-        a.send_to(1, 20u32).unwrap();
-        assert_eq!(b.recv_from::<u32>(0).unwrap(), 10);
-        assert_eq!(b.recv_from::<u32>(0).unwrap(), 20);
-        assert_eq!(a.events(), 2);
-        assert_eq!(b.events(), 2);
+        on_both(FaultPlan::new(), None, |eps| {
+            let (a, b) = (&eps[0], &eps[1]);
+            a.send_to(1, 10u32).unwrap();
+            a.send_to(1, 20u32).unwrap();
+            assert_eq!(b.recv_from::<u32>(0).unwrap(), 10);
+            assert_eq!(b.recv_from::<u32>(0).unwrap(), 20);
+            assert_eq!(a.events(), 2);
+            assert_eq!(b.events(), 2);
+        });
     }
 
     #[test]
@@ -444,10 +452,10 @@ mod tests {
         // A message from rank 2 never blocks or reorders the rank-1
         // stream.
         let endpoints = fabric(3);
-        endpoints[2].send_to(0, "from2").unwrap();
-        endpoints[1].send_to(0, "from1").unwrap();
-        assert_eq!(endpoints[0].recv_from::<&str>(1).unwrap(), "from1");
-        assert_eq!(endpoints[0].recv_from::<&str>(2).unwrap(), "from2");
+        endpoints[2].send_to(0, String::from("from2")).unwrap();
+        endpoints[1].send_to(0, String::from("from1")).unwrap();
+        assert_eq!(endpoints[0].recv_from::<String>(1).unwrap(), "from1");
+        assert_eq!(endpoints[0].recv_from::<String>(2).unwrap(), "from2");
     }
 
     #[test]
@@ -476,24 +484,20 @@ mod tests {
 
     #[test]
     fn type_mismatch_reports_both_types_and_coordinates() {
-        let endpoints = fabric(1);
-        endpoints[0].send_to(0, 1u32).unwrap();
-        let err = endpoints[0].recv_from::<String>(0).unwrap_err();
-        match err {
-            CommError::ProtocolMismatch {
-                expected,
-                actual,
-                src,
-                dst,
-                event,
-            } => {
-                assert_eq!(expected, std::any::type_name::<String>());
-                assert_eq!(actual, std::any::type_name::<u32>());
-                assert_eq!((src, dst), (0, 0));
-                assert_eq!(event, 2); // send was event 1, recv event 2
-            }
-            other => panic!("expected ProtocolMismatch, got {other:?}"),
-        }
+        on_both(FaultPlan::new(), None, |eps| {
+            eps[0].send_to(1, 1u32).unwrap();
+            let err = eps[1].recv_from::<String>(0).unwrap_err();
+            assert_eq!(
+                err,
+                CommError::ProtocolMismatch {
+                    expected: type_name::<String>(),
+                    actual: type_name::<u32>(),
+                    src: 0,
+                    dst: 1,
+                    event: 1,
+                }
+            );
+        });
     }
 
     #[test]
@@ -527,95 +531,105 @@ mod tests {
         // Rank 0's first send (event #1) is dropped; rank 1's recv
         // must time out rather than block forever.
         let plan = FaultPlan::new().drop_message(0, 1);
-        let endpoints = fabric_with_faults(2, plan, Some(Duration::from_millis(20)));
-        endpoints[0].send_to(1, 7u32).unwrap(); // discarded
-        let err = endpoints[1].recv_from::<u32>(0).unwrap_err();
-        assert_eq!(
-            err,
-            CommError::Timeout {
-                src: 0,
-                dst: 1,
-                event: 1,
-                waited: Duration::from_millis(20)
-            }
-        );
-        // The fabric stays usable: the next send is delivered.
-        endpoints[0].send_to(1, 8u32).unwrap();
-        assert_eq!(endpoints[1].recv_from::<u32>(0).unwrap(), 8);
+        on_both(plan, Some(TIMEOUT), |eps| {
+            eps[0].send_to(1, 7u32).unwrap(); // discarded
+            let err = eps[1].recv_from::<u32>(0).unwrap_err();
+            assert_eq!(
+                err,
+                CommError::Timeout {
+                    src: 0,
+                    dst: 1,
+                    event: 1,
+                    waited: TIMEOUT
+                }
+            );
+            // The fabric stays usable: the next send is delivered.
+            eps[0].send_to(1, 8u32).unwrap();
+            assert_eq!(eps[1].recv_from::<u32>(0).unwrap(), 8);
+        });
     }
 
     #[test]
     fn kill_fires_at_the_scheduled_event() {
         let plan = FaultPlan::new().kill(0, 2);
-        let endpoints = fabric_with_faults(1, plan, None);
-        endpoints[0].send_to(0, 1u8).unwrap(); // event 1: fine
-        let err = endpoints[0].recv_from::<u8>(0).unwrap_err(); // event 2: dies
-        assert_eq!(err, CommError::Injected { rank: 0, event: 2 });
+        on_both(plan, None, |eps| {
+            eps[0].send_to(1, 1u8).unwrap(); // event 1: fine
+            let err = eps[0].recv_from::<u8>(1).unwrap_err(); // event 2: dies
+            assert_eq!(err, CommError::Injected { rank: 0, event: 2 });
+        });
     }
 
     #[test]
     fn attached_obs_records_traffic_and_faults() {
         let plan = FaultPlan::new().drop_message(0, 3);
-        let endpoints = fabric_with_faults(2, plan, Some(Duration::from_millis(20)));
-        let flight0 = FlightRec::new(2, 0);
-        let comm0 = CommMatrixHandle::new(2);
-        endpoints[0].attach_obs(flight0.clone(), comm0.clone());
-        let flight1 = FlightRec::new(2, 1);
-        let comm1 = CommMatrixHandle::new(2);
-        endpoints[1].attach_obs(flight1.clone(), comm1.clone());
+        let [local, socket] = on_both(plan, Some(TIMEOUT), |eps| {
+            let flight0 = FlightRec::new(2, 0);
+            let comm0 = CommMatrixHandle::new(2);
+            eps[0].attach_obs(flight0.clone(), comm0.clone());
+            let flight1 = FlightRec::new(2, 1);
+            let comm1 = CommMatrixHandle::new(2);
+            eps[1].attach_obs(flight1.clone(), comm1.clone());
 
-        endpoints[0].send_to(1, 7u32).unwrap(); // event 1: delivered
-        assert_eq!(endpoints[1].recv_from::<u32>(0).unwrap(), 7);
-        endpoints[0]
-            .send_to_sized(1, vec![1u64, 2, 3], 24)
-            .unwrap(); // event 2: delivered, explicit wire size
-        assert_eq!(endpoints[1].recv_from::<Vec<u64>>(0).unwrap(), vec![1, 2, 3]);
-        endpoints[0].send_to(1, 9u32).unwrap(); // event 3: dropped
+            eps[0].send_to(1, 7u32).unwrap(); // event 1: delivered
+            assert_eq!(eps[1].recv_from::<u32>(0).unwrap(), 7);
+            eps[0].send_to_sized(1, vec![1u64, 2, 3], 24).unwrap(); // event 2: explicit size
+            assert_eq!(eps[1].recv_from::<Vec<u64>>(0).unwrap(), vec![1, 2, 3]);
+            eps[0].send_to(1, 9u32).unwrap(); // event 3: dropped
 
-        let local0: Vec<FlightEvent> =
-            flight0.local_events().into_iter().map(|r| r.event).collect();
-        assert_eq!(
-            local0,
-            vec![
-                FlightEvent::Send { peer: 1, bytes: 4 },
-                FlightEvent::Send { peer: 1, bytes: 24 },
-                FlightEvent::FaultInjected {
-                    action: "drop".into(),
-                    event: 3
-                },
-                FlightEvent::MsgDropped { peer: 1 },
-            ]
-        );
-        let local1: Vec<FlightEvent> =
-            flight1.local_events().into_iter().map(|r| r.event).collect();
-        assert_eq!(
-            local1,
-            vec![
-                FlightEvent::Recv { peer: 0, bytes: 4 },
-                FlightEvent::Recv { peer: 0, bytes: 24 },
-            ]
-        );
-        // Matrix: sender-side only, dropped message not counted.
-        let mat = comm0.snapshot();
-        assert_eq!(mat.phases[0].msgs[1], 2);
-        assert_eq!(mat.phases[0].bytes[1], 28);
-        assert_eq!(comm1.snapshot().total_msgs(), 0);
+            assert_eq!(
+                local_events(&flight0),
+                vec![
+                    FlightEvent::Send { peer: 1, bytes: 4 },
+                    FlightEvent::Send { peer: 1, bytes: 24 },
+                    FlightEvent::FaultInjected {
+                        action: "drop".into(),
+                        event: 3
+                    },
+                    FlightEvent::MsgDropped { peer: 1 },
+                ]
+            );
+            assert_eq!(
+                local_events(&flight1),
+                vec![
+                    FlightEvent::Recv { peer: 0, bytes: 4 },
+                    FlightEvent::Recv { peer: 0, bytes: 24 },
+                ]
+            );
+            // Matrix: sender-side only, dropped message not counted.
+            let mat = comm0.snapshot();
+            assert_eq!(mat.phases[0].msgs[1], 2);
+            assert_eq!(mat.phases[0].bytes[1], 28);
+            assert_eq!(comm1.snapshot().total_msgs(), 0);
 
-        // Muted endpoints record nothing.
-        endpoints[0].set_obs_muted(true);
-        endpoints[0].send_to(1, 1u8).unwrap();
-        endpoints[0].set_obs_muted(false);
-        assert_eq!(comm0.snapshot().total_msgs(), 2);
-        assert_eq!(flight0.local_events().len(), 4);
+            // Muted endpoints record nothing.
+            eps[0].set_obs_muted(true);
+            eps[0].send_to(1, 1u8).unwrap();
+            eps[0].set_obs_muted(false);
+            assert_eq!(eps[1].recv_from::<u8>(0).unwrap(), 1);
+            assert_eq!(comm0.snapshot().total_msgs(), 2);
+            assert_eq!(flight0.local_events().len(), 4);
+            [local_events(&flight0), local_events(&flight1)]
+        });
+        assert_eq!(local, socket, "both transports record the same flight events");
     }
 
     #[test]
     fn delay_preserves_results() {
         let plan = FaultPlan::new().delay(0, 1, Duration::from_millis(5));
-        let endpoints = fabric_with_faults(1, plan, None);
-        let start = std::time::Instant::now();
-        endpoints[0].send_to(0, 3u16).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        assert_eq!(endpoints[0].recv_from::<u16>(0).unwrap(), 3);
+        on_both(plan, None, |eps| {
+            let flight = FlightRec::new(2, 0);
+            eps[0].attach_obs(flight.clone(), CommMatrixHandle::new(2));
+            let start = std::time::Instant::now();
+            eps[0].send_to(1, 3u16).unwrap();
+            assert!(start.elapsed() >= Duration::from_millis(5));
+            assert_eq!(eps[1].recv_from::<u16>(0).unwrap(), 3);
+            assert_eq!(
+                local_events(&flight)[0],
+                FlightEvent::FaultInjected {
+                    action: "delay".into(),
+                    event: 1
+                }
+            );
+        });
     }
 }

@@ -4,13 +4,16 @@
 //! ([`crate::serial`]), share memory ([`crate::thread`]), or simulate
 //! the machine ([`crate::sim`]). This module is the genuinely
 //! distributed-memory path: ranks own private state, exchange data
-//! only through explicit point-to-point messages ([`mod@fabric`]), and
-//! synchronize through log-depth collective algorithms
-//! ([`collectives`]) — the binomial broadcast, reduce+broadcast
-//! all-reduce and gather-based all-gather whose cost shapes §3's
-//! analysis assumes. [`engine::spmd_run`] launches a full
-//! SPMD program (each rank runs the entire learner) over the fabric,
-//! the in-process equivalent of the paper's `mpirun` deployment.
+//! only through explicit point-to-point messages over one
+//! [`Endpoint`] type ([`mod@fabric`]), and synchronize through
+//! log-depth collective algorithms ([`collectives`]) — the binomial
+//! broadcast, reduce+broadcast all-reduce and gather-based all-gather
+//! whose cost shapes §3's analysis assumes. [`engine::spmd_run`]
+//! launches a full SPMD program (each rank runs the entire learner)
+//! over in-process endpoints, the in-process equivalent of the
+//! paper's `mpirun` deployment; [`proc`] hands each OS-process worker
+//! the same endpoint over a socket, so every layer above runs
+//! unchanged on either transport.
 
 pub mod collectives;
 pub mod engine;
@@ -23,4 +26,4 @@ pub use engine::{
     spmd_allgatherv, spmd_allreduce, spmd_run, spmd_run_faulty, spmd_run_faulty_recorded,
     spmd_worker_engine, SpmdCapture, SpmdEngine,
 };
-pub use fabric::{fabric, fabric_with_faults, Endpoint, Fabric, RECV_TIMEOUT_ENV};
+pub use fabric::{fabric, fabric_with_faults, Endpoint};

@@ -22,8 +22,9 @@
 //! worker that is alive but wedged). On either, the supervisor
 //! broadcasts `PeerDead` to the survivors, whose pending receives from
 //! the dead rank resolve to [`CommError::PeerDisconnected`] — the
-//! identical failure the in-process fabric delivers, so everything
-//! above the [`Fabric`] trait is oblivious to the transport.
+//! identical failure the in-process fabric delivers: a worker's
+//! [`Endpoint`] is the same type as a rank thread's, and only how a
+//! send leaves it differs.
 //!
 //! ## Handshake
 //!
@@ -38,26 +39,23 @@
 //! ## Determinism
 //!
 //! Fabric events (one per send/receive, heartbeats and control frames
-//! excluded) are counted exactly as the in-process endpoint counts
-//! them, so a fault spec like `kill:1@50` fires at the same logical
+//! excluded) are counted by the same [`Endpoint`] code as on rank
+//! threads, so a fault spec like `kill:1@50` fires at the same logical
 //! point on `proc:<p>` as on `msg:<p>`, and payloads cross the wire as
 //! the bit-exact binary encoding of [`super::wire`] — results are
 //! byte-identical to every other engine at every rank count.
 
-use crate::engine::Wire;
-use crate::fault::{splitmix64, CommError, FaultAction, FaultPlan};
-use crate::msg::fabric::{Fabric, ObsHooks};
-use crate::msg::wire;
+use crate::fault::{splitmix64, CommError, FaultPlan};
+use crate::msg::fabric::{Body, Endpoint, Outbox, Packet};
 use crate::sys;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mn_obs::commatrix::CommMatrixHandle;
-use mn_obs::flightrec::{FlightEvent, FlightRec};
+use crossbeam::channel::{unbounded, Sender};
+use mn_obs::flightrec::FlightRec;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default handshake/connect deadline when `--comm-timeout-ms` is not
@@ -415,10 +413,6 @@ fn read_frame(stream: &mut ProcStream) -> io::Result<Frame> {
 // Worker endpoint
 // ---------------------------------------------------------------------
 
-/// A delivered payload waiting in a per-source queue: the sender's
-/// type name, the accounting size, and the encoded body.
-type DataMsg = (String, u64, Vec<u8>);
-
 /// Configuration for [`connect_worker`].
 pub struct WorkerConfig {
     /// This worker's rank.
@@ -440,25 +434,59 @@ pub struct WorkerConfig {
     pub dump_dir: PathBuf,
 }
 
-/// One worker process's view of the fabric: the [`Fabric`]
-/// implementation backing `SpmdEngine<ProcEndpoint>`.
-pub struct ProcEndpoint {
-    rank: usize,
-    nranks: usize,
-    /// Write half of the supervisor socket, shared with the heartbeat
-    /// thread.
+/// A proc worker's outgoing side: the write half of the supervisor
+/// socket (shared with the heartbeat thread), the heartbeat stop flag,
+/// and where a `sigkill:` injection dumps the flight ring.
+pub(crate) struct SocketOut {
     writer: Arc<Mutex<ProcStream>>,
-    /// Per-source delivery queues, fed by the reader thread. A dropped
-    /// sender (peer death, supervisor death) surfaces as
-    /// `PeerDisconnected` — the same disconnect semantics crossbeam
-    /// gives the in-process fabric.
-    from: Vec<Receiver<DataMsg>>,
-    events: AtomicU64,
-    recv_timeout: Option<Duration>,
-    faults: FaultPlan,
-    obs: Mutex<ObsHooks>,
-    dump_dir: PathBuf,
     hb_stop: Arc<AtomicBool>,
+    dump_dir: PathBuf,
+}
+
+impl SocketOut {
+    fn write(&self, frame: &Frame) -> io::Result<()> {
+        write_frame(&mut self.writer.lock().unwrap_or_else(PoisonError::into_inner), frame)
+    }
+
+    /// Frame one payload for the supervisor to route to `dst`.
+    pub(crate) fn send(
+        &self,
+        src: usize,
+        dst: usize,
+        type_name: &str,
+        wire_bytes: u64,
+        body: Vec<u8>,
+    ) -> io::Result<()> {
+        self.write(&Frame::Data {
+            src: src as u32,
+            dst: dst as u32,
+            wire_bytes,
+            type_name: type_name.to_string(),
+            body,
+        })
+    }
+
+    /// Tell the supervisor the EOF that follows is a clean exit.
+    pub(crate) fn goodbye(&self, rank: usize) {
+        let _ = self.write(&Frame::Goodbye { rank: rank as u32 });
+    }
+
+    /// Dump the flight ring, then `SIGKILL` this process — the ring is
+    /// the only trace the kill leaves.
+    pub(crate) fn die(&self, flight: Option<&FlightRec>) -> ! {
+        if let Some(flight) = flight {
+            let _ = std::fs::create_dir_all(&self.dump_dir);
+            let _ = flight.dump_to_dir(&self.dump_dir);
+        }
+        sys::raise_sigkill();
+    }
+}
+
+impl Drop for SocketOut {
+    fn drop(&mut self) {
+        self.hb_stop.store(true, Ordering::Relaxed);
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner).shutdown();
+    }
 }
 
 /// Connect to the supervisor with retry + jittered exponential backoff
@@ -466,7 +494,7 @@ pub struct ProcEndpoint {
 /// through `Welcome` — is bounded by `cfg.connect_timeout`: a
 /// supervisor that never binds yields [`CommError::Timeout`] (with
 /// `src == dst == rank`, the handshake convention), never a hang.
-pub fn connect_worker(cfg: WorkerConfig) -> Result<ProcEndpoint, CommError> {
+pub fn connect_worker(cfg: WorkerConfig) -> Result<Endpoint, CommError> {
     let deadline = Instant::now() + cfg.connect_timeout;
     let handshake_timeout = |waited: Duration| CommError::Timeout {
         src: cfg.rank,
@@ -544,7 +572,7 @@ pub fn connect_worker(cfg: WorkerConfig) -> Result<ProcEndpoint, CommError> {
         reader.set_read_timeout(None).map_err(io_err)?;
 
         // Delivery queues + reader thread.
-        let mut senders: Vec<Option<Sender<DataMsg>>> = Vec::with_capacity(cfg.nranks);
+        let mut senders: Vec<Option<Sender<Packet>>> = Vec::with_capacity(cfg.nranks);
         let mut receivers = Vec::with_capacity(cfg.nranks);
         for _ in 0..cfg.nranks {
             let (tx, rx) = unbounded();
@@ -568,7 +596,8 @@ pub fn connect_worker(cfg: WorkerConfig) -> Result<ProcEndpoint, CommError> {
                                 // A send to a full... channels are
                                 // unbounded; an error means the
                                 // endpoint is gone — stop reading.
-                                if tx.send((type_name, wire_bytes, body)).is_err() {
+                                let packet = (type_name.into(), wire_bytes, Body::Encoded(body));
+                                if tx.send(packet).is_err() {
                                     return;
                                 }
                             }
@@ -611,191 +640,12 @@ pub fn connect_worker(cfg: WorkerConfig) -> Result<ProcEndpoint, CommError> {
                 .map_err(io_err)?;
         }
 
-        Ok(ProcEndpoint {
-            rank: cfg.rank,
-            nranks: cfg.nranks,
+        let out = Outbox::Socket(SocketOut {
             writer,
-            from: receivers,
-            events: AtomicU64::new(0),
-            recv_timeout: cfg.recv_timeout,
-            faults: cfg.faults,
-            obs: Mutex::new(ObsHooks::default()),
-            dump_dir: cfg.dump_dir,
             hb_stop,
-        })
-    }
-}
-
-impl ProcEndpoint {
-    /// Count one fabric event and return any surviving fault action —
-    /// the same schedule semantics as the in-process endpoint, plus the
-    /// real thing: `Die` dumps this rank's flight ring and raises
-    /// `SIGKILL` on the whole process.
-    fn tick(&self) -> Result<Option<FaultAction>, CommError> {
-        let event = self.events.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.faults.action(self.rank, event) {
-            Some(FaultAction::Kill) => {
-                self.note_flight(FlightEvent::FaultInjected {
-                    action: FaultAction::Kill.label().to_string(),
-                    event,
-                });
-                Err(CommError::Injected {
-                    rank: self.rank,
-                    event,
-                })
-            }
-            Some(FaultAction::Die) => {
-                self.note_flight(FlightEvent::FaultInjected {
-                    action: FaultAction::Die.label().to_string(),
-                    event,
-                });
-                // Flush the ring first — SIGKILL leaves no other trace.
-                if let Some(flight) = &self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).flight {
-                    let _ = std::fs::create_dir_all(&self.dump_dir);
-                    let _ = flight.dump_to_dir(&self.dump_dir);
-                }
-                sys::raise_sigkill();
-            }
-            Some(FaultAction::Delay(d)) => {
-                self.note_flight(FlightEvent::FaultInjected {
-                    action: FaultAction::Delay(d).label().to_string(),
-                    event,
-                });
-                std::thread::sleep(d);
-                Ok(None)
-            }
-            other => Ok(other),
-        }
-    }
-
-    fn note_flight(&self, event: FlightEvent) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).note_flight(event);
-    }
-
-    /// Announce a clean shutdown to the supervisor, so the EOF that
-    /// follows this endpoint's drop is not reported as a death.
-    pub fn goodbye(&self) {
-        let mut writer = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = write_frame(
-            &mut writer,
-            &Frame::Goodbye {
-                rank: self.rank as u32,
-            },
-        );
-    }
-}
-
-impl Drop for ProcEndpoint {
-    fn drop(&mut self) {
-        self.hb_stop.store(true, Ordering::Relaxed);
-        self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner).shutdown();
-    }
-}
-
-impl Fabric for ProcEndpoint {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn nranks(&self) -> usize {
-        self.nranks
-    }
-
-    fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    fn send_to_sized<T: Wire>(
-        &self,
-        dst: usize,
-        value: T,
-        wire_bytes: u64,
-    ) -> Result<(), CommError> {
-        if let Some(FaultAction::Drop) = self.tick()? {
-            self.note_flight(FlightEvent::FaultInjected {
-                action: FaultAction::Drop.label().to_string(),
-                event: self.events(),
-            });
-            self.note_flight(FlightEvent::MsgDropped { peer: dst });
-            return Ok(());
-        }
-        let frame = Frame::Data {
-            src: self.rank as u32,
-            dst: dst as u32,
-            wire_bytes,
-            type_name: std::any::type_name::<T>().to_string(),
-            body: wire::to_vec(&value),
-        };
-        {
-            let mut writer = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            write_frame(&mut writer, &frame).map_err(|e| {
-                CommError::from_io_kind(
-                    e.kind(),
-                    dst,
-                    self.rank,
-                    self.events(),
-                    self.recv_timeout.unwrap_or_default(),
-                )
-            })?;
-        }
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).note_send(self.rank, dst, wire_bytes);
-        Ok(())
-    }
-
-    fn recv_from<T: Wire>(&self, src: usize) -> Result<T, CommError> {
-        self.tick()?; // Drop only affects sends; Delay already slept
-        let event = self.events();
-        let disconnected = || CommError::PeerDisconnected {
-            peer: src,
-            rank: self.rank,
-            event,
-        };
-        let (sent_type, wire_bytes, body) = match self.recv_timeout {
-            None => self.from[src].recv().map_err(|_| disconnected())?,
-            Some(timeout) => match self.from[src].recv_timeout(timeout) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Disconnected) => return Err(disconnected()),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::Timeout {
-                        src,
-                        dst: self.rank,
-                        event,
-                        waited: timeout,
-                    })
-                }
-            },
-        };
-        self.note_flight(FlightEvent::Recv {
-            peer: src,
-            bytes: wire_bytes,
+            dump_dir: cfg.dump_dir,
         });
-        let expected = std::any::type_name::<T>();
-        if sent_type != expected {
-            return Err(CommError::ProtocolMismatch {
-                expected,
-                // Leaked only on the error path; the process is about
-                // to unwind this rank anyway.
-                actual: Box::leak(sent_type.into_boxed_str()),
-                src,
-                dst: self.rank,
-                event,
-            });
-        }
-        wire::from_slice(&body).map_err(|e| CommError::ProtocolMismatch {
-            expected,
-            actual: Box::leak(format!("undecodable payload ({e})").into_boxed_str()),
-            src,
-            dst: self.rank,
-            event,
-        })
-    }
-
-    fn attach_obs(&self, flight: FlightRec, comm: CommMatrixHandle) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).attach(flight, comm);
-    }
-
-    fn set_obs_muted(&self, muted: bool) {
-        self.obs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).set_muted(muted);
+        Ok(Endpoint::new(cfg.rank, receivers, out, cfg.recv_timeout, cfg.faults))
     }
 }
 
@@ -1307,7 +1157,7 @@ pub fn service_connect(addr: &ProcAddr, timeout: Duration) -> io::Result<Service
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::collectives;
+    use crate::msg::{collectives, wire};
 
     fn frame_roundtrip(frame: Frame) {
         let encoded = frame.encode();

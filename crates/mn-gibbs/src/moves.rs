@@ -16,7 +16,7 @@
 use crate::state::{CoClustering, ObsPartition, VarCluster};
 use mn_data::Dataset;
 use mn_score::gibbs_kernel::{addition_term, merge_gain_term, removal_term};
-use mn_score::{NormalGamma, PriorConsts, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{PriorConsts, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
 
 /// Target of a reassignment move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -455,16 +455,12 @@ impl CoClustering {
     }
 }
 
-/// A prior accessor used by free functions in this module's tests.
-pub fn prior_of(state: &CoClustering) -> NormalGamma {
-    *state.prior()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mn_data::synthetic;
     use mn_rand::MasterRng;
+    use mn_score::NormalGamma;
 
     fn setup(mode: ScoreMode) -> (Dataset, CoClustering) {
         let d = synthetic::yeast_like(16, 10, 5).dataset;

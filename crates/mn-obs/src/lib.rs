@@ -75,7 +75,7 @@ pub use hist::Histogram;
 pub use recorder::{merge_ranks, MergeError, ObsSnapshot, Recorder, SpanAgg, SpanRecord};
 pub use sink::{is_quiet, set_quiet};
 pub use snapshot::{
-    SnapshotStash, TelemetryHandle, TelemetryHub, TelemetrySink, TelemetryStream,
+    SnapshotStash, TelemetryHandle, TelemetrySink, TelemetryStream,
     TELEMETRY_SCHEMA_VERSION,
 };
 pub use trace::chrome_trace_json;

@@ -132,6 +132,17 @@ pub struct TelemetryHandle {
 }
 
 impl TelemetryHandle {
+    /// A handle whose pushes arrive on the returned receiver, for a
+    /// consumer that renders the stream itself (`monet serve` logs
+    /// each job's lines). The stream ends when the last clone of the
+    /// handle drops. `interval` is advertised to recorders through
+    /// [`TelemetryHandle::interval`] as the push rate limit.
+    pub fn channel(interval: Duration) -> (Self, mpsc::Receiver<(ObsSnapshot, f64)>) {
+        let (tx, rx) = mpsc::channel();
+        let interval = interval.max(Duration::from_millis(1));
+        (Self { tx, interval }, rx)
+    }
+
     /// The configured emission interval (recorders use it to
     /// rate-limit pushes; the writer uses it as heartbeat cadence).
     pub fn interval(&self) -> Duration {
@@ -229,93 +240,6 @@ impl Drop for TelemetrySink {
     fn drop(&mut self) {
         self.tx = None;
         if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Multi-subscriber telemetry fan-out: engines push snapshots through
-/// a single [`TelemetryHandle`] (exactly like a [`TelemetrySink`]),
-/// and every subscriber receives its own copy on its own channel. The
-/// serve scheduler gives each running job one hub so any number of
-/// watching clients can tail the same live stream; a subscriber that
-/// hangs up is dropped silently and never stalls the run.
-#[derive(Debug)]
-pub struct TelemetryHub {
-    tx: Option<mpsc::Sender<(ObsSnapshot, f64)>>,
-    interval: Duration,
-    subs: SubscriberList,
-    pump: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The hub's shared subscriber roster: the pump thread retains only
-/// the senders whose receivers are still listening.
-type SubscriberList = Arc<Mutex<Vec<mpsc::Sender<(ObsSnapshot, f64)>>>>;
-
-impl TelemetryHub {
-    /// Spawn the fan-out pump. `interval` is advertised to recorders
-    /// through [`TelemetryHandle::interval`] as the push rate limit.
-    pub fn new(interval: Duration) -> Self {
-        let (tx, rx) = mpsc::channel::<(ObsSnapshot, f64)>();
-        let subs: SubscriberList = Arc::new(Mutex::new(Vec::new()));
-        let pump_subs = Arc::clone(&subs);
-        let pump = std::thread::Builder::new()
-            .name("mn-telemetry-hub".into())
-            .spawn(move || {
-                while let Ok((snap, now_s)) = rx.recv() {
-                    let mut subs = pump_subs
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // A failed send means that subscriber hung up;
-                    // retain() drops it so the list never grows stale.
-                    subs.retain(|sub| sub.send((snap.clone(), now_s)).is_ok());
-                }
-            })
-            .expect("spawn telemetry hub");
-        Self {
-            tx: Some(tx),
-            interval: interval.max(Duration::from_millis(1)),
-            subs,
-            pump: Some(pump),
-        }
-    }
-
-    /// A sender half for recorders to push through — same shape the
-    /// single-writer [`TelemetrySink::handle`] hands out.
-    pub fn handle(&self) -> TelemetryHandle {
-        TelemetryHandle {
-            tx: self.tx.clone().expect("hub not finished"),
-            interval: self.interval,
-        }
-    }
-
-    /// Attach a new subscriber. Only snapshots pushed *after* this
-    /// call are delivered — late watchers replay history from whatever
-    /// the serve layer logged, not from the hub.
-    pub fn subscribe(&self) -> mpsc::Receiver<(ObsSnapshot, f64)> {
-        let (tx, rx) = mpsc::channel();
-        self.subs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(tx);
-        rx
-    }
-
-    /// Drop the hub's own sender and join the pump once every cloned
-    /// [`TelemetryHandle`] is gone; subscribers then see their channel
-    /// disconnect — the end-of-stream signal.
-    pub fn finish(mut self) {
-        self.tx = None;
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TelemetryHub {
-    fn drop(&mut self) {
-        self.tx = None;
-        if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
     }
@@ -430,31 +354,6 @@ mod tests {
         for (i, l) in lines.iter().enumerate() {
             assert_eq!(l["seq"].as_u64(), Some(i as u64));
         }
-    }
-
-    #[test]
-    fn hub_fans_out_to_every_live_subscriber() {
-        let hub = TelemetryHub::new(Duration::from_millis(5));
-        let a = hub.subscribe();
-        let b = hub.subscribe();
-        let handle = hub.handle();
-        handle.push(snap_with(1, 1.0), 0.5);
-        let (snap_a, now_a) = a.recv_timeout(Duration::from_secs(5)).unwrap();
-        let (snap_b, now_b) = b.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(snap_a.counters.get("x.count"), Some(&1));
-        assert_eq!(snap_b.counters.get("x.count"), Some(&1));
-        assert_eq!((now_a, now_b), (0.5, 0.5));
-
-        // A hung-up subscriber is dropped; the survivor keeps receiving.
-        drop(a);
-        handle.push(snap_with(2, 1.0), 1.5);
-        let (snap_b2, _) = b.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(snap_b2.counters.get("x.count"), Some(&2));
-
-        // finish() after the last handle drops ends every stream.
-        drop(handle);
-        hub.finish();
-        assert!(b.recv().is_err(), "subscriber sees end-of-stream");
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl MasterRng {
     pub fn stream(&self, domain: Domain, key: u64) -> Stream {
         self.stream2(domain, key, 0)
     }
-
-    /// Derive the stream for a domain with no per-entity key.
-    pub fn domain_stream(&self, domain: Domain) -> Stream {
-        self.stream2(domain, 0, 0)
-    }
 }
 
 /// A deterministic random stream with O(1) jump-ahead.

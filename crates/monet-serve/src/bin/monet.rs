@@ -85,7 +85,7 @@ use mn_comm::msg::proc::{
     connect_worker, ProcAddr, Supervisor, WorkerConfig, DEFAULT_CONNECT_TIMEOUT,
 };
 use mn_comm::{
-    silence_injected_panics, spmd_run_faulty_recorded, CommError, EngineSpec, Fabric, FaultAbort,
+    silence_injected_panics, spmd_run_faulty_recorded, CommError, EngineSpec, FaultAbort,
     FaultPlan, InjectedCrash, ObsSnapshot, ParEngine, RunReport, SerialEngine, SimEngine,
     ThreadEngine,
 };

@@ -24,17 +24,6 @@ pub enum Reply {
     Err(ServeError),
 }
 
-impl Reply {
-    /// Unwrap success or convert the typed error into `io::Error`
-    /// (callers that don't branch on `kind`).
-    pub fn into_result(self) -> io::Result<Content> {
-        match self {
-            Reply::Ok(value) => Ok(value),
-            Reply::Err(err) => Err(io::Error::other(err)),
-        }
-    }
-}
-
 fn decode_error(value: &Content) -> ServeError {
     let kind = value["error"]["kind"].as_str().unwrap_or("internal");
     let msg = value["error"]["msg"].as_str().unwrap_or("").to_string();

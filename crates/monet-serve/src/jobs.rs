@@ -113,11 +113,6 @@ impl EventLog {
         self.cond.notify_all();
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        unpoison(self.inner.lock()).closed
-    }
-
     /// Total lines ever pushed (including dropped ones) — the offset
     /// one past the newest line.
     pub fn len(&self) -> usize {

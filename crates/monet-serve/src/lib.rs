@@ -29,10 +29,10 @@
 //!   `resume` — optionally on a different engine or rank count
 //!   (elastic) — continues after the last completed unit and learns
 //!   the byte-identical network.
-//! * **Telemetry** — each running job feeds a
-//!   [`mn_obs::TelemetryHub`]; a pump thread renders the versioned
-//!   JSONL telemetry lines into the job's event log, which any number
-//!   of `watch` clients replay from any offset.
+//! * **Telemetry** — each running job pushes snapshots through a
+//!   [`mn_obs::TelemetryHandle::channel`]; a pump thread renders the
+//!   versioned JSONL telemetry lines into the job's event log, which
+//!   any number of `watch` clients replay from any offset.
 //! * **Accounting** — per-tenant totals (job outcomes, busy seconds,
 //!   merged deterministic counters) queryable over the protocol.
 

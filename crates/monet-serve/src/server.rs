@@ -9,7 +9,7 @@ use mn_comm::{
     ThreadEngine,
 };
 use mn_data::Dataset;
-use mn_obs::{TelemetryHandle, TelemetryHub, TelemetryStream};
+use mn_obs::{TelemetryHandle, TelemetryStream};
 use monet::{CheckpointError, LearnerConfig, ResumePolicy};
 use serde::Content;
 use std::collections::{BTreeMap, VecDeque};
@@ -343,12 +343,10 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
     };
     job.push_event("running", &engine.to_string());
 
-    // Telemetry: the engine pushes snapshots into a hub; a pump thread
-    // renders them as versioned JSONL into the job's event log, where
-    // any number of `watch` connections replay them.
-    let hub = TelemetryHub::new(shared.cfg.telemetry_interval);
-    let handle = hub.handle();
-    let rx = hub.subscribe();
+    // Telemetry: the engine pushes snapshots into a channel; a pump
+    // thread renders them as versioned JSONL into the job's event log,
+    // where any number of `watch` connections replay them.
+    let (handle, rx) = TelemetryHandle::channel(shared.cfg.telemetry_interval);
     let pump_job = Arc::clone(job);
     let pump = std::thread::Builder::new()
         .name("serve-telemetry".into())
@@ -365,9 +363,8 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
         run_segment(engine, token, handle, &data, &config, &dir)
     }));
 
-    // The engine (and its cloned handles) died with the closure; after
-    // finish() the hub disconnects every subscriber, ending the pump.
-    hub.finish();
+    // The engine (and its cloned handles) died with the closure, which
+    // disconnects the channel and ends the pump.
     let _ = pump.join();
 
     match outcome {

@@ -461,11 +461,6 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// The unit names currently recorded as complete.
-    pub fn completed_units(&self) -> impl Iterator<Item = &str> {
-        self.manifest.entries.keys().map(String::as_str)
-    }
-
     /// Number of completed units.
     pub fn len(&self) -> usize {
         self.manifest.entries.len()
