@@ -1104,6 +1104,20 @@ fn client_usage() -> ! {
     std::process::exit(2)
 }
 
+/// The one writer of `monet client`'s stdout: one line per call. A
+/// reader that went away (`monet client … watch | head -1`) ends the op
+/// quietly with exit 0; any other write error is exit 1.
+fn emit(line: &str) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        exit_error(format!("writing stdout: {e}"));
+    }
+}
+
 fn client_main(args: &[String]) -> ExitCode {
     use monet_serve::client::Reply;
     use monet_serve::Client;
@@ -1140,8 +1154,7 @@ fn client_main(args: &[String]) -> ExitCode {
     // refusal prints it and exits 1 (except `raw`, which only reports
     // transport failures — CI asserts on its output with jq).
     let print = |value: &serde::Content| {
-        let line = serde_json::to_string(value).expect("response reserializes");
-        println!("{line}");
+        emit(&serde_json::to_string(value).expect("response reserializes"));
         ExitCode::SUCCESS
     };
     let transport = |e: std::io::Error| {
@@ -1152,7 +1165,7 @@ fn client_main(args: &[String]) -> ExitCode {
         match reply {
             Ok(Reply::Ok(value)) => print(&value),
             Ok(Reply::Err(err)) => {
-                println!("{}", monet_serve::proto::err_line(&err));
+                emit(&monet_serve::proto::err_line(&err));
                 ExitCode::FAILURE
             }
             Err(e) => transport(e),
@@ -1193,7 +1206,7 @@ fn client_main(args: &[String]) -> ExitCode {
         }
         "watch" => {
             let from = flags.get("--from").unwrap_or(0);
-            match client.watch(&need("--job"), from, |line| println!("{line}")) {
+            match client.watch(&need("--job"), from, emit) {
                 Ok(done) => print(&done),
                 Err(e) => transport(e),
             }
@@ -1211,7 +1224,7 @@ fn client_main(args: &[String]) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 } else {
-                    println!("{network_json}");
+                    emit(network_json);
                 }
                 ExitCode::SUCCESS
             }

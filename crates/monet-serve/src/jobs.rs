@@ -1,8 +1,16 @@
-//! Job objects: lifecycle state machine, per-job event log, counters.
+//! Job objects: lifecycle state machine and the per-job event log.
+//!
+//! A job's output lives in files beside its checkpoint directory
+//! `<jobs dir>/<id>/`: the event log `<id>.events.jsonl` from the first
+//! line on, and the network `<id>.network.json` once the job is done.
+//! Memory keeps only what a live job needs, so the server's heap does
+//! not grow with the jobs it has served.
 
 use mn_comm::{CancelToken, EngineSpec};
 use monet::LearnerConfig;
-use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -54,56 +62,107 @@ impl JobState {
     }
 }
 
-/// Cap on retained event-log lines per job. Watchers that fall more
-/// than this far behind see a `dropped` count instead of old lines.
-const EVENT_LOG_CAP: usize = 100_000;
+/// Bytes of delivered lines after which one [`EventLog::read_from`]
+/// call returns, so a watcher replaying a long log holds a bounded
+/// batch in memory, not the whole file.
+const READ_BATCH: usize = 64 * 1024;
 
 struct EventLogInner {
-    /// Retained lines; index of `lines[0]` in the full stream is
-    /// `dropped`.
-    lines: Vec<String>,
-    /// Lines discarded off the front to honor [`EVENT_LOG_CAP`].
-    dropped: usize,
+    /// Whole lines in the file.
+    lines: usize,
+    /// Byte length of those lines: the file's length after the last
+    /// successful push.
+    bytes: u64,
     /// Set when the job reaches a terminal state: watchers drain and
     /// finish instead of blocking forever.
     closed: bool,
 }
 
-/// An append-only, bounded, multi-reader event log. Writers push
-/// rendered JSON lines (telemetry deltas, lifecycle events); `watch`
-/// connections replay from any offset and then block for more.
+/// An append-only, multi-reader event log kept in a JSONL file.
+/// Writers push rendered JSON lines (telemetry deltas, lifecycle
+/// events); `watch` connections replay from any line and then block
+/// for more. Memory holds only the line count, the byte length and the
+/// `closed` flag.
 pub struct EventLog {
+    path: PathBuf,
     inner: Mutex<EventLogInner>,
     cond: Condvar,
 }
 
-impl Default for EventLog {
-    fn default() -> Self {
+/// A watcher's position in an [`EventLog`].
+#[derive(Debug)]
+pub struct Cursor {
+    /// First line the watcher asked for.
+    from: usize,
+    /// Lines of the file consumed so far, skipped or delivered.
+    line: usize,
+    /// Byte offset in the file of line `line`.
+    byte: u64,
+}
+
+impl Cursor {
+    /// A cursor that delivers lines from `from` on.
+    pub fn new(from: usize) -> Cursor {
+        Cursor {
+            from,
+            line: 0,
+            byte: 0,
+        }
+    }
+
+    /// The line offset one past the newest line delivered (`from`
+    /// while the log is shorter than that).
+    pub fn offset(&self) -> usize {
+        self.line.max(self.from)
+    }
+}
+
+impl EventLog {
+    /// An empty log that will live at `path`; the file is created by
+    /// the first push.
+    pub fn new(path: PathBuf) -> EventLog {
         EventLog {
+            path,
             inner: Mutex::new(EventLogInner {
-                lines: Vec::new(),
-                dropped: 0,
+                lines: 0,
+                bytes: 0,
                 closed: false,
             }),
             cond: Condvar::new(),
         }
     }
-}
 
-impl EventLog {
-    /// Append one line and wake all watchers.
-    pub fn push(&self, line: String) {
+    /// Append one line (which must not contain a newline) and wake all
+    /// watchers. A failed write leaves the log as it was.
+    pub fn push(&self, line: &str) -> io::Result<()> {
+        if line.contains('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "an event line must not contain a newline",
+            ));
+        }
         let mut inner = unpoison(self.inner.lock());
         if inner.closed {
-            return;
+            return Ok(());
         }
-        inner.lines.push(line);
-        if inner.lines.len() > EVENT_LOG_CAP {
-            let excess = inner.lines.len() - EVENT_LOG_CAP;
-            inner.lines.drain(..excess);
-            inner.dropped += excess;
+        let record = format!("{line}\n");
+        // The first push truncates, so a file left behind under this
+        // name holds no line the count does not know of.
+        let mut file = if inner.lines == 0 {
+            File::create(&self.path)?
+        } else {
+            OpenOptions::new().append(true).open(&self.path)?
+        };
+        if let Err(e) = file.write_all(record.as_bytes()) {
+            // A torn tail would shift every later line: cut the file
+            // back to its last whole line.
+            let _ = file.set_len(inner.bytes);
+            return Err(e);
         }
+        inner.lines += 1;
+        inner.bytes += record.len() as u64;
         self.cond.notify_all();
+        Ok(())
     }
 
     /// Mark the stream finished and wake all watchers. Idempotent.
@@ -113,45 +172,69 @@ impl EventLog {
         self.cond.notify_all();
     }
 
-    /// Total lines ever pushed (including dropped ones) — the offset
-    /// one past the newest line.
+    /// Lines pushed so far: the offset one past the newest line.
     pub fn len(&self) -> usize {
-        let inner = unpoison(self.inner.lock());
-        inner.dropped + inner.lines.len()
+        unpoison(self.inner.lock()).lines
     }
 
-    /// Whether nothing has ever been pushed.
+    /// Whether nothing has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Fetch lines from stream offset `from`, blocking up to `wait`
-    /// for news when nothing is available yet.
+    /// Fetch the lines after `cursor` and advance it, blocking up to
+    /// `wait` for news when nothing is available yet.
     ///
-    /// Returns `(next_offset, lines, closed)`. If `from` has already
-    /// been dropped, delivery restarts at the oldest retained line
-    /// (`next_offset` accounts for the skip). `closed` is only
-    /// reported once the caller has drained everything.
-    pub fn read_from(&self, from: usize, wait: Duration) -> (usize, Vec<String>, bool) {
-        let mut inner = unpoison(self.inner.lock());
-        loop {
-            let oldest = inner.dropped;
-            let newest = inner.dropped + inner.lines.len();
-            let start = from.max(oldest);
-            if start < newest {
-                let lines = inner.lines[start - oldest..].to_vec();
-                return (newest, lines, false);
+    /// Returns `(lines, closed)`; `lines` is empty when the wait ran
+    /// out. `closed` is only reported once the cursor has drained
+    /// every line, so a watcher woken by the close still receives the
+    /// lines pushed before it.
+    pub fn read_from(
+        &self,
+        cursor: &mut Cursor,
+        wait: Duration,
+    ) -> io::Result<(Vec<String>, bool)> {
+        let (lines, bytes) = {
+            let mut inner = unpoison(self.inner.lock());
+            let mut waited = false;
+            loop {
+                if cursor.offset() < inner.lines {
+                    break (inner.lines, inner.bytes);
+                }
+                if inner.closed {
+                    return Ok((Vec::new(), true));
+                }
+                if waited {
+                    return Ok((Vec::new(), false));
+                }
+                inner = unpoison(self.cond.wait_timeout(inner, wait)).0;
+                waited = true;
             }
-            if inner.closed {
-                return (newest, Vec::new(), true);
+        };
+        // The first `bytes` bytes are `lines` whole lines and never
+        // change again, so they are read without the lock.
+        let mut file = File::open(&self.path)?;
+        file.seek(SeekFrom::Start(cursor.byte))?;
+        let mut reader = BufReader::new(file.take(bytes - cursor.byte));
+        let mut out = Vec::new();
+        let mut batch = 0;
+        while cursor.line < lines && batch < READ_BATCH {
+            let mut line = String::new();
+            let n = reader.read_line(&mut line)?;
+            if line.pop() != Some('\n') {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("{} is shorter than its {lines} lines", self.path.display()),
+                ));
             }
-            let (guard, timeout) = unpoison(self.cond.wait_timeout(inner, wait));
-            inner = guard;
-            if timeout.timed_out() {
-                let newest = inner.dropped + inner.lines.len();
-                return (from.max(newest.min(from)), Vec::new(), false);
+            cursor.line += 1;
+            cursor.byte += n as u64;
+            if cursor.line > cursor.from {
+                batch += n;
+                out.push(line);
             }
         }
+        Ok((out, false))
     }
 }
 
@@ -159,23 +242,30 @@ impl EventLog {
 pub struct JobInner {
     /// Engine to run on. Mutable: an elastic `resume` may change it.
     pub engine: EngineSpec,
-    /// The full learner configuration the tenant submitted.
-    pub config: LearnerConfig,
+    /// The full learner configuration the tenant submitted, held while
+    /// the job waits to run (queued or suspended). The running worker
+    /// takes it, hands it back on suspension and drops it at a
+    /// terminal state.
+    pub config: Option<LearnerConfig>,
     /// Lifecycle state.
     pub state: JobState,
     /// The live run's cancellation token. `None` unless Running.
     /// Tokens latch, so every (re)start installs a fresh one.
     pub cancel: Option<CancelToken>,
-    /// Exact `monet::output::to_json` string of the final network.
-    /// Stored verbatim so `result` is byte-identical to the batch CLI.
-    pub result_json: Option<String>,
     /// Failure message, when `state == Failed`.
     pub error: Option<String>,
-    /// Deterministic engine counters from the last completed run
-    /// segment, merged across suspend/resume segments.
-    pub counters: BTreeMap<String, u64>,
     /// Wall-clock learning seconds charged to the tenant so far.
     pub busy_s: f64,
+}
+
+impl JobInner {
+    /// Enter the terminal `state`, dropping what only a live job needs.
+    pub fn terminate(&mut self, state: JobState) {
+        debug_assert!(state.is_terminal(), "{state:?} is not terminal");
+        self.state = state;
+        self.cancel = None;
+        self.config = None;
+    }
 }
 
 /// One submitted learn job.
@@ -186,37 +276,54 @@ pub struct Job {
     pub tenant: String,
     /// Name of the registered dataset this job learns from.
     pub dataset: String,
+    /// Directory holding the job's checkpoint directory and files.
+    dir: PathBuf,
     /// Mutable state; lock order is always `Sched` before `Job`.
     pub inner: Mutex<JobInner>,
-    /// Streamed progress: telemetry lines and lifecycle events.
+    /// Streamed progress: telemetry lines and lifecycle events, in
+    /// `<dir>/<id>.events.jsonl`.
     pub events: EventLog,
 }
 
 impl Job {
-    /// A fresh queued job.
+    /// A fresh queued job whose files live under `dir`.
     pub fn new(
         id: String,
         tenant: String,
         dataset: String,
         engine: EngineSpec,
         config: LearnerConfig,
+        dir: &Path,
     ) -> Job {
+        let events = EventLog::new(dir.join(format!("{id}.events.jsonl")));
         Job {
             id,
             tenant,
             dataset,
+            dir: dir.to_path_buf(),
             inner: Mutex::new(JobInner {
                 engine,
-                config,
+                config: Some(config),
                 state: JobState::Queued,
                 cancel: None,
-                result_json: None,
                 error: None,
-                counters: BTreeMap::new(),
                 busy_s: 0.0,
             }),
-            events: EventLog::default(),
+            events,
         }
+    }
+
+    /// The job's checkpoint directory, `<dir>/<id>`.
+    pub fn checkpoint_dir(&self) -> PathBuf {
+        self.dir.join(&self.id)
+    }
+
+    /// Where a done job's network lives: the exact
+    /// `monet::output::to_json` bytes, so `result` is byte-identical
+    /// to the batch CLI. Beside the checkpoint directory, not in it,
+    /// because a forced restart wipes every `*.json` there.
+    pub fn network_path(&self) -> PathBuf {
+        self.dir.join(format!("{}.network.json", self.id))
     }
 
     /// Lock and read the current state.
@@ -224,18 +331,18 @@ impl Job {
         unpoison(self.inner.lock()).state
     }
 
-    /// Push a lifecycle event line (same stream as telemetry, typed
-    /// `"event"` so schema-gated consumers can tell them apart).
-    pub fn push_event(&self, what: &str, detail: &str) {
+    /// A lifecycle event line for the event log (same stream as
+    /// telemetry, typed `"event"` so schema-gated consumers can tell
+    /// them apart).
+    pub fn event_line(&self, what: &str, detail: &str) -> String {
         use serde::Content;
-        let line = serde_json::to_string(&Content::Map(vec![
+        serde_json::to_string(&Content::Map(vec![
             ("type".into(), Content::Str("event".into())),
             ("job".into(), Content::Str(self.id.clone())),
             ("what".into(), Content::Str(what.into())),
             ("detail".into(), Content::Str(detail.into())),
         ]))
-        .expect("event line serializes");
-        self.events.push(line);
+        .expect("event line serializes")
     }
 }
 
@@ -245,52 +352,104 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    fn log_in(tag: &str) -> EventLog {
+        let dir = std::env::temp_dir().join(format!("mnjobs_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        EventLog::new(dir.join("job-0.events.jsonl"))
+    }
+
     #[test]
     fn event_log_replays_blocks_and_closes() {
-        let log = Arc::new(EventLog::default());
-        log.push("a".into());
-        log.push("b".into());
+        let log = Arc::new(log_in("replay"));
+        log.push("a").unwrap();
+        log.push("b").unwrap();
+        assert_eq!(std::fs::read_to_string(&log.path).unwrap(), "a\nb\n");
 
         // Replay from 0.
-        let (next, lines, closed) = log.read_from(0, Duration::from_millis(1));
-        assert_eq!((next, closed), (2, false));
-        assert_eq!(lines, vec!["a".to_string(), "b".to_string()]);
+        let mut cursor = Cursor::new(0);
+        let (lines, closed) = log
+            .read_from(&mut cursor, Duration::from_millis(1))
+            .unwrap();
+        assert_eq!((cursor.offset(), closed), (2, false));
+        assert_eq!(lines, ["a", "b"]);
 
         // Nothing new yet: timed-out wait returns empty, not closed.
-        let (_, lines, closed) = log.read_from(2, Duration::from_millis(1));
+        let (lines, closed) = log
+            .read_from(&mut cursor, Duration::from_millis(1))
+            .unwrap();
         assert!(lines.is_empty() && !closed);
 
         // A blocked reader is woken by a concurrent push.
         let log2 = Arc::clone(&log);
-        let t = std::thread::spawn(move || log2.read_from(2, Duration::from_secs(5)));
+        let t = std::thread::spawn(move || {
+            log2.read_from(&mut cursor, Duration::from_secs(5))
+                .map(|read| (read, cursor))
+        });
         std::thread::sleep(Duration::from_millis(20));
-        log.push("c".into());
-        let (next, lines, closed) = t.join().unwrap();
-        assert_eq!((next, closed), (3, false));
-        assert_eq!(lines, vec!["c".to_string()]);
+        log.push("c").unwrap();
+        let ((lines, closed), mut cursor) = t.join().unwrap().unwrap();
+        assert_eq!((cursor.offset(), closed), (3, false));
+        assert_eq!(lines, ["c"]);
 
-        // Close wakes waiters and reports closed once drained.
+        // A last push and the close land together: the watcher gets
+        // the line first, and `closed` only once it has drained.
+        log.push("done").unwrap();
         log.close();
-        let (_, lines, closed) = log.read_from(3, Duration::from_secs(5));
+        let (lines, closed) = log.read_from(&mut cursor, Duration::from_secs(5)).unwrap();
+        assert_eq!((lines, closed), (vec!["done".to_string()], false));
+        let (lines, closed) = log.read_from(&mut cursor, Duration::from_secs(5)).unwrap();
         assert!(lines.is_empty() && closed);
         // Pushes after close are ignored.
-        log.push("late".into());
-        assert_eq!(log.len(), 3);
+        log.push("late").unwrap();
+        assert_eq!(log.len(), 4);
+
+        // Replay from a middle line, and from past the end.
+        let mut cursor = Cursor::new(2);
+        let (lines, _) = log
+            .read_from(&mut cursor, Duration::from_millis(1))
+            .unwrap();
+        assert_eq!(lines, ["c", "done"]);
+        let mut cursor = Cursor::new(9);
+        let (lines, closed) = log
+            .read_from(&mut cursor, Duration::from_millis(1))
+            .unwrap();
+        assert!(lines.is_empty() && closed);
+        assert_eq!(cursor.offset(), 9);
     }
 
     #[test]
-    fn event_log_drops_oldest_beyond_cap_and_reports_offsets() {
-        let log = EventLog::default();
-        for i in 0..(EVENT_LOG_CAP + 10) {
-            log.push(format!("line-{i}"));
+    fn event_log_refuses_embedded_newlines_and_starts_a_stale_file_afresh() {
+        let log = log_in("stale");
+        std::fs::write(&log.path, "left over\n").unwrap();
+        assert!(log.push("two\nlines").is_err());
+        assert_eq!(log.len(), 0);
+        log.push("first").unwrap();
+        assert_eq!(std::fs::read_to_string(&log.path).unwrap(), "first\n");
+    }
+
+    #[test]
+    fn long_replays_come_back_in_bounded_batches() {
+        let log = log_in("batches");
+        let line = "x".repeat(1000);
+        for _ in 0..200 {
+            log.push(&line).unwrap();
         }
-        assert_eq!(log.len(), EVENT_LOG_CAP + 10);
-        // Offset 0 was dropped: delivery restarts at the oldest
-        // retained line, and next_offset still counts the full stream.
-        let (next, lines, _) = log.read_from(0, Duration::from_millis(1));
-        assert_eq!(next, EVENT_LOG_CAP + 10);
-        assert_eq!(lines.len(), EVENT_LOG_CAP);
-        assert_eq!(lines[0], "line-10");
+        log.close();
+        let mut cursor = Cursor::new(0);
+        let mut sizes = Vec::new();
+        loop {
+            let (lines, closed) = log
+                .read_from(&mut cursor, Duration::from_millis(1))
+                .unwrap();
+            if closed {
+                break;
+            }
+            assert!(lines.iter().all(|l| *l == line));
+            sizes.push(lines.len());
+        }
+        assert_eq!(sizes.iter().sum::<usize>(), 200);
+        assert!(sizes.len() > 1, "one batch held the whole log: {sizes:?}");
     }
 
     #[test]

@@ -33,6 +33,11 @@
 //!   [`mn_obs::TelemetryHandle::channel`]; a pump thread renders the
 //!   versioned JSONL telemetry lines into the job's event log, which
 //!   any number of `watch` clients replay from any offset.
+//! * **Job output on disk** — the event log
+//!   (`state_dir/jobs/<job-id>.events.jsonl`) and a done job's network
+//!   (`state_dir/jobs/<job-id>.network.json`) are files beside the
+//!   checkpoint directory; memory keeps only what a live job needs, so
+//!   the server does not grow with the jobs it has served.
 //! * **Accounting** — per-tenant totals (job outcomes, busy seconds,
 //!   merged deterministic counters) queryable over the protocol.
 

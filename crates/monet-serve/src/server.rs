@@ -1,7 +1,7 @@
 //! The server: accept loop, fair scheduler, worker pool, job runner.
 
 use crate::error::ServeError;
-use crate::jobs::{Job, JobState};
+use crate::jobs::{Cursor, Job, JobState};
 use crate::proto::{self, DataSpec, Request};
 use mn_comm::msg::proc::{ProcAddr, ServiceListener, ServiceStream};
 use mn_comm::{
@@ -10,12 +10,13 @@ use mn_comm::{
 };
 use mn_data::Dataset;
 use mn_obs::{TelemetryHandle, TelemetryStream};
+use monet::checkpoint::write_atomic;
 use monet::{CheckpointError, LearnerConfig, ResumePolicy};
 use serde::Content;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -34,8 +35,10 @@ pub struct ServeConfig {
     /// Admission limit: queued (not yet running) jobs across all
     /// tenants; submissions beyond it get a typed backpressure error.
     pub max_queue: usize,
-    /// Root for persistent state; job checkpoints live under
-    /// `<state_dir>/jobs/<job-id>`.
+    /// Root for persistent state. Each job checkpoints under
+    /// `<state_dir>/jobs/<job-id>/` and keeps its event log
+    /// (`<job-id>.events.jsonl`) and network (`<job-id>.network.json`)
+    /// beside that directory.
     pub state_dir: PathBuf,
     /// Telemetry emission interval for running jobs.
     pub telemetry_interval: Duration,
@@ -150,6 +153,8 @@ impl Sched {
 /// State shared by the accept loop, connection threads, and workers.
 struct Shared {
     cfg: ServeConfig,
+    /// `<state_dir>/jobs`, where every job keeps its files.
+    jobs_dir: PathBuf,
     sched: Mutex<Sched>,
     work_ready: Condvar,
     shutdown: AtomicBool,
@@ -159,6 +164,25 @@ impl Shared {
     fn sched(&self) -> MutexGuard<'_, Sched> {
         unpoison(self.sched.lock())
     }
+}
+
+/// One past the highest `n` of any `job-<n>` entry (checkpoint
+/// directory or job file) in `jobs_dir`. A restarted server numbers
+/// its jobs from here, so a new job never opens an old job's
+/// checkpoint or overwrites its files.
+fn next_job_number(jobs_dir: &Path) -> io::Result<u64> {
+    let mut next = 0;
+    for entry in std::fs::read_dir(jobs_dir)? {
+        let name = entry?.file_name();
+        let Some(rest) = name.to_str().and_then(|n| n.strip_prefix("job-")) else {
+            continue;
+        };
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+        if let Some(n) = digits.and_then(|d| d.parse::<u64>().ok()) {
+            next = next.max(n.saturating_add(1));
+        }
+    }
+    Ok(next)
 }
 
 /// A bound, not-yet-running server. Split from [`Server::run`] so the
@@ -175,7 +199,9 @@ impl Server {
         // Engine-event unwinds (fault drills, cancellation) are normal
         // control flow here; keep them off stderr.
         mn_comm::silence_injected_panics();
-        std::fs::create_dir_all(&cfg.state_dir)?;
+        let jobs_dir = cfg.state_dir.join("jobs");
+        std::fs::create_dir_all(&jobs_dir)?;
+        let next_job = next_job_number(&jobs_dir)?;
         let listener = ServiceListener::bind(&cfg.addr)?;
         // Record the *resolved* address (tcp:host:0 gets a real port)
         // so shutdown's self-connect wake-up can reach the listener.
@@ -183,6 +209,7 @@ impl Server {
         cfg.addr = listener.addr().clone();
         let shared = Arc::new(Shared {
             cfg,
+            jobs_dir,
             sched: Mutex::new(Sched {
                 datasets: BTreeMap::new(),
                 jobs: BTreeMap::new(),
@@ -190,7 +217,7 @@ impl Server {
                 queues: BTreeMap::new(),
                 rr_last: None,
                 queued_total: 0,
-                next_job: 0,
+                next_job,
                 accounts: BTreeMap::new(),
             }),
             work_ready: Condvar::new(),
@@ -275,7 +302,8 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The outcome a learn segment hands back through `catch_unwind`.
+/// The outcome a learn segment hands back through `catch_unwind`: the
+/// network's `to_json` bytes, busy seconds and the engine counters.
 type SegmentOk = (String, f64, BTreeMap<String, u64>);
 
 fn run_learn_on<E: ParEngine>(
@@ -316,6 +344,21 @@ fn run_segment(
     }
 }
 
+/// Append `line` to the log of a job whose state has already changed.
+/// The change stands whether or not the line is written (`status`
+/// reports it either way), so a log that cannot be appended to (disk
+/// full, state dir removed) is reported on stderr, not raised.
+fn log_line(job: &Job, line: &str) {
+    if let Err(e) = job.events.push(line) {
+        eprintln!("monet serve: {}: event log: {e}", job.id);
+    }
+}
+
+/// [`log_line`] for a lifecycle event.
+fn log_event(job: &Job, what: &str, detail: &str) {
+    log_line(job, &job.event_line(what, detail));
+}
+
 /// Run one job segment to its outcome. Called by a worker with no
 /// locks held.
 fn run_job(shared: &Shared, job: &Arc<Job>) {
@@ -328,7 +371,8 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
         inner.state = JobState::Running;
         let token = CancelToken::new(); // tokens latch: fresh per segment
         inner.cancel = Some(token.clone());
-        (inner.engine, inner.config.clone(), token)
+        let config = inner.config.take().expect("a queued job holds its config");
+        (inner.engine, config, token)
     };
     let data = {
         let sched = shared.sched();
@@ -341,7 +385,7 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
         finish_failed(shared, job, "dataset vanished (server bug)".into());
         return;
     };
-    job.push_event("running", &engine.to_string());
+    log_event(job, "running", &engine.to_string());
 
     // Telemetry: the engine pushes snapshots into a channel; a pump
     // thread renders them as versioned JSONL into the job's event log,
@@ -353,12 +397,12 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
         .spawn(move || {
             let mut stream = TelemetryStream::new();
             while let Ok((snap, now_s)) = rx.recv() {
-                pump_job.events.push(stream.line(&snap, now_s));
+                log_line(&pump_job, &stream.line(&snap, now_s));
             }
         })
         .expect("spawn telemetry pump");
 
-    let dir = shared.cfg.state_dir.join("jobs").join(&job.id);
+    let dir = job.checkpoint_dir();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_segment(engine, token, handle, &data, &config, &dir)
     }));
@@ -369,23 +413,28 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
 
     match outcome {
         Ok(Ok((network_json, busy_s, counters))) => {
+            // The bytes are on disk before the job reads done, so
+            // `result` never finds a done job without its network.
+            let path = job.network_path();
+            if let Err(e) = write_atomic(&path, network_json.as_bytes()) {
+                finish_failed(shared, job, format!("writing {}: {e}", path.display()));
+                return;
+            }
             let mut sched = shared.sched();
             let mut inner = unpoison(job.inner.lock());
-            inner.state = JobState::Done;
-            inner.cancel = None;
-            inner.result_json = Some(network_json);
-            // Resumed segments replay restored counter deltas, so the
-            // final segment's counters are the full-run counters.
-            inner.counters = counters;
+            inner.terminate(JobState::Done);
             inner.busy_s += busy_s;
+            drop(inner);
             let account = sched.account(&job.tenant);
             account.completed += 1;
             account.busy_s += busy_s;
-            for (k, v) in &inner.counters {
-                *account.counters.entry(k.clone()).or_insert(0) += *v;
+            // Resumed segments replay restored counter deltas, so the
+            // final segment's counters are the full-run counters.
+            for (k, v) in counters {
+                *account.counters.entry(k).or_insert(0) += v;
             }
-            drop(inner);
-            job.push_event("done", "network ready");
+            drop(sched);
+            log_event(job, "done", "network ready");
             job.events.close();
         }
         Ok(Err(err)) => finish_failed(shared, job, err.to_string()),
@@ -393,23 +442,24 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
             Ok(cancelled) => {
                 let mut sched = shared.sched();
                 let mut inner = unpoison(job.inner.lock());
-                inner.cancel = None;
                 match cancelled.kind {
                     CancelKind::Cancel => {
-                        inner.state = JobState::Cancelled;
+                        inner.terminate(JobState::Cancelled);
                         sched.account(&job.tenant).cancelled += 1;
                         drop(inner);
                         drop(sched);
-                        job.push_event("cancelled", &format!("at event {}", cancelled.event));
+                        log_event(job, "cancelled", &format!("at event {}", cancelled.event));
                         job.events.close();
                     }
                     CancelKind::Suspend => {
                         inner.state = JobState::Suspended;
+                        inner.cancel = None;
+                        inner.config = Some(config);
                         sched.account(&job.tenant).suspended += 1;
                         drop(inner);
                         drop(sched);
                         // Not terminal: the log stays open for resume.
-                        job.push_event("suspended", &format!("at event {}", cancelled.event));
+                        log_event(job, "suspended", &format!("at event {}", cancelled.event));
                     }
                 }
             }
@@ -428,13 +478,12 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
 fn finish_failed(shared: &Shared, job: &Arc<Job>, msg: String) {
     let mut sched = shared.sched();
     let mut inner = unpoison(job.inner.lock());
-    inner.state = JobState::Failed;
-    inner.cancel = None;
+    inner.terminate(JobState::Failed);
     inner.error = Some(msg.clone());
     sched.account(&job.tenant).failed += 1;
     drop(inner);
     drop(sched);
-    job.push_event("failed", &msg);
+    log_event(job, "failed", &msg);
     job.events.close();
 }
 
@@ -527,19 +576,26 @@ fn watch(
         .get(job_id)
         .cloned()
         .ok_or_else(|| WatchAbort::Refused(ServeError::UnknownJob(job_id.to_string())))?;
-    let mut offset = from;
+    let mut cursor = Cursor::new(from);
     loop {
-        let (next, lines, closed) = job.events.read_from(offset, Duration::from_millis(200));
+        let (lines, closed) = job
+            .events
+            .read_from(&mut cursor, Duration::from_millis(200))
+            .map_err(|e| {
+                WatchAbort::Refused(ServeError::Internal(format!(
+                    "reading the event log of {}: {e}",
+                    job.id
+                )))
+            })?;
         for line in &lines {
             write_line(writer, line).map_err(WatchAbort::Io)?;
         }
-        offset = next.max(offset);
         if closed {
             let done = proto::ok_line(vec![
                 ("done".into(), Content::Bool(true)),
                 ("job".into(), Content::Str(job.id.clone())),
                 ("state".into(), Content::Str(job.state().label().into())),
-                ("events".into(), Content::U64(offset as u64)),
+                ("events".into(), Content::U64(cursor.offset() as u64)),
             ]);
             return write_line(writer, &done).map_err(WatchAbort::Io);
         }
@@ -635,8 +691,12 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
                 dataset,
                 engine,
                 *config,
+                &shared.jobs_dir,
             ));
-            job.push_event("queued", &engine.to_string());
+            // Acknowledge only a job whose log exists.
+            job.events
+                .push(&job.event_line("queued", &engine.to_string()))
+                .map_err(|e| ServeError::Internal(format!("event log of {id}: {e}")))?;
             sched.jobs.insert(id.clone(), Arc::clone(&job));
             sched.order.push(id.clone());
             sched.enqueue(&tenant, id.clone());
@@ -669,27 +729,38 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
 
         Request::ResultOf { job } => {
             let job = lookup_job(shared, &job)?;
-            let inner = unpoison(job.inner.lock());
-            match (&inner.state, &inner.result_json) {
-                (JobState::Done, Some(json)) => Ok(vec![
-                    ("job".into(), Content::Str(job.id.clone())),
-                    // The exact `to_json` bytes, carried as a JSON
-                    // string so no float ever round-trips through the
-                    // protocol's number representation.
-                    ("network_json".into(), Content::Str(json.clone())),
-                    ("busy_s".into(), Content::F64(inner.busy_s)),
-                ]),
-                (JobState::Failed, _) => Err(ServeError::Conflict(format!(
-                    "job {} failed: {}",
-                    job.id,
-                    inner.error.as_deref().unwrap_or("unknown error")
-                ))),
-                (state, _) => Err(ServeError::Conflict(format!(
-                    "job {} is {}, not done",
-                    job.id,
-                    state.label()
-                ))),
-            }
+            let busy_s = {
+                let inner = unpoison(job.inner.lock());
+                match inner.state {
+                    JobState::Done => inner.busy_s,
+                    JobState::Failed => {
+                        return Err(ServeError::Conflict(format!(
+                            "job {} failed: {}",
+                            job.id,
+                            inner.error.as_deref().unwrap_or("unknown error")
+                        )))
+                    }
+                    state => {
+                        return Err(ServeError::Conflict(format!(
+                            "job {} is {}, not done",
+                            job.id,
+                            state.label()
+                        )))
+                    }
+                }
+            };
+            // Written before the job turned done and never again.
+            let json = std::fs::read_to_string(job.network_path()).map_err(|e| {
+                ServeError::Internal(format!("reading the network of {}: {e}", job.id))
+            })?;
+            Ok(vec![
+                ("job".into(), Content::Str(job.id.clone())),
+                // The exact `to_json` bytes, carried as a JSON string so
+                // no float ever round-trips through the protocol's
+                // number representation.
+                ("network_json".into(), Content::Str(json)),
+                ("busy_s".into(), Content::F64(busy_s)),
+            ])
         }
 
         Request::Cancel { job } => {
@@ -701,12 +772,11 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
                     if inner.state == JobState::Queued {
                         sched.dequeue(&job.tenant, &job.id);
                     }
-                    inner.state = JobState::Cancelled;
-                    inner.cancel = None;
+                    inner.terminate(JobState::Cancelled);
                     sched.account(&job.tenant).cancelled += 1;
                     drop(inner);
                     drop(sched);
-                    job.push_event("cancelled", "before running");
+                    log_event(&job, "cancelled", "before running");
                     job.events.close();
                     JobState::Cancelled
                 }
@@ -743,7 +813,7 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
                     sched.account(&job.tenant).suspended += 1;
                     drop(inner);
                     drop(sched);
-                    job.push_event("suspended", "before running");
+                    log_event(&job, "suspended", "before running");
                     JobState::Suspended
                 }
                 JobState::Running => {
@@ -795,9 +865,10 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
             let engine = inner.engine;
             inner.state = JobState::Queued;
             drop(inner);
+            // Logged before a worker can pop the job and log `running`.
+            log_event(&job, "resumed", &engine.to_string());
             sched.enqueue(&job.tenant, job.id.clone());
             drop(sched);
-            job.push_event("resumed", &engine.to_string());
             shared.work_ready.notify_all();
             Ok(vec![
                 ("job".into(), Content::Str(job.id.clone())),
@@ -864,11 +935,9 @@ fn initiate_shutdown(shared: &Arc<Shared>) {
     sched.queued_total = 0;
     for id in queued {
         if let Some(job) = sched.jobs.get(&id).cloned() {
-            let mut inner = unpoison(job.inner.lock());
-            inner.state = JobState::Cancelled;
+            unpoison(job.inner.lock()).terminate(JobState::Cancelled);
             sched.account(&job.tenant).cancelled += 1;
-            drop(inner);
-            job.push_event("cancelled", "server shutdown");
+            log_event(&job, "cancelled", "server shutdown");
             job.events.close();
         }
     }
@@ -912,6 +981,7 @@ mod tests {
             "d".to_string(),
             EngineSpec::Serial,
             monet::LearnerConfig::paper_minimum(1),
+            &std::env::temp_dir(),
         ))
     }
 

@@ -7,8 +7,8 @@
 //!
 //! * A checkpoint is a **directory** holding one JSON file per
 //!   completed unit plus `manifest.json`, a versioned index carrying
-//!   the `(seed, data-fingerprint)` guard of the original run and an
-//!   FNV-1a-64 content checksum per unit file.
+//!   the `(seed, data-fingerprint, config-digest)` guard of the
+//!   original run and an FNV-1a-64 content checksum per unit file.
 //! * Every write is **atomic**: bytes go to `<file>.tmp` first, then a
 //!   same-directory `rename` publishes them. The manifest is rewritten
 //!   (atomically) *after* the unit file it references, so a crash at
@@ -25,6 +25,7 @@
 //! "rank 0 writes intermediate files" convention (§5.3), and what
 //! makes tmp-file + rename atomicity race-free.
 
+use crate::config::LearnerConfig;
 use mn_data::Dataset;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,9 +36,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 /// Manifest format version; bumped on incompatible layout changes.
-/// Version 2 added rank-count provenance (`nranks`); version-1
-/// manifests are still readable — they simply predate the field.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Version 2 added rank-count provenance (`nranks`), version 3 the
+/// learner-config guard (`config_digest`); version-1 and version-2
+/// manifests are still readable — they simply predate those fields.
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// File name of the manifest inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -67,6 +69,17 @@ pub fn data_fingerprint(data: &Dataset) -> (usize, usize, f64) {
         data.n_vars(),
         data.n_obs(),
         data.matrix.as_slice().iter().sum(),
+    )
+}
+
+/// The digest guarding a checkpoint against being resumed under a
+/// different learner configuration: [`fnv1a64`] of the serialized
+/// config. Every field takes part, the seed included.
+pub fn config_digest(config: &LearnerConfig) -> u64 {
+    fnv1a64(
+        serde_json::to_string(config)
+            .expect("config serialization")
+            .as_bytes(),
     )
 }
 
@@ -108,8 +121,9 @@ pub enum CheckpointError {
         /// Version this build writes and reads.
         expected: u32,
     },
-    /// The checkpoint belongs to a different problem — its seed or
-    /// data fingerprint does not match the current run.
+    /// The checkpoint belongs to a different problem — its seed, data
+    /// fingerprint or learner-config digest does not match the
+    /// current run.
     Mismatch {
         /// Which guard failed and the two values.
         reason: String,
@@ -224,37 +238,51 @@ pub struct Manifest {
     /// (the determinism contract), so a checkpoint taken at `p` ranks
     /// resumes at any `p′` — elastic restart is asserting exactly this.
     pub nranks: Option<u64>,
+    /// [`config_digest`] of the run's learner config (`None` for
+    /// manifests before version 3, and for stores opened through
+    /// [`CheckpointStore::open`], which guards seed and data only).
+    pub config_digest: Option<u64>,
     /// Unit name → FNV-1a-64 checksum of `<unit>.json`.
     pub entries: BTreeMap<String, u64>,
 }
 
-// Hand-written so version-1 manifests (no `nranks` key) still load;
-// the derive's `map_field` would hard-error on the missing field.
+// Hand-written so older manifests (no `nranks` before version 2, no
+// `config_digest` before version 3) still load; the derive's
+// `map_field` would hard-error on a missing field.
 impl Deserialize for Manifest {
     fn deserialize_value(value: &Content) -> Result<Self, DeError> {
         let version: u32 = serde::map_field(value, "version")?;
-        let nranks: Option<u64> = if version >= 2 {
-            serde::map_field(value, "nranks")?
-        } else {
-            None
+        let since = |v: u32, name: &str| -> Result<Option<u64>, DeError> {
+            if version >= v {
+                serde::map_field(value, name)
+            } else {
+                Ok(None)
+            }
         };
         Ok(Self {
             version,
             seed: serde::map_field(value, "seed")?,
             fingerprint: serde::map_field(value, "fingerprint")?,
-            nranks,
+            nranks: since(2, "nranks")?,
+            config_digest: since(3, "config_digest")?,
             entries: serde::map_field(value, "entries")?,
         })
     }
 }
 
 impl Manifest {
-    fn fresh(seed: u64, fingerprint: (usize, usize, f64), nranks: usize) -> Self {
+    fn fresh(
+        seed: u64,
+        fingerprint: (usize, usize, f64),
+        config_digest: Option<u64>,
+        nranks: usize,
+    ) -> Self {
         Self {
             version: MANIFEST_VERSION,
             seed,
             fingerprint,
             nranks: Some(nranks as u64),
+            config_digest,
             entries: BTreeMap::new(),
         }
     }
@@ -380,7 +408,9 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Open (or create) the checkpoint directory `dir` for the run
-    /// identified by `(seed, fingerprint)`. `nranks` is the *current*
+    /// identified by `(seed, fingerprint)`; the learner opens through
+    /// [`CheckpointStore::open_run`], which guards the whole config
+    /// as well. `nranks` is the *current*
     /// engine's rank count, stamped into fresh manifests as
     /// provenance; it is deliberately NOT a resume guard — stored
     /// units are rank-count-independent, so a checkpoint taken at `p`
@@ -395,7 +425,41 @@ impl CheckpointStore {
         policy: ResumePolicy,
         write_enabled: bool,
     ) -> Result<Self, CheckpointError> {
-        let dir = dir.as_ref().to_path_buf();
+        let manifest = Manifest::fresh(seed, fingerprint, None, nranks);
+        Self::open_guarded(dir.as_ref(), manifest, policy, write_enabled)
+    }
+
+    /// [`CheckpointStore::open`] for a learn of `data` under `config`:
+    /// the guard is the config's seed, the data's fingerprint and the
+    /// [`config_digest`], so a checkpoint written under any other
+    /// learner config is a [`CheckpointError::Mismatch`] (`Strict`) or
+    /// a fresh start (`Auto`), never resumed into a different run.
+    pub fn open_run<P: AsRef<Path>>(
+        dir: P,
+        config: &LearnerConfig,
+        data: &Dataset,
+        nranks: usize,
+        policy: ResumePolicy,
+        write_enabled: bool,
+    ) -> Result<Self, CheckpointError> {
+        let manifest = Manifest::fresh(
+            config.seed,
+            data_fingerprint(data),
+            Some(config_digest(config)),
+            nranks,
+        );
+        Self::open_guarded(dir.as_ref(), manifest, policy, write_enabled)
+    }
+
+    /// Open `dir` for the run whose guard `fresh` (an empty manifest)
+    /// carries.
+    fn open_guarded(
+        dir: &Path,
+        fresh: Manifest,
+        policy: ResumePolicy,
+        write_enabled: bool,
+    ) -> Result<Self, CheckpointError> {
+        let dir = dir.to_path_buf();
         // The writer rank takes the exclusive lock before reading or
         // wiping anything; non-writer ranks never touch the disk. The
         // lock travels inside the store and releases on drop.
@@ -405,7 +469,7 @@ impl CheckpointStore {
             None
         };
         let fresh = Self {
-            manifest: Manifest::fresh(seed, fingerprint, nranks),
+            manifest: fresh,
             units: BTreeMap::new(),
             write_enabled,
             dir: dir.clone(),
@@ -419,7 +483,7 @@ impl CheckpointStore {
             return fresh.published();
         }
 
-        match load_verified(&dir, seed, fingerprint) {
+        match load_verified(&dir, &fresh.manifest) {
             Ok(Some((manifest, units))) => Ok(Self {
                 manifest,
                 units,
@@ -518,7 +582,7 @@ impl CheckpointStore {
 /// Write `bytes` to `path` atomically: `<path>.tmp` first, then
 /// rename. A crash before the rename leaves only the `.tmp` file,
 /// which loading ignores.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -526,14 +590,14 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Load and fully verify an existing checkpoint. `Ok(None)` means no
+/// Load and fully verify an existing checkpoint against the guard of
+/// `want` (a fresh manifest for the current run). `Ok(None)` means no
 /// manifest exists (nothing to resume); every defect in files that do
 /// exist is a typed error.
 #[allow(clippy::type_complexity)]
 fn load_verified(
     dir: &Path,
-    seed: u64,
-    fingerprint: (usize, usize, f64),
+    want: &Manifest,
 ) -> Result<Option<(Manifest, BTreeMap<String, Vec<u8>>)>, CheckpointError> {
     let manifest_path = dir.join(MANIFEST_FILE);
     let text = match fs::read(&manifest_path) {
@@ -550,26 +614,37 @@ fn load_verified(
             file: manifest_path.clone(),
             reason: format!("unparseable manifest: {e}"),
         })?;
-    // Version 1 stays readable: it only lacks the rank-provenance
-    // field, which deserialization already defaulted to `None`.
-    if manifest.version != MANIFEST_VERSION && manifest.version != 1 {
+    // Versions 1 and 2 stay readable: they only lack fields that
+    // deserialization already defaulted to `None`.
+    if !(1..=MANIFEST_VERSION).contains(&manifest.version) {
         return Err(CheckpointError::Version {
             found: manifest.version,
             expected: MANIFEST_VERSION,
         });
     }
-    if manifest.seed != seed {
+    if manifest.seed != want.seed {
         return Err(CheckpointError::Mismatch {
-            reason: format!("seed {} on disk, {} requested", manifest.seed, seed),
+            reason: format!("seed {} on disk, {} requested", manifest.seed, want.seed),
         });
     }
-    if manifest.fingerprint != fingerprint {
+    if manifest.fingerprint != want.fingerprint {
         return Err(CheckpointError::Mismatch {
             reason: format!(
                 "data fingerprint {:?} on disk, {:?} requested",
-                manifest.fingerprint, fingerprint
+                manifest.fingerprint, want.fingerprint
             ),
         });
+    }
+    // Checked only when both sides carry a digest: older manifests
+    // predate it, and `open` does not ask for it.
+    if let (Some(found), Some(requested)) = (manifest.config_digest, want.config_digest) {
+        if found != requested {
+            return Err(CheckpointError::Mismatch {
+                reason: format!(
+                    "learner config digest {found:#018x} on disk, {requested:#018x} requested"
+                ),
+            });
+        }
     }
     let mut units = BTreeMap::new();
     for (unit, &checksum) in &manifest.entries {
@@ -752,7 +827,8 @@ mod tests {
         store.put("unit_a", &record(5)).unwrap();
         let manifest = dir.join(MANIFEST_FILE);
         let text = fs::read_to_string(&manifest).unwrap();
-        fs::write(&manifest, text.replace("\"version\": 2", "\"version\": 99")).unwrap();
+        let current = format!("\"version\": {MANIFEST_VERSION}");
+        fs::write(&manifest, text.replace(&current, "\"version\": 99")).unwrap();
         drop(store);
 
         let err = CheckpointStore::open(&dir, 1, FP, 4, ResumePolicy::Strict, true).unwrap_err();
@@ -888,11 +964,14 @@ mod tests {
         let mut store = CheckpointStore::open(&dir, 1, FP, 4, ResumePolicy::Auto, true).unwrap();
         store.put("unit_a", &record(7)).unwrap();
         // Rewrite the manifest as a version-1 writer would have: no
-        // `nranks` key at all.
+        // `nranks` (or later) key at all.
         let manifest = dir.join(MANIFEST_FILE);
         let text = fs::read_to_string(&manifest).unwrap();
-        let v1 = text
-            .replace("\"version\": 2", "\"version\": 1")
+        let v1 = without_line(&text, "config_digest")
+            .replace(
+                &format!("\"version\": {MANIFEST_VERSION}"),
+                "\"version\": 1",
+            )
             .replace("\"nranks\": 4,", "");
         assert!(!v1.contains("nranks"), "test setup left the field behind");
         fs::write(&manifest, v1).unwrap();
@@ -900,6 +979,76 @@ mod tests {
 
         let reopened = CheckpointStore::open(&dir, 1, FP, 8, ResumePolicy::Strict, true).unwrap();
         assert_eq!(reopened.origin_nranks(), None);
+        assert_eq!(reopened.get::<u32>("unit_a").unwrap(), record(7));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `text` without its lines that mention `key`.
+    fn without_line(text: &str, key: &str) -> String {
+        text.lines()
+            .filter(|line| !line.contains(key))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    #[test]
+    fn changed_learner_config_is_a_mismatch_under_strict_and_fresh_under_auto() {
+        let data = mn_data::synthetic::yeast_like(20, 14, 31).dataset;
+        let config = LearnerConfig::paper_minimum(1);
+        let mut changed = config.clone();
+        changed.ganesh.init_clusters = Some(7);
+        changed.ganesh.update_steps = 2;
+        assert_eq!(changed.seed, config.seed, "only the digest may differ");
+
+        let dir = tmpdir("config_digest");
+        let open = |config: &LearnerConfig, policy| {
+            CheckpointStore::open_run(&dir, config, &data, 1, policy, true)
+        };
+        let mut store = open(&config, ResumePolicy::Auto).unwrap();
+        store.put("unit_a", &record(5)).unwrap();
+        drop(store);
+        assert_eq!(open(&config, ResumePolicy::Strict).unwrap().len(), 1);
+
+        let err = open(&changed, ResumePolicy::Strict).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err:?}");
+        assert!(err.to_string().contains("learner config digest"), "{err}");
+
+        // Auto starts the changed run fresh, and its manifest now
+        // guards the changed config.
+        let fresh = open(&changed, ResumePolicy::Auto).unwrap();
+        assert!(fresh.is_empty());
+        drop(fresh);
+        assert!(open(&changed, ResumePolicy::Strict).unwrap().is_empty());
+        let err = open(&config, ResumePolicy::Strict).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err:?}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_2_manifest_without_config_digest_still_loads() {
+        let data = mn_data::synthetic::yeast_like(20, 14, 31).dataset;
+        let config = LearnerConfig::paper_minimum(1);
+        let dir = tmpdir("v2_compat");
+        let mut store =
+            CheckpointStore::open_run(&dir, &config, &data, 4, ResumePolicy::Auto, true).unwrap();
+        store.put("unit_a", &record(7)).unwrap();
+        let manifest = dir.join(MANIFEST_FILE);
+        let text = fs::read_to_string(&manifest).unwrap();
+        let v2 = without_line(&text, "config_digest").replace(
+            &format!("\"version\": {MANIFEST_VERSION}"),
+            "\"version\": 2",
+        );
+        assert!(v2.contains("\"version\": 2"), "test setup kept the version");
+        fs::write(&manifest, v2).unwrap();
+        drop(store);
+
+        // A version-2 checkpoint carries no digest to compare, so any
+        // config with its seed and data resumes it.
+        let mut changed = config.clone();
+        changed.ganesh.init_clusters = Some(7);
+        let reopened =
+            CheckpointStore::open_run(&dir, &changed, &data, 4, ResumePolicy::Strict, true)
+                .unwrap();
         assert_eq!(reopened.get::<u32>("unit_a").unwrap(), record(7));
         fs::remove_dir_all(&dir).ok();
     }

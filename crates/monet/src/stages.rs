@@ -12,9 +12,7 @@
 //! cores) resumes after an interruption without repeating finished
 //! work ([`learn_with_checkpoint`]).
 
-use crate::checkpoint::{
-    data_fingerprint, CheckpointError, CheckpointStore, ResumePolicy, UnitRecord,
-};
+use crate::checkpoint::{CheckpointError, CheckpointStore, ResumePolicy, UnitRecord};
 use crate::config::LearnerConfig;
 use crate::learn::phases;
 use crate::model::{Module, ModuleNetwork};
@@ -305,10 +303,10 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
     policy: ResumePolicy,
 ) -> Result<(ModuleNetwork, mn_comm::RunReport), CheckpointError> {
     let config = config.clone().validated().expect("invalid configuration");
-    let mut store = CheckpointStore::open(
+    let mut store = CheckpointStore::open_run(
         dir,
-        config.seed,
-        data_fingerprint(data),
+        &config,
+        data,
         engine.nranks(),
         policy,
         engine.io_rank(),

@@ -46,7 +46,12 @@ struct TestServer {
 
 impl TestServer {
     fn start(tag: &str, workers: usize, max_queue: usize) -> TestServer {
-        let dir = fresh_dir(tag);
+        TestServer::start_in(&fresh_dir(tag), workers, max_queue)
+    }
+
+    /// A server on `dir/sock` whose state dir is `dir/state`, which
+    /// may hold an earlier server's jobs.
+    fn start_in(dir: &std::path::Path, workers: usize, max_queue: usize) -> TestServer {
         let addr = ProcAddr::Unix(dir.join("sock"));
         let mut cfg = ServeConfig::new(addr, dir.join("state"));
         cfg.workers = workers;
@@ -112,6 +117,30 @@ fn wait_state(client: &mut Client, job: &str, want: &str, timeout: Duration) {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+fn job_id(reply: std::io::Result<Reply>) -> String {
+    ok(reply)["job"].as_str().expect("job id").to_string()
+}
+
+/// Watch `job` from line `from` to its end: the event lines, then the
+/// final `done` response.
+fn watch_all(client: &mut Client, job: &str, from: usize) -> (Vec<String>, Content) {
+    let mut lines = Vec::new();
+    let done = client
+        .watch(job, from, |line| lines.push(line.to_string()))
+        .expect("watch");
+    (lines, done)
+}
+
+/// The `what` of every lifecycle event line, in order.
+fn lifecycle(lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .map(|l| serde_json::from_str::<Content>(l).unwrap())
+        .filter(|v| v["type"].as_str() == Some("event"))
+        .map(|v| v["what"].as_str().unwrap().to_string())
+        .collect()
 }
 
 fn counters_of(value: &Content) -> BTreeMap<String, u64> {
@@ -662,5 +691,229 @@ fn old_client_config_with_retired_path_keys_runs_the_default_paths() {
     );
     assert_eq!(network_json, std::fs::read_to_string(&out).unwrap());
 
+    server.shutdown();
+}
+
+#[test]
+fn served_job_output_lives_in_files_beside_the_checkpoint() {
+    let server = TestServer::start("files", 1, 8);
+    let mut client = server.client();
+    ok(client.register_synthetic("t", "d", 32, 24, 7));
+    ok(client.register_synthetic("t", "big", 200, 120, 3));
+    let jobs_dir = server.state_dir.join("jobs");
+
+    // A occupies the single worker until it is cancelled, so B and C
+    // wait in the queue.
+    let a = job_id(client.submit("t", "big", "serial", &slow_config(7)));
+    wait_state(&mut client, &a, "running", Duration::from_secs(60));
+    let b = job_id(client.submit("t", "d", "serial", &LearnerConfig::paper_minimum(5)));
+    let c = job_id(client.submit("t", "d", "serial", &LearnerConfig::paper_minimum(6)));
+    assert_eq!(ok(client.suspend(&c))["state"].as_str(), Some("suspended"));
+
+    std::thread::scope(|scope| {
+        // Watchers of B attached before it runs and of the suspended C.
+        let (attached, on_attach) = std::sync::mpsc::channel();
+        let early = |job: String| {
+            let attached = attached.clone();
+            let mut client = server.client();
+            scope.spawn(move || {
+                let mut lines = Vec::new();
+                let done = client
+                    .watch(&job, 0, |line| {
+                        if lines.is_empty() {
+                            attached.send(()).unwrap();
+                        }
+                        lines.push(line.to_string());
+                    })
+                    .expect("watch");
+                (lines, done)
+            })
+        };
+        let before_b = early(b.clone());
+        let suspended_c = early(c.clone());
+        on_attach.recv().unwrap();
+        on_attach.recv().unwrap();
+        assert_eq!(ok(client.status(&b))["state"].as_str(), Some("queued"));
+
+        ok(client.cancel(&a));
+        // C queues behind B. Resumed here, every watcher thread ends
+        // even if an assertion below fails.
+        ok(client.resume(&c, None));
+        wait_state(&mut client, &b, "running", Duration::from_secs(60));
+        let (mid_lines, mid_done) = watch_all(&mut client, &b, 0);
+        let (before_lines, before_done) = before_b.join().unwrap();
+
+        // Before, during and after the run: one byte-identical stream
+        // ending in `done`.
+        let (after_lines, after_done) = watch_all(&mut client, &b, 0);
+        assert_eq!(before_lines, after_lines);
+        assert_eq!(mid_lines, after_lines);
+        assert_eq!(before_done, after_done);
+        assert_eq!(mid_done, after_done);
+        assert_eq!(after_done["state"].as_str(), Some("done"));
+        assert_eq!(
+            lifecycle(&after_lines).last().map(String::as_str),
+            Some("done")
+        );
+        assert!(after_lines.len() > 3, "no telemetry in {after_lines:?}");
+
+        // The stream is the job's events file, line for line.
+        let file = std::fs::read_to_string(jobs_dir.join(format!("{b}.events.jsonl"))).unwrap();
+        assert_eq!(file.lines().collect::<Vec<_>>(), after_lines);
+        let count = after_lines.len();
+        assert_eq!(ok(client.status(&b))["events"].as_u64(), Some(count as u64));
+        assert_eq!(after_done["events"].as_u64(), Some(count as u64));
+        for k in [0, 1, count / 2, count - 1, count] {
+            let (lines, done) = watch_all(&mut client, &b, k);
+            assert_eq!(lines, after_lines[k..], "watch --from {k}");
+            assert_eq!(done["events"].as_u64(), Some(count as u64));
+        }
+
+        // `result` reads the network file, the same bytes every call.
+        let first = ok(client.result_of(&b))["network_json"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        let second = ok(client.result_of(&b))["network_json"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert_eq!(first, second);
+        assert_eq!(
+            first,
+            std::fs::read_to_string(jobs_dir.join(format!("{b}.network.json"))).unwrap()
+        );
+
+        // The suspended job's log stays open across resume: its early
+        // watcher sees one stream from queued to done.
+        let (c_lines, c_done) = suspended_c.join().unwrap();
+        assert_eq!(c_done["state"].as_str(), Some("done"));
+        let whats = lifecycle(&c_lines);
+        assert_eq!(whats[..3], ["queued", "suspended", "resumed"]);
+        assert_eq!(whats[3..], ["running", "done"]);
+        assert_eq!(watch_all(&mut client, &c, 0).0, c_lines);
+    });
+
+    // A cancelled job leaves its events and no network.
+    assert_eq!(ok(client.status(&a))["state"].as_str(), Some("cancelled"));
+    assert!(jobs_dir.join(format!("{a}.events.jsonl")).is_file());
+    assert!(!jobs_dir.join(format!("{a}.network.json")).exists());
+
+    // So does a failed one: a file where the next job's checkpoint
+    // directory belongs makes its store fail to open.
+    let next = ok(client.jobs(None))["jobs"].as_array().unwrap().len();
+    let d = format!("job-{next}");
+    std::fs::write(jobs_dir.join(&d), b"not a directory").unwrap();
+    assert_eq!(
+        job_id(client.submit("t", "d", "serial", &LearnerConfig::paper_minimum(5))),
+        d
+    );
+    wait_state(&mut client, &d, "failed", Duration::from_secs(60));
+    assert!(jobs_dir.join(format!("{d}.events.jsonl")).is_file());
+    assert!(!jobs_dir.join(format!("{d}.network.json")).exists());
+    assert_eq!(
+        lifecycle(&watch_all(&mut client, &d, 0).0)
+            .last()
+            .map(String::as_str),
+        Some("failed")
+    );
+
+    // A network that cannot be written fails the job with the error;
+    // there is no in-memory copy to serve instead.
+    let e = format!("job-{}", next + 1);
+    std::fs::create_dir(jobs_dir.join(format!("{e}.network.json"))).unwrap();
+    assert_eq!(
+        job_id(client.submit("t", "d", "serial", &LearnerConfig::paper_minimum(5))),
+        e
+    );
+    wait_state(&mut client, &e, "failed", Duration::from_secs(60));
+    let status = ok(client.status(&e));
+    assert!(
+        status["error"].as_str().unwrap().contains("network.json"),
+        "{status:?}"
+    );
+    assert_eq!(err(client.result_of(&e)).kind(), "conflict");
+
+    server.shutdown();
+}
+
+#[test]
+fn a_restarted_server_numbers_jobs_after_the_ones_on_disk() {
+    let dir = fresh_dir("restart");
+    let server = TestServer::start_in(&dir, 1, 8);
+    let mut client = server.client();
+    ok(client.register_synthetic("t", "d", 24, 16, 3));
+    let first = job_id(client.submit("t", "d", "serial", &LearnerConfig::paper_minimum(5)));
+    wait_state(&mut client, &first, "done", Duration::from_secs(120));
+    let jobs_dir = server.state_dir.join("jobs");
+    let files = |id: &str| {
+        ["events.jsonl", "network.json"]
+            .map(|f| std::fs::read(jobs_dir.join(format!("{id}.{f}"))).unwrap())
+    };
+    let first_files = files(&first);
+    server.shutdown();
+
+    // The same state dir, the same data, a different config: a job
+    // that reused the first id would open the first job's checkpoint
+    // and overwrite its files.
+    let server = TestServer::start_in(&dir, 1, 8);
+    let mut client = server.client();
+    ok(client.register_synthetic("t", "d", 24, 16, 3));
+    let mut config = LearnerConfig::paper_minimum(5);
+    config.ganesh.init_clusters = Some(7);
+    config.ganesh.update_steps = 2;
+    let second = job_id(client.submit("t", "d", "serial", &config));
+    assert_ne!(second, first);
+    wait_state(&mut client, &second, "done", Duration::from_secs(120));
+    let served = ok(client.result_of(&second))["network_json"]
+        .as_str()
+        .unwrap()
+        .to_string();
+
+    let data = mn_data::synthetic::yeast_like(24, 16, 3).dataset;
+    let (fresh, _) = monet::learn_module_network(&mut mn_comm::SerialEngine::new(), &data, &config);
+    assert_eq!(
+        served,
+        monet::to_json(&fresh),
+        "the restarted job resumed another job's work"
+    );
+    assert_eq!(files(&first), first_files, "the first job's files changed");
+    server.shutdown();
+}
+
+#[test]
+fn client_output_to_a_closed_pipe_ends_quietly() {
+    use std::io::BufRead;
+    let server = TestServer::start("pipe", 1, 8);
+    let mut client = server.client();
+    ok(client.register_synthetic("t", "d", 32, 24, 7));
+    ok(client.register_synthetic("t", "big", 200, 120, 3));
+    let busy = job_id(client.submit("t", "big", "serial", &slow_config(7)));
+    wait_state(&mut client, &busy, "running", Duration::from_secs(60));
+    // A suspended job's log stays open, so its watcher blocks.
+    let job = job_id(client.submit("t", "d", "serial", &LearnerConfig::paper_minimum(5)));
+    ok(client.suspend(&job));
+
+    let mut watcher = Command::new(monet_bin())
+        .args(["client", "--connect", &server.addr.to_string()])
+        .args(["watch", "--job", &job])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run monet client");
+    // Read one line, as `| head -1` does, and close the pipe.
+    let mut reader = std::io::BufReader::new(watcher.stdout.take().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"queued\""), "{line}");
+    drop(reader);
+    // The next line the watcher prints meets the closed pipe.
+    ok(client.cancel(&job));
+    let output = watcher.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+
+    ok(client.cancel(&busy));
     server.shutdown();
 }
