@@ -5,20 +5,13 @@ use mn_comm::SerialEngine;
 use mn_data::synthetic;
 use mn_gibbs::{sweep, CoClustering};
 use mn_rand::MasterRng;
-use mn_score::{CandidateScoring, NormalGamma, ScoreMode};
+use mn_score::{NormalGamma, Scoring};
 use std::hint::black_box;
 
 fn setup() -> (mn_data::Dataset, CoClustering, MasterRng) {
     let data = synthetic::yeast_like(48, 32, 5).dataset;
     let master = MasterRng::new(2);
-    let state = CoClustering::random_init(
-        &data,
-        8,
-        NormalGamma::default(),
-        ScoreMode::Incremental,
-        &master,
-        0,
-    );
+    let state = CoClustering::random_init(&data, 8, NormalGamma::default(), &master, 0);
     (data, state, master)
 }
 
@@ -26,10 +19,7 @@ fn bench_sweeps(c: &mut Criterion) {
     let (data, state, master) = setup();
     let mut group = c.benchmark_group("gibbs");
     group.sample_size(10);
-    for (label, scoring) in [
-        ("kernel", CandidateScoring::Kernel),
-        ("naive", CandidateScoring::Naive),
-    ] {
+    for (label, scoring) in [("kernel", Scoring::Kernel), ("naive", Scoring::Naive)] {
         group.bench_function(format!("reassign_vars_sweep/{label}"), |b| {
             b.iter(|| {
                 let mut s = state.clone();
@@ -52,7 +42,7 @@ fn bench_sweeps(c: &mut Criterion) {
                 let mut e = SerialEngine::new();
                 let slot = s.active_slots()[0];
                 sweep::reassign_obs(&mut e, &mut s, &data, &master, 0, 0, slot, scoring);
-                sweep::merge_obs(&mut e, &mut s, &data, &master, 0, 0, slot, scoring);
+                sweep::merge_obs(&mut e, &mut s, &master, 0, 0, slot, scoring);
                 black_box(s.score())
             })
         });

@@ -1,12 +1,13 @@
-//! Microbenchmark: incremental vs from-scratch (reference) scoring —
-//! the §4.1 ablation behind Table 1's constant-factor gap.
+//! Microbenchmark: the scoring primitives, and one GaneSH update step
+//! on the kernel and on the naive oracle that `monet --reference` runs
+//! — the §4.1 ablation behind Table 1's gap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mn_comm::SerialEngine;
 use mn_data::synthetic;
-use mn_gibbs::{ganesh, GaneshParams};
+use mn_gibbs::{ganesh_with_scoring, GaneshParams};
 use mn_rand::MasterRng;
-use mn_score::{NormalGamma, ScoreMode, SuffStats};
+use mn_score::{NormalGamma, Scoring, SuffStats};
 use std::hint::black_box;
 
 fn bench_log_marginal(c: &mut Criterion) {
@@ -34,20 +35,20 @@ fn bench_ganesh_modes(c: &mut Criterion) {
     let master = MasterRng::new(1);
     let mut group = c.benchmark_group("ganesh_update_step");
     group.sample_size(10);
-    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-        let params = GaneshParams {
-            init_clusters: Some(8),
-            update_steps: 1,
-            prior: NormalGamma::default(),
-            mode,
-        };
+    let params = GaneshParams {
+        init_clusters: Some(8),
+        update_steps: 1,
+        prior: NormalGamma::default(),
+    };
+    for scoring in [Scoring::Kernel, Scoring::Naive] {
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{mode:?}")),
-            &params,
-            |b, params| {
+            BenchmarkId::from_parameter(format!("{scoring:?}")),
+            &scoring,
+            |b, &scoring| {
                 b.iter(|| {
                     let mut engine = SerialEngine::new();
-                    black_box(ganesh(&mut engine, &data, &master, 0, params))
+                    let run = ganesh_with_scoring(&mut engine, &data, &master, 0, &params, scoring);
+                    black_box(run)
                 })
             },
         );

@@ -1,17 +1,14 @@
 //! Microbenchmark: the split-assignment phase (Alg. 5) — the paper's
-//! dominant compute loop — under both scoring modes, plus the batched
-//! prefix-sum kernel against the naive per-candidate pass it replaced
-//! (the exact-pass stage in isolation and the full phase end-to-end).
+//! dominant compute loop — with the batched prefix-sum kernel against
+//! the naive per-candidate pass it replaced (the exact-pass stage in
+//! isolation and the full phase end-to-end).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mn_comm::SerialEngine;
 use mn_data::synthetic;
 use mn_rand::MasterRng;
-use mn_score::{naive_sigmas, ScoreMode, SplitScoring, SplitScratch};
-use mn_tree::{
-    assign_splits, assign_splits_naive, learn_module_trees, ModuleEnsemble, SplitContext,
-    TreeParams,
-};
+use mn_score::{naive_sigmas, Scoring, SplitScratch};
+use mn_tree::{assign_splits_in, learn_module_trees, ModuleEnsemble, SplitContext, TreeParams};
 use std::hint::black_box;
 
 fn bench_workload() -> (mn_data::Dataset, Vec<ModuleEnsemble>, MasterRng) {
@@ -37,37 +34,6 @@ fn bench_workload() -> (mn_data::Dataset, Vec<ModuleEnsemble>, MasterRng) {
         ),
     ];
     (data, ensembles, master)
-}
-
-fn bench_assign(c: &mut Criterion) {
-    let (data, ensembles, master) = bench_workload();
-    let base = TreeParams::default();
-    let parents: Vec<usize> = (0..48).collect();
-
-    let mut group = c.benchmark_group("assign_splits");
-    group.sample_size(10);
-    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-        let mut params = base.clone();
-        params.mode = mode;
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{mode:?}")),
-            &params,
-            |b, params| {
-                b.iter(|| {
-                    let mut engine = SerialEngine::new();
-                    black_box(assign_splits(
-                        &mut engine,
-                        &data,
-                        &master,
-                        &ensembles,
-                        &parents,
-                        params,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
 }
 
 /// The exact-pass stage in isolation: all n separation scores of one
@@ -109,25 +75,17 @@ fn bench_scoring_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("assign_splits_path");
     group.sample_size(10);
     let params = TreeParams::default();
-    for scoring in [SplitScoring::Naive, SplitScoring::Kernel] {
+    for scoring in [Scoring::Naive, Scoring::Kernel] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{scoring:?}")),
             &scoring,
             |b, &scoring| {
                 b.iter(|| {
-                    let mut engine = SerialEngine::new();
-                    let e = &mut engine;
-                    black_box(match scoring {
-                        SplitScoring::Kernel => {
-                            assign_splits(e, &data, &master, &ensembles, &parents, &params)
-                        }
-                        SplitScoring::Naive => {
-                            let ctx = &mut SplitContext::new();
-                            assign_splits_naive(
-                                e, &data, &master, &ensembles, &parents, &params, ctx,
-                            )
-                        }
-                    })
+                    let e = &mut SerialEngine::new();
+                    let ctx = &mut SplitContext::new();
+                    black_box(assign_splits_in(
+                        e, &data, &master, &ensembles, &parents, &params, scoring, ctx,
+                    ))
                 })
             },
         );
@@ -135,5 +93,5 @@ fn bench_scoring_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_assign, bench_exact_pass, bench_scoring_paths);
+criterion_group!(benches, bench_exact_pass, bench_scoring_paths);
 criterion_main!(benches);

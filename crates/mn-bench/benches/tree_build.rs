@@ -5,7 +5,7 @@ use mn_comm::SerialEngine;
 use mn_data::synthetic;
 use mn_gibbs::sample_obs_partitions;
 use mn_rand::MasterRng;
-use mn_score::ScoreMode;
+use mn_score::Scoring;
 use mn_tree::{build_tree, TreeParams};
 use std::hint::black_box;
 
@@ -26,14 +26,14 @@ fn bench_build(c: &mut Criterion) {
             2,
             1,
             params.prior,
-            ScoreMode::Incremental,
+            Scoring::Kernel,
         )
         .pop()
         .unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
             b.iter(|| {
                 let mut engine = SerialEngine::new();
-                black_box(build_tree(&mut engine, &data, &vars, &partition, &params))
+                black_box(build_tree(&mut engine, &partition, &params))
             })
         });
     }

@@ -68,8 +68,8 @@ fn main() {
         ),
     ] {
         for &p in &[64usize, 256, 1024] {
-            let mut engine = SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE))
-                .with_strategy(strategy);
+            let mut engine =
+                SimEngine::with_cost(p, CostModel::scaled_comm(COMM_SCALE)).with_strategy(strategy);
             engine.begin_phase("splits");
             let result =
                 assign_splits(&mut engine, &data, &master, &ensembles, &parents, &params);

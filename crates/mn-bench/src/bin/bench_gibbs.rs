@@ -31,7 +31,7 @@ use mn_comm::{ParEngine, SerialEngine, ThreadEngine};
 use mn_data::synthetic;
 use mn_gibbs::{ganesh_with_scoring, sweep, CoClustering, GaneshParams};
 use mn_rand::MasterRng;
-use mn_score::{CandidateScoring, NormalGamma, ScoreMode};
+use mn_score::{NormalGamma, Scoring};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -101,14 +101,7 @@ fn median_time(reps: usize, mut f: impl FnMut()) -> f64 {
 /// observation clusters.
 fn obs_state(data: &mn_data::Dataset) -> CoClustering {
     let vars: Vec<usize> = (0..data.n_vars()).collect();
-    CoClustering::single_var_cluster(
-        data,
-        &vars,
-        NormalGamma::default(),
-        ScoreMode::Incremental,
-        &MasterRng::new(13),
-        0,
-    )
+    CoClustering::single_var_cluster(data, &vars, NormalGamma::default(), &MasterRng::new(13), 0)
 }
 
 /// Run `steps` reassign-obs + merge-obs step pairs on the state's
@@ -118,13 +111,13 @@ fn obs_phase<E: ParEngine>(
     state: &mut CoClustering,
     data: &mn_data::Dataset,
     steps: u64,
-    scoring: CandidateScoring,
+    scoring: Scoring,
 ) {
     let master = MasterRng::new(29);
     let slot = state.active_slots()[0];
     for step in 0..steps {
         sweep::reassign_obs(engine, state, data, &master, 0, step, slot, scoring);
-        sweep::merge_obs(engine, state, data, &master, 0, step, slot, scoring);
+        sweep::merge_obs(engine, state, &master, 0, step, slot, scoring);
     }
 }
 
@@ -157,8 +150,8 @@ fn main() {
                     black_box(s.score());
                 })
             };
-            let naive_s = time_path(CandidateScoring::Naive);
-            let kernel_s = time_path(CandidateScoring::Kernel);
+            let naive_s = time_path(Scoring::Naive);
+            let kernel_s = time_path(Scoring::Kernel);
             let speedup = naive_s / kernel_s;
             table.row(&[
                 format!("{n_vars}"),
@@ -190,8 +183,8 @@ fn main() {
             black_box(s.score());
         })
     };
-    let naive_s = time_threads(CandidateScoring::Naive);
-    let kernel_s = time_threads(CandidateScoring::Kernel);
+    let naive_s = time_threads(Scoring::Naive);
+    let kernel_s = time_threads(Scoring::Kernel);
     let threads_phase = PhaseRow {
         label: format!("obs sweeps (threads:3, {tn_vars}×{tn_obs})"),
         naive_s,
@@ -225,20 +218,14 @@ fn main() {
         let data = synthetic::yeast_like(n_vars, n_obs, 17).dataset;
         let master = MasterRng::new(29);
         let init_clusters = n_vars / 2;
-        let base = CoClustering::random_init(
-            &data,
-            init_clusters,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master,
-            0,
-        );
+        let base =
+            CoClustering::random_init(&data, init_clusters, NormalGamma::default(), &master, 0);
         fn var_phase<E: ParEngine>(
             e: &mut E,
             base: &CoClustering,
             data: &mn_data::Dataset,
             master: &MasterRng,
-            scoring: CandidateScoring,
+            scoring: Scoring,
         ) {
             let mut s = base.clone();
             sweep::reassign_vars(e, &mut s, data, master, 0, 0, scoring);
@@ -250,14 +237,14 @@ fn main() {
                 var_phase(&mut SerialEngine::new(), &base, &data, &master, scoring)
             })
         };
-        let naive_s = time_path(CandidateScoring::Naive);
-        let kernel_s = time_path(CandidateScoring::Kernel);
+        let naive_s = time_path(Scoring::Naive);
+        let kernel_s = time_path(Scoring::Kernel);
         let threads2_s = median_time(var_reps, || {
             let mut e = ThreadEngine::new(2);
-            var_phase(&mut e, &base, &data, &master, CandidateScoring::Kernel)
+            var_phase(&mut e, &base, &data, &master, Scoring::Kernel)
         });
         let mut e = SerialEngine::new();
-        var_phase(&mut e, &base, &data, &master, CandidateScoring::Kernel);
+        var_phase(&mut e, &base, &data, &master, Scoring::Kernel);
         let now = e.now_s();
         let candidates = e.obs().snapshot(now).counters["engine.items"];
         let row = VarSweepRow {
@@ -304,8 +291,8 @@ fn main() {
             ));
         })
     };
-    let naive_s = time_ganesh(CandidateScoring::Naive);
-    let kernel_s = time_ganesh(CandidateScoring::Kernel);
+    let naive_s = time_ganesh(Scoring::Naive);
+    let kernel_s = time_ganesh(Scoring::Kernel);
     let full_ganesh = PhaseRow {
         label: format!("ganesh (serial, yeast-like {gv}×{go}, 2 steps)"),
         naive_s,
@@ -319,7 +306,7 @@ fn main() {
         full_ganesh.speedup
     );
 
-    // One instrumented run per scoring mode: the deterministic counters
+    // One instrumented run per scoring path: the deterministic counters
     // put the timings in context (how many sweeps/proposals each path
     // ran, the dispatch path taken, and the kernel's cache traffic).
     let counters_for = |scoring| {
@@ -331,11 +318,11 @@ fn main() {
     let counters = vec![
         CountersRow {
             scoring: "naive".into(),
-            counters: counters_for(CandidateScoring::Naive),
+            counters: counters_for(Scoring::Naive),
         },
         CountersRow {
             scoring: "kernel".into(),
-            counters: counters_for(CandidateScoring::Kernel),
+            counters: counters_for(Scoring::Kernel),
         },
     ];
     let proposed = counters[0].counters["gibbs.moves_proposed"];

@@ -25,11 +25,8 @@ use mn_bench::{time_it, Args, Table};
 use mn_comm::{ParEngine, SerialEngine, ThreadEngine};
 use mn_data::synthetic;
 use mn_rand::MasterRng;
-use mn_score::{naive_sigmas, SplitScoring, SplitScratch};
-use mn_tree::{
-    assign_splits_in, assign_splits_naive, learn_module_trees, ModuleEnsemble, SplitAssignment,
-    SplitContext, TreeParams,
-};
+use mn_score::{naive_sigmas, Scoring, SplitScratch};
+use mn_tree::{assign_splits_in, learn_module_trees, ModuleEnsemble, SplitContext, TreeParams};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -100,25 +97,6 @@ fn median_time(reps: usize, inner: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
-}
-
-/// The split-assignment entry that runs `scoring`: the production
-/// kernel, or the naive oracle it is measured against.
-type AssignFn<E> = fn(
-    &mut E,
-    &mn_data::Dataset,
-    &MasterRng,
-    &[ModuleEnsemble],
-    &[usize],
-    &TreeParams,
-    &mut SplitContext,
-) -> SplitAssignment;
-
-fn entry<E: ParEngine>(scoring: SplitScoring) -> AssignFn<E> {
-    match scoring {
-        SplitScoring::Kernel => assign_splits_in::<E>,
-        SplitScoring::Naive => assign_splits_naive::<E>,
-    }
 }
 
 fn main() {
@@ -211,17 +189,17 @@ fn main() {
         base: &'a TreeParams,
         phase_reps: usize,
     }
-    fn time_phase<E: ParEngine>(engine: &mut E, s: &PhaseSetup, scoring: SplitScoring) -> f64 {
-        let assign = entry::<E>(scoring);
+    fn time_phase<E: ParEngine>(engine: &mut E, s: &PhaseSetup, scoring: Scoring) -> f64 {
         let mut ctx = SplitContext::new();
         median_time(s.phase_reps, 1, || {
-            black_box(assign(
+            black_box(assign_splits_in(
                 engine,
                 s.data,
                 s.master,
                 s.ensembles,
                 s.parents,
                 s.base,
+                scoring,
                 &mut ctx,
             ));
         })
@@ -251,13 +229,13 @@ fn main() {
         for engine_label in ["serial", "threads:3"] {
             let (naive_s, kernel_s) = if engine_label == "serial" {
                 (
-                    time_phase(&mut SerialEngine::new(), setup, SplitScoring::Naive),
-                    time_phase(&mut SerialEngine::new(), setup, SplitScoring::Kernel),
+                    time_phase(&mut SerialEngine::new(), setup, Scoring::Naive),
+                    time_phase(&mut SerialEngine::new(), setup, Scoring::Kernel),
                 )
             } else {
                 (
-                    time_phase(&mut ThreadEngine::new(3), setup, SplitScoring::Naive),
-                    time_phase(&mut ThreadEngine::new(3), setup, SplitScoring::Kernel),
+                    time_phase(&mut ThreadEngine::new(3), setup, Scoring::Naive),
+                    time_phase(&mut ThreadEngine::new(3), setup, Scoring::Kernel),
                 )
             };
             let row = PhaseRow {
@@ -288,11 +266,11 @@ fn main() {
             if engine_label == "serial" {
                 let mut engine = SerialEngine::new();
                 engine.obs().flight().set_enabled(enabled);
-                time_phase(&mut engine, &setup, SplitScoring::Kernel)
+                time_phase(&mut engine, &setup, Scoring::Kernel)
             } else {
                 let mut engine = ThreadEngine::new(3);
                 engine.obs().flight().set_enabled(enabled);
-                time_phase(&mut engine, &setup, SplitScoring::Kernel)
+                time_phase(&mut engine, &setup, Scoring::Kernel)
             }
         };
         let recorder_off_s = timed(false);
@@ -315,20 +293,19 @@ fn main() {
         });
     }
 
-    // One instrumented run per scoring mode: the deterministic event
+    // One instrumented run per scoring path: the deterministic event
     // counters put the timings in context (how many split scores the
     // phase computed and through which dispatch path) and the span
     // aggregates show the per-stage breakdown.
-    let observe = |scoring: SplitScoring| {
+    let observe = |scoring: Scoring| {
         let mut engine = SerialEngine::new();
-        let mut ctx = SplitContext::new();
-        let assign = entry(scoring);
-        assign(&mut engine, &data, &master, &ensembles, &parents, &base, &mut ctx);
+        let (e, ctx) = (&mut engine, &mut SplitContext::new());
+        assign_splits_in(e, &data, &master, &ensembles, &parents, &base, scoring, ctx);
         let now = engine.now_s();
         engine.obs().snapshot(now)
     };
-    let snap_naive = observe(SplitScoring::Naive);
-    let snap_kernel = observe(SplitScoring::Kernel);
+    let snap_naive = observe(Scoring::Naive);
+    let snap_kernel = observe(Scoring::Kernel);
     let mut span_breakdown = Vec::new();
     for (scoring, snap) in [("naive", &snap_naive), ("kernel", &snap_kernel)] {
         for agg in snap.aggregate_spans() {

@@ -33,7 +33,7 @@ fn config() -> LearnerConfig {
 }
 
 fn engine(p: usize) -> SimEngine {
-    SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE))
+    SimEngine::with_cost(p, CostModel::scaled_comm(COMM_SCALE))
 }
 
 #[derive(Serialize)]

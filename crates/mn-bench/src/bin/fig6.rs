@@ -54,7 +54,7 @@ fn main() {
     let mut reports: Vec<(usize, RunReport)> = Vec::new();
     for &p in &ps {
         let (_, r) = learn_module_network(
-            &mut SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE)),
+            &mut SimEngine::with_cost(p, CostModel::scaled_comm(COMM_SCALE)),
             &data,
             &config,
         );

@@ -61,7 +61,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut table = Table::new(&["p", "phase time (s)", "imbalance (max-avg)/avg"]);
     for p in [4usize, 16, 64, 128, 256, 512, 1024, 2048, 4096] {
-        let mut engine = SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE));
+        let mut engine = SimEngine::with_cost(p, CostModel::scaled_comm(COMM_SCALE));
         engine.begin_phase("splits");
         assign_splits(&mut engine, &data, &master, &ensembles, &parents, &params);
         let report = engine.report();

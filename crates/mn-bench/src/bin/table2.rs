@@ -27,7 +27,7 @@ struct Row {
 
 fn run(data: &mn_data::Dataset, config: &LearnerConfig, p: usize) -> f64 {
     let (_, r) = learn_module_network(
-        &mut SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE)),
+        &mut SimEngine::with_cost(p, CostModel::scaled_comm(COMM_SCALE)),
         data,
         config,
     );

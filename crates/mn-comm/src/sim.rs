@@ -72,11 +72,11 @@ impl SimEngine {
     /// A `p`-rank engine with the default cost model and the paper's
     /// block partitioning.
     pub fn new(p: usize) -> Self {
-        Self::with_model(p, CostModel::default())
+        Self::with_cost(p, CostModel::default())
     }
 
     /// A `p`-rank engine with an explicit cost model.
-    pub fn with_model(p: usize, cost: CostModel) -> Self {
+    pub fn with_cost(p: usize, cost: CostModel) -> Self {
         Self {
             core: EngineCore::new(Style::Sim, p, Recorder::new(p)),
             cost,
@@ -250,7 +250,7 @@ mod tests {
 
     /// A map whose item costs are uniform.
     fn uniform_run(p: usize, items: usize, unit: u64) -> RunReport {
-        let mut e = SimEngine::with_model(p, CostModel::free_comm());
+        let mut e = SimEngine::with_cost(p, CostModel::free_comm());
         e.begin_phase("work");
         e.dist_map(items, 1, &|i| (i, unit));
         e.report()
@@ -277,7 +277,7 @@ mod tests {
         // One block of items is 100x more expensive; with block
         // partitioning the owning rank dominates.
         let make = |p: usize| {
-            let mut e = SimEngine::with_model(p, CostModel::free_comm());
+            let mut e = SimEngine::with_cost(p, CostModel::free_comm());
             e.begin_phase("work");
             e.dist_map(64, 1, &|i| (i, if i < 8 { 1000 } else { 10 }));
             e.report()
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn replicated_work_does_not_scale() {
         let run = |p: usize| {
-            let mut e = SimEngine::with_model(p, CostModel::free_comm());
+            let mut e = SimEngine::with_cost(p, CostModel::free_comm());
             e.begin_phase("r");
             e.replicated(1_000_000);
             e.report().total_s()
@@ -327,7 +327,7 @@ mod tests {
         // spreads them.
         let cost_of = |i: usize| if i < 8 { 500u64 } else { 5 };
         let run = |strategy: PartitionStrategy| {
-            let mut e = SimEngine::with_model(8, CostModel::free_comm()).with_strategy(strategy);
+            let mut e = SimEngine::with_cost(8, CostModel::free_comm()).with_strategy(strategy);
             e.begin_phase("w");
             e.dist_map_segmented(&segments, 1, &|i| (i, cost_of(i)));
             e.report()
@@ -402,7 +402,7 @@ mod tests {
         use std::sync::Mutex;
         let calls = Mutex::new(Vec::new());
         let segments = Segments::whole(10);
-        let mut e = SimEngine::with_model(4, CostModel::free_comm());
+        let mut e = SimEngine::with_cost(4, CostModel::free_comm());
         let out = e.dist_map_segmented_batch(&segments, 1, &|seg, range, out| {
             calls.lock().unwrap().push((seg, range.clone()));
             out.extend(range.map(|i| (i, 1)));
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn phases_partition_the_timeline() {
-        let mut e = SimEngine::with_model(4, CostModel::free_comm());
+        let mut e = SimEngine::with_cost(4, CostModel::free_comm());
         e.begin_phase("a");
         e.dist_map(16, 1, &|i| (i, 10));
         e.begin_phase("b");
@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn spans_carry_simulated_time_matching_the_phase_report() {
-        let mut e = SimEngine::with_model(4, CostModel::free_comm());
+        let mut e = SimEngine::with_cost(4, CostModel::free_comm());
         e.begin_phase("w");
         e.dist_map(16, 1, &|i| (i, 1000));
         let r = e.report();

@@ -7,7 +7,7 @@ use crate::sweep::{merge_obs, merge_vars, reassign_obs, reassign_vars};
 use mn_comm::ParEngine;
 use mn_data::Dataset;
 use mn_rand::MasterRng;
-use mn_score::{CandidateScoring, NormalGamma, ScoreMode};
+use mn_score::{NormalGamma, Scoring};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one GaneSH run.
@@ -20,8 +20,6 @@ pub struct GaneshParams {
     pub update_steps: usize,
     /// The normal-gamma prior for all tile scores.
     pub prior: NormalGamma,
-    /// Scoring implementation mode.
-    pub mode: ScoreMode,
 }
 
 impl Default for GaneshParams {
@@ -30,7 +28,6 @@ impl Default for GaneshParams {
             init_clusters: None,
             update_steps: 1,
             prior: NormalGamma::default(),
-            mode: ScoreMode::Incremental,
         }
     }
 }
@@ -55,32 +52,31 @@ pub fn ganesh<E: ParEngine>(
     run: u64,
     params: &GaneshParams,
 ) -> CoClustering {
-    ganesh_with_scoring(engine, data, master, run, params, CandidateScoring::Kernel)
+    ganesh_with_scoring(engine, data, master, run, params, Scoring::Kernel)
 }
 
 /// [`ganesh`] with every sweep's candidate-scoring path chosen by
-/// `scoring`: the test oracle. `CandidateScoring::Naive` samples the
-/// identical chain at the per-candidate cost; the A/B suites and the
-/// `mn-bench` records compare the kernel against it.
-#[doc(hidden)]
+/// `scoring`. `Scoring::Naive` samples the identical chain at the
+/// per-candidate cost: the oracle the A/B suites and the `mn-bench`
+/// records compare the kernel against, and task 1 of `monet
+/// --reference`.
 pub fn ganesh_with_scoring<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     master: &MasterRng,
     run: u64,
     params: &GaneshParams,
-    scoring: CandidateScoring,
+    scoring: Scoring,
 ) -> CoClustering {
     let k0 = params.resolved_init_clusters(data.n_vars());
     engine.span_enter("ganesh-run");
-    let mut state =
-        CoClustering::random_init(data, k0, params.prior, params.mode, master, run);
+    let mut state = CoClustering::random_init(data, k0, params.prior, master, run);
     for step in 0..params.update_steps as u64 {
         reassign_vars(engine, &mut state, data, master, run, step, scoring);
         merge_vars(engine, &mut state, data, master, run, step, scoring);
         for slot in state.active_slots() {
             reassign_obs(engine, &mut state, data, master, run, step, slot, scoring);
-            merge_obs(engine, &mut state, data, master, run, step, slot, scoring);
+            merge_obs(engine, &mut state, master, run, step, slot, scoring);
         }
     }
     engine.span_exit();
@@ -101,6 +97,8 @@ pub fn runs_whole_per_rank(p: usize, g_runs: usize) -> bool {
 /// variable cluster fixed to `vars` and sample `update_steps` rounds of
 /// observation clustering, recording the partitions after `burn_in`
 /// steps. Returns `R = update_steps − burn_in` observation partitions.
+/// `scoring` picks the sweeps' candidate-scoring path, as in
+/// [`ganesh_with_scoring`].
 #[allow(clippy::too_many_arguments)] // mirrors Alg. 4's explicit parameter list
 pub fn sample_obs_partitions<E: ParEngine>(
     engine: &mut E,
@@ -111,20 +109,19 @@ pub fn sample_obs_partitions<E: ParEngine>(
     update_steps: usize,
     burn_in: usize,
     prior: NormalGamma,
-    mode: ScoreMode,
+    scoring: Scoring,
 ) -> Vec<ObsPartition> {
     assert!(
         burn_in < update_steps,
         "burn-in ({burn_in}) must be smaller than update steps ({update_steps})"
     );
     engine.span_enter("obs-sampler");
-    let mut state = CoClustering::single_var_cluster(data, vars, prior, mode, master, module_key);
+    let mut state = CoClustering::single_var_cluster(data, vars, prior, master, module_key);
     let slot = 0;
     let mut samples = Vec::with_capacity(update_steps - burn_in);
-    let scoring = CandidateScoring::Kernel;
     for step in 0..update_steps as u64 {
         reassign_obs(engine, &mut state, data, master, module_key, step, slot, scoring);
-        merge_obs(engine, &mut state, data, master, module_key, step, slot, scoring);
+        merge_obs(engine, &mut state, master, module_key, step, slot, scoring);
         if step as usize >= burn_in {
             samples.push(state.cluster(slot).obs.clone());
         }
@@ -180,40 +177,15 @@ mod tests {
 
     #[test]
     fn ganesh_modes_learn_identical_clusterings() {
-        // The Table-1 contract: reference and optimized modes produce
-        // the same clustering (only the cost differs).
+        // The Table-1 contract: the kernel and the naive oracle that
+        // `--reference` runs sample the same chain (only the cost
+        // differs).
         let d = data();
         let master = MasterRng::new(11);
-        let mut pi = params();
-        pi.mode = ScoreMode::Incremental;
-        let mut pr = params();
-        pr.mode = ScoreMode::Reference;
-        let a = ganesh(&mut SerialEngine::new(), &d, &master, 0, &pi);
-        let b = ganesh(&mut SerialEngine::new(), &d, &master, 0, &pr);
-        assert_eq!(a.var_cluster_members(), b.var_cluster_members());
-    }
-
-    #[test]
-    fn reference_mode_reports_more_work() {
-        let d = data();
-        let master = MasterRng::new(11);
-        let mut pi = params();
-        pi.mode = ScoreMode::Incremental;
-        let mut pr = params();
-        pr.mode = ScoreMode::Reference;
-        let mut ei = SerialEngine::new();
-        let mut er = SerialEngine::new();
-        ganesh(&mut ei, &d, &master, 0, &pi);
-        ganesh(&mut er, &d, &master, 0, &pr);
-        // At this toy size clusters hold only a few variables, so the
-        // from-scratch rebuild is ~2x; the gap widens with cluster size
-        // (Table 1 measures ~3-4x at experiment scale).
-        assert!(
-            er.work_units() as f64 > 1.5 * ei.work_units() as f64,
-            "reference {} vs incremental {}",
-            er.work_units(),
-            ei.work_units()
-        );
+        let run = |scoring| {
+            ganesh_with_scoring(&mut SerialEngine::new(), &d, &master, 0, &params(), scoring)
+        };
+        assert_eq!(run(Scoring::Kernel), run(Scoring::Naive));
     }
 
     #[test]
@@ -231,7 +203,7 @@ mod tests {
             5,
             2,
             NormalGamma::default(),
-            ScoreMode::Incremental,
+            Scoring::Kernel,
         );
         assert_eq!(samples.len(), 3);
         for part in &samples {
@@ -256,7 +228,7 @@ mod tests {
             2,
             2,
             NormalGamma::default(),
-            ScoreMode::Incremental,
+            Scoring::Kernel,
         );
     }
 

@@ -10,8 +10,8 @@
 //!
 //! * [`state`] — the co-clustering state with incrementally maintained
 //!   tile statistics.
-//! * [`moves`] — score deltas (optimized and reference cost profiles)
-//!   and state updates for the four Gibbs moves.
+//! * [`moves`] — score deltas and state updates for the four Gibbs
+//!   moves.
 //! * [`sweep`] — the four parallel sweep functions of Algorithms 1–2,
 //!   each with two candidate-scoring paths (batched kernel vs naive,
 //!   bit-identical results — DESIGN.md §9).

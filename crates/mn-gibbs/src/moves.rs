@@ -4,9 +4,7 @@
 //! variable clusters, reassigning an observation within a variable
 //! cluster, and merging two observation clusters. Every delta function
 //! returns `(Δ log-score, work units)`, where the work units feed the
-//! engines' cost accounting, and — crucially for Table 1 — the
-//! *reference* mode really executes the extra from-scratch loops
-//! rather than merely reporting a higher cost.
+//! engines' cost accounting.
 //!
 //! All deltas are measured relative to the current configuration, so
 //! "stay" always has weight `exp(0)`; the Gibbs choice over
@@ -16,7 +14,7 @@
 use crate::state::{CoClustering, ObsPartition, VarCluster};
 use mn_data::Dataset;
 use mn_score::gibbs_kernel::{addition_term, merge_gain_term, removal_term};
-use mn_score::{PriorConsts, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{PriorConsts, SuffStats, COST_CELL, COST_LOGMARG};
 
 /// Target of a reassignment move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,13 +58,6 @@ fn push_row_stats(
     work
 }
 
-/// Tile statistics rebuilt from the raw matrix — the reference-mode
-/// work loop. Work: `|vars| · |obs|` cell visits.
-fn scratch_tile(data: &Dataset, vars: &[usize], obs: &[usize]) -> (SuffStats, u64) {
-    let stats = mn_score::tile_stats(data, vars, obs);
-    (stats, (vars.len() * obs.len()) as u64 * COST_CELL)
-}
-
 impl CoClustering {
     /// Δ score (and work) of removing variable `x` from its current
     /// cluster — common to every reassignment target, computed once
@@ -75,36 +66,15 @@ impl CoClustering {
         let slot = self.slot_of_var(x);
         let cluster = self.cluster(slot);
         let prior = *self.prior();
-        match self.mode() {
-            ScoreMode::Incremental => {
-                let mut row_stats = Vec::with_capacity(cluster.obs.n_active());
-                let mut work = push_row_stats(data, x, &cluster.obs, &mut row_stats);
-                let mut delta = 0.0;
-                for ((_, oc), xs) in cluster.obs.iter_active().zip(&row_stats) {
-                    let tile = &oc.stats;
-                    delta += removal_term(&prior, tile, xs, prior.log_marginal(tile));
-                    work += 2 * COST_LOGMARG;
-                }
-                (delta, work)
-            }
-            ScoreMode::Reference => {
-                let remaining: Vec<usize> = cluster
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != x)
-                    .collect();
-                let mut delta = 0.0;
-                let mut work = 0u64;
-                for (_, oc) in cluster.obs.iter_active() {
-                    let (with, w1) = scratch_tile(data, &cluster.members, &oc.members);
-                    let (without, w2) = scratch_tile(data, &remaining, &oc.members);
-                    delta += prior.log_marginal(&without) - prior.log_marginal(&with);
-                    work += w1 + w2 + 2 * COST_LOGMARG;
-                }
-                (delta, work)
-            }
+        let mut row_stats = Vec::with_capacity(cluster.obs.n_active());
+        let mut work = push_row_stats(data, x, &cluster.obs, &mut row_stats);
+        let mut delta = 0.0;
+        for ((_, oc), xs) in cluster.obs.iter_active().zip(&row_stats) {
+            let tile = &oc.stats;
+            delta += removal_term(&prior, tile, xs, prior.log_marginal(tile));
+            work += 2 * COST_LOGMARG;
         }
+        (delta, work)
     }
 
     /// Δ score (and work) of adding variable `x` to the cluster at
@@ -112,33 +82,15 @@ impl CoClustering {
     pub fn var_addition_delta(&self, data: &Dataset, x: usize, slot: usize) -> (f64, u64) {
         let cluster = self.cluster(slot);
         let prior = *self.prior();
-        match self.mode() {
-            ScoreMode::Incremental => {
-                let mut row_stats = Vec::with_capacity(cluster.obs.n_active());
-                let mut work = push_row_stats(data, x, &cluster.obs, &mut row_stats);
-                let mut delta = 0.0;
-                for ((_, oc), xs) in cluster.obs.iter_active().zip(&row_stats) {
-                    let tile = &oc.stats;
-                    delta += addition_term(&prior, tile, xs, prior.log_marginal(tile));
-                    work += 2 * COST_LOGMARG;
-                }
-                (delta, work)
-            }
-            ScoreMode::Reference => {
-                let mut extended = cluster.members.clone();
-                let pos = extended.binary_search(&x).unwrap_err();
-                extended.insert(pos, x);
-                let mut delta = 0.0;
-                let mut work = 0u64;
-                for (_, oc) in cluster.obs.iter_active() {
-                    let (with, w1) = scratch_tile(data, &extended, &oc.members);
-                    let (without, w2) = scratch_tile(data, &cluster.members, &oc.members);
-                    delta += prior.log_marginal(&with) - prior.log_marginal(&without);
-                    work += w1 + w2 + 2 * COST_LOGMARG;
-                }
-                (delta, work)
-            }
+        let mut row_stats = Vec::with_capacity(cluster.obs.n_active());
+        let mut work = push_row_stats(data, x, &cluster.obs, &mut row_stats);
+        let mut delta = 0.0;
+        for ((_, oc), xs) in cluster.obs.iter_active().zip(&row_stats) {
+            let tile = &oc.stats;
+            delta += addition_term(&prior, tile, xs, prior.log_marginal(tile));
+            work += 2 * COST_LOGMARG;
         }
+        (delta, work)
     }
 
     /// Δ score (and work) of placing variable `x` alone in a fresh
@@ -152,9 +104,7 @@ impl CoClustering {
     }
 
     /// Apply the reassignment of `x` to `target`. Returns the slot the
-    /// variable landed in. Tile statistics are maintained in both
-    /// scoring modes (the reference implementation also tracks cluster
-    /// membership; only its *scoring* recomputes).
+    /// variable landed in.
     pub fn move_var(&mut self, data: &Dataset, x: usize, target: MoveTarget) -> usize {
         let from = self.slot_of_var(x);
         let to = match target {
@@ -227,51 +177,28 @@ impl CoClustering {
         let src = self.cluster(from);
         let dst = self.cluster(to);
         let prior = *self.prior();
-        match self.mode() {
-            ScoreMode::Incremental => {
-                let mut delta = 0.0;
-                let mut work = 0u64;
-                // Statistics of src's members under dst's partition.
-                for (oslot, oc) in dst.obs.iter_active() {
-                    let mut add = SuffStats::empty();
-                    for &v in &src.members {
-                        let row = data.values(v);
-                        for &o in &oc.members {
-                            add.add(row[o]);
-                        }
-                    }
-                    work += (src.members.len() * oc.members.len()) as u64 * COST_CELL;
-                    let tile = &dst.obs.cluster(oslot).stats;
-                    delta += addition_term(&prior, tile, &add, prior.log_marginal(tile));
-                    work += 2 * COST_LOGMARG;
+        let mut delta = 0.0;
+        let mut work = 0u64;
+        // Statistics of src's members under dst's partition.
+        for (oslot, oc) in dst.obs.iter_active() {
+            let mut add = SuffStats::empty();
+            for &v in &src.members {
+                let row = data.values(v);
+                for &o in &oc.members {
+                    add.add(row[o]);
                 }
-                // Minus src's own score (cached tiles).
-                for (_, oc) in src.obs.iter_active() {
-                    delta -= prior.log_marginal(&oc.stats);
-                    work += COST_LOGMARG;
-                }
-                (delta, work)
             }
-            ScoreMode::Reference => {
-                let mut merged = dst.members.clone();
-                merged.extend_from_slice(&src.members);
-                merged.sort_unstable();
-                let mut delta = 0.0;
-                let mut work = 0u64;
-                for (_, oc) in dst.obs.iter_active() {
-                    let (with, w1) = scratch_tile(data, &merged, &oc.members);
-                    let (without, w2) = scratch_tile(data, &dst.members, &oc.members);
-                    delta += prior.log_marginal(&with) - prior.log_marginal(&without);
-                    work += w1 + w2 + 2 * COST_LOGMARG;
-                }
-                for (_, oc) in src.obs.iter_active() {
-                    let (own, w) = scratch_tile(data, &src.members, &oc.members);
-                    delta -= prior.log_marginal(&own);
-                    work += w + COST_LOGMARG;
-                }
-                (delta, work)
-            }
+            work += (src.members.len() * oc.members.len()) as u64 * COST_CELL;
+            let tile = &dst.obs.cluster(oslot).stats;
+            delta += addition_term(&prior, tile, &add, prior.log_marginal(tile));
+            work += 2 * COST_LOGMARG;
         }
+        // Minus src's own score (cached tiles).
+        for (_, oc) in src.obs.iter_active() {
+            delta -= prior.log_marginal(&oc.stats);
+            work += COST_LOGMARG;
+        }
+        (delta, work)
     }
 
     /// Apply the merge of `from` into `to` (keeping `to`'s observation
@@ -324,28 +251,12 @@ impl CoClustering {
         let cluster = self.cluster(slot);
         let oslot = cluster.obs.slot_of(o);
         let prior = *self.prior();
-        match self.mode() {
-            ScoreMode::Incremental => {
-                let (col, mut work) = self.column_stats(data, slot, o);
-                let tile = &cluster.obs.cluster(oslot).stats;
-                work += 2 * COST_LOGMARG;
-                (
-                    removal_term(&prior, tile, &col, prior.log_marginal(tile)),
-                    work,
-                )
-            }
-            ScoreMode::Reference => {
-                let oc = cluster.obs.cluster(oslot);
-                let remaining: Vec<usize> =
-                    oc.members.iter().copied().filter(|&x| x != o).collect();
-                let (with, w1) = scratch_tile(data, &cluster.members, &oc.members);
-                let (without, w2) = scratch_tile(data, &cluster.members, &remaining);
-                (
-                    prior.log_marginal(&without) - prior.log_marginal(&with),
-                    w1 + w2 + 2 * COST_LOGMARG,
-                )
-            }
-        }
+        let (col, work) = self.column_stats(data, slot, o);
+        let tile = &cluster.obs.cluster(oslot).stats;
+        (
+            removal_term(&prior, tile, &col, prior.log_marginal(tile)),
+            work + 2 * COST_LOGMARG,
+        )
     }
 
     /// Δ score (and work) of adding observation `o` to observation
@@ -359,29 +270,12 @@ impl CoClustering {
     ) -> (f64, u64) {
         let cluster = self.cluster(slot);
         let prior = *self.prior();
-        match self.mode() {
-            ScoreMode::Incremental => {
-                let (col, mut work) = self.column_stats(data, slot, o);
-                let tile = &cluster.obs.cluster(oslot).stats;
-                work += 2 * COST_LOGMARG;
-                (
-                    addition_term(&prior, tile, &col, prior.log_marginal(tile)),
-                    work,
-                )
-            }
-            ScoreMode::Reference => {
-                let oc = cluster.obs.cluster(oslot);
-                let mut extended = oc.members.clone();
-                let pos = extended.binary_search(&o).unwrap_err();
-                extended.insert(pos, o);
-                let (with, w1) = scratch_tile(data, &cluster.members, &extended);
-                let (without, w2) = scratch_tile(data, &cluster.members, &oc.members);
-                (
-                    prior.log_marginal(&with) - prior.log_marginal(&without),
-                    w1 + w2 + 2 * COST_LOGMARG,
-                )
-            }
-        }
+        let (col, work) = self.column_stats(data, slot, o);
+        let tile = &cluster.obs.cluster(oslot).stats;
+        (
+            addition_term(&prior, tile, &col, prior.log_marginal(tile)),
+            work + 2 * COST_LOGMARG,
+        )
     }
 
     /// Δ score (and work) of placing observation `o` alone in a fresh
@@ -412,39 +306,21 @@ impl CoClustering {
 
     /// Δ score (and work) of merging observation cluster `a` into `b`
     /// inside variable cluster `slot`.
-    pub fn obs_merge_delta(&self, data: &Dataset, slot: usize, a: usize, b: usize) -> (f64, u64) {
+    pub fn obs_merge_delta(&self, slot: usize, a: usize, b: usize) -> (f64, u64) {
         assert_ne!(a, b);
         let cluster = self.cluster(slot);
         let prior = *self.prior();
-        match self.mode() {
-            ScoreMode::Incremental => {
-                let sa = &cluster.obs.cluster(a).stats;
-                let sb = &cluster.obs.cluster(b).stats;
-                // Same expression and association as `log_merge_gain`.
-                let gain = merge_gain_term(
-                    &prior,
-                    sa,
-                    sb,
-                    prior.log_marginal(sa),
-                    prior.log_marginal(sb),
-                );
-                (gain, 3 * COST_LOGMARG)
-            }
-            ScoreMode::Reference => {
-                let ma = &cluster.obs.cluster(a).members;
-                let mb = &cluster.obs.cluster(b).members;
-                let mut merged = ma.clone();
-                merged.extend_from_slice(mb);
-                merged.sort_unstable();
-                let (sm, w1) = scratch_tile(data, &cluster.members, &merged);
-                let (sa, w2) = scratch_tile(data, &cluster.members, ma);
-                let (sb, w3) = scratch_tile(data, &cluster.members, mb);
-                (
-                    prior.log_marginal(&sm) - prior.log_marginal(&sa) - prior.log_marginal(&sb),
-                    w1 + w2 + w3 + 3 * COST_LOGMARG,
-                )
-            }
-        }
+        let sa = &cluster.obs.cluster(a).stats;
+        let sb = &cluster.obs.cluster(b).stats;
+        // Same expression and association as `log_merge_gain`.
+        let gain = merge_gain_term(
+            &prior,
+            sa,
+            sb,
+            prior.log_marginal(sa),
+            prior.log_marginal(sb),
+        );
+        (gain, 3 * COST_LOGMARG)
     }
 
     /// Apply the merge of observation cluster `a` into `b` inside
@@ -462,27 +338,20 @@ mod tests {
     use mn_rand::MasterRng;
     use mn_score::NormalGamma;
 
-    fn setup(mode: ScoreMode) -> (Dataset, CoClustering) {
+    fn setup() -> (Dataset, CoClustering) {
         let d = synthetic::yeast_like(16, 10, 5).dataset;
-        let s = CoClustering::random_init(
-            &d,
-            4,
-            NormalGamma::default(),
-            mode,
-            &MasterRng::new(7),
-            0,
-        );
+        let s = CoClustering::random_init(&d, 4, NormalGamma::default(), &MasterRng::new(7), 0);
         (d, s)
     }
 
     /// The fundamental correctness property: a delta function must
     /// predict exactly the change in the from-scratch total score.
-    fn assert_delta_matches<F, G>(mode: ScoreMode, delta_fn: F, apply_fn: G)
+    fn assert_delta_matches<F, G>(delta_fn: F, apply_fn: G)
     where
         F: Fn(&Dataset, &CoClustering) -> f64,
         G: Fn(&Dataset, &mut CoClustering),
     {
-        let (d, mut s) = setup(mode);
+        let (d, mut s) = setup();
         s.validate(&d);
         let before = s.score_from_scratch(&d);
         let delta = delta_fn(&d, &s);
@@ -500,7 +369,6 @@ mod tests {
     fn var_move_delta_matches_score_change_incremental() {
         for target_kind in 0..2 {
             assert_delta_matches(
-                ScoreMode::Incremental,
                 |d, s| {
                     let x = 3;
                     let (rem, _) = s.var_removal_delta(d, x);
@@ -535,142 +403,86 @@ mod tests {
     }
 
     #[test]
-    fn var_move_delta_matches_score_change_reference() {
+    fn merge_delta_matches_score_change() {
         assert_delta_matches(
-            ScoreMode::Reference,
             |d, s| {
-                let x = 5;
-                let to = s
-                    .active_slots()
-                    .into_iter()
-                    .find(|&t| t != s.slot_of_var(x))
-                    .unwrap();
-                let (rem, _) = s.var_removal_delta(d, x);
-                let (add, _) = s.var_addition_delta(d, x, to);
-                rem + add
+                let slots = s.active_slots();
+                s.merge_delta(d, slots[0], slots[1]).0
             },
             |d, s| {
-                let x = 5;
-                let to = s
-                    .active_slots()
-                    .into_iter()
-                    .find(|&t| t != s.slot_of_var(x))
-                    .unwrap();
-                s.move_var(d, x, MoveTarget::Existing(to));
+                let slots = s.active_slots();
+                s.merge_var_clusters(d, slots[0], slots[1]);
             },
         );
     }
 
     #[test]
-    fn merge_delta_matches_score_change() {
-        for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-            assert_delta_matches(
-                mode,
-                |d, s| {
-                    let slots = s.active_slots();
-                    s.merge_delta(d, slots[0], slots[1]).0
-                },
-                |d, s| {
-                    let slots = s.active_slots();
-                    s.merge_var_clusters(d, slots[0], slots[1]);
-                },
-            );
-        }
-    }
-
-    #[test]
     fn obs_move_delta_matches_score_change() {
-        for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-            assert_delta_matches(
-                mode,
-                |d, s| {
-                    let slot = s.active_slots()[0];
-                    let o = 2;
-                    let cur = s.cluster(slot).obs.slot_of(o);
-                    let (rem, _) = s.obs_removal_delta(d, slot, o);
-                    match s
-                        .cluster(slot)
-                        .obs
-                        .active_slots()
-                        .into_iter()
-                        .find(|&t| t != cur)
-                    {
-                        Some(to) => rem + s.obs_addition_delta(d, slot, o, to).0,
-                        None => rem + s.obs_new_cluster_delta(d, slot, o).0,
+        assert_delta_matches(
+            |d, s| {
+                let slot = s.active_slots()[0];
+                let o = 2;
+                let cur = s.cluster(slot).obs.slot_of(o);
+                let (rem, _) = s.obs_removal_delta(d, slot, o);
+                match s
+                    .cluster(slot)
+                    .obs
+                    .active_slots()
+                    .into_iter()
+                    .find(|&t| t != cur)
+                {
+                    Some(to) => rem + s.obs_addition_delta(d, slot, o, to).0,
+                    None => rem + s.obs_new_cluster_delta(d, slot, o).0,
+                }
+            },
+            |d, s| {
+                let slot = s.active_slots()[0];
+                let o = 2;
+                let cur = s.cluster(slot).obs.slot_of(o);
+                match s
+                    .cluster(slot)
+                    .obs
+                    .active_slots()
+                    .into_iter()
+                    .find(|&t| t != cur)
+                {
+                    Some(to) => {
+                        s.move_obs(d, slot, o, Some(to));
                     }
-                },
-                |d, s| {
-                    let slot = s.active_slots()[0];
-                    let o = 2;
-                    let cur = s.cluster(slot).obs.slot_of(o);
-                    match s
-                        .cluster(slot)
-                        .obs
-                        .active_slots()
-                        .into_iter()
-                        .find(|&t| t != cur)
-                    {
-                        Some(to) => {
-                            s.move_obs(d, slot, o, Some(to));
-                        }
-                        None => {
-                            s.move_obs(d, slot, o, None);
-                        }
+                    None => {
+                        s.move_obs(d, slot, o, None);
                     }
-                },
-            );
-        }
+                }
+            },
+        );
     }
 
     #[test]
     fn obs_merge_delta_matches_score_change() {
-        for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-            let (d, s) = setup(mode);
-            // Find a variable cluster with at least two obs clusters.
-            let slot = s
-                .active_slots()
-                .into_iter()
-                .find(|&sl| s.cluster(sl).obs.n_active() >= 2)
-                .expect("no cluster with 2+ obs clusters");
-            let oslots = s.cluster(slot).obs.active_slots();
-            let before = s.score_from_scratch(&d);
-            let (delta, _) = s.obs_merge_delta(&d, slot, oslots[0], oslots[1]);
-            let mut s2 = s.clone();
-            s2.merge_obs_clusters(slot, oslots[0], oslots[1]);
-            s2.validate(&d);
-            let after = s2.score_from_scratch(&d);
-            assert!(
-                ((after - before) - delta).abs() < 1e-8 * after.abs().max(1.0),
-                "mode {mode:?}: predicted {delta}, actual {}",
-                after - before
-            );
-        }
-    }
-
-    #[test]
-    fn modes_agree_on_deltas() {
-        // Same state, both modes: the deltas must agree to floating
-        // point — reference is a cost profile, not a different score.
-        let (d, si) = setup(ScoreMode::Incremental);
-        let (_, sr) = setup(ScoreMode::Reference);
-        let x = 7;
-        let (ri, wi) = si.var_removal_delta(&d, x);
-        let (rr, wr) = sr.var_removal_delta(&d, x);
-        assert!((ri - rr).abs() < 1e-9, "{ri} vs {rr}");
-        assert!(wr > wi, "reference must cost more ({wr} vs {wi})");
-        for &slot in &si.active_slots() {
-            if slot == si.slot_of_var(x) {
-                continue;
-            }
-            let (ai, _) = si.var_addition_delta(&d, x, slot);
-            let (ar, _) = sr.var_addition_delta(&d, x, slot);
-            assert!((ai - ar).abs() < 1e-9, "slot {slot}: {ai} vs {ar}");
-        }
+        let (d, s) = setup();
+        // Find a variable cluster with at least two obs clusters.
+        let slot = s
+            .active_slots()
+            .into_iter()
+            .find(|&sl| s.cluster(sl).obs.n_active() >= 2)
+            .expect("no cluster with 2+ obs clusters");
+        let oslots = s.cluster(slot).obs.active_slots();
+        let before = s.score_from_scratch(&d);
+        let (delta, _) = s.obs_merge_delta(slot, oslots[0], oslots[1]);
+        let mut s2 = s.clone();
+        s2.merge_obs_clusters(slot, oslots[0], oslots[1]);
+        s2.validate(&d);
+        let after = s2.score_from_scratch(&d);
+        assert!(
+            ((after - before) - delta).abs() < 1e-8 * after.abs().max(1.0),
+            "predicted {delta}, actual {}",
+            after - before
+        );
     }
 
     #[test]
     fn moving_sole_member_to_new_cluster_is_consistent() {
-        let (d, mut s) = setup(ScoreMode::Incremental);
+        let (d, mut s) = setup();
         // Force variable 0 into its own cluster first.
         s.move_var(&d, 0, MoveTarget::New);
         s.validate(&d);

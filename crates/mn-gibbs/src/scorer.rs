@@ -1,4 +1,4 @@
-//! The candidate scorer behind `CandidateScoring::Kernel`.
+//! The candidate scorer behind `Scoring::Kernel`.
 //!
 //! A candidate's weight is a pure function of the state, the data, the
 //! moving item, the hoisted removal delta and the sweep's prior
@@ -410,18 +410,10 @@ mod tests {
     use crate::moves::MoveTarget;
     use mn_data::synthetic;
     use mn_rand::MasterRng;
-    use mn_score::ScoreMode;
 
     fn setup(seed: u64) -> (Dataset, CoClustering) {
         let d = synthetic::yeast_like(16, 12, seed).dataset;
-        let s = CoClustering::random_init(
-            &d,
-            5,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &MasterRng::new(seed),
-            0,
-        );
+        let s = CoClustering::random_init(&d, 5, NormalGamma::default(), &MasterRng::new(seed), 0);
         (d, s)
     }
 

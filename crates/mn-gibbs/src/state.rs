@@ -4,9 +4,7 @@
 //! variable clusters `V`, each carrying its own partition of the
 //! observations `O(V_i)`. Its Bayesian score decomposes over tiles
 //! `(V_i, O_j)`; [`CoClustering`] maintains the sufficient statistics
-//! of every tile so the optimized scorer can evaluate move deltas
-//! incrementally, while the reference scorer ignores the cache and
-//! rebuilds statistics from the raw matrix (see `mn-score::ScoreMode`).
+//! of every tile so move deltas are evaluated incrementally.
 //!
 //! Every tile also stores its log-marginal `lm`, a pure function of
 //! the statistics' bits: the methods that change a tile's statistics
@@ -20,7 +18,7 @@
 
 use mn_data::Dataset;
 use mn_rand::{Domain, MasterRng};
-use mn_score::{NormalGamma, PriorConsts, ScoreMode, SuffStats};
+use mn_score::{NormalGamma, PriorConsts, SuffStats};
 use serde::{Deserialize, Serialize};
 
 /// One cluster of observations inside a variable cluster, together
@@ -266,7 +264,6 @@ pub struct CoClustering {
     var_assignment: Vec<usize>,
     clusters: Vec<Option<VarCluster>>,
     prior: NormalGamma,
-    mode: ScoreMode,
 }
 
 impl CoClustering {
@@ -277,7 +274,6 @@ impl CoClustering {
         data: &Dataset,
         k0: usize,
         prior: NormalGamma,
-        mode: ScoreMode,
         master: &MasterRng,
         run: u64,
     ) -> Self {
@@ -309,7 +305,6 @@ impl CoClustering {
             var_assignment,
             clusters,
             prior,
-            mode,
         }
     }
 
@@ -320,7 +315,6 @@ impl CoClustering {
         data: &Dataset,
         vars: &[usize],
         prior: NormalGamma,
-        mode: ScoreMode,
         master: &MasterRng,
         module_key: u64,
     ) -> Self {
@@ -342,18 +336,12 @@ impl CoClustering {
                 obs,
             })],
             prior,
-            mode,
         }
     }
 
     /// The prior in force.
     pub fn prior(&self) -> &NormalGamma {
         &self.prior
-    }
-
-    /// The scoring mode in force.
-    pub fn mode(&self) -> ScoreMode {
-        self.mode
     }
 
     /// Active variable-cluster slots in slot order.
@@ -533,47 +521,19 @@ mod tests {
     #[test]
     fn random_init_is_valid_and_deterministic() {
         let d = data();
-        let a = CoClustering::random_init(
-            &d,
-            5,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master(),
-            0,
-        );
+        let a = CoClustering::random_init(&d, 5, NormalGamma::default(), &master(), 0);
         a.validate(&d);
-        let b = CoClustering::random_init(
-            &d,
-            5,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master(),
-            0,
-        );
+        let b = CoClustering::random_init(&d, 5, NormalGamma::default(), &master(), 0);
         assert_eq!(a, b);
         // Different run index gives a different initialization.
-        let c = CoClustering::random_init(
-            &d,
-            5,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master(),
-            1,
-        );
+        let c = CoClustering::random_init(&d, 5, NormalGamma::default(), &master(), 1);
         assert_ne!(a, c);
     }
 
     #[test]
     fn score_matches_scratch_after_init() {
         let d = data();
-        let s = CoClustering::random_init(
-            &d,
-            4,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master(),
-            0,
-        );
+        let s = CoClustering::random_init(&d, 4, NormalGamma::default(), &master(), 0);
         let cached = s.score();
         let scratch = s.score_from_scratch(&d);
         assert!(
@@ -622,14 +582,8 @@ mod tests {
     #[test]
     fn single_var_cluster_constrains_to_module() {
         let d = data();
-        let s = CoClustering::single_var_cluster(
-            &d,
-            &[3, 1, 7],
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master(),
-            42,
-        );
+        let s =
+            CoClustering::single_var_cluster(&d, &[3, 1, 7], NormalGamma::default(), &master(), 42);
         s.validate(&d);
         assert_eq!(s.n_active(), 1);
         assert_eq!(s.cluster(0).members, vec![1, 3, 7]);
@@ -651,14 +605,7 @@ mod tests {
     #[test]
     fn cluster_members_in_slot_order() {
         let d = data();
-        let s = CoClustering::random_init(
-            &d,
-            3,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master(),
-            0,
-        );
+        let s = CoClustering::random_init(&d, 3, NormalGamma::default(), &master(), 0);
         let lists = s.var_cluster_members();
         assert_eq!(lists.len(), s.n_active());
         let total: usize = lists.iter().map(Vec::len).sum();

@@ -39,9 +39,10 @@
 //! ## Candidate-scoring paths
 //!
 //! Every sweep evaluates its candidate list through one of two paths
-//! selected by [`CandidateScoring`]. The learner always passes
-//! `Kernel`; `Naive` is the oracle the A/B tests and `bench_gibbs`
-//! compare it against (driver-level: `ganesh_with_scoring`).
+//! selected by [`Scoring`]. The learner passes `Kernel`; `Naive` is
+//! the oracle the A/B tests and `bench_gibbs` compare it against, and
+//! the Table 1 baseline `monet --reference` runs (driver-level:
+//! `ganesh_with_scoring`).
 //!
 //! * **Naive** — each candidate re-derives the statistics and both
 //!   log-marginals it needs from the state (the cost profile of Alg. 1
@@ -67,10 +68,7 @@
 //!
 //! Both paths produce bit-identical weights (argued in
 //! `mn_score::gibbs_kernel` and DESIGN.md §9), hence identical
-//! `Select-Wtd-Rand` draws and identical clusterings. The kernel
-//! requires maintained tile statistics, so under
-//! [`ScoreMode::Reference`] the naive path is used regardless of the
-//! requested scoring (and counted as a naive dispatch).
+//! `Select-Wtd-Rand` draws and identical clusterings.
 
 use crate::moves::MoveTarget;
 use crate::scorer::{
@@ -81,7 +79,7 @@ use mn_comm::{Collective, ParEngine, Segments};
 use mn_data::Dataset;
 use mn_obs::counters;
 use mn_rand::{select_unif_rand, select_wtd_log, Domain, MasterRng};
-use mn_score::{CandidateScoring, PriorConsts, ScoreMode};
+use mn_score::{PriorConsts, Scoring};
 
 /// Composite stream key for (run, step) pairs.
 #[inline]
@@ -89,14 +87,9 @@ pub fn step_key(run: u64, step: u64) -> u64 {
     run.wrapping_mul(0x1_0000_0000).wrapping_add(step)
 }
 
-/// Whether the batched kernel actually runs, given the requested
-/// scoring and the state's score mode; counts the dispatch.
-fn dispatch<E: ParEngine>(
-    engine: &mut E,
-    scoring: CandidateScoring,
-    mode: ScoreMode,
-) -> bool {
-    let kernel = scoring == CandidateScoring::Kernel && mode == ScoreMode::Incremental;
+/// Whether the batched kernel runs; counts the dispatch.
+fn dispatch<E: ParEngine>(engine: &mut E, scoring: Scoring) -> bool {
+    let kernel = scoring == Scoring::Kernel;
     engine.count(
         if kernel {
             counters::GIBBS_KERNEL_DISPATCHES
@@ -141,13 +134,13 @@ pub fn reassign_vars<E: ParEngine>(
     master: &MasterRng,
     run: u64,
     step: u64,
-    scoring: CandidateScoring,
+    scoring: Scoring,
 ) {
     let n = data.n_vars();
     let mut stream = master.stream(Domain::ReassignVar, step_key(run, step));
     engine.span_enter("sweep:reassign-vars");
     engine.count(counters::GIBBS_SWEEPS, 1);
-    let kernel = dispatch(engine, scoring, state.mode());
+    let kernel = dispatch(engine, scoring);
     let mut scorer = SweepScorer::new(state.prior());
     let mut slots = Vec::new();
     let mut weights = Vec::new();
@@ -236,12 +229,12 @@ pub fn merge_vars<E: ParEngine>(
     master: &MasterRng,
     run: u64,
     step: u64,
-    scoring: CandidateScoring,
+    scoring: Scoring,
 ) {
     let mut stream = master.stream(Domain::MergeVar, step_key(run, step));
     engine.span_enter("sweep:merge-vars");
     engine.count(counters::GIBBS_SWEEPS, 1);
-    let kernel = dispatch(engine, scoring, state.mode());
+    let kernel = dispatch(engine, scoring);
     let consts = PriorConsts::new(state.prior());
     let snapshot = state.active_slots();
     let mut candidates = Vec::new();
@@ -295,14 +288,14 @@ pub fn reassign_obs<E: ParEngine>(
     run: u64,
     step: u64,
     slot: usize,
-    scoring: CandidateScoring,
+    scoring: Scoring,
 ) {
     let m = data.n_obs();
     let mut stream =
         master.stream2(Domain::ReassignObs, step_key(run, step), slot as u64);
     engine.span_enter("sweep:reassign-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
-    let kernel = dispatch(engine, scoring, state.mode());
+    let kernel = dispatch(engine, scoring);
     let mut scorer = SweepScorer::new(state.prior());
     let mut oslots = Vec::new();
     let mut weights = Vec::new();
@@ -371,21 +364,19 @@ pub fn reassign_obs<E: ParEngine>(
 
 /// One observation-merge sweep inside variable cluster `slot`
 /// (Alg. 2, `Merge-Obs-Cluster`).
-#[allow(clippy::too_many_arguments)]
 pub fn merge_obs<E: ParEngine>(
     engine: &mut E,
     state: &mut CoClustering,
-    data: &Dataset,
     master: &MasterRng,
     run: u64,
     step: u64,
     slot: usize,
-    scoring: CandidateScoring,
+    scoring: Scoring,
 ) {
     let mut stream = master.stream2(Domain::MergeObs, step_key(run, step), slot as u64);
     engine.span_enter("sweep:merge-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
-    let kernel = dispatch(engine, scoring, state.mode());
+    let kernel = dispatch(engine, scoring);
     let consts = PriorConsts::new(state.prior());
     let snapshot = state.cluster(slot).obs.active_slots();
     let mut candidates = Vec::new();
@@ -411,7 +402,7 @@ pub fn merge_obs<E: ParEngine>(
                 if t == oslot {
                     (0.0, 1)
                 } else {
-                    state_ref.obs_merge_delta(data, slot, oslot, t)
+                    state_ref.obs_merge_delta(slot, oslot, t)
                 }
             })
         };
@@ -431,21 +422,14 @@ mod tests {
     use super::*;
     use mn_comm::{SerialEngine, SimEngine, ThreadEngine};
     use mn_data::synthetic;
-    use mn_score::{NormalGamma, ScoreMode};
+    use mn_score::NormalGamma;
 
-    const BOTH: [CandidateScoring; 2] = [CandidateScoring::Kernel, CandidateScoring::Naive];
+    const BOTH: [Scoring; 2] = [Scoring::Kernel, Scoring::Naive];
 
     fn setup() -> (Dataset, CoClustering, MasterRng) {
         let d = synthetic::yeast_like(18, 12, 21).dataset;
         let master = MasterRng::new(4);
-        let s = CoClustering::random_init(
-            &d,
-            5,
-            NormalGamma::default(),
-            ScoreMode::Incremental,
-            &master,
-            0,
-        );
+        let s = CoClustering::random_init(&d, 5, NormalGamma::default(), &master, 0);
         (d, s, master)
     }
 
@@ -461,7 +445,7 @@ mod tests {
             for slot in s.active_slots() {
                 reassign_obs(&mut e, &mut s, &d, &master, 0, 0, slot, scoring);
                 s.validate(&d);
-                merge_obs(&mut e, &mut s, &d, &master, 0, 0, slot, scoring);
+                merge_obs(&mut e, &mut s, &master, 0, 0, slot, scoring);
                 s.validate(&d);
             }
         }
@@ -504,7 +488,7 @@ mod tests {
     #[test]
     fn scoring_paths_sample_identical_clusterings() {
         let (d, s0, master) = setup();
-        let run = |scoring: CandidateScoring| {
+        let run = |scoring: Scoring| {
             let mut s = s0.clone();
             let mut e = SerialEngine::new();
             for step in 0..3 {
@@ -512,14 +496,14 @@ mod tests {
                 merge_vars(&mut e, &mut s, &d, &master, 0, step, scoring);
                 for slot in s.active_slots() {
                     reassign_obs(&mut e, &mut s, &d, &master, 0, step, slot, scoring);
-                    merge_obs(&mut e, &mut s, &d, &master, 0, step, slot, scoring);
+                    merge_obs(&mut e, &mut s, &master, 0, step, slot, scoring);
                 }
             }
             s
         };
         assert_eq!(
-            run(CandidateScoring::Kernel),
-            run(CandidateScoring::Naive),
+            run(Scoring::Kernel),
+            run(Scoring::Naive),
             "kernel and naive scoring sampled different chains"
         );
     }
@@ -533,7 +517,7 @@ mod tests {
                 d: &Dataset,
                 s0: &CoClustering,
                 master: &MasterRng,
-                scoring: CandidateScoring,
+                scoring: Scoring,
             ) -> std::collections::BTreeMap<String, u64> {
                 let mut s = s0.clone();
                 reassign_vars(&mut e, &mut s, d, master, 0, 0, scoring);
@@ -548,7 +532,7 @@ mod tests {
                 serial[counters::GIBBS_MOVES_PROPOSED] >= serial[counters::GIBBS_MOVES_ACCEPTED]
             );
             match scoring {
-                CandidateScoring::Kernel => {
+                Scoring::Kernel => {
                     assert_eq!(serial[counters::GIBBS_KERNEL_DISPATCHES], 2);
                     // Variable sweeps keep no cache; their removal
                     // deltas are served from the grown count tables.
@@ -559,7 +543,7 @@ mod tests {
                     );
                     assert!(!serial.contains_key(counters::GIBBS_NAIVE_DISPATCHES));
                 }
-                CandidateScoring::Naive => {
+                Scoring::Naive => {
                     assert_eq!(serial[counters::GIBBS_NAIVE_DISPATCHES], 2);
                     assert!(!serial.contains_key(counters::GIBBS_KERNEL_DISPATCHES));
                 }
@@ -582,8 +566,8 @@ mod tests {
         let before = s.score();
         let mut e = SerialEngine::new();
         for step in 0..3 {
-            reassign_vars(&mut e, &mut s, &d, &master, 0, step, CandidateScoring::Kernel);
-            merge_vars(&mut e, &mut s, &d, &master, 0, step, CandidateScoring::Kernel);
+            reassign_vars(&mut e, &mut s, &d, &master, 0, step, Scoring::Kernel);
+            merge_vars(&mut e, &mut s, &d, &master, 0, step, Scoring::Kernel);
         }
         let after = s.score();
         assert!(after > before, "score went from {before} to {after}");
@@ -600,7 +584,7 @@ mod tests {
                 .map(|&sl| s.cluster(sl).clone())
                 .collect();
             reassign_obs(&mut e, &mut s, &d, &master, 0, 0, slots[0], scoring);
-            merge_obs(&mut e, &mut s, &d, &master, 0, 0, slots[0], scoring);
+            merge_obs(&mut e, &mut s, &master, 0, 0, slots[0], scoring);
             // Observation moves in cluster 0 must not touch other clusters.
             for (cluster, before) in slots[1..]
                 .iter()
@@ -618,32 +602,8 @@ mod tests {
         let (d, mut s, master) = setup();
         let mut e = SerialEngine::new();
         let before = s.n_active();
-        merge_vars(&mut e, &mut s, &d, &master, 0, 0, CandidateScoring::Kernel);
+        merge_vars(&mut e, &mut s, &d, &master, 0, 0, Scoring::Kernel);
         assert!(s.n_active() <= before);
         assert!(s.n_active() >= 1);
-    }
-
-    /// Reference mode cannot use the tile caches; the kernel request
-    /// falls back to the (hoisted) naive path and is counted as such.
-    #[test]
-    fn reference_mode_falls_back_to_naive_path() {
-        let d = synthetic::yeast_like(14, 10, 3).dataset;
-        let master = MasterRng::new(9);
-        let mk = |mode| {
-            CoClustering::random_init(&d, 4, NormalGamma::default(), mode, &master, 0)
-        };
-        let mut s_ref = mk(ScoreMode::Reference);
-        let mut s_inc = mk(ScoreMode::Incremental);
-        let mut e = SerialEngine::new();
-        reassign_vars(&mut e, &mut s_ref, &d, &master, 0, 0, CandidateScoring::Kernel);
-        e.report();
-        let now = e.now_s();
-        let c = e.obs().snapshot(now).counters;
-        assert_eq!(c[counters::GIBBS_NAIVE_DISPATCHES], 1);
-        assert!(!c.contains_key(counters::GIBBS_KERNEL_DISPATCHES));
-        // And it samples the same clustering as incremental mode.
-        let mut e2 = SerialEngine::new();
-        reassign_vars(&mut e2, &mut s_inc, &d, &master, 0, 0, CandidateScoring::Kernel);
-        assert_eq!(s_ref.var_cluster_members(), s_inc.var_cluster_members());
     }
 }

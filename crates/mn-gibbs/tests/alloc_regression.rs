@@ -19,7 +19,7 @@ use mn_gibbs::scorer::var_candidate;
 use mn_gibbs::sweep::reassign_vars;
 use mn_gibbs::{CoClustering, SweepScorer};
 use mn_rand::MasterRng;
-use mn_score::{CandidateScoring, NormalGamma, ScoreMode};
+use mn_score::{NormalGamma, Scoring};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,14 +79,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn setup(k: usize) -> (Dataset, CoClustering, MasterRng) {
     let d = synthetic::yeast_like(2 * k, 12, 7).dataset;
     let master = MasterRng::new(3);
-    let s = CoClustering::random_init(
-        &d,
-        k,
-        NormalGamma::default(),
-        ScoreMode::Incremental,
-        &master,
-        0,
-    );
+    let s = CoClustering::random_init(&d, k, NormalGamma::default(), &master, 0);
     (d, s, master)
 }
 
@@ -121,7 +114,7 @@ fn sweep_allocs_and_peak(k: usize) -> (u64, u64, usize) {
     let mut e = SerialEngine::new();
     let before = ALLOCS.load(Ordering::Relaxed);
     let live = reset_peak();
-    reassign_vars(&mut e, &mut s, &d, &master, 0, 0, CandidateScoring::Kernel);
+    reassign_vars(&mut e, &mut s, &d, &master, 0, 0, Scoring::Kernel);
     let peak = PEAK.load(Ordering::Relaxed) - live;
     let per_proposal = (ALLOCS.load(Ordering::Relaxed) - before) / d.n_vars() as u64;
     (per_proposal, peak, n_cand)

@@ -10,59 +10,51 @@ use mn_data::{synthetic, Dataset};
 use mn_gibbs::{ganesh_with_scoring, CoClustering, GaneshParams};
 use mn_obs::counters;
 use mn_rand::MasterRng;
-use mn_score::{CandidateScoring, ScoreMode};
+use mn_score::Scoring;
 use std::collections::BTreeMap;
 
 fn data() -> Dataset {
     synthetic::yeast_like(20, 14, 9).dataset
 }
 
-fn params(mode: ScoreMode) -> GaneshParams {
+fn params() -> GaneshParams {
     GaneshParams {
         init_clusters: Some(6),
         update_steps: 2,
-        mode,
         ..GaneshParams::default()
     }
 }
 
-fn run<E: ParEngine>(
-    engine: &mut E,
-    d: &Dataset,
-    scoring: CandidateScoring,
-    mode: ScoreMode,
-) -> CoClustering {
+fn run<E: ParEngine>(engine: &mut E, d: &Dataset, scoring: Scoring) -> CoClustering {
     let master = MasterRng::new(11);
-    ganesh_with_scoring(engine, d, &master, 0, &params(mode), scoring)
+    ganesh_with_scoring(engine, d, &master, 0, &params(), scoring)
 }
 
 #[test]
 fn kernel_matches_naive_on_every_engine_and_rank_count() {
     let d = data();
-    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-        let reference = run(&mut SerialEngine::new(), &d, CandidateScoring::Naive, mode);
+    let reference = run(&mut SerialEngine::new(), &d, Scoring::Naive);
+    assert_eq!(
+        run(&mut SerialEngine::new(), &d, Scoring::Kernel),
+        reference,
+        "serial kernel diverged"
+    );
+    assert_eq!(
+        run(&mut ThreadEngine::new(3), &d, Scoring::Kernel),
+        reference,
+        "thread kernel diverged"
+    );
+    for p in [2usize, 4, 9] {
         assert_eq!(
-            run(&mut SerialEngine::new(), &d, CandidateScoring::Kernel, mode),
+            run(&mut SimEngine::new(p), &d, Scoring::Kernel),
             reference,
-            "serial kernel diverged ({mode:?})"
+            "sim kernel p={p} diverged"
         );
-        assert_eq!(
-            run(&mut ThreadEngine::new(3), &d, CandidateScoring::Kernel, mode),
-            reference,
-            "thread kernel diverged ({mode:?})"
-        );
-        for p in [2usize, 4, 9] {
-            assert_eq!(
-                run(&mut SimEngine::new(p), &d, CandidateScoring::Kernel, mode),
-                reference,
-                "sim kernel p={p} diverged ({mode:?})"
-            );
-        }
-        for p in [2usize, 3] {
-            let results = spmd_run(p, |e| run(e, &d, CandidateScoring::Kernel, mode));
-            for (rank, r) in results.into_iter().enumerate() {
-                assert_eq!(r, reference, "msg rank {rank}/{p} diverged ({mode:?})");
-            }
+    }
+    for p in [2usize, 3] {
+        let results = spmd_run(p, |e| run(e, &d, Scoring::Kernel));
+        for (rank, r) in results.into_iter().enumerate() {
+            assert_eq!(r, reference, "msg rank {rank}/{p} diverged");
         }
     }
 }
@@ -89,15 +81,15 @@ fn strip(mut c: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
 #[test]
 fn counters_agree_modulo_path_markers() {
     let d = data();
-    let counts = |scoring: CandidateScoring| {
+    let counts = |scoring: Scoring| {
         let mut e = SerialEngine::new();
-        run(&mut e, &d, scoring, ScoreMode::Incremental);
+        run(&mut e, &d, scoring);
         e.report();
         let now = e.now_s();
         e.obs().snapshot(now).counters
     };
-    let kernel = counts(CandidateScoring::Kernel);
-    let naive = counts(CandidateScoring::Naive);
+    let kernel = counts(Scoring::Kernel);
+    let naive = counts(Scoring::Naive);
     assert!(kernel[counters::GIBBS_CACHE_HITS] > 0, "kernel cache never hit");
     let lg_calls = kernel[counters::SCORE_LN_GAMMA_CALLS];
     let lg_hits = kernel[counters::SCORE_LN_GAMMA_TABLE_HITS];
@@ -115,14 +107,14 @@ fn paths_charge_identical_work() {
     let d = data();
     let mut ea = SerialEngine::new();
     let mut eb = SerialEngine::new();
-    run(&mut ea, &d, CandidateScoring::Naive, ScoreMode::Incremental);
-    run(&mut eb, &d, CandidateScoring::Kernel, ScoreMode::Incremental);
+    run(&mut ea, &d, Scoring::Naive);
+    run(&mut eb, &d, Scoring::Kernel);
     assert_eq!(ea.work_units(), eb.work_units());
     for p in [4usize, 9] {
         let mut sa = SimEngine::new(p);
         let mut sb = SimEngine::new(p);
-        run(&mut sa, &d, CandidateScoring::Naive, ScoreMode::Incremental);
-        run(&mut sb, &d, CandidateScoring::Kernel, ScoreMode::Incremental);
+        run(&mut sa, &d, Scoring::Naive);
+        run(&mut sb, &d, Scoring::Kernel);
         assert_eq!(sa.report(), sb.report(), "sim report diverged at p={p}");
     }
 }
@@ -144,19 +136,19 @@ fn many_clusters_few_observations_kernel_matches_naive() {
     fn go<E: ParEngine>(
         e: &mut E,
         d: &Dataset,
-        scoring: CandidateScoring,
+        scoring: Scoring,
     ) -> ((CoClustering, BTreeMap<String, u64>), RunReport) {
         let p = GaneshParams {
             init_clusters: Some(d.n_vars() / 2),
-            ..params(ScoreMode::Incremental)
+            ..params()
         };
         let state = ganesh_with_scoring(e, d, &MasterRng::new(11), 0, &p, scoring);
         let report = e.report();
         let now = e.now_s();
         ((state, strip(e.obs().snapshot(now).counters)), report)
     }
-    const NAIVE: CandidateScoring = CandidateScoring::Naive;
-    const KERNEL: CandidateScoring = CandidateScoring::Kernel;
+    const NAIVE: Scoring = Scoring::Naive;
+    const KERNEL: Scoring = Scoring::Kernel;
 
     let mut ea = SerialEngine::new();
     let mut eb = SerialEngine::new();

@@ -7,7 +7,7 @@ use mn_data::synthetic;
 use mn_gibbs::scorer::{obs_candidate, obs_merge_candidate, var_candidate, var_merge_candidate};
 use mn_gibbs::{CoClustering, MoveTarget, SweepScorer};
 use mn_rand::MasterRng;
-use mn_score::{NormalGamma, ScoreMode};
+use mn_score::NormalGamma;
 use proptest::prelude::*;
 
 /// A symbolic move, resolved against the current state when applied.
@@ -117,7 +117,6 @@ proptest! {
             &data,
             4,
             NormalGamma::default(),
-            ScoreMode::Incremental,
             &MasterRng::new(seed),
             0,
         );
@@ -144,7 +143,6 @@ proptest! {
             &data,
             4,
             NormalGamma::default(),
-            ScoreMode::Incremental,
             &MasterRng::new(seed),
             0,
         );
@@ -189,7 +187,6 @@ proptest! {
             &data,
             4,
             NormalGamma::default(),
-            ScoreMode::Incremental,
             &MasterRng::new(seed),
             0,
         );
@@ -268,7 +265,6 @@ proptest! {
             &data,
             4,
             NormalGamma::default(),
-            ScoreMode::Incremental,
             &MasterRng::new(seed),
             0,
         );
@@ -291,7 +287,7 @@ proptest! {
                     let naive = if t == from {
                         (0.0, 1)
                     } else {
-                        state.obs_merge_delta(&data, slot, from, t)
+                        state.obs_merge_delta(slot, from, t)
                     };
                     prop_assert_eq!((w.to_bits(), work), (naive.0.to_bits(), naive.1));
                 }

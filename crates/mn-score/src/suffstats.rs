@@ -4,9 +4,7 @@
 //! some block of matrix entries — a co-clustering *tile* (variable
 //! cluster × observation cluster), the observations at a regression-tree
 //! node, or a split's two sides. The optimized scorer of §4.1 maintains
-//! these incrementally (add/remove/merge in O(1)); the reference scorer
-//! recomputes them from raw values each time, reproducing the cost
-//! profile of the Java Lemon-Tree implementation.
+//! these incrementally (add/remove/merge in O(1)).
 
 use serde::{Deserialize, Serialize};
 

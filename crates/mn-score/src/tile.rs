@@ -6,8 +6,7 @@
 //! values `{ D[v][o] : v ∈ V, o ∈ O_j }`. These helpers compute tile
 //! statistics and full co-clustering scores from scratch; they are the
 //! ground truth the incremental bookkeeping in `mn-gibbs` is tested
-//! against, and the implementation the *reference* (Lemon-Tree-like)
-//! scorer mode uses directly.
+//! against.
 
 use crate::normal_gamma::{NormalGamma, PriorConsts};
 use crate::suffstats::SuffStats;

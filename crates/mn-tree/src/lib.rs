@@ -7,7 +7,7 @@
 //! and weighted/uniform random selection (Algorithm 5), and deriving
 //! the module's parent scores (Algorithm 6 / `Learn-Parents`).
 //!
-//! * [`params`] — the task parameters `U, B, J, S` plus prior and mode.
+//! * [`params`] — the task parameters `U, B, J, S` plus the prior.
 //! * [`tree`] — regression-tree structures and Bayesian hierarchical
 //!   merging.
 //! * [`splits`] — the flat candidate-split list, posterior computation
@@ -28,7 +28,10 @@ pub mod tree;
 pub use params::TreeParams;
 pub use parents::{learn_parents, ModuleParents};
 pub use splits::{
-    assign_splits, assign_splits_in, assign_splits_naive, ChosenSplit, NodeSplits, SplitAssignment, SplitContext,
+    assign_splits, assign_splits_in, ChosenSplit, NodeSplits, SplitAssignment, SplitContext,
     SplitIndex,
 };
-pub use tree::{build_tree, build_tree_with, learn_module_trees, ModuleEnsemble, RegTree, TreeNode};
+pub use tree::{
+    build_tree, build_tree_with, learn_module_trees, learn_module_trees_with_scoring,
+    ModuleEnsemble, RegTree, TreeNode,
+};

@@ -1,6 +1,6 @@
 //! Parameters of the module-learning task.
 
-use mn_score::{NormalGamma, ScoreMode};
+use mn_score::NormalGamma;
 use serde::{Deserialize, Serialize};
 
 /// Parameters for Algorithms 4–6 (tree structures, split assignment,
@@ -24,8 +24,6 @@ pub struct TreeParams {
     pub max_sampling_steps: usize,
     /// The normal-gamma prior for node/merge scores.
     pub prior: NormalGamma,
-    /// Scoring implementation mode (cost profile; decisions identical).
-    pub mode: ScoreMode,
 }
 
 impl Default for TreeParams {
@@ -36,7 +34,6 @@ impl Default for TreeParams {
             splits_per_node: 2,
             max_sampling_steps: 8,
             prior: NormalGamma::default(),
-            mode: ScoreMode::Incremental,
         }
     }
 }

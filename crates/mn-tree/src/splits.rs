@@ -48,7 +48,7 @@ use mn_comm::{Collective, ParEngine, Segments};
 use mn_data::Dataset;
 use mn_obs::counters;
 use mn_rand::{select_unif_rand, select_wtd_rand_batch, Domain, Lcg128, MasterRng};
-use mn_score::{ScoreMode, ScratchPool, SplitScoring, SplitScratch, COST_CELL};
+use mn_score::{Scoring, ScratchPool, SplitScratch, COST_CELL};
 use serde::{Deserialize, Serialize};
 
 /// One node's entry in the flat candidate-split index.
@@ -225,13 +225,18 @@ fn separation_score(row: &[f64], value: f64, node_obs: &[usize], mask: Bits<'_>)
 }
 
 /// Posterior of one candidate split, with work accounting — the naive
-/// path: one exact separation pass per candidate.
+/// path: one exact separation pass per candidate, then `s_eff`
+/// Monte-Carlo confirmation rounds drawn from the candidate's own PRNG
+/// stream. The reported work is the closed form the kernel path
+/// ([`score_range_fast`]) charges too, so per-item accounting — and
+/// therefore every simulated-imbalance figure — is identical between
+/// the two paths.
 ///
 /// Deterministic: the Monte-Carlo confirmation generator is keyed by
 /// the flat item index (a cheap O(1)-construction `Lcg128`; millions
 /// of per-item streams make a full ChaCha key schedule per item the
 /// dominant cost otherwise), so every engine, rank count, and scoring
-/// mode draws the same values.
+/// path draws the same values.
 #[allow(clippy::too_many_arguments)]
 fn split_posterior(
     row: &[f64],
@@ -243,31 +248,6 @@ fn split_posterior(
     mask: Bits<'_>,
 ) -> (f64, u64) {
     let sigma = separation_score(row, value, node_obs, mask);
-    let mut gather = Vec::new();
-    mc_confirm(
-        row, seed, params, item, value, node_obs, mask, sigma, &mut gather,
-    )
-}
-
-/// The Monte-Carlo confirmation shared by the naive and the batched
-/// kernel paths: given the exact separation score σ of a candidate
-/// (however it was computed), draw `s_eff` sampling rounds from the
-/// candidate's own PRNG stream and derive the posterior. The reported
-/// work includes the exact pass (`n` cells) so that per-item
-/// accounting — and therefore every simulated-imbalance figure — is
-/// identical between the two paths.
-#[allow(clippy::too_many_arguments)]
-fn mc_confirm(
-    row: &[f64],
-    seed: u64,
-    params: &TreeParams,
-    item: usize,
-    value: f64,
-    node_obs: &[usize],
-    mask: Bits<'_>,
-    sigma: f64,
-    gather: &mut Vec<f64>,
-) -> (f64, u64) {
     let n = node_obs.len();
     let s_eff = 1 + (params.max_sampling_steps as f64 * (1.0 - sigma.abs())).floor() as usize;
 
@@ -283,19 +263,6 @@ fn mc_confirm(
             let pick = rng.index_one_draw(n);
             let consistent = (row[node_obs[pick]] <= value) == mask.get(pick);
             agree += if consistent { 1 } else { -1 };
-        }
-        if params.mode == ScoreMode::Reference {
-            // The Java cost profile: no caching of the exact pass — the
-            // reference implementation re-materializes the node's value
-            // list and re-derives the separation score every sampling
-            // round. The gather lands in a reusable arena buffer; the
-            // per-round work charge (the actual cost model) is
-            // unchanged.
-            gather.clear();
-            gather.extend(node_obs.iter().map(|&o| row[o]));
-            std::hint::black_box(&*gather);
-            std::hint::black_box(separation_score(row, value, node_obs, mask));
-            work += 2 * n as u64 * COST_CELL;
         }
     }
     work += (s_eff * n) as u64 * COST_CELL;
@@ -357,15 +324,11 @@ impl McBucket {
 #[derive(Debug, Default)]
 struct SegScratch {
     split: SplitScratch,
-    /// Unpacked membership mask (`ScoreMode::Reference` only).
-    bools: Vec<bool>,
     /// Monte-Carlo survivors bucketed by `s_eff` in one pass
     /// (`buckets[se - 1]` holds the `s_eff = se` class, item order
     /// preserved within each bucket).
     buckets: Vec<McBucket>,
     hits: Vec<u64>,
-    /// Reference-mode per-round value gather.
-    gather: Vec<f64>,
 }
 
 /// Reusable state of the split-assignment phase: the scoring scratch
@@ -397,9 +360,9 @@ impl SplitContext {
 /// weighted plus `J` uniform splits per node (Algorithm 5).
 ///
 /// `candidate_parents` is the paper's `P` (§5.1 uses all variables).
-/// Convenience wrapper over [`assign_splits_in`] with a fresh
-/// [`SplitContext`]; callers invoking the phase repeatedly should hold
-/// a context of their own to keep the arenas warm.
+/// Convenience wrapper over [`assign_splits_in`] on the kernel path
+/// with a fresh [`SplitContext`]; callers invoking the phase repeatedly
+/// should hold a context of their own to keep the arenas warm.
 pub fn assign_splits<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
@@ -408,7 +371,6 @@ pub fn assign_splits<E: ParEngine>(
     candidate_parents: &[usize],
     params: &TreeParams,
 ) -> SplitAssignment {
-    let mut ctx = SplitContext::new();
     assign_splits_in(
         engine,
         data,
@@ -416,67 +378,26 @@ pub fn assign_splits<E: ParEngine>(
         ensembles,
         candidate_parents,
         params,
-        &mut ctx,
+        Scoring::Kernel,
+        &mut SplitContext::new(),
     )
 }
 
-/// [`assign_splits`] against caller-owned scratch arenas.
-pub fn assign_splits_in<E: ParEngine>(
-    engine: &mut E,
-    data: &Dataset,
-    master: &MasterRng,
-    ensembles: &[ModuleEnsemble],
-    parents: &[usize],
-    params: &TreeParams,
-    ctx: &mut SplitContext,
-) -> SplitAssignment {
-    assign(
-        engine,
-        data,
-        master,
-        ensembles,
-        parents,
-        params,
-        SplitScoring::Kernel,
-        ctx,
-    )
-}
-
-/// [`assign_splits_in`] on the naive per-candidate pass: the test
-/// oracle. Bit-identical assignments and per-item work at the
-/// per-candidate cost; the A/B suites and the `mn-bench` records
-/// compare the kernel against it.
-#[doc(hidden)]
-pub fn assign_splits_naive<E: ParEngine>(
-    engine: &mut E,
-    data: &Dataset,
-    master: &MasterRng,
-    ensembles: &[ModuleEnsemble],
-    parents: &[usize],
-    params: &TreeParams,
-    ctx: &mut SplitContext,
-) -> SplitAssignment {
-    assign(
-        engine,
-        data,
-        master,
-        ensembles,
-        parents,
-        params,
-        SplitScoring::Naive,
-        ctx,
-    )
-}
-
+/// [`assign_splits`] against caller-owned scratch arenas, with the
+/// exact pass on the path `scoring` picks. `Scoring::Naive` rescans the
+/// node per candidate: bit-identical assignments and per-item work at
+/// the per-candidate cost — the oracle the A/B suites and the
+/// `mn-bench` records compare the kernel against, and the split
+/// assignment of `monet --reference`.
 #[allow(clippy::too_many_arguments)]
-fn assign<E: ParEngine>(
+pub fn assign_splits_in<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     master: &MasterRng,
     ensembles: &[ModuleEnsemble],
     candidate_parents: &[usize],
     params: &TreeParams,
-    scoring: SplitScoring,
+    scoring: Scoring,
     ctx: &mut SplitContext,
 ) -> SplitAssignment {
     let index = SplitIndex::build(ensembles, candidate_parents.len());
@@ -487,8 +408,8 @@ fn assign<E: ParEngine>(
     engine.count(counters::SPLITS_NODES, index.nodes.len() as u64);
     engine.count(
         match scoring {
-            SplitScoring::Naive => counters::SPLITS_NAIVE_DISPATCHES,
-            SplitScoring::Kernel => counters::SPLITS_KERNEL_DISPATCHES,
+            Scoring::Naive => counters::SPLITS_NAIVE_DISPATCHES,
+            Scoring::Kernel => counters::SPLITS_KERNEL_DISPATCHES,
         },
         1,
     );
@@ -497,7 +418,7 @@ fn assign<E: ParEngine>(
     // scheduling-independent quantity: every segment after the first
     // scores into buffers a previous segment already warmed.
     let scratch_reuses = index.nodes.len().saturating_sub(1) as u64;
-    if scoring == SplitScoring::Kernel && scratch_reuses > 0 {
+    if scoring == Scoring::Kernel && scratch_reuses > 0 {
         engine.count(counters::SCORE_SCRATCH_REUSES, scratch_reuses);
     }
 
@@ -519,9 +440,9 @@ fn assign<E: ParEngine>(
     // candidate list — the phase whose imbalance the paper measures.
     // Both execution paths produce bit-identical posteriors and report
     // identical per-item costs; the kernel amortizes the exact
-    // separation pass over each (node, parent) run it is handed and,
-    // in Incremental mode, batches the Monte-Carlo confirmation draws
-    // through a vectorized replay of the same per-item generators.
+    // separation pass over each (node, parent) run it is handed and
+    // batches the Monte-Carlo confirmation draws through a vectorized
+    // replay of the same per-item generators.
     let index_ref = &index;
     let mask_words: &[u64] = &ctx.mask_words;
     let mask_offsets: &[usize] = &ctx.mask_offsets;
@@ -531,7 +452,7 @@ fn assign<E: ParEngine>(
     let seed = master.seed();
     engine.span_enter("score-splits");
     let posteriors: Vec<f64> = match scoring {
-        SplitScoring::Naive => engine.dist_map_segmented(&segments, 1, &|item| {
+        Scoring::Naive => engine.dist_map_segmented(&segments, 1, &|item| {
             let (pos, parent_pos, obs_pos) = index_ref.locate(item);
             let entry = &index_ref.nodes[pos];
             let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
@@ -540,15 +461,13 @@ fn assign<E: ParEngine>(
             let value = row[node.obs[obs_pos]];
             split_posterior(row, seed, params, item, value, &node.obs, node_mask(pos))
         }),
-        SplitScoring::Kernel => {
+        Scoring::Kernel => {
             let pool = &ctx.pool;
             engine.dist_map_segmented_batch(&segments, 1, &|pos, range, out| {
                 let entry = &index_ref.nodes[pos];
                 let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
-                let mask = node_mask(pos);
                 let n = entry.n_obs;
                 let mut guard = pool.acquire();
-                let sc = &mut *guard;
                 // The range may start or end mid-run when a block
                 // boundary bisects the segment; each overlapped
                 // (node, parent) run still needs the full sorted pass
@@ -557,52 +476,20 @@ fn assign<E: ParEngine>(
                 // emitted.
                 let first_parent = (range.start - entry.base) / n;
                 let last_parent = (range.end - 1 - entry.base) / n;
-                if params.mode == ScoreMode::Incremental {
-                    score_range_fast(
-                        sc,
-                        data,
-                        seed,
-                        params,
-                        entry,
-                        &node.obs,
-                        mask,
-                        candidate_parents,
-                        &range,
-                        first_parent,
-                        last_parent,
-                        out,
-                    );
-                } else {
-                    // The Table 1 cost emulation: per-item scalar
-                    // confirmation with the reference per-round work.
-                    sc.bools.clear();
-                    sc.bools.extend((0..n).map(|i| mask.get(i)));
-                    for (off, &var) in candidate_parents[first_parent..=last_parent]
-                        .iter()
-                        .enumerate()
-                    {
-                        let run_start = entry.base + (first_parent + off) * n;
-                        let lo = range.start.max(run_start);
-                        let hi = range.end.min(run_start + n);
-                        let row = data.values(var);
-                        let sigmas = sc.split.compute(row, &node.obs, &sc.bools);
-                        for item in lo..hi {
-                            let obs_pos = item - run_start;
-                            let value = row[node.obs[obs_pos]];
-                            out.push(mc_confirm(
-                                row,
-                                seed,
-                                params,
-                                item,
-                                value,
-                                &node.obs,
-                                mask,
-                                sigmas[obs_pos],
-                                &mut sc.gather,
-                            ));
-                        }
-                    }
-                }
+                score_range_fast(
+                    &mut guard,
+                    data,
+                    seed,
+                    params,
+                    entry,
+                    &node.obs,
+                    node_mask(pos),
+                    candidate_parents,
+                    &range,
+                    first_parent,
+                    last_parent,
+                    out,
+                );
             })
         }
     };
@@ -677,7 +564,7 @@ fn assign<E: ParEngine>(
     SplitAssignment { index, node_splits }
 }
 
-/// The fast Monte-Carlo path (Incremental mode, nodes of any width):
+/// The fast Monte-Carlo path (nodes of any width):
 /// score `range` of node `entry`, appending one `(posterior, work)`
 /// per item to `out`.
 ///
@@ -926,43 +813,21 @@ mod tests {
 
     #[test]
     fn modes_choose_identical_splits() {
+        // The Table-1 contract: the kernel and the naive pass that
+        // `--reference` runs choose the same splits at the same
+        // reported work (only the wall-clock cost differs).
         let (d, ensembles, master) = setup();
         let parents: Vec<usize> = (0..d.n_vars()).collect();
-        let pi = TreeParams {
-            mode: ScoreMode::Incremental,
-            ..TreeParams::default()
+        let params = TreeParams::default();
+        let run = |scoring| {
+            let mut e = SerialEngine::new();
+            let ctx = &mut SplitContext::new();
+            let out = assign_splits_in(
+                &mut e, &d, &master, &ensembles, &parents, &params, scoring, ctx,
+            );
+            (out, e.work_units())
         };
-        let pr = TreeParams {
-            mode: ScoreMode::Reference,
-            ..TreeParams::default()
-        };
-        let a = assign_splits(&mut SerialEngine::new(), &d, &master, &ensembles, &parents, &pi);
-        let b = assign_splits(&mut SerialEngine::new(), &d, &master, &ensembles, &parents, &pr);
-        assert_eq!(a.node_splits, b.node_splits);
-    }
-
-    #[test]
-    fn reference_mode_costs_more() {
-        let (d, ensembles, master) = setup();
-        let parents: Vec<usize> = (0..d.n_vars()).collect();
-        let pi = TreeParams {
-            mode: ScoreMode::Incremental,
-            ..TreeParams::default()
-        };
-        let pr = TreeParams {
-            mode: ScoreMode::Reference,
-            ..TreeParams::default()
-        };
-        let mut ei = SerialEngine::new();
-        let mut er = SerialEngine::new();
-        assign_splits(&mut ei, &d, &master, &ensembles, &parents, &pi);
-        assign_splits(&mut er, &d, &master, &ensembles, &parents, &pr);
-        assert!(
-            er.work_units() as f64 > 1.8 * ei.work_units() as f64,
-            "reference {} vs incremental {}",
-            er.work_units(),
-            ei.work_units()
-        );
+        assert_eq!(run(Scoring::Kernel), run(Scoring::Naive));
     }
 
     #[test]
@@ -1049,6 +914,7 @@ mod tests {
                 &ensembles,
                 &parents,
                 &params,
+                Scoring::Kernel,
                 &mut ctx,
             );
             assert_eq!(fresh, again);
@@ -1128,13 +994,14 @@ mod tests {
             "setup must produce at least one wide node"
         );
         let params = TreeParams::default();
-        let naive = assign_splits_naive(
+        let naive = assign_splits_in(
             &mut SerialEngine::new(),
             &d,
             &master,
             &ensembles,
             &parents,
             &params,
+            Scoring::Naive,
             &mut SplitContext::new(),
         );
         let kernel = assign_splits(

@@ -16,7 +16,7 @@ use mn_data::Dataset;
 use mn_gibbs::{sample_obs_partitions, ObsPartition};
 use mn_obs::counters;
 use mn_rand::MasterRng;
-use mn_score::{PriorConsts, ScoreMode, SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{PriorConsts, Scoring, SuffStats, COST_LOGMARG};
 use serde::{Deserialize, Serialize};
 
 /// One node of a regression tree.
@@ -108,42 +108,17 @@ impl RegTree {
     }
 }
 
-/// Merge gain of two subtree roots, with the cost profile of `mode`.
-///
-/// The incremental path evaluates all three marginals through the
+/// Merge gain of two subtree roots: all three marginals through the
 /// build's shared [`PriorConsts`], whose count tables are grown in
 /// replicated control flow before each merge round — so lookups here
 /// are read-only (and bit-identical to direct Lanczos by construction).
-fn merge_gain(
-    data: &Dataset,
-    vars: &[usize],
-    a: &TreeNode,
-    b: &TreeNode,
-    params: &TreeParams,
-    consts: &PriorConsts,
-) -> (f64, u64) {
-    match params.mode {
-        ScoreMode::Incremental => (
-            consts.log_marginal(&SuffStats::merged(&a.stats, &b.stats))
-                - consts.log_marginal(&a.stats)
-                - consts.log_marginal(&b.stats),
-            3 * COST_LOGMARG,
-        ),
-        ScoreMode::Reference => {
-            // From-scratch rebuild of all three blocks (Java profile).
-            let sa = mn_score::tile_stats(data, vars, &a.obs);
-            let sb = mn_score::tile_stats(data, vars, &b.obs);
-            let merged = SuffStats::merged(&sa, &sb);
-            let work = (vars.len() * (a.obs.len() + b.obs.len()) * 2) as u64 * COST_CELL
-                + 3 * COST_LOGMARG;
-            (
-                params.prior.log_marginal(&merged)
-                    - params.prior.log_marginal(&sa)
-                    - params.prior.log_marginal(&sb),
-                work,
-            )
-        }
-    }
+fn merge_gain(a: &TreeNode, b: &TreeNode, consts: &PriorConsts) -> (f64, u64) {
+    (
+        consts.log_marginal(&SuffStats::merged(&a.stats, &b.stats))
+            - consts.log_marginal(&a.stats)
+            - consts.log_marginal(&b.stats),
+        3 * COST_LOGMARG,
+    )
 }
 
 /// Build one regression tree from sampled observation clusters
@@ -154,8 +129,6 @@ fn merge_gain(
 /// maintained by the sampler).
 pub fn build_tree<E: ParEngine>(
     engine: &mut E,
-    data: &Dataset,
-    vars: &[usize],
     partition: &ObsPartition,
     params: &TreeParams,
 ) -> RegTree {
@@ -163,7 +136,7 @@ pub fn build_tree<E: ParEngine>(
     // ensemble learning shares one set across its trees (see
     // `learn_module_trees`).
     let mut consts = PriorConsts::new(&params.prior);
-    build_tree_with(engine, data, vars, partition, params, &mut consts)
+    build_tree_with(engine, partition, &mut consts)
 }
 
 /// [`build_tree`] against caller-owned prior constants, whose `ln Γ` /
@@ -175,10 +148,7 @@ pub fn build_tree<E: ParEngine>(
 /// interrupted run recorded for them.
 pub fn build_tree_with<E: ParEngine>(
     engine: &mut E,
-    data: &Dataset,
-    vars: &[usize],
     partition: &ObsPartition,
-    params: &TreeParams,
     consts: &mut PriorConsts,
 ) -> RegTree {
     let mut nodes: Vec<TreeNode> = partition
@@ -205,28 +175,25 @@ pub fn build_tree_with<E: ParEngine>(
         engine.count(counters::TREE_MERGES, 1);
         let k = roots.len();
         let n_pairs = k * (k - 1) / 2;
-        if params.mode == ScoreMode::Incremental {
-            // Grow the count tables through the largest possible merged
-            // count (the two biggest roots), in replicated control
-            // flow: the scoring map below then only reads them, and
-            // the fill/hit counts are engine- and rank-count-
-            // independent. Each pair's gain performs three table
-            // lookups (merged, left, right), all served from the
-            // tables.
-            let (mut m1, mut m2) = (0u64, 0u64);
-            for &r in &roots {
-                let c = nodes[r].stats.count();
-                if c >= m1 {
-                    m2 = m1;
-                    m1 = c;
-                } else if c > m2 {
-                    m2 = c;
-                }
+        // Grow the count tables through the largest possible merged
+        // count (the two biggest roots), in replicated control flow:
+        // the scoring map below then only reads them, and the fill/hit
+        // counts are engine- and rank-count-independent. Each pair's
+        // gain performs three table lookups (merged, left, right), all
+        // served from the tables.
+        let (mut m1, mut m2) = (0u64, 0u64);
+        for &r in &roots {
+            let c = nodes[r].stats.count();
+            if c >= m1 {
+                m2 = m1;
+                m1 = c;
+            } else if c > m2 {
+                m2 = c;
             }
-            let filled = consts.grow_through((m1 + m2) as usize) as u64;
-            engine.count(counters::SCORE_LN_GAMMA_CALLS, filled + 3 * n_pairs as u64);
-            engine.count(counters::SCORE_LN_GAMMA_TABLE_HITS, 3 * n_pairs as u64);
         }
+        let filled = consts.grow_through((m1 + m2) as usize) as u64;
+        engine.count(counters::SCORE_LN_GAMMA_CALLS, filled + 3 * n_pairs as u64);
+        engine.count(counters::SCORE_LN_GAMMA_TABLE_HITS, 3 * n_pairs as u64);
         let nodes_ref = &nodes;
         let roots_ref = &roots;
         let consts: &PriorConsts = consts;
@@ -243,14 +210,7 @@ pub fn build_tree_with<E: ParEngine>(
         };
         let gains: Vec<f64> = engine.dist_map(n_pairs, 1, &|p| {
             let (i, j) = unpack(p);
-            merge_gain(
-                data,
-                vars,
-                &nodes_ref[roots_ref[i]],
-                &nodes_ref[roots_ref[j]],
-                params,
-                consts,
-            )
+            merge_gain(&nodes_ref[roots_ref[i]], &nodes_ref[roots_ref[j]], consts)
         });
         // Alg. 4 line 15: all-reduce max over the per-rank best scores.
         engine.collective(Collective::AllReduce, 2);
@@ -310,6 +270,21 @@ pub fn learn_module_trees<E: ParEngine>(
     vars: &[usize],
     params: &TreeParams,
 ) -> ModuleEnsemble {
+    learn_module_trees_with_scoring(engine, data, master, module, vars, params, Scoring::Kernel)
+}
+
+/// [`learn_module_trees`] with the observation sampler's
+/// candidate-scoring path chosen by `scoring` (see
+/// `mn_gibbs::ganesh_with_scoring`). The tree merges have one path.
+pub fn learn_module_trees_with_scoring<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    master: &MasterRng,
+    module: usize,
+    vars: &[usize],
+    params: &TreeParams,
+    scoring: Scoring,
+) -> ModuleEnsemble {
     let mut sorted = vars.to_vec();
     sorted.sort_unstable();
     engine.span_enter("module");
@@ -323,7 +298,7 @@ pub fn learn_module_trees<E: ParEngine>(
         params.update_steps,
         params.burn_in,
         params.prior,
-        params.mode,
+        scoring,
     );
     // One set of count tables per module call — the checkpoint unit.
     // Merged-tile sizes repeat heavily across the ensemble's trees
@@ -332,7 +307,7 @@ pub fn learn_module_trees<E: ParEngine>(
     let mut consts = PriorConsts::new(&params.prior);
     let trees = partitions
         .iter()
-        .map(|part| build_tree_with(engine, data, &sorted, part, params, &mut consts))
+        .map(|part| build_tree_with(engine, part, &mut consts))
         .collect();
     engine.span_exit();
     ModuleEnsemble {
@@ -365,7 +340,7 @@ mod tests {
             2,
             1,
             TreeParams::default().prior,
-            ScoreMode::Incremental,
+            Scoring::Kernel,
         )
         .pop()
         .unwrap()
@@ -376,7 +351,7 @@ mod tests {
         let (d, vars) = setup();
         let part = partition(&d, &vars);
         let mut e = SerialEngine::new();
-        let tree = build_tree(&mut e, &d, &vars, &part, &TreeParams::default());
+        let tree = build_tree(&mut e, &part, &TreeParams::default());
         tree.validate();
         assert_eq!(tree.nodes[tree.root].obs.len(), d.n_obs());
         assert_eq!(tree.n_leaves(), part.n_active());
@@ -389,28 +364,11 @@ mod tests {
         let (d, vars) = setup();
         let part = partition(&d, &vars);
         let p = TreeParams::default();
-        let a = build_tree(&mut SerialEngine::new(), &d, &vars, &part, &p);
-        let b = build_tree(&mut ThreadEngine::new(3), &d, &vars, &part, &p);
-        let c = build_tree(&mut SimEngine::new(512), &d, &vars, &part, &p);
+        let a = build_tree(&mut SerialEngine::new(), &part, &p);
+        let b = build_tree(&mut ThreadEngine::new(3), &part, &p);
+        let c = build_tree(&mut SimEngine::new(512), &part, &p);
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn modes_build_identical_trees() {
-        let (d, vars) = setup();
-        let part = partition(&d, &vars);
-        let pi = TreeParams {
-            mode: ScoreMode::Incremental,
-            ..TreeParams::default()
-        };
-        let pr = TreeParams {
-            mode: ScoreMode::Reference,
-            ..TreeParams::default()
-        };
-        let a = build_tree(&mut SerialEngine::new(), &d, &vars, &part, &pi);
-        let b = build_tree(&mut SerialEngine::new(), &d, &vars, &part, &pr);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -420,11 +378,10 @@ mod tests {
         let (d, vars) = setup();
         let part = partition(&d, &vars);
         let p = TreeParams::default();
-        let fresh = build_tree(&mut SerialEngine::new(), &d, &vars, &part, &p);
+        let fresh = build_tree(&mut SerialEngine::new(), &part, &p);
         let mut consts = PriorConsts::new(&p.prior);
         for _ in 0..2 {
-            let shared =
-                build_tree_with(&mut SerialEngine::new(), &d, &vars, &part, &p, &mut consts);
+            let shared = build_tree_with(&mut SerialEngine::new(), &part, &mut consts);
             assert_eq!(fresh, shared);
         }
         assert!(consts.covers(0));
@@ -436,7 +393,7 @@ mod tests {
         let mut part = ObsPartition::single_cluster(d.n_obs());
         part.rebuild_stats(&d, &vars, &PriorConsts::new(&TreeParams::default().prior));
         let mut e = SerialEngine::new();
-        let tree = build_tree(&mut e, &d, &vars, &part, &TreeParams::default());
+        let tree = build_tree(&mut e, &part, &TreeParams::default());
         tree.validate();
         assert_eq!(tree.n_leaves(), 1);
         assert!(tree.internal_nodes().is_empty());
@@ -488,7 +445,7 @@ mod tests {
         part.move_obs(5, &col(5), Some(s4), &consts);
 
         let mut e = SerialEngine::new();
-        let tree = build_tree(&mut e, &d, &vars, &part, &TreeParams::default());
+        let tree = build_tree(&mut e, &part, &TreeParams::default());
         tree.validate();
         // First internal node (index 3 after 3 leaves) merges leaves 0/1.
         let first_merge = &tree.nodes[3];

@@ -10,6 +10,7 @@
 use mn_comm::SerialEngine;
 use mn_data::synthetic;
 use mn_rand::MasterRng;
+use mn_score::Scoring;
 use mn_tree::{assign_splits_in, learn_module_trees, SplitContext, TreeParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,6 +77,7 @@ fn assert_warm_allocations_stay_per_node(n_vars: usize, n_obs: usize, seed: u64)
             &ensembles,
             &parents,
             &params,
+            Scoring::Kernel,
             ctx,
         );
         (ALLOCS.load(Ordering::Relaxed) - before, out)

@@ -1,18 +1,15 @@
 //! A/B determinism of the split-assignment execution paths: the
 //! batched prefix-sum kernel and the naive per-candidate oracle must
 //! produce byte-identical serialized [`SplitAssignment`]s for every
-//! engine, rank count, and scoring mode — and (on the simulated
-//! machine) identical per-item work accounting, so all imbalance
-//! figures are path-independent.
+//! engine and rank count — and (on the simulated machine) identical
+//! per-item work accounting, so all imbalance figures are
+//! path-independent.
 
 use mn_comm::{ParEngine, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::{synthetic, Dataset};
 use mn_rand::MasterRng;
-use mn_score::{ScoreMode, SplitScoring};
-use mn_tree::{
-    assign_splits, assign_splits_naive, learn_module_trees, ModuleEnsemble, SplitContext,
-    TreeParams,
-};
+use mn_score::Scoring;
+use mn_tree::{assign_splits_in, learn_module_trees, ModuleEnsemble, SplitContext, TreeParams};
 
 fn setup() -> (Dataset, Vec<ModuleEnsemble>, MasterRng) {
     let d = synthetic::yeast_like(14, 18, 77).dataset;
@@ -31,81 +28,68 @@ fn assignment_json<E: ParEngine>(
     d: &Dataset,
     master: &MasterRng,
     ensembles: &[ModuleEnsemble],
-    scoring: SplitScoring,
-    mode: ScoreMode,
+    scoring: Scoring,
 ) -> String {
     let parents: Vec<usize> = (0..d.n_vars()).collect();
-    let params = TreeParams {
-        mode,
-        ..TreeParams::default()
-    };
-    let out = match scoring {
-        SplitScoring::Kernel => assign_splits(engine, d, master, ensembles, &parents, &params),
-        SplitScoring::Naive => {
-            let ctx = &mut SplitContext::new();
-            assign_splits_naive(engine, d, master, ensembles, &parents, &params, ctx)
-        }
-    };
+    let params = TreeParams::default();
+    let ctx = &mut SplitContext::new();
+    let out = assign_splits_in(
+        engine, d, master, ensembles, &parents, &params, scoring, ctx,
+    );
     serde_json::to_string(&out).expect("assignment serializes")
 }
 
 #[test]
-fn kernel_matches_naive_byte_identically_across_engines_and_modes() {
+fn kernel_matches_naive_byte_identically_across_engines() {
     let (d, ensembles, master) = setup();
-    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-        let reference = assignment_json(
+    let reference = assignment_json(
+        &mut SerialEngine::new(),
+        &d,
+        &master,
+        &ensembles,
+        Scoring::Naive,
+    );
+    // Serial kernel.
+    assert_eq!(
+        assignment_json(
             &mut SerialEngine::new(),
             &d,
             &master,
             &ensembles,
-            SplitScoring::Naive,
-            mode,
-        );
-        // Serial kernel.
+            Scoring::Kernel
+        ),
+        reference,
+        "serial kernel diverged"
+    );
+    // Threaded kernel at several worker counts.
+    for p in [2usize, 4] {
         assert_eq!(
             assignment_json(
-                &mut SerialEngine::new(),
+                &mut ThreadEngine::new(p),
                 &d,
                 &master,
                 &ensembles,
-                SplitScoring::Kernel,
-                mode
+                Scoring::Kernel
             ),
             reference,
-            "serial kernel diverged ({mode:?})"
+            "thread kernel p={p} diverged"
         );
-        // Threaded kernel at several worker counts.
-        for p in [2usize, 4] {
-            assert_eq!(
-                assignment_json(
-                    &mut ThreadEngine::new(p),
-                    &d,
-                    &master,
-                    &ensembles,
-                    SplitScoring::Kernel,
-                    mode
-                ),
-                reference,
-                "thread kernel p={p} diverged ({mode:?})"
-            );
-        }
-        // Simulated machine at rank counts that slice segments finely
-        // (p=1024 makes most blocks smaller than a segment, so the
-        // kernel constantly handles partial runs).
-        for p in [1usize, 16, 1024] {
-            assert_eq!(
-                assignment_json(
-                    &mut SimEngine::new(p),
-                    &d,
-                    &master,
-                    &ensembles,
-                    SplitScoring::Kernel,
-                    mode
-                ),
-                reference,
-                "sim kernel p={p} diverged ({mode:?})"
-            );
-        }
+    }
+    // Simulated machine at rank counts that slice segments finely
+    // (p=1024 makes most blocks smaller than a segment, so the
+    // kernel constantly handles partial runs).
+    for p in [1usize, 16, 1024] {
+        assert_eq!(
+            assignment_json(
+                &mut SimEngine::new(p),
+                &d,
+                &master,
+                &ensembles,
+                Scoring::Kernel
+            ),
+            reference,
+            "sim kernel p={p} diverged"
+        );
     }
 }
 
@@ -143,66 +127,49 @@ fn wide_setup() -> (Dataset, Vec<ModuleEnsemble>, MasterRng) {
 #[test]
 fn wide_nodes_kernel_matches_naive_with_identical_work_accounting() {
     let (d, ensembles, master) = wide_setup();
-    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-        let mut naive_serial = SerialEngine::new();
-        let reference = assignment_json(
-            &mut naive_serial,
+    let mut naive_serial = SerialEngine::new();
+    let reference = assignment_json(&mut naive_serial, &d, &master, &ensembles, Scoring::Naive);
+    let mut kernel_serial = SerialEngine::new();
+    assert_eq!(
+        assignment_json(&mut kernel_serial, &d, &master, &ensembles, Scoring::Kernel),
+        reference,
+        "serial kernel diverged"
+    );
+    assert_eq!(
+        kernel_serial.work_units(),
+        naive_serial.work_units(),
+        "serial work units diverged"
+    );
+    // The thread engine accounts wall time, not units: its check
+    // is the assignment itself.
+    assert_eq!(
+        assignment_json(
+            &mut ThreadEngine::new(3),
             &d,
             &master,
             &ensembles,
-            SplitScoring::Naive,
-            mode,
-        );
-        let mut kernel_serial = SerialEngine::new();
+            Scoring::Kernel
+        ),
+        reference,
+        "threads:3 kernel diverged"
+    );
+    let mut naive_sim = SimEngine::new(4);
+    let mut kernel_sim = SimEngine::new(4);
+    for (engine, scoring) in [
+        (&mut naive_sim, Scoring::Naive),
+        (&mut kernel_sim, Scoring::Kernel),
+    ] {
         assert_eq!(
-            assignment_json(
-                &mut kernel_serial,
-                &d,
-                &master,
-                &ensembles,
-                SplitScoring::Kernel,
-                mode
-            ),
+            assignment_json(engine, &d, &master, &ensembles, scoring),
             reference,
-            "serial kernel diverged ({mode:?})"
-        );
-        assert_eq!(
-            kernel_serial.work_units(),
-            naive_serial.work_units(),
-            "serial work units diverged ({mode:?})"
-        );
-        // The thread engine accounts wall time, not units: its check
-        // is the assignment itself.
-        assert_eq!(
-            assignment_json(
-                &mut ThreadEngine::new(3),
-                &d,
-                &master,
-                &ensembles,
-                SplitScoring::Kernel,
-                mode
-            ),
-            reference,
-            "threads:3 kernel diverged ({mode:?})"
-        );
-        let mut naive_sim = SimEngine::new(4);
-        let mut kernel_sim = SimEngine::new(4);
-        for (engine, scoring) in [
-            (&mut naive_sim, SplitScoring::Naive),
-            (&mut kernel_sim, SplitScoring::Kernel),
-        ] {
-            assert_eq!(
-                assignment_json(engine, &d, &master, &ensembles, scoring, mode),
-                reference,
-                "sim:4 {scoring:?} diverged ({mode:?})"
-            );
-        }
-        assert_eq!(
-            kernel_sim.report(),
-            naive_sim.report(),
-            "sim:4 report diverged ({mode:?})"
+            "sim:4 {scoring:?} diverged"
         );
     }
+    assert_eq!(
+        kernel_sim.report(),
+        naive_sim.report(),
+        "sim:4 report diverged"
+    );
 }
 
 #[test]
@@ -214,43 +181,15 @@ fn kernel_reports_identical_work_accounting() {
     for p in [1usize, 16, 1024] {
         let mut ea = SimEngine::new(p);
         let mut eb = SimEngine::new(p);
-        let a = assignment_json(
-            &mut ea,
-            &d,
-            &master,
-            &ensembles,
-            SplitScoring::Naive,
-            ScoreMode::Incremental,
-        );
-        let b = assignment_json(
-            &mut eb,
-            &d,
-            &master,
-            &ensembles,
-            SplitScoring::Kernel,
-            ScoreMode::Incremental,
-        );
+        let a = assignment_json(&mut ea, &d, &master, &ensembles, Scoring::Naive);
+        let b = assignment_json(&mut eb, &d, &master, &ensembles, Scoring::Kernel);
         assert_eq!(a, b);
         assert_eq!(ea.report(), eb.report(), "sim report diverged at p={p}");
     }
     // Serial work-unit totals agree as well.
     let mut ea = SerialEngine::new();
     let mut eb = SerialEngine::new();
-    assignment_json(
-        &mut ea,
-        &d,
-        &master,
-        &ensembles,
-        SplitScoring::Naive,
-        ScoreMode::Incremental,
-    );
-    assignment_json(
-        &mut eb,
-        &d,
-        &master,
-        &ensembles,
-        SplitScoring::Kernel,
-        ScoreMode::Incremental,
-    );
+    assignment_json(&mut ea, &d, &master, &ensembles, Scoring::Naive);
+    assignment_json(&mut eb, &d, &master, &ensembles, Scoring::Kernel);
     assert_eq!(ea.work_units(), eb.work_units());
 }

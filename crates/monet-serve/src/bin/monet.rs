@@ -91,11 +91,8 @@ use mn_comm::{
 };
 use mn_data::Dataset;
 use mn_obs::{FlightRec, SnapshotStash, TelemetryHandle, TelemetrySink};
-use mn_score::ScoreMode;
-use monet::{
-    learn_module_network, learn_with_checkpoint_policy, LearnerConfig, ModuleNetwork, ResumePolicy,
-    RunMetrics,
-};
+use mn_score::Scoring;
+use monet::{learn_module_network_with, LearnerConfig, ModuleNetwork, ResumePolicy, RunMetrics};
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -110,7 +107,7 @@ use std::time::Duration;
 type Table = &'static [(&'static str, bool)];
 
 /// The learn flags, shared by batch runs, workers and `client submit`.
-const LEARN_FLAGS: [(&str, bool); 9] = [
+const LEARN_FLAGS: [(&str, bool); 8] = [
     ("--seed", true),
     ("--ganesh-runs", true),
     ("--update-steps", true),
@@ -119,7 +116,6 @@ const LEARN_FLAGS: [(&str, bool); 9] = [
     ("--splits-per-node", true),
     ("--sampling-steps", true),
     ("--threshold", true),
-    ("--reference", false),
 ];
 
 const BATCH_FLAGS: Table = &[
@@ -141,6 +137,7 @@ const BATCH_FLAGS: Table = &[
     ("--flightrec-dir", true),
     ("--dag", false),
     ("--quiet", false),
+    ("--reference", false),
 ];
 
 /// The hidden `worker` subcommand's coordinates, ahead of the forwarded
@@ -266,7 +263,7 @@ impl FromStr for Shape {
 /// config here, so a served job's config is the batch CLI's by
 /// construction. An absent flag keeps the paper-minimum value (§5.1).
 fn learn_config(flags: &Flags) -> LearnerConfig {
-    let [seed, runs, steps, k0, trees, splits, sampling, threshold, reference] =
+    let [seed, runs, steps, k0, trees, splits, sampling, threshold] =
         LEARN_FLAGS.map(|(name, _)| name);
     let mut config = LearnerConfig::paper_minimum(flags.get(seed).unwrap_or(0));
     config.ganesh_runs = flags.get(runs).unwrap_or(config.ganesh_runs);
@@ -284,9 +281,6 @@ fn learn_config(flags: &Flags) -> LearnerConfig {
         .get(sampling)
         .unwrap_or(config.tree.max_sampling_steps);
     config.consensus.threshold = flags.get(threshold).unwrap_or(config.consensus.threshold);
-    if flags.has(reference) {
-        config = config.with_mode(ScoreMode::Reference);
-    }
     config
 }
 
@@ -301,6 +295,9 @@ struct Options {
     engine: EngineSpec,
     /// The learn flags' config, before candidate resolution.
     config: LearnerConfig,
+    /// `--reference` runs the naive per-candidate oracles: Table 1's
+    /// Lemon-Tree cost profile, the same network.
+    scoring: Scoring,
     candidates: Option<String>,
     xml: Option<String>,
     json: Option<String>,
@@ -405,6 +402,11 @@ fn parse_options(args: &[String], worker: bool) -> Options {
         synthetic,
         engine: flags.get("--engine").unwrap_or(EngineSpec::Serial),
         config: learn_config(&flags),
+        scoring: if flags.has("--reference") {
+            Scoring::Naive
+        } else {
+            Scoring::Kernel
+        },
         candidates: flags.get("--candidates"),
         xml: flags.get("--xml"),
         json: flags.get("--json"),
@@ -538,13 +540,12 @@ fn run_on<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
-    ckpt: Option<&(String, ResumePolicy)>,
+    opts: &Options,
 ) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    let (network, report) = match ckpt {
-        Some((dir, policy)) => learn_with_checkpoint_policy(engine, data, config, dir, *policy)
-            .map_err(|e| RunFailure::Error(e.to_string()))?,
-        None => learn_module_network(engine, data, config),
-    };
+    let ckpt = opts.checkpoint.as_ref();
+    let ckpt = ckpt.map(|(dir, policy)| (std::path::Path::new(dir), *policy));
+    let (network, report) = learn_module_network_with(engine, data, config, opts.scoring, ckpt)
+        .map_err(|e| RunFailure::Error(e.to_string()))?;
     let now = engine.now_s();
     let snapshot = engine.obs().snapshot(now);
     Ok((network, report, snapshot))
@@ -574,7 +575,7 @@ fn run_single<E: ParEngine>(
     mut engine: E,
     data: &Dataset,
     config: &LearnerConfig,
-    ckpt: Option<&(String, ResumePolicy)>,
+    opts: &Options,
     telemetry: Option<&TelemetryHandle>,
     capture: &mut Capture,
 ) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
@@ -584,7 +585,7 @@ fn run_single<E: ParEngine>(
     capture.flights.push(engine.obs().flight());
     capture.stashes.push(engine.death_stash());
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run_on(&mut engine, data, config, ckpt)
+        run_on(&mut engine, data, config, opts)
     })) {
         Ok(result) => result,
         Err(payload) => Err(fault_failure(payload)),
@@ -599,7 +600,6 @@ fn run(
     telemetry: Option<&TelemetryHandle>,
     capture: &mut Capture,
 ) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
-    let ckpt = opts.checkpoint.as_ref();
     match opts.engine {
         // Single-process engines count *engine* events (each dist_map /
         // collective / replicated call), attributed to rank 0.
@@ -607,7 +607,7 @@ fn run(
             SerialEngine::new().with_fault_plan(plan),
             data,
             config,
-            ckpt,
+            opts,
             telemetry,
             capture,
         ),
@@ -615,7 +615,7 @@ fn run(
             ThreadEngine::new(p).with_fault_plan(plan),
             data,
             config,
-            ckpt,
+            opts,
             telemetry,
             capture,
         ),
@@ -623,7 +623,7 @@ fn run(
             SimEngine::new(p).with_fault_plan(plan),
             data,
             config,
-            ckpt,
+            opts,
             telemetry,
             capture,
         ),
@@ -643,7 +643,7 @@ fn run(
                             engine.obs_mut().set_telemetry(handle.clone());
                         }
                     }
-                    run_on(engine, data, config, ckpt)
+                    run_on(engine, data, config, opts)
                 });
             capture.flights = spmd_capture.flights;
             capture.stashes = spmd_capture.stashes;
@@ -866,8 +866,7 @@ fn run_worker_entry(mut opts: Options) -> ExitCode {
         if let Some(handle) = &handle {
             engine.obs_mut().set_telemetry(handle.clone());
         }
-        let (network, report, snapshot) =
-            run_on(&mut engine, &data, &config, opts.checkpoint.as_ref())?;
+        let (network, report, snapshot) = run_on(&mut engine, &data, &config, &opts)?;
         // Post-run snapshot gather so rank 0 can merge every rank's
         // timeline, mirroring the in-process launcher's thread-join
         // collection. Muted: post-run traffic is outside the
@@ -1096,7 +1095,6 @@ fn client_usage() -> ! {
          \x20 submit --tenant T --dataset D [--engine serial|threads:<p>|sim:<p>]\n\
          \x20        [--seed N] [--ganesh-runs G] [--update-steps U] [--init-clusters K0]\n\
          \x20        [--trees R] [--splits-per-node J] [--sampling-steps S] [--threshold T]\n\
-         \x20        [--reference]\n\
          \x20 status --job J | watch --job J [--from N] | result --job J [--json path]\n\
          \x20 cancel --job J | suspend --job J | resume --job J [--engine E]\n\
          \x20 accounting [--tenant T] | jobs [--tenant T] | shutdown | raw <line>"

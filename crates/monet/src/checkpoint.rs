@@ -581,13 +581,17 @@ impl CheckpointStore {
 
 /// Write `bytes` to `path` atomically: `<path>.tmp` first, then
 /// rename. A crash before the rename leaves only the `.tmp` file,
-/// which loading ignores.
+/// which loading ignores; a failed write or rename removes it and
+/// returns the original error.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
+    fs::write(&tmp, bytes)
+        .and_then(|()| fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
 }
 
 /// Load and fully verify an existing checkpoint against the guard of
@@ -857,6 +861,20 @@ mod tests {
             CheckpointStore::open(&dir, 1, FP, 4, ResumePolicy::Strict, true).unwrap();
         assert_eq!(reopened.len(), 1);
         assert!(reopened.get::<u32>("unit_b").is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rename_removes_the_tmp_file() {
+        // A directory where the file belongs makes the rename fail.
+        let dir = tmpdir("tmp_cleanup");
+        fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("unit.json");
+        fs::create_dir(&target).unwrap();
+        let err = write_atomic(&target, b"{}").unwrap_err();
+        assert_ne!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        assert!(target.is_dir());
+        assert!(!dir.join("unit.json.tmp").exists(), "tmp file left behind");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,7 +2,6 @@
 
 use mn_consensus::ConsensusParams;
 use mn_gibbs::GaneshParams;
-use mn_score::ScoreMode;
 use mn_tree::TreeParams;
 use serde::{Deserialize, Serialize};
 
@@ -60,13 +59,6 @@ impl LearnerConfig {
             },
             ..Self::default()
         }
-    }
-
-    /// Switch both tasks to the given scoring mode.
-    pub fn with_mode(mut self, mode: ScoreMode) -> Self {
-        self.ganesh.mode = mode;
-        self.tree.mode = mode;
-        self
     }
 
     /// Validate cross-field consistency.
@@ -156,19 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn with_mode_applies_everywhere() {
-        let c = LearnerConfig::default().with_mode(ScoreMode::Reference);
-        assert_eq!(c.ganesh.mode, ScoreMode::Reference);
-        assert_eq!(c.tree.mode, ScoreMode::Reference);
-    }
-
-    #[test]
     fn default_config_serializes_without_path_toggles() {
-        // The scoring kernels and the sparse consensus are the only
-        // production paths: nothing a user serializes can select the
-        // naive or dense oracles.
+        // The scoring path is a call's argument, never the config's:
+        // nothing a user serializes can select the naive or dense
+        // oracles.
         let json = serde_json::to_string(&LearnerConfig::default()).unwrap();
-        for key in ["candidate_scoring", "split_scoring", "backend"] {
+        for key in ["candidate_scoring", "split_scoring", "backend", "\"mode\""] {
             assert!(!json.contains(key), "{key} in {json}");
         }
         let back: LearnerConfig = serde_json::from_str(&json).unwrap();

@@ -21,7 +21,7 @@ use crate::stages::finish_module_learning;
 use mn_comm::{Collective, ParEngine, RunReport};
 use mn_data::Dataset;
 use mn_rand::{Domain, MasterRng};
-use mn_score::{SuffStats, COST_CELL, COST_LOGMARG};
+use mn_score::{Scoring, SuffStats, COST_CELL, COST_LOGMARG};
 use mn_tree::{learn_module_trees, ModuleEnsemble};
 
 /// Parameters of the two-step learner.
@@ -174,7 +174,7 @@ pub fn learn_two_step<E: ParEngine>(
             ens
         })
         .collect();
-    let network = finish_module_learning(engine, data, config, &master, compact);
+    let network = finish_module_learning(engine, data, config, &master, compact, Scoring::Kernel);
     (network, engine.report())
 }
 

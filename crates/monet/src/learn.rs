@@ -7,9 +7,10 @@
 
 use crate::config::LearnerConfig;
 use crate::model::ModuleNetwork;
-use crate::stages::run_pipeline;
+use crate::stages::learn_module_network_with;
 use mn_comm::{ParEngine, RunReport};
 use mn_data::Dataset;
+use mn_score::Scoring;
 
 /// Phase names used in every [`RunReport`] (the per-task breakdown of
 /// Fig. 5a/5c/6b/6c).
@@ -38,10 +39,8 @@ pub fn learn_module_network<E: ParEngine>(
     data: &Dataset,
     config: &LearnerConfig,
 ) -> (ModuleNetwork, RunReport) {
-    let config = config.clone().validated().expect("invalid configuration");
-    let network = run_pipeline(engine, data, &config, None)
-        .expect("a learn without a checkpoint store does no checkpoint I/O");
-    (network, engine.report())
+    learn_module_network_with(engine, data, config, Scoring::Kernel, None)
+        .expect("a learn without a checkpoint store does no checkpoint I/O")
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! consensus clustering, and regression-tree module learning — with
 //! the paper's distributed-memory parallelization, deterministic
 //! parallel randomness (the learned network is identical for every
-//! rank count), and both the optimized and reference (Lemon-Tree cost
-//! profile) sequential implementations.
+//! rank count), and the per-candidate naive scoring that reproduces
+//! Lemon-Tree's sequential cost profile (Table 1) with the same
+//! networks.
 //!
 //! ## Quickstart
 //!
@@ -59,7 +60,7 @@ pub use learn::{learn_module_network, phases};
 pub use model::{Module, ModuleEdge, ModuleNetwork, NetworkSummary};
 pub use output::{from_json, to_json, to_xml, write_json_file, write_xml_file};
 pub use run_metrics::RunMetrics;
-pub use stages::{learn_with_checkpoint, learn_with_checkpoint_policy};
+pub use stages::{learn_module_network_with, learn_with_checkpoint, learn_with_checkpoint_policy};
 
 // Re-export the sibling crates so downstream users (and the examples)
 // need only one dependency.

@@ -194,7 +194,8 @@ mod tests {
         // Impossible bar: every extracted cluster is dropped.
         config.consensus.spectral.min_cluster_size = d.n_vars() + 1;
         let mut engine = SimEngine::new(2);
-        let ensemble = run_ganesh(&mut engine, &d, &config, None).unwrap();
+        let ensemble =
+            run_ganesh(&mut engine, &d, &config, mn_score::Scoring::Kernel, None).unwrap();
         let modules = run_consensus(&mut engine, &d, &config, &ensemble, None).unwrap();
         assert!(modules.is_empty(), "nothing can clear the size bar");
         let report = engine.report();

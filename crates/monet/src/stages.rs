@@ -11,17 +11,27 @@
 //! computes, so a long run (the paper's runs last hours even on 4096
 //! cores) resumes after an interruption without repeating finished
 //! work ([`learn_with_checkpoint`]).
+//!
+//! Tasks 1 and 3 also take the [`Scoring`] path of their candidate
+//! lists: the GaneSH sweeps, the module trees' observation sampler and
+//! split assignment. `Scoring::Naive` runs the per-candidate oracles,
+//! the Lemon-Tree cost profile of Table 1 (`monet --reference`); it
+//! learns the same network as `Scoring::Kernel`. Consensus clustering,
+//! the tree merges and parent scoring have one path.
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, ResumePolicy, UnitRecord};
 use crate::config::LearnerConfig;
 use crate::learn::phases;
 use crate::model::{Module, ModuleNetwork};
-use mn_comm::ParEngine;
+use mn_comm::{ParEngine, RunReport};
 use mn_consensus::{build_cooccurrence, extract_clusters};
 use mn_data::Dataset;
-use mn_gibbs::{ganesh, runs_whole_per_rank};
+use mn_gibbs::{ganesh_with_scoring, runs_whole_per_rank};
 use mn_rand::MasterRng;
-use mn_tree::{assign_splits, learn_module_trees, learn_parents, ModuleEnsemble};
+use mn_score::Scoring;
+use mn_tree::{
+    assign_splits_in, learn_module_trees_with_scoring, learn_parents, ModuleEnsemble, SplitContext,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,9 +55,11 @@ pub fn run_ganesh<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
+    scoring: Scoring,
     mut store: Option<&mut CheckpointStore>,
 ) -> Result<Vec<Vec<Vec<usize>>>, CheckpointError> {
     let master = MasterRng::new(config.seed);
+    let params = &config.ganesh;
     engine.begin_phase(phases::GANESH);
     let g_runs = config.ganesh_runs;
     let mut computed = BTreeMap::new();
@@ -62,7 +74,8 @@ pub fn run_ganesh<E: ParEngine>(
             })
             .collect();
         let runs = engine.dist_tasks(missing.len(), &|i, task| {
-            ganesh(task, data, &master, missing[i] as u64, &config.ganesh).var_cluster_members()
+            let run = missing[i] as u64;
+            ganesh_with_scoring(task, data, &master, run, params, scoring).var_cluster_members()
         });
         computed.extend(missing.into_iter().zip(runs));
     }
@@ -77,9 +90,8 @@ pub fn run_ganesh<E: ParEngine>(
                     delta.fold_into(engine.obs_mut());
                     members
                 }
-                None => {
-                    ganesh(engine, data, &master, run as u64, &config.ganesh).var_cluster_members()
-                }
+                None => ganesh_with_scoring(engine, data, &master, run as u64, params, scoring)
+                    .var_cluster_members(),
             },
         )?);
     }
@@ -120,6 +132,7 @@ pub fn run_module_learning<E: ParEngine>(
     data: &Dataset,
     config: &LearnerConfig,
     modules: &[Vec<usize>],
+    scoring: Scoring,
     mut store: Option<&mut CheckpointStore>,
 ) -> Result<ModuleNetwork, CheckpointError> {
     let master = MasterRng::new(config.seed);
@@ -130,10 +143,14 @@ pub fn run_module_learning<E: ParEngine>(
             engine,
             store.as_deref_mut(),
             format_args!("module_{k}"),
-            |engine| learn_module_trees(engine, data, &master, k, vars, &config.tree),
+            |engine| {
+                let tree = &config.tree;
+                learn_module_trees_with_scoring(engine, data, &master, k, vars, tree, scoring)
+            },
         )?);
     }
-    Ok(finish_module_learning(engine, data, config, &master, ensembles))
+    let network = finish_module_learning(engine, data, config, &master, ensembles, scoring);
+    Ok(network)
 }
 
 /// The three stages in order, sharing one optional store.
@@ -141,26 +158,37 @@ pub(crate) fn run_pipeline<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
+    scoring: Scoring,
     mut store: Option<&mut CheckpointStore>,
 ) -> Result<ModuleNetwork, CheckpointError> {
-    let ensemble = run_ganesh(engine, data, config, store.as_deref_mut())?;
+    let ensemble = run_ganesh(engine, data, config, scoring, store.as_deref_mut())?;
     let modules = run_consensus(engine, data, config, &ensemble, store.as_deref_mut())?;
-    run_module_learning(engine, data, config, &modules, store)
+    run_module_learning(engine, data, config, &modules, scoring, store)
 }
 
 /// The tail of task 3, shared with the two-step baseline
 /// ([`crate::genomica::learn_two_step`]): split assignment over the
-/// global candidate list, parent scoring, and network assembly. Module
-/// `k` is `ensembles[k]`.
+/// global candidate list on the `scoring` path, parent scoring, and
+/// network assembly. Module `k` is `ensembles[k]`.
 pub(crate) fn finish_module_learning<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
     master: &MasterRng,
     ensembles: Vec<ModuleEnsemble>,
+    scoring: Scoring,
 ) -> ModuleNetwork {
     let parents_list = config.resolved_parents(data.n_vars());
-    let assignment = assign_splits(engine, data, master, &ensembles, &parents_list, &config.tree);
+    let assignment = assign_splits_in(
+        engine,
+        data,
+        master,
+        &ensembles,
+        &parents_list,
+        &config.tree,
+        scoring,
+        &mut SplitContext::new(),
+    );
     let parents = learn_parents(engine, &ensembles, &assignment);
 
     let mut var_assignment: Vec<Option<usize>> = vec![None; data.n_vars()];
@@ -270,7 +298,7 @@ pub fn learn_with_checkpoint<E: ParEngine, P: AsRef<Path>>(
     data: &Dataset,
     config: &LearnerConfig,
     dir: P,
-) -> Result<(ModuleNetwork, mn_comm::RunReport), CheckpointError> {
+) -> Result<(ModuleNetwork, RunReport), CheckpointError> {
     learn_with_checkpoint_policy(engine, data, config, dir, ResumePolicy::Auto)
 }
 
@@ -301,18 +329,35 @@ pub fn learn_with_checkpoint_policy<E: ParEngine, P: AsRef<Path>>(
     config: &LearnerConfig,
     dir: P,
     policy: ResumePolicy,
-) -> Result<(ModuleNetwork, mn_comm::RunReport), CheckpointError> {
+) -> Result<(ModuleNetwork, RunReport), CheckpointError> {
+    let checkpoint = Some((dir.as_ref(), policy));
+    learn_module_network_with(engine, data, config, Scoring::Kernel, checkpoint)
+}
+
+/// The one learn entry, which the batch CLI and `mn-bench table1`
+/// call: validate `config`, open the checkpoint store when `checkpoint`
+/// names a directory and its resume policy, and run the three stages on
+/// the `scoring` path. `Scoring::Naive` is `monet --reference`.
+/// [`crate::learn_module_network`] and [`learn_with_checkpoint_policy`]
+/// are this entry on `Scoring::Kernel`.
+pub fn learn_module_network_with<E: ParEngine>(
+    engine: &mut E,
+    data: &Dataset,
+    config: &LearnerConfig,
+    scoring: Scoring,
+    checkpoint: Option<(&Path, ResumePolicy)>,
+) -> Result<(ModuleNetwork, RunReport), CheckpointError> {
     let config = config.clone().validated().expect("invalid configuration");
-    let mut store = CheckpointStore::open_run(
-        dir,
-        &config,
-        data,
-        engine.nranks(),
-        policy,
-        engine.io_rank(),
-    )?;
-    engine.io_barrier();
-    let network = run_pipeline(engine, data, &config, Some(&mut store))?;
+    let mut store = match checkpoint {
+        Some((dir, policy)) => {
+            let (nranks, io_rank) = (engine.nranks(), engine.io_rank());
+            let store = CheckpointStore::open_run(dir, &config, data, nranks, policy, io_rank)?;
+            engine.io_barrier();
+            Some(store)
+        }
+        None => None,
+    };
+    let network = run_pipeline(engine, data, &config, scoring, store.as_mut())?;
     Ok((network, engine.report()))
 }
 
@@ -356,9 +401,10 @@ mod tests {
         let (oneshot, _) = learn_module_network(&mut SerialEngine::new(), &d, &c);
 
         let mut engine = SerialEngine::new();
-        let ensemble = run_ganesh(&mut engine, &d, &c, None).unwrap();
+        let kernel = Scoring::Kernel;
+        let ensemble = run_ganesh(&mut engine, &d, &c, kernel, None).unwrap();
         let modules = run_consensus(&mut engine, &d, &c, &ensemble, None).unwrap();
-        let staged = run_module_learning(&mut engine, &d, &c, &modules, None).unwrap();
+        let staged = run_module_learning(&mut engine, &d, &c, &modules, kernel, None).unwrap();
         assert_eq!(oneshot, staged);
     }
 

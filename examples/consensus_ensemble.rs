@@ -12,6 +12,7 @@ use mn_comm::SerialEngine;
 use mn_consensus::{adjusted_rand_index, labels_from_clusters, ConsensusParams};
 use mn_data::{synthetic, SyntheticConfig};
 use mn_gibbs::GaneshParams;
+use mn_score::Scoring;
 use monet::genomica::{learn_two_step, TwoStepParams};
 use monet::stages::{run_consensus, run_ganesh};
 use monet::LearnerConfig;
@@ -50,7 +51,7 @@ fn main() {
         ..LearnerConfig::default()
     };
     let mut engine = SerialEngine::new();
-    let ensemble = run_ganesh(&mut engine, data, &config, None).expect("no store");
+    let ensemble = run_ganesh(&mut engine, data, &config, Scoring::Kernel, None).expect("no store");
 
     println!("\nper-run agreement with planted modules (ARI):");
     let mut run_aris = Vec::new();

@@ -33,7 +33,7 @@ fn main() {
     // scaled by the same factor to keep the compute:communication
     // ratio representative (see EXPERIMENTS.md, Calibration).
     let model = CostModel::scaled_comm(150.0);
-    let (_, sim1) = learn_module_network(&mut SimEngine::with_model(1, model), &data, &config);
+    let (_, sim1) = learn_module_network(&mut SimEngine::with_cost(1, model), &data, &config);
     let t1 = sim1.total_s();
     println!("\nsimulated strong scaling ({} genes x {} observations):", n, m);
     println!(
@@ -42,7 +42,7 @@ fn main() {
     );
     for p in [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
         let (net, report) =
-            learn_module_network(&mut SimEngine::with_model(p, model), &data, &config);
+            learn_module_network(&mut SimEngine::with_cost(p, model), &data, &config);
         assert_eq!(
             to_json(&net),
             reference_json,

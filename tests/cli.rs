@@ -607,3 +607,74 @@ fn cli_rejects_retired_scoring_flags() {
         assert!(!stderr.contains(flag), "client usage still lists {flag}");
     }
 }
+
+#[test]
+fn cli_reference_runs_the_naive_oracles_and_learns_the_default_network() {
+    // Byte identity cannot tell a working `--reference` from a no-op
+    // flag: the dispatch counters say which scoring path ran.
+    let dir = std::env::temp_dir();
+    let learn = |tag: &str, extra: &[&str]| {
+        let json = dir.join(format!("monet_cli_ref_{tag}.json"));
+        let metrics = dir.join(format!("monet_cli_ref_{tag}.metrics.json"));
+        let output = Command::new(monet_bin())
+            .args(["--synthetic", "20,14", "--seed", "7", "--quiet", "--json"])
+            .arg(&json)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .args(extra)
+            .output()
+            .expect("run monet");
+        assert!(
+            output.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let network = std::fs::read(&json).unwrap();
+        let run: monet::RunMetrics =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        std::fs::remove_file(json).ok();
+        std::fs::remove_file(metrics).ok();
+        let count = |name: &str| run.counters.get(name).copied().unwrap_or(0);
+        let dispatches = [
+            "gibbs.kernel_dispatches",
+            "gibbs.naive_dispatches",
+            "splits.kernel_dispatches",
+            "splits.naive_dispatches",
+        ]
+        .map(count);
+        (network, dispatches)
+    };
+    let (default, [gibbs_kernel, gibbs_naive, splits_kernel, splits_naive]) = learn("default", &[]);
+    assert!(gibbs_kernel > 0);
+    assert_eq!((gibbs_naive, splits_kernel, splits_naive), (0, 1, 0));
+    let (reference, [gibbs_kernel, gibbs_naive, splits_kernel, splits_naive]) =
+        learn("reference", &["--reference"]);
+    assert!(gibbs_naive > 0);
+    assert_eq!((gibbs_kernel, splits_kernel, splits_naive), (0, 0, 1));
+    assert_eq!(reference, default, "--reference changed the network");
+}
+
+#[test]
+fn cli_client_submit_refuses_reference() {
+    // `--reference` is a batch flag: a served job has one scoring path.
+    // The client checks its flags before it connects, so no server is
+    // needed to see the refusal.
+    let output = Command::new(monet_bin())
+        .args([
+            "client",
+            "--connect",
+            "unix:/nonexistent/monet.sock",
+            "submit",
+        ])
+        .args(["--tenant", "t", "--dataset", "d", "--reference"])
+        .output()
+        .expect("run monet client");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag \"--reference\""), "{stderr}");
+    let usage = stderr.split_once("usage:").unwrap().1;
+    assert!(
+        !usage.contains("--reference"),
+        "client usage lists --reference"
+    );
+}

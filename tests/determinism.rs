@@ -3,14 +3,14 @@
 //! sequential run, because the parallel PRNG streams are block-split
 //! to match the block distribution of work. These tests assert
 //! byte-identical serialized networks across engines, rank counts,
-//! scoring modes, and partitioning strategies.
+//! scoring paths, and partitioning strategies.
 
-use mn_comm::{CostModel, PartitionStrategy, SerialEngine, SimEngine, ThreadEngine};
+use mn_comm::{CostModel, ParEngine, PartitionStrategy, SerialEngine, SimEngine, ThreadEngine};
 use mn_data::synthetic;
 use mn_rand::MasterRng;
-use mn_score::ScoreMode;
-use mn_tree::{assign_splits, assign_splits_naive, learn_parents, ModuleEnsemble, SplitContext};
-use monet::{learn_module_network, to_json, LearnerConfig};
+use mn_score::Scoring;
+use mn_tree::{assign_splits, assign_splits_in, learn_parents, ModuleEnsemble, SplitContext};
+use monet::{learn_module_network, learn_module_network_with, to_json, LearnerConfig};
 
 fn dataset() -> mn_data::Dataset {
     synthetic::yeast_like(26, 18, 11).dataset
@@ -91,7 +91,7 @@ fn identical_across_cost_models() {
     let c = config();
     let (a, ra) = learn_module_network(&mut SimEngine::new(32), &d, &c);
     let (b, rb) = learn_module_network(
-        &mut SimEngine::with_model(32, CostModel::free_comm()),
+        &mut SimEngine::with_cost(32, CostModel::free_comm()),
         &d,
         &c,
     );
@@ -105,65 +105,76 @@ fn identical_across_cost_models() {
 fn identical_across_split_scoring_paths() {
     // The batched prefix-sum kernel and the naive per-candidate oracle
     // compute bit-identical separation scores (DESIGN.md §7), so on the
-    // learned tree ensembles they assign identical splits — under both
-    // score-computation modes and across engines — and the network
-    // assembled from the oracle's assignment is byte-identical too.
+    // learned tree ensembles they assign identical splits across
+    // engines, the network assembled from the oracle's assignment is
+    // byte-identical too, and so is the network of a whole learn on
+    // the naive oracles.
     let d = dataset();
-    for mode in [ScoreMode::Incremental, ScoreMode::Reference] {
-        let c = config().with_mode(mode);
-        let (net, _) = learn_module_network(&mut SerialEngine::new(), &d, &c);
-        let ensembles: Vec<ModuleEnsemble> =
-            net.modules.iter().map(|m| m.ensemble.clone()).collect();
-        let parents = c.resolved_parents(d.n_vars());
-        let master = MasterRng::new(c.seed);
-        let naive = assign_splits_naive(
-            &mut SerialEngine::new(),
-            &d,
-            &master,
-            &ensembles,
-            &parents,
-            &c.tree,
-            &mut SplitContext::new(),
-        );
-        let serial = assign_splits(
-            &mut SerialEngine::new(),
-            &d,
-            &master,
-            &ensembles,
-            &parents,
-            &c.tree,
-        );
-        assert_eq!(serial, naive, "serial kernel diverged ({mode:?})");
-        let threads = assign_splits(
-            &mut ThreadEngine::new(4),
-            &d,
-            &master,
-            &ensembles,
-            &parents,
-            &c.tree,
-        );
-        assert_eq!(threads, naive, "thread kernel diverged ({mode:?})");
-        let sim = assign_splits(
-            &mut SimEngine::new(1024),
-            &d,
-            &master,
-            &ensembles,
-            &parents,
-            &c.tree,
-        );
-        assert_eq!(sim, naive, "sim kernel diverged ({mode:?})");
+    let c = config();
+    let (net, _) = learn_module_network(&mut SerialEngine::new(), &d, &c);
+    let ensembles: Vec<ModuleEnsemble> = net.modules.iter().map(|m| m.ensemble.clone()).collect();
+    let parents = c.resolved_parents(d.n_vars());
+    let master = MasterRng::new(c.seed);
+    let naive = assign_splits_in(
+        &mut SerialEngine::new(),
+        &d,
+        &master,
+        &ensembles,
+        &parents,
+        &c.tree,
+        Scoring::Naive,
+        &mut SplitContext::new(),
+    );
+    let serial = assign_splits(
+        &mut SerialEngine::new(),
+        &d,
+        &master,
+        &ensembles,
+        &parents,
+        &c.tree,
+    );
+    assert_eq!(serial, naive, "serial kernel diverged");
+    let threads = assign_splits(
+        &mut ThreadEngine::new(4),
+        &d,
+        &master,
+        &ensembles,
+        &parents,
+        &c.tree,
+    );
+    assert_eq!(threads, naive, "thread kernel diverged");
+    let sim = assign_splits(
+        &mut SimEngine::new(1024),
+        &d,
+        &master,
+        &ensembles,
+        &parents,
+        &c.tree,
+    );
+    assert_eq!(sim, naive, "sim kernel diverged");
 
-        let mut oracle_net = net.clone();
-        let scored = learn_parents(&mut SerialEngine::new(), &ensembles, &naive);
-        for (module, parents) in oracle_net.modules.iter_mut().zip(scored) {
-            module.parents = parents;
-        }
-        assert_eq!(
-            to_json(&oracle_net),
-            to_json(&net),
-            "assembled network diverged ({mode:?})"
-        );
+    let mut oracle_net = net.clone();
+    let scored = learn_parents(&mut SerialEngine::new(), &ensembles, &naive);
+    for (module, parents) in oracle_net.modules.iter_mut().zip(scored) {
+        module.parents = parents;
     }
+    assert_eq!(
+        to_json(&oracle_net),
+        to_json(&net),
+        "assembled network diverged"
+    );
+
+    // `monet --reference`: the whole learn on the naive oracles (GaneSH,
+    // the module observation sampler and split assignment) is the same
+    // network on every engine.
+    fn reference<E: ParEngine>(mut engine: E, d: &mn_data::Dataset, c: &LearnerConfig) -> String {
+        let (net, _) = learn_module_network_with(&mut engine, d, c, Scoring::Naive, None).unwrap();
+        to_json(&net)
+    }
+    let expected = to_json(&net);
+    assert_eq!(reference(SerialEngine::new(), &d, &c), expected, "serial");
+    assert_eq!(reference(ThreadEngine::new(3), &d, &c), expected, "threads:3");
+    assert_eq!(reference(SimEngine::new(1024), &d, &c), expected, "sim:1024");
 }
 
 #[test]

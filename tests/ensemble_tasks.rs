@@ -11,9 +11,12 @@ use mn_comm::{
 };
 use mn_data::{synthetic, Dataset};
 use mn_obs::FlightEvent;
-use mn_score::ScoreMode;
+use mn_score::Scoring;
 use monet::stages::run_ganesh;
-use monet::{learn_module_network, learn_with_checkpoint, to_json, LearnerConfig};
+use monet::{
+    learn_module_network, learn_module_network_with, learn_with_checkpoint, to_json, LearnerConfig,
+    ResumePolicy,
+};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -48,12 +51,11 @@ fn observe<E: ParEngine>(
     engine: &mut E,
     data: &Dataset,
     config: &LearnerConfig,
+    scoring: Scoring,
     ckpt: Option<&Path>,
 ) -> Observed {
-    let network = match ckpt {
-        None => learn_module_network(engine, data, config).0,
-        Some(dir) => learn_with_checkpoint(engine, data, config, dir).unwrap().0,
-    };
+    let store = ckpt.map(|dir| (dir, ResumePolicy::Auto));
+    let (network, _) = learn_module_network_with(engine, data, config, scoring, store).unwrap();
     let units = match ckpt {
         None => Vec::new(),
         Some(dir) => (0..config.ganesh_runs)
@@ -82,14 +84,20 @@ enum Spec {
 }
 
 /// Learn on `spec`, plain or checkpointed into a fresh directory.
-fn observe_on(spec: Spec, data: &Dataset, config: &LearnerConfig, ckpt: bool) -> Observed {
+fn observe_on(
+    spec: Spec,
+    data: &Dataset,
+    config: &LearnerConfig,
+    scoring: Scoring,
+    ckpt: bool,
+) -> Observed {
     let dir = ckpt.then(|| tmpdir(&format!("{spec:?}_{}", config.ganesh_runs)));
     let dir = dir.as_deref();
     let out = match spec {
-        Spec::Threads(p) => observe(&mut ThreadEngine::new(p), data, config, dir),
-        Spec::Sim(p) => observe(&mut SimEngine::new(p), data, config, dir),
+        Spec::Threads(p) => observe(&mut ThreadEngine::new(p), data, config, scoring, dir),
+        Spec::Sim(p) => observe(&mut SimEngine::new(p), data, config, scoring, dir),
         Spec::Msg(p) => {
-            let mut ranks = mn_comm::spmd_run(p, |e| observe(e, data, config, dir));
+            let mut ranks = mn_comm::spmd_run(p, |e| observe(e, data, config, scoring, dir));
             for (r, rank) in ranks.iter().enumerate().skip(1) {
                 assert_eq!(rank, &ranks[0], "msg:{p}: rank {r} disagrees with rank 0");
             }
@@ -114,10 +122,17 @@ fn whole_run_engines(g_runs: usize) -> Vec<Spec> {
     specs
 }
 
-fn check_against_serial(config: &LearnerConfig, ckpt: bool) {
+/// Returns the serial run's network bytes.
+fn check_against_serial(config: &LearnerConfig, scoring: Scoring, ckpt: bool) -> String {
     let data = dataset();
     let dir = ckpt.then(|| tmpdir(&format!("serial_{}", config.ganesh_runs)));
-    let serial = observe(&mut SerialEngine::new(), &data, config, dir.as_deref());
+    let serial = observe(
+        &mut SerialEngine::new(),
+        &data,
+        config,
+        scoring,
+        dir.as_deref(),
+    );
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).ok();
     }
@@ -127,32 +142,37 @@ fn check_against_serial(config: &LearnerConfig, ckpt: bool) {
             mn_gibbs::runs_whole_per_rank(p, config.ganesh_runs),
             "{spec:?}"
         );
-        let got = observe_on(spec, &data, config, ckpt);
+        let got = observe_on(spec, &data, config, scoring, ckpt);
         let label = format!("{spec:?} G={} checkpointed={ckpt}", config.ganesh_runs);
         assert_eq!(got.network, serial.network, "{label}: network");
         assert_eq!(got.counters, serial.counters, "{label}: counters");
         assert_eq!(got.flight, serial.flight, "{label}: flight sequence");
         assert_eq!(got.units, serial.units, "{label}: unit records");
     }
+    serial.network
 }
 
 #[test]
 fn plain_learns_equal_serial_with_runs_whole_per_rank() {
     for g_runs in [2, 3, 4] {
-        check_against_serial(&config(g_runs), false);
+        check_against_serial(&config(g_runs), Scoring::Kernel, false);
     }
 }
 
 #[test]
 fn checkpointed_learns_equal_serial_with_runs_whole_per_rank() {
     for g_runs in [2, 3, 4] {
-        check_against_serial(&config(g_runs), true);
+        check_against_serial(&config(g_runs), Scoring::Kernel, true);
     }
 }
 
 #[test]
 fn reference_scoring_equals_serial_with_runs_whole_per_rank() {
-    check_against_serial(&config(2).with_mode(ScoreMode::Reference), false);
+    // `--reference` runs each whole run on the naive oracles; it learns
+    // the kernel's network, on one rank and with each run on its own.
+    let naive = check_against_serial(&config(2), Scoring::Naive, false);
+    let (kernel, _) = learn_module_network(&mut SerialEngine::new(), &dataset(), &config(2));
+    assert_eq!(naive, to_json(&kernel));
 }
 
 /// Counters under the cross-run contract: all but `checkpoint.*`.
@@ -176,7 +196,7 @@ fn a_kill_after_the_ensemble_resumes_from_every_run_unit() {
 
     // The first engine event after task 1 is the kill point.
     let mut probe = ThreadEngine::new(2);
-    run_ganesh(&mut probe, &data, &config, None).unwrap();
+    run_ganesh(&mut probe, &data, &config, Scoring::Kernel, None).unwrap();
     assert_eq!(
         probe.fault_events(),
         1,

@@ -18,6 +18,7 @@ use mn_comm::{
 use mn_data::{synthetic, Dataset};
 use mn_obs::flightrec::{det_overlap_matches, parse_dump, FlightRecord};
 use mn_obs::{FlightEvent, FlightRec};
+use mn_score::Scoring;
 use monet::stages::{run_consensus, run_ganesh, run_module_learning};
 use monet::{learn_with_checkpoint, to_json, LearnerConfig};
 use std::collections::BTreeMap;
@@ -139,11 +140,11 @@ impl SweepEngine for SimEngine {
 /// checkpointed run.
 fn probe_task_boundaries<E: SweepEngine>(data: &Dataset, config: &LearnerConfig) -> (u64, u64, u64) {
     let mut engine = E::fresh();
-    let ensemble = run_ganesh(&mut engine, data, config, None).unwrap();
+    let ensemble = run_ganesh(&mut engine, data, config, Scoring::Kernel, None).unwrap();
     let e1 = engine.events();
     let modules = run_consensus(&mut engine, data, config, &ensemble, None).unwrap();
     let e2 = engine.events();
-    run_module_learning(&mut engine, data, config, &modules, None).unwrap();
+    run_module_learning(&mut engine, data, config, &modules, Scoring::Kernel, None).unwrap();
     let e3 = engine.events();
     (e1, e2, e3)
 }

@@ -4,8 +4,8 @@
 use mn_comm::{SerialEngine, SimEngine, ThreadEngine};
 use mn_consensus::{adjusted_rand_index, labels_from_clusters};
 use mn_data::{synthetic, SyntheticConfig};
-use mn_score::ScoreMode;
-use monet::{learn_module_network, phases, LearnerConfig};
+use mn_score::Scoring;
+use monet::{learn_module_network, learn_module_network_with, phases, LearnerConfig};
 
 fn strong_signal_data(n: usize, m: usize, seed: u64) -> mn_data::synthetic::SyntheticDataset {
     synthetic::generate(&SyntheticConfig {
@@ -107,20 +107,17 @@ fn planted_regulators_score_highly() {
 fn reference_and_optimized_learn_identical_networks() {
     // Table 1's correctness contract: "we verified that our
     // implementation learns the exact same MoNets as the ones learned
-    // by Lemon-Tree in all the cases".
+    // by Lemon-Tree in all the cases". `--reference` runs the learn
+    // entry on the naive oracles.
     let s = strong_signal_data(24, 18, 5);
-    let base = LearnerConfig::paper_minimum(9);
-    let (a, _) = learn_module_network(
-        &mut SerialEngine::new(),
-        &s.dataset,
-        &base.clone().with_mode(ScoreMode::Incremental),
-    );
-    let (b, _) = learn_module_network(
-        &mut SerialEngine::new(),
-        &s.dataset,
-        &base.with_mode(ScoreMode::Reference),
-    );
-    assert_eq!(a, b);
+    let config = LearnerConfig::paper_minimum(9);
+    let learn = |scoring| {
+        learn_module_network_with(&mut SerialEngine::new(), &s.dataset, &config, scoring, None)
+            .unwrap()
+            .0
+    };
+    let (a, b) = (learn(Scoring::Kernel), learn(Scoring::Naive));
+    assert_eq!(monet::to_json(&a), monet::to_json(&b));
 }
 
 #[test]

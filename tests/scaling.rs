@@ -29,7 +29,7 @@ fn config() -> LearnerConfig {
 fn sim_report(p: usize) -> mn_comm::RunReport {
     let d = dataset();
     let (_, report) = learn_module_network(
-        &mut SimEngine::with_model(p, CostModel::scaled_comm(COMM_SCALE)),
+        &mut SimEngine::with_cost(p, CostModel::scaled_comm(COMM_SCALE)),
         &d,
         &config(),
     );

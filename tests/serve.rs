@@ -612,7 +612,6 @@ fn client_cli_submit_learns_the_batch_cli_network() {
         "6",
         "--threshold",
         "0.1",
-        "--reference",
     ];
     let ack: Content = serde_json::from_str(&client_cli(
         &[&["submit", "--tenant", "t", "--dataset", "d"][..], &learn].concat(),
@@ -639,8 +638,9 @@ fn client_cli_submit_learns_the_batch_cli_network() {
 #[test]
 fn old_client_config_with_retired_path_keys_runs_the_default_paths() {
     // A client built before the naive/dense scoring paths became test
-    // oracles still sends their selectors in the job's config. The
-    // server ignores the unknown keys and learns the batch CLI's bytes.
+    // oracles, or before `--reference` left the job config, still sends
+    // their selectors in it. The server ignores the unknown keys and
+    // learns the batch CLI's bytes.
     let server = TestServer::start("oldkeys", 1, 8);
     let mut client = server.client();
     ok(client.register_synthetic("t", "d", 24, 16, 5));
@@ -649,12 +649,15 @@ fn old_client_config_with_retired_path_keys_runs_the_default_paths() {
     let old_line = line
         .replacen(
             "\"ganesh\":{",
-            "\"ganesh\":{\"candidate_scoring\":\"Naive\",",
+            "\"ganesh\":{\"mode\":\"Reference\",\"candidate_scoring\":\"Naive\",",
             1,
         )
         .replacen(
             "\"tree\":{",
-            "\"tree\":{\"split_scoring\":\"Naive\",\"candidate_scoring\":\"Naive\",",
+            concat!(
+                "\"tree\":{\"mode\":\"Reference\",",
+                "\"split_scoring\":\"Naive\",\"candidate_scoring\":\"Naive\","
+            ),
             1,
         )
         .replacen(
@@ -662,6 +665,11 @@ fn old_client_config_with_retired_path_keys_runs_the_default_paths() {
             "\"consensus\":{\"backend\":\"Dense\",",
             1,
         );
+    assert!(
+        !line.contains("\"mode\""),
+        "a new client sends a scoring mode: {line}"
+    );
+    assert_eq!(old_line.matches("\"mode\":\"Reference\"").count(), 2);
     for key in [
         "\"candidate_scoring\":\"Naive\"",
         "\"split_scoring\":\"Naive\"",
@@ -833,6 +841,8 @@ fn served_job_output_lives_in_files_beside_the_checkpoint() {
         "{status:?}"
     );
     assert_eq!(err(client.result_of(&e)).kind(), "conflict");
+    // The failed write leaves no half-written network behind.
+    assert!(!jobs_dir.join(format!("{e}.network.json.tmp")).exists());
 
     server.shutdown();
 }
