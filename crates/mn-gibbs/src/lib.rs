@@ -13,9 +13,9 @@
 //! * [`moves`] — score deltas and state updates for the four Gibbs
 //!   moves.
 //! * [`sweep`] — the four parallel sweep functions of Algorithms 1–2,
-//!   each with two candidate-scoring paths (batched kernel vs naive,
-//!   bit-identical results — DESIGN.md §9).
-//! * [`scorer`] — the kernel path's pure candidate functions and its
+//!   sharing one proposal step; each candidate is scored by the kernel
+//!   or by the naive oracle (bit-identical weights — DESIGN.md §9).
+//! * [`scorer`] — the kernel's pure candidate functions and its
 //!   per-sweep replicated state.
 //! * [`mod@ganesh`] — the GaneSH driver (Algorithm 3), the choice of
 //!   how an ensemble of runs maps onto ranks, and the constrained

@@ -1,27 +1,27 @@
 //! The candidate scorer behind `Scoring::Kernel`.
 //!
 //! A candidate's weight is a pure function of the state, the data, the
-//! moving item, the hoisted removal delta and the sweep's prior
-//! constants — [`var_candidate`], [`var_merge_candidate`],
-//! [`obs_candidate`] and [`obs_merge_candidate`]. The sweeps evaluate
-//! them entirely inside the block-partitioned map: each rank computes
-//! the moving item's statistics under its own candidates' observation
+//! moving item and the sweep's prior constants — [`var_candidate`],
+//! [`var_merge_candidate`], [`obs_candidate`] and
+//! [`obs_merge_candidate`], each returning a plain `(Δ, work)` pair
+//! for candidates other than the stay one. The sweeps evaluate them
+//! entirely inside the block-partitioned map: each rank computes the
+//! moving item's statistics under its own candidates' observation
 //! partitions and reads every existing tile's log-marginal from the
 //! state ([`crate::state::ObsCluster::lm`]). Nothing is prepared per
 //! candidate on rank 0 and nothing is written inside a map, so the
-//! replicated remainder of a proposal is the removal delta,
-//! `Select-Wtd-Rand` and the accepted move.
+//! replicated remainder of a proposal is the removal delta, the table
+//! growth, `Select-Wtd-Rand` and the accepted move.
 //!
 //! One [`SweepScorer`] lives for the duration of one sweep and owns
 //! what replicated control flow needs:
 //!
 //! * the sweep's [`PriorConsts`], whose count tables
-//!   (`ln Γ(α₀ + k/2)`, `ln(λ₀ + k)`) a map only reads. Every
-//!   reassignment candidate reports the largest count it evaluated
-//!   ([`Scored::count`]), and after the map the scorer grows the
-//!   tables through the largest one — so they hold only counts that
-//!   were actually evaluated, and the next proposal's map, whose
-//!   candidates are mostly the same tiles, finds them there;
+//!   (`ln Γ(α₀ + k/2)`, `ln(λ₀ + k)`) a map only reads. Before each
+//!   map the sweep grows them through the largest count any candidate
+//!   can form ([`SweepScorer::grow_through`]), so every lookup inside
+//!   the map is served (each candidate function checks that in debug
+//!   builds);
 //! * the observation sweeps' column cache `observation → (SuffStats,
 //!   lm)`, valid for the whole sweep because the owning variable
 //!   cluster's membership is fixed during it.
@@ -65,35 +65,8 @@ impl LogMarginal for Counted<'_> {
     }
 }
 
-/// One reassignment candidate's score, as its map returns it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Scored {
-    /// `rem + Δ_add`; 0 for the stay candidate.
-    pub weight: f64,
-    /// The largest count whose log-marginal the evaluation needed (0
-    /// if none). The map gathers it next to the weight, and
-    /// [`SweepScorer::take_weights`] grows the count tables through it.
-    pub count: u64,
-    /// The naive formula's work.
-    pub work: u64,
-}
-
-impl Scored {
-    const STAY: Scored = Scored {
-        weight: 0.0,
-        count: 0,
-        work: 1,
-    };
-
-    /// The map item: `((weight, count), work)`.
-    pub fn item(self) -> ((f64, u64), u64) {
-        ((self.weight, self.count), self.work)
-    }
-}
-
-/// Score of moving variable `x` into the cluster at `slot` (`None` = a
-/// fresh cluster), given the hoisted removal delta `rem`. The current
-/// cluster is the stay candidate: Δ = 0 by convention.
+/// Δ of adding variable `x` to the cluster at `slot` (`None` = a fresh
+/// cluster), which is not `x`'s own, with the naive formula's work.
 ///
 /// Runs inside the candidate map. The row statistics under `slot`'s
 /// observation partition are accumulated here, in the naive path's
@@ -105,38 +78,26 @@ pub fn var_candidate(
     state: &CoClustering,
     x: usize,
     slot: Option<usize>,
-    rem: f64,
-) -> Scored {
+) -> (f64, u64) {
     let row = data.values(x);
     let cell_work = data.n_obs() as u64 * COST_CELL;
     let Some(slot) = slot else {
         let whole = SuffStats::from_values(row);
-        return Scored {
-            weight: rem + consts.log_marginal(&whole),
-            count: whole.count(),
-            work: cell_work + COST_LOGMARG,
-        };
+        debug_assert!(consts.covers(whole.count()));
+        return (consts.log_marginal(&whole), cell_work + COST_LOGMARG);
     };
-    if slot == state.slot_of_var(x) {
-        return Scored::STAY;
-    }
     let mut add = 0.0;
-    let mut count = 0;
     let mut n_tiles = 0u64;
     for (_, oc) in state.cluster(slot).obs.iter_active() {
+        debug_assert!(consts.covers(oc.stats.count() + oc.members.len() as u64));
         add += addition_term(consts, &oc.stats, &row_stats(row, &oc.members), oc.lm);
-        count = count.max(oc.stats.count() + oc.members.len() as u64);
         n_tiles += 1;
     }
-    Scored {
-        weight: rem + add,
-        count,
-        work: cell_work + 2 * n_tiles * COST_LOGMARG,
-    }
+    (add, cell_work + 2 * n_tiles * COST_LOGMARG)
 }
 
-/// Weight of merging variable cluster `slot` into `target` (`target ==
-/// slot` is the stay candidate), with the naive formula's work.
+/// Δ of merging variable cluster `slot` into another cluster `target`,
+/// with the naive formula's work.
 ///
 /// Runs inside the candidate map: the cross statistics of `slot`'s
 /// members under `target`'s partition are recomputed raw,
@@ -150,9 +111,6 @@ pub fn var_merge_candidate(
     slot: usize,
     target: usize,
 ) -> (f64, u64) {
-    if target == slot {
-        return (0.0, 1);
-    }
     let src = state.cluster(slot);
     let dst = state.cluster(target);
     let mut delta = 0.0;
@@ -166,6 +124,7 @@ pub fn var_merge_candidate(
             }
         }
         work += (src.members.len() * oc.members.len()) as u64 * COST_CELL;
+        debug_assert!(consts.covers(add.count() + oc.stats.count()));
         delta += addition_term(consts, &oc.stats, &add, oc.lm);
         work += 2 * COST_LOGMARG;
     }
@@ -176,43 +135,34 @@ pub fn var_merge_candidate(
     (delta, work)
 }
 
-/// Score of moving observation `o` of variable cluster `slot` into
-/// observation cluster `t` (`None` = a fresh one), given its column
-/// statistics `col`, their log-marginal `lm_col` (both from the
-/// scorer's column cache) and the hoisted removal delta `rem`. Runs
-/// inside the candidate map.
+/// Δ of adding an observation of variable cluster `slot` to its
+/// observation cluster `t` (`None` = a fresh one), which is not the
+/// observation's own, given its column statistics `col` and their
+/// log-marginal `lm_col` (both from the scorer's column cache), with
+/// the naive formula's work. Runs inside the candidate map.
 pub fn obs_candidate(
     consts: &PriorConsts,
     state: &CoClustering,
     slot: usize,
-    o: usize,
-    (col, lm_col): (&SuffStats, f64),
+    &(col, lm_col): &(SuffStats, f64),
     t: Option<usize>,
-    rem: f64,
-) -> Scored {
+) -> (f64, u64) {
     let cluster = state.cluster(slot);
     let col_work = cluster.members.len() as u64 * COST_CELL;
     let Some(t) = t else {
-        return Scored {
-            weight: rem + lm_col,
-            count: 0,
-            work: col_work + COST_LOGMARG,
-        };
+        return (lm_col, col_work + COST_LOGMARG);
     };
-    if t == cluster.obs.slot_of(o) {
-        return Scored::STAY;
-    }
     let tile = cluster.obs.cluster(t);
-    Scored {
-        weight: rem + addition_term(consts, &tile.stats, col, tile.lm),
-        count: tile.stats.count() + col.count(),
-        work: col_work + 2 * COST_LOGMARG,
-    }
+    debug_assert!(consts.covers(tile.stats.count() + col.count()));
+    (
+        addition_term(consts, &tile.stats, &col, tile.lm),
+        col_work + 2 * COST_LOGMARG,
+    )
 }
 
-/// Weight of merging observation cluster `a` of variable cluster
-/// `slot` into `b` (`b == a` is the stay candidate), with the naive
-/// formula's work. Runs inside the candidate map.
+/// Δ of merging observation cluster `a` of variable cluster `slot`
+/// into another one, `b`, with the naive formula's work. Runs inside
+/// the candidate map.
 pub fn obs_merge_candidate(
     consts: &PriorConsts,
     state: &CoClustering,
@@ -220,11 +170,9 @@ pub fn obs_merge_candidate(
     a: usize,
     b: usize,
 ) -> (f64, u64) {
-    if b == a {
-        return (0.0, 1);
-    }
     let obs = &state.cluster(slot).obs;
     let (ta, tb) = (obs.cluster(a), obs.cluster(b));
+    debug_assert!(consts.covers(ta.stats.count() + tb.stats.count()));
     (
         merge_gain_term(consts, &ta.stats, &tb.stats, ta.lm, tb.lm),
         3 * COST_LOGMARG,
@@ -301,17 +249,12 @@ impl SweepScorer {
         }
     }
 
-    /// Split a reassignment map's gathered items into `weights` and
-    /// grow the count tables through the largest count any candidate
-    /// evaluated; each newly filled cell is an `ln Γ` evaluation no
-    /// table served. Replicated control flow only.
-    pub fn take_weights(&mut self, items: &[(f64, u64)], weights: &mut Vec<f64>) {
-        weights.clear();
-        let mut kmax = 0;
-        for &(w, count) in items {
-            weights.push(w);
-            kmax = kmax.max(count);
-        }
+    /// Grow the count tables through the largest of `counts` (through
+    /// 0 when there are none) — the counts the next map's candidates
+    /// form. Each newly filled cell is an `ln Γ` evaluation no table
+    /// served. Replicated control flow only.
+    pub fn grow_through(&mut self, counts: impl IntoIterator<Item = u64>) {
+        let kmax = counts.into_iter().max().unwrap_or(0);
         let filled = self.consts.grow_through(kmax as usize) as u64;
         self.lg_calls.set(self.lg_calls.get() + filled);
     }
@@ -417,29 +360,50 @@ mod tests {
         (d, s)
     }
 
-    /// Every candidate of variable `x`, scored as the map scores them
-    /// (existing slots in order, then fresh), then absorbed as the
-    /// sweep absorbs the gathered items.
+    /// The counts `x`'s candidates form, as `reassign_vars` grows
+    /// the tables through them: each other cluster's tiles plus `x`'s
+    /// row, and the fresh cluster's whole row.
+    fn var_counts(d: &Dataset, s: &CoClustering, x: usize) -> Vec<u64> {
+        let cur = s.slot_of_var(x);
+        let others = s.active_slots().into_iter().filter(|&t| t != cur);
+        let tiles: Vec<u64> = others
+            .flat_map(|t| {
+                let obs = &s.cluster(t).obs;
+                obs.iter_active()
+                    .map(|(_, oc)| oc.stats.count() + oc.members.len() as u64)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        tiles.into_iter().chain([d.n_obs() as u64]).collect()
+    }
+
+    /// Every non-stay candidate of variable `x`, scored as the map
+    /// scores them (existing slots in order, then fresh), after the
+    /// tables grew as the sweep grows them: `(slot, rem + Δ, work)`.
     fn var_proposal(
         scorer: &mut SweepScorer,
         d: &Dataset,
         s: &CoClustering,
         x: usize,
-    ) -> Vec<Scored> {
+    ) -> Vec<(Option<usize>, f64, u64)> {
         let (rem, _) = scorer.var_removal(d, s, x);
-        let slots = s.active_slots().into_iter().map(Some).chain([None]);
-        let scored: Vec<Scored> = slots
-            .map(|slot| var_candidate(scorer.consts(), d, s, x, slot, rem))
-            .collect();
-        let items: Vec<(f64, u64)> = scored.iter().map(|c| c.item().0).collect();
-        scorer.take_weights(&items, &mut Vec::new());
-        scored
+        scorer.grow_through(var_counts(d, s, x));
+        let cur = s.slot_of_var(x);
+        let slots = s.active_slots().into_iter().filter(|&t| t != cur);
+        slots
+            .map(Some)
+            .chain([None])
+            .map(|slot| {
+                let (add, work) = var_candidate(scorer.consts(), d, s, x, slot);
+                (slot, rem + add, work)
+            })
+            .collect()
     }
 
     /// Every candidate weight the map evaluates carries the exact bits
-    /// (and work) of the naive per-candidate delta, before and after
-    /// the count tables grew through the reported counts — and once
-    /// they have, the replicated removal deltas are served from them.
+    /// (and work) of the naive per-candidate delta; the tables hold
+    /// exactly the counts the candidates formed, and once they do, the
+    /// replicated removal deltas are served from them.
     #[test]
     fn var_candidate_weights_bit_identical_to_naive() {
         for seed in [3u64, 11, 29] {
@@ -449,37 +413,20 @@ mod tests {
             for pass in 0..2 {
                 let (calls, hits) = (scorer.ln_gamma_calls(), scorer.ln_gamma_table_hits());
                 for x in 0..d.n_vars() {
-                    let cur = s.slot_of_var(x);
                     let (rem_k, wk) = scorer.var_removal(&d, &s, x);
                     let (rem_n, wn) = s.var_removal_delta(&d, x);
                     assert_eq!(rem_k.to_bits(), rem_n.to_bits(), "removal bits");
                     assert_eq!(wk, wn, "removal work");
-                    let scored = var_proposal(&mut scorer, &d, &s, x);
-                    for (&slot, c) in s.active_slots().iter().zip(&scored) {
-                        if slot == cur {
-                            assert_eq!(*c, Scored::STAY);
-                        } else {
-                            let (add, naive_work) = s.var_addition_delta(&d, x, slot);
-                            assert_eq!(
-                                c.weight.to_bits(),
-                                (rem_n + add).to_bits(),
-                                "addition bits"
-                            );
-                            assert_eq!(c.work, naive_work, "addition work");
-                        }
+                    for (slot, weight, work) in var_proposal(&mut scorer, &d, &s, x) {
+                        let (add, naive_work) = match slot {
+                            Some(slot) => s.var_addition_delta(&d, x, slot),
+                            None => s.var_new_cluster_delta(&d, x),
+                        };
+                        assert_eq!(weight.to_bits(), (rem_n + add).to_bits(), "{slot:?} bits");
+                        assert_eq!(work, naive_work, "{slot:?} work");
                     }
-                    let fresh = scored.last().unwrap();
-                    let (add, naive_work) = s.var_new_cluster_delta(&d, x);
-                    assert_eq!(
-                        fresh.weight.to_bits(),
-                        (rem_n + add).to_bits(),
-                        "fresh bits"
-                    );
-                    assert_eq!(fresh.work, naive_work, "fresh work");
-                    assert_eq!(fresh.count, d.n_obs() as u64);
-                    kmax = scored.iter().map(|c| c.count).fold(kmax, u64::max);
+                    kmax = var_counts(&d, &s, x).into_iter().fold(kmax, u64::max);
                 }
-                // The tables hold exactly the counts evaluated so far.
                 let consts = scorer.consts();
                 assert!(consts.covers(kmax) && !consts.covers(kmax + 1));
                 if pass == 1 {
@@ -498,41 +445,38 @@ mod tests {
         for seed in [5u64, 17] {
             let (d, s) = setup(seed);
             let slot = s.active_slots()[0];
+            let obs = &s.cluster(slot).obs;
             let mut scorer = SweepScorer::new(s.prior());
             for o in 0..d.n_obs() {
-                let cur = s.cluster(slot).obs.slot_of(o);
+                let cur = obs.slot_of(o);
                 let (rem_k, wk) = scorer.obs_removal(&d, &s, slot, o);
                 let (rem_n, wn) = s.obs_removal_delta(&d, slot, o);
                 assert_eq!(rem_k.to_bits(), rem_n.to_bits(), "obs removal bits");
                 assert_eq!(wk, wn, "obs removal work");
-                let (col, lm_col) = scorer.obs_col(&d, &s, slot, o);
-                let mut items = Vec::new();
-                for t in s.cluster(slot).obs.active_slots() {
-                    let c =
-                        obs_candidate(scorer.consts(), &s, slot, o, (&col, lm_col), Some(t), rem_n);
-                    if t == cur {
-                        assert_eq!(c, Scored::STAY);
-                    } else {
-                        let (add, naive_work) = s.obs_addition_delta(&d, slot, o, t);
-                        assert_eq!(
-                            c.weight.to_bits(),
-                            (rem_n + add).to_bits(),
-                            "obs addition bits"
-                        );
-                        assert_eq!(c.work, naive_work, "obs addition work");
-                    }
-                    items.push(c.item().0);
-                }
-                let c = obs_candidate(scorer.consts(), &s, slot, o, (&col, lm_col), None, rem_n);
-                let (add, naive_work) = s.obs_new_cluster_delta(&d, slot, o);
-                assert_eq!(
-                    c.weight.to_bits(),
-                    (rem_n + add).to_bits(),
-                    "obs fresh bits"
+                let col = scorer.obs_col(&d, &s, slot, o);
+                let others: Vec<usize> = obs
+                    .active_slots()
+                    .into_iter()
+                    .filter(|&t| t != cur)
+                    .collect();
+                scorer.grow_through(
+                    others
+                        .iter()
+                        .map(|&t| obs.cluster(t).stats.count() + col.0.count()),
                 );
-                assert_eq!(c.work, naive_work, "obs fresh work");
-                items.push(c.item().0);
-                scorer.take_weights(&items, &mut Vec::new());
+                for t in others.into_iter().map(Some).chain([None]) {
+                    let (add, work) = obs_candidate(scorer.consts(), &s, slot, &col, t);
+                    let (naive_add, naive_work) = match t {
+                        Some(t) => s.obs_addition_delta(&d, slot, o, t),
+                        None => s.obs_new_cluster_delta(&d, slot, o),
+                    };
+                    assert_eq!(
+                        (rem_n + add).to_bits(),
+                        (rem_n + naive_add).to_bits(),
+                        "obs {t:?} bits"
+                    );
+                    assert_eq!(work, naive_work, "obs {t:?} work");
+                }
             }
             // Each observation's column was computed once and then
             // served from the cache.
@@ -546,7 +490,7 @@ mod tests {
     /// log-marginals and the count tables. After accepted moves the
     /// stored values are still the exact bits of a fresh evaluation,
     /// the weights still match the naive path, and the tables hold
-    /// exactly the counts the proposals evaluated.
+    /// exactly the counts the proposals formed.
     #[test]
     fn caches_invalidate_on_moves_and_stay_consistent() {
         let (d, mut s) = setup(7);
@@ -554,8 +498,8 @@ mod tests {
         let mut kmax = 0;
         for (x, new) in [(3, false), (5, true), (3, false), (5, false)] {
             let cur = s.slot_of_var(x);
-            let scored = var_proposal(&mut scorer, &d, &s, x);
-            kmax = scored.iter().map(|c| c.count).fold(kmax, u64::max);
+            var_proposal(&mut scorer, &d, &s, x);
+            kmax = var_counts(&d, &s, x).into_iter().fold(kmax, u64::max);
             let consts = scorer.consts();
             assert!(consts.covers(kmax) && !consts.covers(kmax + 1));
             let target = if new {
@@ -567,13 +511,14 @@ mod tests {
             s.validate(&d);
             let (rem, _) = scorer.var_removal(&d, &s, x);
             assert_eq!(rem.to_bits(), s.var_removal_delta(&d, x).0.to_bits());
-            for slot in s.active_slots() {
-                if slot != s.slot_of_var(x) {
-                    let c = var_candidate(scorer.consts(), &d, &s, x, Some(slot), rem);
-                    let add = s.var_addition_delta(&d, x, slot).0;
-                    assert_eq!(c.weight.to_bits(), (rem + add).to_bits());
-                }
+            for (slot, weight, _) in var_proposal(&mut scorer, &d, &s, x) {
+                let add = match slot {
+                    Some(slot) => s.var_addition_delta(&d, x, slot).0,
+                    None => s.var_new_cluster_delta(&d, x).0,
+                };
+                assert_eq!(weight.to_bits(), (rem + add).to_bits());
             }
+            kmax = var_counts(&d, &s, x).into_iter().fold(kmax, u64::max);
         }
     }
 }

@@ -23,48 +23,44 @@
 //! simplest that keeps the score decomposable, and is applied
 //! identically in sequential and parallel execution).
 //!
+//! Every sweep builds its candidate list and hands it to one proposal
+//! step, `propose`: one block-partitioned `dist_map` whose item is a
+//! candidate's plain weight (with the work it reports), the
+//! `AllReduce` of §3.1, and `Select-Wtd-Rand`.
+//!
 //! Randomness discipline: each sweep consumes one named stream
 //! (`Domain::{ReassignVar, MergeVar, ReassignObs, MergeObs}` keyed by
 //! GaneSH run and update step), with a fixed number of draws per
 //! iteration, so every engine and rank count replays the identical
-//! decision sequence.
+//! decision sequence. The map inherits the engine's block split, but
+//! results are assembled in item order, so the sampled moves are
+//! partition-invariant by construction.
 //!
-//! Partitioning: the sweeps call the engine's `dist_map*` entry points
-//! and therefore inherit the engine's block split (or, on the
-//! simulator, an ablation oracle's owners), but results are assembled
-//! in item order and every draw comes from the item-keyed streams
-//! above, so the sampled moves are partition-invariant by
-//! construction.
+//! ## Candidate scoring
 //!
-//! ## Candidate-scoring paths
+//! [`Scoring`] chooses, per candidate, which function scores it. The
+//! learner passes `Kernel`; `Naive` is the oracle the A/B tests and
+//! `bench_gibbs` compare it against, and the Table 1 baseline `monet
+//! --reference` runs (through `ganesh_with_scoring`).
 //!
-//! Every sweep evaluates its candidate list through one of two paths
-//! selected by [`Scoring`]. The learner passes `Kernel`; `Naive` is
-//! the oracle the A/B tests and `bench_gibbs` compare it against, and
-//! the Table 1 baseline `monet --reference` runs (driver-level:
-//! `ganesh_with_scoring`).
-//!
-//! * **Naive** — each candidate re-derives the statistics and both
-//!   log-marginals it needs from the state (the cost profile of Alg. 1
-//!   line 8 taken literally), except that the candidate-independent
-//!   removal delta is computed once per move (see the comment in
-//!   [`reassign_vars`]).
-//! * **Kernel** — each candidate's weight is a pure function of the
-//!   state, the data, the moving item, the removal delta and the
-//!   sweep's [`PriorConsts`]
-//!   ([`crate::scorer`]), evaluated entirely inside
-//!   [`ParEngine::dist_map_segmented_batch`] with one `Segments`
-//!   boundary per candidate. Tile log-marginals are read from the
+//! * **Naive** — the deltas of [`crate::moves`]: each candidate
+//!   re-derives the statistics and both log-marginals it needs from
+//!   the state (the cost profile of Alg. 1 line 8 taken literally),
+//!   except that the candidate-independent removal delta is computed
+//!   once per move (see the comment in [`reassign_vars`]).
+//! * **Kernel** — the candidate functions of [`crate::scorer`]: a pure
+//!   function of the state, the data, the moving item and the sweep's
+//!   [`SweepScorer`] constants. Tile log-marginals are read from the
 //!   state, where every accepted move refreshes them, and `ln Γ(α_N)`
-//!   / `ln λ_N` from the constants' count tables, which a per-sweep
-//!   [`SweepScorer`] grows in replicated control flow only, through
-//!   the counts the previous map's candidates evaluated. Inside a
-//!   map nothing is written and nothing is locked, so the replicated
-//!   remainder of a proposal is the removal delta, `Select-Wtd-Rand`
-//!   and the move. The kernel *reports* the naive formula's
-//!   per-candidate work, so block partitioning, per-item accounting
-//!   and the §5.3.1 imbalance records are byte-identical to the naive
-//!   path; its real saving shows up as wall-clock (`bench_gibbs`).
+//!   / `ln λ_N` from the count tables. Before each map, in replicated
+//!   control flow, the sweep grows those tables through the largest
+//!   count any candidate can form — as the tree merge does
+//!   (`mn_tree::tree::build_tree_with`) — so inside the map nothing is
+//!   written, nothing is locked and every lookup is served. The kernel
+//!   *reports* the naive formula's per-candidate work, so block
+//!   partitioning, per-item accounting and the §5.3.1 imbalance
+//!   records are byte-identical to the naive path; its real saving
+//!   shows up as wall-clock (`bench_gibbs`).
 //!
 //! Both paths produce bit-identical weights (argued in
 //! `mn_score::gibbs_kernel` and DESIGN.md §9), hence identical
@@ -75,11 +71,11 @@ use crate::scorer::{
     obs_candidate, obs_merge_candidate, var_candidate, var_merge_candidate, SweepScorer,
 };
 use crate::state::CoClustering;
-use mn_comm::{Collective, ParEngine, Segments};
+use mn_comm::{Collective, ParEngine};
 use mn_data::Dataset;
 use mn_obs::counters;
-use mn_rand::{select_unif_rand, select_wtd_log, Domain, MasterRng};
-use mn_score::{PriorConsts, Scoring};
+use mn_rand::{select_unif_rand, select_wtd_log, Domain, MasterRng, Stream};
+use mn_score::Scoring;
 
 /// Composite stream key for (run, step) pairs.
 #[inline]
@@ -87,7 +83,7 @@ pub fn step_key(run: u64, step: u64) -> u64 {
     run.wrapping_mul(0x1_0000_0000).wrapping_add(step)
 }
 
-/// Whether the batched kernel runs; counts the dispatch.
+/// Whether the kernel scores the sweep; counts the dispatch.
 fn dispatch<E: ParEngine>(engine: &mut E, scoring: Scoring) -> bool {
     let kernel = scoring == Scoring::Kernel;
     engine.count(
@@ -101,7 +97,7 @@ fn dispatch<E: ParEngine>(engine: &mut E, scoring: Scoring) -> bool {
     kernel
 }
 
-/// Flush a sweep's replicated-flow totals into the deterministic
+/// Flush a kernel sweep's replicated-flow totals into the deterministic
 /// counters: column-cache traffic and count-table `ln Γ` traffic. Both
 /// only happen in replicated control flow, so the totals are identical
 /// on every rank.
@@ -115,15 +111,23 @@ fn flush_cache_counters<E: ParEngine>(engine: &mut E, scorer: &SweepScorer) {
     );
 }
 
-/// Per-candidate segments: one `Segments` boundary per candidate, so
-/// the engines' block partitioning of the batched map is exactly the
-/// block partitioning of the per-item map over the same list. One
-/// value serves a whole sweep and is rebuilt only when the candidate
-/// count changes (a cluster was created or freed).
-fn per_candidate_segments(segments: &mut Segments, n_cand: usize) {
-    if segments.n_items() != n_cand {
-        *segments = Segments::from_lens(std::iter::repeat_n(1, n_cand));
-    }
+/// The proposal step every sweep shares (Alg. 1 lines 7–10): score the
+/// `n_cand` candidates in one block-partitioned map, all-reduce, and
+/// draw one with probability ∝ exp(weight) (`Select-Wtd-Rand`).
+/// Candidate `stay` is the current placement, whose Δ is 0 by
+/// definition and costs one work unit; `score(i)` returns every other
+/// candidate's `(weight, work)` and only reads.
+fn propose<E: ParEngine>(
+    engine: &mut E,
+    stream: &mut Stream,
+    exps: &mut Vec<f64>,
+    (n_cand, stay): (usize, usize),
+    score: &(dyn Fn(usize) -> (f64, u64) + Sync),
+) -> usize {
+    let weights = engine.dist_map(n_cand, 1, &|i| if i == stay { (0.0, 1) } else { score(i) });
+    // The collective part of Select-Wtd-Rand (§3.1).
+    engine.collective(Collective::AllReduce, 1);
+    select_wtd_log(stream, &weights, exps)
 }
 
 /// One full variable-reassignment sweep (Alg. 1, `Reassign-Var-Cluster`).
@@ -142,77 +146,63 @@ pub fn reassign_vars<E: ParEngine>(
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
     let mut scorer = SweepScorer::new(state.prior());
+    // The largest count a candidate can form: a tile plus one row
+    // restricted to it, or a fresh cluster's whole row. Only a move's
+    // destination gains counts, so one pass over every cluster starts
+    // the bound and each accepted move updates it from its destination.
+    let row_bound = |state: &CoClustering, slot: usize| {
+        let tiles = state.cluster(slot).obs.iter_active();
+        let counts = tiles.map(|(_, oc)| oc.stats.count() + oc.members.len() as u64);
+        counts.max().unwrap_or(0)
+    };
+    let slots = state.active_slots().into_iter();
+    let mut kmax = slots.fold(data.n_obs() as u64, |k, s| k.max(row_bound(state, s)));
     let mut slots = Vec::new();
-    let mut weights = Vec::new();
     let mut exps = Vec::new();
-    let mut segments = Segments::whole(0);
     for _ in 0..n {
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         let x = select_unif_rand(&mut stream, n);
         let cur = state.slot_of_var(x);
-
         state.fill_active_slots(&mut slots);
-        let n_cand = slots.len() + 1; // + fresh cluster
 
         // Alg. 1 line 8 scores `removal + addition` per candidate, but
         // the removal component does not depend on the candidate:
         // recomputing it inside the block-partitioned loop replicated
         // the same evaluation once per candidate on whichever ranks
         // own them — parallelized redundancy, not parallelism. It is
-        // now computed once per move in replicated control flow (every
+        // computed once per move in replicated control flow (every
         // rank holds the full state, so hoisting it "broadcasts" the
         // value without communication) and charged via `replicated`;
         // the per-candidate work below is the addition component only.
-        // The weights are bit-identical to the old ones: `rem` carries
-        // the exact bits each candidate's `rem + add` used to
-        // recompute for itself.
         let (rem, rem_work) = if kernel {
             scorer.var_removal(data, state, x)
         } else {
             state.var_removal_delta(data, x)
         };
         engine.replicated(rem_work);
-
-        let state_ref: &CoClustering = state;
         if kernel {
-            // Items are `(weight, largest count evaluated)`: the counts
-            // grow the sweep's tables after the map, in replicated flow.
-            let consts = scorer.consts();
-            per_candidate_segments(&mut segments, n_cand);
-            let items = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                for i in range {
-                    let slot = slots.get(i).copied(); // past the end: fresh
-                    out.push(var_candidate(consts, data, state_ref, x, slot, rem).item());
-                }
-            });
-            scorer.take_weights(&items, &mut weights);
-        } else {
-            weights = engine.dist_map(n_cand, 1, &|i| {
-                if i < slots.len() {
-                    let slot = slots[i];
-                    if slot == cur {
-                        (0.0, 1)
-                    } else {
-                        let (add, work) = state_ref.var_addition_delta(data, x, slot);
-                        (rem + add, work)
-                    }
-                } else {
-                    let (add, work) = state_ref.var_new_cluster_delta(data, x);
-                    (rem + add, work)
-                }
-            });
+            scorer.grow_through([kmax]);
         }
-        // The collective part of Select-Wtd-Rand (§3.1).
-        engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
-        let target = if choice < slots.len() {
-            MoveTarget::Existing(slots[choice])
-        } else {
-            MoveTarget::New
-        };
-        if target != MoveTarget::Existing(cur) {
+
+        let (state_ref, consts) = (&*state, scorer.consts());
+        let stay = slots.partition_point(|&s| s < cur);
+        let n_cand = slots.len() + 1;
+        let choice = propose(engine, &mut stream, &mut exps, (n_cand, stay), &|i| {
+            let slot = slots.get(i).copied(); // past the end: fresh
+            let (add, work) = match (scoring, slot) {
+                (Scoring::Kernel, _) => var_candidate(consts, data, state_ref, x, slot),
+                (Scoring::Naive, Some(slot)) => state_ref.var_addition_delta(data, x, slot),
+                (Scoring::Naive, None) => state_ref.var_new_cluster_delta(data, x),
+            };
+            (rem + add, work)
+        });
+        if choice != stay {
             engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
-            state.move_var(data, x, target);
+            let target = slots
+                .get(choice)
+                .map_or(MoveTarget::New, |&s| MoveTarget::Existing(s));
+            let to = state.move_var(data, x, target);
+            kmax = kmax.max(row_bound(state, to));
         }
     }
     if kernel {
@@ -235,11 +225,19 @@ pub fn merge_vars<E: ParEngine>(
     engine.span_enter("sweep:merge-vars");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
-    let consts = PriorConsts::new(state.prior());
+    let mut scorer = SweepScorer::new(state.prior());
     let snapshot = state.active_slots();
+    // A candidate forms a tile of the target plus the source's rows
+    // restricted to it, `(|target| + |source|) × |tile|` cells, the
+    // largest at the target's widest tile. A merge keeps the target's
+    // observation partition, so the widths hold for the whole sweep.
+    let mut widest = vec![0; snapshot.last().map_or(0, |&s| s + 1)];
+    for &t in &snapshot {
+        let tiles = state.cluster(t).obs.iter_active();
+        widest[t] = tiles.map(|(_, oc)| oc.members.len()).max().unwrap_or(0);
+    }
     let mut candidates = Vec::new();
     let mut exps = Vec::new();
-    let mut segments = Segments::whole(0);
     for &slot in &snapshot {
         // The cluster may have been absorbed by an earlier merge in
         // this very sweep.
@@ -248,31 +246,29 @@ pub fn merge_vars<E: ParEngine>(
         }
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         state.fill_active_slots(&mut candidates);
-        let state_ref: &CoClustering = state;
-        let weights: Vec<f64> = if kernel {
-            per_candidate_segments(&mut segments, candidates.len());
-            engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                for &t in &candidates[range] {
-                    out.push(var_merge_candidate(&consts, data, state_ref, slot, t));
-                }
-            })
-        } else {
-            engine.dist_map(candidates.len(), 1, &|i| {
-                let t = candidates[i];
-                if t == slot {
-                    (0.0, 1)
-                } else {
-                    state_ref.merge_delta(data, slot, t)
-                }
-            })
-        };
-        engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
-        let target = candidates[choice];
-        if target != slot {
-            engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
-            state.merge_var_clusters(data, slot, target);
+        if kernel {
+            let n_src = state.cluster(slot).members.len();
+            let others = candidates.iter().filter(|&&t| t != slot);
+            let size = |t: usize| state.cluster(t).members.len() + n_src;
+            scorer.grow_through(others.map(|&t| (size(t) * widest[t]) as u64));
         }
+
+        let (state_ref, consts) = (&*state, scorer.consts());
+        let (n_cand, stay) = (candidates.len(), candidates.partition_point(|&t| t < slot));
+        let choice = propose(engine, &mut stream, &mut exps, (n_cand, stay), &|i| {
+            let t = candidates[i];
+            match scoring {
+                Scoring::Kernel => var_merge_candidate(consts, data, state_ref, slot, t),
+                Scoring::Naive => state_ref.merge_delta(data, slot, t),
+            }
+        });
+        if choice != stay {
+            engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
+            state.merge_var_clusters(data, slot, candidates[choice]);
+        }
+    }
+    if kernel {
+        flush_cache_counters(engine, &scorer);
     }
     engine.span_exit();
 }
@@ -291,23 +287,19 @@ pub fn reassign_obs<E: ParEngine>(
     scoring: Scoring,
 ) {
     let m = data.n_obs();
-    let mut stream =
-        master.stream2(Domain::ReassignObs, step_key(run, step), slot as u64);
+    let mut stream = master.stream2(Domain::ReassignObs, step_key(run, step), slot as u64);
     engine.span_enter("sweep:reassign-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
     let mut scorer = SweepScorer::new(state.prior());
     let mut oslots = Vec::new();
-    let mut weights = Vec::new();
     let mut exps = Vec::new();
-    let mut segments = Segments::whole(0);
     for _ in 0..m {
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
         let o = select_unif_rand(&mut stream, m);
-        let cur = state.cluster(slot).obs.slot_of(o);
-
-        state.cluster(slot).obs.fill_active_slots(&mut oslots);
-        let n_cand = oslots.len() + 1;
+        let obs = &state.cluster(slot).obs;
+        let cur = obs.slot_of(o);
+        obs.fill_active_slots(&mut oslots);
 
         // As in the variable sweep, the candidate-independent removal
         // component is hoisted out of the parallel loop and charged as
@@ -318,42 +310,30 @@ pub fn reassign_obs<E: ParEngine>(
             state.obs_removal_delta(data, slot, o)
         };
         engine.replicated(rem_work);
+        // The column cache entry, on the kernel path only.
+        let col = kernel.then(|| {
+            let col = scorer.obs_col(data, state, slot, o);
+            // A candidate forms another tile plus `o`'s column; the
+            // fresh one reads the cached column log-marginal.
+            let others = oslots.iter().filter(|&&t| t != cur);
+            scorer.grow_through(others.map(|&t| obs.cluster(t).stats.count() + col.0.count()));
+            col
+        });
 
-        let state_ref: &CoClustering = state;
-        if kernel {
-            let (col, lm_col) = scorer.obs_col(data, state_ref, slot, o);
-            let consts = scorer.consts();
-            per_candidate_segments(&mut segments, n_cand);
-            let items = engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                for i in range {
-                    let t = oslots.get(i).copied(); // past the end: fresh
-                    let scored = obs_candidate(consts, state_ref, slot, o, (&col, lm_col), t, rem);
-                    out.push(scored.item());
-                }
-            });
-            scorer.take_weights(&items, &mut weights);
-        } else {
-            weights = engine.dist_map(n_cand, 1, &|i| {
-                if i < oslots.len() {
-                    let t = oslots[i];
-                    if t == cur {
-                        (0.0, 1)
-                    } else {
-                        let (add, work) = state_ref.obs_addition_delta(data, slot, o, t);
-                        (rem + add, work)
-                    }
-                } else {
-                    let (add, work) = state_ref.obs_new_cluster_delta(data, slot, o);
-                    (rem + add, work)
-                }
-            });
-        }
-        engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
-        let target = oslots.get(choice).copied();
-        if target != Some(cur) {
+        let (state_ref, consts) = (&*state, scorer.consts());
+        let (n_cand, stay) = (oslots.len() + 1, oslots.partition_point(|&t| t < cur));
+        let choice = propose(engine, &mut stream, &mut exps, (n_cand, stay), &|i| {
+            let t = oslots.get(i).copied(); // past the end: fresh
+            let (add, work) = match (&col, t) {
+                (Some(col), _) => obs_candidate(consts, state_ref, slot, col, t),
+                (None, Some(t)) => state_ref.obs_addition_delta(data, slot, o, t),
+                (None, None) => state_ref.obs_new_cluster_delta(data, slot, o),
+            };
+            (rem + add, work)
+        });
+        if choice != stay {
             engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
-            state.move_obs(data, slot, o, target);
+            state.move_obs(data, slot, o, oslots.get(choice).copied());
         }
     }
     if kernel {
@@ -377,42 +357,40 @@ pub fn merge_obs<E: ParEngine>(
     engine.span_enter("sweep:merge-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
-    let consts = PriorConsts::new(state.prior());
+    let mut scorer = SweepScorer::new(state.prior());
     let snapshot = state.cluster(slot).obs.active_slots();
     let mut candidates = Vec::new();
     let mut exps = Vec::new();
-    let mut segments = Segments::whole(0);
     for &oslot in &snapshot {
-        if !state.cluster(slot).obs.is_active(oslot) {
+        let obs = &state.cluster(slot).obs;
+        if !obs.is_active(oslot) {
             continue;
         }
         engine.count(counters::GIBBS_MOVES_PROPOSED, 1);
-        state.cluster(slot).obs.fill_active_slots(&mut candidates);
-        let state_ref: &CoClustering = state;
-        let weights: Vec<f64> = if kernel {
-            per_candidate_segments(&mut segments, candidates.len());
-            engine.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
-                for &t in &candidates[range] {
-                    out.push(obs_merge_candidate(&consts, state_ref, slot, oslot, t));
-                }
-            })
-        } else {
-            engine.dist_map(candidates.len(), 1, &|i| {
-                let t = candidates[i];
-                if t == oslot {
-                    (0.0, 1)
-                } else {
-                    state_ref.obs_merge_delta(slot, oslot, t)
-                }
-            })
-        };
-        engine.collective(Collective::AllReduce, 1);
-        let choice = select_wtd_log(&mut stream, &weights, &mut exps);
-        let target = candidates[choice];
-        if target != oslot {
-            engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
-            state.merge_obs_clusters(slot, oslot, target);
+        obs.fill_active_slots(&mut candidates);
+        if kernel {
+            // A candidate forms the union of two tiles.
+            let n_a = obs.cluster(oslot).stats.count();
+            let others = candidates.iter().filter(|&&t| t != oslot);
+            scorer.grow_through(others.map(|&t| n_a + obs.cluster(t).stats.count()));
         }
+
+        let (state_ref, consts) = (&*state, scorer.consts());
+        let (n_cand, stay) = (candidates.len(), candidates.partition_point(|&t| t < oslot));
+        let choice = propose(engine, &mut stream, &mut exps, (n_cand, stay), &|i| {
+            let t = candidates[i];
+            match scoring {
+                Scoring::Kernel => obs_merge_candidate(consts, state_ref, slot, oslot, t),
+                Scoring::Naive => state_ref.obs_merge_delta(slot, oslot, t),
+            }
+        });
+        if choice != stay {
+            engine.count(counters::GIBBS_MOVES_ACCEPTED, 1);
+            state.merge_obs_clusters(slot, oslot, candidates[choice]);
+        }
+    }
+    if kernel {
+        flush_cache_counters(engine, &scorer);
     }
     engine.span_exit();
 }
@@ -553,7 +531,10 @@ mod tests {
                 counts(ThreadEngine::new(3), &d, &s0, &master, scoring)
             );
             assert_eq!(serial, counts(SimEngine::new(7), &d, &s0, &master, scoring));
-            assert_eq!(serial, counts(SimEngine::new(64), &d, &s0, &master, scoring));
+            assert_eq!(
+                serial,
+                counts(SimEngine::new(64), &d, &s0, &master, scoring)
+            );
         }
     }
 
@@ -579,10 +560,8 @@ mod tests {
             let (d, mut s, master) = setup();
             let mut e = SerialEngine::new();
             let slots = s.active_slots();
-            let other_clusters_before: Vec<_> = slots[1..]
-                .iter()
-                .map(|&sl| s.cluster(sl).clone())
-                .collect();
+            let other_clusters_before: Vec<_> =
+                slots[1..].iter().map(|&sl| s.cluster(sl).clone()).collect();
             reassign_obs(&mut e, &mut s, &d, &master, 0, 0, slots[0], scoring);
             merge_obs(&mut e, &mut s, &master, 0, 0, slots[0], scoring);
             // Observation moves in cluster 0 must not touch other clusters.

@@ -83,26 +83,29 @@ fn setup(k: usize) -> (Dataset, CoClustering, MasterRng) {
     (d, s, master)
 }
 
-/// One kernel-path proposal of `x` — the removal delta, every
-/// candidate's score and the replicated absorb of the scores, exactly
-/// what `reassign_vars` evaluates — with caller-owned buffers standing
-/// in for the engine's output. Returns the number of allocations it
-/// made.
+/// One kernel-path proposal of `x` — the removal delta and every
+/// non-stay candidate's score, exactly what `reassign_vars` evaluates
+/// once its count tables cover the candidates — with a caller-owned
+/// buffer standing in for the engine's output. Returns the number of
+/// allocations it made.
 fn propose(
-    scorer: &mut SweepScorer,
+    scorer: &SweepScorer,
     d: &Dataset,
     s: &CoClustering,
     x: usize,
     slots: &[usize],
-    (items, weights): (&mut Vec<(f64, u64)>, &mut Vec<f64>),
+    weights: &mut Vec<f64>,
 ) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     let (rem, _) = scorer.var_removal(d, s, x);
-    items.clear();
-    let candidates = slots.iter().map(|&slot| Some(slot)).chain([None]);
-    items
-        .extend(candidates.map(|slot| var_candidate(scorer.consts(), d, s, x, slot, rem).item().0));
-    scorer.take_weights(items, weights);
+    weights.clear();
+    let cur = s.slot_of_var(x);
+    let candidates = slots.iter().filter(|&&t| t != cur).map(|&t| Some(t));
+    weights.extend(
+        candidates
+            .chain([None])
+            .map(|slot| rem + var_candidate(scorer.consts(), d, s, x, slot).0),
+    );
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
@@ -123,8 +126,8 @@ fn sweep_allocs_and_peak(k: usize) -> (u64, u64, usize) {
 #[test]
 fn kernel_scorer_allocations_do_not_scale_with_candidates_or_entries() {
     // Scoring a proposal's candidates, at K ≈ 256 and K ≈ 1024: the
-    // candidate functions are pure, so once the count tables hold the
-    // counts the first proposal evaluated, not a single allocation.
+    // candidate functions are pure, so once the count tables cover the
+    // candidates, not a single allocation.
     for (k, k_min) in [(320, 256), (1250, 1024)] {
         let (d, s, _) = setup(k);
         let slots = s.active_slots();
@@ -134,11 +137,11 @@ fn kernel_scorer_allocations_do_not_scale_with_candidates_or_entries() {
             slots.len()
         );
         let mut scorer = SweepScorer::new(s.prior());
-        let mut items = Vec::with_capacity(slots.len() + 1);
+        // The largest count any tile can hold covers every candidate.
+        scorer.grow_through([(d.n_vars() * d.n_obs()) as u64]);
         let mut weights = Vec::with_capacity(slots.len() + 1);
-        propose(&mut scorer, &d, &s, 0, &slots, (&mut items, &mut weights));
-        for x in 1..16 {
-            let allocs = propose(&mut scorer, &d, &s, x, &slots, (&mut items, &mut weights));
+        for x in 0..16 {
+            let allocs = propose(&scorer, &d, &s, x, &slots, &mut weights);
             assert_eq!(
                 allocs, 0,
                 "proposal of {x} allocated against {k_min}+ candidates"

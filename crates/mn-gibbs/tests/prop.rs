@@ -191,6 +191,8 @@ proptest! {
             0,
         );
         let mut scorer = SweepScorer::new(state.prior());
+        // The largest count any tile can hold covers every candidate.
+        scorer.grow_through([(data.n_vars() * data.n_obs()) as u64]);
         assert_lms_match(&state);
         for &(a, b, merge) in &moves {
             let slots = state.active_slots();
@@ -204,9 +206,9 @@ proptest! {
                     continue;
                 }
                 // The merge sweep's weights of `from` before the move.
-                for &t in &slots {
+                for &t in slots.iter().filter(|&&t| t != from) {
                     let (w, work) = var_merge_candidate(scorer.consts(), &data, &state, from, t);
-                    let naive = if t == from { (0.0, 1) } else { state.merge_delta(&data, from, t) };
+                    let naive = state.merge_delta(&data, from, t);
                     prop_assert_eq!((w.to_bits(), work), (naive.0.to_bits(), naive.1));
                 }
                 state.merge_var_clusters(&data, from, to);
@@ -220,21 +222,14 @@ proptest! {
                     rem.to_bits(),
                     state.var_removal_delta(&data, v).0.to_bits()
                 );
-                let mut items = Vec::new();
-                for &slot in &slots {
-                    let c = var_candidate(scorer.consts(), &data, &state, v, Some(slot), rem);
-                    let naive = if slot == cur {
-                        0.0
-                    } else {
-                        rem + state.var_addition_delta(&data, v, slot).0
-                    };
-                    prop_assert_eq!(c.weight.to_bits(), naive.to_bits());
-                    items.push(c.item().0);
+                for &slot in slots.iter().filter(|&&t| t != cur) {
+                    let (add, _) = var_candidate(scorer.consts(), &data, &state, v, Some(slot));
+                    let naive = state.var_addition_delta(&data, v, slot).0;
+                    prop_assert_eq!((rem + add).to_bits(), (rem + naive).to_bits());
                 }
-                let c = var_candidate(scorer.consts(), &data, &state, v, None, rem);
-                prop_assert_eq!(c.weight.to_bits(), (rem + state.var_new_cluster_delta(&data, v).0).to_bits());
-                items.push(c.item().0);
-                scorer.take_weights(&items, &mut Vec::new());
+                let (add, _) = var_candidate(scorer.consts(), &data, &state, v, None);
+                let naive = state.var_new_cluster_delta(&data, v).0;
+                prop_assert_eq!((rem + add).to_bits(), (rem + naive).to_bits());
                 let choice = b % (slots.len() + 1);
                 let target = if choice < slots.len() {
                     MoveTarget::Existing(slots[choice])
@@ -271,6 +266,7 @@ proptest! {
         let slots = state.active_slots();
         let slot = slots[k % slots.len()];
         let mut scorer = SweepScorer::new(state.prior());
+        scorer.grow_through([(data.n_vars() * data.n_obs()) as u64]);
         for &(a, b, merge) in &moves {
             let oslots = state.cluster(slot).obs.active_slots();
             if merge {
@@ -282,13 +278,9 @@ proptest! {
                 if from == to {
                     continue;
                 }
-                for &t in &oslots {
+                for &t in oslots.iter().filter(|&&t| t != from) {
                     let (w, work) = obs_merge_candidate(scorer.consts(), &state, slot, from, t);
-                    let naive = if t == from {
-                        (0.0, 1)
-                    } else {
-                        state.obs_merge_delta(slot, from, t)
-                    };
+                    let naive = state.obs_merge_delta(slot, from, t);
                     prop_assert_eq!((w.to_bits(), work), (naive.0.to_bits(), naive.1));
                 }
                 state.merge_obs_clusters(slot, from, to);
@@ -301,18 +293,11 @@ proptest! {
                     state.obs_removal_delta(&data, slot, o).0.to_bits()
                 );
                 let (col, lm_col) = scorer.obs_col(&data, &state, slot, o);
-                let mut items = Vec::new();
-                for &t in &oslots {
-                    let c = obs_candidate(scorer.consts(), &state, slot, o, (&col, lm_col), Some(t), rem);
-                    let naive = if t == cur {
-                        0.0
-                    } else {
-                        rem + state.obs_addition_delta(&data, slot, o, t).0
-                    };
-                    prop_assert_eq!(c.weight.to_bits(), naive.to_bits());
-                    items.push(c.item().0);
+                for &t in oslots.iter().filter(|&&t| t != cur) {
+                    let (add, _) = obs_candidate(scorer.consts(), &state, slot, &(col, lm_col), Some(t));
+                    let naive = state.obs_addition_delta(&data, slot, o, t).0;
+                    prop_assert_eq!((rem + add).to_bits(), (rem + naive).to_bits());
                 }
-                scorer.take_weights(&items, &mut Vec::new());
                 let choice = b % (oslots.len() + 1);
                 let target = oslots.get(choice).copied();
                 if target == Some(cur) {

@@ -27,6 +27,7 @@
 
 use crate::config::LearnerConfig;
 use mn_data::Dataset;
+use mn_score::Scoring;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -73,14 +74,18 @@ pub fn data_fingerprint(data: &Dataset) -> (usize, usize, f64) {
 }
 
 /// The digest guarding a checkpoint against being resumed under a
-/// different learner configuration: [`fnv1a64`] of the serialized
-/// config. Every field takes part, the seed included.
-pub fn config_digest(config: &LearnerConfig) -> u64 {
-    fnv1a64(
-        serde_json::to_string(config)
-            .expect("config serialization")
-            .as_bytes(),
-    )
+/// different learner configuration or scoring path: [`fnv1a64`] of the
+/// serialized config, every field taking part, the seed included. The
+/// kernel path's digest is the bare config's, so checkpoints written
+/// before the scoring path took part still resume; the naive oracles
+/// (`monet --reference`) append a tag, because their units replay
+/// different counters.
+pub fn config_digest(config: &LearnerConfig, scoring: Scoring) -> u64 {
+    let mut text = serde_json::to_string(config).expect("config serialization");
+    if scoring == Scoring::Naive {
+        text.push_str("\nscoring: naive");
+    }
+    fnv1a64(text.as_bytes())
 }
 
 /// What `open` does when the on-disk state is unusable (corrupt,
@@ -429,14 +434,16 @@ impl CheckpointStore {
         Self::open_guarded(dir.as_ref(), manifest, policy, write_enabled)
     }
 
-    /// [`CheckpointStore::open`] for a learn of `data` under `config`:
-    /// the guard is the config's seed, the data's fingerprint and the
-    /// [`config_digest`], so a checkpoint written under any other
-    /// learner config is a [`CheckpointError::Mismatch`] (`Strict`) or
-    /// a fresh start (`Auto`), never resumed into a different run.
+    /// [`CheckpointStore::open`] for a learn of `data` under `config`
+    /// on the `scoring` path: the guard is the config's seed, the
+    /// data's fingerprint and the [`config_digest`], so a checkpoint
+    /// written under any other learner config or scoring path is a
+    /// [`CheckpointError::Mismatch`] (`Strict`) or a fresh start
+    /// (`Auto`), never resumed into a different run.
     pub fn open_run<P: AsRef<Path>>(
         dir: P,
         config: &LearnerConfig,
+        scoring: Scoring,
         data: &Dataset,
         nranks: usize,
         policy: ResumePolicy,
@@ -445,7 +452,7 @@ impl CheckpointStore {
         let manifest = Manifest::fresh(
             config.seed,
             data_fingerprint(data),
-            Some(config_digest(config)),
+            Some(config_digest(config, scoring)),
             nranks,
         );
         Self::open_guarded(dir.as_ref(), manifest, policy, write_enabled)
@@ -1020,7 +1027,7 @@ mod tests {
 
         let dir = tmpdir("config_digest");
         let open = |config: &LearnerConfig, policy| {
-            CheckpointStore::open_run(&dir, config, &data, 1, policy, true)
+            CheckpointStore::open_run(&dir, config, Scoring::Kernel, &data, 1, policy, true)
         };
         let mut store = open(&config, ResumePolicy::Auto).unwrap();
         store.put("unit_a", &record(5)).unwrap();
@@ -1043,12 +1050,31 @@ mod tests {
     }
 
     #[test]
+    fn scoring_path_takes_part_in_the_digest_and_kernel_keeps_the_bare_one() {
+        // The kernel digest is the bare config's, as before the scoring
+        // path took part, so existing checkpoints and serve state dirs
+        // still resume; the naive oracles get their own.
+        let config = LearnerConfig::paper_minimum(1);
+        let bare = fnv1a64(serde_json::to_string(&config).unwrap().as_bytes());
+        assert_eq!(config_digest(&config, Scoring::Kernel), bare);
+        assert_ne!(config_digest(&config, Scoring::Naive), bare);
+    }
+
+    #[test]
     fn version_2_manifest_without_config_digest_still_loads() {
         let data = mn_data::synthetic::yeast_like(20, 14, 31).dataset;
         let config = LearnerConfig::paper_minimum(1);
         let dir = tmpdir("v2_compat");
-        let mut store =
-            CheckpointStore::open_run(&dir, &config, &data, 4, ResumePolicy::Auto, true).unwrap();
+        let mut store = CheckpointStore::open_run(
+            &dir,
+            &config,
+            Scoring::Kernel,
+            &data,
+            4,
+            ResumePolicy::Auto,
+            true,
+        )
+        .unwrap();
         store.put("unit_a", &record(7)).unwrap();
         let manifest = dir.join(MANIFEST_FILE);
         let text = fs::read_to_string(&manifest).unwrap();
@@ -1064,9 +1090,16 @@ mod tests {
         // config with its seed and data resumes it.
         let mut changed = config.clone();
         changed.ganesh.init_clusters = Some(7);
-        let reopened =
-            CheckpointStore::open_run(&dir, &changed, &data, 4, ResumePolicy::Strict, true)
-                .unwrap();
+        let reopened = CheckpointStore::open_run(
+            &dir,
+            &changed,
+            Scoring::Kernel,
+            &data,
+            4,
+            ResumePolicy::Strict,
+            true,
+        )
+        .unwrap();
         assert_eq!(reopened.get::<u32>("unit_a").unwrap(), record(7));
         fs::remove_dir_all(&dir).ok();
     }

@@ -351,7 +351,8 @@ pub fn learn_module_network_with<E: ParEngine>(
     let mut store = match checkpoint {
         Some((dir, policy)) => {
             let (nranks, io_rank) = (engine.nranks(), engine.io_rank());
-            let store = CheckpointStore::open_run(dir, &config, data, nranks, policy, io_rank)?;
+            let store =
+                CheckpointStore::open_run(dir, &config, scoring, data, nranks, policy, io_rank)?;
             engine.io_barrier();
             Some(store)
         }

@@ -655,6 +655,76 @@ fn cli_reference_runs_the_naive_oracles_and_learns_the_default_network() {
 }
 
 #[test]
+fn cli_checkpoint_guard_covers_the_scoring_path() {
+    // A checkpoint written on one scoring path never resumes on the
+    // other: its units would replay the other path's counters. With
+    // --resume that is the config-mismatch error; without it the run
+    // starts fresh on its own path and learns the same network.
+    let metric = |run: &monet::RunMetrics, name: &str| run.counters.get(name).copied();
+    for (tag, writer, reader) in [
+        ("to_ref", &[][..], &["--reference"][..]),
+        ("from_ref", &["--reference"][..], &[][..]),
+    ] {
+        let (ckpt, args) = checkpoint_scenario(tag);
+        let written = ckpt.with_extension("written.json");
+        let output = Command::new(monet_bin())
+            .args(&args)
+            .args(writer)
+            .arg("--json")
+            .arg(&written)
+            .output()
+            .expect("run monet");
+        assert!(output.status.success(), "{tag}: seeding run failed");
+
+        let output = Command::new(monet_bin())
+            .args(&args)
+            .args(reader)
+            .arg("--resume")
+            .output()
+            .expect("run monet");
+        assert_eq!(output.status.code(), Some(1), "{tag}: resumed across paths");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("learner config digest"), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+
+        let fresh = ckpt.with_extension("fresh.json");
+        let metrics = ckpt.with_extension("m.json");
+        let output = Command::new(monet_bin())
+            .args(&args)
+            .args(reader)
+            .arg("--json")
+            .arg(&fresh)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .expect("run monet");
+        assert!(
+            output.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert_eq!(
+            std::fs::read(&fresh).unwrap(),
+            std::fs::read(&written).unwrap(),
+            "{tag}: the fresh run learned another network"
+        );
+        let run: monet::RunMetrics =
+            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let (other, own) = if reader.is_empty() {
+            ("gibbs.naive_dispatches", "gibbs.kernel_dispatches")
+        } else {
+            ("gibbs.kernel_dispatches", "gibbs.naive_dispatches")
+        };
+        assert_eq!(metric(&run, other), None, "{tag}: replayed units");
+        assert!(metric(&run, own).is_some_and(|n| n > 0), "{tag}: no {own}");
+        for file in [written, fresh, metrics] {
+            std::fs::remove_file(file).ok();
+        }
+        std::fs::remove_dir_all(&ckpt).ok();
+    }
+}
+
+#[test]
 fn cli_client_submit_refuses_reference() {
     // `--reference` is a batch flag: a served job has one scoring path.
     // The client checks its flags before it connects, so no server is

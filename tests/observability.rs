@@ -14,12 +14,14 @@
 //!   excluded) and matches its own committed golden record;
 //! * the per-phase communication matrix of the real msg fabric equals
 //!   the sim engine's synthesized matrix exactly and matches a golden
-//!   record for a fixed seed;
+//!   record for a fixed seed, and both scoring paths move the same
+//!   matrix;
 //! * a broken determinism contract surfaces from `merge_ranks` as a
 //!   typed [`obs::MergeError`] carrying the first divergence.
 
 use mn_comm::{obs, spmd_run, ParEngine, SerialEngine, SimEngine, ThreadEngine};
-use monet::{learn_module_network, LearnerConfig};
+use mn_score::Scoring;
+use monet::{learn_module_network, learn_module_network_with, LearnerConfig};
 use std::collections::BTreeMap;
 
 fn dataset() -> mn_data::Dataset {
@@ -319,6 +321,44 @@ fn comm_matrix_sim_equals_msg_and_matches_golden() {
          comm_matrix_msg3_20x14_seed7.json; if the change is intentional, \
          regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+#[test]
+fn comm_matrix_is_the_same_on_both_scoring_paths() {
+    // Every GaneSH map item is a plain weight on both scoring paths,
+    // so the kernel moves exactly the naive oracles' bytes, on the
+    // real fabric and in the simulator's synthesized matrix alike.
+    let d = dataset();
+    let c = config();
+    let comm = |scoring: Scoring, fabric: bool| {
+        if fabric {
+            let snapshots = spmd_run(3, |engine| {
+                learn_module_network_with(engine, &d, &c, scoring, None).expect("learn");
+                let now = engine.now_s();
+                engine.obs().snapshot(now)
+            });
+            obs::merge_ranks(&snapshots).expect("ranks agree").comm
+        } else {
+            let mut sim = SimEngine::new(3);
+            learn_module_network_with(&mut sim, &d, &c, scoring, None).expect("learn");
+            let now = sim.now_s();
+            sim.obs().snapshot(now).comm
+        }
+    };
+    let kernel = comm(Scoring::Kernel, true);
+    assert!(kernel.total_msgs() > 0, "fabric recorded no traffic");
+    for (scoring, fabric) in [
+        (Scoring::Kernel, false),
+        (Scoring::Naive, true),
+        (Scoring::Naive, false),
+    ] {
+        let engine = if fabric { "msg:3" } else { "sim:3" };
+        assert_eq!(
+            comm(scoring, fabric),
+            kernel,
+            "{scoring:?} on {engine} moved other traffic than the kernel on msg:3"
+        );
+    }
 }
 
 #[test]
