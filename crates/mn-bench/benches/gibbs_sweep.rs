@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mn_comm::SerialEngine;
 use mn_data::synthetic;
-use mn_gibbs::{sweep, CoClustering};
+use mn_gibbs::{sweep, CoClustering, SweepScorer};
 use mn_rand::MasterRng;
 use mn_score::{NormalGamma, Scoring};
 use std::hint::black_box;
@@ -24,7 +24,8 @@ fn bench_sweeps(c: &mut Criterion) {
             b.iter(|| {
                 let mut s = state.clone();
                 let mut e = SerialEngine::new();
-                sweep::reassign_vars(&mut e, &mut s, &data, &master, 0, 0, scoring);
+                let mut scorer = SweepScorer::new(s.prior());
+                sweep::reassign_vars(&mut e, &mut s, &mut scorer, &data, &master, 0, 0, scoring);
                 black_box(s.score())
             })
         });
@@ -32,7 +33,8 @@ fn bench_sweeps(c: &mut Criterion) {
             b.iter(|| {
                 let mut s = state.clone();
                 let mut e = SerialEngine::new();
-                sweep::merge_vars(&mut e, &mut s, &data, &master, 0, 0, scoring);
+                let mut scorer = SweepScorer::new(s.prior());
+                sweep::merge_vars(&mut e, &mut s, &mut scorer, &data, &master, 0, 0, scoring);
                 black_box(s.n_active())
             })
         });
@@ -40,9 +42,20 @@ fn bench_sweeps(c: &mut Criterion) {
             b.iter(|| {
                 let mut s = state.clone();
                 let mut e = SerialEngine::new();
+                let mut scorer = SweepScorer::new(s.prior());
                 let slot = s.active_slots()[0];
-                sweep::reassign_obs(&mut e, &mut s, &data, &master, 0, 0, slot, scoring);
-                sweep::merge_obs(&mut e, &mut s, &master, 0, 0, slot, scoring);
+                sweep::reassign_obs(
+                    &mut e,
+                    &mut s,
+                    &mut scorer,
+                    &data,
+                    &master,
+                    0,
+                    0,
+                    slot,
+                    scoring,
+                );
+                sweep::merge_obs(&mut e, &mut s, &mut scorer, &master, 0, 0, slot, scoring);
                 black_box(s.score())
             })
         });

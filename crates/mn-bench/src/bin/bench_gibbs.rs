@@ -29,7 +29,7 @@
 use mn_bench::{time_it, Args, Table};
 use mn_comm::{ParEngine, SerialEngine, ThreadEngine};
 use mn_data::synthetic;
-use mn_gibbs::{ganesh_with_scoring, sweep, CoClustering, GaneshParams};
+use mn_gibbs::{ganesh_with_scoring, sweep, CoClustering, GaneshParams, SweepScorer};
 use mn_rand::MasterRng;
 use mn_score::{NormalGamma, Scoring};
 use serde::Serialize;
@@ -115,9 +115,20 @@ fn obs_phase<E: ParEngine>(
 ) {
     let master = MasterRng::new(29);
     let slot = state.active_slots()[0];
+    let mut scorer = SweepScorer::new(state.prior());
     for step in 0..steps {
-        sweep::reassign_obs(engine, state, data, &master, 0, step, slot, scoring);
-        sweep::merge_obs(engine, state, &master, 0, step, slot, scoring);
+        sweep::reassign_obs(
+            engine,
+            state,
+            &mut scorer,
+            data,
+            &master,
+            0,
+            step,
+            slot,
+            scoring,
+        );
+        sweep::merge_obs(engine, state, &mut scorer, &master, 0, step, slot, scoring);
     }
 }
 
@@ -228,8 +239,9 @@ fn main() {
             scoring: Scoring,
         ) {
             let mut s = base.clone();
-            sweep::reassign_vars(e, &mut s, data, master, 0, 0, scoring);
-            sweep::merge_vars(e, &mut s, data, master, 0, 0, scoring);
+            let mut scorer = SweepScorer::new(s.prior());
+            sweep::reassign_vars(e, &mut s, &mut scorer, data, master, 0, 0, scoring);
+            sweep::merge_vars(e, &mut s, &mut scorer, data, master, 0, 0, scoring);
             black_box(s.score());
         }
         let time_path = |scoring| {

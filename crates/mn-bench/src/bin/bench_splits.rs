@@ -15,7 +15,8 @@
 //!   and three words);
 //! * the per-stage span breakdown of one instrumented run per path, so
 //!   the JSON shows *where* inside the phase the time went
-//!   (score-splits vs select-splits).
+//!   (`score-splits` covers scoring and the per-node selection, which
+//!   run in one map; `select-splits` is empty).
 //!
 //! ```text
 //! cargo run --release -p mn-bench --bin bench_splits [-- --quick]

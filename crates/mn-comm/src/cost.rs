@@ -115,6 +115,11 @@ impl CostModel {
         }
     }
 
+    /// Seconds for one point-to-point message of `words` words.
+    pub fn message_s(&self, words: usize) -> f64 {
+        self.tau_s + self.mu_s * words as f64
+    }
+
     /// Seconds for `units` work units.
     #[inline]
     pub fn compute_s(&self, units: u64) -> f64 {

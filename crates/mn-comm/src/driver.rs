@@ -13,17 +13,24 @@
 //! 3. the rank-order concatenation of the blocks is the result in item
 //!    order.
 //!
+//! `drive_select` runs the same split for the select map, but a rank
+//! keeps no more than the segment it is working on: each segment is
+//! selected where its first item lives (`select_block`), and only the
+//! pieces of segments a block boundary cuts travel to that rank, to be
+//! joined there (`join_blocks` in one process, a send per piece
+//! between SPMD ranks) before the selections meet.
+//!
 //! [`EngineCore`] holds what every engine needs besides that: the
 //! recorder, phases, per-rank busy time, the clock, the fault clock and
 //! cancel token. The [`ParEngine`] accessors read it, so they are
 //! written once.
 
 use crate::cancel::{check_cancel, CancelToken};
-use crate::engine::{Costed, ParEngine, SegmentBatchFn, TaskFn, Wire};
+use crate::engine::{Costed, ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::metrics::{PhaseReport, RunReport};
-use crate::partition::block_range;
+use crate::partition::{block_owner, block_range};
 use crate::segments::Segments;
 use crate::serial::SerialEngine;
 use mn_obs::flightrec::FlightRecord;
@@ -45,6 +52,19 @@ pub(crate) trait RunSlices: ParEngine {
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<Vec<T>>;
+
+    /// The select map's half: run every rank's block through
+    /// [`select_block`] and make the selections meet — one process
+    /// joins the blocks with [`join_blocks`], SPMD ranks send the cut
+    /// pieces to their segments' selectors and all-gather. Returns
+    /// every selection in segment order.
+    fn run_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S>;
 }
 
 /// The map every engine runs (`ParEngine::dist_map_segmented_batch`).
@@ -54,9 +74,8 @@ pub(crate) fn drive<X: RunSlices, T: Wire>(
     words_per_item: usize,
     f: SegmentBatchFn<'_, T>,
 ) -> Vec<T> {
-    engine
-        .core_mut()
-        .begin_map(segments.n_items(), words_per_item);
+    let n = segments.n_items();
+    engine.core_mut().begin_map(n, n * words_per_item);
     let mut blocks = engine.run_slices(segments, words_per_item, f);
     if blocks.len() == 1 {
         return blocks.pop().expect("one block");
@@ -64,6 +83,156 @@ pub(crate) fn drive<X: RunSlices, T: Wire>(
     let mut all = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
     blocks.into_iter().for_each(|block| all.extend(block));
     all
+}
+
+/// The select map every engine runs
+/// (`ParEngine::dist_map_segmented_select`). It counts as one map of
+/// the segments' items whose all-gather moves one selection per
+/// segment.
+pub(crate) fn drive_select<X: RunSlices, T: Wire, S: Wire>(
+    engine: &mut X,
+    segments: &Segments,
+    words_per_select: usize,
+    f: SegmentBatchFn<'_, T>,
+    select: SelectFn<'_, T, S>,
+) -> Vec<S> {
+    let gathered = segments.n_segments() * words_per_select;
+    engine.core_mut().begin_map(segments.n_items(), gathered);
+    engine.run_select(segments, words_per_select, f, select)
+}
+
+/// One rank's share of a select map ([`select_block`]).
+pub(crate) struct BlockSelect<T, S> {
+    /// The results of the block's first items when they continue a
+    /// segment that starts on an earlier rank: `(segment, results)`.
+    pub(crate) lead: Option<(usize, Vec<T>)>,
+    /// The selections of the segments the rank holds whole, in segment
+    /// order, the empty segments it selects included.
+    pub(crate) selections: Vec<S>,
+    /// The first part of the segment the rank selects that runs past
+    /// the block's end: `(segment, results)`.
+    pub(crate) head: Option<(usize, Vec<T>)>,
+}
+
+/// The rank that selects the segment whose first item position is
+/// `pos`: the owner of item `pos` under the block split, or the last
+/// rank for the empty segments at the end of the list. Monotone in
+/// `pos`, so the rank-order concatenation of the ranks' selections is
+/// in segment order.
+pub(crate) fn selector(n_items: usize, p: usize, pos: usize) -> usize {
+    if pos < n_items {
+        block_owner(n_items, p, pos)
+    } else {
+        p - 1
+    }
+}
+
+/// The ranks after segment `seg`'s selector whose blocks hold a piece
+/// of it, in rank order: the senders of its lead pieces.
+pub(crate) fn piece_senders(
+    segments: &Segments,
+    p: usize,
+    seg: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let n = segments.n_items();
+    let range = segments.range(seg);
+    (selector(n, p, range.start) + 1..p)
+        .map(move |q| (q, block_range(n, p, q)))
+        .take_while(move |&(_, (lo, _))| lo < range.end)
+        .filter(|&(_, (lo, hi))| lo < hi)
+        .map(|(q, _)| q)
+}
+
+/// Run rank `rank`'s block of a select map: the same kernel calls as
+/// [`block_runs`], each item's cost handed to `charge` in item order.
+/// A segment the block holds whole is selected at once and dropped, so
+/// the rank buffers one segment at a time besides the two cut ends of
+/// its block.
+pub(crate) fn select_block<T, S>(
+    segments: &Segments,
+    p: usize,
+    rank: usize,
+    f: SegmentBatchFn<'_, T>,
+    select: SelectFn<'_, T, S>,
+    mut charge: impl FnMut(u64),
+) -> BlockSelect<T, S> {
+    let n = segments.n_items();
+    let (lo, hi) = block_range(n, p, rank);
+    let mut buf = Vec::new();
+    let mut run = |seg: usize, range: Range<usize>, values: &mut Vec<T>| {
+        buf.reserve_exact(range.len());
+        call_kernel(f, seg, range, &mut buf);
+        for (value, cost) in buf.drain(..) {
+            charge(cost);
+            values.push(value);
+        }
+    };
+    let mut block = BlockSelect {
+        lead: None,
+        selections: Vec::new(),
+        head: None,
+    };
+    if lo < hi {
+        let seg = segments.segment_of(lo);
+        let whole = segments.range(seg);
+        if whole.start < lo {
+            let end = whole.end.min(hi);
+            let mut piece = Vec::with_capacity(end - lo);
+            run(seg, lo..end, &mut piece);
+            block.lead = Some((seg, piece));
+        }
+    }
+    // The last rank also selects the empty segments past the last item.
+    let starts_end = if rank + 1 == p { n + 1 } else { hi };
+    let mut values = Vec::new();
+    for seg in segments.starting_in(lo, starts_end) {
+        let range = segments.range(seg);
+        if range.end > hi {
+            // Room for the pieces the head is joined with.
+            let mut head = Vec::with_capacity(range.len());
+            run(seg, range.start..hi, &mut head);
+            block.head = Some((seg, head));
+        } else {
+            values.clear();
+            if !range.is_empty() {
+                values.reserve_exact(range.len());
+                run(seg, range, &mut values);
+            }
+            block.selections.push(select(seg, &values));
+        }
+    }
+    block
+}
+
+/// Join the blocks of every rank, in rank order, into all selections
+/// in segment order: each cut segment is its selector's head plus the
+/// lead pieces of the ranks after it, selected here.
+pub(crate) fn join_blocks<T, S>(
+    segments: &Segments,
+    blocks: impl IntoIterator<Item = BlockSelect<T, S>>,
+    select: SelectFn<'_, T, S>,
+) -> Vec<S> {
+    let mut out = Vec::with_capacity(segments.n_segments());
+    let mut open: Option<(usize, Vec<T>)> = None;
+    for block in blocks {
+        if let Some((seg, piece)) = block.lead {
+            let (head_seg, mut results) = open.take().expect("a lead piece continues a head");
+            debug_assert_eq!(head_seg, seg);
+            results.extend(piece);
+            if results.len() == segments.range(seg).len() {
+                out.push(select(seg, &results));
+            } else {
+                open = Some((seg, results));
+            }
+        }
+        out.extend(block.selections);
+        if block.head.is_some() {
+            debug_assert!(open.is_none());
+            open = block.head;
+        }
+    }
+    debug_assert!(open.is_none(), "a cut segment was never completed");
+    out
 }
 
 /// The whole-task map every engine runs (`ParEngine::dist_tasks`): a
@@ -181,15 +350,26 @@ pub(crate) fn run_kernel<T>(
 ) {
     let mut buf = Vec::new();
     for (seg, range) in runs {
-        let len = range.len();
-        f(seg, range, &mut buf);
-        assert_eq!(
-            buf.len(),
-            len,
-            "a SegmentBatchFn must push exactly one result per item"
-        );
+        call_kernel(f, seg, range, &mut buf);
         buf.drain(..).for_each(&mut emit);
     }
+}
+
+/// One kernel call into the empty `buf`, checked against the
+/// [`SegmentBatchFn`] contract.
+fn call_kernel<T>(
+    f: SegmentBatchFn<'_, T>,
+    seg: usize,
+    range: Range<usize>,
+    buf: &mut Vec<Costed<T>>,
+) {
+    let len = range.len();
+    f(seg, range, buf);
+    assert_eq!(
+        buf.len(),
+        len,
+        "a SegmentBatchFn must push exactly one result per item"
+    );
 }
 
 /// The engine families, which differ in clock and in what a phase
@@ -305,11 +485,16 @@ impl EngineCore {
         self.obs.telemetry_tick(now);
     }
 
-    /// The engine event of one map. Counters record the *logical*
-    /// global call, identically on every engine and rank.
-    pub(crate) fn begin_map(&mut self, n_items: usize, words_per_item: usize) {
+    /// The engine event of one map over `n_items` items whose
+    /// all-gather moves `gathered_words` words. Counters record the
+    /// *logical* global call, identically on every engine and rank.
+    pub(crate) fn begin_map(&mut self, n_items: usize, gathered_words: usize) {
         self.tick();
-        self.obs.count_dist_map(n_items, words_per_item);
+        self.obs.count_dist_map(n_items, 0);
+        self.obs.incr(
+            mn_obs::counters::COMM_ALLGATHER_WORDS,
+            gathered_words as u64,
+        );
         self.telemetry_tick();
     }
 

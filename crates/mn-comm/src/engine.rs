@@ -61,6 +61,12 @@ impl<T: Send + Clone + serde::Serialize + serde::Deserialize + 'static> Wire for
 /// engines' accounting identical to the per-item map.
 pub type SegmentBatchFn<'a, T> = &'a (dyn Fn(usize, Range<usize>, &mut Vec<Costed<T>>) + Sync);
 
+/// A segment selection of [`ParEngine::dist_map_segmented_select`]:
+/// called once per segment with the segment's index and all of its
+/// results in item order (empty for an empty segment), it returns the
+/// small value that stands for the segment on every rank.
+pub type SelectFn<'a, T, S> = &'a (dyn Fn(usize, &[T]) -> S + Sync);
+
 /// One whole task of [`ParEngine::dist_tasks`]: called with the task
 /// index and the fresh one-rank engine the task runs on.
 pub type TaskFn<'a, T> = &'a (dyn Fn(usize, &mut SerialEngine) -> T + Sync);
@@ -73,9 +79,11 @@ pub type TaskFn<'a, T> = &'a (dyn Fn(usize, &mut SerialEngine) -> T + Sync);
 /// `mn-rand`, yields the paper's determinism property (the learned
 /// network is independent of `p`).
 ///
-/// An engine implements one map, [`ParEngine::dist_map_segmented_batch`]
-/// (through [`crate::driver`]); the per-item forms wrap their closure
-/// as a batch kernel. The remaining methods default to the shared
+/// An engine implements two maps through [`crate::driver`]:
+/// [`ParEngine::dist_map_segmented_batch`], which all-gathers every
+/// result, and [`ParEngine::dist_map_segmented_select`], which
+/// all-gathers one selection per segment; [`ParEngine::dist_map`]
+/// wraps its closure as a batch kernel. The remaining methods default to the shared
 /// [`EngineCore`].
 pub trait ParEngine {
     /// The state every engine shares (see [`crate::driver`]).
@@ -110,20 +118,6 @@ pub trait ParEngine {
         self.dist_map_segmented_batch(&Segments::flat(n_items), words_per_item, &batch)
     }
 
-    /// Like [`ParEngine::dist_map`], for work lists with a segment
-    /// structure (all items of one tree node are contiguous). The
-    /// paper's block split deliberately cuts across segments; the
-    /// simulator's ablation oracles assign over them.
-    fn dist_map_segmented<T: Wire>(
-        &mut self,
-        segments: &Segments,
-        words_per_item: usize,
-        f: &(dyn Fn(usize) -> Costed<T> + Sync),
-    ) -> Vec<T> {
-        let batch = |_seg, range: Range<usize>, out: &mut Vec<Costed<T>>| out.extend(range.map(f));
-        self.dist_map_segmented_batch(segments, words_per_item, &batch)
-    }
-
     /// Segment-batched map with all-gather semantics.
     ///
     /// Each call of `f` covers a contiguous sub-range of one segment's
@@ -142,6 +136,28 @@ pub trait ParEngine {
         words_per_item: usize,
         f: SegmentBatchFn<'_, T>,
     ) -> Vec<T>;
+
+    /// Segment-batched map with per-segment selection (§3.2.3's
+    /// segmented scan, local selection and all-gather of the chosen
+    /// values): the items run under exactly the block split, kernel
+    /// calls and per-item costs of
+    /// [`ParEngine::dist_map_segmented_batch`], but no rank ever holds
+    /// the whole result list. `select(seg, &results)` runs once per
+    /// segment, empty ones included, on that segment's results in item
+    /// order, on the rank that owns the segment's first item; the call
+    /// returns the selections in segment order on every rank.
+    ///
+    /// Only the pieces of the at most `p − 1` segments a block boundary
+    /// cuts move to their owner, then the selections are all-gathered.
+    /// `words_per_select` is the size of one selection in 8-byte words:
+    /// the all-gathered payload the counters and the simulator charge.
+    fn dist_map_segmented_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S>;
 
     /// Run `n_tasks` independent programs, each whole on one rank: task
     /// `i` runs start to finish, as `f(i, task_engine)`, on the rank

@@ -61,7 +61,9 @@ pub use fault::{
     InjectedCrash,
 };
 pub use msg::{spmd_run, spmd_run_faulty, spmd_run_faulty_recorded, SpmdCapture, SpmdEngine};
-pub use engine::{with_phase, with_span, Costed, ParEngine, SegmentBatchFn, TaskFn, Wire};
+pub use engine::{
+    with_phase, with_span, Costed, ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire,
+};
 pub use metrics::{PhaseReport, RunReport};
 pub use mn_obs::{self as obs, ObsSnapshot, Recorder};
 pub use segments::Segments;

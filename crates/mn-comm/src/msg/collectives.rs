@@ -28,16 +28,7 @@
 use crate::engine::Wire;
 use crate::fault::CommError;
 use crate::msg::fabric::Endpoint;
-use std::mem::size_of;
-
-/// Shallow wire size of one `Vec<T>` payload: `len * size_of::<T>()`.
-/// This is the accounting convention of the communication matrix — a
-/// deliberate, documented estimate (nested heap structure is not
-/// traversed), applied consistently by the msg fabric and the sim
-/// engine's synthesized traffic.
-fn vec_wire<T>(v: &[T]) -> u64 {
-    (std::mem::size_of_val(v)) as u64
-}
+use std::borrow::Cow;
 
 /// Binomial-tree broadcast of `value` from `root` to all ranks.
 pub fn bcast<T: Wire>(
@@ -45,24 +36,30 @@ pub fn bcast<T: Wire>(
     root: usize,
     value: Option<T>,
 ) -> Result<T, CommError> {
-    bcast_sized(ep, root, value, &|_| size_of::<T>() as u64)
+    bcast_with(
+        ep,
+        root,
+        value,
+        |src| ep.recv_from::<T>(src),
+        |dst, payload| ep.send_to(dst, payload.clone()),
+    )
 }
 
-/// [`bcast`] with a caller-supplied wire-size function, so payloads
-/// with heap storage (`Vec<T>`) report honest byte counts to the
-/// communication matrix.
-fn bcast_sized<T: Wire>(
+/// The broadcast schedule, with the hop's receive and send supplied:
+/// [`bcast`] moves one value, [`allgatherv`] a vector item by item.
+fn bcast_with<V>(
     ep: &Endpoint,
     root: usize,
-    value: Option<T>,
-    wire: &dyn Fn(&T) -> u64,
-) -> Result<T, CommError> {
+    value: Option<V>,
+    recv: impl Fn(usize) -> Result<V, CommError>,
+    send: impl Fn(usize, &V) -> Result<(), CommError>,
+) -> Result<V, CommError> {
     let p = ep.nranks();
     let rank = ep.rank();
     assert!(root < p);
     // Virtual ranks place the root at 0.
     let vrank = (rank + p - root) % p;
-    let mut data: Option<T> = if rank == root {
+    let mut data: Option<V> = if rank == root {
         Some(value.expect("root must supply the broadcast value"))
     } else {
         None
@@ -74,7 +71,7 @@ fn bcast_sized<T: Wire>(
     while mask < p {
         if vrank & mask != 0 {
             let src = (vrank - mask + root) % p;
-            data = Some(ep.recv_from::<T>(src)?);
+            data = Some(recv(src)?);
             break;
         }
         mask <<= 1;
@@ -83,9 +80,7 @@ fn bcast_sized<T: Wire>(
     while mask > 0 {
         if vrank + mask < p {
             let dst = (vrank + mask + root) % p;
-            let payload = data.clone().expect("data present by schedule");
-            let bytes = wire(&payload);
-            ep.send_to_sized(dst, payload, bytes)?;
+            send(dst, data.as_ref().expect("data present by schedule"))?;
         }
         mask >>= 1;
     }
@@ -137,7 +132,9 @@ pub fn allreduce<T: Wire>(
 
 /// Variable-length all-gather: every rank contributes a `Vec<T>`; all
 /// ranks receive the rank-ordered concatenation (the semantics the
-/// split-selection phase of Alg. 5 needs).
+/// split-selection phase of Alg. 5 needs). Vectors travel item by item
+/// ([`Endpoint::send_vec`]), each message recording its shallow
+/// `len × size_of::<T>()` bytes.
 pub fn allgatherv<T: Wire>(
     ep: &Endpoint,
     local: Vec<T>,
@@ -147,18 +144,23 @@ pub fn allgatherv<T: Wire>(
     if p == 1 {
         return Ok(local);
     }
-    if rank == 0 {
+    let all = if rank == 0 {
         let mut all = local;
         for src in 1..p {
-            let part = ep.recv_from::<Vec<T>>(src)?;
-            all.extend(part);
+            all.extend(ep.recv_vec::<T>(src)?);
         }
-        bcast_sized(ep, 0, Some(all), &|v| vec_wire(v))
+        Some(all)
     } else {
-        let bytes = vec_wire(&local);
-        ep.send_to_sized(0, local, bytes)?;
-        bcast_sized::<Vec<T>>(ep, 0, None, &|v| vec_wire(v))
-    }
+        ep.send_vec(0, Cow::Owned(local))?;
+        None
+    };
+    bcast_with(
+        ep,
+        0,
+        all,
+        |src| ep.recv_vec::<T>(src),
+        |dst, all| ep.send_vec(dst, Cow::Borrowed(all.as_slice())),
+    )
 }
 
 /// Barrier: a unit all-reduce.

@@ -15,14 +15,18 @@
 //! returns all of them so callers can (and tests do) assert equality.
 
 use crate::cost::Collective;
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
-use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
+use crate::driver::{
+    self, block_runs, piece_senders, run_kernel, select_block, selector, BlockSelect, EngineCore,
+    RunSlices, Style, TaskDelta,
+};
+use crate::engine::{ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::{CommError, FaultAbort, FaultPlan, InjectedCrash};
 use crate::hooks;
 use crate::msg::collectives::{allgatherv, allreduce, barrier};
 use crate::msg::fabric::{fabric_with_faults, Endpoint};
 use crate::segments::Segments;
 use mn_obs::{FlightEvent, FlightRec, Recorder, SnapshotStash};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Unwrap a fabric result or abort this rank by unwinding with a typed
@@ -113,6 +117,16 @@ impl ParEngine for SpmdEngine {
         driver::drive(self, segments, words_per_item, f)
     }
 
+    fn dist_map_segmented_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        driver::drive_select(self, segments, words_per_select, f, select)
+    }
+
     fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
         driver::dist_tasks(self, n_tasks, f)
     }
@@ -173,6 +187,52 @@ impl RunSlices for SpmdEngine {
             .charge_comm(comm_start.elapsed().as_secs_f64());
         vec![self.abort_on(gathered)]
     }
+
+    /// Select this rank's block, exchange the cut pieces, and make the
+    /// selections global with one [`allgatherv`].
+    fn run_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        _words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        let (rank, p) = (self.ep.rank(), self.ep.nranks());
+        let start = Instant::now();
+        let block = select_block(segments, p, rank, f, select, |_| {});
+        self.core.charge_busy(rank, start.elapsed().as_secs_f64());
+        let comm_start = Instant::now();
+        let gathered = exchange_selections(&self.ep, segments, block, select);
+        self.core
+            .obs
+            .charge_comm(comm_start.elapsed().as_secs_f64());
+        self.abort_on(gathered)
+    }
+}
+
+/// The meeting of a select map on one SPMD rank: send the block's lead
+/// piece to its segment's selector, complete the rank's own cut segment
+/// from the pieces of the ranks after it and select it, then
+/// all-gather every rank's selections. A rank sends before it receives,
+/// so no wait is circular.
+fn exchange_selections<T: Wire, S: Wire>(
+    ep: &Endpoint,
+    segments: &Segments,
+    block: BlockSelect<T, S>,
+    select: SelectFn<'_, T, S>,
+) -> Result<Vec<S>, CommError> {
+    let (n, p) = (segments.n_items(), ep.nranks());
+    let mut selections = block.selections;
+    if let Some((seg, piece)) = block.lead {
+        ep.send_vec(selector(n, p, segments.range(seg).start), Cow::Owned(piece))?;
+    }
+    if let Some((seg, mut results)) = block.head {
+        for q in piece_senders(segments, p, seg) {
+            results.extend(ep.recv_vec::<T>(q)?);
+        }
+        selections.push(select(seg, &results));
+    }
+    allgatherv(ep, selections)
 }
 
 /// Run `program` as SPMD over `p` ranks; returns every rank's result

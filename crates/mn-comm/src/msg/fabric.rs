@@ -233,6 +233,43 @@ impl Endpoint {
         value: T,
         wire_bytes: u64,
     ) -> Result<(), CommError> {
+        self.deliver(dst, type_name::<T>(), wire_bytes, |socket| {
+            if socket {
+                Body::Encoded(wire::to_vec(&value))
+            } else {
+                Body::Value(Box::new(value))
+            }
+        })
+    }
+
+    /// Send `items` to rank `dst` as a `Vec<T>` ([`Endpoint::recv_vec`]
+    /// or `recv_from::<Vec<T>>` takes it), recording `len ×
+    /// size_of::<T>()` wire bytes. A rank thread receives the vector
+    /// (cloned when `items` is borrowed); a proc worker encodes it one
+    /// item at a time ([`wire::encode_seq`]), never as a whole value
+    /// tree, and a borrowed slice is not cloned.
+    pub fn send_vec<T: Wire>(&self, dst: usize, items: Cow<'_, [T]>) -> Result<(), CommError> {
+        let wire_bytes = std::mem::size_of_val(items.as_ref()) as u64;
+        self.deliver(dst, type_name::<Vec<T>>(), wire_bytes, |socket| {
+            if socket {
+                let mut bytes = Vec::new();
+                wire::encode_seq(&items, &mut bytes);
+                Body::Encoded(bytes)
+            } else {
+                Body::Value(Box::new(items.into_owned()))
+            }
+        })
+    }
+
+    /// One send of the payload `body(on a socket)` makes, under the
+    /// fault plan: a `Drop` discards it unsent, a `Kill` fails here.
+    fn deliver(
+        &self,
+        dst: usize,
+        name: &'static str,
+        wire_bytes: u64,
+        body: impl FnOnce(bool) -> Body,
+    ) -> Result<(), CommError> {
         if let Some(FaultAction::Drop) = self.tick()? {
             // Injected message loss: silently discard. The drop is a
             // local event — the message never traveled, so neither the
@@ -245,21 +282,25 @@ impl Endpoint {
             return Ok(());
         }
         let event = self.events();
-        let name = type_name::<T>();
         match &self.out {
             Outbox::Local(to) => to[dst]
-                .send((Cow::Borrowed(name), wire_bytes, Body::Value(Box::new(value))))
+                .send((Cow::Borrowed(name), wire_bytes, body(false)))
                 .map_err(|_| CommError::PeerDisconnected {
                     peer: dst,
                     rank: self.rank,
                     event,
                 }),
-            Outbox::Socket(socket) => socket
-                .send(self.rank, dst, name, wire_bytes, wire::to_vec(&value))
-                .map_err(|e| {
-                    let waited = self.recv_timeout.unwrap_or_default();
-                    CommError::from_io_kind(e.kind(), dst, self.rank, event, waited)
-                }),
+            Outbox::Socket(socket) => {
+                let Body::Encoded(bytes) = body(true) else {
+                    unreachable!("a socket send encodes its payload")
+                };
+                socket
+                    .send(self.rank, dst, name, wire_bytes, bytes)
+                    .map_err(|e| {
+                        let waited = self.recv_timeout.unwrap_or_default();
+                        CommError::from_io_kind(e.kind(), dst, self.rank, event, waited)
+                    })
+            }
         }?;
         self.note_send(dst, wire_bytes);
         Ok(())
@@ -275,6 +316,22 @@ impl Endpoint {
     /// a protocol bug, but it is reported with full coordinates
     /// instead of a bare panic.
     pub fn recv_from<T: Wire>(&self, src: usize) -> Result<T, CommError> {
+        self.receive(src, wire::from_slice::<T>)
+    }
+
+    /// [`Endpoint::recv_from`] of a `Vec<T>`, decoded one item at a time
+    /// off a socket ([`wire::from_slice_seq`]).
+    pub fn recv_vec<T: Wire>(&self, src: usize) -> Result<Vec<T>, CommError> {
+        self.receive(src, wire::from_slice_seq::<T>)
+    }
+
+    /// The next message from `src` as a `T`, decoding socket bytes with
+    /// `decode`.
+    fn receive<T: Wire>(
+        &self,
+        src: usize,
+        decode: impl FnOnce(&[u8]) -> Result<T, wire::WireError>,
+    ) -> Result<T, CommError> {
         self.tick()?; // Drop only affects sends; Delay already slept
         let event = self.events();
         let received = match self.recv_timeout {
@@ -312,7 +369,7 @@ impl Endpoint {
                 .map(|boxed| *boxed)
                 .map_err(|_| mismatch(leak(sent_type))),
             Body::Encoded(_) if sent_type != expected => Err(mismatch(leak(sent_type))),
-            Body::Encoded(bytes) => wire::from_slice(&bytes)
+            Body::Encoded(bytes) => decode(&bytes)
                 .map_err(|e| mismatch(leak(format!("undecodable payload ({e})").into()))),
         }
     }

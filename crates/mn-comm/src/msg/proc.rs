@@ -296,21 +296,29 @@ fn get_bytes(buf: &[u8], cur: &mut usize) -> io::Result<Vec<u8>> {
 }
 
 impl Frame {
+    /// The frame, length prefix first, in one buffer of its exact size.
     fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(32);
+        let size = match self {
+            Frame::Data {
+                type_name, body, ..
+            } => 25 + type_name.len() + body.len(),
+            _ => 16,
+        };
+        let mut head = Vec::with_capacity(4 + size);
+        put_u32(&mut head, 0); // the length, patched below
         match self {
             Frame::Hello { rank, pid } => {
-                payload.push(0);
-                put_u32(&mut payload, *rank);
-                put_u32(&mut payload, *pid);
+                head.push(0);
+                put_u32(&mut head, *rank);
+                put_u32(&mut head, *pid);
             }
             Frame::Welcome {
                 nranks,
                 heartbeat_ms,
             } => {
-                payload.push(1);
-                put_u32(&mut payload, *nranks);
-                put_u32(&mut payload, *heartbeat_ms);
+                head.push(1);
+                put_u32(&mut head, *nranks);
+                put_u32(&mut head, *heartbeat_ms);
             }
             Frame::Data {
                 src,
@@ -319,66 +327,79 @@ impl Frame {
                 type_name,
                 body,
             } => {
-                payload.push(2);
-                put_u32(&mut payload, *src);
-                put_u32(&mut payload, *dst);
-                put_u64(&mut payload, *wire_bytes);
-                put_bytes(&mut payload, type_name.as_bytes());
-                put_bytes(&mut payload, body);
+                head.push(2);
+                put_u32(&mut head, *src);
+                put_u32(&mut head, *dst);
+                put_u64(&mut head, *wire_bytes);
+                put_bytes(&mut head, type_name.as_bytes());
+                put_bytes(&mut head, body);
             }
             Frame::Heartbeat { rank } => {
-                payload.push(3);
-                put_u32(&mut payload, *rank);
+                head.push(3);
+                put_u32(&mut head, *rank);
             }
             Frame::PeerDead {
                 rank,
                 last_hb_age_ms,
             } => {
-                payload.push(4);
-                put_u32(&mut payload, *rank);
-                put_u64(&mut payload, *last_hb_age_ms);
+                head.push(4);
+                put_u32(&mut head, *rank);
+                put_u64(&mut head, *last_hb_age_ms);
             }
             Frame::Goodbye { rank } => {
-                payload.push(5);
-                put_u32(&mut payload, *rank);
+                head.push(5);
+                put_u32(&mut head, *rank);
             }
         }
-        let mut framed = Vec::with_capacity(4 + payload.len());
-        put_u32(&mut framed, payload.len() as u32);
-        framed.extend_from_slice(&payload);
-        framed
+        let len = (head.len() - 4) as u32;
+        head[..4].copy_from_slice(&len.to_le_bytes());
+        head
     }
 
-    fn decode(payload: &[u8]) -> io::Result<Frame> {
+    /// Decode a frame's payload (the bytes after its length prefix). A
+    /// `Data` frame's body keeps the payload's buffer.
+    fn decode(mut payload: Vec<u8>) -> io::Result<Frame> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut cur = 1usize;
         let kind = *payload.first().ok_or_else(|| bad("empty frame"))?;
+        let payload_ref = &payload;
         let frame = match kind {
             0 => Frame::Hello {
-                rank: get_u32(payload, &mut cur)?,
-                pid: get_u32(payload, &mut cur)?,
+                rank: get_u32(payload_ref, &mut cur)?,
+                pid: get_u32(payload_ref, &mut cur)?,
             },
             1 => Frame::Welcome {
-                nranks: get_u32(payload, &mut cur)?,
-                heartbeat_ms: get_u32(payload, &mut cur)?,
+                nranks: get_u32(payload_ref, &mut cur)?,
+                heartbeat_ms: get_u32(payload_ref, &mut cur)?,
             },
-            2 => Frame::Data {
-                src: get_u32(payload, &mut cur)?,
-                dst: get_u32(payload, &mut cur)?,
-                wire_bytes: get_u64(payload, &mut cur)?,
-                type_name: String::from_utf8(get_bytes(payload, &mut cur)?)
-                    .map_err(|_| bad("non-UTF-8 type name"))?,
-                body: get_bytes(payload, &mut cur)?,
-            },
+            2 => {
+                let src = get_u32(payload_ref, &mut cur)?;
+                let dst = get_u32(payload_ref, &mut cur)?;
+                let wire_bytes = get_u64(payload_ref, &mut cur)?;
+                let type_name = String::from_utf8(get_bytes(payload_ref, &mut cur)?)
+                    .map_err(|_| bad("non-UTF-8 type name"))?;
+                let len = get_u32(payload_ref, &mut cur)? as usize;
+                if payload.len() - cur != len {
+                    return Err(bad("frame body length mismatch"));
+                }
+                payload.drain(..cur);
+                return Ok(Frame::Data {
+                    src,
+                    dst,
+                    wire_bytes,
+                    type_name,
+                    body: payload,
+                });
+            }
             3 => Frame::Heartbeat {
-                rank: get_u32(payload, &mut cur)?,
+                rank: get_u32(payload_ref, &mut cur)?,
             },
             4 => Frame::PeerDead {
-                rank: get_u32(payload, &mut cur)?,
-                last_hb_age_ms: get_u64(payload, &mut cur)?,
+                rank: get_u32(payload_ref, &mut cur)?,
+                last_hb_age_ms: get_u64(payload_ref, &mut cur)?,
             },
             5 => Frame::Goodbye {
-                rank: get_u32(payload, &mut cur)?,
+                rank: get_u32(payload_ref, &mut cur)?,
             },
             _ => return Err(bad("unknown frame kind")),
         };
@@ -395,6 +416,13 @@ fn write_frame(stream: &mut ProcStream, frame: &Frame) -> io::Result<()> {
 }
 
 fn read_frame(stream: &mut ProcStream) -> io::Result<Frame> {
+    let mut framed = read_frame_bytes(stream)?;
+    framed.drain(..4);
+    Frame::decode(framed)
+}
+
+/// The next frame's bytes, length prefix included.
+fn read_frame_bytes(stream: &mut ProcStream) -> io::Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -404,9 +432,20 @@ fn read_frame(stream: &mut ProcStream) -> io::Result<Frame> {
             format!("bad frame length {len}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Frame::decode(&payload)
+    let mut framed = vec![0u8; 4 + len as usize];
+    framed[..4].copy_from_slice(&len_buf);
+    stream.read_exact(&mut framed[4..])?;
+    Ok(framed)
+}
+
+/// The destination of a `Data` frame read by [`read_frame_bytes`], read
+/// off its header so the supervisor forwards the bytes as they came.
+fn data_dst(framed: &[u8]) -> Option<usize> {
+    // Length prefix, kind byte, then `src` and `dst`.
+    match framed.get(4..13)? {
+        [2, _, _, _, _, d0, d1, d2, d3] => Some(u32::from_le_bytes([*d0, *d1, *d2, *d3]) as usize),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -912,25 +951,26 @@ impl Supervisor {
                     .and_then(|l| l.reader.take())
                     .expect("route after accept_workers");
                 scope.spawn(move || loop {
-                    match read_frame(&mut reader) {
+                    let next = read_frame_bytes(&mut reader);
+                    if let Some((framed, dst)) = next.as_ref().ok().and_then(|f| Some((f, data_dst(f)?))) {
+                        // Data also proves liveness — a rank deep in
+                        // a send burst may beat less promptly.
+                        states[rank].lock().unwrap_or_else(std::sync::PoisonError::into_inner).last_hb = Instant::now();
+                        if dst < nranks {
+                            let mut w = writers[dst].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                            // Forwarded as read, undecoded. Delivery
+                            // failure to a dead dst is not this rank's
+                            // problem: dst's own reader reports the death.
+                            let _ = w.write_all(framed).and_then(|()| w.flush());
+                        }
+                        continue;
+                    }
+                    match next.and_then(|mut framed| {
+                        framed.drain(..4);
+                        Frame::decode(framed)
+                    }) {
                         Ok(Frame::Heartbeat { .. }) => {
                             states[rank].lock().unwrap_or_else(std::sync::PoisonError::into_inner).last_hb = Instant::now();
-                        }
-                        Ok(frame @ Frame::Data { .. }) => {
-                            // Data also proves liveness — a rank deep in
-                            // a send burst may beat less promptly.
-                            states[rank].lock().unwrap_or_else(std::sync::PoisonError::into_inner).last_hb = Instant::now();
-                            let dst = match &frame {
-                                Frame::Data { dst, .. } => *dst as usize,
-                                _ => unreachable!(),
-                            };
-                            if dst < nranks {
-                                let mut w = writers[dst].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                                // Delivery failure to a dead dst is not
-                                // this rank's problem: dst's own reader
-                                // reports the death.
-                                let _ = write_frame(&mut w, &frame);
-                            }
                         }
                         Ok(Frame::Goodbye { .. }) => {
                             states[rank].lock().unwrap_or_else(std::sync::PoisonError::into_inner).clean = true;
@@ -1163,7 +1203,7 @@ mod tests {
         let encoded = frame.encode();
         let len = u32::from_le_bytes(encoded[..4].try_into().unwrap()) as usize;
         assert_eq!(len, encoded.len() - 4, "length prefix covers the payload");
-        assert_eq!(Frame::decode(&encoded[4..]).unwrap(), frame);
+        assert_eq!(Frame::decode(encoded[4..].to_vec()).unwrap(), frame);
     }
 
     #[test]
@@ -1189,15 +1229,29 @@ mod tests {
     }
 
     #[test]
+    fn the_router_reads_a_data_frames_destination_off_its_header() {
+        let data = Frame::Data {
+            src: 1,
+            dst: 3,
+            wire_bytes: 8,
+            type_name: "f64".into(),
+            body: wire::to_vec(&2.5f64),
+        };
+        assert_eq!(data_dst(&data.encode()), Some(3));
+        assert_eq!(data_dst(&Frame::Heartbeat { rank: 3 }.encode()), None);
+        assert_eq!(data_dst(&data.encode()[..12]), None, "a header cut short");
+    }
+
+    #[test]
     fn truncated_and_unknown_frames_are_errors() {
         let encoded = Frame::Hello { rank: 1, pid: 2 }.encode();
-        assert!(Frame::decode(&encoded[4..encoded.len() - 1]).is_err());
-        assert!(Frame::decode(&[99]).is_err());
-        assert!(Frame::decode(&[]).is_err());
+        assert!(Frame::decode(encoded[4..encoded.len() - 1].to_vec()).is_err());
+        assert!(Frame::decode(vec![99]).is_err());
+        assert!(Frame::decode(Vec::new()).is_err());
         // trailing bytes after a valid frame body
         let mut padded = encoded[4..].to_vec();
         padded.push(0);
-        assert!(Frame::decode(&padded).is_err());
+        assert!(Frame::decode(padded).is_err());
     }
 
     #[test]

@@ -169,6 +169,45 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, WireError> {
     T::deserialize_value(&content).map_err(|e| WireError::Type(e.to_string()))
 }
 
+/// Encode `items` as the sequence `encode(&items.to_vec())` would
+/// produce, byte for byte, but one item's serde tree at a time: a
+/// payload of many small items never exists as a whole value tree
+/// (tens of bytes per scalar) next to its encoding.
+pub fn encode_seq<T: Serialize>(items: &[T], out: &mut Vec<u8>) {
+    out.push(7);
+    encode_len(items.len(), out);
+    for item in items {
+        encode(item, out);
+    }
+}
+
+/// Decode a sequence [`encode_seq`] (or [`encode`] of a `Vec<T>`)
+/// wrote, one item's serde tree at a time; the buffer must contain
+/// exactly the sequence.
+pub fn from_slice_seq<T: Deserialize>(bytes: &[u8]) -> Result<Vec<T>, WireError> {
+    let mut cursor = 0usize;
+    let tag = take(bytes, &mut cursor, 1)?[0];
+    if tag != 7 {
+        return Err(WireError::Type(format!(
+            "expected a sequence, found tag {tag}"
+        )));
+    }
+    // Every encoded item is at least one tag byte.
+    let count = decode_len(bytes, &mut cursor, 1)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        let content = decode_content(bytes, &mut cursor, 1)?;
+        items.push(T::deserialize_value(&content).map_err(|e| WireError::Type(e.to_string()))?);
+    }
+    if cursor != bytes.len() {
+        return Err(WireError::TrailingBytes {
+            decoded: cursor,
+            len: bytes.len(),
+        });
+    }
+    Ok(items)
+}
+
 fn encode_content(content: &Content, out: &mut Vec<u8>) {
     match content {
         Content::Null => out.push(0),
@@ -319,6 +358,36 @@ mod tests {
         let bytes = to_vec(&value);
         let back: T = from_slice(&bytes).unwrap();
         assert_eq!(back, value);
+    }
+
+    #[test]
+    fn sequences_encode_item_by_item_to_the_whole_vector_bytes() {
+        let rows: Vec<Vec<(u32, f64)>> = vec![
+            vec![(1, 0.5), (7, f64::NEG_INFINITY)],
+            vec![],
+            vec![(2, 1.0)],
+        ];
+        let mut bytes = Vec::new();
+        encode_seq(&rows, &mut bytes);
+        assert_eq!(bytes, to_vec(&rows), "not the bytes of the whole vector");
+        assert_eq!(from_slice_seq::<Vec<(u32, f64)>>(&bytes).unwrap(), rows);
+        assert_eq!(from_slice::<Vec<Vec<(u32, f64)>>>(&bytes).unwrap(), rows);
+        let mut empty = Vec::new();
+        encode_seq::<f64>(&[], &mut empty);
+        assert_eq!(empty, to_vec(&Vec::<f64>::new()));
+        assert!(from_slice_seq::<f64>(&empty).unwrap().is_empty());
+        // Not a sequence, a truncated one, and one with trailing bytes.
+        assert!(matches!(
+            from_slice_seq::<f64>(&to_vec(&1.5f64)),
+            Err(WireError::Type(_))
+        ));
+        assert!(from_slice_seq::<(u32, f64)>(&bytes[..bytes.len() - 1]).is_err());
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(matches!(
+            from_slice_seq::<Vec<(u32, f64)>>(&padded),
+            Err(WireError::TrailingBytes { .. })
+        ));
     }
 
     #[test]

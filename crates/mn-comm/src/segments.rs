@@ -88,6 +88,13 @@ impl Segments {
         self.offsets.partition_point(|&b| b <= item) - 1
     }
 
+    /// The indices of the segments, empty ones included, whose first
+    /// item position lies in `[lo, hi)`.
+    pub fn starting_in(&self, lo: usize, hi: usize) -> Range<usize> {
+        let starts = &self.offsets[..self.n_segments()];
+        starts.partition_point(|&b| b < lo)..starts.partition_point(|&b| b < hi)
+    }
+
     /// Iterate `(segment index, item range)` over non-empty segments.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         self.offsets
@@ -197,6 +204,16 @@ mod tests {
         assert_eq!(got, vec![(0, 0..3), (2, 3..5)]);
         let tail: Vec<_> = s.overlapping(2, 4).collect();
         assert_eq!(tail, vec![(0, 2..3), (2, 3..4)]);
+    }
+
+    #[test]
+    fn starting_in_counts_empty_segments_at_their_position() {
+        let s = Segments::from_lens([3, 0, 2, 0]);
+        assert_eq!(s.starting_in(0, 3), 0..1);
+        assert_eq!(s.starting_in(3, 5), 1..3);
+        assert_eq!(s.starting_in(5, 6), 3..4);
+        assert_eq!(s.starting_in(1, 3), 1..1);
+        assert_eq!(Segments::from_lens([0, 0]).starting_in(0, 1), 0..2);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! Figures 3–4.
 
 use crate::cancel::CancelToken;
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
-use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
+use crate::driver::{
+    self, block_runs, join_blocks, run_kernel, select_block, EngineCore, RunSlices, Style,
+    TaskDelta,
+};
+use crate::engine::{ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::segments::Segments;
@@ -96,6 +99,16 @@ impl ParEngine for SerialEngine {
         driver::drive(self, segments, words_per_item, f)
     }
 
+    fn dist_map_segmented_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        driver::drive_select(self, segments, words_per_select, f, select)
+    }
+
     fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
         driver::dist_tasks(self, n_tasks, f)
     }
@@ -124,6 +137,22 @@ impl RunSlices for SerialEngine {
         });
         self.core.charge_busy(0, start.elapsed().as_secs_f64());
         vec![block]
+    }
+
+    /// One rank: every segment is whole, so only one is ever buffered.
+    fn run_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        _words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        hooks::install_thread_hooks(self.core.obs.flight());
+        let start = Instant::now();
+        let work_units = &mut self.work_units;
+        let block = select_block(segments, 1, 0, f, select, |cost| *work_units += cost);
+        self.core.charge_busy(0, start.elapsed().as_secs_f64());
+        join_blocks(segments, [block], select)
     }
 }
 

@@ -25,13 +25,17 @@
 //! integration tests assert across engines.
 
 use crate::cost::{Collective, CostModel};
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
-use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
+use crate::driver::{
+    self, block_runs, join_blocks, run_kernel, select_block, selector, EngineCore, RunSlices,
+    Style, TaskDelta,
+};
+use crate::engine::{ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::partition::{assign_owners, PartitionStrategy};
 use crate::segments::Segments;
 use mn_obs::Recorder;
+use std::mem::size_of;
 
 /// Virtual-SPMD engine with per-rank clocks and τ/μ collective costs.
 ///
@@ -144,6 +148,34 @@ impl SimEngine {
             .comm_matrix()
             .record_allgatherv(&step.counts, esize as u64);
     }
+
+    /// Close the step that ends a select map: charge the moves of the
+    /// cut pieces and the all-gather of the selections, and synthesize
+    /// the traffic the msg engine sends for them — one message of
+    /// `len × size_of::<T>()` bytes per `(holder, selector, len)` piece,
+    /// then an `allgatherv` of `counts[r]` selections from each rank.
+    /// A selector takes its pieces one after another, so the moves last
+    /// as long as the busiest selector's.
+    fn finish_select<T, S>(
+        &mut self,
+        step: Step,
+        pieces: &[(usize, usize, usize)],
+        counts: &[usize],
+        gathered_words: usize,
+    ) {
+        let matrix = self.core.obs.comm_matrix();
+        let mut inbound = vec![0.0; self.core.p];
+        for &(src, dst, len) in pieces {
+            inbound[dst] += self.cost.message_s(len * size_of::<T>().div_ceil(8));
+            matrix.record(src, dst, (len * size_of::<T>()) as u64);
+        }
+        let moves = inbound.iter().copied().fold(0.0, f64::max);
+        let gather = self
+            .cost
+            .collective_s(Collective::AllGather, gathered_words, self.core.p);
+        self.account_step(&step.busy, moves + gather);
+        matrix.record_allgatherv(counts, size_of::<S>() as u64);
+    }
 }
 
 impl ParEngine for SimEngine {
@@ -169,7 +201,7 @@ impl ParEngine for SimEngine {
         // deterministic functions of the item), assign owners from the
         // true costs, then attribute each item's cost to its owner.
         let (n, p) = (segments.n_items(), self.core.p);
-        self.core.begin_map(n, words_per_item);
+        self.core.begin_map(n, n * words_per_item);
         hooks::install_thread_hooks(self.core.obs.flight());
         let (mut values, mut costs) = (Vec::with_capacity(n), Vec::with_capacity(n));
         run_kernel(f, segments.iter(), |(v, c)| {
@@ -185,6 +217,63 @@ impl ParEngine for SimEngine {
         }
         self.finish_map(step, n, words_per_item, std::mem::size_of::<T>());
         values
+    }
+
+    fn dist_map_segmented_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        let strategy = self.strategy;
+        if segments.is_flat() || strategy == PartitionStrategy::Block {
+            return driver::drive_select(self, segments, words_per_select, f, select);
+        }
+        // The oracle step: evaluate and select each segment whole, keep
+        // only the costs, assign owners from them, and charge the block
+        // split's pattern under those owners — every other holder of a
+        // segment's items sends them to the owner of its first item,
+        // which selects it.
+        let (n, p) = (segments.n_items(), self.core.p);
+        let gathered = segments.n_segments() * words_per_select;
+        self.core.begin_map(n, gathered);
+        hooks::install_thread_hooks(self.core.obs.flight());
+        let (mut costs, mut values) = (Vec::with_capacity(n), Vec::new());
+        let mut selections = Vec::with_capacity(segments.n_segments());
+        for seg in 0..segments.n_segments() {
+            let range = segments.range(seg);
+            values.clear();
+            if !range.is_empty() {
+                run_kernel(f, std::iter::once((seg, range)), |(v, c)| {
+                    values.push(v);
+                    costs.push(c);
+                });
+            }
+            selections.push(select(seg, &values));
+        }
+        let owners = assign_owners(strategy, p, &costs, segments);
+        let mut step = Step::new(p);
+        for (&owner, &c) in owners.iter().zip(&costs) {
+            step.charge(&self.cost, owner, c);
+        }
+        let (mut pieces, mut counts, mut held) = (Vec::new(), vec![0; p], vec![0; p]);
+        for seg in 0..segments.n_segments() {
+            let range = segments.range(seg);
+            let chooser = owners.get(range.start).copied().unwrap_or(p - 1);
+            counts[chooser] += 1;
+            for &owner in &owners[range] {
+                held[owner] += 1;
+            }
+            for (q, len) in held.iter_mut().enumerate() {
+                if *len > 0 && q != chooser {
+                    pieces.push((q, chooser, *len));
+                }
+                *len = 0;
+            }
+        }
+        self.finish_select::<T, S>(step, &pieces, &counts, gathered);
+        selections
     }
 
     fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
@@ -233,13 +322,40 @@ impl RunSlices for SimEngine {
                 block
             })
             .collect();
-        self.finish_map(
-            step,
-            segments.n_items(),
-            words_per_item,
-            std::mem::size_of::<T>(),
-        );
+        self.finish_map(step, segments.n_items(), words_per_item, size_of::<T>());
         blocks
+    }
+
+    /// The simulator runs every virtual rank's block in turn on the
+    /// caller, charging each rank its items' costs, joins the cut
+    /// segments, and charges the pieces' moves and the selections'
+    /// all-gather.
+    fn run_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        hooks::install_thread_hooks(self.core.obs.flight());
+        let (n, p) = (segments.n_items(), self.core.p);
+        let mut step = Step::new(p);
+        let cost = &self.cost;
+        let blocks: Vec<_> = (0..p)
+            .map(|r| select_block(segments, p, r, f, select, |c| step.charge(cost, r, c)))
+            .collect();
+        let mut pieces = Vec::new();
+        let mut counts = Vec::with_capacity(p);
+        for (r, block) in blocks.iter().enumerate() {
+            if let Some((seg, piece)) = &block.lead {
+                let chooser = selector(n, p, segments.range(*seg).start);
+                pieces.push((r, chooser, piece.len()));
+            }
+            counts.push(block.selections.len() + usize::from(block.head.is_some()));
+        }
+        let gathered = segments.n_segments() * words_per_select;
+        self.finish_select::<T, S>(step, &pieces, &counts, gathered);
+        join_blocks(segments, blocks, select)
     }
 }
 
@@ -329,7 +445,9 @@ mod tests {
         let run = |strategy: PartitionStrategy| {
             let mut e = SimEngine::with_cost(8, CostModel::free_comm()).with_strategy(strategy);
             e.begin_phase("w");
-            e.dist_map_segmented(&segments, 1, &|i| (i, cost_of(i)));
+            e.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
+                out.extend(range.map(|i| (i, cost_of(i))));
+            });
             e.report()
         };
         let block = run(PartitionStrategy::Block);
@@ -345,27 +463,39 @@ mod tests {
 
     #[test]
     fn batched_map_matches_per_item_accounting() {
-        // The batched segment map must charge the same per-item costs
-        // to the same ranks as the per-item map, for every strategy —
-        // the property that keeps the imbalance figures identical.
+        // The batched segment map must charge every item's own cost to
+        // the rank the strategy assigns that item, whatever sub-ranges
+        // the kernel is handed — the property that keeps the imbalance
+        // figures identical to a per-item map's.
         let segments = Segments::from_lens(vec![5usize, 9, 2, 16]);
         let cost_of = |i: usize| (i as u64 % 11) * 10 + 1;
+        let costs: Vec<u64> = (0..segments.n_items()).map(cost_of).collect();
+        let model = CostModel::free_comm();
         for strategy in PartitionStrategy::ALL {
             for p in [1usize, 3, 7, 32] {
-                let mut per_item = SimEngine::new(p).with_strategy(strategy);
-                per_item.begin_phase("w");
-                let a = per_item.dist_map_segmented(&segments, 1, &|i| (i * 3, cost_of(i)));
-                let ra = per_item.report();
-
-                let mut batched = SimEngine::new(p).with_strategy(strategy);
-                batched.begin_phase("w");
-                let b = batched.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
+                let mut e = SimEngine::with_cost(p, model).with_strategy(strategy);
+                e.begin_phase("w");
+                let out = e.dist_map_segmented_batch(&segments, 1, &|_seg, range, out| {
                     out.extend(range.map(|i| (i * 3, cost_of(i))));
                 });
-                let rb = batched.report();
+                let report = e.report();
+                assert_eq!(out, (0..32).map(|i| i * 3).collect::<Vec<_>>());
 
-                assert_eq!(a, b, "{strategy:?} p={p}");
-                assert_eq!(ra, rb, "{strategy:?} p={p} accounting diverged");
+                let mut busy = vec![0.0; p];
+                for (&owner, &c) in assign_owners(strategy, p, &costs, &segments)
+                    .iter()
+                    .zip(&costs)
+                {
+                    busy[owner] += model.compute_s(c);
+                }
+                let max = busy.iter().copied().fold(0.0, f64::max);
+                let avg = busy.iter().sum::<f64>() / p as f64;
+                let phase = &report.phases[0];
+                assert_eq!(
+                    (phase.busy_max_s, phase.busy_avg_s),
+                    (max, avg),
+                    "{strategy:?} p={p} accounting diverged"
+                );
             }
         }
     }
@@ -448,23 +578,31 @@ mod tests {
         // matrix of a real message-fabric run of the same program.
         use crate::msg::spmd_run;
         use mn_obs::CommMatrix;
+        // Segments cut by one boundary, spread over several ranks, and
+        // empty, so the select map moves pieces as well as selections.
+        let segments = Segments::from_lens([3usize, 0, 11, 2, 0]);
+        fn program<E: ParEngine>(e: &mut E, segments: &Segments) {
+            e.begin_phase("a");
+            e.dist_map(17, 1, &|i| (i as u64, 1));
+            e.collective(Collective::AllReduce, 1);
+            e.begin_phase("b");
+            e.dist_map(9, 1, &|i| (i as u64, 1));
+            e.begin_phase("c");
+            e.dist_map_segmented_select(
+                segments,
+                2,
+                &|_, range, out| out.extend(range.map(|i| (i as f64, 1))),
+                &|seg, results: &[f64]| (seg as u32, results.iter().sum::<f64>()),
+            );
+            e.report();
+        }
         for p in [1usize, 2, 3, 4, 7] {
             let mut sim = SimEngine::new(p);
-            sim.begin_phase("a");
-            sim.dist_map(17, 1, &|i| (i as u64, 1));
-            sim.collective(Collective::AllReduce, 1);
-            sim.begin_phase("b");
-            sim.dist_map(9, 1, &|i| (i as u64, 1));
-            sim.report();
+            program(&mut sim, &segments);
             let sim_mat = sim.obs().comm_matrix().snapshot();
 
             let rank_mats = spmd_run(p, |e| {
-                e.begin_phase("a");
-                e.dist_map(17, 1, &|i| (i as u64, 1));
-                e.collective(Collective::AllReduce, 1);
-                e.begin_phase("b");
-                e.dist_map(9, 1, &|i| (i as u64, 1));
-                e.report();
+                program(e, &segments);
                 e.obs().comm_matrix().snapshot()
             });
             let msg_mat = CommMatrix::merged(&rank_mats).expect("aligned phases");

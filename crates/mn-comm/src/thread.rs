@@ -35,8 +35,11 @@
 //! same report shape as the other engines, so the bench harness can
 //! drive any engine uniformly.
 
-use crate::driver::{self, block_runs, run_kernel, EngineCore, RunSlices, Style, TaskDelta};
-use crate::engine::{ParEngine, SegmentBatchFn, TaskFn, Wire};
+use crate::driver::{
+    self, block_runs, join_blocks, run_kernel, select_block, EngineCore, RunSlices, Style,
+    TaskDelta,
+};
+use crate::engine::{ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::FaultPlan;
 use crate::hooks;
 use crate::partition::block_range;
@@ -97,6 +100,16 @@ impl ParEngine for ThreadEngine {
         driver::drive(self, segments, words_per_item, f)
     }
 
+    fn dist_map_segmented_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        driver::drive_select(self, segments, words_per_select, f, select)
+    }
+
     fn dist_tasks<T: Wire>(&mut self, n_tasks: usize, f: TaskFn<'_, T>) -> Vec<(T, TaskDelta)> {
         driver::dist_tasks(self, n_tasks, f)
     }
@@ -105,8 +118,7 @@ impl ParEngine for ThreadEngine {
 impl RunSlices for ThreadEngine {
     /// Rank 0's slice on the caller, every other rank's on its worker;
     /// the rank-order concatenation of their blocks is the all-gather
-    /// of Alg. 5. One rank, or at most one item, runs inline on the
-    /// caller, charged to rank 0.
+    /// of Alg. 5.
     fn run_slices<T: Wire>(
         &mut self,
         segments: &Segments,
@@ -125,18 +137,54 @@ impl RunSlices for ThreadEngine {
             (block, start.elapsed().as_secs_f64())
         };
         hooks::install_thread_hooks(self.core.obs.flight());
-        let inline = p == 1 || n <= 1;
-        let done: Vec<(Vec<T>, f64)> = if inline {
+        self.run_ranks(n, slice)
+    }
+
+    /// Every rank selects the segments inside its block where it runs;
+    /// the caller joins the at most `p − 1` segments the block
+    /// boundaries cut.
+    fn run_select<T: Wire, S: Wire>(
+        &mut self,
+        segments: &Segments,
+        _words_per_select: usize,
+        f: SegmentBatchFn<'_, T>,
+        select: SelectFn<'_, T, S>,
+    ) -> Vec<S> {
+        let p = self.core.p;
+        let slice = |r: usize| {
+            let start = Instant::now();
+            let block = select_block(segments, p, r, f, select, |_| {});
+            (block, start.elapsed().as_secs_f64())
+        };
+        hooks::install_thread_hooks(self.core.obs.flight());
+        let blocks = self.run_ranks(segments.n_items(), slice);
+        join_blocks(segments, blocks, select)
+    }
+}
+
+impl ThreadEngine {
+    /// `slice(r)` for every rank, returning its output and charging its
+    /// busy seconds: rank 0 on the caller, the others on their workers,
+    /// or all on the caller, charged to rank 0, for one rank or at most
+    /// one item.
+    fn run_ranks<R: Send>(
+        &mut self,
+        n_items: usize,
+        slice: impl Fn(usize) -> (R, f64) + Sync,
+    ) -> Vec<R> {
+        let p = self.core.p;
+        let inline = p == 1 || n_items <= 1;
+        let done: Vec<(R, f64)> = if inline {
             (0..p).map(slice).collect()
         } else {
             self.pool.run(slice)
         };
-        let mut blocks = Vec::with_capacity(p);
-        for (r, (block, dt)) in done.into_iter().enumerate() {
+        let mut outs = Vec::with_capacity(p);
+        for (r, (out, dt)) in done.into_iter().enumerate() {
             self.core.charge_busy(if inline { 0 } else { r }, dt);
-            blocks.push(block);
+            outs.push(out);
         }
-        blocks
+        outs
     }
 }
 

@@ -1,13 +1,16 @@
 //! One conformance suite for every engine.
 //!
 //! The same program of maps runs on serial, threads, sim and msg: flat,
-//! per-item segmented and batched maps over lists with empty segments,
+//! batched and segment-select maps over lists with empty segments,
 //! `n = 0` and `n = 1`, for two rounds. The real engines run the block
 //! split; the simulator also runs the two ablation oracles. Every run
 //! must return the serial results and the serial counters, compute
-//! every item exactly once inside its segment, and cut its kernel calls
-//! per rank the way the block split says whenever the split is the
-//! block split — which includes flat maps under the oracles.
+//! every item exactly once inside its segment, select every segment
+//! exactly once on its whole results, and cut its kernel calls per rank
+//! the way the block split says whenever the split is the block split —
+//! which includes flat maps under the oracles. The rank counts cover a
+//! segment cut by one block boundary, one spread over three ranks, and
+//! more ranks than items.
 
 use mn_comm::{
     block_range, spmd_run, spmd_run_faulty, CostModel, FaultPlan, ParEngine, PartitionStrategy,
@@ -26,7 +29,7 @@ enum Spec {
     Msg(usize),
 }
 
-const ENGINES: [Spec; 14] = [
+const ENGINES: [Spec; 15] = [
     Spec::Serial,
     Spec::Threads(1),
     Spec::Threads(2),
@@ -37,6 +40,7 @@ const ENGINES: [Spec; 14] = [
     Spec::Sim(3),
     Spec::Sim(7),
     Spec::Sim(32),
+    Spec::Sim(64),
     Spec::Msg(1),
     Spec::Msg(2),
     Spec::Msg(3),
@@ -55,8 +59,8 @@ impl Spec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Form {
     Flat,
-    Segmented,
     Batch,
+    Select,
 }
 
 /// The work lists: empty segments inside, an empty list, one item.
@@ -72,8 +76,8 @@ fn lists() -> [Segments; 3] {
 fn round_maps() -> Vec<(Form, Segments)> {
     let mut maps: Vec<_> = lists().into_iter().map(|s| (Form::Flat, s)).collect();
     for segments in lists() {
-        maps.push((Form::Segmented, segments.clone()));
-        maps.push((Form::Batch, segments));
+        maps.push((Form::Batch, segments.clone()));
+        maps.push((Form::Select, segments));
     }
     maps
 }
@@ -96,6 +100,26 @@ type Cut = (Option<usize>, Range<usize>);
 
 /// One kernel call: `(map, thread, segment or None for per-item, range)`.
 type Call = (usize, ThreadId, Option<usize>, Range<usize>);
+
+/// A select map's result: per segment, in segment order, its index, its
+/// length and its results — so the selection saw the whole segment, in
+/// item order.
+fn selected(segments: &Segments) -> Vec<usize> {
+    (0..segments.n_segments())
+        .flat_map(|seg| {
+            let range = segments.range(seg);
+            [seg, range.len()].into_iter().chain(range.map(value))
+        })
+        .collect()
+}
+
+/// What the program's map `form` over `segments` returns.
+fn expected(form: Form, segments: &Segments) -> Vec<usize> {
+    match form {
+        Form::Select => selected(segments),
+        _ => (0..segments.n_items()).map(value).collect(),
+    }
+}
 
 struct Outcome {
     results: Vec<Vec<usize>>,
@@ -124,13 +148,22 @@ fn program<E: ParEngine>(e: &mut E, log: &Mutex<Vec<Call>>) -> Outcome {
                 note(map, None, i..i + 1);
                 (value(i), cost(i))
             };
+            let batch = |seg: usize, range: Range<usize>, out: &mut Vec<(usize, u64)>| {
+                note(map, Some(seg), range.clone());
+                out.extend(range.map(|i| (value(i), cost(i))));
+            };
             results.push(match form {
                 Form::Flat => e.dist_map(segments.n_items(), words, &item),
-                Form::Segmented => e.dist_map_segmented(&segments, words, &item),
-                Form::Batch => e.dist_map_segmented_batch(&segments, words, &|seg, range, out| {
-                    note(map, Some(seg), range.clone());
-                    out.extend(range.map(|i| (value(i), cost(i))));
-                }),
+                Form::Batch => e.dist_map_segmented_batch(&segments, words, &batch),
+                Form::Select => {
+                    let select = |seg: usize, results: &[usize]| {
+                        let mut out = vec![seg, results.len()];
+                        out.extend_from_slice(results);
+                        out
+                    };
+                    let selections = e.dist_map_segmented_select(&segments, words, &batch, &select);
+                    selections.concat()
+                }
             });
         }
     }
@@ -197,25 +230,23 @@ fn check_calls(
 
     let p = spec.nranks();
     if strategy != PartitionStrategy::Block && form != Form::Flat {
-        if form == Form::Batch {
-            // The oracles evaluate the union once, in whole segments.
-            let got: Vec<_> = calls
-                .iter()
-                .map(|(_, _, s, r)| (s.unwrap(), r.clone()))
-                .collect();
-            assert_eq!(got, segments.iter().collect::<Vec<_>>(), "{ctx}");
-        }
+        // The oracles evaluate the union once, in whole segments.
+        let got: Vec<_> = calls
+            .iter()
+            .map(|(_, _, s, r)| (s.unwrap(), r.clone()))
+            .collect();
+        assert_eq!(got, segments.iter().collect::<Vec<_>>(), "{ctx}");
         return;
     }
     let per_rank: Vec<Vec<Cut>> = (0..p)
         .map(|r| {
             let (lo, hi) = block_range(n, p, r);
             match form {
-                Form::Batch => segments
+                Form::Flat => (lo..hi).map(|i| (None, i..i + 1)).collect(),
+                _ => segments
                     .overlapping(lo, hi)
                     .map(|(s, g)| (Some(s), g))
                     .collect(),
-                _ => (lo..hi).map(|i| (None, i..i + 1)).collect(),
             }
         })
         .filter(|calls: &Vec<_>| !calls.is_empty())
@@ -247,7 +278,7 @@ fn every_engine_and_strategy_conforms_to_serial() {
     let maps: Vec<(Form, Segments)> = (0..2).flat_map(|_| round_maps()).collect();
     let expected: Vec<Vec<usize>> = maps
         .iter()
-        .map(|(_, segments)| (0..segments.n_items()).map(value).collect())
+        .map(|(form, segments)| expected(*form, segments))
         .collect();
     let reference = run(
         Spec::Serial,
@@ -322,6 +353,41 @@ fn miscounting(_seg: usize, range: Range<usize>, out: &mut Vec<(usize, u64)>) {
 
 fn miscounted_map<E: ParEngine>(e: &mut E) -> Vec<usize> {
     e.dist_map_segmented_batch(&Segments::from_lens([4, 0, 5]), 1, &miscounting)
+}
+
+fn miscounted_select<E: ParEngine>(e: &mut E) -> Vec<usize> {
+    let segments = Segments::from_lens([4, 0, 5]);
+    e.dist_map_segmented_select(&segments, 1, &miscounting, &|_, results| results.len())
+}
+
+#[test]
+#[should_panic(expected = "exactly one result per item")]
+fn select_kernel_contract_is_enforced_on_serial() {
+    miscounted_select(&mut SerialEngine::new());
+}
+
+#[test]
+#[should_panic(expected = "exactly one result per item")]
+fn select_kernel_contract_is_enforced_on_threads() {
+    miscounted_select(&mut ThreadEngine::new(3));
+}
+
+#[test]
+#[should_panic(expected = "exactly one result per item")]
+fn select_kernel_contract_is_enforced_on_sim() {
+    miscounted_select(&mut SimEngine::new(3));
+}
+
+#[test]
+#[should_panic(expected = "exactly one result per item")]
+fn select_kernel_contract_is_enforced_on_sim_oracles() {
+    miscounted_select(&mut SimEngine::new(3).with_strategy(PartitionStrategy::SelfScheduling));
+}
+
+#[test]
+#[should_panic(expected = "exactly one result per item")]
+fn select_kernel_contract_is_enforced_on_msg() {
+    spmd_run_faulty(3, FaultPlan::new(), None, miscounted_select);
 }
 
 #[test]

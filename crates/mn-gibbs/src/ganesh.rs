@@ -2,6 +2,7 @@
 //! observation-only sampler used by tree learning (Algorithm 4, first
 //! part).
 
+use crate::scorer::SweepScorer;
 use crate::state::{CoClustering, ObsPartition};
 use crate::sweep::{merge_obs, merge_vars, reassign_obs, reassign_vars};
 use mn_comm::ParEngine;
@@ -71,12 +72,50 @@ pub fn ganesh_with_scoring<E: ParEngine>(
     let k0 = params.resolved_init_clusters(data.n_vars());
     engine.span_enter("ganesh-run");
     let mut state = CoClustering::random_init(data, k0, params.prior, master, run);
+    let mut scorer = SweepScorer::new(state.prior());
     for step in 0..params.update_steps as u64 {
-        reassign_vars(engine, &mut state, data, master, run, step, scoring);
-        merge_vars(engine, &mut state, data, master, run, step, scoring);
+        reassign_vars(
+            engine,
+            &mut state,
+            &mut scorer,
+            data,
+            master,
+            run,
+            step,
+            scoring,
+        );
+        merge_vars(
+            engine,
+            &mut state,
+            &mut scorer,
+            data,
+            master,
+            run,
+            step,
+            scoring,
+        );
         for slot in state.active_slots() {
-            reassign_obs(engine, &mut state, data, master, run, step, slot, scoring);
-            merge_obs(engine, &mut state, master, run, step, slot, scoring);
+            reassign_obs(
+                engine,
+                &mut state,
+                &mut scorer,
+                data,
+                master,
+                run,
+                step,
+                slot,
+                scoring,
+            );
+            merge_obs(
+                engine,
+                &mut state,
+                &mut scorer,
+                master,
+                run,
+                step,
+                slot,
+                scoring,
+            );
         }
     }
     engine.span_exit();
@@ -117,11 +156,31 @@ pub fn sample_obs_partitions<E: ParEngine>(
     );
     engine.span_enter("obs-sampler");
     let mut state = CoClustering::single_var_cluster(data, vars, prior, master, module_key);
+    let mut scorer = SweepScorer::new(state.prior());
     let slot = 0;
     let mut samples = Vec::with_capacity(update_steps - burn_in);
     for step in 0..update_steps as u64 {
-        reassign_obs(engine, &mut state, data, master, module_key, step, slot, scoring);
-        merge_obs(engine, &mut state, master, module_key, step, slot, scoring);
+        reassign_obs(
+            engine,
+            &mut state,
+            &mut scorer,
+            data,
+            master,
+            module_key,
+            step,
+            slot,
+            scoring,
+        );
+        merge_obs(
+            engine,
+            &mut state,
+            &mut scorer,
+            master,
+            module_key,
+            step,
+            slot,
+            scoring,
+        );
         if step as usize >= burn_in {
             samples.push(state.cluster(slot).obs.clone());
         }

@@ -13,18 +13,21 @@
 //! replicated remainder of a proposal is the removal delta, the table
 //! growth, `Select-Wtd-Rand` and the accepted move.
 //!
-//! One [`SweepScorer`] lives for the duration of one sweep and owns
-//! what replicated control flow needs:
+//! One [`SweepScorer`] lives for the duration of one chain — a GaneSH
+//! run, or one module's observation sampler — and owns what replicated
+//! control flow needs:
 //!
-//! * the sweep's [`PriorConsts`], whose count tables
+//! * the chain's [`PriorConsts`], whose count tables
 //!   (`ln Γ(α₀ + k/2)`, `ln(λ₀ + k)`) a map only reads. Before each
 //!   map the sweep grows them through the largest count any candidate
 //!   can form ([`SweepScorer::grow_through`]), so every lookup inside
 //!   the map is served (each candidate function checks that in debug
-//!   builds);
+//!   builds). The tables only ever grow, so a cell is filled once per
+//!   chain, not once per sweep;
 //! * the observation sweeps' column cache `observation → (SuffStats,
-//!   lm)`, valid for the whole sweep because the owning variable
-//!   cluster's membership is fixed during it.
+//!   lm)`, valid for one sweep because the owning variable cluster's
+//!   membership is fixed during it, and emptied by
+//!   [`SweepScorer::begin_sweep`].
 //!
 //! Every value is produced by the same accumulation loop (same element
 //! order) or the same pure function the naive path runs, so the
@@ -179,16 +182,17 @@ pub fn obs_merge_candidate(
     )
 }
 
-/// Per-sweep replicated state of the kernel path (see the module
+/// Per-chain replicated state of the kernel path (see the module
 /// docs).
 #[derive(Debug)]
 pub struct SweepScorer {
     /// The prior with its hoisted constants and count tables — what
     /// every term evaluation of the sweep goes through.
     consts: PriorConsts,
-    /// `ln Γ` values the sweep needed in replicated control flow:
-    /// table cells filled, plus table-backed log-marginals evaluated
-    /// there. `Cell` so [`Counted`] can count through a shared borrow.
+    /// `ln Γ` values the current sweep needed in replicated control
+    /// flow: table cells filled, plus table-backed log-marginals
+    /// evaluated there. `Cell` so [`Counted`] can count through a
+    /// shared borrow.
     lg_calls: Cell<u64>,
     /// Of those log-marginals, the ones the tables served.
     lg_hits: Cell<u64>,
@@ -202,7 +206,7 @@ pub struct SweepScorer {
 }
 
 impl SweepScorer {
-    /// A fresh per-sweep scorer with empty count tables.
+    /// A scorer for one chain under `prior`, with empty count tables.
     pub fn new(prior: &NormalGamma) -> Self {
         Self {
             consts: PriorConsts::new(prior),
@@ -214,7 +218,17 @@ impl SweepScorer {
         }
     }
 
-    /// The sweep's prior constants, for the candidate maps (read-only
+    /// Start a sweep: empty the column cache and zero the per-sweep
+    /// counts. The count tables stay filled.
+    pub fn begin_sweep(&mut self) {
+        self.lg_calls.set(0);
+        self.lg_hits.set(0);
+        self.col.clear();
+        self.col_hits = 0;
+        self.col_misses = 0;
+    }
+
+    /// The chain's prior constants, for the candidate maps (read-only
     /// there).
     pub fn consts(&self) -> &PriorConsts {
         &self.consts

@@ -49,8 +49,9 @@
 //!   except that the candidate-independent removal delta is computed
 //!   once per move (see the comment in [`reassign_vars`]).
 //! * **Kernel** — the candidate functions of [`crate::scorer`]: a pure
-//!   function of the state, the data, the moving item and the sweep's
-//!   [`SweepScorer`] constants. Tile log-marginals are read from the
+//!   function of the state, the data, the moving item and the chain's
+//!   [`SweepScorer`] constants, which the caller holds for the whole
+//!   chain and passes to every sweep. Tile log-marginals are read from the
 //!   state, where every accepted move refreshes them, and `ln Γ(α_N)`
 //!   / `ln λ_N` from the count tables. Before each map, in replicated
 //!   control flow, the sweep grows those tables through the largest
@@ -131,9 +132,13 @@ fn propose<E: ParEngine>(
 }
 
 /// One full variable-reassignment sweep (Alg. 1, `Reassign-Var-Cluster`).
+/// `scorer` is the chain's (see [`SweepScorer`]); only the kernel path
+/// reads it.
+#[allow(clippy::too_many_arguments)]
 pub fn reassign_vars<E: ParEngine>(
     engine: &mut E,
     state: &mut CoClustering,
+    scorer: &mut SweepScorer,
     data: &Dataset,
     master: &MasterRng,
     run: u64,
@@ -145,7 +150,7 @@ pub fn reassign_vars<E: ParEngine>(
     engine.span_enter("sweep:reassign-vars");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
-    let mut scorer = SweepScorer::new(state.prior());
+    scorer.begin_sweep();
     // The largest count a candidate can form: a tile plus one row
     // restricted to it, or a fresh cluster's whole row. Only a move's
     // destination gains counts, so one pass over every cluster starts
@@ -206,15 +211,17 @@ pub fn reassign_vars<E: ParEngine>(
         }
     }
     if kernel {
-        flush_cache_counters(engine, &scorer);
+        flush_cache_counters(engine, scorer);
     }
     engine.span_exit();
 }
 
 /// One full variable-merge sweep (Alg. 1, `Merge-Var-Cluster`).
+#[allow(clippy::too_many_arguments)]
 pub fn merge_vars<E: ParEngine>(
     engine: &mut E,
     state: &mut CoClustering,
+    scorer: &mut SweepScorer,
     data: &Dataset,
     master: &MasterRng,
     run: u64,
@@ -225,7 +232,7 @@ pub fn merge_vars<E: ParEngine>(
     engine.span_enter("sweep:merge-vars");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
-    let mut scorer = SweepScorer::new(state.prior());
+    scorer.begin_sweep();
     let snapshot = state.active_slots();
     // A candidate forms a tile of the target plus the source's rows
     // restricted to it, `(|target| + |source|) × |tile|` cells, the
@@ -268,7 +275,7 @@ pub fn merge_vars<E: ParEngine>(
         }
     }
     if kernel {
-        flush_cache_counters(engine, &scorer);
+        flush_cache_counters(engine, scorer);
     }
     engine.span_exit();
 }
@@ -279,6 +286,7 @@ pub fn merge_vars<E: ParEngine>(
 pub fn reassign_obs<E: ParEngine>(
     engine: &mut E,
     state: &mut CoClustering,
+    scorer: &mut SweepScorer,
     data: &Dataset,
     master: &MasterRng,
     run: u64,
@@ -291,7 +299,7 @@ pub fn reassign_obs<E: ParEngine>(
     engine.span_enter("sweep:reassign-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
-    let mut scorer = SweepScorer::new(state.prior());
+    scorer.begin_sweep();
     let mut oslots = Vec::new();
     let mut exps = Vec::new();
     for _ in 0..m {
@@ -337,16 +345,18 @@ pub fn reassign_obs<E: ParEngine>(
         }
     }
     if kernel {
-        flush_cache_counters(engine, &scorer);
+        flush_cache_counters(engine, scorer);
     }
     engine.span_exit();
 }
 
 /// One observation-merge sweep inside variable cluster `slot`
 /// (Alg. 2, `Merge-Obs-Cluster`).
+#[allow(clippy::too_many_arguments)]
 pub fn merge_obs<E: ParEngine>(
     engine: &mut E,
     state: &mut CoClustering,
+    scorer: &mut SweepScorer,
     master: &MasterRng,
     run: u64,
     step: u64,
@@ -357,7 +367,7 @@ pub fn merge_obs<E: ParEngine>(
     engine.span_enter("sweep:merge-obs");
     engine.count(counters::GIBBS_SWEEPS, 1);
     let kernel = dispatch(engine, scoring);
-    let mut scorer = SweepScorer::new(state.prior());
+    scorer.begin_sweep();
     let snapshot = state.cluster(slot).obs.active_slots();
     let mut candidates = Vec::new();
     let mut exps = Vec::new();
@@ -390,7 +400,7 @@ pub fn merge_obs<E: ParEngine>(
         }
     }
     if kernel {
-        flush_cache_counters(engine, &scorer);
+        flush_cache_counters(engine, scorer);
     }
     engine.span_exit();
 }
@@ -416,14 +426,25 @@ mod tests {
         for scoring in BOTH {
             let (d, mut s, master) = setup();
             let mut e = SerialEngine::new();
-            reassign_vars(&mut e, &mut s, &d, &master, 0, 0, scoring);
+            let mut scorer = SweepScorer::new(s.prior());
+            reassign_vars(&mut e, &mut s, &mut scorer, &d, &master, 0, 0, scoring);
             s.validate(&d);
-            merge_vars(&mut e, &mut s, &d, &master, 0, 0, scoring);
+            merge_vars(&mut e, &mut s, &mut scorer, &d, &master, 0, 0, scoring);
             s.validate(&d);
             for slot in s.active_slots() {
-                reassign_obs(&mut e, &mut s, &d, &master, 0, 0, slot, scoring);
+                reassign_obs(
+                    &mut e,
+                    &mut s,
+                    &mut scorer,
+                    &d,
+                    &master,
+                    0,
+                    0,
+                    slot,
+                    scoring,
+                );
                 s.validate(&d);
-                merge_obs(&mut e, &mut s, &master, 0, 0, slot, scoring);
+                merge_obs(&mut e, &mut s, &mut scorer, &master, 0, 0, slot, scoring);
                 s.validate(&d);
             }
         }
@@ -442,18 +463,21 @@ mod tests {
 
             let serial = run(Box::new(|s| {
                 let mut e = SerialEngine::new();
-                reassign_vars(&mut e, s, &d, &master, 0, 0, scoring);
-                merge_vars(&mut e, s, &d, &master, 0, 0, scoring);
+                let mut scorer = SweepScorer::new(s.prior());
+                reassign_vars(&mut e, s, &mut scorer, &d, &master, 0, 0, scoring);
+                merge_vars(&mut e, s, &mut scorer, &d, &master, 0, 0, scoring);
             }));
             let threads = run(Box::new(|s| {
                 let mut e = ThreadEngine::new(3);
-                reassign_vars(&mut e, s, &d, &master, 0, 0, scoring);
-                merge_vars(&mut e, s, &d, &master, 0, 0, scoring);
+                let mut scorer = SweepScorer::new(s.prior());
+                reassign_vars(&mut e, s, &mut scorer, &d, &master, 0, 0, scoring);
+                merge_vars(&mut e, s, &mut scorer, &d, &master, 0, 0, scoring);
             }));
             let sim = run(Box::new(|s| {
                 let mut e = SimEngine::new(64);
-                reassign_vars(&mut e, s, &d, &master, 0, 0, scoring);
-                merge_vars(&mut e, s, &d, &master, 0, 0, scoring);
+                let mut scorer = SweepScorer::new(s.prior());
+                reassign_vars(&mut e, s, &mut scorer, &d, &master, 0, 0, scoring);
+                merge_vars(&mut e, s, &mut scorer, &d, &master, 0, 0, scoring);
             }));
             assert_eq!(serial, threads, "thread engine diverged ({scoring:?})");
             assert_eq!(serial, sim, "sim engine diverged ({scoring:?})");
@@ -469,12 +493,23 @@ mod tests {
         let run = |scoring: Scoring| {
             let mut s = s0.clone();
             let mut e = SerialEngine::new();
+            let mut scorer = SweepScorer::new(s.prior());
             for step in 0..3 {
-                reassign_vars(&mut e, &mut s, &d, &master, 0, step, scoring);
-                merge_vars(&mut e, &mut s, &d, &master, 0, step, scoring);
+                reassign_vars(&mut e, &mut s, &mut scorer, &d, &master, 0, step, scoring);
+                merge_vars(&mut e, &mut s, &mut scorer, &d, &master, 0, step, scoring);
                 for slot in s.active_slots() {
-                    reassign_obs(&mut e, &mut s, &d, &master, 0, step, slot, scoring);
-                    merge_obs(&mut e, &mut s, &master, 0, step, slot, scoring);
+                    reassign_obs(
+                        &mut e,
+                        &mut s,
+                        &mut scorer,
+                        &d,
+                        &master,
+                        0,
+                        step,
+                        slot,
+                        scoring,
+                    );
+                    merge_obs(&mut e, &mut s, &mut scorer, &master, 0, step, slot, scoring);
                 }
             }
             s
@@ -483,6 +518,49 @@ mod tests {
             run(Scoring::Kernel),
             run(Scoring::Naive),
             "kernel and naive scoring sampled different chains"
+        );
+    }
+
+    /// One scorer held over a whole chain samples the chain that a
+    /// fresh scorer per sweep samples: the count tables only hold exact
+    /// `ln Γ` values, whenever they were filled.
+    #[test]
+    fn a_chain_scoped_scorer_samples_the_fresh_scorer_chain() {
+        let (d, s0, master) = setup();
+        let run = |fresh: bool| {
+            let mut s = s0.clone();
+            let mut e = SerialEngine::new();
+            let prior = *s.prior();
+            let mut sc = SweepScorer::new(&prior);
+            // Before every sweep: keep the chain's scorer, or start over.
+            let next = |sc: &mut SweepScorer| {
+                if fresh {
+                    *sc = SweepScorer::new(&prior);
+                }
+            };
+            let kernel = Scoring::Kernel;
+            for step in 0..3 {
+                next(&mut sc);
+                reassign_vars(&mut e, &mut s, &mut sc, &d, &master, 0, step, kernel);
+                next(&mut sc);
+                merge_vars(&mut e, &mut s, &mut sc, &d, &master, 0, step, kernel);
+                for slot in s.active_slots() {
+                    next(&mut sc);
+                    reassign_obs(&mut e, &mut s, &mut sc, &d, &master, 0, step, slot, kernel);
+                    next(&mut sc);
+                    merge_obs(&mut e, &mut s, &mut sc, &master, 0, step, slot, kernel);
+                }
+            }
+            let counters = e.obs().counters().clone();
+            (s, counters)
+        };
+        let (held, held_counts) = run(false);
+        let (fresh, fresh_counts) = run(true);
+        assert_eq!(held, fresh, "a chain-scoped scorer changed the chain");
+        let calls = |c: &std::collections::BTreeMap<String, u64>| c[counters::SCORE_LN_GAMMA_CALLS];
+        assert!(
+            calls(&held_counts) < calls(&fresh_counts),
+            "held tables refilled as often as fresh ones"
         );
     }
 
@@ -498,8 +576,9 @@ mod tests {
                 scoring: Scoring,
             ) -> std::collections::BTreeMap<String, u64> {
                 let mut s = s0.clone();
-                reassign_vars(&mut e, &mut s, d, master, 0, 0, scoring);
-                merge_vars(&mut e, &mut s, d, master, 0, 0, scoring);
+                let mut scorer = SweepScorer::new(s.prior());
+                reassign_vars(&mut e, &mut s, &mut scorer, d, master, 0, 0, scoring);
+                merge_vars(&mut e, &mut s, &mut scorer, d, master, 0, 0, scoring);
                 e.report();
                 let now = e.now_s();
                 e.obs().snapshot(now).counters
@@ -546,9 +625,28 @@ mod tests {
         let (d, mut s, master) = setup();
         let before = s.score();
         let mut e = SerialEngine::new();
+        let mut scorer = SweepScorer::new(s.prior());
         for step in 0..3 {
-            reassign_vars(&mut e, &mut s, &d, &master, 0, step, Scoring::Kernel);
-            merge_vars(&mut e, &mut s, &d, &master, 0, step, Scoring::Kernel);
+            reassign_vars(
+                &mut e,
+                &mut s,
+                &mut scorer,
+                &d,
+                &master,
+                0,
+                step,
+                Scoring::Kernel,
+            );
+            merge_vars(
+                &mut e,
+                &mut s,
+                &mut scorer,
+                &d,
+                &master,
+                0,
+                step,
+                Scoring::Kernel,
+            );
         }
         let after = s.score();
         assert!(after > before, "score went from {before} to {after}");
@@ -559,11 +657,31 @@ mod tests {
         for scoring in BOTH {
             let (d, mut s, master) = setup();
             let mut e = SerialEngine::new();
+            let mut scorer = SweepScorer::new(s.prior());
             let slots = s.active_slots();
             let other_clusters_before: Vec<_> =
                 slots[1..].iter().map(|&sl| s.cluster(sl).clone()).collect();
-            reassign_obs(&mut e, &mut s, &d, &master, 0, 0, slots[0], scoring);
-            merge_obs(&mut e, &mut s, &master, 0, 0, slots[0], scoring);
+            reassign_obs(
+                &mut e,
+                &mut s,
+                &mut scorer,
+                &d,
+                &master,
+                0,
+                0,
+                slots[0],
+                scoring,
+            );
+            merge_obs(
+                &mut e,
+                &mut s,
+                &mut scorer,
+                &master,
+                0,
+                0,
+                slots[0],
+                scoring,
+            );
             // Observation moves in cluster 0 must not touch other clusters.
             for (cluster, before) in slots[1..]
                 .iter()
@@ -580,8 +698,18 @@ mod tests {
     fn merge_sweep_reduces_or_keeps_cluster_count() {
         let (d, mut s, master) = setup();
         let mut e = SerialEngine::new();
+        let mut scorer = SweepScorer::new(s.prior());
         let before = s.n_active();
-        merge_vars(&mut e, &mut s, &d, &master, 0, 0, Scoring::Kernel);
+        merge_vars(
+            &mut e,
+            &mut s,
+            &mut scorer,
+            &d,
+            &master,
+            0,
+            0,
+            Scoring::Kernel,
+        );
         assert!(s.n_active() <= before);
         assert!(s.n_active() >= 1);
     }

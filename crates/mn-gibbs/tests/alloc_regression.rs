@@ -115,9 +115,19 @@ fn sweep_allocs_and_peak(k: usize) -> (u64, u64, usize) {
     let (d, mut s, master) = setup(k);
     let n_cand = s.n_active() + 1;
     let mut e = SerialEngine::new();
+    let mut scorer = SweepScorer::new(s.prior());
     let before = ALLOCS.load(Ordering::Relaxed);
     let live = reset_peak();
-    reassign_vars(&mut e, &mut s, &d, &master, 0, 0, Scoring::Kernel);
+    reassign_vars(
+        &mut e,
+        &mut s,
+        &mut scorer,
+        &d,
+        &master,
+        0,
+        0,
+        Scoring::Kernel,
+    );
     let peak = PEAK.load(Ordering::Relaxed) - live;
     let per_proposal = (ALLOCS.load(Ordering::Relaxed) - before) / d.n_vars() as u64;
     (per_proposal, peak, n_cand)

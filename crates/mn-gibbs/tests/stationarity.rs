@@ -22,7 +22,7 @@
 use mn_comm::SerialEngine;
 use mn_data::{Dataset, Matrix};
 use mn_gibbs::sweep::reassign_obs;
-use mn_gibbs::CoClustering;
+use mn_gibbs::{CoClustering, SweepScorer};
 use mn_rand::MasterRng;
 use mn_score::{NormalGamma, Scoring, SuffStats};
 use std::collections::HashMap;
@@ -203,11 +203,13 @@ fn reassign_obs_samples_its_coded_stationary_distribution() {
     let slot = state.active_slots()[0];
     let index: HashMap<Partition, usize> = parts.iter().enumerate().map(|(i, p)| (*p, i)).collect();
     let mut engine = SerialEngine::new();
+    let mut scorer = SweepScorer::new(state.prior());
     let mut hits = vec![0u64; parts.len()];
     for step in 0..(BURN_IN + N) as u64 {
         reassign_obs(
             &mut engine,
             &mut state,
+            &mut scorer,
             &data,
             &master,
             0,

@@ -44,7 +44,7 @@
 use crate::mc_kernel;
 use crate::params::TreeParams;
 use crate::tree::ModuleEnsemble;
-use mn_comm::{Collective, ParEngine, Segments};
+use mn_comm::{ParEngine, Segments};
 use mn_data::Dataset;
 use mn_obs::counters;
 use mn_rand::{select_unif_rand, select_wtd_rand_batch, Domain, Lcg128, MasterRng};
@@ -329,11 +329,14 @@ struct SegScratch {
     /// preserved within each bucket).
     buckets: Vec<McBucket>,
     hits: Vec<u64>,
+    /// `Select-Wtd-Rand` batch buffers of the node selection.
+    sel_scratch: Vec<(f64, usize)>,
+    sel_out: Vec<usize>,
 }
 
-/// Reusable state of the split-assignment phase: the scoring scratch
-/// pool, the bit-packed membership-mask arena, and the selection
-/// buffers. Create one per learner run (or benchmark) and pass it to
+/// Reusable state of the split-assignment phase: the scratch pool of
+/// scoring and selection buffers, and the bit-packed membership-mask
+/// arena. Create one per learner run (or benchmark) and pass it to
 /// [`assign_splits_in`]; after the first call warms the arenas, the
 /// steady-state phase allocates nothing.
 ///
@@ -345,8 +348,6 @@ pub struct SplitContext {
     pool: ScratchPool<SegScratch>,
     mask_words: Vec<u64>,
     mask_offsets: Vec<usize>,
-    sel_scratch: Vec<(f64, usize)>,
-    sel_out: Vec<usize>,
 }
 
 impl SplitContext {
@@ -450,75 +451,59 @@ pub fn assign_splits_in<E: ParEngine>(
         words: &mask_words[mask_offsets[pos]..mask_offsets[pos + 1]],
     };
     let seed = master.seed();
-    engine.span_enter("score-splits");
-    let posteriors: Vec<f64> = match scoring {
-        Scoring::Naive => engine.dist_map_segmented(&segments, 1, &|item| {
-            let (pos, parent_pos, obs_pos) = index_ref.locate(item);
-            let entry = &index_ref.nodes[pos];
-            let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
-            let var = candidate_parents[parent_pos];
-            let row = data.values(var);
-            let value = row[node.obs[obs_pos]];
+    let pool = &ctx.pool;
+    let naive = |pos: usize, range: std::ops::Range<usize>, out: &mut Vec<(f64, u64)>| {
+        let entry = &index_ref.nodes[pos];
+        let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
+        out.extend(range.map(|item| {
+            let within = item - entry.base;
+            let row = data.values(candidate_parents[within / entry.n_obs]);
+            let value = row[node.obs[within % entry.n_obs]];
             split_posterior(row, seed, params, item, value, &node.obs, node_mask(pos))
-        }),
-        Scoring::Kernel => {
-            let pool = &ctx.pool;
-            engine.dist_map_segmented_batch(&segments, 1, &|pos, range, out| {
-                let entry = &index_ref.nodes[pos];
-                let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
-                let n = entry.n_obs;
-                let mut guard = pool.acquire();
-                // The range may start or end mid-run when a block
-                // boundary bisects the segment; each overlapped
-                // (node, parent) run still needs the full sorted pass
-                // (a candidate's σ depends on all of the node's
-                // observations), after which only the owned items are
-                // emitted.
-                let first_parent = (range.start - entry.base) / n;
-                let last_parent = (range.end - 1 - entry.base) / n;
-                score_range_fast(
-                    &mut guard,
-                    data,
-                    seed,
-                    params,
-                    entry,
-                    &node.obs,
-                    node_mask(pos),
-                    candidate_parents,
-                    &range,
-                    first_parent,
-                    last_parent,
-                    out,
-                );
-            })
-        }
+        }));
+    };
+    let kernel = |pos: usize, range: std::ops::Range<usize>, out: &mut Vec<(f64, u64)>| {
+        let entry = &index_ref.nodes[pos];
+        let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
+        let n = entry.n_obs;
+        let mut guard = pool.acquire();
+        // The range may start or end mid-run when a block boundary
+        // bisects the segment; each overlapped (node, parent) run still
+        // needs the full sorted pass (a candidate's σ depends on all of
+        // the node's observations), after which only the owned items
+        // are emitted.
+        let first_parent = (range.start - entry.base) / n;
+        let last_parent = (range.end - 1 - entry.base) / n;
+        score_range_fast(
+            &mut guard,
+            data,
+            seed,
+            params,
+            entry,
+            &node.obs,
+            node_mask(pos),
+            candidate_parents,
+            &range,
+            first_parent,
+            last_parent,
+            out,
+        );
     };
 
-    engine.span_exit(); // score-splits
-
-    // Segmented-scan + local selection + all-gather (§3.2.3's
-    // implementation note). The scan's payload is one word per item;
-    // the gather carries 3 words per chosen split.
-    engine.span_enter("select-splits");
-    engine.collective(Collective::Scan, 1);
-
+    // Segmented scan + local selection + all-gather (§3.2.3's
+    // implementation note): each node's J weighted and J uniform picks
+    // are drawn where its posteriors are, and only the chosen splits —
+    // three words each — meet on every rank.
     let j = params.splits_per_node;
-    let sel_scratch = &mut ctx.sel_scratch;
-    let sel_out = &mut ctx.sel_out;
-    let mut node_splits = Vec::with_capacity(index.nodes.len());
-    for pos in 0..index.nodes.len() {
-        let (start, end) = index.node_range(pos);
-        let weights = &posteriors[start..end];
-        let entry = &index.nodes[pos];
-        let resolve = |within: usize, posterior: f64| -> ChosenSplit {
-            let parent_pos = within / entry.n_obs;
-            let obs_pos = within % entry.n_obs;
-            let var = candidate_parents[parent_pos];
-            let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
+    let select = |pos: usize, weights: &[f64]| -> NodeSplits {
+        let entry = &index_ref.nodes[pos];
+        let node = &ensembles[entry.module].trees[entry.tree].nodes[entry.node];
+        let resolve = |within: usize| -> ChosenSplit {
+            let var = candidate_parents[within / entry.n_obs];
             ChosenSplit {
                 var,
-                value: data.values(var)[node.obs[obs_pos]],
-                posterior,
+                value: data.values(var)[node.obs[within % entry.n_obs]],
+                posterior: weights[within],
             }
         };
 
@@ -529,11 +514,14 @@ pub fn assign_splits_in<E: ParEngine>(
             // stream order) and served by ONE merged prefix walk over
             // the node's posteriors instead of J independent walks —
             // same draws, same picks, a J-fold cheaper scan.
+            let mut guard = pool.acquire();
+            let SegScratch {
+                sel_scratch,
+                sel_out,
+                ..
+            } = &mut *guard;
             select_wtd_rand_batch(&mut wstream, weights, j, sel_scratch, sel_out);
-            sel_out
-                .iter()
-                .map(|&within| resolve(within, weights[within]))
-                .collect()
+            sel_out.iter().map(|&within| resolve(within)).collect()
         } else {
             // Every candidate was discarded: the node gets no weighted
             // splits (Alg. 5 keeps only positive-posterior splits).
@@ -542,22 +530,30 @@ pub fn assign_splits_in<E: ParEngine>(
 
         let mut ustream = master.stream(Domain::SplitSelectUniform, pos as u64);
         let uniform: Vec<ChosenSplit> = (0..j)
-            .map(|_| {
-                let within = select_unif_rand(&mut ustream, weights.len());
-                resolve(within, weights[within])
-            })
+            .map(|_| resolve(select_unif_rand(&mut ustream, weights.len())))
             .collect();
 
-        node_splits.push(NodeSplits {
+        NodeSplits {
             entry: pos,
             weighted,
             uniform,
-        });
-    }
-    engine.collective(
-        Collective::AllGather,
-        node_splits.len() * j * 2 * 3,
-    );
+        }
+    };
+
+    engine.span_enter("score-splits");
+    let words_per_select = 2 * j * 3;
+    let node_splits = match scoring {
+        Scoring::Naive => {
+            engine.dist_map_segmented_select(&segments, words_per_select, &naive, &select)
+        }
+        Scoring::Kernel => {
+            engine.dist_map_segmented_select(&segments, words_per_select, &kernel, &select)
+        }
+    };
+    engine.span_exit(); // score-splits
+                        // The selections arrived with the map; the span stays so the
+                        // phase's span tree keeps its shape.
+    engine.span_enter("select-splits");
     engine.span_exit(); // select-splits
     engine.span_exit(); // assign-splits
 

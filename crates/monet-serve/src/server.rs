@@ -354,7 +354,13 @@ fn log_line(job: &Job, line: &str) {
     }
 }
 
-/// [`log_line`] for a lifecycle event.
+/// [`log_line`] for a lifecycle event. A transition to `done`,
+/// `failed`, `cancelled` or `suspended` appends its event under the
+/// scheduler and job locks, before it changes the job's state: a
+/// client that reads the new state finds the event on disk, and a
+/// request sent on seeing the event waits for the new state. A
+/// terminal transition closes the log only after, so a watcher's final
+/// line reports that state.
 fn log_event(job: &Job, what: &str, detail: &str) {
     log_line(job, &job.event_line(what, detail));
 }
@@ -422,6 +428,7 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
             }
             let mut sched = shared.sched();
             let mut inner = unpoison(job.inner.lock());
+            log_event(job, "done", "network ready");
             inner.terminate(JobState::Done);
             inner.busy_s += busy_s;
             drop(inner);
@@ -434,7 +441,6 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
                 *account.counters.entry(k).or_insert(0) += v;
             }
             drop(sched);
-            log_event(job, "done", "network ready");
             job.events.close();
         }
         Ok(Err(err)) => finish_failed(shared, job, err.to_string()),
@@ -442,24 +448,23 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
             Ok(cancelled) => {
                 let mut sched = shared.sched();
                 let mut inner = unpoison(job.inner.lock());
+                let detail = format!("at event {}", cancelled.event);
                 match cancelled.kind {
                     CancelKind::Cancel => {
+                        log_event(job, "cancelled", &detail);
                         inner.terminate(JobState::Cancelled);
                         sched.account(&job.tenant).cancelled += 1;
                         drop(inner);
                         drop(sched);
-                        log_event(job, "cancelled", &format!("at event {}", cancelled.event));
                         job.events.close();
                     }
                     CancelKind::Suspend => {
+                        log_event(job, "suspended", &detail);
                         inner.state = JobState::Suspended;
                         inner.cancel = None;
                         inner.config = Some(config);
                         sched.account(&job.tenant).suspended += 1;
-                        drop(inner);
-                        drop(sched);
                         // Not terminal: the log stays open for resume.
-                        log_event(job, "suspended", &format!("at event {}", cancelled.event));
                     }
                 }
             }
@@ -478,12 +483,12 @@ fn run_job(shared: &Shared, job: &Arc<Job>) {
 fn finish_failed(shared: &Shared, job: &Arc<Job>, msg: String) {
     let mut sched = shared.sched();
     let mut inner = unpoison(job.inner.lock());
+    log_event(job, "failed", &msg);
     inner.terminate(JobState::Failed);
-    inner.error = Some(msg.clone());
+    inner.error = Some(msg);
     sched.account(&job.tenant).failed += 1;
     drop(inner);
     drop(sched);
-    log_event(job, "failed", &msg);
     job.events.close();
 }
 
@@ -772,11 +777,11 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
                     if inner.state == JobState::Queued {
                         sched.dequeue(&job.tenant, &job.id);
                     }
+                    log_event(&job, "cancelled", "before running");
                     inner.terminate(JobState::Cancelled);
                     sched.account(&job.tenant).cancelled += 1;
                     drop(inner);
                     drop(sched);
-                    log_event(&job, "cancelled", "before running");
                     job.events.close();
                     JobState::Cancelled
                 }
@@ -809,11 +814,9 @@ fn handle(shared: &Arc<Shared>, request: Request) -> Result<Fields, ServeError> 
             let state = match inner.state {
                 JobState::Queued => {
                     sched.dequeue(&job.tenant, &job.id);
+                    log_event(&job, "suspended", "before running");
                     inner.state = JobState::Suspended;
                     sched.account(&job.tenant).suspended += 1;
-                    drop(inner);
-                    drop(sched);
-                    log_event(&job, "suspended", "before running");
                     JobState::Suspended
                 }
                 JobState::Running => {
@@ -935,9 +938,9 @@ fn initiate_shutdown(shared: &Arc<Shared>) {
     sched.queued_total = 0;
     for id in queued {
         if let Some(job) = sched.jobs.get(&id).cloned() {
+            log_event(&job, "cancelled", "server shutdown");
             unpoison(job.inner.lock()).terminate(JobState::Cancelled);
             sched.account(&job.tenant).cancelled += 1;
-            log_event(&job, "cancelled", "server shutdown");
             job.events.close();
         }
     }

@@ -324,6 +324,55 @@ fn comm_matrix_sim_equals_msg_and_matches_golden() {
 }
 
 #[test]
+fn split_assignment_traffic_is_what_the_simulator_charges() {
+    // The modules of a 20 × 14 seed-7 learn, then split assignment alone
+    // in its own phase on msg:3 and sim:3: the cut segments' pieces and
+    // the selections' all-gather the fabric really sends are, message
+    // for message and byte for byte, what the simulator synthesizes.
+    let d = dataset();
+    let c = config();
+    let (network, _) = learn_module_network(&mut SerialEngine::new(), &d, &c);
+    let ensembles: Vec<_> = network.modules.iter().map(|m| m.ensemble.clone()).collect();
+    let parents = c.resolved_parents(d.n_vars());
+    let master = mn_rand::MasterRng::new(c.seed);
+    let split_phase = |snap: obs::CommMatrix| {
+        let phase = snap.phases.last().expect("a phase").clone();
+        assert_eq!(phase.phase, "assign-splits");
+        phase
+    };
+    let msg = spmd_run(3, |engine| {
+        engine.begin_phase("assign-splits");
+        let out = mn_tree::assign_splits(engine, &d, &master, &ensembles, &parents, &c.tree);
+        let now = engine.now_s();
+        (out, engine.obs().snapshot(now))
+    });
+    let msg_comm = obs::merge_ranks(&msg.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>())
+        .expect("ranks agree")
+        .comm;
+    let mut sim = SimEngine::new(3);
+    sim.begin_phase("assign-splits");
+    let sim_out = mn_tree::assign_splits(&mut sim, &d, &master, &ensembles, &parents, &c.tree);
+    let sim_comm = sim.obs().snapshot(sim.now_s()).comm;
+
+    for (out, _) in &msg {
+        assert_eq!(out, &sim_out, "msg:3 chose other splits than sim:3");
+    }
+    let (msg_phase, sim_phase) = (split_phase(msg_comm), split_phase(sim_comm));
+    assert_eq!(
+        msg_phase, sim_phase,
+        "the simulator charges other split-assignment traffic than msg:3 sends"
+    );
+    // Only pieces and selections move: far less than one posterior per
+    // candidate split, which every rank used to receive.
+    let bytes: u64 = msg_phase.bytes.iter().sum();
+    let posteriors = 8 * sim_out.index.total as u64;
+    assert!(
+        bytes > 0 && bytes < posteriors,
+        "split assignment moved {bytes} bytes; all posteriors are {posteriors}"
+    );
+}
+
+#[test]
 fn comm_matrix_is_the_same_on_both_scoring_paths() {
     // Every GaneSH map item is a plain weight on both scoring paths,
     // so the kernel moves exactly the naive oracles' bytes, on the
