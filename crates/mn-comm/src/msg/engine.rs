@@ -22,7 +22,7 @@ use crate::driver::{
 use crate::engine::{ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::{CommError, FaultAbort, FaultPlan, InjectedCrash};
 use crate::hooks;
-use crate::msg::collectives::{allgatherv, allreduce, barrier};
+use crate::msg::collectives::{allgatherv, barrier};
 use crate::msg::fabric::{fabric_with_faults, Endpoint};
 use crate::segments::Segments;
 use mn_obs::{FlightEvent, FlightRec, Recorder, SnapshotStash};
@@ -349,19 +349,6 @@ pub fn spmd_run_faulty_recorded<R: Send>(
     (outcomes, SpmdCapture { flights, stashes })
 }
 
-/// All-reduce helper for SPMD programs. Aborts the rank (unwinding
-/// with a fault payload) on a communication failure; run under
-/// [`spmd_run_faulty`] to observe the failure as a `Result`.
-pub fn spmd_allreduce<T: Wire>(engine: &SpmdEngine, value: T, op: impl Fn(T, T) -> T) -> T {
-    ok_or_abort(allreduce(engine.endpoint(), value, op))
-}
-
-/// All-gather helper for SPMD programs. Aborts the rank on a
-/// communication failure, like [`spmd_allreduce`].
-pub fn spmd_allgatherv<T: Wire>(engine: &SpmdEngine, local: Vec<T>) -> Vec<T> {
-    ok_or_abort(allgatherv(engine.endpoint(), local))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,19 +468,6 @@ mod tests {
         });
         for (a, b) in plain.iter().zip(&faulty) {
             assert_eq!(Some(a), b.as_ref().ok());
-        }
-    }
-
-    #[test]
-    fn helpers_allreduce_and_gather() {
-        let outs = spmd_run(4, |engine| {
-            let sum = spmd_allreduce(engine, engine.rank() as u32, |a, b| a + b);
-            let all = spmd_allgatherv(engine, vec![engine.rank()]);
-            (sum, all)
-        });
-        for (sum, all) in outs {
-            assert_eq!(sum, 6);
-            assert_eq!(all, vec![0, 1, 2, 3]);
         }
     }
 }

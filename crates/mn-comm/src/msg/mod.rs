@@ -23,7 +23,7 @@ pub mod wire;
 
 pub use collectives::{allgatherv, allreduce, barrier, bcast, reduce};
 pub use engine::{
-    spmd_allgatherv, spmd_allreduce, spmd_run, spmd_run_faulty, spmd_run_faulty_recorded,
-    spmd_worker_engine, SpmdCapture, SpmdEngine,
+    spmd_run, spmd_run_faulty, spmd_run_faulty_recorded, spmd_worker_engine, SpmdCapture,
+    SpmdEngine,
 };
 pub use fabric::{fabric, fabric_with_faults, Endpoint};

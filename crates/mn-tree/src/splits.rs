@@ -106,21 +106,6 @@ impl SplitIndex {
         }
     }
 
-    /// Map flat item `i` to `(node-entry position, parent position,
-    /// observation position within the node)`.
-    pub fn locate(&self, i: usize) -> (usize, usize, usize) {
-        debug_assert!(i < self.total);
-        // Binary search for the node whose [base, base+span) contains i.
-        let pos = self
-            .nodes
-            .partition_point(|e| e.base <= i)
-            .checked_sub(1)
-            .expect("item before first node");
-        let entry = &self.nodes[pos];
-        let within = i - entry.base;
-        (pos, within / entry.n_obs, within % entry.n_obs)
-    }
-
     /// The `(start, end)` item range of node-entry `pos`.
     pub fn node_range(&self, pos: usize) -> (usize, usize) {
         let entry = &self.nodes[pos];
@@ -681,24 +666,13 @@ mod tests {
         let (_, ensembles, _) = setup();
         let index = SplitIndex::build(&ensembles, 14);
         assert!(index.total > 0);
-        // Every item locates into a consistent node range.
-        for i in (0..index.total).step_by(7) {
-            let (pos, parent_pos, obs_pos) = index.locate(i);
-            let (start, end) = index.node_range(pos);
-            assert!(i >= start && i < end);
-            assert!(parent_pos < 14);
-            assert!(obs_pos < index.nodes[pos].n_obs);
-            // Reconstruct the flat index.
-            assert_eq!(
-                start + parent_pos * index.nodes[pos].n_obs + obs_pos,
-                i
-            );
-        }
-        // Ranges tile [0, total).
+        // Node ranges tile [0, total), each spanning parents × obs, so
+        // every item lands in exactly one node range.
         let mut cursor = 0;
-        for pos in 0..index.nodes.len() {
+        for (pos, entry) in index.nodes.iter().enumerate() {
             let (start, end) = index.node_range(pos);
-            assert_eq!(start, cursor);
+            assert_eq!((start, end), (cursor, cursor + 14 * entry.n_obs));
+            assert!(entry.n_obs > 0);
             cursor = end;
         }
         assert_eq!(cursor, index.total);
@@ -711,14 +685,13 @@ mod tests {
         let segments = index.segments();
         assert_eq!(segments.n_items(), index.total);
         assert_eq!(segments.n_segments(), index.nodes.len());
-        for (i, segment) in segments.ids().enumerate() {
-            let (pos, _, _) = index.locate(i);
-            assert_eq!(segment as usize, pos);
-        }
-        // Boundary structure matches the node ranges exactly.
+        // Boundary structure matches the node ranges exactly, and each
+        // item's segment id is the node whose range holds it.
+        let ids: Vec<u32> = segments.ids().collect();
         for pos in 0..index.nodes.len() {
             let (start, end) = index.node_range(pos);
             assert_eq!(segments.range(pos), start..end);
+            assert!(ids[start..end].iter().all(|&seg| seg as usize == pos));
         }
     }
 

@@ -1,5 +1,5 @@
 //! Property-based tests of the candidate-split index arithmetic: for
-//! arbitrary tree-shape inventories, the flat-index mapping must be a
+//! arbitrary tree-shape inventories, the flat-index layout must be a
 //! bijection consistent with the segment structure.
 
 use mn_score::SuffStats;
@@ -80,30 +80,37 @@ proptest! {
             .sum();
         prop_assert_eq!(index.total, expected_total);
 
-        // Every flat index maps to a unique (node, parent, obs) triple
-        // and back.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..index.total {
-            let (pos, parent, obs) = index.locate(i);
-            prop_assert!(parent < n_parents);
-            prop_assert!(obs < index.nodes[pos].n_obs);
-            let reconstructed =
-                index.nodes[pos].base + parent * index.nodes[pos].n_obs + obs;
-            prop_assert_eq!(reconstructed, i);
-            prop_assert!(seen.insert((pos, parent, obs)));
+        // The (node, parent, obs) triples map one-to-one onto the flat
+        // indices: node ranges tile [0, total) in order, each spanning
+        // n_parents × |obs(N)| items laid out parent-major.
+        let mut seen = vec![false; index.total];
+        let mut cursor = 0;
+        for (pos, entry) in index.nodes.iter().enumerate() {
+            let (start, end) = index.node_range(pos);
+            prop_assert_eq!((start, end), (cursor, cursor + n_parents * entry.n_obs));
+            prop_assert_eq!(start, entry.base);
+            for parent in 0..n_parents {
+                for obs in 0..entry.n_obs {
+                    let i = entry.base + parent * entry.n_obs + obs;
+                    prop_assert!(i < end);
+                    prop_assert!(!std::mem::replace(&mut seen[i], true));
+                }
+            }
+            cursor = end;
         }
+        prop_assert_eq!(cursor, index.total);
+        prop_assert!(seen.iter().all(|&hit| hit));
 
-        // Segment boundaries agree with node ranges.
+        // Segment boundaries agree with node ranges, and each item's
+        // segment id is the node whose range holds it.
         let segments = index.segments();
         prop_assert_eq!(segments.n_items(), index.total);
         prop_assert_eq!(segments.n_segments(), index.nodes.len());
-        for (i, seg) in segments.ids().enumerate() {
-            let (pos, _, _) = index.locate(i);
-            prop_assert_eq!(seg as usize, pos);
-        }
-        for (pos, entry) in index.nodes.iter().enumerate() {
-            let span = n_parents * entry.n_obs;
-            prop_assert_eq!(segments.range(pos), entry.base..entry.base + span);
+        let ids: Vec<u32> = segments.ids().collect();
+        for pos in 0..index.nodes.len() {
+            let (start, end) = index.node_range(pos);
+            prop_assert_eq!(segments.range(pos), start..end);
+            prop_assert!(ids[start..end].iter().all(|&seg| seg as usize == pos));
         }
     }
 

@@ -981,9 +981,6 @@ fn run_supervisor(opts: &Options, p: usize) -> ExitCode {
         // turns the stall into an ordinary socket-EOF death.
         let _ = mn_comm::sys::send_signal(pids[rank], mn_comm::sys::SIGKILL);
     });
-    if let ProcAddr::Unix(path) = &addr {
-        let _ = std::fs::remove_file(path);
-    }
     use std::os::unix::process::ExitStatusExt;
     let mut fault: Option<String> = None;
     let mut error: Option<String> = None;

@@ -3,7 +3,7 @@
 
 use crate::error::ServeError;
 use crate::proto::{self, MAX_LINE};
-use mn_comm::msg::proc::{service_connect, ProcAddr, ServiceStream};
+use mn_comm::msg::proc::{connect, ProcAddr, ProcStream};
 use monet::LearnerConfig;
 use serde::Content;
 use std::io::{self, BufReader, Write};
@@ -11,8 +11,8 @@ use std::time::Duration;
 
 /// One connection to a `monet serve` process.
 pub struct Client {
-    reader: BufReader<ServiceStream>,
-    writer: ServiceStream,
+    reader: BufReader<ProcStream>,
+    writer: ProcStream,
 }
 
 /// A response line, already checked for the `"ok"` discriminator.
@@ -45,7 +45,7 @@ impl Client {
     /// Connect, retrying with backoff up to `timeout` (covers the gap
     /// between spawning a server and its listener coming up).
     pub fn connect(addr: &ProcAddr, timeout: Duration) -> io::Result<Client> {
-        let stream = service_connect(addr, timeout)?;
+        let stream = connect(addr, timeout)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),

@@ -1,9 +1,10 @@
 //! # monet-serve — the long-lived module-network learning service
 //!
 //! ROADMAP item 1: a multi-tenant server wrapping the `monet` learner.
-//! Clients connect over the proc transport's address space
-//! (`unix:<path>` or `tcp:<host:port>`, see
-//! [`mn_comm::msg::proc::ServiceListener`]) and speak a line-delimited
+//! The server listens on the proc engine's own socket layer
+//! ([`mn_comm::msg::proc::ProcListener`] on `unix:<path>` or
+//! `tcp:<host:port>`); clients reach it with the same bounded
+//! [`mn_comm::msg::proc::connect`], and both speak a line-delimited
 //! JSON protocol ([`proto`]): register datasets, submit learn jobs
 //! carrying a full serialized [`monet::LearnerConfig`], stream live
 //! progress, and manage job lifecycles.

@@ -3,7 +3,7 @@
 use crate::error::ServeError;
 use crate::jobs::{Cursor, Job, JobState};
 use crate::proto::{self, DataSpec, Request};
-use mn_comm::msg::proc::{ProcAddr, ServiceListener, ServiceStream};
+use mn_comm::msg::proc::{ProcAddr, ProcListener, ProcStream};
 use mn_comm::{
     CancelKind, CancelToken, EngineSpec, JobCancelled, ParEngine, SerialEngine, SimEngine,
     ThreadEngine,
@@ -189,7 +189,7 @@ fn next_job_number(jobs_dir: &Path) -> io::Result<u64> {
 /// caller can learn the resolved address (ephemeral TCP ports) before
 /// blocking.
 pub struct Server {
-    listener: ServiceListener,
+    listener: ProcListener,
     shared: Arc<Shared>,
 }
 
@@ -202,7 +202,7 @@ impl Server {
         let jobs_dir = cfg.state_dir.join("jobs");
         std::fs::create_dir_all(&jobs_dir)?;
         let next_job = next_job_number(&jobs_dir)?;
-        let listener = ServiceListener::bind(&cfg.addr)?;
+        let listener = ProcListener::bind(&cfg.addr)?;
         // Record the *resolved* address (tcp:host:0 gets a real port)
         // so shutdown's self-connect wake-up can reach the listener.
         let mut cfg = cfg;
@@ -496,7 +496,7 @@ fn finish_failed(shared: &Shared, job: &Arc<Job>, msg: String) {
 // Connection handling
 // ---------------------------------------------------------------------
 
-fn write_line(stream: &mut ServiceStream, line: &str) -> io::Result<()> {
+fn write_line(stream: &mut ProcStream, line: &str) -> io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
@@ -506,7 +506,7 @@ fn write_line(stream: &mut ServiceStream, line: &str) -> io::Result<()> {
 /// (plus streamed event lines for `watch`), until clean EOF. A client
 /// that dies mid-line or floods past [`proto::MAX_LINE`] just loses
 /// its connection; server state is untouched.
-fn serve_connection(shared: &Arc<Shared>, stream: ServiceStream) -> io::Result<()> {
+fn serve_connection(shared: &Arc<Shared>, stream: ProcStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
@@ -571,7 +571,7 @@ enum WatchAbort {
 /// terminal and the log is drained.
 fn watch(
     shared: &Shared,
-    writer: &mut ServiceStream,
+    writer: &mut ProcStream,
     job_id: &str,
     from: usize,
 ) -> Result<(), WatchAbort> {
@@ -957,7 +957,7 @@ fn initiate_shutdown(shared: &Arc<Shared>) {
     // Self-connect to pop the blocking accept() so the loop observes
     // the flag.
     let addr = shared.cfg.addr.clone();
-    let _ = mn_comm::msg::proc::service_connect(&addr, Duration::from_millis(500));
+    let _ = mn_comm::msg::proc::connect(&addr, Duration::from_millis(500));
 }
 
 #[cfg(test)]

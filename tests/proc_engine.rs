@@ -3,7 +3,8 @@
 //! routes the msg fabric over a Unix-domain socket. These tests cover
 //! the acceptance drills from DESIGN.md §15: byte-identity with the
 //! in-process engines, the real-SIGKILL kill-resume drill, bounded
-//! handshake timeouts, and black-box dumps from terminated workers.
+//! handshake timeouts, the heartbeat stall monitor, and black-box
+//! dumps from terminated workers.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -282,4 +283,83 @@ fn proc_sigterm_dumps_flight_ring_before_exit() {
     assert!(!records.is_empty(), "SIGTERMed worker dumped no deterministic events");
     std::fs::remove_dir_all(&frec).ok();
     std::fs::remove_file(&socket).ok();
+}
+
+/// `SIGSTOP`: the worker stays alive but stops beating.
+const SIGSTOP: i32 = 19;
+
+/// Whether process `pid` has a thread named `name`.
+fn has_thread(pid: u32, name: &str) -> bool {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+        return false;
+    };
+    tasks.flatten().any(|task| {
+        std::fs::read_to_string(task.path().join("comm")).is_ok_and(|comm| comm.trim_end() == name)
+    })
+}
+
+/// A worker that is alive but wedged is caught by the stall monitor,
+/// not by socket EOF: the supervisor declares the rank dead once its
+/// heartbeat is older than the stall bound, `SIGKILL`s it, exits 3
+/// with a "stalled" diagnosis naming the rank, and leaves no worker
+/// behind.
+#[test]
+fn proc_stalled_worker_is_killed_and_diagnosed() {
+    let dir = std::env::temp_dir();
+    let socket = dir.join(format!("monet_proc_stall_{}.sock", std::process::id()));
+    std::fs::remove_file(&socket).ok();
+    let socket_str = socket.to_str().unwrap();
+
+    // The injected delay holds the run open, heartbeats still flowing,
+    // until the test freezes rank 1.
+    let started = Instant::now();
+    let mut child = Command::new(monet_bin())
+        .args(["--synthetic", "30,20", "--seed", "4", "--quiet"])
+        .args(["--engine", "proc:2", "--fault", "delay:1@30:10000"])
+        .env("MN_PROC_ADDR", socket_str)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn supervisor");
+
+    let pid = find_worker_pid(socket_str, 1, Duration::from_secs(10))
+        .expect("worker 1 never appeared in /proc");
+    // Freeze the worker only once its heartbeat thread runs (it starts
+    // after `Welcome`), so the supervisor sees a stall, not a worker
+    // that never finished its handshake.
+    let beating = Instant::now();
+    while !has_thread(pid, "proc-hb-r1") {
+        assert!(beating.elapsed() < Duration::from_secs(10), "worker 1 never started beating");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(mn_comm::sys::send_signal(pid, SIGSTOP), "SIGSTOP delivery failed");
+
+    // The 2 s stall bound plus slack, never a hang: past 30 s the test
+    // kills the run itself and fails.
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll supervisor") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(30) {
+            let _ = child.kill();
+            mn_comm::sys::send_signal(pid, mn_comm::sys::SIGKILL);
+            let _ = child.wait();
+            panic!("the stalled run did not end within 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(3), "stderr: {stderr}");
+    assert!(
+        stderr.contains("rank 1 stalled (heartbeat timeout)"),
+        "diagnosis does not name the stalled rank: {stderr}"
+    );
+    for rank in 0..2 {
+        assert_eq!(
+            find_worker_pid(socket_str, rank, Duration::from_millis(100)),
+            None,
+            "worker {rank} outlived its supervisor"
+        );
+    }
+    assert!(!socket.exists(), "the supervisor left its socket file behind");
 }

@@ -7,7 +7,7 @@
 //! byte-identical to the batch CLI's `--json` output for the same
 //! flags.
 
-use mn_comm::msg::proc::{service_connect, ProcAddr};
+use mn_comm::msg::proc::{connect, ProcAddr};
 use monet::LearnerConfig;
 use monet_serve::client::Reply;
 use monet_serve::{Client, ServeConfig, Server};
@@ -461,7 +461,7 @@ fn hostile_clients_get_typed_errors_and_never_wedge_the_server() {
     // A client killed mid-frame: write half a request, no newline,
     // drop the socket.
     {
-        let mut stream = service_connect(&server.addr, Duration::from_secs(5)).unwrap();
+        let mut stream = connect(&server.addr, Duration::from_secs(5)).unwrap();
         stream.write_all(b"{\"op\":\"submi").unwrap();
         stream.flush().unwrap();
         drop(stream); // connection dies mid-line
@@ -470,7 +470,7 @@ fn hostile_clients_get_typed_errors_and_never_wedge_the_server() {
     // A line bomb: an unterminated request far past MAX_LINE. The
     // server must refuse with bounded memory and a typed error.
     {
-        let mut stream = service_connect(&server.addr, Duration::from_secs(5)).unwrap();
+        let mut stream = connect(&server.addr, Duration::from_secs(5)).unwrap();
         let chunk = vec![b'x'; 64 * 1024];
         for _ in 0..((monet_serve::MAX_LINE / chunk.len()) + 2) {
             // Writes may fail once the server hangs up mid-bomb;
