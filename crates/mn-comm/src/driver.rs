@@ -21,15 +21,16 @@
 //! between SPMD ranks) before the selections meet.
 //!
 //! [`EngineCore`] holds what every engine needs besides that: the
-//! recorder, phases, per-rank busy time, the clock, the fault clock and
-//! cancel token. The [`ParEngine`] accessors read it, so they are
-//! written once.
+//! recorder, the clock, the fault clock and cancel token. Busy and
+//! communication seconds go to the recorder's open spans and nowhere
+//! else; [`RunReport`] is read back from its phase spans. The
+//! [`ParEngine`] accessors read the core, so they are written once.
 
 use crate::cancel::{check_cancel, CancelToken};
 use crate::engine::{Costed, ParEngine, SegmentBatchFn, SelectFn, TaskFn, Wire};
 use crate::fault::{FaultAction, FaultClock, FaultPlan, InjectedCrash};
 use crate::hooks;
-use crate::metrics::{PhaseReport, RunReport};
+use crate::metrics::RunReport;
 use crate::partition::{block_owner, block_range};
 use crate::segments::Segments;
 use crate::serial::SerialEngine;
@@ -372,18 +373,19 @@ fn call_kernel<T>(
     );
 }
 
-/// The engine families, which differ in clock and in what a phase
-/// report means.
+/// The engine families, which differ in clock and in whose events the
+/// core sees. What a phase's busy, comm and elapsed time mean is not
+/// among them: every engine charges the recorder's spans, and the
+/// report reads them back the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Style {
-    /// One rank on the wall clock; the whole phase counts as busy.
-    Serial,
-    /// Wall clock, measured per-rank busy; shared-memory collectives
-    /// are free.
-    Threads,
-    /// One SPMD rank on the wall clock: its own busy time, the rest of
-    /// the phase is communication and waiting. Its faults live in the
-    /// fabric, so the engine-level fault clock never ticks.
+    /// The wall clock, one process observing all its ranks (serial,
+    /// threads): busy is the time inside maps, per rank, and
+    /// shared-memory collectives are free.
+    Wall,
+    /// One SPMD rank on the wall clock: its own busy time and measured
+    /// communication. Its faults live in the fabric, so the
+    /// engine-level fault clock never ticks.
     Spmd,
     /// The simulated bulk-synchronous clock, charged by the τ/μ model.
     Sim,
@@ -395,17 +397,9 @@ pub struct EngineCore {
     pub(crate) style: Style,
     pub(crate) p: usize,
     pub(crate) obs: Recorder,
-    /// Busy seconds in the current phase, one slot per rank this engine
-    /// accounts for: all `p`, or a single slot (serial, one SPMD rank).
-    pub(crate) busy: Vec<f64>,
-    /// Simulated communication and elapsed seconds of the current phase.
-    pub(crate) comm: f64,
-    pub(crate) elapsed: f64,
     /// The simulated clock: bulk-synchronous seconds since creation.
     pub(crate) sim_now: f64,
     epoch: Instant,
-    phases: Vec<PhaseReport>,
-    current: Option<(String, Instant)>,
     /// Engine-event clock for deterministic fault injection: every
     /// `dist_map*`/`collective`/`replicated` call is one event,
     /// attributed to rank 0 (the single-process convention).
@@ -425,13 +419,8 @@ impl EngineCore {
             style,
             p,
             obs,
-            busy: vec![0.0; if style == Style::Spmd { 1 } else { p }],
-            comm: 0.0,
-            elapsed: 0.0,
             sim_now: 0.0,
             epoch: Instant::now(),
-            phases: Vec::new(),
-            current: None,
             faults: FaultClock::new(FaultPlan::new(), 0),
             cancel: None,
             stash: SnapshotStash::new(),
@@ -498,62 +487,25 @@ impl EngineCore {
         self.telemetry_tick();
     }
 
-    /// Charge `dt` busy seconds to `rank` (to the single slot when the
-    /// engine accounts for one rank only).
+    /// Charge `dt` busy seconds to `rank` in every open span.
     pub(crate) fn charge_busy(&mut self, rank: usize, dt: f64) {
-        let slot = if self.busy.len() == 1 { 0 } else { rank };
-        self.busy[slot] += dt;
         self.obs.charge_busy_rank(rank, dt);
     }
 
-    fn busy_max_avg(&self) -> (f64, f64) {
-        let max = self.busy.iter().copied().fold(0.0, f64::max);
-        (max, self.busy.iter().sum::<f64>() / self.busy.len() as f64)
-    }
-
-    fn close_phase(&mut self) {
-        let Some((name, start)) = self.current.take() else {
-            return;
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let (max, avg) = self.busy_max_avg();
-        let (busy_max_s, busy_avg_s, comm_s, elapsed_s) = match self.style {
-            Style::Serial => (wall, wall, 0.0, wall),
-            Style::Threads => (max, avg, 0.0, wall),
-            Style::Spmd => (max, avg, (wall - max).max(0.0), wall),
-            Style::Sim => (max, avg, self.comm, self.elapsed),
-        };
-        self.phases.push(PhaseReport {
-            name,
-            busy_max_s,
-            busy_avg_s,
-            comm_s,
-            elapsed_s,
-        });
-        self.busy.fill(0.0);
-        self.comm = 0.0;
-        self.elapsed = 0.0;
-    }
-
     pub(crate) fn begin_phase(&mut self, name: &str) {
-        self.close_phase();
-        self.current = Some((name.to_string(), Instant::now()));
         let now = self.now_s();
         self.obs.begin_phase(name, now);
         self.obs.telemetry_tick(now);
     }
 
+    /// Close every span and read the phase report off them.
     pub(crate) fn report(&mut self) -> RunReport {
-        self.close_phase();
         let now = self.now_s();
         self.obs.finish(now);
         // An SPMD rank's hooks belong to the thread that launched it.
         if self.style != Style::Spmd {
             hooks::clear_thread_hooks();
         }
-        RunReport {
-            nranks: self.p,
-            phases: std::mem::take(&mut self.phases),
-        }
+        RunReport::from_spans(self.p, self.obs.closed_spans())
     }
 }

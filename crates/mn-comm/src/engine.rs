@@ -205,9 +205,11 @@ pub trait ParEngine {
         self.core_mut().begin_phase(name);
     }
 
-    /// Finish the run and produce the metrics report. Idempotent
-    /// engines may be reused after `report`; ours are consumed by
-    /// convention. Also closes all open observability spans.
+    /// Finish the run: close all open observability spans and read the
+    /// per-phase report off them ([`RunReport::from_spans`]). Engines
+    /// are consumed by convention after `report`. An SPMD rank reports
+    /// its own view; `merge_ranks` over the ranks' snapshots gives the
+    /// run's.
     fn report(&mut self) -> RunReport {
         self.core_mut().report()
     }

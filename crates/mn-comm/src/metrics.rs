@@ -5,9 +5,14 @@
 //! Table 2), and (c) a load-imbalance metric for the split-posterior
 //! loop: "the deviation of the maximum run-time of the loop on any
 //! process from the average run-time of the loop across all the
-//! processes, normalized by the average run-time" (§5.3.1). Every
-//! engine produces a [`RunReport`] carrying exactly those quantities.
+//! processes, normalized by the average run-time" (§5.3.1). A
+//! [`RunReport`] carries exactly those quantities, and it is a view of
+//! the recorder's phase spans ([`RunReport::from_spans`]): engines
+//! charge busy and communication seconds once, into the
+//! [`mn_obs::Recorder`], and every phase entry is read back from its
+//! depth-1 span.
 
+use mn_obs::SpanRecord;
 use serde::{Deserialize, Serialize};
 
 /// Metrics of one named phase of a run.
@@ -26,6 +31,19 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
+    /// The entry of one phase span: the max and mean of its per-rank
+    /// busy seconds, its communication seconds and its end − start.
+    fn of_span(span: &SpanRecord) -> Self {
+        let (busy_max_s, busy_avg_s) = span.busy_max_mean();
+        Self {
+            name: span.name.clone(),
+            busy_max_s,
+            busy_avg_s,
+            comm_s: span.comm_s,
+            elapsed_s: span.elapsed_s(),
+        }
+    }
+
     /// The paper's load-imbalance metric: `(max - avg) / avg` of the
     /// per-rank busy time. Zero for perfectly balanced phases (and for
     /// empty ones).
@@ -48,6 +66,19 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The phase view of a span log: one entry per depth-1 span, in the
+    /// order the spans closed (which is the order the phases ran).
+    pub fn from_spans(nranks: usize, spans: &[SpanRecord]) -> Self {
+        Self {
+            nranks,
+            phases: spans
+                .iter()
+                .filter(|span| span.depth == 1)
+                .map(PhaseReport::of_span)
+                .collect(),
+        }
+    }
+
     /// Total elapsed seconds across phases.
     pub fn total_s(&self) -> f64 {
         self.phases.iter().map(|p| p.elapsed_s).sum()
@@ -58,13 +89,10 @@ impl RunReport {
         self.phases.iter().map(|p| p.comm_s).sum()
     }
 
-    /// Elapsed seconds of one phase by name (0 if absent).
+    /// Elapsed seconds of one phase by name, summed over its entries
+    /// (0 if absent).
     pub fn phase_s(&self, name: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name == name)
-            .map(|p| p.elapsed_s)
-            .sum()
+        self.merged_phase(name).map_or(0.0, |p| p.elapsed_s)
     }
 
     /// All entries of one phase name merged into a single report, by
@@ -74,47 +102,21 @@ impl RunReport {
     /// `imbalance()` of the merged report weighs each entry by the
     /// busy time it contributed, consistent with [`RunReport::phase_s`].
     pub fn merged_phase(&self, name: &str) -> Option<PhaseReport> {
-        let mut merged: Option<PhaseReport> = None;
-        for p in self.phases.iter().filter(|p| p.name == name) {
-            match &mut merged {
-                None => merged = Some(p.clone()),
-                Some(m) => {
-                    m.busy_max_s += p.busy_max_s;
-                    m.busy_avg_s += p.busy_avg_s;
-                    m.comm_s += p.comm_s;
-                    m.elapsed_s += p.elapsed_s;
-                }
-            }
-        }
-        merged
+        let entries = self.phases.iter().filter(|p| p.name == name).cloned();
+        entries.reduce(|mut m, p| {
+            m.busy_max_s += p.busy_max_s;
+            m.busy_avg_s += p.busy_avg_s;
+            m.comm_s += p.comm_s;
+            m.elapsed_s += p.elapsed_s;
+            m
+        })
     }
 
     /// Imbalance of one phase by name (0 if absent), computed over
     /// *all* entries with that name (see [`RunReport::merged_phase`])
     /// so it is consistent with the summing [`RunReport::phase_s`].
     pub fn phase_imbalance(&self, name: &str) -> f64 {
-        self.merged_phase(name)
-            .map_or(0.0, |p| p.imbalance())
-    }
-
-    /// Strong-scaling speedup of this run relative to a baseline time.
-    pub fn speedup_vs(&self, baseline_s: f64) -> f64 {
-        let t = self.total_s();
-        if t <= 0.0 {
-            0.0
-        } else {
-            baseline_s / t
-        }
-    }
-
-    /// Parallel efficiency (%) relative to a baseline time measured on
-    /// `baseline_ranks` ranks (the paper's relative-efficiency metric:
-    /// `p₁·T_{p₁} / (p₂·T_{p₂}) × 100`).
-    pub fn efficiency_vs(&self, baseline_s: f64, baseline_ranks: usize) -> f64 {
-        if self.nranks == 0 || self.total_s() <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (baseline_ranks as f64 * baseline_s) / (self.nranks as f64 * self.total_s())
+        self.merged_phase(name).map_or(0.0, |p| p.imbalance())
     }
 }
 
@@ -185,21 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_efficiency() {
-        let r = RunReport {
-            nranks: 8,
-            phases: vec![phase("all", 1.0, 1.0, 0.0, 2.0)],
-        };
-        assert!((r.speedup_vs(16.0) - 8.0).abs() < 1e-12);
-        // Relative to a 2-rank baseline of 6 s: eff = 2*6 / (8*2) = 75 %.
-        assert!((r.efficiency_vs(6.0, 2) - 75.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn degenerate_reports_do_not_divide_by_zero() {
         let r = RunReport::default();
         assert_eq!(r.total_s(), 0.0);
-        assert_eq!(r.speedup_vs(1.0), 0.0);
-        assert_eq!(r.efficiency_vs(1.0, 1), 0.0);
+        assert_eq!(r.comm_s(), 0.0);
+        assert_eq!(r.phase_imbalance("x"), 0.0);
     }
 }

@@ -31,7 +31,7 @@ impl SerialEngine {
     /// New engine; phase timing starts at the first `begin_phase`.
     pub fn new() -> Self {
         Self {
-            core: EngineCore::new(Style::Serial, 1, Recorder::new(1)),
+            core: EngineCore::new(Style::Wall, 1, Recorder::new(1)),
             work_units: 0,
         }
     }
@@ -44,7 +44,7 @@ impl SerialEngine {
     pub(crate) fn for_task(cancel: Option<CancelToken>) -> Self {
         let flight = FlightRec::with_capacity(1, 0, usize::MAX, 1);
         let mut core = EngineCore::new(
-            Style::Serial,
+            Style::Wall,
             1,
             Recorder::for_rank_with_flight(1, 0, flight),
         );

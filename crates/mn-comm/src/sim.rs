@@ -6,8 +6,8 @@
 //! union of the work once and advances each virtual rank's clock by
 //! the work units its block reported. Collectives synchronize all
 //! clocks to the maximum and add the τ/μ model cost of
-//! [`CostModel::collective_s`]. The simulated elapsed time of a phase
-//! is therefore
+//! [`CostModel::collective_s`]. The simulated elapsed time of a phase,
+//! its span's end − start on the simulated clock, is therefore
 //!
 //! ```text
 //! T_phase = Σ_steps ( max_r busy_r(step) + comm(step) )
@@ -114,18 +114,13 @@ impl SimEngine {
     }
 
     /// Account one bulk-synchronous step: per-rank busy seconds plus a
-    /// synchronizing collective of `comm_s` seconds. Also advances the
+    /// synchronizing collective of `comm_s` seconds. Advances the
     /// simulated clock and charges the open observability spans, so
     /// simulated time flows into the same span tree wall-clock engines
     /// fill.
     fn account_step(&mut self, step_busy: &[f64], comm_s: f64) {
         let core = &mut self.core;
         let step_max = step_busy.iter().copied().fold(0.0, f64::max);
-        for (b, &s) in core.busy.iter_mut().zip(step_busy) {
-            *b += s;
-        }
-        core.comm += comm_s;
-        core.elapsed += step_max + comm_s;
         core.sim_now += step_max + comm_s;
         core.obs.charge_busy(step_busy);
         core.obs.charge_comm(comm_s);

@@ -63,7 +63,7 @@ pub struct ThreadEngine {
 impl ThreadEngine {
     /// Engine with `p` ranks (`p ≥ 1`); spawns the `p − 1` workers.
     pub fn new(p: usize) -> Self {
-        let core = EngineCore::new(Style::Threads, p, Recorder::new(p));
+        let core = EngineCore::new(Style::Wall, p, Recorder::new(p));
         let pool = Pool::new(p, core.obs.flight());
         Self { core, pool }
     }

@@ -1,27 +1,32 @@
-//! Stationarity of the observation-reassignment sweep: the chain the
-//! real `reassign_obs` runs visits partitions with the frequencies its
-//! coded kernel implies.
+//! Stationarity of the reassignment sweeps: the chain the real
+//! `reassign_obs` and `reassign_vars` run visits partitions with the
+//! frequencies its coded kernel implies.
 //!
-//! One variable cluster over 5 observations has Bell(5) = 52
-//! observation partitions, so the kernel's exact transition matrix is
-//! small enough to build from the enumerated partition scores. One
-//! proposal picks an observation uniformly; its candidates are the
+//! Five items have Bell(5) = 52 partitions, so a kernel's exact
+//! transition matrix is small enough to build from the enumerated
+//! partition scores:
+//! - `reassign_obs` moves the 5 observations of one variable cluster;
+//! - `reassign_vars` moves 5 variables over 1 observation, so every
+//!   observation partition is trivial and there is no observation
+//!   sweep to run.
+//!
+//! One proposal picks an item uniformly; its candidates are the
 //! existing clusters plus a fresh one, each weighted ∝ exp(score′ −
-//! score). When the observation is a singleton, the stay entry and the
-//! fresh entry lead to the same partition, and both count. A sweep is
-//! five proposals.
+//! score). When the item is a singleton, the stay entry and the fresh
+//! entry lead to the same partition, and both count. A sweep is five
+//! proposals.
 //!
-//! The test gates the total-variation distance between the empirical
+//! Each test gates the total-variation distance between the empirical
 //! partition frequencies of `N` real sweeps and the coded kernel's
 //! stationary distribution, at twice its expected Monte-Carlo error
 //! (from the chain's exact asymptotic variances). It prints, without
 //! gating, the distance between the coded stationary distribution and
-//! the posterior ∝ exp(score), which the two differ by: this test
-//! records that gap, it does not close it.
+//! the posterior ∝ exp(score), which the two differ by: these tests
+//! record that gap, they do not close it.
 
 use mn_comm::SerialEngine;
 use mn_data::{Dataset, Matrix};
-use mn_gibbs::sweep::reassign_obs;
+use mn_gibbs::sweep::{reassign_obs, reassign_vars};
 use mn_gibbs::{CoClustering, SweepScorer};
 use mn_rand::MasterRng;
 use mn_score::{NormalGamma, Scoring, SuffStats};
@@ -33,11 +38,11 @@ const N: usize = 40_000;
 /// Sweeps discarded before counting.
 const BURN_IN: usize = 50;
 
-/// A partition of the `M` observations as a restricted growth string:
-/// `p[o]` is the block of `o`, numbered in order of first appearance.
+/// A partition of the `M` items as a restricted growth string: `p[i]`
+/// is the block of item `i`, numbered in order of first appearance.
 type Partition = [u8; M];
 
-/// Every partition of `M` observations, in lexicographic order.
+/// Every partition of `M` items, in lexicographic order.
 fn enumerate() -> Vec<Partition> {
     fn extend(p: &mut Partition, i: usize, max: u8, out: &mut Vec<Partition>) {
         if i == M {
@@ -68,8 +73,8 @@ fn canonical(labels: [usize; M]) -> Partition {
 }
 
 /// Σ over blocks of the tile log-marginal: the co-clustering score of
-/// the one variable cluster.
-fn score(data: &Dataset, prior: &NormalGamma, p: &Partition) -> f64 {
+/// the one variable cluster whose observations `p` partitions.
+fn obs_score(data: &Dataset, prior: &NormalGamma, p: &Partition) -> f64 {
     let blocks = *p.iter().max().unwrap() as usize + 1;
     (0..blocks)
         .map(|b| {
@@ -84,8 +89,24 @@ fn score(data: &Dataset, prior: &NormalGamma, p: &Partition) -> f64 {
         .sum()
 }
 
-/// The coded kernel of one proposal, averaged over the moving
-/// observation: `t[i][j]`.
+/// Σ over blocks of the one-observation tile's log-marginal: the
+/// co-clustering score of the variable partition `p` on one
+/// observation.
+fn var_score(data: &Dataset, prior: &NormalGamma, p: &Partition) -> f64 {
+    let blocks = *p.iter().max().unwrap() as usize + 1;
+    (0..blocks)
+        .map(|b| {
+            let mut tile = SuffStats::empty();
+            for v in (0..M).filter(|&v| p[v] as usize == b) {
+                tile.add(data.values(v)[0]);
+            }
+            prior.log_marginal(&tile)
+        })
+        .sum()
+}
+
+/// The coded kernel of one proposal, averaged over the moving item:
+/// `t[i][j]`.
 fn proposal_matrix(parts: &[Partition], scores: &[f64]) -> Vec<Vec<f64>> {
     let index: HashMap<Partition, usize> = parts.iter().enumerate().map(|(i, p)| (*p, i)).collect();
     let n = parts.len();
@@ -94,7 +115,8 @@ fn proposal_matrix(parts: &[Partition], scores: &[f64]) -> Vec<Vec<f64>> {
         let blocks = *p.iter().max().unwrap() + 1;
         for o in 0..M {
             // Existing blocks (the own one is the stay entry), then a
-            // fresh block — the same partition again when `o` is alone.
+            // fresh block — the same partition again when item `o` is
+            // alone.
             let targets: Vec<usize> = (0..=blocks)
                 .map(|b| {
                     let mut q = *p;
@@ -170,7 +192,7 @@ fn tv(a: &[f64], b: &[f64]) -> f64 {
 
 /// Two variables over five observations, with values that leave the
 /// score landscape flat enough for many partitions to carry mass.
-fn dataset() -> Dataset {
+fn obs_dataset() -> Dataset {
     let values = [
         0.3, -0.2, 1.1, 0.9, -0.7, //
         0.1, 0.4, 0.8, 1.3, -0.4,
@@ -178,17 +200,16 @@ fn dataset() -> Dataset {
     Dataset::new(Matrix::from_vec(2, M, values.to_vec()), None, None)
 }
 
-#[test]
-fn reassign_obs_samples_its_coded_stationary_distribution() {
-    let data = dataset();
-    let prior = NormalGamma::default();
+/// Run `N` sweeps after `BURN_IN` through `sweep`, which runs sweep
+/// `step` and returns the partition it left, and gate their
+/// frequencies against the stationary distribution of the coded kernel
+/// over the partitions' `scores` (in [`enumerate`] order).
+fn gate(what: &str, scores: &[f64], mut sweep: impl FnMut(u64) -> Partition) {
     let parts = enumerate();
     assert_eq!(parts.len(), 52, "Bell(5)");
-    let scores: Vec<f64> = parts.iter().map(|p| score(&data, &prior, p)).collect();
-
-    let t = proposal_matrix(&parts, &scores);
-    let sweep = (1..M).fold(t.clone(), |s, _| mul(&s, &t));
-    let coded = stationary(&sweep);
+    let t = proposal_matrix(&parts, scores);
+    let kernel = (1..M).fold(t.clone(), |s, _| mul(&s, &t));
+    let coded = stationary(&kernel);
     let max_score = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let posterior: Vec<f64> = {
         let w: Vec<f64> = scores.iter().map(|s| (s - max_score).exp()).collect();
@@ -196,16 +217,54 @@ fn reassign_obs_samples_its_coded_stationary_distribution() {
         w.iter().map(|x| x / z).collect()
     };
 
+    let index: HashMap<Partition, usize> = parts.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+    let mut hits = vec![0u64; parts.len()];
+    for step in 0..(BURN_IN + N) as u64 {
+        let p = sweep(step);
+        if step >= BURN_IN as u64 {
+            hits[index[&p]] += 1;
+        }
+    }
+    let empirical: Vec<f64> = hits.iter().map(|&h| h as f64 / N as f64).collect();
+
+    // E|p̂_i − π_i| ≈ √(2/π) σ_i / √N, summed and halved.
+    let variances = indicator_variances(&kernel, &coded);
+    let expected_tv = 0.5
+        * (2.0 / std::f64::consts::PI).sqrt()
+        * variances.iter().map(|v| (v / N as f64).sqrt()).sum::<f64>();
+    let bound = 2.0 * expected_tv;
+    let measured = tv(&empirical, &coded);
+    let states = coded.iter().filter(|&&p| p > 1e-3).count();
+    println!(
+        "{what}: N = {N} sweeps over {states} partitions with mass > 1e-3 (max {:.3}): \
+         TV(empirical, coded) = {measured:.4}, expected {expected_tv:.4}, bound {bound:.4}; \
+         TV(coded, ∝ exp(score)) = {:.4} (not gated)",
+        coded.iter().cloned().fold(0.0, f64::max),
+        tv(&coded, &posterior),
+    );
+    assert!(
+        measured <= bound,
+        "{what} left its coded stationary distribution: TV {measured:.4} > {bound:.4}"
+    );
+}
+
+#[test]
+fn reassign_obs_samples_its_coded_stationary_distribution() {
+    let data = obs_dataset();
+    let prior = NormalGamma::default();
+    let scores: Vec<f64> = enumerate()
+        .iter()
+        .map(|p| obs_score(&data, &prior, p))
+        .collect();
+
     // The real sweeps, one stream per step.
     let master = MasterRng::new(2026);
     let vars = [0, 1];
     let mut state = CoClustering::single_var_cluster(&data, &vars, prior, &master, 0);
     let slot = state.active_slots()[0];
-    let index: HashMap<Partition, usize> = parts.iter().enumerate().map(|(i, p)| (*p, i)).collect();
     let mut engine = SerialEngine::new();
     let mut scorer = SweepScorer::new(state.prior());
-    let mut hits = vec![0u64; parts.len()];
-    for step in 0..(BURN_IN + N) as u64 {
+    gate("reassign_obs", &scores, |step| {
         reassign_obs(
             &mut engine,
             &mut state,
@@ -217,31 +276,40 @@ fn reassign_obs_samples_its_coded_stationary_distribution() {
             slot,
             Scoring::Kernel,
         );
-        if step >= BURN_IN as u64 {
-            let obs = &state.cluster(slot).obs;
-            hits[index[&canonical(std::array::from_fn(|o| obs.slot_of(o)))]] += 1;
-        }
-    }
+        let obs = &state.cluster(slot).obs;
+        canonical(std::array::from_fn(|o| obs.slot_of(o)))
+    });
     state.validate(&data);
-    let empirical: Vec<f64> = hits.iter().map(|&h| h as f64 / N as f64).collect();
+}
 
-    // E|p̂_i − π_i| ≈ √(2/π) σ_i / √N, summed and halved.
-    let variances = indicator_variances(&sweep, &coded);
-    let expected_tv = 0.5
-        * (2.0 / std::f64::consts::PI).sqrt()
-        * variances.iter().map(|v| (v / N as f64).sqrt()).sum::<f64>();
-    let bound = 2.0 * expected_tv;
-    let measured = tv(&empirical, &coded);
-    let states = coded.iter().filter(|&&p| p > 1e-3).count();
-    println!(
-        "N = {N} sweeps over {states} partitions with mass > 1e-3 (max {:.3}): \
-         TV(empirical, coded) = {measured:.4}, expected {expected_tv:.4}, bound {bound:.4}; \
-         TV(coded, ∝ exp(score)) = {:.4} (not gated)",
-        coded.iter().cloned().fold(0.0, f64::max),
-        tv(&coded, &posterior),
-    );
-    assert!(
-        measured <= bound,
-        "reassign_obs left its coded stationary distribution: TV {measured:.4} > {bound:.4}"
-    );
+#[test]
+fn reassign_vars_samples_its_coded_stationary_distribution() {
+    // Five variables over one observation, spread so that both
+    // singleton-heavy and merged partitions carry mass.
+    let values = [0.3, -0.2, 1.1, 0.9, -0.7];
+    let data = Dataset::new(Matrix::from_vec(M, 1, values.to_vec()), None, None);
+    let prior = NormalGamma::default();
+    let scores: Vec<f64> = enumerate()
+        .iter()
+        .map(|p| var_score(&data, &prior, p))
+        .collect();
+
+    let master = MasterRng::new(2027);
+    let mut state = CoClustering::random_init(&data, 2, prior, &master, 0);
+    let mut engine = SerialEngine::new();
+    let mut scorer = SweepScorer::new(state.prior());
+    gate("reassign_vars", &scores, |step| {
+        reassign_vars(
+            &mut engine,
+            &mut state,
+            &mut scorer,
+            &data,
+            &master,
+            0,
+            step,
+            Scoring::Kernel,
+        );
+        canonical(std::array::from_fn(|v| state.slot_of_var(v)))
+    });
+    state.validate(&data);
 }

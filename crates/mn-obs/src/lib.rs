@@ -11,9 +11,10 @@
 //!   ganesh-run/sweep` and `modules → module → tree/assign-splits`
 //!   tree. Every engine charges per-rank busy seconds and
 //!   communication seconds into the innermost open span and all of its
-//!   ancestors, so the paper's §5.3.1 imbalance metric
-//!   `(max − avg)/avg` is available at every level of the hierarchy,
-//!   not just per phase.
+//!   ancestors, and nowhere else, so the paper's §5.3.1 imbalance
+//!   metric `(max − avg)/avg` is available at every level of the
+//!   hierarchy, and `mn_comm::RunReport` is a view of the depth-1
+//!   phase spans.
 //! * **Deterministic event counters** ([`counters`]): logical event
 //!   counts (moves proposed/accepted, splits scored, kernel vs naive
 //!   dispatches, collective calls and payload words). Counters count
@@ -36,8 +37,8 @@
 //!   deltas with heartbeats ([`TelemetrySink`]), the streaming surface
 //!   a future `monet-serve` will put on the wire.
 //! * **Artifact export** ([`trace`]): a chrome://tracing JSON timeline
-//!   with one track per rank, and a serializable [`ObsSnapshot`] that
-//!   the `monet` CLI embeds into `RUN_METRICS.json`.
+//!   with one track per rank, and a serializable [`ObsSnapshot`] from
+//!   which the `monet` CLI builds `RUN_METRICS.json`.
 //! * **Output sink** ([`sink`]): the single quiet-able channel for
 //!   human-readable progress output, replacing scattered `eprintln!`s.
 //!

@@ -51,6 +51,17 @@ impl SpanRecord {
     pub fn elapsed_s(&self) -> f64 {
         (self.end_s - self.start_s).max(0.0)
     }
+
+    /// The busiest rank's and the mean busy seconds of the span.
+    pub fn busy_max_mean(&self) -> (f64, f64) {
+        max_and_mean(&self.busy_s)
+    }
+}
+
+/// The maximum and the mean of per-rank busy seconds (0 when empty).
+fn max_and_mean(busy: &[f64]) -> (f64, f64) {
+    let max = busy.iter().copied().fold(0.0, f64::max);
+    (max, busy.iter().sum::<f64>() / busy.len().max(1) as f64)
 }
 
 #[derive(Debug, Clone)]
@@ -345,6 +356,12 @@ impl Recorder {
         }
     }
 
+    /// The spans closed so far, in completion order (children before
+    /// parents): every span once [`Recorder::finish`] has run.
+    pub fn closed_spans(&self) -> &[SpanRecord] {
+        &self.spans
+    }
+
     /// Freeze the current state into a serializable snapshot. Spans
     /// still open are materialized as if they ended at `now_s` (the
     /// recorder itself is not mutated), so `&self` reporting works
@@ -372,8 +389,8 @@ impl Recorder {
 }
 
 /// A frozen, serializable view of one recorder: the span log plus
-/// counters and histograms. This is what `RUN_METRICS.json` embeds and
-/// what the chrome-trace exporter consumes.
+/// counters and histograms. `RUN_METRICS.json` is built from it and
+/// the chrome-trace exporter consumes it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsSnapshot {
     /// Number of ranks busy time is attributed across.
@@ -434,8 +451,7 @@ impl ObsSnapshot {
         by_path
             .into_iter()
             .map(|(path, (count, elapsed_s, busy, comm_s))| {
-                let busy_max_s = busy.iter().cloned().fold(0.0, f64::max);
-                let busy_avg_s = busy.iter().sum::<f64>() / busy.len().max(1) as f64;
+                let (busy_max_s, busy_avg_s) = max_and_mean(&busy);
                 let imbalance = if busy_avg_s > 0.0 {
                     (busy_max_s - busy_avg_s) / busy_avg_s
                 } else {

@@ -31,7 +31,7 @@
 //! `--trace` writes a chrome://tracing timeline (open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) with one track per
 //! rank; `--metrics-out` writes `RUN_METRICS.json`, the machine-readable
-//! superset of the run report (see [`monet::RunMetrics`]).
+//! record of the run (see [`monet::RunMetrics`]), a failed one included.
 //!
 //! `--checkpoint-dir` enables fine-grained checkpointing (per GaneSH
 //! run / per module tree; DESIGN.md §10): a killed run resumes after
@@ -86,8 +86,7 @@ use mn_comm::msg::proc::{
 };
 use mn_comm::{
     silence_injected_panics, spmd_run_faulty_recorded, CommError, EngineSpec, FaultAbort,
-    FaultPlan, InjectedCrash, ObsSnapshot, ParEngine, RunReport, SerialEngine, SimEngine,
-    ThreadEngine,
+    FaultPlan, InjectedCrash, ObsSnapshot, ParEngine, SerialEngine, SimEngine, ThreadEngine,
 };
 use mn_data::Dataset;
 use mn_obs::{FlightRec, SnapshotStash, TelemetryHandle, TelemetrySink};
@@ -510,18 +509,21 @@ impl Capture {
 /// The tail of a failed run, shared by the in-process engines and the
 /// proc worker: every failed run leaves its per-rank flight recorder
 /// dumps and — when a dying rank stashed its final snapshot — the
-/// best-effort timeline `--trace` asked for. Exits 1 for an error, 3
-/// for a fault.
+/// best-effort timeline `--trace` and record `--metrics-out` asked
+/// for. Exits 1 for an error, 3 for a fault.
 fn fail(opts: &Options, capture: &Capture, failure: RunFailure) -> ExitCode {
     capture.dump_flight_recorders(opts);
-    if let Some(path) = &opts.trace {
-        if let Some(snap) = capture.death_snapshot() {
-            let trace = mn_comm::obs::chrome_trace_json(&snap);
-            if let Err(e) = std::fs::write(path, trace) {
-                eprintln!("warning: writing {path}: {e}");
-            } else if !opts.quiet {
-                eprintln!("post-mortem trace: {path}");
-            }
+    if let Some(snap) = capture.death_snapshot() {
+        let write = |path: &String, text: String| match std::fs::write(path, text) {
+            Err(e) => eprintln!("warning: writing {path}: {e}"),
+            Ok(()) if !opts.quiet => eprintln!("post-mortem record: {path}"),
+            Ok(()) => {}
+        };
+        if let Some(path) = &opts.trace {
+            write(path, mn_comm::obs::chrome_trace_json(&snap));
+        }
+        if let Some(path) = &opts.metrics_out {
+            write(path, RunMetrics::new(&snap).to_json());
         }
     }
     match failure {
@@ -541,14 +543,13 @@ fn run_on<E: ParEngine>(
     data: &Dataset,
     config: &LearnerConfig,
     opts: &Options,
-) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
+) -> Result<(ModuleNetwork, ObsSnapshot), RunFailure> {
     let ckpt = opts.checkpoint.as_ref();
     let ckpt = ckpt.map(|(dir, policy)| (std::path::Path::new(dir), *policy));
-    let (network, report) = learn_module_network_with(engine, data, config, opts.scoring, ckpt)
+    let (network, _) = learn_module_network_with(engine, data, config, opts.scoring, ckpt)
         .map_err(|e| RunFailure::Error(e.to_string()))?;
     let now = engine.now_s();
-    let snapshot = engine.obs().snapshot(now);
-    Ok((network, report, snapshot))
+    Ok((network, engine.obs().snapshot(now)))
 }
 
 /// Convert a caught panic payload into a fault failure, or propagate
@@ -578,7 +579,7 @@ fn run_single<E: ParEngine>(
     opts: &Options,
     telemetry: Option<&TelemetryHandle>,
     capture: &mut Capture,
-) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
+) -> Result<(ModuleNetwork, ObsSnapshot), RunFailure> {
     if let Some(handle) = telemetry {
         engine.obs_mut().set_telemetry(handle.clone());
     }
@@ -599,7 +600,7 @@ fn run(
     plan: FaultPlan,
     telemetry: Option<&TelemetryHandle>,
     capture: &mut Capture,
-) -> Result<(ModuleNetwork, RunReport, ObsSnapshot), RunFailure> {
+) -> Result<(ModuleNetwork, ObsSnapshot), RunFailure> {
     match opts.engine {
         // Single-process engines count *engine* events (each dist_map /
         // collective / replicated call), attributed to rank 0.
@@ -629,11 +630,12 @@ fn run(
         ),
         EngineSpec::Msg(p) => {
             // True SPMD: every rank learns the full network. All ranks
-            // produce the identical network and report (the determinism
-            // contract); the per-rank observability snapshots are merged
-            // so the timeline carries every rank's busy time. Faults are
-            // fabric events (sends + receives, per endpoint); an empty
-            // plan makes this path identical to the plain spmd_run.
+            // produce the identical network (the determinism contract);
+            // the per-rank observability snapshots are merged so the
+            // timeline and the phase report carry every rank's busy
+            // time. Faults are fabric events (sends + receives, per
+            // endpoint); an empty plan makes this path identical to the
+            // plain spmd_run.
             let (outcomes, spmd_capture) =
                 spmd_run_faulty_recorded(p, plan, opts.comm_timeout, |engine| {
                     // The telemetry delta stream is a single per-stream
@@ -653,7 +655,7 @@ fn run(
             let mut survivor_failure: Option<RunFailure> = None;
             for (rank, outcome) in outcomes.into_iter().enumerate() {
                 match outcome {
-                    Ok(Ok(triple)) => results.push(triple),
+                    Ok(Ok(pair)) => results.push(pair),
                     Ok(Err(failure)) => return Err(failure),
                     Err(CommError::Injected { rank: r, event }) => {
                         return Err(RunFailure::Fault(format!(
@@ -669,13 +671,12 @@ fn run(
             if let Some(failure) = survivor_failure {
                 return Err(failure);
             }
-            let snapshots: Vec<ObsSnapshot> = results.iter().map(|(_, _, s)| s.clone()).collect();
+            let (mut networks, snapshots): (Vec<_>, Vec<_>) = results.into_iter().unzip();
             // A merge failure here means the determinism contract
             // itself broke — surface the first divergence, don't panic.
             let merged = mn_comm::obs::merge_ranks(&snapshots)
                 .map_err(|e| RunFailure::Error(format!("rank merge failed: {e}")))?;
-            let (network, report, _) = results.swap_remove(0);
-            Ok((network, report, merged))
+            Ok((networks.swap_remove(0), merged))
         }
         // Dispatched to run_supervisor/run_worker_entry before run()
         // is ever reached; kept for match exhaustiveness.
@@ -739,13 +740,13 @@ fn main() -> ExitCode {
     drop(handle);
     close_telemetry(sink);
     match result {
-        Ok((network, report, snapshot)) => {
+        Ok((network, snapshot)) => {
             // An explicit dump directory asks for recorders even from
             // clean runs (replay comparison across engines).
             if opts.flightrec_dir.is_some() {
                 capture.dump_flight_recorders(&opts);
             }
-            write_outputs(&opts, &network, &report, &snapshot)
+            write_outputs(&opts, &network, &snapshot)
         }
         Err(failure) => fail(&opts, &capture, failure),
     }
@@ -754,12 +755,9 @@ fn main() -> ExitCode {
 /// Print the run summary and write every requested output artifact —
 /// the tail of a successful run, shared by the single-process engines
 /// (from `main`) and the rank-0 proc worker.
-fn write_outputs(
-    opts: &Options,
-    network: &ModuleNetwork,
-    report: &RunReport,
-    snapshot: &ObsSnapshot,
-) -> ExitCode {
+fn write_outputs(opts: &Options, network: &ModuleNetwork, snapshot: &ObsSnapshot) -> ExitCode {
+    let metrics = RunMetrics::new(snapshot);
+    let report = &metrics.report;
     if !opts.quiet {
         let summary = network.summary();
         println!(
@@ -799,7 +797,6 @@ fn write_outputs(
         }
     }
     if let Some(path) = &opts.metrics_out {
-        let metrics = RunMetrics::new(report, snapshot);
         if let Err(e) = metrics.write_file(path) {
             eprintln!("error writing {path}: {e}");
             return ExitCode::FAILURE;
@@ -866,7 +863,7 @@ fn run_worker_entry(mut opts: Options) -> ExitCode {
         if let Some(handle) = &handle {
             engine.obs_mut().set_telemetry(handle.clone());
         }
-        let (network, report, snapshot) = run_on(&mut engine, &data, &config, &opts)?;
+        let (network, snapshot) = run_on(&mut engine, &data, &config, &opts)?;
         // Post-run snapshot gather so rank 0 can merge every rank's
         // timeline, mirroring the in-process launcher's thread-join
         // collection. Muted: post-run traffic is outside the
@@ -875,7 +872,7 @@ fn run_worker_entry(mut opts: Options) -> ExitCode {
         let all = mn_comm::msg::allgatherv(engine.endpoint(), vec![snapshot])
             .map_err(|e| RunFailure::Fault(format!("snapshot gather: {e}")))?;
         engine.endpoint().set_obs_muted(false);
-        Ok((network, report, all))
+        Ok((network, all))
     }));
     // Goodbye on every deliberate exit — success or diagnosed fault —
     // so the supervisor's EOF-is-death detection only fires for ranks
@@ -885,13 +882,13 @@ fn run_worker_entry(mut opts: Options) -> ExitCode {
     engine.endpoint().goodbye();
     drop(handle);
     close_telemetry(sink);
-    // Only rank 0 writes the post-mortem trace, from its own stash.
+    // Only rank 0 writes the post-mortem records, from its own stash.
     let capture = Capture {
         flights: vec![flight],
         stashes: if w.rank == 0 { vec![stash] } else { Vec::new() },
     };
     match outcome.unwrap_or_else(|payload| Err(fault_failure(payload))) {
-        Ok((network, report, snapshots)) => {
+        Ok((network, snapshots)) => {
             if opts.flightrec_dir.is_some() {
                 capture.dump_flight_recorders(&opts);
             }
@@ -899,7 +896,7 @@ fn run_worker_entry(mut opts: Options) -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             match mn_comm::obs::merge_ranks(&snapshots) {
-                Ok(merged) => write_outputs(&opts, &network, &report, &merged),
+                Ok(merged) => write_outputs(&opts, &network, &merged),
                 Err(e) => {
                     eprintln!("error: rank merge failed: {e}");
                     ExitCode::FAILURE

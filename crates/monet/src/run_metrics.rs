@@ -1,11 +1,12 @@
 //! `RUN_METRICS.json` — the machine-readable run record.
 //!
-//! A superset of [`RunReport`]: the per-phase breakdown the engines
-//! have always produced, plus everything the observability layer
-//! ([`mn_obs`]) collected during the run — per-span aggregates with the
-//! paper's §5.3.1 imbalance metric computed for *every* span (not just
-//! the three top-level phases), the deterministic event counters, and
-//! the span-duration histograms.
+//! One account of a run, built from its observability snapshot
+//! ([`mn_obs`]) alone: the per-phase breakdown ([`RunReport`], read off
+//! the depth-1 phase spans), per-span aggregates with the paper's
+//! §5.3.1 imbalance metric computed for *every* span (not just the
+//! three top-level phases), the deterministic event counters, and the
+//! span-duration histograms. A failed run's last snapshot makes a
+//! record as well as a finished one's.
 //!
 //! The counters are bit-identical across engines and rank counts (the
 //! `mn-obs` determinism contract), so two `RUN_METRICS.json` files from
@@ -30,8 +31,10 @@ pub struct RunMetrics {
     pub schema_version: u32,
     /// Number of ranks that executed the run.
     pub nranks: usize,
-    /// The engine's per-phase report, embedded verbatim: the span
-    /// aggregates below refine, never replace, these totals.
+    /// The per-phase view of the phase spans: each entry equals the
+    /// `run/<name>` row of `spans` when the phase ran once. A serial
+    /// phase's busy time is the time inside maps; on `msg`/`proc` the
+    /// snapshot is merged over the ranks, so is the view.
     pub report: RunReport,
     /// Per-span-path aggregates (busy max/avg, comm, imbalance),
     /// sorted by path.
@@ -49,14 +52,14 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Assemble the record from an engine's report and observability
-    /// snapshot (taken *after* [`mn_comm::ParEngine::report`], so all
-    /// spans are closed).
-    pub fn new(report: &RunReport, snapshot: &ObsSnapshot) -> Self {
+    /// Assemble the record from an observability snapshot: one taken
+    /// after [`mn_comm::ParEngine::report`] closed every span, merged
+    /// over the ranks under SPMD, or a dying rank's last one.
+    pub fn new(snapshot: &ObsSnapshot) -> Self {
         Self {
             schema_version: TELEMETRY_SCHEMA_VERSION,
             nranks: snapshot.nranks,
-            report: report.clone(),
+            report: RunReport::from_spans(snapshot.nranks, &snapshot.spans),
             spans: snapshot.aggregate_spans(),
             counters: snapshot.counters.clone(),
             histograms: snapshot.histograms.clone(),
@@ -84,44 +87,12 @@ impl RunMetrics {
             .map_or(0.0, |s| s.imbalance)
     }
 
-    /// Variables the consensus extraction dropped because their
-    /// cluster fell below the minimum size (the
-    /// `consensus.dropped_vars` counter; 0 when the run never reached
-    /// task 2). Surfaced here so truncation is observable from the
-    /// metrics record alone, per the no-silent-caps rule.
-    pub fn consensus_dropped_vars(&self) -> u64 {
-        self.counters
-            .get(mn_obs::counters::CONSENSUS_DROPPED_VARS)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// `ln Γ` evaluations requested through the half-integer memo
-    /// tables (tree building and Gibbs candidate scoring). Together
-    /// with [`RunMetrics::ln_gamma_table_hits`], `calls - hits` is the
-    /// number of Lanczos series evaluations the run actually executed.
-    pub fn ln_gamma_calls(&self) -> u64 {
-        self.counters
-            .get(mn_obs::counters::SCORE_LN_GAMMA_CALLS)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// `ln Γ` evaluations served from a memo table (no Lanczos run).
-    pub fn ln_gamma_table_hits(&self) -> u64 {
-        self.counters
-            .get(mn_obs::counters::SCORE_LN_GAMMA_TABLE_HITS)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Scratch-arena reuses in the split-assignment kernel (segments
-    /// scored into already-warm buffers).
-    pub fn scratch_reuses(&self) -> u64 {
-        self.counters
-            .get(mn_obs::counters::SCORE_SCRATCH_REUSES)
-            .copied()
-            .unwrap_or(0)
+    /// A deterministic counter of the run by name (0 if it never
+    /// counted), e.g. `consensus.dropped_vars`: variables the consensus
+    /// extraction dropped below the minimum cluster size, observable
+    /// from the record alone per the no-silent-caps rule.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
     }
 }
 
@@ -131,6 +102,7 @@ mod tests {
     use crate::{learn_module_network, LearnerConfig};
     use mn_comm::{ParEngine, SimEngine};
     use mn_data::synthetic;
+    use mn_obs::counters;
 
     #[test]
     fn metrics_embed_report_and_refine_phases() {
@@ -139,14 +111,11 @@ mod tests {
         let mut engine = SimEngine::new(4);
         let (_, report) = learn_module_network(&mut engine, &d, &config);
         let now = engine.now_s();
-        let snapshot = engine.obs().snapshot(now);
-        let metrics = RunMetrics::new(&report, &snapshot);
+        let metrics = RunMetrics::new(&engine.obs().snapshot(now));
 
         assert_eq!(metrics.nranks, 4);
         assert_eq!(metrics.report, report);
-        // Every engine phase appears as a depth-1 span under the root,
-        // with matching elapsed time (the sim engine charges simulated
-        // time into both structures from the same clock).
+        // Every phase is its depth-1 span's row, field for field.
         for phase in &report.phases {
             let path = format!("run/{}", phase.name);
             let agg = metrics
@@ -154,20 +123,18 @@ mod tests {
                 .iter()
                 .find(|s| s.path == path)
                 .unwrap_or_else(|| panic!("missing span {path}"));
-            assert!(
-                (agg.elapsed_s - phase.elapsed_s).abs() < 1e-9,
-                "span {path}: {} vs phase {}",
-                agg.elapsed_s,
-                phase.elapsed_s
-            );
+            let row = (agg.busy_max_s, agg.busy_avg_s, agg.comm_s, agg.elapsed_s);
+            let view = (phase.busy_max_s, phase.busy_avg_s, phase.comm_s, phase.elapsed_s);
+            assert_eq!(row, view, "span {path}");
         }
         assert!(metrics.counters["gibbs.sweeps"] > 0);
         assert!(metrics.counters["splits.scored"] > 0);
         // The memoization/arena counters of the default (kernel)
         // scoring paths surface in the record.
-        assert!(metrics.ln_gamma_calls() > metrics.ln_gamma_table_hits());
-        assert!(metrics.ln_gamma_table_hits() > 0);
-        assert!(metrics.scratch_reuses() > 0);
+        let hits = metrics.counter(counters::SCORE_LN_GAMMA_TABLE_HITS);
+        assert!(metrics.counter(counters::SCORE_LN_GAMMA_CALLS) > hits);
+        assert!(hits > 0);
+        assert!(metrics.counter(counters::SCORE_SCRATCH_REUSES) > 0);
     }
 
     #[test]
@@ -175,9 +142,9 @@ mod tests {
         let d = synthetic::yeast_like(16, 10, 1).dataset;
         let config = LearnerConfig::paper_minimum(1);
         let mut engine = SimEngine::new(3);
-        let (_, report) = learn_module_network(&mut engine, &d, &config);
+        learn_module_network(&mut engine, &d, &config);
         let now = engine.now_s();
-        let metrics = RunMetrics::new(&report, &engine.obs().snapshot(now));
+        let metrics = RunMetrics::new(&engine.obs().snapshot(now));
         let text = metrics.to_json();
         let back: RunMetrics = serde_json::from_str(&text).expect("parse");
         assert_eq!(metrics, back);
@@ -198,11 +165,11 @@ mod tests {
             run_ganesh(&mut engine, &d, &config, mn_score::Scoring::Kernel, None).unwrap();
         let modules = run_consensus(&mut engine, &d, &config, &ensemble, None).unwrap();
         assert!(modules.is_empty(), "nothing can clear the size bar");
-        let report = engine.report();
+        engine.report();
         let now = engine.now_s();
-        let metrics = RunMetrics::new(&report, &engine.obs().snapshot(now));
+        let metrics = RunMetrics::new(&engine.obs().snapshot(now));
         assert!(
-            metrics.consensus_dropped_vars() > 0,
+            metrics.counter(counters::CONSENSUS_DROPPED_VARS) > 0,
             "dropped variables must be observable: {:?}",
             metrics.counters
         );
@@ -213,9 +180,9 @@ mod tests {
         let d = synthetic::yeast_like(16, 10, 1).dataset;
         let config = LearnerConfig::paper_minimum(1);
         let mut engine = SimEngine::new(5);
-        let (_, report) = learn_module_network(&mut engine, &d, &config);
+        learn_module_network(&mut engine, &d, &config);
         let now = engine.now_s();
-        let metrics = RunMetrics::new(&report, &engine.obs().snapshot(now));
+        let metrics = RunMetrics::new(&engine.obs().snapshot(now));
         // The root span exists and the metric is finite.
         assert!(metrics.span_imbalance("run").is_finite());
         assert_eq!(metrics.span_imbalance("no/such/span"), 0.0);

@@ -160,9 +160,8 @@ fn cli_writes_trace_and_metrics_and_quiet_silences_stdout() {
         .count();
     assert_eq!(tracks, 4, "expected one track per rank");
 
-    // The metrics parse back and refine the embedded report: each
-    // engine phase reappears as a depth-1 span with the same (simulated)
-    // elapsed time.
+    // The metrics parse back and the report is a view of the phase
+    // spans: each phase equals its depth-1 span's row, bit for bit.
     let metrics_text = std::fs::read_to_string(&metrics).unwrap();
     let run: monet::RunMetrics = serde_json::from_str(&metrics_text).unwrap();
     assert_eq!(run.nranks, 4);
@@ -174,11 +173,10 @@ fn cli_writes_trace_and_metrics_and_quiet_silences_stdout() {
             .iter()
             .find(|s| s.path == path)
             .unwrap_or_else(|| panic!("missing span {path}"));
-        assert!(
-            (span.elapsed_s - phase.elapsed_s).abs() < 1e-9,
-            "span {path} elapsed {} != phase {}",
-            span.elapsed_s,
-            phase.elapsed_s
+        assert_eq!(
+            (span.busy_max_s, span.busy_avg_s, span.comm_s, span.elapsed_s),
+            (phase.busy_max_s, phase.busy_avg_s, phase.comm_s, phase.elapsed_s),
+            "span {path}"
         );
     }
     assert!(run.counters["splits.scored"] > 0);
@@ -407,16 +405,18 @@ fn cli_resume_with_no_checkpoint_is_a_clean_error() {
 
 /// The quiet-able sink and the chrome-trace exporter survive a rank
 /// death on the real fabric: a mid-run kill under `--quiet --trace`
-/// must still produce a well-formed post-mortem trace (from the dying
-/// rank's stashed snapshot), keep stdout silent, and never print a
-/// panic backtrace.
+/// must still produce a well-formed post-mortem trace and metrics
+/// record (from the dying rank's stashed snapshot), keep stdout silent,
+/// exit 3, and never print a panic backtrace.
 #[test]
 fn cli_quiet_trace_survive_msg_rank_death() {
     let dir = std::env::temp_dir();
     let trace = dir.join(format!("monet_cli_pm_trace_{}.json", std::process::id()));
+    let metrics = dir.join(format!("monet_cli_pm_metrics_{}.json", std::process::id()));
     let frec = dir.join(format!("monet_cli_pm_frec_{}", std::process::id()));
     std::fs::remove_dir_all(&frec).ok();
     std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&metrics).ok();
     let output = Command::new(monet_bin())
         .args([
             "--synthetic",
@@ -430,6 +430,8 @@ fn cli_quiet_trace_survive_msg_rank_death() {
             "kill:1@60",
             "--trace",
             trace.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
             "--flightrec-dir",
             frec.to_str().unwrap(),
         ])
@@ -454,6 +456,12 @@ fn cli_quiet_trace_survive_msg_rank_death() {
         !value["traceEvents"].as_array().expect("traceEvents").is_empty(),
         "post-mortem trace is empty"
     );
+    // The dying rank's last snapshot makes the metrics record too.
+    let metrics_text = std::fs::read_to_string(&metrics).expect("post-mortem metrics missing");
+    let run: monet::RunMetrics =
+        serde_json::from_str(&metrics_text).expect("post-mortem metrics do not parse");
+    assert!(!run.counters.is_empty(), "post-mortem metrics carry no counters");
+    assert!(!run.report.phases.is_empty(), "post-mortem metrics carry no phases");
     // All four ranks dumped their black boxes.
     for rank in 0..4 {
         assert!(
@@ -462,6 +470,7 @@ fn cli_quiet_trace_survive_msg_rank_death() {
         );
     }
     std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&metrics).ok();
     std::fs::remove_dir_all(&frec).ok();
 }
 

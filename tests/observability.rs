@@ -17,11 +17,14 @@
 //!   record for a fixed seed, and both scoring paths move the same
 //!   matrix;
 //! * a broken determinism contract surfaces from `merge_ranks` as a
-//!   typed [`obs::MergeError`] carrying the first divergence.
+//!   typed [`obs::MergeError`] carrying the first divergence;
+//! * every engine gives one account of a run: `RunMetrics.report` is
+//!   the `run/<phase>` rows of its own `spans`, bit for bit, and the
+//!   single-process engines' own reports are that same view.
 
 use mn_comm::{obs, spmd_run, ParEngine, SerialEngine, SimEngine, ThreadEngine};
 use mn_score::Scoring;
-use monet::{learn_module_network, learn_module_network_with, LearnerConfig};
+use monet::{learn_module_network, learn_module_network_with, LearnerConfig, RunMetrics};
 use std::collections::BTreeMap;
 
 fn dataset() -> mn_data::Dataset {
@@ -446,4 +449,40 @@ fn snapshot_round_trips_through_json() {
     let text = serde_json::to_string(&snapshot).expect("serialize snapshot");
     let back: obs::ObsSnapshot = serde_json::from_str(&text).expect("parse snapshot");
     assert_eq!(snapshot, back);
+}
+
+/// Learn on `engine` and return its report with its final snapshot.
+fn report_and_snapshot<E: ParEngine>(engine: &mut E) -> (mn_comm::RunReport, obs::ObsSnapshot) {
+    let (_, report) = learn_module_network(engine, &dataset(), &config());
+    let now = engine.now_s();
+    (report, engine.obs().snapshot(now))
+}
+
+#[test]
+fn run_metrics_report_is_the_phase_span_rows_on_every_engine() {
+    let mut runs = vec![
+        ("serial", report_and_snapshot(&mut SerialEngine::new())),
+        ("threads:3", report_and_snapshot(&mut ThreadEngine::new(3))),
+        ("sim:64", report_and_snapshot(&mut SimEngine::new(64))),
+    ];
+    let ranks = spmd_run(3, |engine| report_and_snapshot(engine).1);
+    let merged = obs::merge_ranks(&ranks).expect("ranks agree");
+    runs.push(("msg:3", (RunMetrics::new(&merged).report, merged)));
+    for (engine, (report, snapshot)) in &runs {
+        let metrics = RunMetrics::new(snapshot);
+        let names: Vec<&str> = metrics.report.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["ganesh", "consensus", "modules"], "{engine}");
+        // A single-process engine's own report is the same view; an
+        // SPMD rank's is its own, so msg compares the merged one.
+        assert_eq!(&metrics.report, report, "{engine}");
+        for phase in &metrics.report.phases {
+            let path = format!("run/{}", phase.name);
+            let row = metrics.spans.iter().find(|s| s.path == path).expect("phase row");
+            assert_eq!(
+                (row.busy_max_s, row.busy_avg_s, row.comm_s, row.elapsed_s),
+                (phase.busy_max_s, phase.busy_avg_s, phase.comm_s, phase.elapsed_s),
+                "{engine}: {path}"
+            );
+        }
+    }
 }
