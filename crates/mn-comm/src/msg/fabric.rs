@@ -245,15 +245,15 @@ impl Endpoint {
     /// Send `items` to rank `dst` as a `Vec<T>` ([`Endpoint::recv_vec`]
     /// or `recv_from::<Vec<T>>` takes it), recording `len ×
     /// size_of::<T>()` wire bytes. A rank thread receives the vector
-    /// (cloned when `items` is borrowed); a proc worker encodes it one
-    /// item at a time ([`wire::encode_seq`]), never as a whole value
-    /// tree, and a borrowed slice is not cloned.
+    /// (cloned when `items` is borrowed); a proc worker encodes it
+    /// straight from the slice ([`wire::encode`]), so a borrowed slice
+    /// is not cloned.
     pub fn send_vec<T: Wire>(&self, dst: usize, items: Cow<'_, [T]>) -> Result<(), CommError> {
         let wire_bytes = std::mem::size_of_val(items.as_ref()) as u64;
         self.deliver(dst, type_name::<Vec<T>>(), wire_bytes, |socket| {
             if socket {
                 let mut bytes = Vec::new();
-                wire::encode_seq(&items, &mut bytes);
+                wire::encode(items.as_ref(), &mut bytes);
                 Body::Encoded(bytes)
             } else {
                 Body::Value(Box::new(items.into_owned()))

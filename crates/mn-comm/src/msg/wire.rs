@@ -1,7 +1,7 @@
 //! Binary serialization for the multi-process transport.
 //!
 //! Payloads cross process boundaries as a compact binary encoding of
-//! the serde value tree ([`serde::Content`]), **not** as JSON text:
+//! the serde data model, **not** as JSON text:
 //! the JSON writer renders non-finite floats as `null` and round-trips
 //! doubles through decimal strings, either of which would break the
 //! byte-identity contract (log-score payloads legitimately carry
@@ -9,6 +9,11 @@
 //! floats travel as raw IEEE-754 bit patterns and integers as
 //! fixed-width little-endian words, so `decode(encode(x)) == x`
 //! exactly, for every value the vendored serde can represent.
+//!
+//! Encoding is a [`Serializer`] sink: a value's serialization events
+//! go straight into the frame, one tag per event, so no value tree is
+//! built on the way out. Decoding builds a [`serde::Content`] tree and
+//! lifts the target type out of it.
 //!
 //! Layout: one tag byte, then the payload —
 //!
@@ -35,7 +40,7 @@
 //! `Seq`-of-`Seq` frame cannot overflow the decoder's stack. Failures
 //! surface as the typed [`WireError`], never as an abort or OOM.
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize, Serializer};
 use std::fmt;
 
 /// Upper bound on any single declared length or element count in a
@@ -143,9 +148,9 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encode `value`'s serde tree into `out` (appended).
+/// Encode `value`'s serialization events into `out` (appended).
 pub fn encode<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
-    encode_content(&value.serialize_value(), out);
+    value.serialize(&mut WireSink(out));
 }
 
 /// Encode `value` into a fresh buffer.
@@ -169,21 +174,9 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, WireError> {
     T::deserialize_value(&content).map_err(|e| WireError::Type(e.to_string()))
 }
 
-/// Encode `items` as the sequence `encode(&items.to_vec())` would
-/// produce, byte for byte, but one item's serde tree at a time: a
-/// payload of many small items never exists as a whole value tree
-/// (tens of bytes per scalar) next to its encoding.
-pub fn encode_seq<T: Serialize>(items: &[T], out: &mut Vec<u8>) {
-    out.push(7);
-    encode_len(items.len(), out);
-    for item in items {
-        encode(item, out);
-    }
-}
-
-/// Decode a sequence [`encode_seq`] (or [`encode`] of a `Vec<T>`)
-/// wrote, one item's serde tree at a time; the buffer must contain
-/// exactly the sequence.
+/// Decode a sequence [`encode`] wrote (of a slice or a `Vec<T>`), one
+/// item's serde tree at a time; the buffer must contain exactly the
+/// sequence.
 pub fn from_slice_seq<T: Deserialize>(bytes: &[u8]) -> Result<Vec<T>, WireError> {
     let mut cursor = 0usize;
     let tag = take(bytes, &mut cursor, 1)?[0];
@@ -208,43 +201,55 @@ pub fn from_slice_seq<T: Deserialize>(bytes: &[u8]) -> Result<Vec<T>, WireError>
     Ok(items)
 }
 
-fn encode_content(content: &Content, out: &mut Vec<u8>) {
-    match content {
-        Content::Null => out.push(0),
-        Content::Bool(false) => out.push(1),
-        Content::Bool(true) => out.push(2),
-        Content::U64(u) => {
-            out.push(3);
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        Content::I64(i) => {
-            out.push(4);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Content::F64(f) => {
-            out.push(5);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Content::Str(s) => {
-            out.push(6);
-            encode_bytes(s.as_bytes(), out);
-        }
-        Content::Seq(items) => {
-            out.push(7);
-            encode_len(items.len(), out);
-            for item in items {
-                encode_content(item, out);
-            }
-        }
-        Content::Map(pairs) => {
-            out.push(8);
-            encode_len(pairs.len(), out);
-            for (key, value) in pairs {
-                encode_bytes(key.as_bytes(), out);
-                encode_content(value, out);
-            }
-        }
+/// The binary sink: each event appends its tag and payload.
+struct WireSink<'a>(&'a mut Vec<u8>);
+
+impl Serializer for WireSink<'_> {
+    fn null(&mut self) {
+        self.0.push(0);
     }
+
+    fn bool(&mut self, v: bool) {
+        self.0.push(if v { 2 } else { 1 });
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.push(3);
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.0.push(4);
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.0.push(5);
+        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.0.push(6);
+        encode_bytes(v.as_bytes(), self.0);
+    }
+
+    fn begin_seq(&mut self, len: usize) {
+        self.0.push(7);
+        encode_len(len, self.0);
+    }
+
+    fn end_seq(&mut self) {}
+
+    fn begin_map(&mut self, len: usize) {
+        self.0.push(8);
+        encode_len(len, self.0);
+    }
+
+    fn key(&mut self, key: &str) {
+        encode_bytes(key.as_bytes(), self.0);
+    }
+
+    fn end_map(&mut self) {}
 }
 
 fn encode_len(len: usize, out: &mut Vec<u8>) {
@@ -368,12 +373,12 @@ mod tests {
             vec![(2, 1.0)],
         ];
         let mut bytes = Vec::new();
-        encode_seq(&rows, &mut bytes);
+        encode(rows.as_slice(), &mut bytes);
         assert_eq!(bytes, to_vec(&rows), "not the bytes of the whole vector");
         assert_eq!(from_slice_seq::<Vec<(u32, f64)>>(&bytes).unwrap(), rows);
         assert_eq!(from_slice::<Vec<Vec<(u32, f64)>>>(&bytes).unwrap(), rows);
         let mut empty = Vec::new();
-        encode_seq::<f64>(&[], &mut empty);
+        encode::<[f64]>(&[], &mut empty);
         assert_eq!(empty, to_vec(&Vec::<f64>::new()));
         assert!(from_slice_seq::<f64>(&empty).unwrap().is_empty());
         // Not a sequence, a truncated one, and one with trailing bytes.

@@ -22,7 +22,7 @@
 //! intermediate rounding.
 
 use crate::symmatrix::SymMatrix;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Serializer};
 
 /// The serializable canonical form of a [`SparseSymMatrix`]: the upper
 /// triangle (`j ≥ i`) in CSR layout. This is what the task-2
@@ -45,13 +45,13 @@ pub struct SparseParts {
 // upper triangle instead of copying it, and the derived adjacency is
 // rebuilt on load.
 impl Serialize for SparseSymMatrix {
-    fn serialize_value(&self) -> Content {
-        Content::Map(vec![
-            ("n".to_string(), self.n.serialize_value()),
-            ("row_ptr".to_string(), self.ut_row_ptr.serialize_value()),
-            ("col".to_string(), self.ut_col.serialize_value()),
-            ("val".to_string(), self.ut_val.serialize_value()),
-        ])
+    fn serialize<S: Serializer>(&self, sink: &mut S) {
+        sink.begin_map(4);
+        sink.entry("n", &self.n);
+        sink.entry("row_ptr", &self.ut_row_ptr);
+        sink.entry("col", &self.ut_col);
+        sink.entry("val", &self.ut_val);
+        sink.end_map();
     }
 }
 

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Serializer};
 
 /// Schema version stamped into every dump's header line.
 pub const FLIGHTREC_SCHEMA_VERSION: u32 = 1;
@@ -155,50 +155,49 @@ pub struct FlightRecord {
 }
 
 impl Serialize for FlightRecord {
-    fn serialize_value(&self) -> Content {
-        let mut pairs: Vec<(String, Content)> = vec![
-            ("seq".into(), Content::U64(self.seq)),
-            ("t_s".into(), Content::F64(self.t_s)),
-            (
-                "class".into(),
-                Content::Str(
-                    if self.event.is_deterministic() {
-                        "det"
-                    } else {
-                        "local"
-                    }
-                    .into(),
-                ),
-            ),
-            ("kind".into(), Content::Str(self.event.kind().into())),
-        ];
+    fn serialize<S: Serializer>(&self, sink: &mut S) {
+        let payload_fields = match &self.event {
+            FlightEvent::SpanEnter { .. }
+            | FlightEvent::SpanExit { .. }
+            | FlightEvent::MsgDropped { .. }
+            | FlightEvent::CommFailure { .. }
+            | FlightEvent::RngJump { .. } => 1,
+            FlightEvent::CkptUnit { .. }
+            | FlightEvent::Send { .. }
+            | FlightEvent::Recv { .. }
+            | FlightEvent::FaultInjected { .. } => 2,
+        };
+        sink.begin_map(4 + payload_fields);
+        sink.entry("seq", &self.seq);
+        sink.entry("t_s", &self.t_s);
+        let class = if self.event.is_deterministic() {
+            "det"
+        } else {
+            "local"
+        };
+        sink.entry("class", class);
+        sink.entry("kind", self.event.kind());
         match &self.event {
             FlightEvent::SpanEnter { path } | FlightEvent::SpanExit { path } => {
-                pairs.push(("path".into(), Content::Str(path.clone())));
+                sink.entry("path", path);
             }
             FlightEvent::CkptUnit { unit, written } => {
-                pairs.push(("unit".into(), Content::Str(unit.clone())));
-                pairs.push(("written".into(), Content::Bool(*written)));
+                sink.entry("unit", unit);
+                sink.entry("written", written);
             }
             FlightEvent::Send { peer, bytes } | FlightEvent::Recv { peer, bytes } => {
-                pairs.push(("peer".into(), Content::U64(*peer as u64)));
-                pairs.push(("bytes".into(), Content::U64(*bytes)));
+                sink.entry("peer", peer);
+                sink.entry("bytes", bytes);
             }
-            FlightEvent::MsgDropped { peer } => {
-                pairs.push(("peer".into(), Content::U64(*peer as u64)));
-            }
+            FlightEvent::MsgDropped { peer } => sink.entry("peer", peer),
             FlightEvent::FaultInjected { action, event } => {
-                pairs.push(("action".into(), Content::Str(action.clone())));
-                pairs.push(("event".into(), Content::U64(*event)));
+                sink.entry("action", action);
+                sink.entry("event", event);
             }
-            FlightEvent::CommFailure { detail } => {
-                pairs.push(("detail".into(), Content::Str(detail.clone())));
-            }
-            FlightEvent::RngJump { draw } => {
-                pairs.push(("draw".into(), Content::U64(*draw)));
-            }
+            FlightEvent::CommFailure { detail } => sink.entry("detail", detail),
+            FlightEvent::RngJump { draw } => sink.entry("draw", draw),
         }
-        Content::Map(pairs)
+        sink.end_map();
     }
 }
 

@@ -28,7 +28,7 @@
 use crate::config::LearnerConfig;
 use mn_data::Dataset;
 use mn_score::Scoring;
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -209,12 +209,14 @@ pub struct UnitRecord<T> {
 
 // The vendored serde_derive subset does not handle generics; the two
 // impls below are exactly what it would emit for a named-field struct.
+// Serializing streams the value's events into the sink, so writing a
+// unit holds no value tree of it next to its bytes.
 impl<T: Serialize> Serialize for UnitRecord<T> {
-    fn serialize_value(&self) -> Content {
-        Content::Map(vec![
-            ("value".to_string(), self.value.serialize_value()),
-            ("counters".to_string(), self.counters.serialize_value()),
-        ])
+    fn serialize<S: Serializer>(&self, sink: &mut S) {
+        sink.begin_map(2);
+        sink.entry("value", &self.value);
+        sink.entry("counters", &self.counters);
+        sink.end_map();
     }
 }
 
@@ -577,9 +579,11 @@ impl CheckpointStore {
         self.manifest
             .entries
             .insert(unit.to_string(), fnv1a64(&bytes));
-        self.units.insert(unit.to_string(), bytes.clone());
+        // The cache takes the one copy of the bytes; the file is
+        // written from it.
+        self.units.insert(unit.to_string(), bytes);
         if self.write_enabled {
-            write_atomic(&self.dir.join(format!("{unit}.json")), &bytes)?;
+            write_atomic(&self.dir.join(format!("{unit}.json")), &self.units[unit])?;
             self.write_manifest()?;
         }
         Ok(())

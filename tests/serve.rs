@@ -300,6 +300,14 @@ fn cancellation_backpressure_and_unknowns_are_typed() {
         "bad-request",
         "fabric engines must be refused by the service"
     );
+    // A high surrogate escape followed by one that is not a low
+    // surrogate is a typed refusal, not a parser panic that drops the
+    // connection.
+    let refusal = client
+        .raw(r#"{"op":"status","job":"\ud83d\u0041"}"#)
+        .unwrap();
+    assert_eq!(refusal["error"]["kind"].as_str(), Some("bad-request"));
+    ok(client.ping());
 
     // Cancel the queued job: immediate, no worker involved.
     let reply = ok(client.cancel(&job_b));
