@@ -13,21 +13,24 @@
 //! Two engines implement the same contract:
 //!
 //! * **AVX-512 IFMA** (x86-64, runtime-detected): the 128-bit LCG state
-//!   is decomposed into three 52-bit limbs and stepped with
-//!   `vpmadd52{lo,hi}uq` — 9 multiply-adds per step across 8 lanes per
-//!   vector, four interleaved vectors to hide the normalization
-//!   chain's latency and keep the multiply ports saturated. The
-//!   pick `⌊r·n / 2^64⌋` is likewise computed in 52-bit arithmetic as
-//!   `r_hi·n + ⌊r_lo·n / 2^52⌋` (`r = r_hi·2^52 + r_lo`, `r_hi < 2^12`),
-//!   which is exact while `r_hi·n < 2^52`, i.e. for every `n < 2^40`;
-//!   the entry points assert `n < 2^39`. Limb normalization keeps every
-//!   limb canonical after each step, so lane `i`'s limb triple always
-//!   equals the limbs of the scalar state — the engine produces **the
-//!   same picks, bit for bit**. The bit test is a variable shift of
-//!   the lane's mask word: for one-word masks (`n ≤ 64`) the word stays
-//!   in a register; wider masks are read with one 8-lane gather of
-//!   word `lane·w + (pick >> 6)` per vector and draw, then shifted by
-//!   `pick & 63`.
+//!   is decomposed into three 52/52/24-bit limbs `s0, s1, s2` and
+//!   stepped with `vpmadd52{lo,hi}uq` — 9 multiply-adds per step across
+//!   8 lanes per vector, four interleaved vectors to hide the carry
+//!   chain's latency. Limbs are *carry-tolerant* between steps: IFMA
+//!   reads only bits 0–51 of a multiplicand, so limbs 0 and 1 keep the
+//!   carry bits above bit 51 (each column's carry is taken from the
+//!   unmasked sum) and only limb 2 is masked to its 24 bits. Bits 0–51
+//!   of lane `i`'s limbs always equal the limbs of the scalar state.
+//!   With `r = state >> 64 = s2·2^40 + (s1 >> 12)`, the pick
+//!   `⌊r·n / 2^64⌋` is `(s2·n + ⌊(s1 & M52 & !0xFFF)·n / 2^52⌋) >> 24`:
+//!   one `madd52lo`, one `madd52hi`, one `and` and one shift. It is
+//!   exact while `s2·n < 2^52`, i.e. for every `n ≤ 2^28` (`s2 < 2^24`),
+//!   which the entry points assert — so the engine produces **the same
+//!   picks, bit for bit**. The bit test rotates the lane's mask word
+//!   right by the pick: masks of up to 4 words (`n ≤ 256`) stay in
+//!   registers, the word chosen by blends on pick bits 6 and 7; wider
+//!   masks are read with one 8-lane gather of word
+//!   `lane·w + (pick >> 6)` per vector and draw.
 //! * **Scalar fallback** (everything else): for one-word masks, 8 lanes
 //!   of the plain `u128` recurrence stepped in lockstep arrays, which
 //!   the compiler schedules across the multiplier pipeline; for wider
@@ -45,14 +48,14 @@
 use mn_rand::Lcg128;
 
 /// Number of lanes the engines process per group: four interleaved
-/// 8-lane vectors. The LCG step's limb-normalization chain is the
+/// 8-lane vectors. The LCG step's limb carry chain is the
 /// loop-carried latency (≈10 cycles); four independent vectors keep
-/// the IFMA ports busy across it, where two leave them half idle.
+/// the vector ports busy across it, where two leave them half idle.
 pub const LANES: usize = 32;
 
-/// Largest node width (exclusive) whose picks the IFMA engine computes
-/// exactly (see the module doc), with a factor-2 margin.
-const MAX_N: usize = 1 << 39;
+/// Largest node width whose picks the IFMA engine computes exactly
+/// (see the module doc).
+const MAX_N: usize = 1 << 28;
 
 /// One-lane scalar reference: run `t` draws of the `Lcg128` recurrence
 /// from `state`, counting picks whose bit in `cons` is set.
@@ -117,15 +120,29 @@ mod ifma {
 
     const M52: u64 = (1 << 52) - 1;
     const M24: u64 = (1 << 24) - 1;
+    /// Bits 12–51 of limb 1: state bits 64–103, the low 40 bits of
+    /// `r = state >> 64`, in place (scaled by 2^12).
+    const R_LO: u64 = M52 & !0xFFF;
 
     /// Decompose a 128-bit state into three 52/52/24-bit limbs.
     #[inline]
     pub fn limbs(x: u128) -> [u64; 3] {
         [
-            (x & ((1 << 52) - 1)) as u64,
-            ((x >> 52) & ((1 << 52) - 1)) as u64,
+            (x as u64) & M52,
+            ((x >> 52) as u64) & M52,
             (x >> 104) as u64,
         ]
+    }
+
+    /// Scalar transcription of [`Step::pick`]'s pick from limbs 1 and
+    /// 2: `madd52lo` adds the low 52 bits of a 52 × 52-bit product,
+    /// `madd52hi` the high 52.
+    #[cfg(test)]
+    pub fn pick_of_limbs(s1: u64, s2: u64, n: u64) -> u64 {
+        let product = |a: u64, b: u64| (a & M52) as u128 * (b & M52) as u128;
+        let lo = product(s2, n) as u64 & M52;
+        let hi = (product(s1 & R_LO, n) >> 52) as u64;
+        (lo + hi) >> 24
     }
 
     /// The broadcast constants of the limb-decomposed LCG step and the
@@ -133,9 +150,8 @@ mod ifma {
     struct Step {
         a: [__m512i; 3],
         c: [__m512i; 3],
-        m52: __m512i,
         m24: __m512i,
-        m12: __m512i,
+        r_lo: __m512i,
         n: __m512i,
     }
 
@@ -148,9 +164,8 @@ mod ifma {
             Self {
                 a,
                 c,
-                m52: _mm512_set1_epi64(M52 as i64),
                 m24: _mm512_set1_epi64(M24 as i64),
-                m12: _mm512_set1_epi64(0xFFF),
+                r_lo: _mm512_set1_epi64(R_LO as i64),
                 n: _mm512_set1_epi64(n as i64),
             }
         }
@@ -163,9 +178,12 @@ mod ifma {
             let [a0, a1, a2] = self.a;
             let [c0, c1, c2] = self.c;
             // state = state · A + C (mod 2^128) in 52-bit limbs: the
-            // column sums stay below 2^64 (≤ 3 products of 52×52 bits
-            // taken 52 bits at a time plus carries), then one
-            // normalization pass restores canonical limbs.
+            // column sums stay below 2^64 (≤ 5 terms below 2^52 plus a
+            // carry). IFMA reads only bits 0–51 of a multiplicand, so
+            // limbs 0 and 1 keep their carry bits above bit 51 instead
+            // of being masked: each column's carry is taken from the
+            // unmasked sum, and the stale high bits are never read.
+            // Limb 2 is masked to its 24 bits, which the pick needs.
             let u0 = _mm512_madd52lo_epu64(c0, s[0], a0);
             let mut u1 = _mm512_madd52hi_epu64(c1, s[0], a0);
             u1 = _mm512_madd52lo_epu64(u1, s[0], a1);
@@ -175,29 +193,28 @@ mod ifma {
             u2 = _mm512_madd52lo_epu64(u2, s[0], a2);
             u2 = _mm512_madd52lo_epu64(u2, s[1], a1);
             u2 = _mm512_madd52lo_epu64(u2, s[2], a0);
-            s[0] = _mm512_and_si512(u0, self.m52);
             u1 = _mm512_add_epi64(u1, _mm512_srli_epi64(u0, 52));
-            s[1] = _mm512_and_si512(u1, self.m52);
             u2 = _mm512_add_epi64(u2, _mm512_srli_epi64(u1, 52));
+            s[0] = u0;
+            s[1] = u1;
             s[2] = _mm512_and_si512(u2, self.m24);
-            // r = state >> 64 reassembled from limbs (r_lo 52 bits,
-            // r_hi 12 bits), then pick = (r · n) >> 64 as
-            // (r_hi·n + ⌊r_lo·n / 2^52⌋) >> 12: exact for n < 2^40.
-            let rl = _mm512_or_si512(
-                _mm512_srli_epi64(s[1], 12),
-                _mm512_slli_epi64(_mm512_and_si512(s[2], self.m12), 40),
-            );
-            let rh = _mm512_srli_epi64(s[2], 12);
-            let mut tv = _mm512_madd52hi_epu64(_mm512_setzero_si512(), rl, self.n);
-            tv = _mm512_madd52lo_epu64(tv, rh, self.n);
-            _mm512_srli_epi64(tv, 12)
+            // r = s2·2^40 + (s1 >> 12), so (r · n) >> 64 is
+            // (s2·n + ⌊(s1 & R_LO)·n / 2^52⌋) >> 24: one madd52lo for
+            // s2·n (exact, below 2^52 for n ≤ 2^28), one madd52hi for
+            // the low part, then the shift.
+            let tv = _mm512_madd52lo_epu64(_mm512_setzero_si512(), s[2], self.n);
+            let tv = _mm512_madd52hi_epu64(tv, _mm512_and_si512(s[1], self.r_lo), self.n);
+            _mm512_srli_epi64(tv, 24)
         }
     }
 
-    /// The first `8·K` lanes of `states` as 8-lane limb triples.
+    /// The first `8·K` lanes of `states` as 8-lane limb triples. Both
+    /// engines call it, so its bound `8·K ≤ LANES` also covers their
+    /// unchecked 8-lane loads from `LANES`-long buffers.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
     fn load_states<const K: usize>(states: &[u128; LANES]) -> [[__m512i; 3]; K] {
+        const { assert!(8 * K <= LANES) };
         let mut out = [[_mm512_setzero_si512(); 3]; K];
         for (v, limb_vecs) in out.iter_mut().enumerate() {
             for (j, vec) in limb_vecs.iter_mut().enumerate() {
@@ -217,60 +234,115 @@ mod ifma {
         out
     }
 
+    /// The per-vector hit counts as the first `8·K` lane counts.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
+    fn store_counts<const K: usize>(h: &[__m512i; K]) -> [u64; LANES] {
+        const { assert!(8 * K <= LANES) };
+        let mut out = [0u64; LANES];
+        for (v, &hv) in h.iter().enumerate() {
+            // Safety: `8·v + 8 ≤ 8·K ≤ LANES` slots are written.
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().add(8 * v) as *mut _, hv) };
+        }
+        out
+    }
+
+    /// Each lane's mask word `pick >> 6` out of its `W ≤ 4` words:
+    /// pick bit 6 chooses within a pair of words, bit 7 between the
+    /// pairs. Picks are below `64·W`, so no higher bit is needed.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
+    fn word_of<const W: usize>(words: &[__m512i; W], p: __m512i) -> __m512i {
+        if W == 1 {
+            return words[0];
+        }
+        let odd = _mm512_test_epi64_mask(p, _mm512_set1_epi64(64));
+        let low = _mm512_mask_blend_epi64(odd, words[0], words[1]);
+        if W == 2 {
+            return low;
+        }
+        let high = if W == 4 {
+            _mm512_mask_blend_epi64(odd, words[2], words[3])
+        } else {
+            words[2]
+        };
+        let upper = _mm512_test_epi64_mask(p, _mm512_set1_epi64(128));
+        _mm512_mask_blend_epi64(upper, low, high)
+    }
+
     /// `K` interleaved 8-lane sets (`8·K` items, `K ≤ 4`) of the
-    /// limb-decomposed LCG step + pick + bit test against one mask
-    /// word per lane (`n ≤ 64`). Requires AVX-512 F/DQ/VL/IFMA. The
-    /// first `8·K` slots of the return value are the lane counts.
+    /// limb-decomposed LCG step + pick + bit test against a `W`-word
+    /// mask per lane (`n ≤ 64·W`, `W ≤ 4`) held in registers: lane
+    /// `i < m` tests its picks against `cons[i·W .. (i+1)·W]`, padding
+    /// lanes `i ≥ m` against lane 0's. The picked word is chosen by
+    /// blends on pick bits 6 and 7 (see [`word_of`]), and the picked bit
+    /// is that word rotated right by `pick` (a rotation counts modulo
+    /// 64). The first `8·K` slots of the return value are the lane
+    /// counts; they are exact for `1 ≤ m ≤ 8·K`, `n ≤ 64·W` and
+    /// `n ≤ 2^28`. Panics if `cons.len() < m·W`.
     ///
     /// # Safety
     /// Caller must have verified `avx512ifma` (plus f/dq/vl) support,
-    /// e.g. via [`super::ifma_available`].
+    /// e.g. via [`super::ifma_available`]. (`K ≤ 4` is checked at
+    /// compile time.)
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
-    pub unsafe fn hits_group<const K: usize>(
+    pub unsafe fn hits_group<const K: usize, const W: usize>(
         states: &[u128; LANES],
-        cons: &[u64; LANES],
+        cons: &[u64],
+        m: usize,
         n: u64,
         t: usize,
     ) -> [u64; LANES] {
         let step = Step::new(n);
         let one = _mm512_set1_epi64(1);
         let mut s = load_states::<K>(states);
-        let mut mv = [_mm512_setzero_si512(); K];
-        let mut h = [_mm512_setzero_si512(); K];
-        for (v, m) in mv.iter_mut().enumerate() {
-            *m = _mm512_loadu_si512(cons.as_ptr().add(8 * v) as *const _);
+        let mut words = [[0u64; LANES]; W];
+        for (i, lane) in cons[..m * W].chunks_exact(W).enumerate() {
+            for (k, &word) in lane.iter().enumerate() {
+                words[k][i] = word;
+            }
         }
+        for row in &mut words {
+            let pad = row[0];
+            row[m..].fill(pad);
+        }
+        let mut mv = [[_mm512_setzero_si512(); W]; K];
+        for (v, vec) in mv.iter_mut().enumerate() {
+            for (k, word) in vec.iter_mut().enumerate() {
+                *word = _mm512_loadu_si512(words[k].as_ptr().add(8 * v) as *const _);
+            }
+        }
+        let mut h = [_mm512_setzero_si512(); K];
 
         for _ in 0..t {
             // The K vectors are fully independent; the compiler unrolls
             // this inner loop and interleaves their instruction streams
-            // across the loop-carried normalization chain.
+            // across the loop-carried limb chain.
             for v in 0..K {
                 let p = step.pick(&mut s[v]);
-                h[v] = _mm512_add_epi64(h[v], _mm512_and_si512(_mm512_srlv_epi64(mv[v], p), one));
+                // A rotation, not `srlv`: `_mm512_srlv_epi64` compiles
+                // to the shift plus a compare for its count ≥ 64 case,
+                // one more µop per draw than `rorv`.
+                let bit = _mm512_rorv_epi64(word_of(&mv[v], p), p);
+                h[v] = _mm512_add_epi64(h[v], _mm512_and_si512(bit, one));
             }
         }
-        let mut out = [0u64; LANES];
-        for (v, &hv) in h.iter().enumerate() {
-            _mm512_storeu_si512(out.as_mut_ptr().add(8 * v) as *mut _, hv);
-        }
-        out
+        store_counts(&h)
     }
 
-    /// [`hits_group`] for `w`-word masks (`n ≤ 64·w`): lane `i < m`
-    /// tests its picks against `cons[i·w .. (i+1)·w]`, fetching word
-    /// `i·w + (pick >> 6)` with one gather per vector and draw; padding
-    /// lanes `i ≥ m` read lane 0's mask. The first `8·K` slots of the
-    /// return value are the lane counts.
+    /// [`hits_group`] for masks too wide to hold in registers: lane
+    /// `i < m` tests its picks against `cons[i·w .. (i+1)·w]`, fetching
+    /// word `i·w + (pick >> 6)` with one gather per vector and draw;
+    /// padding lanes `i ≥ m` read lane 0's mask.
     ///
     /// # Safety
     /// Caller must have verified `avx512ifma` (plus f/dq/vl) support,
     /// e.g. via [`super::ifma_available`], and must guarantee
-    /// `1 ≤ m ≤ 8·K`, `n ≤ 64·w`, `n < 2^40` (so every pick is below
+    /// `1 ≤ m ≤ 8·K`, `n ≤ 64·w`, `n ≤ 2^28` (so every pick is below
     /// `n`) and `cons.len() ≥ m·w`: every gather index is then below
     /// `m·w`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma,avx512vl")]
-    pub unsafe fn hits_group_wide<const K: usize>(
+    pub unsafe fn hits_group_gather<const K: usize>(
         states: &[u128; LANES],
         cons: &[u64],
         m: usize,
@@ -280,7 +352,6 @@ mod ifma {
     ) -> [u64; LANES] {
         let step = Step::new(n);
         let one = _mm512_set1_epi64(1);
-        let m63 = _mm512_set1_epi64(63);
         let mut s = load_states::<K>(states);
         let mut base = [0i64; LANES];
         for (i, b) in base.iter_mut().enumerate().take(m) {
@@ -297,15 +368,12 @@ mod ifma {
                 let p = step.pick(&mut s[v]);
                 let idx = _mm512_add_epi64(bv[v], _mm512_srli_epi64(p, 6));
                 let word = _mm512_i64gather_epi64::<8>(idx, cons.as_ptr() as *const i64);
-                let bit = _mm512_srlv_epi64(word, _mm512_and_si512(p, m63));
+                // Rotating by `pick` shifts by `pick & 63`.
+                let bit = _mm512_rorv_epi64(word, p);
                 h[v] = _mm512_add_epi64(h[v], _mm512_and_si512(bit, one));
             }
         }
-        let mut out = [0u64; LANES];
-        for (v, &hv) in h.iter().enumerate() {
-            _mm512_storeu_si512(out.as_mut_ptr().add(8 * v) as *mut _, hv);
-        }
-        out
+        store_counts(&h)
     }
 }
 
@@ -352,14 +420,30 @@ pub fn mc_hits(states: &[u128], cons: &[u64], n: usize, t: usize, out: &mut Vec<
     }
 }
 
+/// `ifma::$f::<k, …>(…)` for a runtime vector count `k` (`k ≥ 4`
+/// takes 4): one monomorphized lane group per count.
+#[cfg(target_arch = "x86_64")]
+macro_rules! by_vectors {
+    ($k:expr, $f:ident::<_ $(, $w:tt)?>($($arg:expr),*)) => {
+        match $k {
+            1 => ifma::$f::<1 $(, $w)?>($($arg),*),
+            2 => ifma::$f::<2 $(, $w)?>($($arg),*),
+            3 => ifma::$f::<3 $(, $w)?>($($arg),*),
+            _ => ifma::$f::<4 $(, $w)?>($($arg),*),
+        }
+    };
+}
+
 /// [`mc_hits`] for masks of `w = ⌈n/64⌉` words: lane `i`'s mask is
 /// `cons[i·w .. (i+1)·w]`, so `cons.len() == states.len() · w`.
-/// One-word masks (`n ≤ 64`) take [`mc_hits`] itself. Picks are
-/// bit-identical to [`scalar_hits_wide`] on every engine.
+/// One-word masks (`n ≤ 64`) take [`mc_hits`] itself; on the IFMA
+/// engine, masks of up to 4 words stay in registers and wider ones are
+/// gathered per draw. Picks are bit-identical to [`scalar_hits_wide`]
+/// on every engine.
 pub fn mc_hits_wide(states: &[u128], cons: &[u64], n: usize, t: usize, out: &mut Vec<u64>) {
     assert!(
-        (1..MAX_N).contains(&n),
-        "mc_hits_wide requires 1 ≤ n < 2^39, got {n}"
+        (1..=MAX_N).contains(&n),
+        "mc_hits_wide requires 1 ≤ n ≤ 2^28, got {n}"
     );
     let w = n.div_ceil(64);
     if w == 1 {
@@ -373,16 +457,17 @@ pub fn mc_hits_wide(states: &[u128], cons: &[u64], n: usize, t: usize, out: &mut
             let m = schunk.len();
             let mut s = [schunk[0]; LANES];
             s[..m].copy_from_slice(schunk);
+            let (k, n) = (m.div_ceil(8), n as u64);
             // Safety: feature support verified by `ifma_available`;
-            // the chunk's `1 ≤ m ≤ LANES` lanes fill `⌈m/8⌉` vectors,
-            // `n ≤ 64·w` by the choice of `w`, `n < 2^39` and `cchunk`
-            // holds exactly `m·w` words (both asserted above).
+            // the chunk's `1 ≤ m ≤ LANES` lanes fill `k = ⌈m/8⌉`
+            // vectors, `n ≤ 64·w` by the choice of `w`, `n ≤ 2^28` and
+            // `cchunk` holds exactly `m·w` words (both asserted above).
             let counts = unsafe {
-                match m.div_ceil(8) {
-                    1 => ifma::hits_group_wide::<1>(&s, cchunk, m, w, n as u64, t),
-                    2 => ifma::hits_group_wide::<2>(&s, cchunk, m, w, n as u64, t),
-                    3 => ifma::hits_group_wide::<3>(&s, cchunk, m, w, n as u64, t),
-                    _ => ifma::hits_group_wide::<4>(&s, cchunk, m, w, n as u64, t),
+                match w {
+                    2 => by_vectors!(k, hits_group::<_, 2>(&s, cchunk, m, n, t)),
+                    3 => by_vectors!(k, hits_group::<_, 3>(&s, cchunk, m, n, t)),
+                    4 => by_vectors!(k, hits_group::<_, 4>(&s, cchunk, m, n, t)),
+                    _ => by_vectors!(k, hits_group_gather::<_>(&s, cchunk, m, w, n, t)),
                 }
             };
             out.extend_from_slice(&counts[..m]);
@@ -402,15 +487,9 @@ pub fn mc_hits_wide(states: &[u128], cons: &[u64], n: usize, t: usize, out: &mut
 fn group_hits(k: usize, states: &[u128; LANES], cons: &[u64; LANES], n: usize, t: usize) -> [u64; LANES] {
     #[cfg(target_arch = "x86_64")]
     if ifma_available() {
-        // Safety: feature support verified by `ifma_available`.
-        return unsafe {
-            match k {
-                1 => ifma::hits_group::<1>(states, cons, n as u64, t),
-                2 => ifma::hits_group::<2>(states, cons, n as u64, t),
-                3 => ifma::hits_group::<3>(states, cons, n as u64, t),
-                _ => ifma::hits_group::<4>(states, cons, n as u64, t),
-            }
-        };
+        // Safety: feature support verified by `ifma_available`; all
+        // `8·k` lanes are real, each with one word, and `n ≤ 64`.
+        return unsafe { by_vectors!(k, hits_group::<_, 1>(states, cons, 8 * k, n as u64, t)) };
     }
     scalar_group_hits(k, states, cons, n, t)
 }
@@ -545,34 +624,66 @@ mod tests {
     #[test]
     fn wide_engine_matches_scalar_reference_exactly() {
         // Every lane of the wide engine against the one-lane wide
-        // reference, for w ∈ {2, 3, 5} and ragged tails of 1–70 lanes
-        // (2+ full groups plus every tail shape).
+        // reference, at every width boundary of the dispatch (one word,
+        // 2–4 words in registers, 5 words gathered), for ragged tails
+        // of 1–70 lanes (2+ full groups plus every tail shape).
         let mut mask_rng = Lcg128::from_key(98, 2, 2);
-        for (rep, n) in [65usize, 100, 128, 129, 150, 192, 257, 300, 320]
-            .into_iter()
-            .cycle()
-            .take(70)
-            .enumerate()
-        {
+        for n in [64usize, 65, 128, 129, 192, 193, 255, 256, 257] {
             let w = n.div_ceil(64);
-            assert!([2, 3, 5].contains(&w));
-            let lanes = 1 + rep;
-            let t = (rep % 4) * n + 1;
-            let states: Vec<u128> = (0..lanes)
-                .map(|i| item_state(5, (rep * 100 + i) as u64))
-                .collect();
-            let mut cons: Vec<u64> = (0..lanes * w).map(|_| mask_rng.next_u64()).collect();
-            for lane in 0..lanes {
-                cons[lane * w + w - 1] &= u64::MAX >> (64 * w - n);
+            for lanes in 1..=70 {
+                let t = (lanes % 4) * n + 1;
+                let states: Vec<u128> = (0..lanes)
+                    .map(|i| item_state(5, (n * 100 + lanes * 71 + i) as u64))
+                    .collect();
+                let mut cons: Vec<u64> = (0..lanes * w).map(|_| mask_rng.next_u64()).collect();
+                for lane in 0..lanes {
+                    cons[lane * w + w - 1] &= u64::MAX >> (64 * w - n);
+                }
+                let mut out = Vec::new();
+                mc_hits_wide(&states, &cons, n, t, &mut out);
+                assert_eq!(out.len(), lanes);
+                for i in 0..lanes {
+                    assert_eq!(
+                        out[i],
+                        scalar_hits_wide(states[i], &cons[i * w..(i + 1) * w], n, t),
+                        "lanes {lanes} lane {i} (n={n}, t={t})"
+                    );
+                }
             }
-            let mut out = Vec::new();
-            mc_hits_wide(&states, &cons, n, t, &mut out);
-            assert_eq!(out.len(), lanes);
-            for i in 0..lanes {
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn limb_pick_equals_the_u128_pick() {
+        // The IFMA pick from limbs 1 and 2 against `(r · n) >> 64`, on
+        // random states, extreme limbs (s2 = 2^24 − 1, the low 12 bits
+        // of s1 set) and states whose `r · n` sits just below a
+        // multiple of 2^64, where state bits 52–63 would carry the pick
+        // over if they were not masked off. Limb 1 is also passed with
+        // a carry bit above bit 51, as the engine leaves it.
+        use super::ifma::{limbs, pick_of_limbs};
+        let mut rng = Lcg128::from_key(96, 4, 4);
+        for n in [1u64, 2, 63, 64, 65, 1 << 20, 1 << 28] {
+            let mut states = Vec::new();
+            for _ in 0..200 {
+                let (hi, lo) = (rng.next_u64() as u128, rng.next_u64() as u128);
+                states.push(hi << 64 | lo);
+                states.push((0xFF_FFFF << 104) | (hi << 64 | lo | 0xFFF << 52) & ((1 << 104) - 1));
+                // The largest r whose pick is k − 1, for k ∈ [1, n].
+                let k = 1 + rng.next_u64() as u128 % n as u128;
+                let r = ((k << 64) - 1) / n as u128;
+                states.push(r << 64 | lo | 0xFFF << 52);
+            }
+            states.extend([u128::MAX, 0, 1 << 64, (1 << 64) - 1]);
+            for state in states {
+                let [_, s1, s2] = limbs(state);
+                let want = (((state >> 64) * n as u128) >> 64) as u64;
+                assert_eq!(pick_of_limbs(s1, s2, n), want, "state {state:#x}, n {n}");
                 assert_eq!(
-                    out[i],
-                    scalar_hits_wide(states[i], &cons[i * w..(i + 1) * w], n, t),
-                    "rep {rep} lane {i} (n={n}, t={t})"
+                    pick_of_limbs(s1 | 1 << 52, s2, n),
+                    want,
+                    "carry, state {state:#x}, n {n}"
                 );
             }
         }

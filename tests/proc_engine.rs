@@ -306,8 +306,11 @@ fn has_thread(pid: u32, name: &str) -> bool {
 #[test]
 fn proc_stalled_worker_is_killed_and_diagnosed() {
     let dir = std::env::temp_dir();
-    let socket = dir.join(format!("monet_proc_stall_{}.sock", std::process::id()));
+    let id = std::process::id();
+    let socket = dir.join(format!("monet_proc_stall_{id}.sock"));
+    let frec = dir.join(format!("monet_proc_stall_frec_{id}"));
     std::fs::remove_file(&socket).ok();
+    std::fs::remove_dir_all(&frec).ok();
     let socket_str = socket.to_str().unwrap();
 
     // The injected delay holds the run open, heartbeats still flowing,
@@ -316,6 +319,7 @@ fn proc_stalled_worker_is_killed_and_diagnosed() {
     let mut child = Command::new(monet_bin())
         .args(["--synthetic", "30,20", "--seed", "4", "--quiet"])
         .args(["--engine", "proc:2", "--fault", "delay:1@30:10000"])
+        .args(["--flightrec-dir", frec.to_str().unwrap()])
         .env("MN_PROC_ADDR", socket_str)
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -362,4 +366,9 @@ fn proc_stalled_worker_is_killed_and_diagnosed() {
         );
     }
     assert!(!socket.exists(), "the supervisor left its socket file behind");
+    // The failed run's black box lands in the given directory, not in
+    // the working directory.
+    let records = det_records(&frec.join("flightrec-rank0.jsonl"));
+    assert!(!records.is_empty(), "rank 0 dumped no deterministic events");
+    std::fs::remove_dir_all(&frec).ok();
 }
